@@ -101,9 +101,27 @@ func (s *fileSink) close() {
 	fmt.Fprintf(os.Stderr, "wrote %s\n", s.f.Name())
 }
 
+// capability is what an experiment accepts beyond its defaults.
+type capability struct {
+	obs       bool // -trace, -metrics, -checkpoint-every: a single mixed run
+	decisions bool // -decisions: a single Query Scheduler run
+	backends  bool // -backends N
+}
+
+// capabilities lists every experiment that accepts one of the above.
+var capabilities = map[string]capability{
+	"fig4":       {obs: true, backends: true},
+	"fig5":       {obs: true, backends: true},
+	"fig6":       {obs: true, decisions: true, backends: true},
+	"fig7":       {obs: true, decisions: true, backends: true},
+	"infeasible": {obs: true, decisions: true},
+	"routing":    {obs: true, decisions: true},
+	"failover":   {obs: true, decisions: true},
+}
+
 func main() {
 	exp := flag.String("exp", "all", "experiment: syslimit|fig2|fig3|fig4|fig5|fig6|fig7|overhead|direct|detection|detection-replicated|replicated|ablations|faultmatrix|crashrecovery|infeasible|routing|failover|all")
-	backends := flag.Int("backends", 1, "number of identical backends behind the routing tier (Query Scheduler runs: -exp fig6|fig7); 1 = the classic single-engine rig, byte-identical to builds without a fleet")
+	backends := flag.Int("backends", 1, "run on N identical backends behind the routing tier (-exp fig4|fig5|fig6|fig7); 1 = the paper's single engine")
 	replications := flag.Int("seeds", 5, "number of seeds for -exp replicated / detection-replicated")
 	seed := flag.Uint64("seed", 1, "random seed")
 	parallel := flag.Int("parallel", 0, "worker goroutines for independent runs within an experiment (0 = GOMAXPROCS, 1 = serial); results are identical for any value")
@@ -124,23 +142,35 @@ func main() {
 	pprofFile := flag.String("pprof-file", "", "profile output path (default qsim-cpu.pprof / qsim-heap.pprof)")
 	flag.Parse()
 
-	obsCapable := map[string]bool{"fig4": true, "fig5": true, "fig6": true, "fig7": true, "infeasible": true, "routing": true, "failover": true}
-	decCapable := map[string]bool{"fig6": true, "fig7": true, "infeasible": true, "routing": true, "failover": true}
+	capable := capabilities[*exp]
 	if *backends < 1 {
 		fmt.Fprintln(os.Stderr, "-backends must be at least 1")
 		os.Exit(2)
 	}
-	if *backends > 1 && *exp != "fig6" && *exp != "fig7" {
-		fmt.Fprintln(os.Stderr, "-backends applies to Query Scheduler runs: -exp fig6|fig7 (use -exp routing for the heterogeneous E14 fleet)")
+	if *backends > 1 && !capable.backends {
+		fmt.Fprintln(os.Stderr, "-backends applies to -exp fig4|fig5|fig6|fig7 (use -exp routing for the heterogeneous E14 fleet)")
 		os.Exit(2)
 	}
-	if (*traceFile != "" || *metricsFile != "") && *scenario == "" && *resumeDir == "" && !obsCapable[*exp] {
+	if (*traceFile != "" || *metricsFile != "") && *scenario == "" && *resumeDir == "" && !capable.obs {
 		fmt.Fprintln(os.Stderr, "-trace/-metrics apply to a single mixed run: -exp fig4|fig5|fig6|fig7|infeasible or -scenario")
 		os.Exit(2)
 	}
-	if *decisionsFile != "" && *scenario == "" && *resumeDir == "" && !decCapable[*exp] {
+	if *decisionsFile != "" && *scenario == "" && *resumeDir == "" && !capable.decisions {
 		fmt.Fprintln(os.Stderr, "-decisions applies to a single Query Scheduler run: -exp fig6|fig7|infeasible or a query-scheduler -scenario")
 		os.Exit(2)
+	}
+	faults := loadFaults(*faultsFile)
+	if faults != nil && *scenario == "" && *resumeDir == "" {
+		// A plan must fit the roster it runs on — every crash window
+		// leaving some backend up — before any run starts.
+		roster := *backends
+		if *exp == "routing" {
+			roster = len(experiment.RoutingBackends())
+		}
+		if err := faults.ValidateRoster(roster); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 	profFile := *pprofFile
 	if profFile == "" && *pprofMode != "" {
@@ -172,7 +202,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-checkpoint-every requires -checkpoint-dir")
 			os.Exit(2)
 		}
-		if *scenario == "" && *resumeDir == "" && !obsCapable[*exp] {
+		if *scenario == "" && *resumeDir == "" && !capable.obs {
 			fmt.Fprintln(os.Stderr, "-checkpoint-every applies to a single mixed run: -exp fig4|fig5|fig6|fig7 or -scenario")
 			os.Exit(2)
 		}
@@ -262,7 +292,6 @@ func main() {
 	out := os.Stdout
 	run := func(name string) bool { return *exp == name || *exp == "all" }
 	any := false
-	faults := loadFaults(*faultsFile)
 
 	writeMixedTables := func(name string, res *experiment.MixedResult) {
 		experiment.WriteMixed(out, res)
@@ -310,13 +339,17 @@ func main() {
 		if *seed != 1 {
 			sc.Seed = *seed
 		}
+		sc.Faults = faults
+		if err := sc.Config().Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 		if sc.Name != "" {
 			fmt.Fprintf(out, "Scenario: %s\n", sc.Name)
 		}
 		sc.Trace = traceWriter()
 		sc.Metrics = metricsSink.writer()
 		sc.Decisions = decisionsSink.writer()
-		sc.Faults = faults
 		sc.CheckpointEvery = *checkpointEvery
 		sc.CheckpointDir = *checkpointDir
 		if *mitigate {
@@ -386,9 +419,6 @@ func main() {
 		cfg.CheckpointEvery = *checkpointEvery
 		cfg.CheckpointDir = *checkpointDir
 		if *backends > 1 {
-			// Fault plans and the retry stack are wired per backend in the
-			// fleet rig; only backend-scoped fault targets are validated
-			// there (a plan naming backend 5 on a 3-box fleet panics).
 			cfg.Backends = backend.DefaultSpecs(*backends)
 		}
 		if *mitigate {

@@ -128,7 +128,7 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 0, "write a crash-consistent checkpoint every N control boundaries into a per-value subdirectory of -checkpoint-dir")
 	checkpointDir := flag.String("checkpoint-dir", "", "root directory for per-value checkpoint subdirectories")
 	resume := flag.Bool("resume", false, "resume swept values that left a checkpoint under -checkpoint-dir (values without one run fresh); pass the same -param/-values/-trace/-metrics as the interrupted sweep")
-	backends := flag.Int("backends", 1, "run every swept value on a fleet of N identical backends behind the routing tier (1 = classic single engine)")
+	backends := flag.Int("backends", 1, "run every swept value on N identical backends behind the routing tier (1 = the paper's single engine)")
 	flag.Parse()
 
 	if (*checkpointEvery > 0 || *resume) && *checkpointDir == "" {
@@ -165,7 +165,7 @@ func main() {
 	defer stopProfile()
 
 	// Fault plans and the mitigation stack apply per backend on fleet
-	// runs; the fleet rig validates backend-scoped fault targets itself.
+	// runs.
 	var fleetSpecs []backend.Spec
 	if *backends > 1 {
 		fleetSpecs = backend.DefaultSpecs(*backends)
@@ -183,6 +183,10 @@ func main() {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
+		}
+		if err := plan.ValidateRoster(*backends); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
 		faults = &plan
 	}

@@ -1,9 +1,9 @@
 // Package backend bundles one simulated engine with its admission-
-// control stack — patroller, Query Scheduler, per-backend metrics
-// collector — behind a single handle the routing tier composes into a
-// fleet. The classic single-engine rig is exactly one backend; a fleet
-// run stands up N of them on one shared clock, each with its own
-// capacity profile, and routes every query to one of them.
+// control stack — patroller, controller, per-backend metrics collector —
+// behind a single handle the routing tier composes into a fleet. Every
+// run is a fleet: a single-engine run is exactly one backend, and an
+// N-backend run stands up N of them on one shared clock, each with its
+// own capacity profile, and routes every query to one of them.
 package backend
 
 import (
@@ -51,8 +51,7 @@ func (s Spec) EngineConfig() engine.Config {
 }
 
 // DefaultSpecs returns n identical paper-default backends named b1..bn —
-// the -backends N fleet. A single default spec reproduces the classic
-// single-engine rig exactly.
+// the -backends N fleet. DefaultSpecs(1) is the paper's single engine.
 func DefaultSpecs(n int) []Spec {
 	out := make([]Spec, n)
 	for i := range out {
@@ -89,7 +88,8 @@ type Backend interface {
 }
 
 // Instance is one concrete backend: an engine plus (once attached) its
-// patroller, per-backend Query Scheduler, and per-backend collector.
+// patroller, its Query Scheduler (Query Scheduler mode only), and its
+// collector.
 type Instance struct {
 	id   int
 	spec Spec
@@ -98,14 +98,12 @@ type Instance struct {
 	Pat *patroller.Patroller
 	QS  *core.QueryScheduler
 	// Collector is the backend-local period × class view — what landed
-	// here, as opposed to the fleet-global collector that sees all
-	// backends at once.
+	// here. With one backend it is also the run's global collector.
 	Collector *metrics.Collector
 }
 
-// New builds a backend's engine on the shared clock. Control
-// (patroller + scheduler) and metrics attach separately, mirroring the
-// construction order of the single-engine rig.
+// New builds a backend's engine on the shared clock. The controller
+// and the collector attach separately.
 func New(id int, spec Spec, clock *simclock.Clock) *Instance {
 	if id <= 0 {
 		panic(fmt.Sprintf("backend: non-positive backend ID %d", id))
@@ -178,22 +176,98 @@ func (b *Instance) Evacuate() []*engine.Query {
 	return out
 }
 
-// AttachControl wires the backend's admission stack: a patroller over
-// the OLAP classes and a started per-backend Query Scheduler. The
-// scheduler's monitor polls only this backend's engine, so each member
-// of a fleet plans against what actually landed on it.
-func (b *Instance) AttachControl(qsCfg core.Config, classes []*workload.Class,
-	olap []engine.ClassID, oltpClients func() []engine.ClientID) {
-	b.Pat = patroller.New(b.Eng, olap...)
-	qs, err := core.New(qsCfg, b.Eng, b.Pat, classes, oltpClients)
-	if err != nil {
-		panic(err)
+// Mode selects a backend's workload controller.
+type Mode int
+
+// Controller modes, matching the paper's three experiment configurations.
+const (
+	// NoControl exerts nothing beyond the system cost limit (Figure 4).
+	NoControl Mode = iota
+	// QPPriority is static DB2 QP control: cost groups plus class
+	// priorities (Figure 5).
+	QPPriority
+	// QPNoPriority is DB2 QP group control without priorities; the paper
+	// notes its results match NoControl.
+	QPNoPriority
+	// QueryScheduler is the paper's dynamic workload adaptation
+	// (Figures 6 and 7).
+	QueryScheduler
+)
+
+func (m Mode) String() string {
+	switch m {
+	case NoControl:
+		return "no-control"
+	case QPPriority:
+		return "qp-priority"
+	case QPNoPriority:
+		return "qp-no-priority"
+	case QueryScheduler:
+		return "query-scheduler"
+	default:
+		return fmt.Sprintf("Mode(%d)", int(m))
 	}
-	b.QS = qs
-	qs.Start()
 }
 
-// AttachCollector builds the backend-local metrics collector.
-func (b *Instance) AttachCollector(classes []*workload.Class, sched workload.Schedule) {
-	b.Collector = metrics.NewCollector(b.Eng, classes, sched)
+// Control configures one backend's workload controller.
+type Control struct {
+	Mode    Mode
+	Classes []*workload.Class
+	// Limit is the static policies' total OLAP cost limit (timerons).
+	Limit float64
+	// Thresholds are the QP cost-group boundaries (QP modes only).
+	Thresholds patroller.GroupThresholds
+	// QS configures the Query Scheduler (QueryScheduler mode only).
+	QS core.Config
+	// OLTPClients lists the active OLTP clients the scheduler's monitor
+	// polls; nil when the workload has no OLTP class.
+	OLTPClients func() []engine.ClientID
+}
+
+// AttachController wires the backend's admission stack: a patroller
+// over the OLAP classes and the mode's release policy. A Query Scheduler
+// is started immediately (its dispatcher becomes the patroller's policy)
+// and its monitor polls only this backend's engine, so each member of a
+// fleet plans against what actually landed on it.
+func (b *Instance) AttachController(c Control) {
+	var olap []engine.ClassID
+	for _, cl := range c.Classes {
+		if cl.Kind == workload.OLAP {
+			olap = append(olap, cl.ID)
+		}
+	}
+	b.Pat = patroller.New(b.Eng, olap...)
+	switch c.Mode {
+	case NoControl:
+		b.Pat.SetPolicy(patroller.SystemLimit{Limit: c.Limit})
+
+	case QPPriority, QPNoPriority:
+		pol := patroller.GroupPriority{
+			TotalLimit:    c.Limit,
+			Thresholds:    c.Thresholds,
+			MaxConcurrent: patroller.DefaultGroupCaps(),
+			Priority:      map[engine.ClassID]int{},
+		}
+		if c.Mode == QPPriority {
+			// The paper sets Class 2's priority above Class 1's; in
+			// general QP priorities follow class importance.
+			for _, cl := range c.Classes {
+				if cl.Kind == workload.OLAP {
+					pol.Priority[cl.ID] = cl.Importance
+				}
+			}
+		}
+		b.Pat.SetPolicy(pol)
+
+	case QueryScheduler:
+		qs, err := core.New(c.QS, b.Eng, b.Pat, c.Classes, c.OLTPClients)
+		if err != nil {
+			panic(err)
+		}
+		b.QS = qs
+		qs.Start()
+
+	default:
+		panic(fmt.Sprintf("backend: unknown mode %v", c.Mode))
+	}
 }

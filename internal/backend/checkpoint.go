@@ -1,41 +1,32 @@
-// Checkpoint state for one fleet backend: the composed snapshot of its
-// engine, patroller, scheduler, and local collector. The fleet runner
-// stores one of these per backend, in backend-ID order, so restore
-// replays the same construction sequence component by component.
+// Checkpoint state for one backend: the composed snapshot of its
+// engine, patroller, and (in Query Scheduler mode) scheduler. The run
+// stores one of these per backend, in backend-ID order; restore replays
+// them component by component, interleaved with the shared sections.
 package backend
 
 import (
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/metrics"
 	"repro/internal/patroller"
 )
 
 // CheckpointState is the backend's serializable state.
 type CheckpointState struct {
-	Engine    engine.CheckpointState
-	Pat       patroller.CheckpointState
-	QS        core.CheckpointState
-	Collector metrics.CheckpointState
+	Engine engine.CheckpointState
+	Pat    patroller.CheckpointState
+	HasQS  bool
+	QS     core.CheckpointState
 }
 
 // CheckpointState captures the backend at a quiescent boundary.
 func (b *Instance) CheckpointState() CheckpointState {
-	return CheckpointState{
-		Engine:    b.Eng.CheckpointState(),
-		Pat:       b.Pat.CheckpointState(),
-		QS:        b.QS.CheckpointState(),
-		Collector: b.Collector.CheckpointState(),
+	st := CheckpointState{
+		Engine: b.Eng.CheckpointState(),
+		Pat:    b.Pat.CheckpointState(),
 	}
-}
-
-// RestoreCheckpoint overwrites a freshly constructed backend with
-// checkpointed state. Order mirrors the single-rig resume: the engine
-// first (held/active patroller entries re-link to its rebuilt query
-// objects), then the patroller, scheduler, and collector.
-func (b *Instance) RestoreCheckpoint(st CheckpointState) {
-	b.Eng.RestoreCheckpoint(st.Engine)
-	b.Pat.RestoreCheckpoint(st.Pat)
-	b.QS.RestoreCheckpoint(st.QS)
-	b.Collector.RestoreCheckpoint(st.Collector)
+	if b.QS != nil {
+		st.HasQS = true
+		st.QS = b.QS.CheckpointState()
+	}
+	return st
 }

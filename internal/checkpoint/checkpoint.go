@@ -14,7 +14,8 @@
 // complete file set or the new one, never a torn file under a final
 // name. Reads verify the magic, version, length, and checksum; Latest
 // skips corrupt files with a warning instead of failing, so a run
-// resumes from the newest checkpoint that survived the crash.
+// resumes from the newest checkpoint that survived the crash, and
+// rejects files of another format version outright.
 //
 // The package is deliberately ignorant of what a snapshot contains: the
 // payload is an opaque value the caller registers with encoding/gob.
@@ -24,6 +25,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -34,8 +36,21 @@ import (
 	"strings"
 )
 
-// Version identifies the container format.
-const Version = 1
+// Version identifies the container format together with the payload
+// layout its callers encode. Version 2 snapshots a run as shared
+// sections plus one section per backend; version 1 files are rejected,
+// not migrated.
+const Version = 2
+
+// versionError reports a checkpoint written in another format version.
+type versionError struct {
+	Path    string
+	Version uint32
+}
+
+func (e *versionError) Error() string {
+	return fmt.Sprintf("checkpoint: %s: unsupported version %d (this build reads version %d)", e.Path, e.Version, Version)
+}
 
 var magic = []byte("QSCKPT\n")
 
@@ -128,7 +143,7 @@ func Read(path string, out any) error {
 	}
 	hdr := data[len(magic) : len(magic)+16]
 	if v := binary.BigEndian.Uint32(hdr[0:4]); v != Version {
-		return fmt.Errorf("checkpoint: %s: unsupported version %d", path, v)
+		return &versionError{Path: path, Version: v}
 	}
 	payload := data[len(magic)+16:]
 	if want := binary.BigEndian.Uint64(hdr[4:12]); uint64(len(payload)) != want {
@@ -146,8 +161,10 @@ func Read(path string, out any) error {
 // Latest finds the newest valid checkpoint in dir, decoding it into out
 // and returning its boundary index. Files that fail verification are
 // skipped with a warning on warnw (stderr in the CLIs) — a torn or
-// corrupt newest file falls back to the one before it. ok is false when
-// no valid checkpoint exists.
+// corrupt newest file falls back to the one before it. A file in
+// another format version is an error, not corruption: the older files
+// beside it come from the same build. ok is false when no valid
+// checkpoint exists.
 func Latest(dir string, out any, warnw io.Writer) (index int, ok bool, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -166,6 +183,10 @@ func Latest(dir string, out any, warnw io.Writer) (index int, ok bool, err error
 	for _, n := range indices {
 		path := filepath.Join(dir, FileName(n))
 		if rerr := Read(path, out); rerr != nil {
+			var verr *versionError
+			if errors.As(rerr, &verr) {
+				return 0, false, rerr
+			}
 			if warnw != nil {
 				fmt.Fprintf(warnw, "warning: skipping %v\n", rerr)
 			}

@@ -83,6 +83,11 @@ func TestReadRejectsCorruptFiles(t *testing.T) {
 			binary.BigEndian.PutUint32(out[len(magic):], Version+1)
 			return out
 		}, "unsupported version"},
+		{"version 1", func(d []byte) []byte {
+			out := append([]byte(nil), d...)
+			binary.BigEndian.PutUint32(out[len(magic):], 1)
+			return out
+		}, "unsupported version 1"},
 		{"short payload", func(d []byte) []byte { return d[:len(d)-3] }, "header says"},
 		{"flipped payload byte", func(d []byte) []byte {
 			out := append([]byte(nil), d...)
@@ -105,6 +110,26 @@ func TestReadRejectsCorruptFiles(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// A directory written by a build with the version-1 snapshot layout is
+// an error that names the version, not a run of corrupt files to skip.
+func TestLatestRejectsVersion1(t *testing.T) {
+	dir := t.TempDir()
+	for i := 1; i <= 2; i++ {
+		if err := Write(dir, i, samplePayload(i)); err != nil {
+			t.Fatal(err)
+		}
+		corruptAt(t, filepath.Join(dir, FileName(i)), func(d []byte) []byte {
+			binary.BigEndian.PutUint32(d[len(magic):], 1)
+			return d
+		})
+	}
+	var got payload
+	_, ok, err := Latest(dir, &got, nil)
+	if ok || err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("Latest over version-1 files = ok %v, err %v; want an error naming version 1", ok, err)
 	}
 }
 

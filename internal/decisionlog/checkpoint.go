@@ -5,10 +5,8 @@
 // counter and pending record — continues byte-identically.
 package decisionlog
 
-import "sort"
-
-// StreamState is one fleet backend's tick counter and pending record in
-// serialized (sorted-by-backend) form.
+// StreamState is one decision stream's tick counter and pending record
+// in serialized form.
 type StreamState struct {
 	Backend    int
 	Tick       int
@@ -16,57 +14,46 @@ type StreamState struct {
 	Pending    Record
 }
 
-// CheckpointState is the writer's serializable state. The legacy single
-// stream lives in Tick/HasPending/Pending; fleet backends (1..N) in
-// Streams, sorted by backend ID.
+// CheckpointState is the writer's serializable state: the sink offset
+// and every stream that has seen a tick, in stream order.
 type CheckpointState struct {
-	Tick       int
-	SinkBytes  int64
-	HasPending bool
-	Pending    Record
-	Streams    []StreamState
+	SinkBytes int64
+	Streams   []StreamState
 }
 
 // CheckpointState captures the writer at a quiescent boundary.
 func (dw *Writer) CheckpointState() CheckpointState {
-	st := CheckpointState{Tick: dw.tick, SinkBytes: dw.bytes}
-	if dw.pending != nil {
-		st.HasPending = true
-		st.Pending = *dw.pending
-	}
-	for b, tick := range dw.bticks {
-		ss := StreamState{Backend: b, Tick: tick}
-		if p := dw.bpending[b]; p != nil {
+	st := CheckpointState{SinkBytes: dw.bytes}
+	for b, s := range dw.streams {
+		if s.tick == 0 {
+			continue
+		}
+		ss := StreamState{Backend: b, Tick: s.tick}
+		if s.pending != nil {
 			ss.HasPending = true
-			ss.Pending = *p
+			ss.Pending = *s.pending
 		}
 		st.Streams = append(st.Streams, ss)
 	}
-	sort.Slice(st.Streams, func(i, j int) bool { return st.Streams[i].Backend < st.Streams[j].Backend })
 	return st
 }
 
 // RestoreCheckpoint overwrites a fresh (Resume)Writer with checkpointed
 // state. The caller must have truncated the sink to st.SinkBytes first.
 func (dw *Writer) RestoreCheckpoint(st CheckpointState) {
-	if dw.tick != 0 || dw.pending != nil || dw.bticks != nil {
+	if dw.streams != nil {
 		panic("decisionlog: checkpoint restore onto a used writer")
 	}
-	dw.tick = st.Tick
 	dw.bytes = st.SinkBytes
-	if st.HasPending {
-		p := st.Pending
-		dw.pending = &p
-	}
-	if len(st.Streams) > 0 {
-		dw.bticks = make(map[int]int, len(st.Streams))
-		dw.bpending = make(map[int]*Record, len(st.Streams))
-		for _, ss := range st.Streams {
-			dw.bticks[ss.Backend] = ss.Tick
-			if ss.HasPending {
-				p := ss.Pending
-				dw.bpending[ss.Backend] = &p
-			}
+	for _, ss := range st.Streams {
+		for len(dw.streams) <= ss.Backend {
+			dw.streams = append(dw.streams, stream{})
+		}
+		s := &dw.streams[ss.Backend]
+		s.tick = ss.Tick
+		if ss.HasPending {
+			p := ss.Pending
+			s.pending = &p
 		}
 	}
 }

@@ -174,25 +174,27 @@ func ClassesMeta(classes []*workload.Class) []ClassMeta {
 // Writer emits the decision log to a JSONL sink. Records lag one tick:
 // Note buffers the newest record and writes its predecessor once the
 // new harvest has closed the predecessor's prediction window. Not
-// safe for concurrent use — the scheduler's plan hook is the only
-// caller.
+// safe for concurrent use — the schedulers' plan hooks are the only
+// callers.
 type Writer struct {
 	w     io.Writer
 	meta  Meta
 	class map[engine.ClassID]ClassMeta
 	ids   []engine.ClassID // sorted roster
 
-	tick    int
-	bytes   int64
-	pending *Record
-	// bticks/bpending are the per-backend tick counters and one-tick
-	// buffers of a fleet log (streams 1..N); the legacy single stream
-	// stays in tick/pending so its hot path and checkpoints are
-	// untouched. Nil until NoteBackend is first called.
-	bticks   map[int]int
-	bpending map[int]*Record
+	bytes int64
+	// streams[b] is decision stream b's tick counter and one-tick
+	// buffer: stream 0 is a one-backend run's, streams 1..N a fleet's
+	// backends.
+	streams []stream
 	//lint:ignore ckptcover latched export error; a resumed run reopens the sink and starts clean
 	err error
+}
+
+// stream is one control loop's tick counter and pending record.
+type stream struct {
+	tick    int
+	pending *Record
 }
 
 // NewWriter starts a decision log on w: validates the meta, stamps
@@ -249,42 +251,31 @@ func newWriter(w io.Writer, meta Meta) (*Writer, error) {
 	return dw, nil
 }
 
-// Note folds one control tick into the log: the previous tick's record
-// gains its Actual outcomes from this tick's harvest and is written; the
-// new record becomes pending. Install it with qs.OnPlan(dw.Note).
-func (dw *Writer) Note(rec core.PlanRecord) {
-	dw.tick++
-	if dw.pending != nil {
-		dw.pending.Actual = dw.outcomes(dw.pending, rec.Measurement)
-		dw.writeRecord(dw.pending)
-	}
-	r := dw.buildRecord(0, dw.tick, dw.pending, rec)
-	dw.pending = &r
-}
+// Note folds one control tick of a one-backend run into the log: the
+// previous tick's record gains its Actual outcomes from this tick's
+// harvest and is written; the new record becomes pending. Install it
+// with qs.OnPlan(dw.Note).
+func (dw *Writer) Note(rec core.PlanRecord) { dw.NoteBackend(0, rec) }
 
-// NoteBackend is Note for one backend's stream of a fleet log: each
+// NoteBackend is Note for backend b's stream of a fleet log: each
 // backend's scheduler gets its own tick counter and one-tick buffer, so
 // N interleaved control loops share a single sink without clobbering
 // each other's prediction windows. Install per backend with
 // qs.OnPlan(func(rec core.PlanRecord) { dw.NoteBackend(b, rec) }).
-// Backend 0 is the legacy single stream (identical to Note).
+// Stream 0 is the one-backend stream, whose records omit the backend.
 func (dw *Writer) NoteBackend(b int, rec core.PlanRecord) {
-	if b == 0 {
-		dw.Note(rec)
-		return
+	for len(dw.streams) <= b {
+		dw.streams = append(dw.streams, stream{})
 	}
-	if dw.bticks == nil {
-		dw.bticks = make(map[int]int)
-		dw.bpending = make(map[int]*Record)
-	}
-	dw.bticks[b]++
-	prev := dw.bpending[b]
+	s := &dw.streams[b]
+	s.tick++
+	prev := s.pending
 	if prev != nil {
 		prev.Actual = dw.outcomes(prev, rec.Measurement)
 		dw.writeRecord(prev)
 	}
-	r := dw.buildRecord(b, dw.bticks[b], prev, rec)
-	dw.bpending[b] = &r
+	r := dw.buildRecord(b, s.tick, prev, rec)
+	s.pending = &r
 }
 
 // NoteFleet writes one fleet availability/mitigation event immediately.
@@ -312,31 +303,16 @@ func (dw *Writer) NoteFleet(fr FleetRecord) {
 }
 
 // Flush writes the trailing pending records (without Actual — no later
-// harvest closed their windows), backend streams in ascending order.
-// Call once at end of run; checkpoint capture deliberately does NOT
-// flush, so the byte offset stays at a record boundary the resumed
-// writer reproduces.
+// harvest closed their windows), streams in ascending order. Call once
+// at end of run; checkpoint capture deliberately does NOT flush, so the
+// byte offset stays at a record boundary the resumed writer reproduces.
 func (dw *Writer) Flush() {
-	if dw.pending != nil {
-		dw.writeRecord(dw.pending)
-		dw.pending = nil
-	}
-	for _, b := range sortedStreamIDs(dw.bpending) {
-		if p := dw.bpending[b]; p != nil {
+	for b := range dw.streams {
+		if p := dw.streams[b].pending; p != nil {
 			dw.writeRecord(p)
-			delete(dw.bpending, b)
+			dw.streams[b].pending = nil
 		}
 	}
-}
-
-// sortedStreamIDs returns the map's backend IDs in ascending order.
-func sortedStreamIDs(m map[int]*Record) []int {
-	ids := make([]int, 0, len(m))
-	for b := range m {
-		ids = append(ids, b)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // SinkBytes returns the bytes written to the sink so far (the pending

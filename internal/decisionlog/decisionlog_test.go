@@ -218,7 +218,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	cw.Note(recs[0])
 	cw.Note(recs[1])
 	st := cw.CheckpointState()
-	if !st.HasPending || st.Tick != 2 {
+	if len(st.Streams) != 1 || !st.Streams[0].HasPending || st.Streams[0].Tick != 2 {
 		t.Fatalf("checkpoint state: %+v", st)
 	}
 	// Simulate the crash: garbage written after the checkpoint, then the

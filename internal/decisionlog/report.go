@@ -23,12 +23,9 @@ import (
 	"repro/internal/workload"
 )
 
-// SpecError marks a malformed or out-of-range query spec, so callers can
-// distinguish usage mistakes from log problems (same split qtrace makes).
-type SpecError struct{ Err error }
-
-func (e *SpecError) Error() string { return e.Err.Error() }
-func (e *SpecError) Unwrap() error { return e.Err }
+// SpecError marks a malformed or out-of-range query spec; it is the
+// type qtrace uses too.
+type SpecError = trace.SpecError
 
 // TickRange selects an inclusive 1-based tick window; zero bounds are
 // open ("" selects everything, "7" one tick, "3-5" a range).
@@ -97,31 +94,6 @@ func metricLabel(cm ClassMeta) string {
 		return "v"
 	}
 	return "rt"
-}
-
-// resolveClass maps a class spec (numeric ID, letter A.. in roster
-// order, or name) to a roster class.
-func resolveClass(val string, meta Meta) (ClassMeta, error) {
-	if n, err := strconv.Atoi(val); err == nil {
-		for _, c := range meta.Classes {
-			if c.ID == n {
-				return c, nil
-			}
-		}
-		return ClassMeta{}, fmt.Errorf("report: no class with ID %d in log", n)
-	}
-	if len(val) == 1 && val[0] >= 'A' && val[0] <= 'Z' {
-		if i := int(val[0] - 'A'); i < len(meta.Classes) {
-			return meta.Classes[i], nil
-		}
-		return ClassMeta{}, fmt.Errorf("report: class %q but log has only %d classes", val, len(meta.Classes))
-	}
-	for _, c := range meta.Classes {
-		if strings.EqualFold(c.Name, val) {
-			return c, nil
-		}
-	}
-	return ClassMeta{}, fmt.Errorf("report: unknown class %q", val)
 }
 
 // classSummary accumulates one class's tallies over the whole log.
@@ -555,11 +527,15 @@ func ParseWhyQuery(spec string, meta Meta) (WhyQuery, error) {
 		}
 		switch key {
 		case "class":
-			cm, err := resolveClass(val, meta)
-			if err != nil {
-				return q, err
+			roster := make([]trace.ClassMeta, len(meta.Classes))
+			for i, c := range meta.Classes {
+				roster[i] = trace.ClassMeta{ID: c.ID, Name: c.Name}
 			}
-			q.Class = cm
+			i, err := trace.ResolveClass(val, roster, "log")
+			if err != nil {
+				return q, fmt.Errorf("report: %w", err)
+			}
+			q.Class = meta.Classes[i]
 			sawClass = true
 		case "tick":
 			tr, err := ParseTickRange(val)

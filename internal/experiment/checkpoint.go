@@ -23,7 +23,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/decisionlog"
-	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -75,45 +74,40 @@ type RunSpec struct {
 	// Streaming records whether the pool used the streaming client
 	// generator; resume must rebuild it the same way.
 	Streaming bool
-	// Backends records the fleet roster for multi-backend runs (nil for
-	// the classic single-engine rig); resume rebuilds the same fleet.
+	// Backends records the roster (nil = one paper-default backend);
+	// resume rebuilds the same one.
 	Backends []backend.Spec
 	// NoMitigation records MixedConfig.DisableFleetMitigation; resume
 	// must rebuild the same (absent) failover wiring.
 	NoMitigation bool
 }
 
-// runSnapshot is the gob payload of one checkpoint file.
+// runSnapshot is the gob payload of one checkpoint file: the run's
+// shared sections, then one section per backend in roster order.
 type runSnapshot struct {
 	Spec  RunSpec
 	Index int // boundary index the snapshot was taken at
-	Clock simclock.State
 
-	Engine     engine.CheckpointState
+	Clock      simclock.State
 	Pool       workload.PoolState
 	Boundaries []workload.BoundaryRef
-	Pat        patroller.CheckpointState
-	Collector  metrics.CheckpointState
-	HasQS      bool
-	QS         core.CheckpointState
-	HasFaults  bool
-	Faults     fault.CheckpointState
-	HasTrace   bool
-	Trace      trace.CheckpointState
-	HasReg     bool
-	Reg        obs.CheckpointState
-	HasDlog    bool
-	Dlog       decisionlog.CheckpointState
+	// Collectors follows Rig.collectors: the global collector, then each
+	// backend's own on a fleet.
+	Collectors []metrics.CheckpointState
+	// Router and Planner are zero when the rig has none.
+	Router   router.CheckpointState
+	Planner  router.PlannerCheckpointState
+	HasTrace bool
+	Trace    trace.CheckpointState
+	HasReg   bool
+	Reg      obs.CheckpointState
+	HasDlog  bool
+	Dlog     decisionlog.CheckpointState
 
-	// Fleet sections, populated only when Spec.Backends lists two or more
-	// specs (the Engine/Pat/QS/Collector fields above stay zero then; the
-	// shared sections — Clock, Pool, Boundaries, exports — are reused).
-	FleetBackends []backend.CheckpointState
-	Router        router.CheckpointState
-	Planner       router.PlannerCheckpointState
-	// FleetFaults holds the per-backend injector states in roster order
-	// when the fleet ran a fault plan (HasFaults set, Faults field unused).
-	FleetFaults []fault.CheckpointState
+	Backends []backend.CheckpointState
+	// Faults holds the per-backend injector states (nil without a fault
+	// plan).
+	Faults []fault.CheckpointState
 }
 
 // solverSpec names a solver for the run spec. Only the built-in
@@ -257,92 +251,93 @@ func validateCheckpointing(cfg MixedConfig) {
 }
 
 // snapshotRun captures the full simulation state at a quiescent boundary.
-func snapshotRun(rig *Rig, o *runObs, inst *workload.Installation, spec *RunSpec, idx int) *runSnapshot {
+func snapshotRun(r *Rig, o *runObs, inst *workload.Installation, spec *RunSpec, idx int) *runSnapshot {
 	snap := &runSnapshot{
 		Spec:       *spec,
 		Index:      idx,
-		Clock:      rig.Clock.State(),
-		Engine:     rig.Eng.CheckpointState(),
-		Pool:       rig.Pool.CheckpointState(),
-		Boundaries: inst.CheckpointState(rig.Clock.Now()),
-		Pat:        rig.Pat.CheckpointState(),
-		Collector:  rig.Collector.CheckpointState(),
+		Clock:      r.Clock.State(),
+		Pool:       r.Pool.CheckpointState(),
+		Boundaries: inst.CheckpointState(r.Clock.Now()),
 	}
-	if rig.QS != nil {
-		snap.HasQS = true
-		snap.QS = rig.QS.CheckpointState()
+	for _, c := range r.collectors() {
+		snap.Collectors = append(snap.Collectors, c.CheckpointState())
 	}
-	if rig.Faults != nil {
-		snap.HasFaults = true
-		snap.Faults = rig.Faults.CheckpointState()
+	if r.Router != nil {
+		snap.Router = r.Router.CheckpointState()
 	}
-	if o != nil && o.tracer != nil {
+	if r.Planner != nil {
+		snap.Planner = r.Planner.CheckpointState()
+	}
+	if o.tracer != nil {
 		snap.HasTrace = true
 		snap.Trace = o.tracer.CheckpointState()
 	}
-	if o != nil && o.reg != nil {
+	if o.reg != nil {
 		snap.HasReg = true
 		snap.Reg = o.reg.CheckpointState()
 	}
-	if o != nil && o.dlog != nil {
+	if o.dlog != nil {
 		snap.HasDlog = true
 		snap.Dlog = o.dlog.CheckpointState()
+	}
+	for _, b := range r.Backends {
+		snap.Backends = append(snap.Backends, b.CheckpointState())
+	}
+	for _, inj := range r.Faults {
+		snap.Faults = append(snap.Faults, inj.CheckpointState())
 	}
 	return snap
 }
 
-// runBoundaries drives the simulation to the end of the schedule. With
-// checkpointing disabled it is a single RunUntil, exactly as Rig.Run;
-// with checkpointing enabled the run is split at boundary multiples —
-// behaviour-neutral, since all events at or before each boundary have
-// fired either way — and a snapshot is written every CheckpointEvery
-// boundaries. Returns crashed=true when a fault-plan crash stopped the
-// clock mid-run (the "process death" the recovery experiments resume
-// from); nothing is written or finished after a crash.
-func runBoundaries(rig *Rig, o *runObs, inst *workload.Installation, spec *RunSpec, cfg MixedConfig, startIdx int) (crashed bool, err error) {
-	duration := rig.Sched.Duration()
-	died := func() bool { return rig.Faults != nil && rig.Faults.Crashed() }
-	if cfg.CheckpointEvery <= 0 {
-		rig.Clock.RunUntil(duration)
-		return died(), nil
+// restore overwrites a freshly rebuilt rig with a snapshot. Order
+// matters: the clock first (everything re-arms onto it), every engine
+// before the pool and the patrollers (held and active entries re-link
+// to the engines' rebuilt query objects), control stacks after the
+// boundaries, collectors last.
+func (r *Rig) restore(snap *runSnapshot, o *runObs) (*workload.Installation, error) {
+	if len(snap.Backends) != len(r.Backends) || len(snap.Collectors) != len(r.collectors()) {
+		return nil, fmt.Errorf("experiment: checkpoint carries %d backends for a %d-backend run",
+			len(snap.Backends), len(r.Backends))
 	}
-	step := boundaryStep(cfg)
-	// atEnd marks a resume that restored a terminal snapshot: the clock is
-	// already at the schedule end, so the loop below must not write a
-	// second (higher-indexed) terminal snapshot.
-	atEnd := float64(startIdx)*step >= duration
-	for idx := startIdx; ; idx++ {
-		t := float64(idx+1) * step
-		last := t >= duration
-		if last {
-			t = duration
-		}
-		rig.Clock.RunUntil(t)
-		if died() {
-			return true, nil
-		}
-		if last {
-			// Terminal snapshot: mark the run complete on disk. Without
-			// it, resuming a value that already finished (qsweep -resume
-			// over a partially interrupted sweep) restores the last
-			// mid-run boundary and re-simulates the whole tail; with it,
-			// the resume restores the finished state and only re-emits
-			// the final exports.
-			if !atEnd {
-				snap := snapshotRun(rig, o, inst, spec, idx+1)
-				if werr := checkpoint.Write(cfg.CheckpointDir, idx+1, snap); werr != nil {
-					return false, werr
-				}
-			}
-			return false, nil
-		}
-		if (idx+1)%cfg.CheckpointEvery == 0 {
-			snap := snapshotRun(rig, o, inst, spec, idx+1)
-			if werr := checkpoint.Write(cfg.CheckpointDir, idx+1, snap); werr != nil {
-				return false, werr
-			}
+	if snap.Backends[0].HasQS != (r.QS != nil) || len(snap.Faults) != len(r.Faults) {
+		return nil, fmt.Errorf("experiment: checkpoint state does not match its run spec")
+	}
+	r.Clock.Restore(snap.Clock)
+	for i, b := range r.Backends {
+		b.Eng.RestoreCheckpoint(snap.Backends[i].Engine)
+	}
+	r.Pool.RestoreCheckpoint(snap.Pool)
+	inst := r.Sched.RestoreBoundaries(r.Clock, r.Pool, nil, snap.Boundaries)
+	for i, b := range r.Backends {
+		b.Pat.RestoreCheckpoint(snap.Backends[i].Pat)
+	}
+	for i, b := range r.Backends {
+		if b.QS != nil {
+			b.QS.RestoreCheckpoint(snap.Backends[i].QS)
 		}
 	}
+	if r.Router != nil {
+		r.Router.RestoreCheckpoint(snap.Router)
+	}
+	if r.Planner != nil {
+		r.Planner.RestoreCheckpoint(snap.Planner)
+	}
+	for i, c := range r.collectors() {
+		c.RestoreCheckpoint(snap.Collectors[i])
+	}
+	for i, inj := range r.Faults {
+		inj.RestoreCheckpoint(snap.Faults[i])
+	}
+	if o.tracer != nil {
+		o.tracer.RestoreCheckpoint(snap.Trace)
+	}
+	if o.reg != nil && snap.HasReg {
+		o.reg.RestoreCheckpoint(snap.Reg)
+	}
+	if o.dlog != nil {
+		o.dlog.RestoreCheckpoint(snap.Dlog)
+	}
+	return inst, nil
 }
 
 // ResumeOptions configures ResumeMixed.
@@ -462,68 +457,23 @@ func ResumeMixed(opts ResumeOptions) (*MixedResult, error) {
 	cfg.CheckpointEvery = opts.CheckpointEvery
 	cfg.CheckpointDir = opts.Dir
 
-	// Fleet checkpoints resume through the fleet runner: same rewound
-	// writers, same snapshot container, different rig shape.
-	if len(cfg.Backends) >= 2 {
-		fres, ferr := resumeFleet(cfg, snap)
-		if ferr != nil {
-			return fail(ferr)
-		}
-		if cerr := closeFiles(); fres.ExportErr == nil {
-			fres.ExportErr = cerr
-		}
-		return fres.MixedResult, nil
-	}
-
-	// Reconstruction must mirror RunMixed exactly (same constructor and
+	// Reconstruction must mirror RunFleet exactly (same constructor and
 	// hook-attachment order), so restored event closures and listener
 	// chains line up with the checkpointed run's.
-	rig, o, obsErr := buildMixedRig(cfg, true)
+	r, o, obsErr := buildRig(cfg, true)
 	if obsErr != nil {
 		return fail(obsErr)
 	}
-	if (rig.QS != nil) != snap.HasQS || (rig.Faults != nil) != snap.HasFaults {
-		return fail(fmt.Errorf("experiment: checkpoint state does not match its run spec"))
+	inst, err := r.restore(snap, o)
+	if err != nil {
+		return fail(err)
 	}
-
-	// Wipe the constructor-scheduled events and re-arm the recorded ones.
-	// Order matters: the clock first (everything re-arms onto it), the
-	// engine before the patroller (held/active entries re-link to the
-	// engine's rebuilt query objects).
-	rig.Clock.Restore(snap.Clock)
-	rig.Eng.RestoreCheckpoint(snap.Engine)
-	rig.Pool.RestoreCheckpoint(snap.Pool)
-	inst := rig.Sched.RestoreBoundaries(rig.Clock, rig.Pool, nil, snap.Boundaries)
-	rig.Pat.RestoreCheckpoint(snap.Pat)
-	if rig.QS != nil {
-		rig.QS.RestoreCheckpoint(snap.QS)
-	}
-	rig.Collector.RestoreCheckpoint(snap.Collector)
-	if rig.Faults != nil {
-		rig.Faults.RestoreCheckpoint(snap.Faults)
-	}
-	if o != nil && o.tracer != nil {
-		o.tracer.RestoreCheckpoint(snap.Trace)
-	}
-	if o != nil && o.reg != nil && snap.HasReg {
-		o.reg.RestoreCheckpoint(snap.Reg)
-	}
-	if o != nil && o.dlog != nil {
-		o.dlog.RestoreCheckpoint(snap.Dlog)
-	}
-
 	spec := snap.Spec
-	crashed, runErr := runBoundaries(rig, o, inst, &spec, cfg, snap.Index)
-	obsErr = runErr
-	if obsErr == nil && !crashed {
-		obsErr = o.finish()
+	fr := r.complete(cfg, o, inst, &spec, snap.Index, nil)
+	if cerr := closeFiles(); fr.ExportErr == nil {
+		fr.ExportErr = cerr
 	}
-	if cerr := closeFiles(); obsErr == nil {
-		obsErr = cerr
-	}
-	res := collectMixed(cfg, rig, obsErr)
-	res.Crashed = crashed
-	return res, nil
+	return fr.MixedResult, nil
 }
 
 // rewoundFile is a resume-reopened export file: truncated to the

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -310,6 +311,29 @@ func TestResumeRejectsMismatchedOutputs(t *testing.T) {
 	}
 	if _, err := ResumeMixed(ResumeOptions{Dir: t.TempDir(), TracePath: refTrace, Metrics: io.Discard}); err == nil {
 		t.Error("empty checkpoint directory accepted")
+	}
+}
+
+// A checkpoint directory written in the version-1 snapshot layout
+// cannot be resumed: the error names the version instead of skipping
+// every file as corrupt.
+func TestResumeRejectsVersion1Checkpoints(t *testing.T) {
+	dir := t.TempDir()
+	RunMixed(ckptTestConfig(dir, 2))
+	for _, idx := range checkpointIndices(t, dir) {
+		path := filepath.Join(dir, checkpoint.FileName(idx))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint32(data[len("QSCKPT\n"):], 1)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := ResumeMixed(ResumeOptions{Dir: dir})
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("resume from version-1 checkpoints: %v, want an error naming version 1", err)
 	}
 }
 

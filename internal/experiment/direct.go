@@ -8,9 +8,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/patroller"
 	"repro/internal/wlm"
 )
 
@@ -67,14 +65,12 @@ func RunDirectControl(cfg DirectControlConfig) []DirectControlResult {
 		rig := NewRig(cfg.Seed, sched)
 		oltp := rig.OLTPClass()
 
-		var qs *core.QueryScheduler
+		mode := NoControl
 		if s.indirect {
-			rig.AttachController(QueryScheduler, nil)
-			qs = rig.QS
-		} else {
-			rig.Pat = patroller.New(rig.Eng, rig.OLAPClassIDs()...)
-			rig.Pat.SetPolicy(patroller.SystemLimit{Limit: SystemCostLimit})
+			mode = QueryScheduler
 		}
+		rig.AttachController(mode, nil)
+		qs := rig.QS
 
 		var direct *wlm.Controller
 		if s.direct {

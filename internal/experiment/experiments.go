@@ -121,8 +121,7 @@ func RunSaturation(cfg SaturationConfig) []SaturationPoint {
 			1: cfg.OLAPClients, 2: 0, 3: 0,
 		})
 		rig := NewRig(cfg.Seed, sched)
-		rig.Pat = patroller.New(rig.Eng, rig.OLAPClassIDs()...)
-		rig.Pat.SetPolicy(patroller.SystemLimit{Limit: limit})
+		rig.AttachController(NoControl, &core.Config{SystemCostLimit: limit})
 		rig.Run()
 
 		agg := rig.Collector.Agg(1, 1) // class 1, measurement period
@@ -192,8 +191,7 @@ func RunFig2(cfg Fig2Config) []Fig2Curve {
 			1: c.pair[1], 2: 0, 3: c.pair[0],
 		})
 		rig := NewRig(cfg.Seed, sched)
-		rig.Pat = patroller.New(rig.Eng, rig.OLAPClassIDs()...)
-		rig.Pat.SetPolicy(patroller.SystemLimit{Limit: c.limit})
+		rig.AttachController(NoControl, &core.Config{SystemCostLimit: c.limit})
 		rig.Run()
 		return rig.Collector.Agg(1, 3).Resp.Mean()
 	})
@@ -230,10 +228,12 @@ type MixedResult struct {
 	// mean-based goals hide.
 	RespP95 [][]float64
 	// CostLimits[i][p], present only in Query Scheduler mode, is the mean
-	// cost limit assigned to class i during period p (Figure 7).
+	// cost limit assigned to class i during period p (Figure 7), summed
+	// over backends.
 	CostLimits [][]float64
-	// PlanHistory, present only in Query Scheduler mode, is the full
-	// control-interval record.
+	// PlanHistory, present only in one-backend Query Scheduler runs, is
+	// the full control-interval record (FleetResult.Histories has every
+	// backend's).
 	PlanHistory []core.PlanRecord
 	// Pending[i][p] counts class i queries submitted by the end of period
 	// p that had not completed by then (still queued or running).
@@ -299,15 +299,15 @@ type MixedConfig struct {
 	// memory — million-client schedules only pay for the clients a period
 	// actually activates.
 	StreamingClients bool
-	// Backends, when it lists two or more specs, runs the workload on a
-	// fleet: N backends (each with its own engine, patroller, and Query
-	// Scheduler) behind the routing tier, with the hierarchical planner
-	// splitting SystemCostLimit across them by routed demand. Query
-	// Scheduler mode only. Faults and Retry apply per backend: every
-	// backend gets its own injector (seeded per roster ID) and retry
-	// policy, and backend-scoped fault kinds (crash/brownout/dropout)
-	// target roster IDs directly. Zero or one spec takes the classic
-	// single-engine path, byte-identical to a config without this field.
+	// Backends is the roster: one spec per backend, each with its own
+	// engine, patroller and controller. Nil means one paper-default
+	// backend. Two or more run behind the routing tier; in Query
+	// Scheduler mode the hierarchical planner splits SystemCostLimit
+	// across them by routed demand, and the static controllers split it
+	// equally. Faults and Retry apply per backend: every backend gets its
+	// own injector (a fleet seeds each per roster ID) and retry policy,
+	// and backend-scoped fault kinds (crash/brownout/dropout) target
+	// roster IDs directly.
 	Backends []backend.Spec
 	// DisableFleetMitigation turns off the fleet's failover response:
 	// backend crashes still stall their engines, but the router is never
@@ -324,108 +324,14 @@ func DefaultMixedConfig(mode Mode) MixedConfig {
 	return MixedConfig{Mode: mode, Sched: workload.PaperSchedule(), Seed: 1}
 }
 
-// RunMixed executes one mixed-workload experiment. Two or more backend
-// specs dispatch to the fleet runner (RunFleet); zero or one run the
-// classic single-engine rig.
+// RunMixed executes one mixed-workload experiment.
 func RunMixed(cfg MixedConfig) *MixedResult {
-	if len(cfg.Backends) >= 2 {
-		return RunFleet(cfg).MixedResult
-	}
-	if cfg.CheckpointEvery > 0 {
-		validateCheckpointing(cfg)
-	}
-	rig, obsAttach, obsErr := buildMixedRig(cfg, false)
-	var spec RunSpec
-	if cfg.CheckpointEvery > 0 {
-		spec = specFromConfig(cfg, rig.Classes)
-	}
-	inst := rig.Sched.Install(rig.Clock, rig.Pool, nil)
-	crashed, runErr := runBoundaries(rig, obsAttach, inst, &spec, cfg, 0)
-	if obsErr == nil {
-		obsErr = runErr
-	}
-	if obsErr == nil && !crashed {
-		obsErr = obsAttach.finish()
-	}
-	res := collectMixed(cfg, rig, obsErr)
-	res.Crashed = crashed
-	return res
+	return RunFleet(cfg).MixedResult
 }
 
-// buildMixedRig runs RunMixed's construction sequence: rig, fault
-// injector, controller, retry policy, observability — in that order.
-// ResumeMixed replays the identical sequence (resume=true switches the
-// tracer to sink re-attachment without a fresh meta line), which is what
-// lets a checkpoint re-arm recorded events onto structurally identical
-// components.
-func buildMixedRig(cfg MixedConfig, resume bool) (*Rig, *runObs, error) {
-	classes := cfg.Classes
-	if classes == nil {
-		classes = workload.PaperClasses()
-	}
-	rig := newRig(cfg.Seed, cfg.Sched, classes, cfg.StreamingClients)
-	qsCfg := cfg.QS
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		inj := fault.NewInjector(*cfg.Faults, rig.Clock)
-		inj.AttachEngine(rig.Eng)
-		rig.Faults = inj
-		if cfg.Mode == QueryScheduler {
-			// Copy the scheduler config (never mutate the caller's) and
-			// point its monitor at the injector so snapshot/harvest drops
-			// land.
-			qc := core.DefaultConfig()
-			qc.SystemCostLimit = SystemCostLimit
-			if qsCfg != nil {
-				qc = *qsCfg
-			}
-			qc.MonitorFaults = inj
-			qsCfg = &qc
-		}
-	}
-	rig.AttachController(cfg.Mode, qsCfg)
-	if cfg.Retry != nil {
-		rp := *cfg.Retry
-		if rp.RefreshCost == nil && rig.Faults != nil {
-			rp.RefreshCost = rig.Faults.RefreshCost
-		}
-		rig.Pat.SetRetryPolicy(&rp)
-	}
-	obsAttach, obsErr := attachObs(rig, cfg, cfg.Trace, cfg.Metrics, resume)
-	return rig, obsAttach, obsErr
-}
-
-// collectMixed assembles the result tables from a finished (or crashed)
-// rig.
-func collectMixed(cfg MixedConfig, rig *Rig, obsErr error) *MixedResult {
-	res := &MixedResult{
-		Mode: cfg.Mode,
-		// The collector returns classes sorted by ID, so report columns
-		// come out in the same stable order however the caller ordered
-		// its class slice.
-		Classes: rig.Collector.Classes(),
-		Periods: cfg.Sched.Periods(),
-	}
-	fillMixedTables(res, rig.Collector)
-	res.ExportErr = obsErr
-	if rig.Faults != nil {
-		res.Faults = rig.Faults.Stats()
-	}
-	if rig.Pat != nil {
-		res.PatStats = rig.Pat.Stats()
-	}
-
-	if rig.QS != nil {
-		res.PlanHistory = rig.QS.History()
-		// res.Classes (not rig.Classes) keeps limit rows aligned with the
-		// sorted report columns.
-		res.CostLimits = averageLimitsPerPeriod(res.PlanHistory, res.Classes, cfg.Sched)
-	}
-	return res
-}
-
-// fillMixedTables populates the per-class period tables of res from a
-// collector — the single-engine rig's, or the fleet-global one that
-// folds every backend's completions into one view.
+// fillMixedTables populates the per-class period tables of res from the
+// global collector, which folds every backend's completions into one
+// view.
 func fillMixedTables(res *MixedResult, col *metrics.Collector) {
 	for _, cl := range res.Classes {
 		metricRow := make([]float64, res.Periods)

@@ -12,6 +12,8 @@ import (
 	"repro/internal/backend"
 	"repro/internal/decisionlog"
 	"repro/internal/engine"
+	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -48,39 +50,77 @@ func fleetOutputs(t *testing.T, cfg MixedConfig) (*FleetResult, []byte, []byte) 
 	return res, tb.Bytes(), db.Bytes()
 }
 
-// A single default backend spec must take the classic single-engine
-// path: trace and decision log byte-identical to a config that never
-// mentions backends. This is what keeps `-backends 1` a no-op.
+// A run with one default backend spec and a run with no roster at all
+// are the same one-backend run: both must reproduce the Query
+// Scheduler goldens byte for byte. This is what keeps `-backends 1` a
+// no-op.
 func TestSingleBackendSpecIsByteIdenticalToLegacy(t *testing.T) {
-	base := MixedConfig{
-		Mode:       QueryScheduler,
-		Sched:      ConstantSchedule(300, 300, map[engine.ClassID]int{1: 4, 2: 2, 3: 12}),
-		Seed:       3,
-		Experiment: "legacy-equivalence",
+	for _, specs := range [][]backend.Spec{nil, backend.DefaultSpecs(1)} {
+		cfg := MixedConfig{Mode: QueryScheduler, Sched: shortSchedule(), Seed: 1, Experiment: "golden", Backends: specs}
+		trace, metrics, tables, decisions := mixedGoldenArtifacts(t, cfg)
+		goldenCompare(t, "query_scheduler_trace.digest", goldenTraceDigest(trace))
+		goldenCompare(t, "query_scheduler_metrics.txt", metrics)
+		goldenCompare(t, "query_scheduler_tables.txt", tables)
+		goldenCompare(t, "query_scheduler_decisions.jsonl", decisions)
 	}
-	run := func(cfg MixedConfig) ([]byte, []byte, *MixedResult) {
-		var tb, db bytes.Buffer
-		cfg.Trace = &tb
-		cfg.Decisions = &db
-		res := RunMixed(cfg)
-		if res.ExportErr != nil {
-			t.Fatal(res.ExportErr)
-		}
-		return tb.Bytes(), db.Bytes(), res
-	}
-	legacyTrace, legacyDec, legacyRes := run(base)
-	speced := base
-	speced.Backends = backend.DefaultSpecs(1)
-	specTrace, specDec, specRes := run(speced)
+}
 
-	if !bytes.Equal(legacyTrace, specTrace) {
-		t.Error("one default backend spec changed the trace bytes")
-	}
-	if !bytes.Equal(legacyDec, specDec) {
-		t.Error("one default backend spec changed the decision log bytes")
-	}
-	if mixedTables(legacyRes) != mixedTables(specRes) {
-		t.Error("one default backend spec changed the period tables")
+// The paper's static baselines run on a fleet too: each backend's
+// policy gets an equal share of the limit, and the router spreads the
+// load. Every arrival must end exactly once — completed, failed, or
+// still in flight at the end — and the per-backend collectors must add
+// up to the global one.
+func TestStaticBaselinesRunOnFleet(t *testing.T) {
+	for _, mode := range []Mode{NoControl, QPPriority} {
+		cfg := MixedConfig{
+			Mode:     mode,
+			Sched:    ConstantSchedule(300, 600, map[engine.ClassID]int{1: 6, 2: 4, 3: 20}),
+			Seed:     5,
+			Backends: backend.DefaultSpecs(2),
+			Faults:   &fault.Plan{Seed: 2, AbortRate: map[engine.ClassID]float64{1: 0.05}},
+		}
+		r, _, err := buildRig(cfg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Planner != nil {
+			t.Errorf("%v: a static fleet built a planner", mode)
+		}
+		r.Run()
+
+		var submitted, resolved, inFlight int
+		for _, b := range r.Backends {
+			if b.Pat.Stats().Intercepted == 0 {
+				t.Errorf("%v: backend %d intercepted nothing", mode, b.ID())
+			}
+			inFlight += b.Eng.Active() + b.Pat.HeldCount()
+		}
+		for p := 0; p < cfg.Sched.Periods(); p++ {
+			for _, cl := range r.Classes {
+				g := r.Collector.Agg(p, cl.ID)
+				submitted += g.Submitted
+				resolved += g.Completed + g.Failed
+				var sum metrics.ClassAgg
+				for _, b := range r.Backends {
+					a := b.Collector.Agg(p, cl.ID)
+					sum.Submitted += a.Submitted
+					sum.Completed += a.Completed
+					sum.Failed += a.Failed
+				}
+				if sum.Submitted != g.Submitted || sum.Completed != g.Completed || sum.Failed != g.Failed {
+					t.Errorf("%v: period %d class %d: backends sum to %d/%d/%d submitted/completed/failed, global %d/%d/%d",
+						mode, p, cl.ID, sum.Submitted, sum.Completed, sum.Failed, g.Submitted, g.Completed, g.Failed)
+				}
+			}
+		}
+		if submitted == 0 || resolved+inFlight != submitted {
+			t.Errorf("%v: %d arrivals, %d resolved + %d in flight", mode, submitted, resolved, inFlight)
+		}
+		for i, n := range r.Router.Routed() {
+			if n == 0 {
+				t.Errorf("%v: backend %d was never routed to", mode, i+1)
+			}
+		}
 	}
 }
 
@@ -253,6 +293,49 @@ func TestFleetResumeIsByteIdentical(t *testing.T) {
 		}
 		if !bytes.Equal(db, refDecBytes) {
 			t.Errorf("boundary %d: decision log diverged", idx)
+		}
+	}
+}
+
+// A static-baseline fleet with a backend crash resumes byte-identically
+// from every period boundary, like every other run shape.
+func TestStaticFleetResumeIsByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	ckptDir := filepath.Join(dir, "ckpt")
+	cfg := MixedConfig{
+		Mode:     QPPriority,
+		Sched:    ConstantSchedule(300, 600, map[engine.ClassID]int{1: 6, 2: 4, 3: 20}),
+		Seed:     5,
+		Backends: backend.DefaultSpecs(2),
+		Faults: &fault.Plan{
+			Seed:           2,
+			AbortRate:      map[engine.ClassID]float64{1: 0.05},
+			BackendCrashes: []fault.BackendCrash{{Backend: 2, At: 250, RecoverAt: 500}},
+		},
+		CheckpointEvery: 1,
+		CheckpointDir:   ckptDir,
+	}
+	refTrace := filepath.Join(dir, "ref.jsonl")
+	refTables, refMetrics, refTraceBytes := refOutputs(t, cfg, refTrace)
+	if !bytes.Contains(refTraceBytes, []byte(`"kind":"reroute"`)) {
+		t.Fatal("the crash re-dispatched nothing; the test exercises no failover")
+	}
+	for _, idx := range checkpointIndices(t, ckptDir) {
+		tmp := filepath.Join(dir, fmt.Sprintf("resume-%02d.jsonl", idx))
+		copyFile(t, refTrace, tmp)
+		var mb bytes.Buffer
+		res, err := ResumeMixed(ResumeOptions{Dir: ckptDir, Index: idx, TracePath: tmp, Metrics: &mb})
+		if err != nil {
+			t.Fatalf("boundary %d: %v", idx, err)
+		}
+		if mixedTables(res) != refTables {
+			t.Errorf("boundary %d: period tables diverged", idx)
+		}
+		if !bytes.Equal(mb.Bytes(), refMetrics) {
+			t.Errorf("boundary %d: metrics exposition diverged", idx)
+		}
+		if tb, err := os.ReadFile(tmp); err != nil || !bytes.Equal(tb, refTraceBytes) {
+			t.Errorf("boundary %d: trace file diverged (%v)", idx, err)
 		}
 	}
 }

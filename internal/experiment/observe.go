@@ -1,6 +1,7 @@
 // Observability wiring for experiment runs: attaches the tracer's JSONL
-// sink and the obs metrics registry to a rig, honouring the one-tracer/
-// one-registry-per-run isolation the parallel runner depends on. The
+// sink, the obs metrics registry and the decision log to a rig,
+// honouring the one-tracer/one-registry-per-run isolation the parallel
+// runner depends on. The
 // writers are caller-owned; export errors are collected into the result
 // rather than interrupting a simulation mid-run.
 package experiment
@@ -9,6 +10,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/decisionlog"
 	"repro/internal/engine"
 	"repro/internal/fault"
@@ -31,62 +33,86 @@ type runObs struct {
 	dlog   *decisionlog.Writer
 }
 
-// attachObs wires trace export and metrics onto a rig whose controller is
-// already attached (hooks chain on top of the monitor's). Call before
-// rig.Run; nil writers disable the respective output. With resume=true
-// the tracer attaches its sink without writing a meta line — the resumed
-// trace file already carries the original header.
-func attachObs(rig *Rig, cfg MixedConfig, tw, mw io.Writer, resume bool) (*runObs, error) {
+// attachObs wires trace export, metrics and the decision log onto a rig
+// whose controllers are already attached (hooks chain on top of the
+// monitors'). Nil writers in cfg disable the respective output. With
+// resume=true the sinks re-attach without writing meta lines — the
+// resumed files already carry the original headers. Attachment order
+// (trace, metrics, decisions; backends in roster order within each) is
+// part of the resume contract.
+func attachObs(r *Rig, cfg MixedConfig, resume bool) (*runObs, error) {
 	o := &runObs{}
-	if tw != nil {
+	if cfg.Trace != nil {
 		tr := trace.New(traceRingCap)
 		tr.SetPeriodMapper(cfg.Sched.PeriodAt)
 		if resume {
-			if err := tr.ResumeJSONL(tw); err != nil {
+			if err := tr.ResumeJSONL(cfg.Trace); err != nil {
 				return nil, err
 			}
-		} else if err := tr.StreamJSONL(tw, traceMeta(cfg, rig.Classes)); err != nil {
-			return nil, err
+		} else {
+			meta := traceMeta(cfg, r.Classes)
+			if r.fleet() { // a roster only where there are backends to tell apart
+				meta.Backends = backendsMeta(r)
+			}
+			if err := tr.StreamJSONL(cfg.Trace, meta); err != nil {
+				return nil, err
+			}
 		}
-		trace.AttachEngine(tr, rig.Eng)
-		if rig.Pat != nil {
-			trace.AttachPatroller(tr, rig.Pat, rig.Clock)
+		for _, b := range r.Backends {
+			trace.AttachEngine(tr, b.Eng)
+			trace.AttachPatroller(tr, b.Pat, r.Clock)
 		}
-		if rig.QS != nil {
-			trace.AttachScheduler(tr, rig.QS)
+		if r.Router != nil {
+			trace.AttachRouter(tr, r.Router, r.Clock)
+		}
+		if !r.fleet() && r.QS != nil { // plan-change events carry no backend dimension
+			trace.AttachScheduler(tr, r.QS)
 		}
 		o.tracer = tr
 	}
-	if mw != nil {
-		reg := obs.New(func() float64 { return rig.Clock.Now() })
-		instrumentEngine(reg, rig.Eng, rig.Classes)
-		if rig.Faults != nil {
-			instrumentFaults(reg, rig.Faults)
+	if cfg.Metrics != nil {
+		reg := obs.New(func() float64 { return r.Clock.Now() })
+		for _, b := range r.Backends {
+			var labels []obs.Label
+			if r.fleet() { // a backend label only where there are backends to tell apart
+				labels = append(labels, obs.L("backend", b.Name()))
+			}
+			instrumentEngine(reg, b.Eng, r.Classes, labels...)
 		}
-		if rig.Pat != nil {
-			instrumentRetries(reg, rig.Pat)
-		}
-		if rig.QS != nil {
-			rig.QS.Instrument(reg)
+		if !r.fleet() { // fault, retry and qs_* instruments carry no backend dimension
+			if r.Faults != nil {
+				instrumentFaults(reg, r.Faults[0])
+			}
+			instrumentRetries(reg, r.Pat)
+			if r.QS != nil {
+				r.QS.Instrument(reg)
+			}
 		}
 		o.reg = reg
-		o.mw = mw
+		o.mw = cfg.Metrics
 	}
 	if cfg.Decisions != nil {
-		if rig.QS == nil {
+		if r.QS == nil {
 			return nil, fmt.Errorf("experiment: decision log requires a query-scheduler run")
 		}
+		meta := decisionMeta(cfg, r)
 		var dw *decisionlog.Writer
 		var err error
 		if resume {
-			dw, err = decisionlog.ResumeWriter(cfg.Decisions, decisionMeta(cfg, rig))
+			dw, err = decisionlog.ResumeWriter(cfg.Decisions, meta)
 		} else {
-			dw, err = decisionlog.NewWriter(cfg.Decisions, decisionMeta(cfg, rig))
+			dw, err = decisionlog.NewWriter(cfg.Decisions, meta)
 		}
 		if err != nil {
 			return nil, err
 		}
-		rig.QS.OnPlan(dw.Note)
+		for _, b := range r.Backends {
+			stream := 0
+			if r.fleet() { // Record.Backend only where there are backends to tell apart
+				stream = b.ID()
+			}
+			b.QS.OnPlan(func(rec core.PlanRecord) { dw.NoteBackend(stream, rec) })
+		}
 		o.dlog = dw
 	}
 	return o, nil
@@ -118,18 +144,23 @@ func (o *runObs) finish() error {
 }
 
 // decisionMeta builds the decision log's meta line for a mixed run.
-func decisionMeta(cfg MixedConfig, rig *Rig) decisionlog.Meta {
-	qc := rig.QS.Config()
+func decisionMeta(cfg MixedConfig, r *Rig) decisionlog.Meta {
+	qc := r.QS.Config()
 	m := decisionlog.Meta{
 		Experiment:      cfg.Experiment,
 		Seed:            int64(cfg.Seed),
 		ControlInterval: qc.ControlInterval,
 		SLOWindow:       qc.SLOWindow,
 		SLOBudget:       qc.SLOBudget,
-		Classes:         decisionlog.ClassesMeta(rig.Classes),
+		Classes:         decisionlog.ClassesMeta(r.Classes),
 	}
 	if m.Experiment == "" {
 		m.Experiment = cfg.Mode.String()
+	}
+	if r.fleet() { // a roster only where there are backends to tell apart
+		for _, bm := range backendsMeta(r) {
+			m.Backends = append(m.Backends, decisionlog.BackendMeta(bm))
+		}
 	}
 	return m
 }

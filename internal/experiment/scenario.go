@@ -38,10 +38,10 @@ type ScenarioSpec struct {
 	// ControlIntervalSeconds overrides the Query Scheduler's re-planning
 	// period (optional).
 	ControlIntervalSeconds float64 `json:"control_interval_seconds"`
-	// Backends, when it lists two or more entries, runs the scenario on a
-	// fleet behind the routing tier (query-scheduler mode only). Each
-	// entry may override the engine's CPU/IO capacity, so heterogeneous
-	// fleets are plain configuration.
+	// Backends lists the roster (optional; default one paper-default
+	// engine). Two or more entries run the scenario on a fleet behind
+	// the routing tier. Each entry may override the engine's CPU/IO
+	// capacity, so heterogeneous fleets are plain configuration.
 	Backends []ScenarioBackend `json:"backends"`
 }
 
@@ -91,8 +91,8 @@ type Scenario struct {
 	// (set by the caller, not the JSON spec); see MixedConfig.
 	CheckpointEvery int
 	CheckpointDir   string
-	// Backends, when it lists two or more specs, runs the scenario on a
-	// fleet behind the routing tier; see MixedConfig.Backends.
+	// Backends is the roster (nil = one paper-default backend); see
+	// MixedConfig.Backends.
 	Backends []backend.Spec
 }
 
@@ -193,9 +193,6 @@ func buildScenario(spec ScenarioSpec) (*Scenario, error) {
 	}
 
 	if len(spec.Backends) > 0 {
-		if len(spec.Backends) >= 2 && s.Mode != QueryScheduler {
-			return nil, fmt.Errorf("scenario: fleets need mode \"query-scheduler\", got %q", spec.Mode)
-		}
 		for i, sb := range spec.Backends {
 			bs := backend.Spec{
 				Name:        sb.Name,
@@ -241,12 +238,15 @@ func buildScenario(spec ScenarioSpec) (*Scenario, error) {
 }
 
 // Run executes the scenario.
-func (s *Scenario) Run() *MixedResult {
+func (s *Scenario) Run() *MixedResult { return RunMixed(s.Config()) }
+
+// Config returns the run configuration Run executes.
+func (s *Scenario) Config() MixedConfig {
 	name := s.Name
 	if name == "" {
 		name = "scenario"
 	}
-	return RunMixed(MixedConfig{
+	return MixedConfig{
 		Mode:            s.Mode,
 		Sched:           s.Sched,
 		Seed:            s.Seed,
@@ -261,5 +261,5 @@ func (s *Scenario) Run() *MixedResult {
 		CheckpointEvery: s.CheckpointEvery,
 		CheckpointDir:   s.CheckpointDir,
 		Backends:        s.Backends,
-	})
+	}
 }

@@ -159,3 +159,37 @@ func TestCSVRenderers(t *testing.T) {
 		t.Fatal("limits csv without history should be empty")
 	}
 }
+
+// A scenario with one backend must run on that backend's capacity: at
+// half the default CPU the engine completes less OLAP work than on the
+// default engine.
+func TestSingleBackendScenarioUsesItsSpec(t *testing.T) {
+	run := func(backends string) *MixedResult {
+		t.Helper()
+		spec := strings.Replace(validScenario, `"seed": 3,`, `"seed": 3,`+backends, 1)
+		sc, err := ParseScenario(strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc.Run()
+	}
+	full := run("")
+	half := run(`"backends": [{"name": "half", "cpu_capacity": 1}],`)
+	if mixedTables(full) == mixedTables(half) {
+		t.Fatal("a half-CPU backend spec left the tables unchanged")
+	}
+	olap := func(res *MixedResult) int {
+		n := 0
+		for i, c := range res.Classes {
+			if c.Kind == workload.OLAP {
+				for _, v := range res.Completed[i] {
+					n += v
+				}
+			}
+		}
+		return n
+	}
+	if olap(half) >= olap(full) {
+		t.Errorf("half-CPU backend completed %d OLAP queries, default engine %d", olap(half), olap(full))
+	}
+}

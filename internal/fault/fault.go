@@ -134,8 +134,9 @@ type Plan struct {
 	// recovery experiments to exercise checkpoint/resume; a resumed run
 	// does not re-arm the crash.
 	Crash float64
-	// BackendCrashes kill individual fleet backends (with optional
-	// recovery). Fleet runs only; single-engine runs reject them.
+	// BackendCrashes kill individual backends (with optional recovery).
+	// At every instant at least one roster backend must stay up; see
+	// ValidateRoster.
 	BackendCrashes []BackendCrash
 	// BackendBrownouts degrade individual backends inside windows.
 	BackendBrownouts []BackendSlowdown
@@ -152,7 +153,7 @@ func (p Plan) Empty() bool {
 }
 
 // HasBackendFaults reports whether the plan contains any backend-scoped
-// faults — those require a fleet run (two or more backends).
+// faults (crashes, brownouts, dropouts of roster backends).
 func (p Plan) HasBackendFaults() bool {
 	return len(p.BackendCrashes) > 0 || len(p.BackendBrownouts) > 0 || len(p.BackendDropouts) > 0
 }
@@ -178,6 +179,31 @@ func (p Plan) MaxBackend() int {
 		}
 	}
 	return max
+}
+
+// ValidateRoster checks the plan's backend-scoped faults against an
+// n-backend roster: every target must exist, and the crash windows
+// must leave at least one backend up at every instant. A total outage
+// would leave the router nowhere to send arrivals.
+func (p Plan) ValidateRoster(n int) error {
+	if mb := p.MaxBackend(); mb > n {
+		return fmt.Errorf("fault: plan targets backend %d of a %d-backend roster", mb, n)
+	}
+	// The set of down backends only grows at crash instants, so a total
+	// outage, if any, starts at one of them. A recovery at the same
+	// instant may fire after the crash, so it does not count as up.
+	for _, c := range p.BackendCrashes {
+		down := 0
+		for _, o := range p.BackendCrashes {
+			if o.At <= c.At && (o.RecoverAt == 0 || c.At <= o.RecoverAt) {
+				down++
+			}
+		}
+		if down >= n {
+			return fmt.Errorf("fault: backend crashes leave no backend up at t=%v (%d of %d down)", c.At, down, n)
+		}
+	}
+	return nil
 }
 
 // Validate checks rates, multipliers, and window shapes.
@@ -331,10 +357,10 @@ type Injector struct {
 	src   *rng.Source
 	stats Stats
 
-	// backendID scopes the injector to one fleet backend (1-based); 0 is
-	// a classic single-engine injector. Backend-scoped faults fire only
-	// on the injector whose backendID matches, and the run-level crash is
-	// armed only by backend 1 (exactly once per fleet).
+	// backendID scopes the injector to one backend (1-based).
+	// Backend-scoped faults fire only on the injector whose backendID
+	// matches, and the run-level crash is armed only by backend 1
+	// (exactly once per fleet).
 	backendID int
 	//lint:ignore ckptcover wiring installed by SetFleetHooks on both fresh and restored runs
 	hooks FleetHooks
@@ -399,9 +425,9 @@ type backendEvent struct {
 	factor float64 // brownout speed factor; unused for crash/recover
 }
 
-// NewInjector builds an injector for the plan on the given clock. The
-// plan must validate. Single-engine runs only: backend-scoped faults
-// need NewBackendInjector (one per roster slot).
+// NewInjector builds the injector of a one-backend run: it scopes to
+// backend 1 and draws from the plan's own seed, the single-engine RNG
+// stream. The plan must validate.
 func NewInjector(plan Plan, clock *simclock.Clock) *Injector {
 	if clock == nil {
 		panic("fault: nil clock")
@@ -409,10 +435,7 @@ func NewInjector(plan Plan, clock *simclock.Clock) *Injector {
 	if err := plan.Validate(); err != nil {
 		panic(err)
 	}
-	if plan.HasBackendFaults() {
-		panic("fault: backend-scoped faults require a fleet (use NewBackendInjector)")
-	}
-	return &Injector{plan: plan, clock: clock, src: rng.New(plan.Seed)}
+	return &Injector{plan: plan, clock: clock, src: rng.New(plan.Seed), backendID: 1}
 }
 
 // NewBackendInjector builds the injector for one fleet backend
@@ -500,7 +523,7 @@ func (in *Injector) AttachEngine(eng *engine.Engine) {
 		in.armBackendEvent(bs.Window.Start, bevBrownoutStart, bs.Factor)
 		in.armBackendEvent(bs.Window.End, bevBrownoutEnd, 1)
 	}
-	if in.plan.Crash > 0 && in.backendID <= 1 {
+	if in.plan.Crash > 0 && in.backendID == 1 {
 		in.clock.At(in.plan.Crash, func() {
 			in.crashed = true
 			in.stats.Crashes++
@@ -682,9 +705,6 @@ func (in *Injector) DropHarvest(t simclock.Time) bool {
 // dropout window at t — all of its monitor reporting (snapshot polls
 // and whole harvests) is severed.
 func (in *Injector) inBackendDropout(t simclock.Time) bool {
-	if in.backendID == 0 {
-		return false
-	}
 	for _, o := range in.plan.BackendDropouts {
 		if o.Backend == in.backendID && o.Window.Contains(t) {
 			in.stats.BackendDropouts++

@@ -327,3 +327,31 @@ func TestParseSpecRejectsBadBackendFaults(t *testing.T) {
 		}
 	}
 }
+
+func TestValidateRoster(t *testing.T) {
+	crash := func(b int, at, recoverAt float64) BackendCrash {
+		return BackendCrash{Backend: b, At: at, RecoverAt: recoverAt}
+	}
+	cases := []struct {
+		name    string
+		n       int
+		crashes []BackendCrash
+		wantErr string
+	}{
+		{"one of two down", 2, []BackendCrash{crash(1, 100, 0)}, ""},
+		{"staggered outages", 2, []BackendCrash{crash(1, 100, 200), crash(2, 300, 0)}, ""},
+		{"only backend down", 1, []BackendCrash{crash(1, 100, 200)}, "no backend up at t=100"},
+		{"overlapping outages", 2, []BackendCrash{crash(1, 100, 400), crash(2, 300, 0)}, "no backend up at t=300"},
+		{"crash as the other recovers", 2, []BackendCrash{crash(2, 100, 200), crash(1, 200, 0)}, "no backend up at t=200"},
+		{"target outside roster", 2, []BackendCrash{crash(3, 100, 0)}, "backend 3 of a 2-backend roster"},
+	}
+	for _, tc := range cases {
+		err := Plan{BackendCrashes: tc.crashes}.ValidateRoster(tc.n)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}

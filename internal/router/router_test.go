@@ -165,7 +165,7 @@ func fleetPair(t *testing.T) (*simclock.Clock, *Router, []*backend.Instance) {
 	var bs []backend.Backend
 	for i := 1; i <= 2; i++ {
 		b := backend.New(i, backend.Spec{Name: "b"}, clock)
-		b.AttachControl(qsCfg, classes, []engine.ClassID{1}, nil)
+		b.AttachController(backend.Control{Mode: backend.QueryScheduler, Classes: classes, QS: qsCfg})
 		instances = append(instances, b)
 		bs = append(bs, b)
 	}

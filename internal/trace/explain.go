@@ -42,11 +42,11 @@ func ParseExplainQuery(spec string, meta Meta) (ExplainQuery, error) {
 		}
 		switch key {
 		case "class":
-			id, err := resolveClass(val, meta)
+			i, err := ResolveClass(val, meta.Classes, "trace")
 			if err != nil {
-				return q, err
+				return q, fmt.Errorf("explain: %w", err)
 			}
-			q.Class = id
+			q.Class = engine.ClassID(meta.Classes[i].ID)
 			sawClass = true
 		case "period":
 			lo, hi, ranged := strings.Cut(val, "-")
@@ -79,29 +79,31 @@ func ParseExplainQuery(spec string, meta Meta) (ExplainQuery, error) {
 	return q, nil
 }
 
-// resolveClass maps a class spec (ID, letter, or name) to a class ID.
-func resolveClass(val string, meta Meta) (engine.ClassID, error) {
+// ResolveClass maps a class spec to an index into classes: a numeric
+// ID, a letter (A = the first class, B the second, ...), or a class
+// name, case-insensitively. src names the file the roster came from in
+// errors. It serves both qtrace -explain and qreport -why.
+func ResolveClass(val string, classes []ClassMeta, src string) (int, error) {
 	if n, err := strconv.Atoi(val); err == nil {
-		for _, c := range meta.Classes {
+		for i, c := range classes {
 			if c.ID == n {
-				return engine.ClassID(n), nil
+				return i, nil
 			}
 		}
-		return 0, fmt.Errorf("explain: no class with ID %d in trace", n)
+		return 0, fmt.Errorf("no class with ID %d in %s", n, src)
 	}
 	if len(val) == 1 && val[0] >= 'A' && val[0] <= 'Z' {
-		i := int(val[0] - 'A')
-		if i < len(meta.Classes) {
-			return engine.ClassID(meta.Classes[i].ID), nil
+		if i := int(val[0] - 'A'); i < len(classes) {
+			return i, nil
 		}
-		return 0, fmt.Errorf("explain: class %q but trace has only %d classes", val, len(meta.Classes))
+		return 0, fmt.Errorf("class %q but %s has only %d classes", val, src, len(classes))
 	}
-	for _, c := range meta.Classes {
+	for i, c := range classes {
 		if strings.EqualFold(c.Name, val) {
-			return engine.ClassID(c.ID), nil
+			return i, nil
 		}
 	}
-	return 0, fmt.Errorf("explain: unknown class %q", val)
+	return 0, fmt.Errorf("unknown class %q", val)
 }
 
 // Explanation is the analyzed cell, ready to render.
@@ -157,8 +159,9 @@ func Explain(f *TraceFile, q ExplainQuery) (*Explanation, error) {
 	return explainCell(f.Meta, f.Events, horizon, q)
 }
 
-// SpecError marks a malformed or out-of-range -explain spec, so callers
-// can distinguish usage mistakes from trace problems.
+// SpecError marks a malformed or out-of-range query spec (qtrace
+// -explain, qreport -why and its tick windows), so callers can
+// distinguish usage mistakes from problems with the file they read.
 type SpecError struct{ Err error }
 
 func (e *SpecError) Error() string { return e.Err.Error() }

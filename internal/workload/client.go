@@ -56,8 +56,8 @@ func (c *Client) submitNext() {
 	sub.Submit(q)
 }
 
-// Submitter is where clients send their queries: a single engine in the
-// classic rig, or a fleet router that picks a backend per query. Both
+// Submitter is where clients send their queries: the engine of a
+// one-backend run, or a fleet router that picks a backend per query. Both
 // hand out queries from a freelist via AcquireQuery.
 type Submitter interface {
 	AcquireQuery() *engine.Query
