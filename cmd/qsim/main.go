@@ -54,6 +54,22 @@ func loadFaults(path string) *fault.Plan {
 	return &plan
 }
 
+// loadScenario parses a JSON scenario file.
+func loadScenario(path string) *experiment.Scenario {
+	f, err := os.Open(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer f.Close()
+	sc, err := experiment.ParseScenario(f)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	return sc
+}
+
 // fileSink is a buffered file target for trace/metrics export. The trace
 // sink in particular receives one small write per event, so buffering is
 // what keeps exporting a 24-hour run cheap.
@@ -160,14 +176,11 @@ func main() {
 		os.Exit(2)
 	}
 	faults := loadFaults(*faultsFile)
-	if faults != nil && *scenario == "" && *resumeDir == "" {
-		// A plan must fit the roster it runs on — every crash window
-		// leaving some backend up — before any run starts.
-		roster := *backends
-		if *exp == "routing" {
-			roster = len(experiment.RoutingBackends())
-		}
-		if err := faults.ValidateRoster(roster); err != nil {
+	if faults != nil && *scenario == "" && *resumeDir == "" && !capable.obs {
+		// Experiments outside the single-mixed-run pipeline run the plan
+		// on one engine: reject a plan that does not fit it before any
+		// run starts. runMixed validates its own runs.
+		if err := faults.ValidateRoster(1); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -324,52 +337,45 @@ func main() {
 		return
 	}
 
-	if *scenario != "" {
-		f, err := os.Open(*scenario)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		sc, err := experiment.ParseScenario(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	// runMixed is the one path every single mixed run takes: the
+	// experiment's preset, overlaid with the command line, is validated
+	// (exit 2), then header is printed and the run executes; a crash
+	// exits 3, an export error or a malformed result exits 1.
+	runMixed := func(cfg experiment.MixedConfig, header string) *experiment.FleetResult {
 		if *seed != 1 {
-			sc.Seed = *seed
+			cfg.Seed = *seed
 		}
-		sc.Faults = faults
-		if err := sc.Config().Validate(); err != nil {
+		cfg.Faults = faults
+		if *backends > 1 {
+			cfg.Backends = backend.DefaultSpecs(*backends)
+		}
+		if *mitigate {
+			cfg = cfg.Mitigated()
+		}
+		cfg.Trace, cfg.Metrics, cfg.Decisions = traceWriter(), metricsSink.writer(), decisionsSink.writer()
+		cfg.CheckpointEvery, cfg.CheckpointDir = *checkpointEvery, *checkpointDir
+		if err := cfg.Validate(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+		fmt.Fprint(out, header)
+		res := experiment.RunFleet(cfg)
+		exitIfCrashed(res.MixedResult)
+		checkExport(res.MixedResult)
+		if err := res.Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return res
+	}
+
+	if *scenario != "" {
+		sc := loadScenario(*scenario)
+		header := ""
 		if sc.Name != "" {
-			fmt.Fprintf(out, "Scenario: %s\n", sc.Name)
+			header = fmt.Sprintf("Scenario: %s\n", sc.Name)
 		}
-		sc.Trace = traceWriter()
-		sc.Metrics = metricsSink.writer()
-		sc.Decisions = decisionsSink.writer()
-		sc.CheckpointEvery = *checkpointEvery
-		sc.CheckpointDir = *checkpointDir
-		if *mitigate {
-			if sc.Mode == experiment.QueryScheduler && sc.QS == nil {
-				qc := experiment.MitigatedQSConfig()
-				sc.QS = &qc
-			}
-			rp := experiment.DefaultRetryPolicy()
-			sc.Retry = &rp
-		}
-		res := sc.Run()
-		exitIfCrashed(res)
-		checkExport(res)
-		experiment.WriteMixed(out, res)
-		if res.CostLimits != nil {
-			experiment.WriteCostLimits(out, res)
-		}
-		if *chart {
-			experiment.WriteMixedCharts(out, res)
-		}
+		writeMixedTables("scenario", runMixed(sc.MixedConfig, header).MixedResult)
 		closeSinks()
 		return
 	}
@@ -410,33 +416,8 @@ func main() {
 	}
 	mixed := func(mode experiment.Mode) *experiment.MixedResult {
 		cfg := experiment.DefaultMixedConfig(mode)
-		cfg.Seed = *seed
 		cfg.Experiment = *exp
-		cfg.Trace = traceWriter()
-		cfg.Metrics = metricsSink.writer()
-		cfg.Decisions = decisionsSink.writer()
-		cfg.Faults = faults
-		cfg.CheckpointEvery = *checkpointEvery
-		cfg.CheckpointDir = *checkpointDir
-		if *backends > 1 {
-			cfg.Backends = backend.DefaultSpecs(*backends)
-		}
-		if *mitigate {
-			if mode == experiment.QueryScheduler {
-				qc := experiment.MitigatedQSConfig()
-				cfg.QS = &qc
-			}
-			rp := experiment.DefaultRetryPolicy()
-			cfg.Retry = &rp
-		}
-		res := experiment.RunMixed(cfg)
-		exitIfCrashed(res)
-		checkExport(res)
-		if err := res.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return res
+		return runMixed(cfg, "").MixedResult
 	}
 	writeMixed := func(name string, res *experiment.MixedResult) {
 		experiment.WriteMixed(out, res)
@@ -471,54 +452,14 @@ func main() {
 	}
 	if *exp == "infeasible" { // not part of "all": deliberately unmeetable goals
 		any = true
-		cfg := experiment.InfeasibleMixedConfig()
-		cfg.Seed = *seed
-		cfg.Trace = traceWriter()
-		cfg.Metrics = metricsSink.writer()
-		cfg.Decisions = decisionsSink.writer()
-		cfg.Faults = faults
-		cfg.CheckpointEvery = *checkpointEvery
-		cfg.CheckpointDir = *checkpointDir
-		if *mitigate {
-			qc := experiment.MitigatedQSConfig()
-			cfg.QS = &qc
-			rp := experiment.DefaultRetryPolicy()
-			cfg.Retry = &rp
-		}
-		res := experiment.RunMixed(cfg)
-		exitIfCrashed(res)
-		checkExport(res)
-		if err := res.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		res := runMixed(experiment.InfeasibleMixedConfig(), "").MixedResult
 		writeMixed("infeasible", res)
 		experiment.WriteInfeasibility(out, res)
 		fmt.Fprintln(out)
 	}
 	if *exp == "routing" { // not part of "all": the fleet is its own testbed
 		any = true
-		cfg := experiment.RoutingMixedConfig()
-		cfg.Seed = *seed
-		cfg.Trace = traceWriter()
-		cfg.Metrics = metricsSink.writer()
-		cfg.Decisions = decisionsSink.writer()
-		cfg.CheckpointEvery = *checkpointEvery
-		cfg.CheckpointDir = *checkpointDir
-		cfg.Faults = faults
-		if *mitigate {
-			qc := experiment.MitigatedQSConfig()
-			cfg.QS = &qc
-			rp := experiment.DefaultRetryPolicy()
-			cfg.Retry = &rp
-		}
-		res := experiment.RunFleet(cfg)
-		exitIfCrashed(res.MixedResult)
-		checkExport(res.MixedResult)
-		if err := res.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		res := runMixed(experiment.RoutingMixedConfig(), "")
 		writeMixed("routing", res.MixedResult)
 		experiment.WriteRouting(out, res)
 		fmt.Fprintln(out)

@@ -36,7 +36,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/fault"
-	"repro/internal/patroller"
 	"repro/internal/prof"
 	"repro/internal/workload"
 )
@@ -113,6 +112,10 @@ var setters = map[string]func(*core.Config, float64) error{
 	},
 }
 
+// formatValue renders a swept value the way file and directory names
+// carry it.
+func formatValue(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
 func main() {
 	param := flag.String("param", "", "parameter to sweep (see -help)")
 	values := flag.String("values", "", "comma-separated values")
@@ -184,10 +187,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := plan.ValidateRoster(*backends); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 		faults = &plan
 	}
 
@@ -220,6 +219,38 @@ func main() {
 		os.Exit(2)
 	}
 
+	// Build and validate every value's run up front so a bad one aborts
+	// before any runs.
+	cfgs := make([]experiment.MixedConfig, len(sweep))
+	for i, v := range sweep {
+		qc := core.DefaultConfig()
+		qc.SystemCostLimit = experiment.SystemCostLimit
+		if err := setter(&qc, v); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		cfgs[i] = experiment.MixedConfig{
+			Mode:            experiment.QueryScheduler,
+			Sched:           workload.PaperSchedule(),
+			Seed:            *seed,
+			QS:              &qc,
+			Experiment:      fmt.Sprintf("qsweep %s=%g", *param, v),
+			Faults:          faults,
+			CheckpointEvery: *checkpointEvery,
+			Backends:        fleetSpecs,
+		}
+		if *checkpointDir != "" {
+			cfgs[i].CheckpointDir = filepath.Join(*checkpointDir, *param+"-"+formatValue(v))
+		}
+		if *mitigate {
+			cfgs[i] = cfgs[i].Mitigated()
+		}
+		if err := cfgs[i].Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
+
 	classes := workload.PaperClasses()
 	fmt.Printf("Sweeping %s over the paper workload (seed %d)\n\n", *param, *seed)
 	fmt.Printf("%14s", *param)
@@ -228,22 +259,6 @@ func main() {
 	}
 	fmt.Printf(" %14s\n", "oltp-heavy(ms)")
 
-	// Validate every value up front so a bad one aborts before any runs.
-	cfgs := make([]core.Config, len(sweep))
-	for i, v := range sweep {
-		cfgs[i] = core.DefaultConfig()
-		cfgs[i].SystemCostLimit = experiment.SystemCostLimit
-		if *mitigate {
-			// Overlay the degradation features, then let the swept
-			// parameter take effect on top.
-			cfgs[i].Degradation = core.Degradation{HoldPlanOnDropout: true, MaxHeldTicks: 5}
-			cfgs[i].OLTP.FallbackToLastFit = true
-		}
-		if err := setter(&cfgs[i], v); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
 	// One export sink per swept value, created before the (possibly
 	// parallel) runs so failures abort early and workers never share one.
 	// A value being resumed keeps its interrupted trace file untouched:
@@ -255,14 +270,10 @@ func main() {
 	decisionsSinks := make([]*sink, len(sweep))
 	tracePaths := make([]string, len(sweep))
 	decisionsPaths := make([]string, len(sweep))
-	ckptDirs := make([]string, len(sweep))
 	resuming := make([]bool, len(sweep))
 	for i, v := range sweep {
-		val := strconv.FormatFloat(v, 'g', -1, 64)
-		if *checkpointDir != "" {
-			ckptDirs[i] = filepath.Join(*checkpointDir, fmt.Sprintf("%s-%s", *param, val))
-		}
-		resuming[i] = *resume && experiment.HasCheckpoint(ckptDirs[i])
+		val := formatValue(v)
+		resuming[i] = *resume && experiment.HasCheckpoint(cfgs[i].CheckpointDir)
 		if *tracePrefix != "" {
 			tracePaths[i] = *tracePrefix + val + ".jsonl"
 			if !resuming[i] {
@@ -280,18 +291,13 @@ func main() {
 			metricsSinks[i] = newSink(*metricsPrefix + val + ".prom")
 		}
 	}
-	var retry *patroller.RetryPolicy
-	if *mitigate {
-		rp := experiment.DefaultRetryPolicy()
-		retry = &rp
-	}
 	// Per-value errors from resume land here (each worker owns its index,
 	// so the slice is race-free under the parallel runner).
 	errs := make([]error, len(sweep))
 	results := experiment.Map(*parallel, sweep, func(v float64, i int) *experiment.MixedResult {
 		if resuming[i] {
 			res, err := experiment.ResumeMixed(experiment.ResumeOptions{
-				Dir:             ckptDirs[i],
+				Dir:             cfgs[i].CheckpointDir,
 				TracePath:       tracePaths[i],
 				DecisionsPath:   decisionsPaths[i],
 				Metrics:         metricsSinks[i].writer(),
@@ -301,21 +307,9 @@ func main() {
 			errs[i] = err
 			return res
 		}
-		return experiment.RunMixed(experiment.MixedConfig{
-			Mode:            experiment.QueryScheduler,
-			Sched:           workload.PaperSchedule(),
-			Seed:            *seed,
-			QS:              &cfgs[i],
-			Experiment:      fmt.Sprintf("qsweep %s=%g", *param, v),
-			Trace:           traceSinks[i].writer(),
-			Metrics:         metricsSinks[i].writer(),
-			Decisions:       decisionsSinks[i].writer(),
-			Faults:          faults,
-			Retry:           retry,
-			CheckpointEvery: *checkpointEvery,
-			CheckpointDir:   ckptDirs[i],
-			Backends:        fleetSpecs,
-		})
+		cfg := cfgs[i]
+		cfg.Trace, cfg.Metrics, cfg.Decisions = traceSinks[i].writer(), metricsSinks[i].writer(), decisionsSinks[i].writer()
+		return experiment.RunMixed(cfg)
 	})
 	// Flush every sink before reporting: a crashed value must not cost the
 	// other values their buffered exports, and its own partial trace has

@@ -37,10 +37,10 @@ import (
 )
 
 // Version identifies the container format together with the payload
-// layout its callers encode. Version 2 snapshots a run as shared
-// sections plus one section per backend; version 1 files are rejected,
-// not migrated.
-const Version = 2
+// layout its callers encode. Version 3 snapshots a run as its own
+// configuration, shared sections and one section per backend; files of
+// earlier versions are rejected, not migrated.
+const Version = 3
 
 // versionError reports a checkpoint written in another format version.
 type versionError struct {

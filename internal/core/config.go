@@ -165,6 +165,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Validate reports the error New would return for this config, with the
+// same zero-value defaults filled in first.
+func (c Config) Validate() error { return c.withDefaults().validate() }
+
 func (c Config) validate() error {
 	if c.SystemCostLimit <= 0 {
 		return fmt.Errorf("core: system cost limit %v must be positive", c.SystemCostLimit)

@@ -3,17 +3,20 @@
 // A checkpoint is taken only at a quiescent boundary — between RunUntil
 // calls, when every event at or before the current time has fired — so
 // each component's state is internally consistent. The snapshot records
-// the run's construction parameters (RunSpec) next to every component's
-// logical state; closures are never serialized. Resume rebuilds the rig
-// by re-running the exact construction sequence RunMixed uses, wipes the
-// constructor-scheduled clock events wholesale (Clock.Restore), and then
-// re-arms each component's recorded future events with their original
-// (time, seq, id) triples, so FIFO tie-breaking and all later sequence
-// draws reproduce the uninterrupted run exactly.
+// the run's own MixedConfig next to every component's logical state;
+// closures are never serialized. Resume rebuilds the rig from that
+// config by re-running the exact construction sequence RunMixed uses,
+// wipes the constructor-scheduled clock events wholesale
+// (Clock.Restore), and then re-arms each component's recorded future
+// events with their original (time, seq, id) triples, so FIFO
+// tie-breaking and all later sequence draws reproduce the uninterrupted
+// run exactly.
 package experiment
 
 import (
 	"bufio"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -26,7 +29,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/patroller"
 	"repro/internal/router"
 	"repro/internal/simclock"
 	"repro/internal/solver"
@@ -34,59 +36,15 @@ import (
 	"repro/internal/workload"
 )
 
-// RetrySpec mirrors patroller.RetryPolicy without its RefreshCost func
-// (which cannot be serialized; resume re-wires it to the injector the
-// same way RunMixed does).
-type RetrySpec struct {
-	MaxAttempts    int
-	Backoff        float64
-	TimeoutFloor   float64
-	TimeoutPerCost float64
-}
-
-// RunSpec is the gob-safe record of how a checkpointed run was
-// constructed. Resume rebuilds an identical rig from it; only the output
-// writers are supplied fresh by the resuming caller.
-type RunSpec struct {
-	Mode       Mode
-	Seed       uint64
-	Sched      workload.Schedule
-	Classes    []*workload.Class
-	Experiment string
-	// HasQSCfg records whether the run carried a custom core.Config. The
-	// config's interface fields travel out of band: SolverName +
-	// GreedyMaxMoves stand in for Config.Solver, and MonitorFaults is
-	// re-wired to the rebuilt injector.
-	HasQSCfg       bool
-	QS             core.Config
-	SolverName     string
-	GreedyMaxMoves int
-	HasFaults      bool
-	Faults         fault.Plan
-	HasRetry       bool
-	Retry          RetrySpec
-	// HasTrace/HasMetrics/HasDecisions record which exports were
-	// attached; resume must re-attach the same set or the outputs would
-	// diverge.
-	HasTrace     bool
-	HasMetrics   bool
-	HasDecisions bool
-	// Streaming records whether the pool used the streaming client
-	// generator; resume must rebuild it the same way.
-	Streaming bool
-	// Backends records the roster (nil = one paper-default backend);
-	// resume rebuilds the same one.
-	Backends []backend.Spec
-	// NoMitigation records MixedConfig.DisableFleetMitigation; resume
-	// must rebuild the same (absent) failover wiring.
-	NoMitigation bool
-}
-
 // runSnapshot is the gob payload of one checkpoint file: the run's
-// shared sections, then one section per backend in roster order.
+// config and shared sections, then one section per backend in roster
+// order. Which exports the run attached is read off HasTrace, HasReg
+// (the metrics writer) and HasDlog.
 type runSnapshot struct {
-	Spec  RunSpec
-	Index int // boundary index the snapshot was taken at
+	// Config is the run's own configuration, without the writers and
+	// checkpoint fields the resuming caller supplies afresh.
+	Config MixedConfig
+	Index  int // boundary index the snapshot was taken at
 
 	Clock      simclock.State
 	Pool       workload.PoolState
@@ -110,119 +68,11 @@ type runSnapshot struct {
 	Faults []fault.CheckpointState
 }
 
-// solverSpec names a solver for the run spec. Only the built-in
-// (stateless) solvers are serializable.
-func solverSpec(s solver.Solver) (name string, greedyMaxMoves int) {
-	switch v := s.(type) {
-	case nil:
-		return "", 0
-	case solver.Greedy:
-		return "greedy", v.MaxMoves
-	case solver.Grid:
-		return "grid", 0
-	default:
-		panic(fmt.Sprintf("experiment: checkpointing cannot serialize solver %T", s))
-	}
-}
-
-// solverFromSpec inverts solverSpec. Unknown names are an error (the
-// checkpoint may come from a newer build), not a panic.
-func solverFromSpec(name string, greedyMaxMoves int) (solver.Solver, error) {
-	switch name {
-	case "":
-		return nil, nil
-	case "greedy":
-		return solver.Greedy{MaxMoves: greedyMaxMoves}, nil
-	case "grid":
-		return solver.Grid{}, nil
-	default:
-		return nil, fmt.Errorf("experiment: checkpoint names unknown solver %q", name)
-	}
-}
-
-// specFromConfig records a checkpointable run's construction parameters.
-// It panics on configurations that cannot round-trip through a
-// checkpoint (custom solver or RefreshCost closures).
-func specFromConfig(cfg MixedConfig, classes []*workload.Class) RunSpec {
-	spec := RunSpec{
-		Mode:         cfg.Mode,
-		Seed:         cfg.Seed,
-		Sched:        cfg.Sched,
-		Classes:      classes,
-		Experiment:   cfg.Experiment,
-		HasTrace:     cfg.Trace != nil,
-		HasMetrics:   cfg.Metrics != nil,
-		HasDecisions: cfg.Decisions != nil,
-		Streaming:    cfg.StreamingClients,
-		Backends:     cfg.Backends,
-		NoMitigation: cfg.DisableFleetMitigation,
-	}
-	if cfg.QS != nil {
-		spec.HasQSCfg = true
-		qc := *cfg.QS
-		spec.SolverName, spec.GreedyMaxMoves = solverSpec(qc.Solver)
-		qc.Solver = nil
-		qc.MonitorFaults = nil
-		spec.QS = qc
-	}
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		spec.HasFaults = true
-		spec.Faults = *cfg.Faults
-	}
-	if cfg.Retry != nil {
-		if cfg.Retry.RefreshCost != nil {
-			panic("experiment: checkpointing cannot serialize a custom RetryPolicy.RefreshCost; leave it nil")
-		}
-		spec.HasRetry = true
-		spec.Retry = RetrySpec{
-			MaxAttempts:    cfg.Retry.MaxAttempts,
-			Backoff:        cfg.Retry.Backoff,
-			TimeoutFloor:   cfg.Retry.TimeoutFloor,
-			TimeoutPerCost: cfg.Retry.TimeoutPerCost,
-		}
-	}
-	return spec
-}
-
-// config rebuilds the MixedConfig a resumed run is constructed from. The
-// writers are the resuming caller's; everything else comes from the spec.
-func (s *RunSpec) config(tw, mw, dw io.Writer) (MixedConfig, error) {
-	cfg := MixedConfig{
-		Mode:       s.Mode,
-		Sched:      s.Sched,
-		Seed:       s.Seed,
-		Classes:    s.Classes,
-		Experiment: s.Experiment,
-		Trace:      tw,
-		Metrics:    mw,
-		Decisions:  dw,
-
-		StreamingClients:       s.Streaming,
-		Backends:               s.Backends,
-		DisableFleetMitigation: s.NoMitigation,
-	}
-	if s.HasQSCfg {
-		qc := s.QS
-		sol, err := solverFromSpec(s.SolverName, s.GreedyMaxMoves)
-		if err != nil {
-			return MixedConfig{}, err
-		}
-		qc.Solver = sol
-		cfg.QS = &qc
-	}
-	if s.HasFaults {
-		p := s.Faults
-		cfg.Faults = &p
-	}
-	if s.HasRetry {
-		cfg.Retry = &patroller.RetryPolicy{
-			MaxAttempts:    s.Retry.MaxAttempts,
-			Backoff:        s.Retry.Backoff,
-			TimeoutFloor:   s.Retry.TimeoutFloor,
-			TimeoutPerCost: s.Retry.TimeoutPerCost,
-		}
-	}
-	return cfg, nil
+// The built-in solvers are the only core.Config.Solver values a
+// checkpoint can carry (validateCheckpointing rejects any other).
+func init() {
+	gob.Register(solver.Greedy{})
+	gob.Register(solver.Grid{})
 }
 
 // boundaryStep is the distance between checkpointable boundaries: the
@@ -238,22 +88,40 @@ func boundaryStep(cfg MixedConfig) float64 {
 	return cfg.Sched.PeriodSeconds
 }
 
-// validateCheckpointing rejects run configurations whose outputs cannot
-// survive a resume: a rotating or compressed trace sink has no stable
-// byte offset to truncate back to.
-func validateCheckpointing(cfg MixedConfig) {
+// validateCheckpointing rejects run configurations that cannot survive
+// a resume: a rotating or compressed trace sink has no stable byte
+// offset to truncate back to, and gob carries neither a custom solver
+// nor a func or injector field (it silently drops RetryPolicy's
+// RefreshCost).
+func validateCheckpointing(cfg MixedConfig) error {
 	if cfg.CheckpointDir == "" {
-		panic("experiment: CheckpointEvery set without CheckpointDir")
+		return errors.New("experiment: CheckpointEvery set without CheckpointDir")
 	}
 	if s, ok := cfg.Trace.(*trace.Sink); ok && (s.Rotating() || s.Gzipped()) {
-		panic("experiment: checkpointing requires a plain trace sink (no rotation, no gzip)")
+		return errors.New("experiment: checkpointing requires a plain trace sink (no rotation, no gzip)")
 	}
+	if cfg.QS != nil {
+		switch cfg.QS.Solver.(type) {
+		case nil, solver.Greedy, solver.Grid:
+		default:
+			return fmt.Errorf("experiment: checkpointing cannot serialize solver %T", cfg.QS.Solver)
+		}
+		if cfg.QS.MonitorFaults != nil {
+			return errors.New("experiment: checkpointing cannot serialize a custom core.Config.MonitorFaults; leave it nil")
+		}
+	}
+	if cfg.Retry != nil && cfg.Retry.RefreshCost != nil {
+		return errors.New("experiment: checkpointing cannot serialize a custom RetryPolicy.RefreshCost; leave it nil")
+	}
+	return nil
 }
 
 // snapshotRun captures the full simulation state at a quiescent boundary.
-func snapshotRun(r *Rig, o *runObs, inst *workload.Installation, spec *RunSpec, idx int) *runSnapshot {
+func snapshotRun(r *Rig, o *runObs, inst *workload.Installation, cfg MixedConfig, idx int) *runSnapshot {
+	cfg.Trace, cfg.Metrics, cfg.Decisions = nil, nil, nil
+	cfg.CheckpointEvery, cfg.CheckpointDir = 0, ""
 	snap := &runSnapshot{
-		Spec:       *spec,
+		Config:     cfg,
 		Index:      idx,
 		Clock:      r.Clock.State(),
 		Pool:       r.Pool.CheckpointState(),
@@ -400,8 +268,8 @@ func ResumeMixed(opts ResumeOptions) (*MixedResult, error) {
 		}
 		return nil, fmt.Errorf("experiment: checkpointed run had no trace export; TracePath must be empty")
 	}
-	if snap.Spec.HasMetrics != (opts.Metrics != nil) {
-		if snap.Spec.HasMetrics {
+	if snap.HasReg != (opts.Metrics != nil) {
+		if snap.HasReg {
 			return nil, fmt.Errorf("experiment: checkpointed run exported metrics; Metrics is required")
 		}
 		return nil, fmt.Errorf("experiment: checkpointed run had no metrics export; Metrics must be nil")
@@ -450,12 +318,12 @@ func ResumeMixed(opts ResumeOptions) (*MixedResult, error) {
 		dw = rf.bw
 	}
 
-	cfg, err := snap.Spec.config(tw, opts.Metrics, dw)
-	if err != nil {
+	cfg := snap.Config
+	cfg.Trace, cfg.Metrics, cfg.Decisions = tw, opts.Metrics, dw
+	cfg.CheckpointEvery, cfg.CheckpointDir = opts.CheckpointEvery, opts.Dir
+	if err := cfg.Validate(); err != nil {
 		return fail(err)
 	}
-	cfg.CheckpointEvery = opts.CheckpointEvery
-	cfg.CheckpointDir = opts.Dir
 
 	// Reconstruction must mirror RunFleet exactly (same constructor and
 	// hook-attachment order), so restored event closures and listener
@@ -468,8 +336,7 @@ func ResumeMixed(opts ResumeOptions) (*MixedResult, error) {
 	if err != nil {
 		return fail(err)
 	}
-	spec := snap.Spec
-	fr := r.complete(cfg, o, inst, &spec, snap.Index, nil)
+	fr := r.complete(cfg, o, inst, snap.Index, nil)
 	if cerr := closeFiles(); fr.ExportErr == nil {
 		fr.ExportErr = cerr
 	}

@@ -318,6 +318,18 @@ func TestResumeRejectsMismatchedOutputs(t *testing.T) {
 // cannot be resumed: the error names the version instead of skipping
 // every file as corrupt.
 func TestResumeRejectsVersion1Checkpoints(t *testing.T) {
+	testResumeRejectsVersion(t, 1)
+}
+
+// Version-2 files carried a separate run spec beside the snapshot; they
+// are rejected the same way.
+func TestResumeRejectsVersion2Checkpoints(t *testing.T) {
+	testResumeRejectsVersion(t, 2)
+}
+
+// testResumeRejectsVersion restamps a finished run's checkpoints with
+// version v and resumes them.
+func testResumeRejectsVersion(t *testing.T, v uint32) {
 	dir := t.TempDir()
 	RunMixed(ckptTestConfig(dir, 2))
 	for _, idx := range checkpointIndices(t, dir) {
@@ -326,14 +338,15 @@ func TestResumeRejectsVersion1Checkpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		binary.BigEndian.PutUint32(data[len("QSCKPT\n"):], 1)
+		binary.BigEndian.PutUint32(data[len("QSCKPT\n"):], v)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	_, err := ResumeMixed(ResumeOptions{Dir: dir})
-	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("resume from version-1 checkpoints: %v, want an error naming version 1", err)
+	want := fmt.Sprintf("unsupported version %d", v)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume from version-%d checkpoints: %v, want an error naming version %d", v, err, v)
 	}
 }
 

@@ -95,14 +95,24 @@ func DefaultRetryPolicy() patroller.RetryPolicy {
 	}
 }
 
-// MitigatedQSConfig is the scheduler configuration for the mitigation-on
-// arm: plan-hold degradation (bounded) and last-fit OLTP slope fallback
-// on top of the paper defaults.
-func MitigatedQSConfig() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.SystemCostLimit = SystemCostLimit
-	cfg.Degradation = core.Degradation{HoldPlanOnDropout: true, MaxHeldTicks: 5}
-	cfg.OLTP.FallbackToLastFit = true
+// Mitigated returns cfg with the mitigation stack armed: the default
+// retry policy and, in Query Scheduler mode, bounded plan hold and
+// last-fit OLTP slope fallback laid over the run's own scheduler config
+// (the paper default when it has none). qsim, qsweep and the fault
+// matrix's mitigated arm all arm it here.
+func (cfg MixedConfig) Mitigated() MixedConfig {
+	rp := DefaultRetryPolicy()
+	cfg.Retry = &rp
+	if cfg.Mode == QueryScheduler {
+		qc := core.DefaultConfig()
+		qc.SystemCostLimit = SystemCostLimit
+		if cfg.QS != nil {
+			qc = *cfg.QS
+		}
+		qc.Degradation = core.Degradation{HoldPlanOnDropout: true, MaxHeldTicks: 5}
+		qc.OLTP.FallbackToLastFit = true
+		cfg.QS = &qc
+	}
 	return cfg
 }
 
@@ -112,8 +122,6 @@ type FaultMatrixConfig struct {
 	Scenarios []FaultScenario
 	Sched     workload.Schedule
 	Seed      uint64
-	// Retry overrides the mitigation arm's retry policy (nil = default).
-	Retry *patroller.RetryPolicy
 	// Parallel is the worker count: 0 = GOMAXPROCS, 1 = serial. Cell
 	// results are identical for any worker count.
 	Parallel int
@@ -198,14 +206,7 @@ func runFaultCell(sc FaultScenario, mitigated bool, cfg FaultMatrixConfig) Fault
 		Experiment: fmt.Sprintf("faultmatrix/%s/mitigated=%t", sc.Name, mitigated),
 	}
 	if mitigated {
-		qc := MitigatedQSConfig()
-		mc.QS = &qc
-		rp := cfg.Retry
-		if rp == nil {
-			d := DefaultRetryPolicy()
-			rp = &d
-		}
-		mc.Retry = rp
+		mc = mc.Mitigated()
 	}
 	res := RunMixed(mc)
 

@@ -41,45 +41,49 @@ type FleetResult struct {
 	Histories [][]core.PlanRecord
 }
 
-// Validate rejects a configuration whose fault plan does not fit the
-// roster: a backend-scoped fault naming a backend outside it, or crash
-// windows that leave no backend up at some instant.
+// Validate is the one check of a mixed run's configuration, so a bad
+// one comes back as an error rather than a panic mid-run. It rejects a
+// fault plan that does not fit the roster (a backend-scoped fault
+// naming a backend outside it, or crash windows that leave no backend
+// up at some instant), a Query Scheduler config the scheduler would
+// refuse, and checkpointing asked of a run that cannot round-trip
+// through a checkpoint.
 func (cfg MixedConfig) Validate() error {
-	if cfg.Faults == nil {
-		return nil
+	if cfg.Faults != nil {
+		if err := cfg.Faults.ValidateRoster(max(len(cfg.Backends), 1)); err != nil {
+			return err
+		}
 	}
-	n := len(cfg.Backends)
-	if n == 0 {
-		n = 1
+	if cfg.Mode == QueryScheduler && cfg.QS != nil {
+		if err := cfg.QS.Validate(); err != nil {
+			return err
+		}
 	}
-	return cfg.Faults.ValidateRoster(n)
+	if cfg.CheckpointEvery > 0 {
+		return validateCheckpointing(cfg)
+	}
+	return nil
 }
 
 // RunFleet executes one mixed-workload experiment on the configured
 // roster (nil Backends = one paper-default backend) and returns the
 // result with its per-backend detail. RunMixed is RunFleet without the
-// detail.
+// detail. It panics on a configuration Validate rejects; callers that
+// take config from input validate first.
 func RunFleet(cfg MixedConfig) *FleetResult {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("experiment: %v", err))
 	}
-	if cfg.CheckpointEvery > 0 {
-		validateCheckpointing(cfg)
-	}
 	r, o, obsErr := buildRig(cfg, false)
-	var spec RunSpec
-	if cfg.CheckpointEvery > 0 {
-		spec = specFromConfig(cfg, r.Classes)
-	}
 	inst := r.Sched.Install(r.Clock, r.Pool, nil)
-	return r.complete(cfg, o, inst, &spec, 0, obsErr)
+	return r.complete(cfg, o, inst, 0, obsErr)
 }
 
 // complete runs r from boundary startIdx to the end of the schedule,
 // flushes the exports unless a fault-plan crash stopped the run, and
 // collects the result.
-func (r *Rig) complete(cfg MixedConfig, o *runObs, inst *workload.Installation, spec *RunSpec, startIdx int, obsErr error) *FleetResult {
-	crashed, runErr := runBoundaries(r, o, inst, spec, cfg, startIdx)
+func (r *Rig) complete(cfg MixedConfig, o *runObs, inst *workload.Installation, startIdx int, obsErr error) *FleetResult {
+	crashed, runErr := runBoundaries(r, o, inst, cfg, startIdx)
 	if obsErr == nil {
 		obsErr = runErr
 	}
@@ -99,7 +103,7 @@ func (r *Rig) complete(cfg MixedConfig, o *runObs, inst *workload.Installation, 
 // boundaries. Returns crashed=true when a fault-plan crash stopped the
 // clock mid-run (the "process death" the recovery experiments resume
 // from); nothing is written or finished after a crash.
-func runBoundaries(r *Rig, o *runObs, inst *workload.Installation, spec *RunSpec, cfg MixedConfig, startIdx int) (crashed bool, err error) {
+func runBoundaries(r *Rig, o *runObs, inst *workload.Installation, cfg MixedConfig, startIdx int) (crashed bool, err error) {
 	duration := r.Sched.Duration()
 	died := func() bool {
 		for _, inj := range r.Faults {
@@ -136,14 +140,14 @@ func runBoundaries(r *Rig, o *runObs, inst *workload.Installation, spec *RunSpec
 			// the resume restores the finished state and only re-emits
 			// the final exports.
 			if !atEnd {
-				if werr := checkpoint.Write(cfg.CheckpointDir, idx+1, snapshotRun(r, o, inst, spec, idx+1)); werr != nil {
+				if werr := checkpoint.Write(cfg.CheckpointDir, idx+1, snapshotRun(r, o, inst, cfg, idx+1)); werr != nil {
 					return false, werr
 				}
 			}
 			return false, nil
 		}
 		if (idx+1)%cfg.CheckpointEvery == 0 {
-			if werr := checkpoint.Write(cfg.CheckpointDir, idx+1, snapshotRun(r, o, inst, spec, idx+1)); werr != nil {
+			if werr := checkpoint.Write(cfg.CheckpointDir, idx+1, snapshotRun(r, o, inst, cfg, idx+1)); werr != nil {
 				return false, werr
 			}
 		}

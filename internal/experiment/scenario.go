@@ -12,8 +12,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/fault"
-	"repro/internal/patroller"
 	"repro/internal/workload"
 )
 
@@ -68,35 +66,16 @@ type ScenarioClass struct {
 	Importance int     `json:"importance"`
 }
 
-// Scenario is a parsed, validated scenario ready to run.
+// Scenario is a parsed, validated scenario: its label and the mixed
+// run it describes. The caller adds what the JSON spec does not carry
+// (writers, a fault plan, checkpointing) and runs the config.
 type Scenario struct {
-	Name    string
-	Mode    Mode
-	Seed    uint64
-	Classes []*workload.Class
-	Sched   workload.Schedule
-	QS      *core.Config
-	// Trace/Metrics/Decisions optionally receive the run's JSONL event
-	// stream, metrics exposition, and decision audit log (set by the
-	// caller, not the JSON spec).
-	Trace     io.Writer
-	Metrics   io.Writer
-	Decisions io.Writer
-	// Faults/Retry optionally inject a fault plan and arm the retry
-	// mitigation (set by the caller, not the JSON spec — fault plans have
-	// their own file format, see fault.ParseSpec).
-	Faults *fault.Plan
-	Retry  *patroller.RetryPolicy
-	// CheckpointEvery/CheckpointDir arm crash-consistent checkpointing
-	// (set by the caller, not the JSON spec); see MixedConfig.
-	CheckpointEvery int
-	CheckpointDir   string
-	// Backends is the roster (nil = one paper-default backend); see
-	// MixedConfig.Backends.
-	Backends []backend.Spec
+	Name string
+	MixedConfig
 }
 
-// ParseScenario reads and validates a JSON scenario.
+// ParseScenario reads and validates a JSON scenario. The run's
+// Experiment label is the scenario's name, or "scenario" without one.
 func ParseScenario(r io.Reader) (*Scenario, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -108,7 +87,11 @@ func ParseScenario(r io.Reader) (*Scenario, error) {
 }
 
 func buildScenario(spec ScenarioSpec) (*Scenario, error) {
-	s := &Scenario{Name: spec.Name, Seed: spec.Seed}
+	s := &Scenario{Name: spec.Name}
+	s.Experiment, s.Seed = spec.Name, spec.Seed
+	if s.Experiment == "" {
+		s.Experiment = "scenario"
+	}
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
@@ -234,32 +217,8 @@ func buildScenario(spec ScenarioSpec) (*Scenario, error) {
 		}
 		s.QS = &cfg
 	}
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
 	return s, nil
-}
-
-// Run executes the scenario.
-func (s *Scenario) Run() *MixedResult { return RunMixed(s.Config()) }
-
-// Config returns the run configuration Run executes.
-func (s *Scenario) Config() MixedConfig {
-	name := s.Name
-	if name == "" {
-		name = "scenario"
-	}
-	return MixedConfig{
-		Mode:            s.Mode,
-		Sched:           s.Sched,
-		Seed:            s.Seed,
-		QS:              s.QS,
-		Classes:         s.Classes,
-		Experiment:      name,
-		Trace:           s.Trace,
-		Metrics:         s.Metrics,
-		Decisions:       s.Decisions,
-		Faults:          s.Faults,
-		Retry:           s.Retry,
-		CheckpointEvery: s.CheckpointEvery,
-		CheckpointDir:   s.CheckpointDir,
-		Backends:        s.Backends,
-	}
 }

@@ -112,7 +112,7 @@ func TestScenarioRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sc.Run()
+	res := RunMixed(sc.MixedConfig)
 	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSingleBackendScenarioUsesItsSpec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sc.Run()
+		return RunMixed(sc.MixedConfig)
 	}
 	full := run("")
 	half := run(`"backends": [{"name": "half", "cpu_capacity": 1}],`)

@@ -82,8 +82,8 @@ func TestSweepResumeSkipsCompletedValues(t *testing.T) {
 	if err := checkpoint.Read(filepath.Join(ckptDirs[0], checkpoint.FileName(last)), snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.Clock.Now; got < snap.Spec.Sched.Duration() {
-		t.Fatalf("terminal snapshot clock at %v, want schedule end %v", got, snap.Spec.Sched.Duration())
+	if got := snap.Clock.Now; got < snap.Config.Sched.Duration() {
+		t.Fatalf("terminal snapshot clock at %v, want schedule end %v", got, snap.Config.Sched.Duration())
 	}
 
 	// Fabricate the interrupted sweep: value 0 completed (state kept as
