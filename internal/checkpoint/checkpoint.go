@@ -38,9 +38,11 @@ import (
 
 // Version identifies the container format together with the payload
 // layout its callers encode. Version 3 snapshots a run as its own
-// configuration, shared sections and one section per backend; files of
-// earlier versions are rejected, not migrated.
-const Version = 3
+// configuration, shared sections and one section per backend; version 4
+// keeps that layout but stores cancellable clock events under
+// slot-encoded IDs. Files of earlier versions are rejected, not
+// migrated.
+const Version = 4
 
 // versionError reports a checkpoint written in another format version.
 type versionError struct {

@@ -328,15 +328,23 @@ func (qs *QueryScheduler) History() []PlanRecord {
 	return out
 }
 
-// LastPlan returns the most recent control-interval record without
-// copying the whole history — the fleet planner reads each backend's
-// solver verdict (infeasible plan, binding class) from it every tick.
-// The record is deep-copied; false means no tick has run yet.
-func (qs *QueryScheduler) LastPlan() (PlanRecord, bool) {
+// Verdict is the part of a control-interval record the fleet planner
+// acts on every tick: whether the plan was held, and the solver's
+// feasibility verdict with its binding class.
+type Verdict struct {
+	Held       bool
+	Infeasible bool
+	Binding    engine.ClassID
+}
+
+// LastVerdict returns the most recent control interval's verdict without
+// copying its record; false means no tick has run yet.
+func (qs *QueryScheduler) LastVerdict() (Verdict, bool) {
 	if len(qs.history) == 0 {
-		return PlanRecord{}, false
+		return Verdict{}, false
 	}
-	return qs.history[len(qs.history)-1].Clone(), true
+	rec := &qs.history[len(qs.history)-1]
+	return Verdict{Held: rec.Held, Infeasible: rec.Search.Infeasible, Binding: rec.Search.Binding}, true
 }
 
 // OnPlan registers a hook called with each control interval's PlanRecord

@@ -121,3 +121,40 @@ func TestRetryAttemptCarriesThrough(t *testing.T) {
 		t.Fatalf("retry done = %v, want 14", retried.DoneTime)
 	}
 }
+
+// Engines that share a freelist pass query objects between them, and
+// QueryIDs count per engine: an object finished on one engine can run on
+// another under an ID the first engine also issued. An abort aimed at it
+// from the first engine must not touch either active set.
+func TestAbortRefusesQueryOfAnotherEngine(t *testing.T) {
+	a, clock := newTestEngine(1, 1)
+	b := New(a.Config(), clock)
+	b.ShareFreelist(a)
+
+	first := a.AcquireQuery()
+	first.Demand = Demand{Work: 1, CPURate: 1}
+	a.Submit(first)
+	clock.Run() // completes on a and returns to the shared list
+
+	q := b.AcquireQuery()
+	if q != first {
+		t.Fatal("shared freelist did not hand b the object a recycled")
+	}
+	q.Demand = Demand{Work: 10, CPURate: 1}
+	b.Submit(q)
+	r := cpuQuery(10)
+	a.Submit(r)
+
+	if a.Abort(q) {
+		t.Fatal("engine a aborted a query executing on engine b")
+	}
+	if got := a.ActiveQueries(); len(got) != 1 || got[0] != r || r.State != StateExecuting {
+		t.Fatalf("engine a active set = %v, want its own query still executing", got)
+	}
+	if got := b.ActiveQueries(); len(got) != 1 || got[0] != q || q.State != StateExecuting {
+		t.Fatalf("engine b active set = %v (query state %v), want q still executing", got, q.State)
+	}
+	if st := a.Stats(); st.Aborted != 0 {
+		t.Fatalf("engine a stats = %+v, want no abort", st)
+	}
+}

@@ -118,7 +118,7 @@ func (e *Engine) CheckpointState() CheckpointState {
 	for _, q := range e.active {
 		st.Active = append(st.Active, RecordQuery(q))
 	}
-	if e.hasEvt {
+	if e.pendingEvt != 0 {
 		ref, ok := e.clock.Ref(e.pendingEvt)
 		if !ok {
 			panic("engine: pending completion event not found in clock")
@@ -160,11 +160,10 @@ func (e *Engine) RestoreCheckpoint(st CheckpointState) {
 		e.active = append(e.active, q)
 	}
 	e.recomputeRates()
-	e.hasEvt = false
+	e.pendingEvt = 0
 	if st.HasCompletion {
 		e.clock.RestoreEvent(st.Completion, e.completionFn)
 		e.pendingEvt = st.Completion.ID
-		e.hasEvt = true
 	}
 }
 

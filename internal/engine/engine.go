@@ -215,8 +215,7 @@ type Engine struct {
 	nextID       QueryID
 	active       []*Query
 	lastUpdate   simclock.Time
-	pendingEvt   simclock.EventID
-	hasEvt       bool
+	pendingEvt   simclock.EventID   // armed completion event; 0 when none
 	completionFn simclock.EventFunc // bound once; reschedule allocates no closure
 	speed        float64            // global progress multiplier (1 = nominal, 0 = stalled)
 
@@ -235,7 +234,7 @@ type Engine struct {
 	// Hot-path scratch: reused across events so steady-state simulation
 	// performs no per-event allocation.
 	//lint:ignore ckptcover recycled Query objects; freelist warm-up state is never part of a snapshot
-	freelist []*Query // recycled pooled queries (AcquireQuery/Recycle)
+	free *freelist // recycled pooled queries (AcquireQuery/Recycle), possibly shared
 	//lint:ignore ckptcover per-tick scratch; dead between advanceTo calls
 	doneScratch []*Query // completions harvested by advanceTo
 	//lint:ignore ckptcover per-reschedule scratch; dead between recomputeRates calls
@@ -265,9 +264,18 @@ func New(cfg Config, clock *simclock.Clock) *Engine {
 		cfg:   cfg,
 		clock: clock,
 		speed: 1,
+		free:  &freelist{},
 	}
 	e.completionFn = e.onCompletionEvent
 	return e
+}
+
+// freelist holds recycled pooled queries. Every engine starts with its
+// own; engines that hand queries to one another join one list with
+// ShareFreelist, so a query acquired through one engine and finished on
+// another comes back to the list it was drawn from.
+type freelist struct {
+	qs []*Query
 }
 
 // AcquireQuery returns a zeroed query from the engine's freelist (or a
@@ -279,10 +287,11 @@ func New(cfg Config, clock *simclock.Clock) *Engine {
 //
 //qlint:hotpath
 func (e *Engine) AcquireQuery() *Query {
-	if n := len(e.freelist) - 1; n >= 0 {
-		q := e.freelist[n]
-		e.freelist[n] = nil
-		e.freelist = e.freelist[:n]
+	f := e.free
+	if n := len(f.qs) - 1; n >= 0 {
+		q := f.qs[n]
+		f.qs[n] = nil
+		f.qs = f.qs[:n]
 		return q
 	}
 	//lint:ignore hotalloc freelist growth: allocates only while the query pool warms up to peak concurrency
@@ -303,8 +312,16 @@ func (e *Engine) Recycle(q *Query) {
 		panic(fmt.Sprintf("engine: recycle of live query %d in state %v", q.ID, q.State))
 	}
 	*q = Query{pooled: true, index: -1}
-	e.freelist = append(e.freelist, q)
+	e.free.qs = append(e.free.qs, q)
 }
+
+// ShareFreelist makes e acquire and recycle pooled queries through
+// peer's freelist. A fleet joins every engine to one list, because a
+// routed query is acquired in one place and may finish on any engine;
+// with a list per engine, acquisition would drain one list while the
+// others grew without bound. Queries already on e's own list are left
+// to the garbage collector.
+func (e *Engine) ShareFreelist(peer *Engine) { e.free = peer.free }
 
 // Clock returns the engine's simulation clock.
 func (e *Engine) Clock() *simclock.Clock { return e.clock }
@@ -367,12 +384,13 @@ func (e *Engine) SetAbortHandler(h func(*Query) bool) { e.abortHandler = h }
 // moves to StateFailed with DoneTime set; abort listeners always fire,
 // then either the abort handler claims it for retry or the OnDone
 // listeners see the terminal failure. Aborting a query that is not
-// executing (already done, still queued, or aborted by a racing event)
-// returns false and does nothing.
+// executing here (already done, still queued, aborted by a racing event,
+// or a recycled object now executing on another engine that shares the
+// freelist) returns false and does nothing.
 //
 //qlint:hotpath
 func (e *Engine) Abort(q *Query) bool {
-	if q == nil || q.State != StateExecuting {
+	if q == nil || q.State != StateExecuting || !e.owns(q) {
 		return false
 	}
 	e.advanceTo(e.clock.Now())
@@ -654,6 +672,11 @@ func (e *Engine) advanceTo(now simclock.Time) {
 // fires at the exact computed finish time.
 const completionEpsilon = 1e-9
 
+// owns reports whether q is in this engine's active set.
+func (e *Engine) owns(q *Query) bool {
+	return q.index >= 0 && q.index < len(e.active) && e.active[q.index] == q
+}
+
 // remove takes q out of the active set in O(1).
 func (e *Engine) remove(q *Query) {
 	i := q.index
@@ -917,42 +940,35 @@ func (e *Engine) stationScales(buf []classScale, rate func(Demand) float64, capa
 	return buf
 }
 
-// reschedule recomputes rates and re-arms the next-completion event.
+// reschedule recomputes rates and re-arms the next-completion event,
+// moving the armed event in place (Rearm) rather than cancelling it and
+// scheduling a new one.
 func (e *Engine) reschedule() {
-	if e.hasEvt {
-		e.clock.Cancel(e.pendingEvt)
-		e.hasEvt = false
+	// Mid-cascade (inside advanceTo's completion-listener loop) the
+	// caller that entered advanceTo always reschedules again before the
+	// clock pops another event, so recomputing rates here is wasted work
+	// and the armed time is irrelevant: the trailing reschedule moves it.
+	// A placeholder is armed anyway, under exactly the eager path's
+	// conditions, because every arm consumes a clock sequence number and
+	// sequence numbers decide FIFO tie-breaking: skipping it would shift
+	// every later event's tiebreak order.
+	next := minEventStep
+	if !e.deferResched {
+		next = e.recomputeRates()
 	}
-	if e.deferResched {
-		// Mid-cascade (inside advanceTo's completion-listener loop): the
-		// caller that entered advanceTo always reschedules again before
-		// the clock pops another event, so recomputing rates here is
-		// wasted work and the armed time is irrelevant — the trailing
-		// reschedule cancels it. A placeholder is armed anyway, under
-		// exactly the eager path's conditions, because every
-		// AfterCancellable call consumes a clock sequence number and
-		// sequence numbers decide FIFO tie-breaking: skipping the call
-		// would shift every later event's tiebreak order.
-		if len(e.active) == 0 || e.speed <= 0 {
-			return
+	if len(e.active) == 0 || e.speed <= 0 {
+		// Idle, or stalled (no progress): no completion event to arm.
+		if e.pendingEvt != 0 {
+			e.clock.Cancel(e.pendingEvt)
+			e.pendingEvt = 0
 		}
-		e.pendingEvt = e.clock.AfterCancellable(minEventStep, e.completionFn)
-		e.hasEvt = true
 		return
-	}
-	next := e.recomputeRates()
-	if len(e.active) == 0 {
-		return
-	}
-	if e.speed <= 0 {
-		return // stalled: no progress, so no completion event to arm
 	}
 	// Guard against a zero-length step looping forever on fp residue.
 	if next < minEventStep {
 		next = minEventStep
 	}
-	e.pendingEvt = e.clock.AfterCancellable(next, e.completionFn)
-	e.hasEvt = true
+	e.pendingEvt = e.clock.Rearm(e.pendingEvt, next, e.completionFn)
 }
 
 const minEventStep = 1e-9
@@ -963,7 +979,7 @@ const minEventStep = 1e-9
 //
 //qlint:hotpath
 func (e *Engine) onCompletionEvent() {
-	e.hasEvt = false
+	e.pendingEvt = 0
 	e.advanceTo(e.clock.Now())
 	e.reschedule()
 }

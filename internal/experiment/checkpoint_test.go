@@ -327,6 +327,12 @@ func TestResumeRejectsVersion2Checkpoints(t *testing.T) {
 	testResumeRejectsVersion(t, 2)
 }
 
+// Version-3 files stored cancellable clock events under plain counter
+// IDs, which version 4 reads as slot-encoded; they are rejected too.
+func TestResumeRejectsVersion3Checkpoints(t *testing.T) {
+	testResumeRejectsVersion(t, 3)
+}
+
 // testResumeRejectsVersion restamps a finished run's checkpoints with
 // version v and resumes them.
 func testResumeRejectsVersion(t *testing.T, v uint32) {

@@ -145,7 +145,7 @@ func newRig(seed uint64, sched workload.Schedule, classes []*workload.Class, str
 		r.Router = router.New(roster, router.DefaultScorers())
 		r.Pool = workload.NewRoutedPool(r.Router, engines)
 	} else {
-		// No router: a routed submit allocates a query; the engine's freelist does not.
+		// No router: scoring one backend would only add hot-path work.
 		r.Pool = workload.NewPool(r.Eng)
 	}
 	src := rng.New(seed)

@@ -611,11 +611,13 @@ func (p *Patroller) timeoutFn(q *engine.Query) simclock.EventFunc {
 	//lint:ignore hotalloc the timeout callback must capture its query; armed once per release, cancelled on completion
 	return func() {
 		delete(p.timeouts, id)
-		// The id guard keeps a stale fire harmless even if the engine
+		// The guard keeps a stale fire harmless even if the freelist
 		// recycled the object into a different query (completion and
 		// abort both cancel the timeout, but a same-instant race still
-		// dequeues the event).
-		if q.ID != id || q.State != engine.StateExecuting {
+		// dequeues the event). IDs count per engine, so in a fleet the
+		// object may even run elsewhere under the same ID: only this
+		// patroller's own active row proves the query is still ours.
+		if e, ok := p.active[id]; !ok || e.q != q || q.State != engine.StateExecuting {
 			return
 		}
 		// Abort reports false when the query completes at this exact

@@ -80,6 +80,10 @@ type Planner struct {
 	ticker     *simclock.Ticker
 	onPlan     []func(FleetPlan)
 	onDecision []func(FleetDecision)
+
+	// Per-tick scratch, roster order; dead between ticks.
+	//lint:ignore ckptcover per-tick scratch; rebuilt from the router and EWMA every tick
+	cost, weights, limits []float64
 }
 
 // StartPlanner arms the fleet budget split on the shared clock. The
@@ -112,6 +116,8 @@ func StartPlanner(clock *simclock.Clock, r *Router, backends []*backend.Instance
 		backends: backends,
 		cfg:      cfg,
 		ewma:     make([]float64, len(backends)),
+		weights:  make([]float64, len(backends)),
+		limits:   make([]float64, len(backends)),
 	}
 	// Equal initial split: no demand observed yet.
 	equal := cfg.Total / float64(len(backends))
@@ -143,11 +149,12 @@ func (p *Planner) OnDecision(fn func(FleetDecision)) { p.onDecision = append(p.o
 // nominal demand earns a quarter of the budget pull, shifting admission
 // capacity toward backends that can actually burn it.
 func (p *Planner) tick() {
-	cost := p.router.TakeCost()
+	p.cost = p.router.TakeCost(p.cost)
+	cost, weights, limits := p.cost, p.weights, p.limits
 	total := 0.0
 	healthy := 0
-	weights := make([]float64, len(p.ewma))
 	for i := range p.ewma {
+		weights[i], limits[i] = 0, 0
 		if p.router.IsDown(i + 1) {
 			p.ewma[i] = 0
 			continue
@@ -161,7 +168,6 @@ func (p *Planner) tick() {
 		total += weights[i]
 	}
 	nh := float64(healthy)
-	limits := make([]float64, len(p.backends))
 	for i := range limits {
 		if p.router.IsDown(i + 1) {
 			continue // limit 0: no budget, no actuation
@@ -186,7 +192,8 @@ func (p *Planner) tick() {
 		p.migrate()
 	}
 	if len(p.onPlan) > 0 {
-		plan := FleetPlan{Time: simclock.Time(p.clockNow()), Demand: append([]float64(nil), p.ewma...), Limits: limits}
+		// Listeners keep their plans (Rig.Plans), so each gets copies.
+		plan := FleetPlan{Time: simclock.Time(p.clockNow()), Demand: append([]float64(nil), p.ewma...), Limits: append([]float64(nil), limits...)}
 		for _, fn := range p.onPlan {
 			fn(plan)
 		}
@@ -208,8 +215,8 @@ func (p *Planner) migrate() {
 			p.decide(FleetDecision{Event: "migration-end", Backend: m.Source, Class: m.Class})
 			continue
 		}
-		rec, ok := p.backends[m.Source-1].QS.LastPlan()
-		if ok && !rec.Held && !rec.Search.Infeasible {
+		v, ok := p.backends[m.Source-1].QS.LastVerdict()
+		if ok && !v.Held && !v.Infeasible {
 			p.router.ClearMigration(m.Class)
 			p.decide(FleetDecision{Event: "migration-end", Backend: m.Source, Class: m.Class})
 		}
@@ -218,11 +225,11 @@ func (p *Planner) migrate() {
 		if p.router.IsDown(i + 1) {
 			continue
 		}
-		rec, ok := b.QS.LastPlan()
-		if !ok || rec.Held || !rec.Search.Infeasible {
+		v, ok := b.QS.LastVerdict()
+		if !ok || v.Held || !v.Infeasible {
 			continue
 		}
-		class := rec.Search.Binding
+		class := v.Binding
 		if class == 0 || p.router.MigrationSource(class) != 0 {
 			continue // no binding class named, or a drain is already running
 		}

@@ -94,6 +94,9 @@ type Decision struct {
 type Router struct {
 	backends []backend.Backend
 	scorers  []Weighted
+	// shared is roster engine 1, whose query freelist every roster
+	// engine shares, so AcquireQuery draws where any engine recycles.
+	shared *engine.Engine
 
 	// routed / cost are the per-backend tallies (roster order): total
 	// queries ever routed, and routed timeron cost since the fleet
@@ -121,7 +124,8 @@ type Router struct {
 }
 
 // New builds a router over the backends (roster order = tie-break
-// order) with the given scoring policy.
+// order) with the given scoring policy, and joins every backend's
+// engine to one query freelist (see AcquireQuery).
 func New(backends []backend.Backend, scorers []Weighted) *Router {
 	if len(backends) == 0 {
 		panic("router: no backends")
@@ -134,9 +138,14 @@ func New(backends []backend.Backend, scorers []Weighted) *Router {
 			panic(fmt.Sprintf("router: invalid weighted scorer %+v", ws))
 		}
 	}
+	shared := backends[0].Engine()
+	for _, b := range backends[1:] {
+		b.Engine().ShareFreelist(shared)
+	}
 	return &Router{
 		backends: backends,
 		scorers:  scorers,
+		shared:   shared,
 		routed:   make([]int64, len(backends)),
 		cost:     make([]float64, len(backends)),
 		down:     make([]bool, len(backends)),
@@ -155,18 +164,19 @@ func (r *Router) OnRoute(fn func(q *engine.Query, d Decision)) {
 	r.onRoute = append(r.onRoute, fn)
 }
 
-// AcquireQuery hands out a fresh query object. Fleet queries are
-// plain allocations, never pooled: a query's terminal engine recycles
-// only its own pooled objects, and cross-backend freelist migration is
-// not worth the bookkeeping. Engines ignore non-pooled queries on
-// recycle, so this is safe by construction.
-func (r *Router) AcquireQuery() *engine.Query { return &engine.Query{} }
+// AcquireQuery hands out a zeroed query from the fleet's one freelist.
+// Whichever engine the query finishes on recycles it to the same list.
+//
+//qlint:hotpath
+func (r *Router) AcquireQuery() *engine.Query { return r.shared.AcquireQuery() }
 
 // Submit scores every healthy backend for the query, routes it to the
 // argmax (lowest roster index wins ties), and fires the routing
 // listeners. Down backends are excluded outright; a backend being
 // drained of the query's class (an active migration) is skipped unless
 // it is the only healthy choice left.
+//
+//qlint:hotpath
 func (r *Router) Submit(q *engine.Query) {
 	avoid := 0
 	if len(r.migrations) > 0 {
@@ -216,14 +226,13 @@ func (r *Router) Routed() []int64 {
 	return out
 }
 
-// TakeCost returns the routed timeron cost per backend since the last
-// call and resets the accumulators — the fleet planner's per-interval
-// demand harvest. The returned slice is owned by the caller.
-func (r *Router) TakeCost() []float64 {
-	out := make([]float64, len(r.cost))
-	copy(out, r.cost)
+// TakeCost appends the routed timeron cost per backend since the last
+// call to dst[:0] and resets the accumulators — the fleet planner's
+// per-interval demand harvest, into its own reused buffer.
+func (r *Router) TakeCost(dst []float64) []float64 {
+	dst = append(dst[:0], r.cost...)
 	for i := range r.cost {
 		r.cost[i] = 0
 	}
-	return out
+	return dst
 }

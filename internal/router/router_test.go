@@ -126,11 +126,11 @@ func TestRouterDecisionHookAndTallies(t *testing.T) {
 	if ids[0] == 0 || ids[0] != q.ID {
 		t.Fatalf("hook saw query ID %d, want the engine-assigned %d", ids[0], q.ID)
 	}
-	cost := r.TakeCost()
+	cost := r.TakeCost(nil)
 	if cost[1] != 100 || cost[0] != 0 {
 		t.Fatalf("TakeCost = %v, want 100 on backend 2", cost)
 	}
-	if again := r.TakeCost(); again[1] != 0 {
+	if again := r.TakeCost(nil); again[1] != 0 {
 		t.Fatalf("TakeCost did not reset: %v", again)
 	}
 }
@@ -146,7 +146,7 @@ func TestRouterCheckpointRoundtrip(t *testing.T) {
 	if got, want := r2.Routed(), r.Routed(); got[0] != want[0] {
 		t.Fatalf("restored routed = %v, want %v", got, want)
 	}
-	if got := r2.TakeCost(); got[0] != 200 {
+	if got := r2.TakeCost(nil); got[0] != 200 {
 		t.Fatalf("restored cost = %v, want 200 on backend 1", got)
 	}
 }

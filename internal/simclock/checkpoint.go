@@ -29,8 +29,11 @@ type EventRef struct {
 // not carry the pending events themselves — their callbacks are closures
 // only the owning components can rebuild (see RestoreEvent).
 type State struct {
-	Now    Time
-	Seq    uint64
+	Now Time
+	Seq uint64
+	// NextID counts the cancellable events issued so far (the counter
+	// half of an EventID). The slot table is not saved: restored events
+	// re-take their own slots and free slots are handed out lowest first.
 	NextID EventID
 }
 
@@ -49,7 +52,10 @@ func (c *Clock) Restore(s State) {
 		c.heap[i] = event{} // release closures for GC
 	}
 	c.heap = c.heap[:0]
-	c.byID = nil
+	for i := range c.held {
+		c.held[i] = 0
+	}
+	c.lowFree = 0
 	c.now = s.Now
 	c.seq = s.Seq
 	c.nextID = s.NextID
@@ -58,23 +64,29 @@ func (c *Clock) Restore(s State) {
 
 // RestoreEvent re-arms one event with its original scheduling triple, so
 // the restored heap fires in exactly the checkpointed order. The ref must
-// come from the same logical run: its sequence and id must not exceed the
-// restored counters, and its time must not lie in the past.
+// come from the same logical run: its sequence and id counter must not
+// exceed the restored counters, its slot must be free, and its time must
+// not lie in the past.
 func (c *Clock) RestoreEvent(ref EventRef, fn EventFunc) {
 	c.validate(ref.At, fn)
 	if ref.Seq == 0 || ref.Seq > c.seq {
 		panic(fmt.Sprintf("simclock: restored event seq %d outside issued range [1,%d]", ref.Seq, c.seq))
 	}
-	if ref.ID > c.nextID {
-		panic(fmt.Sprintf("simclock: restored event id %d outside issued range [1,%d]", ref.ID, c.nextID))
-	}
 	if ref.ID != 0 {
-		if c.byID == nil {
-			c.byID = make(map[EventID]int, 8)
+		if n := ref.ID >> slotBits; n == 0 || n > c.nextID {
+			panic(fmt.Sprintf("simclock: restored event id %d (count %d) outside issued range [1,%d]", ref.ID, n, c.nextID))
 		}
-		if _, dup := c.byID[ref.ID]; dup {
-			panic(fmt.Sprintf("simclock: restored event id %d already pending", ref.ID))
+		s := int(ref.ID & slotMask)
+		for len(c.slots) <= s {
+			c.slots = append(c.slots, 0)
 		}
+		for len(c.held) <= s>>6 {
+			c.held = append(c.held, 0)
+		}
+		if c.held[s>>6]&(1<<(s&63)) != 0 {
+			panic(fmt.Sprintf("simclock: restored event id %d: slot %d already pending", ref.ID, s))
+		}
+		c.held[s>>6] |= 1 << (s & 63)
 	}
 	c.push(event{at: ref.At, seq: ref.Seq, id: ref.ID, fn: fn})
 }
@@ -100,7 +112,7 @@ func (c *Clock) AfterRef(d float64, fn EventFunc) EventRef {
 // Ref returns the checkpoint ref of a pending cancellable event, or
 // ok=false when the id is no longer pending.
 func (c *Clock) Ref(id EventID) (EventRef, bool) {
-	i, ok := c.byID[id]
+	i, ok := c.find(id)
 	if !ok {
 		return EventRef{}, false
 	}

@@ -13,9 +13,10 @@
 // is its own free-list — vacated slots are reused by later events), and
 // the hot path runs hand-rolled sift loops instead of container/heap's
 // interface dispatch. Cancellation is opt-in: only events scheduled via
-// AtCancellable/AfterCancellable pay for registration in the id→index
-// map; the common never-cancelled event (client arrivals, schedule
-// boundaries) skips the map entirely.
+// AtCancellable/AfterCancellable hold a slot in a dense table of heap
+// positions, and their EventID names that slot, so Cancel, Rearm and the
+// sifts index the table instead of hashing. The common never-cancelled
+// event (client arrivals, schedule boundaries) holds no slot.
 //
 // A Clock is not safe for concurrent use. Parallel experiments must give
 // every run its own Clock (see internal/experiment's isolation invariant).
@@ -24,6 +25,7 @@ package simclock
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is a point in virtual time, in seconds since simulation start.
@@ -35,7 +37,21 @@ type EventFunc func()
 
 // EventID identifies a cancellable scheduled event. The zero EventID is
 // never issued and is never pending.
+//
+// The low slotBits bits name the slot the event holds in the clock's
+// slot table; the high bits are the clock's issue counter, which makes
+// every ID unique for the clock's lifetime. A stale ID whose slot a
+// later event reuses therefore never matches: lookups compare the full
+// stored ID.
 type EventID uint64
+
+// slotBits is the width of an EventID's slot field: at most 1<<slotBits
+// cancellable events may be pending at once, and the issue counter has
+// 64-slotBits bits.
+const (
+	slotBits = 24
+	slotMask = 1<<slotBits - 1
+)
 
 // event is stored by value inside the Clock's heap slice; id is 0 for
 // events that cannot be cancelled (the common case).
@@ -61,14 +77,21 @@ func (e *event) before(o *event) bool {
 // Clock is a discrete-event simulation clock. The zero value is not usable;
 // call New.
 type Clock struct {
-	now    Time
-	seq    uint64
+	now  Time
+	seq  uint64
+	heap []event
+	// nextID counts the cancellable events issued so far; it is the
+	// counter half of the last EventID handed out.
 	nextID EventID
-	heap   []event
-	// byID maps a cancellable event's id to its current heap index. It is
-	// allocated lazily on the first AtCancellable call, so clocks that
-	// never cancel (most experiment runs) carry no map at all.
-	byID    map[EventID]int
+	// slots[s] is the heap index of the pending cancellable event that
+	// holds slot s; entries of free slots are stale. held has bit s set
+	// while slot s is taken, and every word below lowFree is full. New
+	// events take the lowest free slot, so which slots are held is a
+	// function of the pending events alone: a restored clock hands out
+	// the same IDs as the uninterrupted run without saving the table.
+	slots   []int32
+	held    []uint64
+	lowFree int
 	stopped bool
 }
 
@@ -114,19 +137,17 @@ func (c *Clock) After(d float64, fn EventFunc) {
 }
 
 // AtCancellable schedules fn at absolute time t and returns an EventID
-// that Cancel accepts. Cancellable events additionally maintain an
-// id→heap-index registration, so reserve this path for events that
+// that Cancel and Rearm accept. Cancellable events additionally hold a
+// slot in the position table, so reserve this path for events that
 // realistically may be cancelled (completion re-arms, ticker ticks).
+//
+//qlint:hotpath
 func (c *Clock) AtCancellable(t Time, fn EventFunc) EventID {
 	c.validate(t, fn)
 	c.seq++
-	c.nextID++
-	if c.byID == nil {
-		//lint:ignore hotalloc one-time lazy init of the cancellable-event index
-		c.byID = make(map[EventID]int, 8)
-	}
-	c.push(event{at: t, seq: c.seq, id: c.nextID, fn: fn})
-	return c.nextID
+	id := c.issueID(c.takeSlot())
+	c.push(event{at: t, seq: c.seq, id: id, fn: fn})
+	return id
 }
 
 // AfterCancellable schedules fn d seconds from now, cancellably.
@@ -140,14 +161,46 @@ func (c *Clock) AfterCancellable(d float64, fn EventFunc) EventID {
 // Cancel removes a scheduled cancellable event. It reports whether the
 // event was still pending (false if it already fired, was previously
 // cancelled, or was scheduled via the non-cancellable At/After path).
+//
+//qlint:hotpath
 func (c *Clock) Cancel(id EventID) bool {
-	i, ok := c.byID[id]
+	i, ok := c.find(id)
 	if !ok {
 		return false
 	}
-	delete(c.byID, id)
+	c.freeSlot(id)
 	c.removeAt(i)
 	return true
+}
+
+// Rearm moves the pending cancellable event id to fire fn d seconds from
+// now and returns its new EventID; id itself stops being pending. When
+// id is not pending (zero, fired or cancelled) it schedules fn exactly as
+// AfterCancellable does. Either way it consumes one sequence number and
+// one issue count, as Cancel followed by AfterCancellable would, so FIFO
+// tie-breaking among simultaneous events is the same on both paths; the
+// moved event keeps its slot and takes one sift instead of a removal and
+// an insertion.
+//
+//qlint:hotpath
+func (c *Clock) Rearm(id EventID, d float64, fn EventFunc) EventID {
+	if d < 0 {
+		panic(fmt.Sprintf("simclock: negative delay %v", d))
+	}
+	i, ok := c.find(id)
+	if !ok {
+		return c.AtCancellable(c.now+d, fn)
+	}
+	t := c.now + d
+	c.validate(t, fn)
+	c.seq++
+	id = c.issueID(int(id & slotMask))
+	e := &c.heap[i]
+	e.at, e.seq, e.id, e.fn = t, c.seq, id, fn
+	if !c.siftDown(i) {
+		c.siftUp(i)
+	}
+	return id
 }
 
 // Stop makes the currently executing Run return once the in-flight event
@@ -172,7 +225,7 @@ func (c *Clock) Step() bool {
 		c.heap = c.heap[:0]
 	}
 	if e.id != 0 {
-		delete(c.byID, e.id)
+		c.freeSlot(e.id)
 	}
 	c.now = e.at
 	e.fn()
@@ -213,8 +266,66 @@ func (c *Clock) NextEventTime() (Time, bool) {
 	return c.heap[0].at, true
 }
 
+// --- slot table ---
+
+// find returns the heap index of the pending event id. A slot's table
+// entry is stale once the slot is free, so the full stored ID decides.
+func (c *Clock) find(id EventID) (int, bool) {
+	s := id & slotMask
+	if id == 0 || int(s) >= len(c.slots) {
+		return 0, false
+	}
+	i := int(c.slots[s])
+	if i >= len(c.heap) || c.heap[i].id != id {
+		return 0, false
+	}
+	return i, true
+}
+
+// issueID counts one more cancellable event and names it with slot s.
+func (c *Clock) issueID(s int) EventID {
+	c.nextID++
+	if c.nextID >= 1<<(64-slotBits) {
+		panic("simclock: cancellable event counter exhausted")
+	}
+	return c.nextID<<slotBits | EventID(s)
+}
+
+// takeSlot claims the lowest free slot, growing the table by one slot
+// when every slot is held.
+func (c *Clock) takeSlot() int {
+	w := c.lowFree
+	for w < len(c.held) && c.held[w] == math.MaxUint64 {
+		w++
+	}
+	if w == len(c.held) {
+		c.held = append(c.held, 0)
+	}
+	c.lowFree = w
+	b := bits.TrailingZeros64(^c.held[w])
+	c.held[w] |= 1 << b
+	s := w<<6 | b
+	if s > slotMask {
+		panic(fmt.Sprintf("simclock: more than %d cancellable events pending", slotMask+1))
+	}
+	if s == len(c.slots) {
+		c.slots = append(c.slots, 0)
+	}
+	return s
+}
+
+// freeSlot releases the slot id holds.
+func (c *Clock) freeSlot(id EventID) {
+	s := int(id & slotMask)
+	w := s >> 6
+	c.held[w] &^= 1 << (s & 63)
+	if w < c.lowFree {
+		c.lowFree = w
+	}
+}
+
 // --- heap internals (hand-rolled: no container/heap interface dispatch,
-// hole-based sifting writes each element once, and the id→index map is
+// hole-based sifting writes each element once, and the slot table is
 // only touched for cancellable events) ---
 
 func (c *Clock) push(e event) {
@@ -232,13 +343,13 @@ func (c *Clock) siftUp(i int) {
 		}
 		h[i] = h[p]
 		if h[i].id != 0 {
-			c.byID[h[i].id] = i
+			c.slots[h[i].id&slotMask] = int32(i)
 		}
 		i = p
 	}
 	h[i] = e
 	if e.id != 0 {
-		c.byID[e.id] = i
+		c.slots[e.id&slotMask] = int32(i)
 	}
 }
 
@@ -263,13 +374,13 @@ func (c *Clock) siftDown(i int) bool {
 		}
 		h[i] = h[m]
 		if h[i].id != 0 {
-			c.byID[h[i].id] = i
+			c.slots[h[i].id&slotMask] = int32(i)
 		}
 		i = m
 	}
 	h[i] = e
 	if e.id != 0 {
-		c.byID[e.id] = i
+		c.slots[e.id&slotMask] = int32(i)
 	}
 	return i != start
 }

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Allocation-budget smoke: run the headline mixed benchmarks once with
-# -benchmem and fail if bytes allocated per op regress more than 10%
-# over the checked-in budget (scripts/alloc_budget.txt). The budget
-# encodes the hot path's allocation discipline — pooled query/span
-# objects, dense per-class slices, batched trace dispatch — as a CI
-# regression target rather than a one-off win.
+# Allocation-budget smoke: run the headline mixed benchmarks and the
+# fleet's routing benchmarks once with -benchmem and fail if bytes
+# allocated per op regress more than 10% over the checked-in budget
+# (scripts/alloc_budget.txt). The budget encodes the hot path's
+# allocation discipline — pooled query/span objects, one query freelist
+# per fleet, dense per-class slices, batched trace dispatch — as a CI
+# regression target rather than a one-off win. RouterRoute's budget is
+# 0 B/op, so any allocation on a warm routed submit fails.
 #
 # Usage:
 #   scripts/alloc_budget.sh            # compare against the budget
@@ -13,7 +15,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUDGET=scripts/alloc_budget.txt
-BENCH='^(BenchmarkSystemCostLimit|BenchmarkFig2)$'
+BENCH='^(BenchmarkSystemCostLimit|BenchmarkFig2|BenchmarkRouterRoute|BenchmarkRoutingFleet)$'
 
 OUT=$(go test -run='^$' -bench="$BENCH" -benchtime=1x -benchmem -timeout 1800s .)
 echo "$OUT"
