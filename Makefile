@@ -3,7 +3,7 @@
 # parallel experiment pool (see internal/experiment/parallel.go).
 # `make lint` runs qlint, the determinism & simulation-invariant analyzer
 # (cmd/qlint; checks: wallclock, globalrand, maporder, goroutine,
-# floateq, poolsafety, ckptcover, hotalloc — see DESIGN.md "Lint
+# floateq, poolsafety, hotalloc — see DESIGN.md "Lint
 # invariants"). scripts/check.sh bundles all of it for CI.
 
 GO ?= go

@@ -221,15 +221,16 @@ func main() {
 		}
 	}
 	if (*checkpointEvery > 0 || *resumeDir != "") && (*traceRotate > 0 || traceCompressed) {
-		// Resume rewinds the trace file to a checkpointed byte offset;
-		// rotation and compression destroy that stable offset.
+		// Resume checks the trace file up to a checkpointed byte offset
+		// and truncates it there; rotation and compression destroy that
+		// stable offset.
 		fmt.Fprintln(os.Stderr, "checkpointing requires a plain -trace file (no -trace-rotate, no .gz)")
 		os.Exit(2)
 	}
 
 	// The trace sink handles optional gzip (.gz suffix) and rotation. On
 	// -resume the interrupted run's trace file must NOT be truncated here:
-	// ResumeMixed reopens it and rewinds to the checkpointed offset itself.
+	// ResumeMixed reopens it, checks it and truncates it itself.
 	var traceSink *trace.Sink
 	if *traceFile != "" && *resumeDir == "" {
 		s, err := trace.OpenSink(*traceFile, *traceRotate)
@@ -247,8 +248,7 @@ func main() {
 	}
 	metricsSink := openSink(*metricsFile)
 	// Like the trace file, the decision log must NOT be truncated on
-	// -resume: ResumeMixed reopens it and rewinds to the checkpointed
-	// offset itself.
+	// -resume: ResumeMixed reopens it, checks it and truncates it itself.
 	var decisionsSink *fileSink
 	if *decisionsFile != "" && *resumeDir == "" {
 		decisionsSink = openSink(*decisionsFile)
@@ -271,7 +271,8 @@ func main() {
 		decisionsSink.close()
 	}
 	// A fault-plan crash ends the run mid-simulation: flush the partial
-	// artifacts (resume rewinds the trace) and exit distinctly.
+	// artifacts (resume checks them against its re-simulation) and exit
+	// distinctly.
 	exitIfCrashed := func(res *experiment.MixedResult) {
 		if !res.Crashed {
 			return

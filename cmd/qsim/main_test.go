@@ -1,11 +1,16 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/checkpoint"
+	"repro/internal/experiment"
 )
 
 // TestMain lets the test binary impersonate the CLI: with QSIM_MAIN=1
@@ -84,4 +89,108 @@ func TestUsageErrorsExit2(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkpointHead is the part of a checkpoint payload that a mid-run
+// checkpoint of a run without exports sets; gob matches fields by name,
+// so it decodes and re-encodes such a payload unchanged.
+type checkpointHead struct {
+	Config experiment.MixedConfig
+	Index  int
+	Digest uint64
+}
+
+// keepMiddleCheckpoint deletes every checkpoint in dir above the middle
+// one, so -resume picks a mid-run boundary, and returns its index.
+func keepMiddleCheckpoint(t *testing.T, dir string) int {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "ckpt-*.bin"))
+	if err != nil || len(names) < 3 {
+		t.Fatalf("checkpoints %v: %v", names, err)
+	}
+	sort.Strings(names)
+	for _, n := range names[len(names)/2+1:] {
+		if err := os.Remove(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var idx int
+	if _, err := fmt.Sscanf(filepath.Base(names[len(names)/2]), "ckpt-%d.bin", &idx); err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+// A resume that does not arrive where its checkpoint says the run was
+// exits 1 and names what diverged: the first differing byte of an export
+// file, or the simulated state.
+func TestResumeDivergenceExits1(t *testing.T) {
+	dir := t.TempDir()
+	scenario := filepath.Join(dir, "scenario.json")
+	if err := os.WriteFile(scenario, []byte(`{"mode": "query-scheduler", "period_minutes": 5,
+		"classes": [
+			{"kind": "olap", "goal_metric": "velocity", "goal_target": 0.4, "importance": 1},
+			{"kind": "oltp", "goal_metric": "response_time", "goal_target": 0.25, "importance": 2}],
+		"periods": [[2, 10], [3, 12]]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(t *testing.T, ck string, extra ...string) {
+		t.Helper()
+		args := append([]string{"-scenario", scenario, "-checkpoint-every", "1", "-checkpoint-dir", ck}, extra...)
+		if _, stderr, code := runCLI(t, args...); code != 0 {
+			t.Fatalf("checkpointed run exit %d: %s", code, stderr)
+		}
+	}
+	expectExit1 := func(t *testing.T, args []string, check func(stderr string)) {
+		t.Helper()
+		stdout, stderr, code := runCLI(t, args...)
+		if code != 1 {
+			t.Errorf("exit %d, want 1", code)
+		}
+		if stdout != "" {
+			t.Errorf("stdout %q, want none", stdout)
+		}
+		check(stderr)
+	}
+
+	t.Run("trace byte", func(t *testing.T) {
+		ck, tr := filepath.Join(dir, "ck-trace"), filepath.Join(dir, "t.jsonl")
+		run(t, ck, "-trace", tr)
+		keepMiddleCheckpoint(t, ck)
+		data, err := os.ReadFile(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[10] ^= 0x01 // inside the meta line, so inside every checkpoint's prefix
+		if err := os.WriteFile(tr, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		expectExit1(t, []string{"-resume", ck, "-trace", tr}, func(stderr string) {
+			want := "experiment: resume diverged: the trace file differs from the re-simulated run at byte 10\n"
+			if stderr != want {
+				t.Errorf("stderr %q, want %q", stderr, want)
+			}
+		})
+	})
+
+	t.Run("state digest", func(t *testing.T) {
+		ck := filepath.Join(dir, "ck-state")
+		run(t, ck)
+		idx := keepMiddleCheckpoint(t, ck)
+		var head checkpointHead
+		if err := checkpoint.Read(filepath.Join(ck, checkpoint.FileName(idx)), &head); err != nil {
+			t.Fatal(err)
+		}
+		head.Config.Seed++
+		if err := checkpoint.Write(ck, idx, head); err != nil {
+			t.Fatal(err)
+		}
+		expectExit1(t, []string{"-resume", ck}, func(stderr string) {
+			prefix := fmt.Sprintf("experiment: resume diverged: state digest at boundary %d is ", idx)
+			suffix := fmt.Sprintf(", the checkpoint says %016x\n", head.Digest)
+			if !strings.HasPrefix(stderr, prefix) || !strings.HasSuffix(stderr, suffix) {
+				t.Errorf("stderr %q, want %q…%q", stderr, prefix, suffix)
+			}
+		})
+	})
 }

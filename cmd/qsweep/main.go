@@ -262,8 +262,8 @@ func main() {
 	// One export sink per swept value, created before the (possibly
 	// parallel) runs so failures abort early and workers never share one.
 	// A value being resumed keeps its interrupted trace file untouched:
-	// ResumeMixed reopens it and rewinds to the checkpointed offset, so no
-	// sink is created for it (the metrics exposition is rewritten wholesale
+	// ResumeMixed reopens, checks and truncates it itself, so no sink is
+	// created for it (the metrics exposition is rewritten wholesale
 	// after the run either way).
 	traceSinks := make([]*sink, len(sweep))
 	metricsSinks := make([]*sink, len(sweep))
@@ -280,7 +280,7 @@ func main() {
 				traceSinks[i] = newSink(tracePaths[i])
 			}
 		}
-		// The decision log rewinds on resume exactly like the trace.
+		// The decision log is resumed exactly like the trace.
 		if *decisionsPrefix != "" {
 			decisionsPaths[i] = *decisionsPrefix + val + ".jsonl"
 			if !resuming[i] {
@@ -312,8 +312,8 @@ func main() {
 		return experiment.RunMixed(cfg)
 	})
 	// Flush every sink before reporting: a crashed value must not cost the
-	// other values their buffered exports, and its own partial trace has
-	// to reach disk for -resume to rewind.
+	// other values their buffered exports, and its own partial trace
+	// should reach disk (a -resume regenerates whatever did not).
 	for i := range sweep {
 		traceSinks[i].finish()
 		decisionsSinks[i].finish()

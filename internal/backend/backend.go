@@ -158,7 +158,7 @@ func (b *Instance) Affinity(class engine.ClassID) float64 {
 // closed), then pending retries (event-sequence order). The composite
 // order is deterministic, so the survivors' submission sequence — and
 // every event sequence number downstream of it — replays identically
-// run to run and across checkpoint resume.
+// run to run, which a resume by re-simulation relies on.
 func (b *Instance) Evacuate() []*engine.Query {
 	var out []*engine.Query
 	if b.Pat != nil {

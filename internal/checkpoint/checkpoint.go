@@ -37,12 +37,12 @@ import (
 )
 
 // Version identifies the container format together with the payload
-// layout its callers encode. Version 3 snapshots a run as its own
-// configuration, shared sections and one section per backend; version 4
-// keeps that layout but stores cancellable clock events under
-// slot-encoded IDs. Files of earlier versions are rejected, not
-// migrated.
-const Version = 4
+// layout its callers encode. Version 5 records a run by its
+// configuration, a boundary, the export offsets and a state digest, and
+// the run is resumed by re-simulating to that boundary; versions 1–4
+// stored every component's state. Files of earlier versions are
+// rejected, not migrated.
+const Version = 5
 
 // versionError reports a checkpoint written in another format version.
 type versionError struct {

@@ -53,8 +53,7 @@ type monitor struct {
 	arrivals    []int
 	arrivalCost []stats.Summary
 	inflight    []int
-	//lint:ignore ckptcover class-tracking flags are construction wiring; a restored monitor is built over the same classes
-	tracked []bool
+	tracked     []bool
 }
 
 func newMonitor(eng *engine.Engine, pat *patroller.Patroller, olap []*workload.Class,
@@ -142,7 +141,7 @@ func newMonitor(eng *engine.Engine, pat *patroller.Patroller, olap []*workload.C
 }
 
 // slot maps a tracked class to its dense index, panicking on a class the
-// monitor was not built for (checkpoint/monitor mismatch).
+// monitor was not built for.
 func (m *monitor) slot(id engine.ClassID) int {
 	s := int(id - m.base)
 	if s < 0 || s >= len(m.tracked) || !m.tracked[s] {

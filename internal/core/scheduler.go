@@ -98,17 +98,14 @@ func (r PlanRecord) Clone() PlanRecord {
 // Planner, and Performance Solver around a Query Patroller, adapting a
 // mixed workload to its SLOs.
 type QueryScheduler struct {
-	cfg Config
-	eng *engine.Engine
-	//lint:ignore ckptcover wiring backref to the patroller; re-attached by construction on restore
-	pat *patroller.Patroller
-	//lint:ignore ckptcover wiring: the classifier is re-attached by construction on restore
+	cfg        Config
+	eng        *engine.Engine
+	pat        *patroller.Patroller
 	classifier Classifier
 
 	classes     []*workload.Class
 	olapClasses []*workload.Class
-	//lint:ignore ckptcover derived deterministically from config by initialPlan; recomputed identically on restore
-	oltpClass *workload.Class
+	oltpClass   *workload.Class
 
 	mon       *monitor
 	oltpModel *perfmodel.OLTPResponse
@@ -128,20 +125,18 @@ type QueryScheduler struct {
 	sloObserved map[engine.ClassID]int
 	sloMet      map[engine.ClassID]int
 	sloWin      map[engine.ClassID]*obs.SLOWindow
-	//lint:ignore ckptcover observability wiring re-attached via Instrument, not runtime state
-	instr     *schedObs
-	running   bool
-	heldTicks int // consecutive degraded ticks holding the plan
+	instr       *schedObs
+	running     bool
+	heldTicks   int // consecutive degraded ticks holding the plan
 
 	// Dispatch scratch: per-class executing cost/count indexed by
 	// (class - dispBase), reset and refilled on every SelectReleases call
 	// so the per-poke hot path allocates nothing. Classes outside the span
 	// are never in qs.limits, so they skip accounting entirely (they are
 	// released unconditionally).
-	dispBase  engine.ClassID
-	dispCost  []float64
-	dispCount []int
-	//lint:ignore ckptcover per-poke scratch buffer; contents are dead between SelectReleases calls
+	dispBase   engine.ClassID
+	dispCost   []float64
+	dispCount  []int
 	releaseOut []engine.QueryID
 }
 

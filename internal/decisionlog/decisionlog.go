@@ -6,12 +6,11 @@
 // binding class), what it actuated (the cost limits), and — one tick
 // later — what actually happened (the back-filled Actual outcomes).
 //
-// The log is versioned, deterministic, and resumable: records are
-// buffered one tick so the next harvest can close the prediction window,
-// the buffered record is carried in checkpoint state rather than the
-// file, and a resumed run truncates the sink to the checkpointed byte
-// offset and continues byte-identically (the same contract the trace
-// sink follows).
+// The log is versioned and deterministic: records are buffered one tick
+// so the next harvest can close the prediction window, and a re-run of
+// the same configuration writes the same bytes, which is what lets a
+// resumed run check the file prefix it re-simulates (the same contract
+// the trace sink follows).
 package decisionlog
 
 import (
@@ -187,8 +186,7 @@ type Writer struct {
 	// buffer: stream 0 is a one-backend run's, streams 1..N a fleet's
 	// backends.
 	streams []stream
-	//lint:ignore ckptcover latched export error; a resumed run reopens the sink and starts clean
-	err error
+	err     error
 }
 
 // stream is one control loop's tick counter and pending record.
@@ -200,32 +198,6 @@ type stream struct {
 // NewWriter starts a decision log on w: validates the meta, stamps
 // type/version, and writes the meta line.
 func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
-	dw, err := newWriter(w, meta)
-	if err != nil {
-		return nil, err
-	}
-	line, err := json.Marshal(dw.meta)
-	if err != nil {
-		return nil, fmt.Errorf("decisionlog: encode meta: %w", err)
-	}
-	line = append(line, '\n')
-	n, err := w.Write(line)
-	dw.bytes += int64(n)
-	if err != nil {
-		return nil, fmt.Errorf("decisionlog: write meta: %w", err)
-	}
-	return dw, nil
-}
-
-// ResumeWriter attaches to a sink that already holds a decision-log
-// prefix (truncated to a checkpoint's SinkBytes): no meta line is
-// written, and RestoreCheckpoint supplies the tick counter, byte offset,
-// and pending record.
-func ResumeWriter(w io.Writer, meta Meta) (*Writer, error) {
-	return newWriter(w, meta)
-}
-
-func newWriter(w io.Writer, meta Meta) (*Writer, error) {
 	if w == nil {
 		return nil, fmt.Errorf("decisionlog: nil sink")
 	}
@@ -248,6 +220,16 @@ func newWriter(w io.Writer, meta Meta) (*Writer, error) {
 		dw.ids = append(dw.ids, id)
 	}
 	sort.Slice(dw.ids, func(i, j int) bool { return dw.ids[i] < dw.ids[j] })
+	line, err := json.Marshal(dw.meta)
+	if err != nil {
+		return nil, fmt.Errorf("decisionlog: encode meta: %w", err)
+	}
+	line = append(line, '\n')
+	n, err := w.Write(line)
+	dw.bytes += int64(n)
+	if err != nil {
+		return nil, fmt.Errorf("decisionlog: write meta: %w", err)
+	}
 	return dw, nil
 }
 
@@ -282,8 +264,7 @@ func (dw *Writer) NoteBackend(b int, rec core.PlanRecord) {
 // No buffering: fleet events have no prediction window, and writing in
 // event order keeps the log a faithful interleaving of what the control
 // plane knew when. Byte accounting goes through the same path as
-// decision records, so checkpoints taken after a fleet event resume
-// byte-identically.
+// decision records.
 func (dw *Writer) NoteFleet(fr FleetRecord) {
 	if dw.err != nil {
 		return
@@ -304,8 +285,8 @@ func (dw *Writer) NoteFleet(fr FleetRecord) {
 
 // Flush writes the trailing pending records (without Actual — no later
 // harvest closed their windows), streams in ascending order. Call once
-// at end of run; checkpoint capture deliberately does NOT flush, so the
-// byte offset stays at a record boundary the resumed writer reproduces.
+// at end of run; a mid-run checkpoint deliberately does NOT flush, since
+// the pending records still await their outcomes.
 func (dw *Writer) Flush() {
 	for b := range dw.streams {
 		if p := dw.streams[b].pending; p != nil {

@@ -189,61 +189,6 @@ func TestWriterIdleClassYieldsNoOutcome(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeByteIdentical pins the resume contract: truncate
-// to SinkBytes, restore the pending record, continue — the bytes must
-// match an uninterrupted run exactly.
-func TestCheckpointResumeByteIdentical(t *testing.T) {
-	recs := []core.PlanRecord{
-		testRec(60, 0.45, 0.2),
-		testRec(120, 0.35, 0.3),
-		testRec(180, 0.5, 0.21),
-		testRec(240, 0.42, 0.24),
-	}
-
-	var full bytes.Buffer
-	fw, err := NewWriter(&full, testMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		fw.Note(r)
-	}
-	fw.Flush()
-
-	var crash bytes.Buffer
-	cw, err := NewWriter(&crash, testMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw.Note(recs[0])
-	cw.Note(recs[1])
-	st := cw.CheckpointState()
-	if len(st.Streams) != 1 || !st.Streams[0].HasPending || st.Streams[0].Tick != 2 {
-		t.Fatalf("checkpoint state: %+v", st)
-	}
-	// Simulate the crash: garbage written after the checkpoint, then the
-	// recovery truncation back to the checkpointed offset.
-	cw.Note(recs[2])
-	crash.Truncate(int(st.SinkBytes))
-
-	rw, err := ResumeWriter(&crash, testMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rw.RestoreCheckpoint(st)
-	rw.Note(recs[2])
-	rw.Note(recs[3])
-	rw.Flush()
-
-	if !bytes.Equal(full.Bytes(), crash.Bytes()) {
-		t.Fatalf("resumed log differs from uninterrupted run:\nfull:\n%s\nresumed:\n%s",
-			full.String(), crash.String())
-	}
-	if rw.SinkBytes() != fw.SinkBytes() {
-		t.Fatalf("sink bytes %d vs %d", rw.SinkBytes(), fw.SinkBytes())
-	}
-}
-
 func TestScanJSONLErrors(t *testing.T) {
 	if err := ScanJSONL(strings.NewReader(""), nil, nil); err == nil {
 		t.Fatal("empty log accepted")

@@ -202,9 +202,8 @@ type Stats struct {
 
 // Engine is the simulated DBMS.
 type Engine struct {
-	cfg   Config
-	clock *simclock.Clock
-	//lint:ignore ckptcover wiring backref installed by SetInterceptor during construction
+	cfg             Config
+	clock           *simclock.Clock
 	interceptor     Interceptor
 	listeners       []Listener
 	submitListeners []Listener
@@ -233,21 +232,16 @@ type Engine struct {
 
 	// Hot-path scratch: reused across events so steady-state simulation
 	// performs no per-event allocation.
-	//lint:ignore ckptcover recycled Query objects; freelist warm-up state is never part of a snapshot
-	free *freelist // recycled pooled queries (AcquireQuery/Recycle), possibly shared
-	//lint:ignore ckptcover per-tick scratch; dead between advanceTo calls
-	doneScratch []*Query // completions harvested by advanceTo
-	//lint:ignore ckptcover per-reschedule scratch; dead between recomputeRates calls
-	cpuScratch []classScale // per-class station shares (stationScales)
-	//lint:ignore ckptcover per-reschedule scratch; dead between recomputeRates calls
-	ioScratch []classScale
+	free        *freelist    // recycled pooled queries (AcquireQuery/Recycle), possibly shared
+	doneScratch []*Query     // completions harvested by advanceTo
+	cpuScratch  []classScale // per-class station shares (stationScales)
+	ioScratch   []classScale
 
 	// deferResched is set while advanceTo runs completion listeners:
 	// reschedule then arms a placeholder (preserving clock sequence
 	// numbers) instead of recomputing rates, because the cascade's
 	// caller always reschedules once more before handing control back
 	// to the clock.
-	//lint:ignore ckptcover event-loop-internal flag; never set when the engine is quiescent at a checkpoint
 	deferResched bool
 }
 

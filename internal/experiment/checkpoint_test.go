@@ -19,7 +19,7 @@ import (
 )
 
 // ckptTestConfig is a short Query Scheduler run with enough moving parts
-// to exercise every snapshot section: faults (aborts, misestimation, a
+// to make a resume re-simulate real state: faults (aborts, misestimation, a
 // slowdown window) feed the injector and the retry policy, so checkpoint
 // boundaries land with queries held, running, timed out, and awaiting
 // retries.
@@ -119,8 +119,8 @@ func checkpointIndices(t *testing.T, dir string) []int {
 	return out
 }
 
-// The tentpole property: restoring a snapshot from ANY control-tick
-// boundary and running to completion reproduces the uninterrupted run's
+// The tentpole property: resuming from ANY control-tick boundary and
+// running to completion reproduces the uninterrupted run's
 // tables, metrics exposition, and trace file byte for byte — serially
 // and under the parallel runner (checkpoint files are read-only shared
 // state, so concurrent resumes must be race-clean).
@@ -328,9 +328,15 @@ func TestResumeRejectsVersion2Checkpoints(t *testing.T) {
 }
 
 // Version-3 files stored cancellable clock events under plain counter
-// IDs, which version 4 reads as slot-encoded; they are rejected too.
+// IDs; they are rejected too.
 func TestResumeRejectsVersion3Checkpoints(t *testing.T) {
 	testResumeRejectsVersion(t, 3)
+}
+
+// Version-4 files stored per-component state; version 5 stores where
+// the run was and replays to it, so version 4 is rejected as well.
+func TestResumeRejectsVersion4Checkpoints(t *testing.T) {
+	testResumeRejectsVersion(t, 4)
 }
 
 // testResumeRejectsVersion restamps a finished run's checkpoints with
@@ -374,5 +380,162 @@ func TestCrashRecovery(t *testing.T) {
 					cell.TableMatch, cell.MetricsMatch, cell.TraceMatch, cell.Err)
 			}
 		}
+	}
+}
+
+// exportRun runs cfg with its trace and decision log written to files in
+// dir and checkpoints at every boundary, returning the file paths, the
+// metrics exposition and the checkpoint indices in ascending order.
+func exportRun(t *testing.T, dir string) (tracePath, decisionsPath string, metrics []byte, indices []int) {
+	t.Helper()
+	tracePath = filepath.Join(dir, "trace.jsonl")
+	decisionsPath = filepath.Join(dir, "decisions.jsonl")
+	df, err := os.Create(decisionsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ckptTestConfig(filepath.Join(dir, "ckpt"), 1)
+	cfg.Decisions = df
+	var mb bytes.Buffer
+	if _, err := runToFile(cfg, tracePath, &mb); err != nil {
+		t.Fatal(err)
+	}
+	if err := df.Close(); err != nil {
+		t.Fatal(err)
+	}
+	indices = checkpointIndices(t, cfg.CheckpointDir)
+	sort.Ints(indices)
+	return tracePath, decisionsPath, mb.Bytes(), indices
+}
+
+func readCheckpoint(t *testing.T, dir string, idx int) *runSnapshot {
+	t.Helper()
+	snap := new(runSnapshot)
+	if err := checkpoint.Read(filepath.Join(dir, checkpoint.FileName(idx)), snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// A hard kill can leave the export files shorter than the offsets the
+// checkpoint recorded: the sinks buffer, and the checkpoint counts what
+// was handed to them. The resume must regenerate the lost tails — from a
+// mid-run checkpoint and from the terminal one — and not pad the files.
+func TestResumeRegeneratesLostSinkTail(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, decisionsPath, refMetrics, indices := exportRun(t, dir)
+	ckptDir := filepath.Join(dir, "ckpt")
+	refTrace, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDecisions, err := os.ReadFile(decisionsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		idx  int
+	}{
+		{"mid-run", indices[len(indices)/2]},
+		{"terminal", indices[len(indices)-1]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := readCheckpoint(t, ckptDir, tc.idx)
+			if snap.TraceBytes < 500 || snap.DecisionBytes < 100 {
+				t.Fatalf("offsets %d/%d too small to cut", snap.TraceBytes, snap.DecisionBytes)
+			}
+			tp := filepath.Join(dir, tc.name+".jsonl")
+			dp := filepath.Join(dir, tc.name+"-d.jsonl")
+			if err := os.WriteFile(tp, refTrace[:snap.TraceBytes-500], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(dp, refDecisions[:snap.DecisionBytes-100], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var mb bytes.Buffer
+			res, err := ResumeMixed(ResumeOptions{
+				Dir:           ckptDir,
+				Index:         tc.idx,
+				TracePath:     tp,
+				DecisionsPath: dp,
+				Metrics:       &mb,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ExportErr != nil {
+				t.Fatal(res.ExportErr)
+			}
+			for _, f := range []struct {
+				path string
+				want []byte
+			}{{tp, refTrace}, {dp, refDecisions}} {
+				got, err := os.ReadFile(f.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := bytes.Count(got, []byte{0}); n > 0 {
+					t.Errorf("%s holds %d NUL bytes", filepath.Base(f.path), n)
+				}
+				if !bytes.Equal(got, f.want) {
+					t.Errorf("%s diverged from the uninterrupted run", filepath.Base(f.path))
+				}
+			}
+			if !bytes.Equal(mb.Bytes(), refMetrics) {
+				t.Error("metrics exposition diverged from the uninterrupted run")
+			}
+		})
+	}
+}
+
+// A trace file that does not match the run being resumed is an error
+// naming the stream and the first differing byte, not a resume that
+// appends to someone else's prefix.
+func TestResumeRejectsDivergedTracePrefix(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, decisionsPath, _, indices := exportRun(t, dir)
+	ckptDir := filepath.Join(dir, "ckpt")
+	mid := indices[len(indices)/2]
+	snap := readCheckpoint(t, ckptDir, mid)
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := snap.TraceBytes / 2
+	data[at] ^= 0x01
+	if err := os.WriteFile(tracePath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ResumeMixed(ResumeOptions{
+		Dir:           ckptDir,
+		Index:         mid,
+		TracePath:     tracePath,
+		DecisionsPath: decisionsPath,
+		Metrics:       io.Discard,
+	})
+	want := fmt.Sprintf("the trace file differs from the re-simulated run at byte %d", at)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume over a flipped trace byte: %v, want an error containing %q", err, want)
+	}
+}
+
+// A checkpoint whose recorded state the re-simulation does not reach is
+// an error, even when the run exported nothing to check on the way.
+func TestResumeRejectsStateDigestMismatch(t *testing.T) {
+	dir := t.TempDir()
+	RunMixed(ckptTestConfig(dir, 1))
+	indices := checkpointIndices(t, dir)
+	sort.Ints(indices)
+	mid := indices[len(indices)/2]
+	snap := readCheckpoint(t, dir, mid)
+	snap.Config.Seed++
+	if err := checkpoint.Write(dir, mid, snap); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ResumeMixed(ResumeOptions{Dir: dir, Index: mid})
+	want := fmt.Sprintf("state digest at boundary %d", mid)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume of a re-seeded checkpoint: %v, want an error containing %q", err, want)
 	}
 }

@@ -41,7 +41,7 @@ type CrashRecoveryConfig struct {
 
 // DefaultCrashRecoveryConfig crashes a Query Scheduler run over a short
 // six-period mixed schedule early, mid, and late, with a slowdown window
-// and an abort rate active so real fault state crosses the checkpoints.
+// and an abort rate active so fault events straddle the checkpoints.
 func DefaultCrashRecoveryConfig() CrashRecoveryConfig {
 	s := workload.Schedule{PeriodSeconds: 600}
 	counts := [][3]int{
@@ -197,9 +197,9 @@ func runCrashRecoveryCell(cfg CrashRecoveryConfig, crashAt float64, dir string, 
 
 // runToFile runs one mixed config with its trace streamed (buffered) to
 // path and metrics to mw, flushing and closing the file afterwards. A
-// crashed run's partial trace is flushed too — the resume path truncates
-// it back to the checkpointed offset regardless of where the interrupted
-// process got to.
+// crashed run's partial trace is flushed too — the resume path checks
+// it up to the checkpointed offset and truncates it there, regardless of
+// where the interrupted process got to.
 func runToFile(cfg MixedConfig, tracePath string, mw io.Writer) (*MixedResult, error) {
 	f, err := os.Create(tracePath)
 	if err != nil {

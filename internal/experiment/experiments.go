@@ -285,7 +285,7 @@ type MixedConfig struct {
 	// plan is active, retries are re-costed through the injector's
 	// misestimation factors.
 	Retry *patroller.RetryPolicy
-	// CheckpointEvery, when positive, writes a crash-consistent snapshot
+	// CheckpointEvery, when positive, writes a crash-consistent checkpoint
 	// into CheckpointDir every N control boundaries (control ticks in
 	// Query Scheduler mode, schedule periods otherwise). See
 	// checkpoint.go; resume with ResumeMixed.

@@ -79,7 +79,7 @@ func TestStaticBaselinesRunOnFleet(t *testing.T) {
 			Backends: backend.DefaultSpecs(2),
 			Faults:   &fault.Plan{Seed: 2, AbortRate: map[engine.ClassID]float64{1: 0.05}},
 		}
-		r, _, err := buildRig(cfg, false)
+		r, _, err := buildRig(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

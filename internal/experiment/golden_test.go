@@ -263,7 +263,7 @@ func refOutputsWithDecisions(t *testing.T, cfg MixedConfig, tracePath, decPath s
 	return tables, metrics, trace, decisions
 }
 
-// TestGoldenResumeSurvivesPooling proves checkpoint/restore still works
+// TestGoldenResumeSurvivesPooling proves checkpoint/resume still works
 // over pooled queries, generator cursors, and the decision log: checkpoint
 // at every control boundary, resume from each, and demand byte-identity
 // with the uninterrupted reference (which itself is pinned transitively

@@ -35,28 +35,18 @@ type runObs struct {
 
 // attachObs wires trace export, metrics and the decision log onto a rig
 // whose controllers are already attached (hooks chain on top of the
-// monitors'). Nil writers in cfg disable the respective output. With
-// resume=true the sinks re-attach without writing meta lines — the
-// resumed files already carry the original headers. Attachment order
-// (trace, metrics, decisions; backends in roster order within each) is
-// part of the resume contract.
-func attachObs(r *Rig, cfg MixedConfig, resume bool) (*runObs, error) {
+// monitors'). Nil writers in cfg disable the respective output.
+func attachObs(r *Rig, cfg MixedConfig) (*runObs, error) {
 	o := &runObs{}
 	if cfg.Trace != nil {
 		tr := trace.New(traceRingCap)
 		tr.SetPeriodMapper(cfg.Sched.PeriodAt)
-		if resume {
-			if err := tr.ResumeJSONL(cfg.Trace); err != nil {
-				return nil, err
-			}
-		} else {
-			meta := traceMeta(cfg, r.Classes)
-			if r.fleet() { // a roster only where there are backends to tell apart
-				meta.Backends = backendsMeta(r)
-			}
-			if err := tr.StreamJSONL(cfg.Trace, meta); err != nil {
-				return nil, err
-			}
+		meta := traceMeta(cfg, r.Classes)
+		if r.fleet() { // a roster only where there are backends to tell apart
+			meta.Backends = backendsMeta(r)
+		}
+		if err := tr.StreamJSONL(cfg.Trace, meta); err != nil {
+			return nil, err
 		}
 		for _, b := range r.Backends {
 			trace.AttachEngine(tr, b.Eng)
@@ -95,14 +85,7 @@ func attachObs(r *Rig, cfg MixedConfig, resume bool) (*runObs, error) {
 		if r.QS == nil {
 			return nil, fmt.Errorf("experiment: decision log requires a query-scheduler run")
 		}
-		meta := decisionMeta(cfg, r)
-		var dw *decisionlog.Writer
-		var err error
-		if resume {
-			dw, err = decisionlog.ResumeWriter(cfg.Decisions, meta)
-		} else {
-			dw, err = decisionlog.NewWriter(cfg.Decisions, meta)
-		}
+		dw, err := decisionlog.NewWriter(cfg.Decisions, decisionMeta(cfg, r))
 		if err != nil {
 			return nil, err
 		}
@@ -116,6 +99,19 @@ func attachObs(r *Rig, cfg MixedConfig, resume bool) (*runObs, error) {
 		o.dlog = dw
 	}
 	return o, nil
+}
+
+// sinkBytes returns the bytes the trace and the decision log have
+// written (0 for a stream the run does not export). The tracer's batch
+// is flushed first; the decision log's pending records are not.
+func (o *runObs) sinkBytes() (trace, decisions int64) {
+	if o.tracer != nil {
+		trace = o.tracer.SinkBytes()
+	}
+	if o.dlog != nil {
+		decisions = o.dlog.SinkBytes()
+	}
+	return trace, decisions
 }
 
 // finish flushes the metrics exposition and reports the first export

@@ -120,9 +120,8 @@ func NewStreamingRig(seed uint64, sched workload.Schedule, classes []*workload.C
 
 // newRig builds the roster (nil specs = one paper-default backend), the
 // template sets, the pool with every client seeded from one rng stream,
-// and the collectors. The order is load-bearing: resume replays it, so
-// restored clock events and listener chains line up with the
-// checkpointed run's.
+// and the collectors. The order is load-bearing: it fixes the order in
+// which clock events and listeners are registered.
 func newRig(seed uint64, sched workload.Schedule, classes []*workload.Class, streaming bool, specs []backend.Spec) *Rig {
 	if len(specs) == 0 {
 		specs = backend.DefaultSpecs(1)
@@ -252,11 +251,8 @@ func (r *Rig) Run() {
 // buildRig runs a mixed run's construction sequence: rig, fault
 // injectors, controllers, retry policies, the fleet planner,
 // observability, and the failover wiring (which needs both) — in that
-// order. ResumeMixed replays the identical sequence (resume=true
-// re-attaches the export sinks without fresh meta lines), which is what
-// lets a checkpoint re-arm recorded events onto structurally identical
-// components.
-func buildRig(cfg MixedConfig, resume bool) (*Rig, *runObs, error) {
+// order. A fresh run and a resumed one both build through here.
+func buildRig(cfg MixedConfig) (*Rig, *runObs, error) {
 	classes := cfg.Classes
 	if classes == nil {
 		classes = workload.PaperClasses()
@@ -299,7 +295,7 @@ func buildRig(cfg MixedConfig, resume bool) (*Rig, *runObs, error) {
 		})
 		r.Planner.OnPlan(func(fp router.FleetPlan) { r.Plans = append(r.Plans, fp) })
 	}
-	o, err := attachObs(r, cfg, resume)
+	o, err := attachObs(r, cfg)
 	if err != nil {
 		return r, &runObs{}, err
 	}

@@ -1,7 +1,7 @@
 // The run pipeline every mixed-workload experiment goes through, on one
 // backend or many: build the rig, attach observability, run to the end
-// of the schedule in checkpointable boundaries, snapshot, collect — and,
-// from a checkpoint, resume (checkpoint.go).
+// of the schedule in checkpointable boundaries, checkpoint, collect —
+// and, from a checkpoint, resume (checkpoint.go).
 //
 // The control plane is hierarchical on a Query Scheduler fleet: the
 // fleet planner (router.Planner) splits the global SystemCostLimit
@@ -18,7 +18,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/router"
-	"repro/internal/workload"
 )
 
 // FleetResult extends MixedResult (computed from the global collector,
@@ -74,16 +73,16 @@ func RunFleet(cfg MixedConfig) *FleetResult {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("experiment: %v", err))
 	}
-	r, o, obsErr := buildRig(cfg, false)
-	inst := r.Sched.Install(r.Clock, r.Pool, nil)
-	return r.complete(cfg, o, inst, 0, obsErr)
+	r, o, obsErr := buildRig(cfg)
+	r.Sched.Install(r.Clock, r.Pool, nil)
+	return r.complete(cfg, o, 0, obsErr)
 }
 
 // complete runs r from boundary startIdx to the end of the schedule,
 // flushes the exports unless a fault-plan crash stopped the run, and
 // collects the result.
-func (r *Rig) complete(cfg MixedConfig, o *runObs, inst *workload.Installation, startIdx int, obsErr error) *FleetResult {
-	crashed, runErr := runBoundaries(r, o, inst, cfg, startIdx)
+func (r *Rig) complete(cfg MixedConfig, o *runObs, startIdx int, obsErr error) *FleetResult {
+	crashed, runErr := runBoundaries(r, o, cfg, startIdx)
 	if obsErr == nil {
 		obsErr = runErr
 	}
@@ -95,15 +94,16 @@ func (r *Rig) complete(cfg MixedConfig, o *runObs, inst *workload.Installation, 
 	return fr
 }
 
-// runBoundaries drives the simulation to the end of the schedule. With
-// checkpointing disabled it is a single RunUntil, exactly as Rig.Run;
-// with checkpointing enabled the run is split at boundary multiples —
-// behaviour-neutral, since all events at or before each boundary have
-// fired either way — and a snapshot is written every CheckpointEvery
-// boundaries. Returns crashed=true when a fault-plan crash stopped the
-// clock mid-run (the "process death" the recovery experiments resume
-// from); nothing is written or finished after a crash.
-func runBoundaries(r *Rig, o *runObs, inst *workload.Installation, cfg MixedConfig, startIdx int) (crashed bool, err error) {
+// runBoundaries drives the simulation from boundary startIdx to the end
+// of the schedule. With checkpointing disabled it is a single RunUntil,
+// exactly as Rig.Run; with checkpointing enabled the run is split at
+// boundary multiples — behaviour-neutral, since all events at or before
+// each boundary have fired either way — and a checkpoint is written
+// every CheckpointEvery boundaries and at the schedule's end. Returns
+// crashed=true when a fault-plan crash stopped the clock mid-run (the
+// "process death" the recovery experiments resume from); nothing is
+// written or finished after a crash.
+func runBoundaries(r *Rig, o *runObs, cfg MixedConfig, startIdx int) (crashed bool, err error) {
 	duration := r.Sched.Duration()
 	died := func() bool {
 		for _, inj := range r.Faults {
@@ -117,39 +117,29 @@ func runBoundaries(r *Rig, o *runObs, inst *workload.Installation, cfg MixedConf
 		r.Clock.RunUntil(duration)
 		return died(), nil
 	}
-	step := boundaryStep(cfg)
-	// atEnd marks a resume that restored a terminal snapshot: the clock is
-	// already at the schedule end, so the loop below must not write a
-	// second (higher-indexed) terminal snapshot.
-	atEnd := float64(startIdx)*step >= duration
-	for idx := startIdx; ; idx++ {
-		t := float64(idx+1) * step
+	// A run resumed at the terminal boundary is already at the end: it
+	// must not write a second (higher-indexed) terminal checkpoint.
+	if boundaryTime(cfg, startIdx) >= duration {
+		return false, nil
+	}
+	for idx := startIdx + 1; ; idx++ {
+		t := boundaryTime(cfg, idx)
 		last := t >= duration
-		if last {
-			t = duration
-		}
 		r.Clock.RunUntil(t)
 		if died() {
 			return true, nil
 		}
-		if last {
-			// Terminal snapshot: mark the run complete on disk. Without
-			// it, resuming a value that already finished (qsweep -resume
-			// over a partially interrupted sweep) restores the last
-			// mid-run boundary and re-simulates the whole tail; with it,
-			// the resume restores the finished state and only re-emits
-			// the final exports.
-			if !atEnd {
-				if werr := checkpoint.Write(cfg.CheckpointDir, idx+1, snapshotRun(r, o, inst, cfg, idx+1)); werr != nil {
-					return false, werr
-				}
-			}
-			return false, nil
-		}
-		if (idx+1)%cfg.CheckpointEvery == 0 {
-			if werr := checkpoint.Write(cfg.CheckpointDir, idx+1, snapshotRun(r, o, inst, cfg, idx+1)); werr != nil {
+		// The terminal checkpoint marks the run complete on disk, so
+		// resuming a value that already finished (qsweep -resume over a
+		// partially interrupted sweep) re-emits its stored result
+		// instead of re-simulating.
+		if last || idx%cfg.CheckpointEvery == 0 {
+			if werr := checkpoint.Write(cfg.CheckpointDir, idx, r.snapshot(cfg, o, idx, last)); werr != nil {
 				return false, werr
 			}
+		}
+		if last {
+			return false, nil
 		}
 	}
 }

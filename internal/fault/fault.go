@@ -131,8 +131,10 @@ type Plan struct {
 	HarvestOutages []Window
 	// Crash, when positive, kills the run at that virtual time: the clock
 	// stops mid-simulation as if the process died. Used by the crash-
-	// recovery experiments to exercise checkpoint/resume; a resumed run
-	// does not re-arm the crash.
+	// recovery experiments to exercise checkpoint/resume. A resumed run
+	// re-simulates from the start with the crash disarmed: the event is
+	// still scheduled, so clock sequence numbers match the crashed run,
+	// but firing it does nothing (see Injector.DisarmCrash).
 	Crash float64
 	// BackendCrashes kill individual backends (with optional recovery).
 	// At every instant at least one roster backend must stay up; see
@@ -352,7 +354,6 @@ func (s *Stats) Add(o Stats) {
 type Injector struct {
 	plan  Plan
 	clock *simclock.Clock
-	//lint:ignore ckptcover wiring backref installed by AttachEngine on both fresh and restored runs
 	eng   *engine.Engine
 	src   *rng.Source
 	stats Stats
@@ -362,19 +363,12 @@ type Injector struct {
 	// matches, and the run-level crash is armed only by backend 1
 	// (exactly once per fleet).
 	backendID int
-	//lint:ignore ckptcover wiring installed by SetFleetHooks on both fresh and restored runs
-	hooks FleetHooks
+	hooks     FleetHooks
 
-	// slowEvents records every scheduled slowdown transition with its
-	// event ref; aborts tracks pending doomed-query aborts by event seq.
-	// backendEvents records scheduled backend crash/recover/brownout
-	// transitions the same way. All exist so a checkpoint can re-arm
-	// exactly the still-pending fault events on resume.
-	slowEvents    []slowEvent
-	aborts        map[uint64]*pendingAbort
-	backendEvents []backendEvent
-	//lint:ignore ckptcover restore itself clears the crash flag; a restored injector is by definition post-crash
 	crashed bool
+	// crashDisarmed turns the plan's run-killing crash into a no-op
+	// (see DisarmCrash).
+	crashDisarmed bool
 
 	// OnInject, when set, observes every injection as (kind, class);
 	// class is 0 for class-less kinds (slowdown, monitor drops). The obs
@@ -395,35 +389,13 @@ type FleetHooks struct {
 	Restored func()               // brownout window closed
 }
 
-// slowEvent is one scheduled engine-speed transition.
-type slowEvent struct {
-	ref     simclock.EventRef
-	factor  float64
-	isStart bool // window start (counts as an injection) vs window end
-}
-
-// pendingAbort is one scheduled doomed-query abort.
-type pendingAbort struct {
-	ref     simclock.EventRef
-	query   engine.QueryID
-	class   engine.ClassID
-	attempt int
-}
-
-// Backend transition codes, serialized in BackendEventRecord.
+// Backend transition codes.
 const (
 	bevCrash = iota
 	bevRecover
 	bevBrownoutStart
 	bevBrownoutEnd
 )
-
-// backendEvent is one scheduled backend availability transition.
-type backendEvent struct {
-	ref    simclock.EventRef
-	code   int
-	factor float64 // brownout speed factor; unused for crash/recover
-}
 
 // NewInjector builds the injector of a one-backend run: it scopes to
 // backend 1 and draws from the plan's own seed, the single-engine RNG
@@ -525,6 +497,9 @@ func (in *Injector) AttachEngine(eng *engine.Engine) {
 	}
 	if in.plan.Crash > 0 && in.backendID == 1 {
 		in.clock.At(in.plan.Crash, func() {
+			if in.crashDisarmed {
+				return
+			}
 			in.crashed = true
 			in.stats.Crashes++
 			in.note(KindCrash, 0)
@@ -533,15 +508,9 @@ func (in *Injector) AttachEngine(eng *engine.Engine) {
 	}
 }
 
-// armBackendEvent schedules one backend availability transition and
-// records its ref for checkpointing.
+// armBackendEvent schedules one backend availability transition.
 func (in *Injector) armBackendEvent(at float64, code int, factor float64) {
-	ref := in.clock.AtRef(at, in.backendEventFn(code, factor))
-	in.backendEvents = append(in.backendEvents, backendEvent{ref: ref, code: code, factor: factor})
-}
-
-func (in *Injector) backendEventFn(code int, factor float64) simclock.EventFunc {
-	return func() {
+	in.clock.At(at, func() {
 		switch code {
 		case bevCrash:
 			in.stats.BackendCrashes++
@@ -570,27 +539,28 @@ func (in *Injector) backendEventFn(code int, factor float64) simclock.EventFunc 
 				in.hooks.Restored()
 			}
 		}
-	}
+	})
 }
 
 // Crashed reports whether the plan's crash event has fired — the run is
 // dead and its driver must stop as if the process were killed.
 func (in *Injector) Crashed() bool { return in.crashed }
 
-// armSlowdown schedules one engine-speed transition and records its ref.
-func (in *Injector) armSlowdown(at float64, factor float64, isStart bool) {
-	ref := in.clock.AtRef(at, in.slowdownFn(factor, isStart))
-	in.slowEvents = append(in.slowEvents, slowEvent{ref: ref, factor: factor, isStart: isStart})
-}
+// DisarmCrash makes the plan's run-killing crash a no-op. The crash event
+// stays scheduled, so every later event draws the same clock sequence
+// number it drew in the run that crashed; a resumed run uses this to
+// continue past the instant its predecessor died at.
+func (in *Injector) DisarmCrash() { in.crashDisarmed = true }
 
-func (in *Injector) slowdownFn(factor float64, isStart bool) simclock.EventFunc {
-	return func() {
+// armSlowdown schedules one engine-speed transition.
+func (in *Injector) armSlowdown(at float64, factor float64, isStart bool) {
+	in.clock.At(at, func() {
 		if isStart {
 			in.stats.Slowdowns++
 			in.note(KindSlowdown, 0)
 		}
 		in.eng.SetSpeed(factor)
-	}
+	})
 }
 
 // abortRateAt returns the effective abort probability for a class at time
@@ -616,49 +586,20 @@ func (in *Injector) maybeScheduleAbort(q *engine.Query) {
 		return
 	}
 	delay := in.src.Range(0.2, 0.9) * q.Demand.Work
-	pa := &pendingAbort{query: q.ID, class: q.Class, attempt: q.Attempt}
-	pa.ref = in.clock.AfterRef(delay, in.abortFn(pa, q))
-	if in.aborts == nil {
-		in.aborts = make(map[uint64]*pendingAbort)
-	}
-	in.aborts[pa.ref.Seq] = pa
-}
-
-// abortFn fires one scheduled abort against the query object the draw
-// doomed. A stale fire (the attempt already finished, timed out, or was
-// retried) must be a no-op; the id/attempt guard decides it, because the
-// object itself may have been recycled into a different live query by
-// the engine's freelist after the doomed attempt ended.
-func (in *Injector) abortFn(pa *pendingAbort, q *engine.Query) simclock.EventFunc {
-	return func() {
-		delete(in.aborts, pa.ref.Seq)
-		if q.ID != pa.query || q.Attempt != pa.attempt {
+	id, attempt, class := q.ID, q.Attempt, q.Class
+	// A stale fire (the attempt already finished, timed out, or was
+	// retried) must be a no-op; the id/attempt guard decides it, because
+	// the object itself may have been recycled into a different live
+	// query by the engine's freelist after the doomed attempt ended.
+	in.clock.After(delay, func() {
+		if q.ID != id || q.Attempt != attempt {
 			return
 		}
 		if in.eng.Abort(q) {
 			in.stats.Aborts++
-			in.note(KindAbort, pa.class)
+			in.note(KindAbort, class)
 		}
-	}
-}
-
-// restoredAbortFn is abortFn rebuilt after a checkpoint restore: the
-// original *Query pointer is gone, so the closure re-finds the query by
-// id and guards on the attempt counter — an id whose doomed attempt
-// already ended (and possibly retried under the same id) must no-op,
-// exactly as the original closure's stale-pointer Abort would.
-func (in *Injector) restoredAbortFn(pa *pendingAbort) simclock.EventFunc {
-	return func() {
-		delete(in.aborts, pa.ref.Seq)
-		q := in.eng.ActiveQuery(pa.query)
-		if q == nil || q.Attempt != pa.attempt {
-			return
-		}
-		if in.eng.Abort(q) {
-			in.stats.Aborts++
-			in.note(KindAbort, pa.class)
-		}
-	}
+	})
 }
 
 // DropSnapshot reports whether the snapshot poll at time t is lost —

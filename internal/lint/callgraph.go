@@ -1,5 +1,5 @@
-// ModulePass and the shared call graph: module-wide checks (ckptcover,
-// hotalloc) need to reason about what a function reaches, not just what
+// ModulePass and the shared call graph: module-wide checks (hotalloc)
+// need to reason about what a function reaches, not just what
 // one package contains. The loader type-checks every package against the
 // same importer, so a *types.Func is one canonical object module-wide —
 // which makes a cross-package call graph a map keyed by those objects.
@@ -61,11 +61,6 @@ type FuncNode struct {
 	// inside function literals (a closure's body runs when the closure
 	// is invoked, not when its creator does).
 	Calls []*types.Func
-	// ClosureCalls are the direct static callees inside function
-	// literals in the body — an over-approximation of what the function
-	// may cause to run, used where missing an edge is worse than a
-	// spurious one (checkpoint coverage).
-	ClosureCalls []*types.Func
 }
 
 // CallGraph maps every declared function with a body to its node.
@@ -74,8 +69,8 @@ type CallGraph struct {
 }
 
 // buildCallGraph walks every FuncDecl in the module (test files
-// included: external-test packages never annotate hot paths, and
-// checkpoint helpers are non-test, so consumers filter as needed).
+// included: external-test packages never annotate hot paths, so
+// consumers filter as needed).
 func buildCallGraph(res *Result) *CallGraph {
 	g := &CallGraph{Funcs: make(map[*types.Func]*FuncNode)}
 	for _, pkg := range res.Pkgs {
@@ -90,7 +85,7 @@ func buildCallGraph(res *Result) *CallGraph {
 					continue
 				}
 				node := &FuncNode{Obj: obj, Decl: fd, File: f, Pkg: pkg}
-				collectCalls(pkg.Info, fd.Body, false, node)
+				collectCalls(pkg.Info, fd.Body, node)
 				g.Funcs[obj] = node
 			}
 		}
@@ -98,23 +93,16 @@ func buildCallGraph(res *Result) *CallGraph {
 	return g
 }
 
-// collectCalls appends the static callees under n to node, routing calls
-// found inside function literals to ClosureCalls.
-func collectCalls(info *types.Info, n ast.Node, inClosure bool, node *FuncNode) {
+// collectCalls appends the static callees under n to node, skipping
+// function literals.
+func collectCalls(info *types.Info, n ast.Node, node *FuncNode) {
 	ast.Inspect(n, func(c ast.Node) bool {
 		switch c := c.(type) {
 		case *ast.FuncLit:
-			if !inClosure {
-				collectCalls(info, c.Body, true, node)
-				return false
-			}
+			return false
 		case *ast.CallExpr:
 			if callee := calleeFunc(info, c); callee != nil {
-				if inClosure {
-					node.ClosureCalls = append(node.ClosureCalls, callee)
-				} else {
-					node.Calls = append(node.Calls, callee)
-				}
+				node.Calls = append(node.Calls, callee)
 			}
 		}
 		return true
@@ -150,46 +138,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// Reachable returns every node reachable from the roots, following
-// Calls edges (and ClosureCalls when closures is set), skipping nodes
-// for which stop returns true. The roots themselves are included unless
-// stopped.
-func (g *CallGraph) Reachable(roots []*types.Func, closures bool, stop func(*FuncNode) bool) map[*types.Func]*FuncNode {
-	seen := make(map[*types.Func]*FuncNode)
-	var queue []*types.Func
-	push := func(f *types.Func) {
-		node, ok := g.Funcs[f]
-		if !ok {
-			return // no body in the module (stdlib, interface method)
-		}
-		if _, dup := seen[f]; dup {
-			return
-		}
-		if stop != nil && stop(node) {
-			return
-		}
-		seen[f] = node
-		queue = append(queue, f)
-	}
-	for _, r := range roots {
-		push(r)
-	}
-	for len(queue) > 0 {
-		f := queue[0]
-		queue = queue[1:]
-		node := seen[f]
-		for _, c := range node.Calls {
-			push(c)
-		}
-		if closures {
-			for _, c := range node.ClosureCalls {
-				push(c)
-			}
-		}
-	}
-	return seen
 }
 
 // funcDisplayName renders obj as pkg-local "Recv.Name" or "Name" for

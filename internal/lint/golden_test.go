@@ -116,7 +116,6 @@ func TestGoldenGoroutine(t *testing.T)  { runGolden(t, "goroutine") }
 func TestGoldenFloatEq(t *testing.T)    { runGolden(t, "floateq") }
 func TestGoldenSuppress(t *testing.T)   { runGolden(t, "suppress") }
 func TestGoldenPoolSafety(t *testing.T) { runGolden(t, "poolsafety") }
-func TestGoldenCkptCover(t *testing.T)  { runGolden(t, "ckptcover") }
 func TestGoldenHotAlloc(t *testing.T)   { runGolden(t, "hotalloc") }
 
 // TestCheckSubsetKeepsSuppressionsValid pins the -checks subset
@@ -130,7 +129,7 @@ func TestCheckSubsetKeepsSuppressionsValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := NewRunner([]*Check{CkptCoverCheck}, testConfig()).Run(res)
+	diags := NewRunner([]*Check{PoolSafetyCheck}, testConfig()).Run(res)
 	for _, d := range diags {
 		switch {
 		case strings.Contains(d.Message, "unused lint:ignore"):
@@ -174,7 +173,7 @@ func TestCheckDocs(t *testing.T) {
 	}
 	for _, name := range []string{
 		"wallclock", "globalrand", "maporder", "goroutine", "floateq",
-		"poolsafety", "ckptcover", "hotalloc",
+		"poolsafety", "hotalloc",
 	} {
 		if !seen[name] {
 			t.Errorf("required check %q not registered", name)

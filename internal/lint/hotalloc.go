@@ -4,8 +4,7 @@
 // allocating construct at all. Functions opt in with //qlint:hotpath in
 // their doc comment; everything they statically reach inherits the
 // constraint, and //qlint:coldpath <reason> cuts the propagation where
-// a reachable function is deliberately slow (checkpointing, fatal error
-// formatting).
+// a reachable function is deliberately slow (fatal error formatting).
 package lint
 
 import (

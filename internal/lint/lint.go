@@ -146,7 +146,6 @@ func DefaultChecks() []*Check {
 		GoroutineCheck,
 		FloatEqCheck,
 		PoolSafetyCheck,
-		CkptCoverCheck,
 		HotAllocCheck,
 	}
 }

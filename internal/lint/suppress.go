@@ -34,7 +34,7 @@ const ignorePrefix = "lint:ignore"
 // parseDirectives extracts every //lint:ignore directive from the loaded
 // packages. Named checks are validated against the full registry
 // (DefaultChecks), not just the checks enabled for this run — a `-checks
-// ckptcover` invocation must not flag every suppression for the other
+// hotalloc` invocation must not flag every suppression for the other
 // checks as unknown. enabled records whether any named check is in this
 // run's set, which gates unused-directive reporting the same way.
 func parseDirectives(res *Result, enabled []*Check) []*directive {

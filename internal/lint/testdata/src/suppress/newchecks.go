@@ -1,5 +1,5 @@
 // Directive hygiene for the v2 check names: the suppression grammar
-// must accept poolsafety/ckptcover/hotalloc (so unused directives are
+// must accept poolsafety/hotalloc (so unused directives are
 // findings, not silent no-ops) and reject misspellings.
 package suppress
 
@@ -16,6 +16,6 @@ func typoedNewCheck() {
 }
 
 func newCheckMissingReason() {
-	//lint:ignore ckptcover
+	//lint:ignore poolsafety
 	time.Sleep(1) // want "wall-clock time.Sleep" want:-1 "has no reason"
 }

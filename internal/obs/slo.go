@@ -63,33 +63,3 @@ func (w *SLOWindow) BurnRate(budget float64) float64 {
 	}
 	return w.MissFraction() / budget
 }
-
-// SLOWindowState is the serializable snapshot of an SLOWindow.
-type SLOWindowState struct {
-	Bits []bool
-	Next int
-	N    int
-}
-
-// State captures the window for a checkpoint.
-func (w *SLOWindow) State() SLOWindowState {
-	return SLOWindowState{Bits: append([]bool(nil), w.bits...), Next: w.next, N: w.n}
-}
-
-// SetState restores a snapshot taken from a window of the same size;
-// the miss count is recomputed from the restored outcomes.
-func (w *SLOWindow) SetState(st SLOWindowState) {
-	if len(st.Bits) != len(w.bits) {
-		panic(fmt.Sprintf("obs: SLO window restore size %d != %d", len(st.Bits), len(w.bits)))
-	}
-	copy(w.bits, st.Bits)
-	w.next, w.n = st.Next, st.N
-	w.misses = 0
-	for i := 0; i < w.n; i++ {
-		// The n live outcomes end just before the write position.
-		idx := (w.next - 1 - i + len(w.bits)) % len(w.bits)
-		if !w.bits[idx] {
-			w.misses++
-		}
-	}
-}

@@ -43,35 +43,3 @@ func TestSLOWindowBurnRate(t *testing.T) {
 		t.Fatalf("burn rate %v, want 2", got)
 	}
 }
-
-func TestSLOWindowStateRoundTrip(t *testing.T) {
-	w := NewSLOWindow(5)
-	outcomes := []bool{true, false, true, true, false, false, true}
-	for _, met := range outcomes {
-		w.Observe(met)
-	}
-	st := w.State()
-	r := NewSLOWindow(5)
-	r.SetState(st)
-	if r.Len() != w.Len() || r.MissFraction() != w.MissFraction() {
-		t.Fatalf("restored len %d miss %v, want %d / %v",
-			r.Len(), r.MissFraction(), w.Len(), w.MissFraction())
-	}
-	// Continued observations must evolve identically.
-	w.Observe(true)
-	r.Observe(true)
-	if r.MissFraction() != w.MissFraction() {
-		t.Fatalf("post-restore divergence: %v vs %v", r.MissFraction(), w.MissFraction())
-	}
-}
-
-func TestSLOWindowPartialRestoreCountsLiveOutcomesOnly(t *testing.T) {
-	w := NewSLOWindow(6)
-	w.Observe(false)
-	w.Observe(true)
-	r := NewSLOWindow(6)
-	r.SetState(w.State())
-	if r.Len() != 2 || math.Abs(r.MissFraction()-0.5) > 1e-12 {
-		t.Fatalf("partial restore: len %d miss %v", r.Len(), r.MissFraction())
-	}
-}

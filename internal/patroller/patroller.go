@@ -194,8 +194,7 @@ type Patroller struct {
 	eng     *engine.Engine
 	clock   *simclock.Clock
 	managed map[engine.ClassID]bool
-	//lint:ignore ckptcover wiring: the policy is re-attached by construction on restore
-	policy Policy
+	policy  Policy
 
 	held        map[engine.QueryID]*entry
 	order       []engine.QueryID // arrival order of held queries (may hold stale IDs)
@@ -204,22 +203,19 @@ type Patroller struct {
 	stats       Stats
 	pokePending bool
 	pokeFn      simclock.EventFunc // bound once; scheduling a poke allocates no closure
-	//lint:ignore ckptcover recycled wrappers; freelist warm-up state is never part of a snapshot
-	freeEntries []*entry // recycled held/active wrappers
-	viewScratch View     // reused per poke; valid only during SelectReleases
+	freeEntries []*entry           // recycled held/active wrappers
+	viewScratch View               // reused per poke; valid only during SelectReleases
 
-	//lint:ignore ckptcover retry policy is configuration re-applied by construction, not runtime state
-	retry    *RetryPolicy
-	timeouts map[engine.QueryID]simclock.EventID
-	retries  map[uint64]*pendingRetry // pending resubmissions by event seq
-	//lint:ignore ckptcover transient flag set and consumed within one resubmit call chain; never true at a checkpoint boundary
-	requeueHead bool // next Intercept joins the queue head (retry re-queue)
+	retry       *RetryPolicy
+	timeouts    map[engine.QueryID]simclock.EventID
+	retries     map[uint64]*pendingRetry // pending resubmissions by scheduling order
+	retrySeq    uint64                   // resubmissions scheduled so far
+	requeueHead bool                     // next Intercept joins the queue head (retry re-queue)
 
 	// InterceptOverheadCPU, when positive, adds this many CPU-seconds to
 	// every intercepted query — the per-query cost of interception and
 	// management the paper measured to be prohibitive for sub-second OLTP
 	// queries. Zero by default.
-	//lint:ignore ckptcover experiment configuration set before the run starts, not runtime state
 	InterceptOverheadCPU float64
 
 	// OnArrival, when set, is called for every newly intercepted query
@@ -268,7 +264,7 @@ func (p *Patroller) releaseEntry(e *entry) {
 
 // pendingRetry is one scheduled resubmission of a failed query.
 type pendingRetry struct {
-	ref simclock.EventRef
+	seq uint64
 	old *engine.Query
 }
 
@@ -436,28 +432,23 @@ func (p *Patroller) onAbort(q *engine.Query) bool {
 }
 
 // scheduleRetry arms the backoff-delayed resubmission of a failed query,
-// tracking the event so checkpoints can capture and restores re-arm it.
+// tracking it so a fleet evacuation can withdraw it.
 //
 //qlint:coldpath per-retry bookkeeping that runs only after an abort, off the steady-state completion path
 func (p *Patroller) scheduleRetry(old *engine.Query, delay float64) {
-	pr := &pendingRetry{old: old}
-	pr.ref = p.clock.AfterRef(delay, p.retryFn(pr))
+	p.retrySeq++
+	pr := &pendingRetry{seq: p.retrySeq, old: old}
 	if p.retries == nil {
 		p.retries = make(map[uint64]*pendingRetry)
 	}
-	p.retries[pr.ref.Seq] = pr
-}
-
-// retryFn builds the resubmission callback for one pending retry — shared
-// by the live scheduling path and checkpoint restore.
-func (p *Patroller) retryFn(pr *pendingRetry) simclock.EventFunc {
-	return func() {
-		delete(p.retries, pr.ref.Seq)
+	p.retries[pr.seq] = pr
+	p.clock.After(delay, func() {
+		delete(p.retries, pr.seq)
 		if pr.old == nil {
 			return // withdrawn by a fleet evacuation; the event fires empty
 		}
 		p.resubmit(pr.old)
-	}
+	})
 }
 
 // resubmit re-queues a failed query as a fresh submission with a bumped
@@ -514,10 +505,10 @@ func (p *Patroller) EvacuateHeld() []*engine.Query {
 	return out
 }
 
-// EvacuateRetries withdraws every pending retry, in event-sequence
-// order, for failover re-dispatch. The armed backoff events stay in the
-// clock but fire empty (they are not cancellable), which keeps fresh
-// and resumed runs byte-identical: an empty fire has no side effects.
+// EvacuateRetries withdraws every pending retry, in scheduling order,
+// for failover re-dispatch. The armed backoff events stay in the clock
+// but fire empty (they are not cancellable); an empty fire has no side
+// effects.
 func (p *Patroller) EvacuateRetries() []*engine.Query {
 	if len(p.retries) == 0 {
 		return nil
@@ -604,8 +595,7 @@ func (p *Patroller) armTimeout(e *entry) {
 	p.timeouts[e.q.ID] = p.clock.AfterCancellable(d, p.timeoutFn(e.q))
 }
 
-// timeoutFn builds the timeout callback for one released query — shared
-// by the live arming path and checkpoint restore.
+// timeoutFn builds the timeout callback for one released query.
 func (p *Patroller) timeoutFn(q *engine.Query) simclock.EventFunc {
 	id := q.ID
 	//lint:ignore hotalloc the timeout callback must capture its query; armed once per release, cancelled on completion

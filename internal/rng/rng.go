@@ -27,8 +27,9 @@ func (s *Source) Split() *Source {
 	return New(s.Uint64())
 }
 
-// State returns the generator's raw cursor for checkpointing. Restoring it
-// with SetState resumes the stream at exactly the same position.
+// State returns the generator's raw cursor. Restoring it with SetState
+// resumes the stream at exactly the same position (the streaming client
+// pool parks a client as its cursor).
 func (s *Source) State() uint64 { return s.state }
 
 // SetState repositions the generator's cursor (see State).

@@ -82,7 +82,6 @@ type Planner struct {
 	onDecision []func(FleetDecision)
 
 	// Per-tick scratch, roster order; dead between ticks.
-	//lint:ignore ckptcover per-tick scratch; rebuilt from the router and EWMA every tick
 	cost, weights, limits []float64
 }
 

@@ -6,8 +6,8 @@
 // ID, then pending retries by event sequence. Each re-dispatch is an
 // ordinary Submit, so it consumes clock sequence numbers exactly the
 // same way on every run — byte-identity under -parallel N and across
-// checkpoint -resume follows from the order being a pure function of
-// simulation state. A recovered backend (MarkUp) rejoins scoring
+// -resume (which re-simulates) follows from the order being a pure
+// function of simulation state. A recovered backend (MarkUp) rejoins scoring
 // empty; the fleet planner's min-share floor is its warm-up budget
 // until routed demand rebuilds its EWMA.
 package router
@@ -118,15 +118,14 @@ func (r *Router) MigrationSource(class engine.ClassID) int {
 	return r.migrations[class]
 }
 
-// MigrationRecord is one active class drain, serialized for
-// checkpoints and iterated by the planner.
+// MigrationRecord is one active class drain, iterated by the planner.
 type MigrationRecord struct {
 	Class  engine.ClassID
 	Source int
 }
 
 // Migrations returns the active drains sorted by class — the
-// deterministic iteration order for checkpoints and planner policy.
+// deterministic iteration order for planner policy.
 func (r *Router) Migrations() []MigrationRecord {
 	if len(r.migrations) == 0 {
 		return nil

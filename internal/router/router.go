@@ -115,11 +115,9 @@ type Router struct {
 	degraded   []float64
 	migrations map[engine.ClassID]int
 
-	onRoute   []func(q *engine.Query, d Decision)
-	onReroute []func(q *engine.Query, from, to int)
-	//lint:ignore ckptcover reused scoring scratch; dead between Submit calls
-	scratch []float64
-	//lint:ignore ckptcover transient: the last Submit's choice, read only inside MarkDown's re-dispatch loop
+	onRoute     []func(q *engine.Query, d Decision)
+	onReroute   []func(q *engine.Query, from, to int)
+	scratch     []float64
 	lastBackend int
 }
 

@@ -135,22 +135,6 @@ func TestRouterDecisionHookAndTallies(t *testing.T) {
 	}
 }
 
-func TestRouterCheckpointRoundtrip(t *testing.T) {
-	r, _ := testRouter(t, DefaultScorers())
-	submitOne(r, 1)
-	submitOne(r, 1)
-	st := r.CheckpointState()
-
-	r2, _ := testRouter(t, DefaultScorers())
-	r2.RestoreCheckpoint(st)
-	if got, want := r2.Routed(), r.Routed(); got[0] != want[0] {
-		t.Fatalf("restored routed = %v, want %v", got, want)
-	}
-	if got := r2.TakeCost(nil); got[0] != 200 {
-		t.Fatalf("restored cost = %v, want 200 on backend 1", got)
-	}
-}
-
 // fleetPair builds two real backends with control stacks on one clock —
 // the smallest fleet the planner can split a budget across.
 func fleetPair(t *testing.T) (*simclock.Clock, *Router, []*backend.Instance) {
@@ -208,26 +192,6 @@ func TestPlannerSplitsBudgetByDemand(t *testing.T) {
 		if got := b.QS.Config().SystemCostLimit; got != l[i] {
 			t.Fatalf("backend %d limit = %v, want actuated %v", i+1, got, l[i])
 		}
-	}
-}
-
-func TestPlannerCheckpointRoundtrip(t *testing.T) {
-	clock, r, instances := fleetPair(t)
-	p := StartPlanner(clock, r, instances, PlannerConfig{Interval: 60, Total: 30000})
-	r.cost[0] = 5000
-	clock.RunUntil(61)
-	st := p.CheckpointState()
-	if len(st.EWMA) != 2 || st.EWMA[0] == 0 {
-		t.Fatalf("checkpoint EWMA %v should carry the folded demand", st.EWMA)
-	}
-
-	clock2, r2, instances2 := fleetPair(t)
-	p2 := StartPlanner(clock2, r2, instances2, PlannerConfig{Interval: 60, Total: 30000})
-	clock2.Restore(clock.State())
-	p2.RestoreCheckpoint(st)
-	got := p2.CheckpointState()
-	if got.EWMA[0] != st.EWMA[0] || got.EWMA[1] != st.EWMA[1] {
-		t.Fatalf("restored EWMA %v, want %v", got.EWMA, st.EWMA)
 	}
 }
 

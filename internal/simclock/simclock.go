@@ -87,8 +87,7 @@ type Clock struct {
 	// holds slot s; entries of free slots are stale. held has bit s set
 	// while slot s is taken, and every word below lowFree is full. New
 	// events take the lowest free slot, so which slots are held is a
-	// function of the pending events alone: a restored clock hands out
-	// the same IDs as the uninterrupted run without saving the table.
+	// function of the pending events alone.
 	slots   []int32
 	held    []uint64
 	lowFree int
@@ -102,6 +101,21 @@ func New() *Clock {
 
 // Now returns the current virtual time in seconds.
 func (c *Clock) Now() Time { return c.now }
+
+// State is the clock's counter state: the time, the sequence number the
+// last scheduled event drew, and the count of cancellable events issued.
+// Two runs that reach the same boundary with equal states have scheduled
+// the same events.
+type State struct {
+	Now    Time
+	Seq    uint64
+	NextID EventID
+}
+
+// State returns the clock's counters.
+func (c *Clock) State() State {
+	return State{Now: c.now, Seq: c.seq, NextID: c.nextID}
+}
 
 // Pending reports the number of events still scheduled.
 func (c *Clock) Pending() int { return len(c.heap) }

@@ -32,20 +32,18 @@ type churn struct {
 	c      *Clock
 	rearm  bool
 	logIDs bool
-	ids    []EventID        // every cancellable ID handed out, pending or stale
-	tagOf  map[EventID]int  // the tag of each issued cancellable event
-	plain  map[int]EventRef // pending non-cancellable events by tag
+	ids    []EventID       // every cancellable ID handed out, pending or stale
+	tagOf  map[EventID]int // the tag of each issued cancellable event
 	tag    int
 	log    []string
 }
 
 func newChurn(c *Clock, rearm, logIDs bool) *churn {
-	return &churn{c: c, rearm: rearm, logIDs: logIDs, tagOf: map[EventID]int{}, plain: map[int]EventRef{}}
+	return &churn{c: c, rearm: rearm, logIDs: logIDs, tagOf: map[EventID]int{}}
 }
 
 func (d *churn) fire(tag int) EventFunc {
 	return func() {
-		delete(d.plain, tag)
 		d.log = append(d.log, fmt.Sprintf("fire %d at %v", tag, d.c.Now()))
 	}
 }
@@ -54,7 +52,7 @@ func (d *churn) fire(tag int) EventFunc {
 // firing key (time, seq), and by its ID when asked to.
 func (d *churn) armed(what string, id EventID) {
 	d.tagOf[id] = d.tag
-	ref, ok := d.c.Ref(id)
+	ref, ok := refOf(d.c, id)
 	if !ok {
 		panic("churn: armed event not pending")
 	}
@@ -75,7 +73,7 @@ func (d *churn) apply(op churnOp) {
 	}
 	switch op.kind {
 	case 0:
-		d.plain[d.tag] = d.c.AfterRef(op.delay, d.fire(d.tag))
+		d.c.After(op.delay, d.fire(d.tag))
 	case 1, 2:
 		id := d.c.AfterCancellable(op.delay, d.fire(d.tag))
 		d.ids = append(d.ids, id)
@@ -101,18 +99,20 @@ func (d *churn) apply(op churnOp) {
 	}
 }
 
-// pending returns every pending event with the tag its callback logs.
-func (d *churn) pending() map[int]EventRef {
-	out := map[int]EventRef{}
-	for tag, ref := range d.plain {
-		out[tag] = ref
+// pendingRef is the firing key of a pending event.
+type pendingRef struct {
+	At  Time
+	Seq uint64
+}
+
+// refOf returns the firing key of the pending cancellable event id, or
+// ok=false when the id is no longer pending.
+func refOf(c *Clock, id EventID) (pendingRef, bool) {
+	i, ok := c.find(id)
+	if !ok {
+		return pendingRef{}, false
 	}
-	for _, id := range d.ids {
-		if ref, ok := d.c.Ref(id); ok {
-			out[d.tagOf[id]] = ref
-		}
-	}
-	return out
+	return pendingRef{At: c.heap[i].at, Seq: c.heap[i].seq}, true
 }
 
 // Rearm is Cancel + AfterCancellable in one sift: over a random op
@@ -144,7 +144,7 @@ func TestRearmMatchesCancelAndReschedule(t *testing.T) {
 }
 
 // An ID that fired or was cancelled stays dead after a new event reuses
-// its slot: Cancel, Ref and Rearm must not reach the new occupant.
+// its slot: Cancel, find and Rearm must not reach the new occupant.
 func TestStaleIDNeverMatchesReusedSlot(t *testing.T) {
 	c := New()
 	fired := c.AtCancellable(1, func() {})
@@ -161,102 +161,19 @@ func TestStaleIDNeverMatchesReusedSlot(t *testing.T) {
 		if c.Cancel(stale) {
 			t.Fatalf("Cancel(%#x) accepted a stale id", stale)
 		}
-		if _, ok := c.Ref(stale); ok {
-			t.Fatalf("Ref(%#x) found a stale id", stale)
+		if _, ok := refOf(c, stale); ok {
+			t.Fatalf("find(%#x) found a stale id", stale)
 		}
 	}
 	// Rearm of a stale ID schedules afresh and leaves the occupant alone.
 	fresh := c.Rearm(fired, 5, func() {})
-	if ref, ok := c.Ref(live); !ok || ref.At != 3 {
+	if ref, ok := refOf(c, live); !ok || ref.At != 3 {
 		t.Fatalf("live event after stale Rearm: %+v, %v; want pending at 3", ref, ok)
 	}
-	if ref, ok := c.Ref(fresh); !ok || ref.At != 6 || fresh == live {
+	if ref, ok := refOf(c, fresh); !ok || ref.At != 6 || fresh == live {
 		t.Fatalf("stale Rearm: id %#x ref %+v, %v; want a new event at 6", fresh, ref, ok)
 	}
 	if c.Pending() != 2 {
 		t.Fatalf("Pending() = %d, want 2", c.Pending())
 	}
-}
-
-// A clock restored mid-churn hands out the same IDs and fires in the same
-// order as the clock that was never interrupted: the slot table is a
-// function of the pending events, so it needs no checkpoint state.
-func TestRestoredClockIssuesSameIDs(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		ops := churnOps(seed, 4000)
-		const cut = 2500
-		whole := newChurn(New(), true, true)
-		for _, op := range ops[:cut] {
-			whole.apply(op)
-		}
-		// Quiesce the way the simulator does before a checkpoint: fire
-		// everything due at or before now.
-		for {
-			at, ok := whole.c.NextEventTime()
-			if !ok || at > whole.c.Now() {
-				break
-			}
-			whole.c.Step()
-		}
-
-		restored := newChurn(New(), true, true)
-		restored.ids = append([]EventID(nil), whole.ids...)
-		restored.tag = whole.tag
-		for id, tag := range whole.tagOf {
-			restored.tagOf[id] = tag
-		}
-		pending := whole.pending()
-		restored.c.Restore(whole.c.State())
-		for tag, ref := range pending { // map order: restore order must not matter
-			restored.c.RestoreEvent(ref, restored.fire(tag))
-			if ref.ID == 0 {
-				restored.plain[tag] = ref
-			}
-		}
-
-		mark := len(whole.log)
-		for _, op := range ops[cut:] {
-			whole.apply(op)
-			restored.apply(op)
-		}
-		whole.c.Run()
-		restored.c.Run()
-		if !reflect.DeepEqual(whole.log[mark:], restored.log) {
-			t.Fatalf("seed %d: restored clock diverged from the uninterrupted one\nwhole:    %v\nrestored: %v", seed, head(whole.log[mark:]), head(restored.log))
-		}
-		if whole.c.State() != restored.c.State() {
-			t.Fatalf("seed %d: counters differ: whole %+v, restored %+v", seed, whole.c.State(), restored.c.State())
-		}
-	}
-}
-
-func head(log []string) []string {
-	if len(log) > 8 {
-		return log[:8]
-	}
-	return log
-}
-
-func TestRestoreEventRejectsHeldSlotAndUnissuedID(t *testing.T) {
-	c := New()
-	id := c.AtCancellable(1, func() {})
-	st := c.State()
-	ref, _ := c.Ref(id)
-	c.Restore(st)
-	c.RestoreEvent(ref, func() {})
-	mustPanic(t, "restore into a held slot", func() { c.RestoreEvent(ref, func() {}) })
-	c.Restore(st)
-	unissued := ref
-	unissued.ID = (st.NextID+1)<<slotBits | 1
-	mustPanic(t, "restore of an unissued id", func() { c.RestoreEvent(unissued, func() {}) })
-}
-
-func mustPanic(t *testing.T, what string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("%s did not panic", what)
-		}
-	}()
-	fn()
 }

@@ -101,21 +101,9 @@ func (t *Tracer) StreamJSONL(w io.Writer, meta Meta) error {
 	return nil
 }
 
-// ResumeJSONL re-attaches a JSONL sink after a checkpoint restore,
-// without writing a meta line: the resumed file already carries the
-// original header and every event up to the checkpoint (the caller
-// truncates it to the checkpointed SinkBytes offset first).
-func (t *Tracer) ResumeJSONL(w io.Writer) error {
-	if t.sink != nil {
-		return fmt.Errorf("trace: JSONL sink already attached")
-	}
-	t.sink = w
-	return nil
-}
-
 // SinkBytes returns how many bytes the tracer has written to its sink —
-// the truncation offset a resumed run rewinds the trace file to. Reading
-// it flushes any batched events first, so the offset is always exact.
+// the offset a checkpoint records and a resumed run checks. Reading it
+// flushes any batched events first, so the offset is always exact.
 func (t *Tracer) SinkBytes() int64 {
 	t.Flush()
 	return t.sinkBytes

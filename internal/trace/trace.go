@@ -131,10 +131,9 @@ type Tracer struct {
 	sinkErr   error                   // first sink write error, latched
 	sinkBytes int64                   // bytes written to the sink so far
 
-	pending []Event // events awaiting JSONL encoding (batched dispatch)
-	scratch []byte  // reused JSONL line-encoding buffer
-	//lint:ignore ckptcover reused formatting scratch; dead between Emit calls
-	detailBuf []byte // reused annotation-formatting buffer
+	pending   []Event // events awaiting JSONL encoding (batched dispatch)
+	scratch   []byte  // reused JSONL line-encoding buffer
+	detailBuf []byte  // reused annotation-formatting buffer
 }
 
 // New returns a tracer retaining the most recent capacity events.

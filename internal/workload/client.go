@@ -69,7 +69,6 @@ type Submitter interface {
 type Pool struct {
 	route   Submitter
 	clients map[engine.ClientID]*Client // eager clients + live streaming clients
-	//lint:ignore ckptcover derived per-class index; rebuilt from the clients table by construction on restore
 	byClass map[engine.ClassID][]*Client
 	groups  map[engine.ClassID]*lazyGroup
 	nextID  engine.ClientID

@@ -54,24 +54,19 @@ func (s Schedule) MaxClients() map[engine.ClassID]int {
 
 // Install arranges for pool client counts to track the schedule: period 0
 // is applied immediately and each subsequent boundary is scheduled on the
-// clock. onPeriod, when non-nil, fires at the start of every period. The
-// returned Installation records the boundary events for checkpointing;
-// callers that never checkpoint may ignore it.
-func (s Schedule) Install(clock *simclock.Clock, pool *Pool, onPeriod func(period int)) *Installation {
+// clock. onPeriod, when non-nil, fires at the start of every period.
+func (s Schedule) Install(clock *simclock.Clock, pool *Pool, onPeriod func(period int)) {
 	if len(s.Clients) == 0 {
 		panic("workload: empty schedule")
 	}
 	if s.PeriodSeconds <= 0 {
 		panic(fmt.Sprintf("workload: non-positive period length %v", s.PeriodSeconds))
 	}
-	inst := &Installation{sched: s, pool: pool, onPeriod: onPeriod}
 	s.applyPeriod(pool, onPeriod, 0)
 	for p := 1; p < len(s.Clients); p++ {
 		p := p
-		ref := clock.AtRef(float64(p)*s.PeriodSeconds, func() { s.applyPeriod(pool, onPeriod, p) })
-		inst.refs = append(inst.refs, BoundaryRef{Period: p, Ref: ref})
+		clock.At(float64(p)*s.PeriodSeconds, func() { s.applyPeriod(pool, onPeriod, p) })
 	}
-	return inst
 }
 
 // applyPeriod activates period p's client counts. Classes apply in ID

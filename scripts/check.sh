@@ -6,8 +6,8 @@
 # - qlint (cmd/qlint) statically enforces the simulation invariants —
 #   no wall-clock time, no math/rand, no out-of-pool goroutines, no
 #   order-sensitive map iteration, no exact float equality, no freelist
-#   protocol violations, no un-checkpointed mutable state, no
-#   allocations on //qlint:hotpath-annotated chains — so a new time.Now,
+#   protocol violations, no allocations on //qlint:hotpath-annotated
+#   chains — so a new time.Now,
 #   stray go statement, or leaked pooled pointer in simulation code
 #   fails the gate before anything runs.
 # - The race pass guards the parallel experiment layer's isolation
