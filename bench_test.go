@@ -28,6 +28,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/simclock"
 	"repro/internal/solver"
+	"repro/internal/trace"
 	"repro/internal/utility"
 	"repro/internal/workload"
 )
@@ -565,6 +566,55 @@ func BenchmarkRouterRoute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		route(i)
 	}
+}
+
+// countingDiscard is a writer that counts what it is given and keeps
+// none of it, so a trace benchmark measures the encoder, not a disk.
+type countingDiscard struct{ bytes, writes int64 }
+
+func (w *countingDiscard) Write(p []byte) (int, error) {
+	w.bytes += int64(len(p))
+	w.writes++
+	return len(p), nil
+}
+
+// BenchmarkTraceEmit measures the tracer's steady state: each op is one
+// query's submit, start and done events through Emit, encoded in
+// batches into a counting discard writer. The untimed warm-up grows the
+// batch and the encoder's buffers, so even -benchtime=1x (the alloc
+// budget's setting) reads the steady state, which allocates nothing.
+func BenchmarkTraceEmit(b *testing.B) {
+	var sink countingDiscard
+	tr := trace.New()
+	if err := tr.StreamJSONL(&sink, trace.Meta{Experiment: "bench"}); err != nil {
+		b.Fatal(err)
+	}
+	emit := func(i int) {
+		at := simclock.Time(i) * 0.25
+		exec := 0.05 + float64(i%97)*0.013
+		q := engine.QueryID(i + 1)
+		tr.Emit(trace.Event{Time: at, Kind: trace.QuerySubmit, Class: 3, Query: q, Client: engine.ClientID(i % 40), Value: 120, Detail: "Q7"})
+		tr.Emit(trace.Event{Time: at, Kind: trace.QueryStart, Class: 3, Query: q, Client: engine.ClientID(i % 40), Value: 120, Detail: "Q7"})
+		tr.Emit(trace.Event{Time: at + simclock.Time(exec), Kind: trace.QueryDone, Class: 3, Query: q, Client: engine.ClientID(i % 40), Value: 120,
+			Num: [2]float64{exec, exec}})
+	}
+	for i := 0; i < 4096; i++ {
+		emit(i)
+	}
+	tr.Flush()
+	events, bytes := tr.Total(), sink.bytes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		emit(4096 + i)
+	}
+	tr.Flush()
+	b.StopTimer()
+	if err := tr.SinkErr(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(tr.Total()-events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(sink.bytes-bytes)/float64(b.N), "trace-B/op")
 }
 
 // BenchmarkRoutingFleet regenerates E14: the heterogeneous three-backend

@@ -20,11 +20,6 @@ import (
 	"repro/internal/workload"
 )
 
-// traceRingCap bounds the tracer's in-memory ring during exports. The
-// JSONL sink is lossless regardless; the ring only serves interactive
-// inspection.
-const traceRingCap = 4096
-
 // runObs holds one run's observability attachments.
 type runObs struct {
 	tracer *trace.Tracer
@@ -39,7 +34,7 @@ type runObs struct {
 func attachObs(r *Rig, cfg MixedConfig) (*runObs, error) {
 	o := &runObs{}
 	if cfg.Trace != nil {
-		tr := trace.New(traceRingCap)
+		tr := trace.New()
 		tr.SetPeriodMapper(cfg.Sched.PeriodAt)
 		meta := traceMeta(cfg, r.Classes)
 		if r.fleet() { // a roster only where there are backends to tell apart

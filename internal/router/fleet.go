@@ -148,24 +148,8 @@ func (p *Planner) OnDecision(fn func(FleetDecision)) { p.onDecision = append(p.o
 // nominal demand earns a quarter of the budget pull, shifting admission
 // capacity toward backends that can actually burn it.
 func (p *Planner) tick() {
-	p.cost = p.router.TakeCost(p.cost)
-	cost, weights, limits := p.cost, p.weights, p.limits
-	total := 0.0
-	healthy := 0
-	for i := range p.ewma {
-		weights[i], limits[i] = 0, 0
-		if p.router.IsDown(i + 1) {
-			p.ewma[i] = 0
-			continue
-		}
-		healthy++
-		p.ewma[i] = (1-p.cfg.Alpha)*p.ewma[i] + p.cfg.Alpha*cost[i]
-		weights[i] = p.ewma[i]
-		if f := p.router.DegradedFactor(i + 1); f > 0 {
-			weights[i] *= f
-		}
-		total += weights[i]
-	}
+	total, healthy := p.harvest()
+	weights, limits := p.weights, p.limits
 	nh := float64(healthy)
 	for i := range limits {
 		if p.router.IsDown(i + 1) {
@@ -197,6 +181,31 @@ func (p *Planner) tick() {
 			fn(plan)
 		}
 	}
+}
+
+// harvest is the tick's per-interval cost harvest: it takes the routed
+// cost since the last tick, folds it into each backend's demand EWMA,
+// and fills the split weights (limits cleared). It returns the weights'
+// total and the number of healthy backends.
+//
+//qlint:hotpath
+func (p *Planner) harvest() (total float64, healthy int) {
+	p.cost = p.router.TakeCost(p.cost)
+	for i := range p.ewma {
+		p.weights[i], p.limits[i] = 0, 0
+		if p.router.IsDown(i + 1) {
+			p.ewma[i] = 0
+			continue
+		}
+		healthy++
+		p.ewma[i] = (1-p.cfg.Alpha)*p.ewma[i] + p.cfg.Alpha*p.cost[i]
+		p.weights[i] = p.ewma[i]
+		if f := p.router.DegradedFactor(i + 1); f > 0 {
+			p.weights[i] *= f
+		}
+		total += p.weights[i]
+	}
+	return total, healthy
 }
 
 // migrate is the migration-before-shedding policy, run each tick over

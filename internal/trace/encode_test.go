@@ -2,7 +2,9 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,10 +13,32 @@ import (
 	"repro/internal/simclock"
 )
 
+// textDetail is the annotation as the tracer used to build it: Detail
+// when set, else the kind's fmt template over Num.
+func textDetail(e Event) string {
+	if e.Detail != "" {
+		return e.Detail
+	}
+	switch e.Kind {
+	case QueryDone:
+		return fmt.Sprintf("rt=%.3fs exec=%.3fs", e.Num[0], e.Num[1])
+	case QueryReleased:
+		return fmt.Sprintf("waited=%.1fs", e.Num[0])
+	case QueryAborted, QueryRetried:
+		return fmt.Sprintf("attempt=%d", int(e.Num[0]))
+	case QueryRouted:
+		return fmt.Sprintf("backend=%d", int(e.Num[0]))
+	case QueryRerouted:
+		return fmt.Sprintf("backend=%d->%d", int(e.Num[0]), int(e.Num[1]))
+	}
+	return ""
+}
+
 // marshalEventLine is the seed path: encoding/json over the on-disk
-// struct, one line per event. appendEventLine must match it byte for
-// byte — the JSONL format is pinned by golden traces, so the scratch
-// encoder is only correct if it is indistinguishable from this.
+// struct, one line per event, with the detail built as a string.
+// lineEncoder must match it byte for byte — the JSONL format is pinned
+// by golden traces, so the encoder is only correct if it is
+// indistinguishable from this.
 func marshalEventLine(t *testing.T, e Event) []byte {
 	t.Helper()
 	line, err := json.Marshal(jsonEvent{
@@ -28,7 +52,7 @@ func marshalEventLine(t *testing.T, e Event) []byte {
 		Period: e.Period,
 		Plan:   e.Plan,
 		Value:  e.Value,
-		Detail: e.Detail,
+		Detail: textDetail(e),
 	})
 	if err != nil {
 		t.Fatalf("json.Marshal: %v", err)
@@ -36,21 +60,26 @@ func marshalEventLine(t *testing.T, e Event) []byte {
 	return append(line, '\n')
 }
 
-func checkEventLine(t *testing.T, e Event) {
+func checkEventLine(t *testing.T, enc *lineEncoder, e Event) {
 	t.Helper()
-	got := appendEventLine(nil, &e)
+	got := enc.appendLine(nil, &e)
 	want := marshalEventLine(t, e)
 	if string(got) != string(want) {
 		t.Errorf("event %+v:\n got %q\nwant %q", e, got, want)
 	}
 }
 
+// typedKinds are the kinds whose annotation is formatted from Num.
+var typedKinds = []Kind{QueryDone, QueryReleased, QueryAborted, QueryRetried, QueryRouted, QueryRerouted}
+
 // TestEventLineMatchesEncodingJSON drives the hand-rolled encoder over
 // adversarial values: float formatting edge cases around encoding/json's
 // 'f'/'e' switchover, every escape class in strings (quotes, control
-// bytes, HTML characters, invalid UTF-8, U+2028/U+2029), and a large
-// pseudo-random sweep.
+// bytes, HTML characters, invalid UTF-8, U+2028/U+2029), every typed
+// detail kind, the repeat cache, and a large pseudo-random sweep. One
+// encoder serves every case, so its caches carry across events.
 func TestEventLineMatchesEncodingJSON(t *testing.T) {
+	var enc lineEncoder
 	floats := []float64{
 		0, 1, -1, 0.5, -0.25, 1e-6, 9.999999e-7, 1e-7, -1e-7, 1e21,
 		9.99999999e20, -1e21, 1e-300, 1e300, 123456.789, 0.1, 1.0 / 3.0,
@@ -61,28 +90,62 @@ func TestEventLineMatchesEncodingJSON(t *testing.T) {
 		`quote " backslash \ done`, "tab\tnewline\ncarriage\r",
 		"ctrl\x01\x1f", "html <b> & </b>", "utf8 ünïcode ✓",
 		"bad utf8 \xff\xfe", "line sep \u2028 and \u2029",
-		strings.Repeat("long ", 100) + "<end>",
+		strings.Repeat("long ", 100) + "<end>", "backend=1->2",
 	}
 	for _, f := range floats {
-		checkEventLine(t, Event{Seq: 1, Time: simclock.Time(f), Kind: QueryDone, Value: -f})
+		checkEventLine(t, &enc, Event{Seq: 1, Time: simclock.Time(f), Kind: QueryDone, Value: -f})
 	}
 	for _, d := range details {
-		checkEventLine(t, Event{Seq: 2, Time: 1.25, Kind: QuerySubmit, Detail: d})
+		checkEventLine(t, &enc, Event{Seq: 2, Time: 1.25, Kind: QuerySubmit, Detail: d})
 	}
+
+	// Every typed detail kind: seconds over the floats above, and
+	// integer counts and backend IDs.
+	for _, k := range typedKinds {
+		for _, f := range floats {
+			if k == QueryDone || k == QueryReleased {
+				checkEventLine(t, &enc, Event{Seq: 3, Time: 2, Kind: k, Value: 4, Num: [2]float64{f, 2 * f}})
+			}
+		}
+		for _, n := range []float64{0, 1, 2, 3, 17, 1 << 20} {
+			checkEventLine(t, &enc, Event{Seq: 4, Time: 2, Kind: k, Num: [2]float64{n, n + 1}})
+		}
+		// A Detail read back from a file is written as read.
+		checkEventLine(t, &enc, Event{Seq: 5, Time: 2, Kind: k, Detail: "as read", Num: [2]float64{1, 2}})
+	}
+
+	// The repeat cache is keyed on bits: 0 and -0 alternate in both
+	// cached fields and must keep their own text.
+	negZero := math.Copysign(0, -1)
+	for i := 0; i < 6; i++ {
+		z := 0.0
+		if i%2 == 1 {
+			z = negZero
+		}
+		checkEventLine(t, &enc, Event{Seq: uint64(10 + i), Time: simclock.Time(z), Kind: QueryStart, Value: z})
+		checkEventLine(t, &enc, Event{Seq: uint64(20 + i), Time: simclock.Time(z), Kind: QueryStart, Value: z})
+	}
+
 	src := rng.New(42)
 	runes := []rune("ab\"\\<>&\n\r\t\x01é✓\u2028\u2029\ufffd")
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < 4000; i++ {
 		var sb strings.Builder
-		for n := src.Intn(12); n > 0; n-- {
-			sb.WriteRune(runes[src.Intn(len(runes))])
+		if src.Intn(2) == 0 {
+			for n := src.Intn(12); n > 0; n-- {
+				sb.WriteRune(runes[src.Intn(len(runes))])
+			}
 		}
 		// Mix magnitudes so both float formats and the exponent-trim
 		// path are exercised.
 		v := src.Range(-1, 1) * math.Pow(10, float64(src.Intn(50)-25))
+		at := simclock.Time(src.Range(0, 1e9))
+		if src.Intn(3) == 0 {
+			at = simclock.Time(src.Intn(4)) // repeats for the t cache
+		}
 		e := Event{
 			Seq:    src.Uint64(),
-			Time:   simclock.Time(src.Range(0, 1e9)),
-			Kind:   Kind(src.Intn(int(QueryRetried) + 1)),
+			Time:   at,
+			Kind:   Kind(src.Intn(numKinds)),
 			Class:  engine.ClassID(src.Intn(7) - 2),
 			Query:  engine.QueryID(src.Uint64()),
 			Client: engine.ClientID(src.Intn(1 << 20)),
@@ -90,7 +153,43 @@ func TestEventLineMatchesEncodingJSON(t *testing.T) {
 			Plan:   src.Intn(100),
 			Value:  v,
 			Detail: sb.String(),
+			Num:    [2]float64{src.Range(0, 1) * math.Pow(10, float64(src.Intn(10)-3)), float64(src.Intn(9))},
 		}
-		checkEventLine(t, e)
+		checkEventLine(t, &enc, e)
+	}
+}
+
+// TestAppendFixedMatchesAppendFloat pins the fixed-point fast path
+// byte-equal to strconv.AppendFloat(x, 'f', p, 64) at the precisions
+// the encoder uses: random magnitudes, exact decimal ties, digit
+// carries, signed zeros, subnormals, values at and beyond 2^52, and
+// random bit patterns (NaN and ±Inf among them).
+func TestAppendFixedMatchesAppendFloat(t *testing.T) {
+	var xs []float64
+	src := rng.New(7)
+	for i := 0; i < 20000; i++ {
+		xs = append(xs, src.Range(0, 1)*math.Pow(10, float64(src.Intn(31)-12)))
+	}
+	for k := 0; k < 20000; k++ {
+		xs = append(xs, (float64(k)+0.5)/1000, float64(k)/20, float64(k)/2000, float64(k)/16)
+	}
+	for _, base := range []float64{9.9995, 9.95, 0.9995, 0.95, 99.9995, 999.95, 0.0005, 0.05, 0.00049, 0.0625, 0.125, 2.5} {
+		xs = append(xs, base, math.Nextafter(base, 0), math.Nextafter(base, 2*base+1))
+	}
+	xs = append(xs, 0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0x1p-1022,
+		0x1p-1023, 0x1p-11, math.Nextafter(0x1p-11, 0), 0x1p-12, 1-0x1p-53,
+		0x1p52, 0x1p52-0.5, 0x1p52+1, 0x1p53, 0x1p63, 1e18, math.MaxFloat64,
+		-1, -0.0005, -9.9995, math.Inf(1), math.Inf(-1), math.NaN())
+	for i := 0; i < 20000; i++ {
+		xs = append(xs, math.Float64frombits(src.Uint64()))
+	}
+	for _, x := range xs {
+		for _, p := range []int{1, 3} {
+			got := appendFixed([]byte("x="), x, p)
+			want := strconv.AppendFloat([]byte("x="), x, 'f', p, 64)
+			if string(got) != string(want) {
+				t.Fatalf("appendFixed(%b, %d) = %q, want %q", x, p, got, want)
+			}
+		}
 	}
 }

@@ -148,17 +148,6 @@ type Explanation struct {
 // QueueBins is the queue-depth timeline resolution.
 const QueueBins = 60
 
-// Explain analyzes one class/period cell of a parsed trace.
-func Explain(f *TraceFile, q ExplainQuery) (*Explanation, error) {
-	var horizon simclock.Time
-	for _, e := range f.Events {
-		if e.Time > horizon {
-			horizon = e.Time
-		}
-	}
-	return explainCell(f.Meta, f.Events, horizon, q)
-}
-
 // SpecError marks a malformed or out-of-range query spec (qtrace
 // -explain, qreport -why and its tick windows), so callers can
 // distinguish usage mistakes from problems with the file they read.
@@ -170,7 +159,8 @@ func (e *SpecError) Unwrap() error { return e.Err }
 // ExplainJSONL streams a JSONL export and explains one cell, holding
 // only the target class's events and the trace's plan changes in memory
 // rather than the whole event list. The output is identical to
-// ReadJSONL followed by Explain. Spec errors are wrapped in *SpecError.
+// explainCell over every event of the trace. Spec errors are wrapped in
+// *SpecError.
 func ExplainJSONL(r io.Reader, spec string) (*Explanation, error) {
 	var (
 		meta    Meta
@@ -468,18 +458,9 @@ func (a *summaryAcc) render(w io.Writer, meta Meta) {
 	}
 }
 
-// Summarize writes the trace's header and per-kind event counts — the
-// default qtrace view when no -explain spec is given.
-func Summarize(w io.Writer, f *TraceFile) {
-	acc := newSummaryAcc()
-	for _, e := range f.Events {
-		acc.add(e)
-	}
-	acc.render(w, f.Meta)
-}
-
-// SummarizeJSONL streams a JSONL export and writes the same summary as
-// Summarize, in constant memory. Nothing is written until the scan
+// SummarizeJSONL streams a JSONL export and writes the trace's header
+// and per-kind event counts — the default qtrace view when no -explain
+// spec is given — in constant memory. Nothing is written until the scan
 // succeeds, so a corrupt trace produces an error and no partial output.
 func SummarizeJSONL(w io.Writer, r io.Reader) error {
 	var meta Meta

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/simclock"
 )
 
 // explainMeta is a two-class header for spec-parsing and explain tests.
@@ -100,11 +101,30 @@ func explainEvents() []Event {
 	}
 }
 
+// explainStream explains one cell of a (meta, events) trace through
+// the streaming path qtrace uses.
+func explainStream(t *testing.T, meta Meta, events []Event, spec string) (*Explanation, error) {
+	t.Helper()
+	return ExplainJSONL(bytes.NewReader(encodeJSONL(t, meta, events)), spec)
+}
+
+// explainAll is the in-memory reference: explainCell over every event
+// of the trace, with the horizon taken over all of them.
+func explainAll(meta Meta, events []Event, q ExplainQuery) (*Explanation, error) {
+	var horizon simclock.Time
+	for _, e := range events {
+		if e.Time > horizon {
+			horizon = e.Time
+		}
+	}
+	return explainCell(meta, events, horizon, q)
+}
+
 func TestExplainBreakdown(t *testing.T) {
-	f := &TraceFile{Meta: explainMeta(), Events: explainEvents()}
+	meta, events := explainMeta(), explainEvents()
 
 	// Period 1, class 2: only q1 completes there.
-	ex, err := Explain(f, ExplainQuery{Class: 2, Period: 1})
+	ex, err := explainStream(t, meta, events, "class=2 period=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +154,7 @@ func TestExplainBreakdown(t *testing.T) {
 	}
 
 	// Period 2: q2 completes; the plan change at t=110 is in-window.
-	ex2, err := Explain(f, ExplainQuery{Class: 2, Period: 2})
+	ex2, err := explainStream(t, meta, events, "class=2 period=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +173,7 @@ func TestExplainBreakdown(t *testing.T) {
 	}
 
 	// Period 3: no completions; plan v1 in force at start.
-	ex3, err := Explain(f, ExplainQuery{Class: 2, Period: 3})
+	ex3, err := explainStream(t, meta, events, "class=2 period=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +184,8 @@ func TestExplainBreakdown(t *testing.T) {
 }
 
 func TestExplainRender(t *testing.T) {
-	f := &TraceFile{Meta: explainMeta(), Events: explainEvents()}
-	ex, err := Explain(f, ExplainQuery{Class: 2, Period: 2})
+	meta, events := explainMeta(), explainEvents()
+	ex, err := explainStream(t, meta, events, "class=2 period=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,28 +202,29 @@ func TestExplainRender(t *testing.T) {
 	}
 	// Rendering must be deterministic (it feeds golden CI assertions).
 	var sb2 strings.Builder
-	ex2, _ := Explain(f, ExplainQuery{Class: 2, Period: 2})
+	ex2, _ := explainStream(t, meta, events, "class=2 period=2")
 	ex2.Render(&sb2)
 	if sb2.String() != out {
-		t.Error("render not deterministic across Explain calls")
+		t.Error("render not deterministic across explain calls")
 	}
 }
 
 func TestExplainErrors(t *testing.T) {
-	f := &TraceFile{Meta: explainMeta(), Events: nil}
-	if _, err := Explain(f, ExplainQuery{Class: 99, Period: 1}); err == nil {
+	meta := explainMeta()
+	if _, err := explainAll(meta, nil, ExplainQuery{Class: 99, Period: 1}); err == nil {
 		t.Error("unknown class: want error")
 	}
-	f.Meta.PeriodSeconds = 0
-	if _, err := Explain(f, ExplainQuery{Class: 1, Period: 1}); err == nil {
+	meta.PeriodSeconds = 0
+	if _, err := explainStream(t, meta, nil, "class=1 period=1"); err == nil {
 		t.Error("no period length: want error")
 	}
 }
 
 func TestSummarize(t *testing.T) {
-	f := &TraceFile{Meta: explainMeta(), Events: explainEvents()}
 	var sb strings.Builder
-	Summarize(&sb, f)
+	if err := SummarizeJSONL(&sb, bytes.NewReader(encodeJSONL(t, explainMeta(), explainEvents()))); err != nil {
+		t.Fatal(err)
+	}
 	out := sb.String()
 	for _, want := range []string{
 		"test (seed 7)", "3 periods", "Class 2", "[letter B]",
@@ -224,27 +245,40 @@ func encodeJSONL(t *testing.T, meta Meta, events []Event) []byte {
 		t.Fatal(err)
 	}
 	buf := append(line, '\n')
+	var enc lineEncoder
 	for i := range events {
-		buf = appendEventLine(buf, &events[i])
+		buf = enc.appendLine(buf, &events[i])
 	}
 	return buf
 }
 
-// TestExplainJSONLMatchesInMemory pins the streaming explain/summary
-// paths to the ReadJSONL-based ones: same bytes in, same bytes out.
-func TestExplainJSONLMatchesInMemory(t *testing.T) {
-	raw := encodeJSONL(t, explainMeta(), explainEvents())
-
-	tf, err := ReadJSONL(bytes.NewReader(raw))
+// scanEvents reads a trace back through ScanJSONL.
+func scanEvents(t *testing.T, raw []byte) (Meta, []Event) {
+	t.Helper()
+	var meta Meta
+	var events []Event
+	err := ScanJSONL(bytes.NewReader(raw),
+		func(m Meta) error { meta = m; return nil },
+		func(e Event) error { events = append(events, e); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
+	return meta, events
+}
+
+// TestExplainJSONLMatchesInMemory pins the streaming explain/summary
+// paths, which keep only what a cell needs, to the same analysis over
+// the whole event list read back by ScanJSONL: same bytes in, same
+// bytes out.
+func TestExplainJSONLMatchesInMemory(t *testing.T) {
+	raw := encodeJSONL(t, explainMeta(), explainEvents())
+	meta, events := scanEvents(t, raw)
 	for _, spec := range []string{"class=2 period=1", "class=B period=2", "class=1 period=3"} {
-		q, err := ParseExplainQuery(spec, tf.Meta)
+		q, err := ParseExplainQuery(spec, meta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exMem, err := Explain(tf, q)
+		exMem, err := explainAll(meta, events, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +296,11 @@ func TestExplainJSONLMatchesInMemory(t *testing.T) {
 	}
 
 	var mem, stream strings.Builder
-	Summarize(&mem, tf)
+	acc := newSummaryAcc()
+	for _, e := range events {
+		acc.add(e)
+	}
+	acc.render(&mem, meta)
 	if err := SummarizeJSONL(&stream, bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +345,8 @@ func TestParseExplainQueryRange(t *testing.T) {
 }
 
 func TestExplainPeriodRange(t *testing.T) {
-	f := &TraceFile{Meta: explainMeta(), Events: explainEvents()}
-	ex, err := Explain(f, ExplainQuery{Class: 2, Period: 1, PeriodEnd: 2})
+	meta, events := explainMeta(), explainEvents()
+	ex, err := explainStream(t, meta, events, "class=2 period=1-2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,9 +382,9 @@ func TestExplainPeriodRange(t *testing.T) {
 		}
 	}
 
-	// A reversed range handed directly to Explain (bypassing the parser)
-	// must still be rejected.
-	if _, err := Explain(f, ExplainQuery{Class: 2, Period: 3, PeriodEnd: 1}); err == nil {
+	// A reversed range handed directly to the analysis (bypassing the
+	// parser) must still be rejected.
+	if _, err := explainAll(meta, events, ExplainQuery{Class: 2, Period: 3, PeriodEnd: 1}); err == nil {
 		t.Error("reversed range: want error")
 	}
 }
@@ -382,15 +420,15 @@ func oltpEvents() []Event {
 }
 
 func TestExplainOLTPClass(t *testing.T) {
-	f := &TraceFile{Meta: oltpMeta(), Events: oltpEvents()}
-	q, err := ParseExplainQuery("class=C period=1-2", f.Meta)
+	meta, events := oltpMeta(), oltpEvents()
+	q, err := ParseExplainQuery("class=C period=1-2", meta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.Class != 3 || q.Period != 1 || q.PeriodEnd != 2 {
 		t.Fatalf("parsed %+v, want class 3 periods 1-2", q)
 	}
-	ex, err := Explain(f, q)
+	ex, err := explainStream(t, meta, events, "class=C period=1-2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,16 +474,13 @@ func TestExplainJSONLRangeMatchesInMemory(t *testing.T) {
 	}
 	for _, fx := range fixtures {
 		raw := encodeJSONL(t, fx.meta, fx.events)
-		tf, err := ReadJSONL(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
+		meta, events := scanEvents(t, raw)
 		for _, spec := range fx.specs {
-			q, err := ParseExplainQuery(spec, tf.Meta)
+			q, err := ParseExplainQuery(spec, meta)
 			if err != nil {
 				t.Fatal(err)
 			}
-			exMem, err := Explain(tf, q)
+			exMem, err := explainAll(meta, events, q)
 			if err != nil {
 				t.Fatal(err)
 			}

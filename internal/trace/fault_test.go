@@ -12,7 +12,7 @@ import (
 
 func TestStreamJSONLSecondAttachErrors(t *testing.T) {
 	var first, second bytes.Buffer
-	tr := New(8)
+	tr := New()
 	if err := tr.StreamJSONL(&first, Meta{Experiment: "a"}); err != nil {
 		t.Fatal(err)
 	}
@@ -31,36 +31,26 @@ func TestStreamJSONLSecondAttachErrors(t *testing.T) {
 	if tr.SinkErr() != nil {
 		t.Fatal(tr.SinkErr())
 	}
-	f, err := ReadJSONL(bytes.NewReader(first.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Meta.Experiment != "a" || len(f.Events) != 1 {
-		t.Fatalf("first sink corrupted: %+v", f)
+	meta, events := scanEvents(t, first.Bytes())
+	if meta.Experiment != "a" || len(events) != 1 {
+		t.Fatalf("first sink corrupted: %+v %+v", meta, events)
 	}
 }
 
 func TestAbortAndRetryEventsRoundTripJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	tr := New(8)
-	if err := tr.StreamJSONL(&buf, Meta{Experiment: "faults"}); err != nil {
-		t.Fatal(err)
-	}
-	tr.Emit(Event{Time: 3, Kind: QueryAborted, Class: 1, Query: 9, Detail: "attempt=0"})
-	tr.Emit(Event{Time: 5, Kind: QueryRetried, Class: 1, Query: 10, Detail: "attempt=1"})
+	tr, buf := streamed(t)
+	tr.Emit(Event{Time: 3, Kind: QueryAborted, Class: 1, Query: 9, Num: [2]float64{0}})
+	tr.Emit(Event{Time: 5, Kind: QueryRetried, Class: 1, Query: 10, Num: [2]float64{1}})
 	tr.Flush()
-	f, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	_, events := scanEvents(t, buf.Bytes())
+	if len(events) != 2 {
+		t.Fatalf("%d events", len(events))
 	}
-	if len(f.Events) != 2 {
-		t.Fatalf("%d events", len(f.Events))
+	if events[0].Kind != QueryAborted || events[0].Detail != "attempt=0" {
+		t.Fatalf("event[0] = %+v", events[0])
 	}
-	if f.Events[0].Kind != QueryAborted || f.Events[0].Detail != "attempt=0" {
-		t.Fatalf("event[0] = %+v", f.Events[0])
-	}
-	if f.Events[1].Kind != QueryRetried || f.Events[1].Query != 10 {
-		t.Fatalf("event[1] = %+v", f.Events[1])
+	if events[1].Kind != QueryRetried || events[1].Query != 10 || events[1].Detail != "attempt=1" {
+		t.Fatalf("event[1] = %+v", events[1])
 	}
 }
 
@@ -70,7 +60,7 @@ func TestAttachedEngineAndPatrollerRecordAbortRetry(t *testing.T) {
 	pat := patroller.New(eng, 1)
 	pat.SetPolicy(patroller.ReleaseAll{})
 	pat.SetRetryPolicy(&patroller.RetryPolicy{MaxAttempts: 2, Backoff: 1})
-	tr := New(64)
+	tr, buf := streamed(t)
 	AttachEngine(tr, eng)
 	AttachPatroller(tr, pat, clock)
 
@@ -89,7 +79,9 @@ func TestAttachedEngineAndPatrollerRecordAbortRetry(t *testing.T) {
 		t.Fatalf("done count = %d, want 1 (retry only)", kinds[QueryDone])
 	}
 	var abortAt, retryAt simclock.Time = -1, -1
-	for _, ev := range tr.Events() {
+	tr.Flush()
+	_, events := scanEvents(t, buf.Bytes())
+	for _, ev := range events {
 		switch ev.Kind {
 		case QueryAborted:
 			abortAt = ev.Time

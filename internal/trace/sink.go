@@ -1,12 +1,15 @@
 // File sinks for the JSONL export: optional gzip compression (selected
-// by a .gz path suffix) and optional size-based rotation. The tracer
-// writes whole lines only, so rotation always lands on a line boundary;
-// each rotated segment re-starts with the run's meta line, keeping every
-// segment independently parseable by ReadJSONL/qtrace.
+// by a .gz path suffix) and optional size-based rotation. A rotating
+// sink splits every write at its newlines and applies the rotation rule
+// line by line, so rotation lands on a line boundary whatever the
+// caller's write size; each rotated segment re-starts with the run's
+// meta line, keeping every segment independently parseable by
+// ScanJSONL/qtrace.
 package trace
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -71,21 +74,45 @@ func (s *Sink) open() error {
 	return nil
 }
 
-// Write appends one (complete) JSONL line, rotating first when the
-// segment is full. The first line ever written is remembered as the meta
-// line and replayed at the head of every rotated segment.
+// Write appends whole JSONL lines, one or many per call. The first
+// line ever written is remembered as the meta line and replayed at the
+// head of every rotated segment; a rotating sink checks each line
+// against the threshold on its own, so a batch rotates exactly where
+// line-at-a-time writes would.
 func (s *Sink) Write(p []byte) (int, error) {
 	if s.closed {
 		return 0, fmt.Errorf("trace: write to closed sink")
 	}
+	if s.meta != nil && s.rotateBytes == 0 {
+		return s.bw.Write(p)
+	}
+	total := 0
+	for len(p) > 0 {
+		line := p
+		if i := bytes.IndexByte(p, '\n'); i >= 0 {
+			line = p[:i+1]
+		}
+		n, err := s.writeLine(line)
+		total += n
+		if err != nil {
+			return total, err
+		}
+		p = p[len(line):]
+	}
+	return total, nil
+}
+
+// writeLine writes one line, rotating first when it would overflow a
+// non-empty segment.
+func (s *Sink) writeLine(line []byte) (int, error) {
 	if s.meta == nil {
-		s.meta = append([]byte(nil), p...)
-	} else if s.rotateBytes > 0 && s.written > 0 && s.written+int64(len(p)) > s.rotateBytes {
+		s.meta = append([]byte(nil), line...)
+	} else if s.rotateBytes > 0 && s.written > 0 && s.written+int64(len(line)) > s.rotateBytes {
 		if err := s.rotate(); err != nil {
 			return 0, err
 		}
 	}
-	n, err := s.bw.Write(p)
+	n, err := s.bw.Write(line)
 	s.written += int64(n)
 	return n, err
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,7 +13,7 @@ import (
 // emitN streams a meta line and n submit events through a sink.
 func emitN(t *testing.T, s *Sink, n int) {
 	t.Helper()
-	tr := New(16)
+	tr := New()
 	if err := tr.StreamJSONL(s, Meta{Experiment: "sink-test", Periods: 1, PeriodSeconds: 60}); err != nil {
 		t.Fatal(err)
 	}
@@ -44,19 +45,21 @@ func TestGzipSinkRoundtrip(t *testing.T) {
 	}
 	emitN(t, s, 25)
 
-	f, err := os.Open(path)
+	// ScanJSONL must sniff the gzip magic and decompress transparently.
+	meta, events := scanFile(t, path)
+	if meta.Experiment != "sink-test" || len(events) != 25 {
+		t.Fatalf("meta=%q events=%d", meta.Experiment, len(events))
+	}
+}
+
+// scanFile reads a trace file (or segment) back through ScanJSONL.
+func scanFile(t *testing.T, path string) (Meta, []Event) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	// ReadJSONL must sniff the gzip magic and decompress transparently.
-	tf, err := ReadJSONL(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tf.Meta.Experiment != "sink-test" || len(tf.Events) != 25 {
-		t.Fatalf("meta=%q events=%d", tf.Meta.Experiment, len(tf.Events))
-	}
+	return scanEvents(t, raw)
 }
 
 func TestRotatingSinkSegmentsAreIndependentlyParseable(t *testing.T) {
@@ -79,19 +82,11 @@ func TestRotatingSinkSegmentsAreIndependentlyParseable(t *testing.T) {
 		if i < s.Rotations() {
 			seg = fmt.Sprintf("%s.%d", path, i+1)
 		}
-		f, err := os.Open(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tf, err := ReadJSONL(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("segment %s: %v", seg, err)
-		}
-		if tf.Meta.Experiment != "sink-test" {
+		meta, events := scanFile(t, seg)
+		if meta.Experiment != "sink-test" {
 			t.Fatalf("segment %s missing replayed meta", seg)
 		}
-		total += len(tf.Events)
+		total += len(events)
 	}
 	if total != 60 {
 		t.Fatalf("segments carry %d events, want 60", total)
@@ -116,5 +111,92 @@ func TestSinkCloseIdempotentAndWriteAfterCloseFails(t *testing.T) {
 func TestOpenSinkRejectsNegativeRotation(t *testing.T) {
 	if _, err := OpenSink(filepath.Join(t.TempDir(), "x.jsonl"), -1); err == nil {
 		t.Fatal("negative rotation threshold accepted")
+	}
+}
+
+// tracedLines returns the lines a tracer writes for a meta line and n
+// events of mixed kinds and lengths, meta line first.
+func tracedLines(t *testing.T, n int) [][]byte {
+	t.Helper()
+	tr, buf := streamed(t)
+	for i := 0; i < n; i++ {
+		e := Event{Time: float64(i) / 8, Kind: Kind(i % 4), Class: 1, Query: engine.QueryID(i/3 + 1), Value: 100}
+		switch e.Kind {
+		case QuerySubmit, QueryStart:
+			e.Detail = fmt.Sprintf("Q%d", i%23)
+		case QueryDone:
+			e.Num = [2]float64{float64(i) * 0.37, float64(i) * 0.11}
+		}
+		tr.Emit(e)
+	}
+	tr.Flush()
+	return bytes.SplitAfter(buf.Bytes(), []byte("\n"))[:n+1]
+}
+
+// writeSegments writes lines through a fresh sink at path — the meta
+// line alone, then the rest in writes of batch lines each — and returns
+// every segment's bytes, oldest first.
+func writeSegments(t *testing.T, path string, rotate int64, lines [][]byte, batch int) [][]byte {
+	t.Helper()
+	s, err := OpenSink(path, rotate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Write(lines[0]); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(lines); i += batch {
+		var p []byte
+		for _, l := range lines[i:min(i+batch, len(lines))] {
+			p = append(p, l...)
+		}
+		if n, err := s.Write(p); err != nil || n != len(p) {
+			t.Fatalf("Write = %d, %v; want %d", n, err, len(p))
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var segs [][]byte
+	for i := 1; i <= s.Rotations(); i++ {
+		raw, err := os.ReadFile(fmt.Sprintf("%s.%d", path, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, raw)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(segs, raw)
+}
+
+// TestRotatingSinkBatchWritesMatchLineWrites: a sink given whole
+// batches in one Write each must leave the same files as one Write per
+// line — same segment count, same meta replay, same bytes — for rotation
+// thresholds below a line, below a batch and above the whole trace,
+// plain and gzipped.
+func TestRotatingSinkBatchWritesMatchLineWrites(t *testing.T) {
+	lines := tracedLines(t, 3*traceBatchSize)
+	for _, name := range []string{"run.jsonl", "run.jsonl.gz"} {
+		for _, rotate := range []int64{0, 50, 1000, 4096, 1 << 30} {
+			dir := t.TempDir()
+			want := writeSegments(t, filepath.Join(dir, "lines-"+name), rotate, lines, 1)
+			if rotate == 50 && len(want) != len(lines) {
+				t.Fatalf("%s rotate %d: %d segments, want one per line (%d)", name, rotate, len(want), len(lines))
+			}
+			for _, batch := range []int{7, traceBatchSize, len(lines)} {
+				got := writeSegments(t, filepath.Join(dir, fmt.Sprintf("batch%d-%s", batch, name)), rotate, lines, batch)
+				if len(got) != len(want) {
+					t.Fatalf("%s rotate %d batch %d: %d segments, want %d", name, rotate, batch, len(got), len(want))
+				}
+				for i := range want {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Fatalf("%s rotate %d batch %d: segment %d differs from line-at-a-time writes", name, rotate, batch, i)
+					}
+				}
+			}
+		}
 	}
 }

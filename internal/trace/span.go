@@ -1,10 +1,10 @@
-// Lifecycle spans and lossless JSONL export. The ring buffer in trace.go
-// bounds memory for interactive use; the JSONL sink streams every event to
-// a file so cmd/qtrace can reconstruct full query lifecycles after the
-// run. The format is line-oriented JSON with a "type" discriminator: one
-// meta line first, then one line per event, in emission order. Field
-// order is fixed by the struct definitions and floats use Go's shortest
-// round-trip encoding, so identical runs export byte-identical files.
+// Lifecycle spans and the lossless JSONL format. The tracer streams
+// every event to a sink so cmd/qtrace can reconstruct full query
+// lifecycles after the run. The format is line-oriented JSON with a
+// "type" discriminator: one meta line first, then one line per event,
+// in emission order. Field order is fixed; floats use Go's shortest
+// round-trip encoding, and the seconds inside details a fixed
+// precision, so identical runs export byte-identical files.
 package trace
 
 import (
@@ -80,7 +80,7 @@ type jsonEvent struct {
 
 // StreamJSONL attaches a lossless JSONL sink: the meta line is written
 // immediately and every subsequently emitted event is appended as one
-// line, regardless of ring eviction. Only one sink may be attached. The
+// line, in flushed batches. Only one sink may be attached. The
 // caller owns w (and any buffering/closing); write errors after this call
 // are latched and reported by SinkErr.
 func (t *Tracer) StreamJSONL(w io.Writer, meta Meta) error {
@@ -117,19 +117,58 @@ func (t *Tracer) SinkErr() error {
 	return t.sinkErr
 }
 
-// appendEventLine encodes one event line into buf — a hand-rolled
-// encoder producing byte-for-byte what encoding/json produced for the
-// equivalent jsonEvent (field order, HTML escaping, float formatting,
-// detail omitted when empty), without the per-event reflection and
-// allocations. TestEventLineMatchesEncodingJSON pins the equivalence.
-func appendEventLine(buf []byte, e *Event) []byte {
+// lineEncoder encodes event lines — a hand-rolled encoder producing
+// byte for byte what encoding/json produced for the equivalent
+// jsonEvent (field order, HTML escaping, float formatting, detail
+// omitted when empty), without reflection or allocation.
+// TestEventLineMatchesEncodingJSON pins the equivalence. It remembers
+// the last t and value it formatted: a completion emits done, submit
+// and start at one clock time, so t is formatted once for the three.
+type lineEncoder struct {
+	t, value floatCache
+	buf      []byte // the flushed batch, reused
+}
+
+// floatCache is a one-entry cache of a field's formatted float. It is
+// keyed on the bit pattern, not on ==, because 0 and -0 format
+// differently.
+type floatCache struct {
+	bits uint64
+	set  bool
+	text []byte
+}
+
+func (c *floatCache) append(buf []byte, f float64) []byte {
+	if b := math.Float64bits(f); !c.set || b != c.bits {
+		c.text = appendJSONFloat(c.text[:0], f)
+		c.bits, c.set = b, true
+	}
+	return append(buf, c.text...)
+}
+
+// kindTokens[k] is the encoded `,"kind":"…","class":` run of kind k.
+var kindTokens = func() (out [numKinds]string) {
+	for k, name := range kindNames {
+		out[k] = `,"kind":"` + name + `","class":`
+	}
+	return out
+}()
+
+// appendLine encodes one event line into buf.
+//
+//qlint:hotpath
+func (enc *lineEncoder) appendLine(buf []byte, e *Event) []byte {
 	buf = append(buf, `{"type":"event","seq":`...)
 	buf = strconv.AppendUint(buf, e.Seq, 10)
 	buf = append(buf, `,"t":`...)
-	buf = appendJSONFloat(buf, float64(e.Time))
-	buf = append(buf, `,"kind":`...)
-	buf = appendJSONString(buf, e.Kind.String())
-	buf = append(buf, `,"class":`...)
+	buf = enc.t.append(buf, float64(e.Time))
+	if k := int(e.Kind); k >= 0 && k < numKinds {
+		buf = append(buf, kindTokens[k]...)
+	} else {
+		buf = append(buf, `,"kind":`...)
+		buf = appendJSONString(buf, e.Kind.String())
+		buf = append(buf, `,"class":`...)
+	}
 	buf = strconv.AppendInt(buf, int64(e.Class), 10)
 	buf = append(buf, `,"query":`...)
 	buf = strconv.AppendUint(buf, uint64(e.Query), 10)
@@ -140,12 +179,82 @@ func appendEventLine(buf []byte, e *Event) []byte {
 	buf = append(buf, `,"plan":`...)
 	buf = strconv.AppendInt(buf, int64(e.Plan), 10)
 	buf = append(buf, `,"value":`...)
-	buf = appendJSONFloat(buf, e.Value)
+	buf = enc.value.append(buf, e.Value)
+	buf = appendDetail(buf, e)
+	return append(buf, '}', '\n')
+}
+
+// appendDetail writes the detail field: Detail verbatim when set,
+// otherwise the kind's numeric annotation (see Event.Num). The numeric
+// forms hold only characters encoding/json leaves alone, except the
+// '>' of "->", which it HTML-escapes.
+func appendDetail(buf []byte, e *Event) []byte {
 	if e.Detail != "" {
 		buf = append(buf, `,"detail":`...)
-		buf = appendJSONString(buf, e.Detail)
+		return appendJSONString(buf, e.Detail)
 	}
-	buf = append(buf, '}', '\n')
+	switch e.Kind {
+	case QueryDone:
+		buf = append(buf, `,"detail":"rt=`...)
+		buf = appendFixed(buf, e.Num[0], 3)
+		buf = append(buf, `s exec=`...)
+		buf = appendFixed(buf, e.Num[1], 3)
+		buf = append(buf, `s"`...)
+	case QueryReleased:
+		buf = append(buf, `,"detail":"waited=`...)
+		buf = appendFixed(buf, e.Num[0], 1)
+		buf = append(buf, `s"`...)
+	case QueryAborted, QueryRetried:
+		buf = append(buf, `,"detail":"attempt=`...)
+		buf = strconv.AppendInt(buf, int64(e.Num[0]), 10)
+		buf = append(buf, '"')
+	case QueryRouted:
+		buf = append(buf, `,"detail":"backend=`...)
+		buf = strconv.AppendInt(buf, int64(e.Num[0]), 10)
+		buf = append(buf, '"')
+	case QueryRerouted:
+		buf = append(buf, `,"detail":"backend=`...)
+		buf = strconv.AppendInt(buf, int64(e.Num[0]), 10)
+		buf = append(buf, `-\u003e`...)
+		buf = strconv.AppendInt(buf, int64(e.Num[1]), 10)
+		buf = append(buf, '"')
+	}
+	return buf
+}
+
+// pow10[p] is 10^p for the precisions appendFixed serves.
+var pow10 = [4]uint64{1, 10, 100, 1000}
+
+// appendFixed appends x with prec fraction digits, byte-equal to
+// strconv.AppendFloat(buf, x, 'f', prec, 64) (which always takes the
+// multiprecision path for 'f') for prec 1 to 3. For x = m·2^e with
+// x ≥ 0 and -64 < e < 0, m·10^prec (below 2^63) is shifted right by -e
+// and rounded half to even on the remainder, as AppendFloat rounds the
+// exact binary value. x < 2^-11 (e ≤ -64, with 0 and subnormals) rounds
+// to zero at 3 digits or fewer. Negative, non-finite and x ≥ 2^52 fall
+// back to AppendFloat. TestAppendFixedMatchesAppendFloat pins it.
+func appendFixed(buf []byte, x float64, prec int) []byte {
+	bits := math.Float64bits(x)
+	exp := int(bits>>52) & 0x7ff
+	if bits>>63 != 0 || exp >= 1075 || prec < 1 || prec > 3 {
+		return strconv.AppendFloat(buf, x, 'f', prec, 64)
+	}
+	var q uint64 // x·10^prec, rounded
+	if e := exp - 1075; e > -64 {
+		n := (bits&(1<<52-1) | 1<<52) * pow10[prec]
+		s := uint(-e)
+		q = n >> s
+		r, half := n&(1<<s-1), uint64(1)<<(s-1)
+		if r > half || r == half && q&1 == 1 {
+			q++
+		}
+	}
+	buf = strconv.AppendUint(buf, q/pow10[prec], 10)
+	buf = append(buf, '.')
+	buf = append(buf, "000"[:prec]...)
+	for i, f := len(buf)-1, q%pow10[prec]; f > 0; i, f = i-1, f/10 {
+		buf[i] = byte('0' + f%10)
+	}
 	return buf
 }
 
@@ -230,18 +339,12 @@ func appendJSONString(buf []byte, s string) []byte {
 
 // kindFromString inverts Kind.String for trace file parsing.
 func kindFromString(s string) (Kind, error) {
-	for k := QuerySubmit; k <= QueryRerouted; k++ {
-		if k.String() == s {
-			return k, nil
+	for k, name := range kindNames {
+		if name == s {
+			return Kind(k), nil
 		}
 	}
 	return 0, fmt.Errorf("trace: unknown event kind %q", s)
-}
-
-// TraceFile is a parsed JSONL export.
-type TraceFile struct {
-	Meta   Meta
-	Events []Event
 }
 
 // ClassByID returns the class metadata for id, or nil.
@@ -254,31 +357,14 @@ func (m Meta) ClassByID(id int) *ClassMeta {
 	return nil
 }
 
-// ClassByID returns the class metadata for id, or nil.
-func (f *TraceFile) ClassByID(id int) *ClassMeta { return f.Meta.ClassByID(id) }
-
-// ReadJSONL parses a trace exported by StreamJSONL. Gzip-compressed
-// exports (written through a .jsonl.gz sink) are detected by their magic
-// bytes and decompressed transparently. The meta line must come first;
-// unknown line types are rejected (the format is versioned, not
-// open-ended). Corrupt or truncated input yields an error, never a
-// panic.
-func ReadJSONL(r io.Reader) (*TraceFile, error) {
-	var f TraceFile
-	err := ScanJSONL(r,
-		func(m Meta) error { f.Meta = m; return nil },
-		func(e Event) error { f.Events = append(f.Events, e); return nil })
-	if err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
 // ScanJSONL streams a trace exported by StreamJSONL without retaining
 // it: the meta line (which must come first) is passed to onMeta, then
-// every event is passed to onEvent in file order. Format handling
-// matches ReadJSONL — gzip is detected and decompressed, corrupt input
-// yields an error — but memory stays constant no matter how large the
+// every event is passed to onEvent in file order, its annotation in
+// Detail as written. Gzip-compressed exports (written through a
+// .jsonl.gz sink) are detected by their magic bytes and decompressed
+// transparently. Unknown line types are rejected (the format is
+// versioned, not open-ended); corrupt or truncated input yields an
+// error, never a panic. Memory stays constant no matter how large the
 // trace is. A callback error aborts the scan and is returned verbatim.
 func ScanJSONL(r io.Reader, onMeta func(Meta) error, onEvent func(Event) error) error {
 	br := bufio.NewReader(r)

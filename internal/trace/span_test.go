@@ -9,12 +9,13 @@ import (
 )
 
 func TestPeriodAndPlanStamping(t *testing.T) {
-	tr := New(16)
+	tr, buf := streamed(t)
 	tr.SetPeriodMapper(func(at simclock.Time) int { return int(at) / 100 })
 	tr.Emit(Event{Time: 50, Kind: QuerySubmit, Query: 1})
 	tr.Emit(Event{Time: 150, Kind: PlanChanged})
 	tr.Emit(Event{Time: 250, Kind: QueryDone, Query: 1})
-	ev := tr.Events()
+	tr.Flush()
+	_, ev := scanEvents(t, buf.Bytes())
 	if ev[0].Period != 0 || ev[1].Period != 1 || ev[2].Period != 2 {
 		t.Fatalf("periods = %d,%d,%d", ev[0].Period, ev[1].Period, ev[2].Period)
 	}
@@ -28,7 +29,7 @@ func TestPeriodAndPlanStamping(t *testing.T) {
 
 func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	tr := New(2) // smaller than the event count: export must be lossless anyway
+	tr := New()
 	meta := Meta{Experiment: "fig6", Seed: 7, PeriodSeconds: 100, Periods: 3,
 		Classes: []ClassMeta{{ID: 1, Name: "Class 1", Kind: "olap", Goal: "velocity >= 0.40", Target: 0.4}}}
 	if err := tr.StreamJSONL(&buf, meta); err != nil {
@@ -42,38 +43,32 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := tr.SinkErr(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 2 {
-		t.Fatalf("ring retained %d, want 2", tr.Len())
-	}
 
-	f, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	gotMeta, events := scanEvents(t, buf.Bytes())
+	if gotMeta.Version != FormatVersion || gotMeta.Experiment != "fig6" || gotMeta.Seed != 7 {
+		t.Fatalf("meta = %+v", gotMeta)
 	}
-	if f.Meta.Version != FormatVersion || f.Meta.Experiment != "fig6" || f.Meta.Seed != 7 {
-		t.Fatalf("meta = %+v", f.Meta)
-	}
-	if c := f.ClassByID(1); c == nil || c.Name != "Class 1" || c.Target != 0.4 {
+	if c := gotMeta.ClassByID(1); c == nil || c.Name != "Class 1" || c.Target != 0.4 {
 		t.Fatalf("class meta = %+v", c)
 	}
-	if len(f.Events) != 4 {
-		t.Fatalf("%d events exported, want 4 (lossless)", len(f.Events))
+	if len(events) != 4 {
+		t.Fatalf("%d events exported, want 4 (lossless)", len(events))
 	}
-	e := f.Events[0]
+	e := events[0]
 	if e.Seq != 1 || e.Time != 10 || e.Kind != QuerySubmit || e.Class != 1 ||
 		e.Query != 5 || e.Client != 2 || e.Period != 0 || e.Plan != 0 ||
 		e.Value != 42.5 || e.Detail != "Q9" {
 		t.Fatalf("event[0] = %+v", e)
 	}
-	if f.Events[2].Plan != 1 || f.Events[2].Period != 1 {
-		t.Fatalf("event[2] = %+v", f.Events[2])
+	if events[2].Plan != 1 || events[2].Period != 1 {
+		t.Fatalf("event[2] = %+v", events[2])
 	}
 }
 
 func TestJSONLExportDeterministic(t *testing.T) {
 	run := func() string {
 		var buf bytes.Buffer
-		tr := New(8)
+		tr := New()
 		if err := tr.StreamJSONL(&buf, Meta{Experiment: "x", Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +91,9 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 		"empty":        "",
 	}
 	for name, in := range cases {
-		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
+		err := ScanJSONL(strings.NewReader(in),
+			func(Meta) error { return nil }, func(Event) error { return nil })
+		if err == nil {
 			t.Errorf("%s: no error", name)
 		}
 	}

@@ -1,16 +1,17 @@
-// Package trace records structured events from the engine, the patroller,
-// and the Query Scheduler into a bounded ring buffer — the observability
-// layer for debugging controller behaviour ("why was this query held for
-// four minutes?") without scattering print statements through the hot
-// paths. Tracing is strictly opt-in: nothing is recorded unless a Tracer
-// is attached.
+// Package trace records structured events from the engine, the
+// patroller, the router and the Query Scheduler and streams them, one
+// JSONL line each, to a sink — the observability layer for debugging
+// controller behaviour ("why was this query held for four minutes?")
+// without scattering print statements through the hot paths. Events
+// are batched and encoded at flush time, numbers and all, so a traced
+// query costs about what its bytes cost. Tracing is strictly opt-in:
+// nothing is recorded unless a Tracer is attached.
 package trace
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -41,38 +42,20 @@ const (
 	QueryRouted
 	// QueryRerouted is a failover re-dispatch: a query evacuated from a
 	// crashed backend landing on a survivor. Value carries the new
-	// backend (1-based); Detail names both ends ("backend=F->T").
+	// backend (1-based); its detail names both ends ("backend=F->T").
 	QueryRerouted
 )
 
+// kindNames are the kinds' names in the JSONL format.
+var kindNames = [numKinds]string{"submit", "start", "done", "intercept",
+	"release", "plan", "shift", "abort", "retry", "route", "reroute"}
+
 func (k Kind) String() string {
-	switch k {
-	case QuerySubmit:
-		return "submit"
-	case QueryStart:
-		return "start"
-	case QueryDone:
-		return "done"
-	case QueryIntercepted:
-		return "intercept"
-	case QueryReleased:
-		return "release"
-	case PlanChanged:
-		return "plan"
-	case WorkloadShift:
-		return "shift"
-	case QueryAborted:
-		return "abort"
-	case QueryRetried:
-		return "retry"
-	case QueryRouted:
-		return "route"
-	case QueryRerouted:
-		return "reroute"
-	default:
-		//lint:ignore hotalloc unreachable for the known kinds emitted on the hot path
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if k >= 0 && int(k) < numKinds {
+		return kindNames[k]
 	}
+	//lint:ignore hotalloc unreachable for the known kinds emitted on the hot path
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Event is one recorded occurrence.
@@ -95,13 +78,20 @@ type Event struct {
 	// events, total plan utility for PlanChanged, signal value for
 	// WorkloadShift.
 	Value float64
-	// Detail is a short human-readable annotation.
+	// Detail is a short human-readable annotation: the template of a
+	// submit, start or intercept event and the limits of a plan change.
+	// An event read back from a file carries every annotation here, as
+	// written. A non-empty Detail is written verbatim.
 	Detail string
-}
-
-func (e Event) String() string {
-	return fmt.Sprintf("%10.2f %-9s class=%d query=%d client=%d value=%.2f %s",
-		e.Time, e.Kind, e.Class, e.Query, e.Client, e.Value, e.Detail)
+	// Num holds the numbers of an annotation the encoder formats when
+	// the line is written, for an event whose Detail is empty:
+	//
+	//	done          rt=Num[0]s exec=Num[1]s  (%.3f each)
+	//	release       waited=Num[0]s           (%.1f)
+	//	abort, retry  attempt=Num[0]
+	//	route         backend=Num[0]
+	//	reroute       backend=Num[0]->Num[1]
+	Num [2]float64
 }
 
 // numKinds sizes the dense per-kind counter array (kinds are small
@@ -113,14 +103,10 @@ const numKinds = int(QueryRerouted) + 1
 // fills, at clock boundaries, and before anything reads sink state.
 const traceBatchSize = 256
 
-// Tracer is a bounded in-memory event recorder. The zero value is not
-// usable; construct with New.
+// Tracer counts events and streams them to a JSONL sink. It keeps no
+// events itself: what a run emitted is read back from the sink.
 type Tracer struct {
-	cap       int
-	events    []Event
-	start     int // ring start index
 	seq       uint64
-	dropped   uint64
 	counts    [numKinds]uint64
 	farCounts map[Kind]uint64 // out-of-range kinds (never in normal runs)
 
@@ -131,27 +117,20 @@ type Tracer struct {
 	sinkErr   error                   // first sink write error, latched
 	sinkBytes int64                   // bytes written to the sink so far
 
-	pending   []Event // events awaiting JSONL encoding (batched dispatch)
-	scratch   []byte  // reused JSONL line-encoding buffer
-	detailBuf []byte  // reused annotation-formatting buffer
+	pending []Event     // events awaiting JSONL encoding (batched dispatch)
+	enc     lineEncoder // encodes a flushed batch into one buffer
 }
 
-// New returns a tracer retaining the most recent capacity events.
-func New(capacity int) *Tracer {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("trace: non-positive capacity %d", capacity))
-	}
-	return &Tracer{cap: capacity}
-}
+// New returns a tracer with no sink attached.
+func New() *Tracer { return &Tracer{} }
 
 // SetPeriodMapper installs the schedule's time→period function; every
 // subsequent event is stamped with its 0-based period.
 func (t *Tracer) SetPeriodMapper(f func(simclock.Time) int) { t.periodOf = f }
 
-// Emit records an event, evicting the oldest when full. The tracer
-// stamps Seq, Period (when a mapper is installed), and Plan; a
-// PlanChanged event bumps the plan version before being stamped, so it
-// carries the version it introduces.
+// Emit records an event. The tracer stamps Seq, Period (when a mapper
+// is installed), and Plan; a PlanChanged event bumps the plan version
+// before being stamped, so it carries the version it introduces.
 //
 //qlint:hotpath
 func (t *Tracer) Emit(e Event) {
@@ -179,52 +158,35 @@ func (t *Tracer) Emit(e Event) {
 			t.Flush()
 		}
 	}
-	if len(t.events) < t.cap {
-		t.events = append(t.events, e)
-		return
-	}
-	t.events[t.start] = e
-	t.start = (t.start + 1) % t.cap
-	t.dropped++
 }
 
-// Flush drains the batched events to the JSONL sink, encoding each line
-// into a reused scratch buffer. Lines are written one Write call at a
-// time because the rotating sink relies on whole-line writes. Emit calls
-// it when the batch buffer fills; SinkBytes/SinkErr (and therefore every
-// checkpoint capture and end-of-run export) force it, so no reader ever
-// observes sink state with events still buffered.
+// Flush encodes the batched events into one reused buffer and hands it
+// to the sink in a single Write (a rotating Sink splits it at line
+// boundaries itself). Emit calls it when the batch buffer fills;
+// SinkBytes/SinkErr (and therefore every checkpoint capture and
+// end-of-run export) force it, so no reader ever observes sink state
+// with events still buffered.
+//
+//qlint:hotpath
 func (t *Tracer) Flush() {
 	if len(t.pending) == 0 {
-		return
+		return // Emit batches only while the sink is attached and healthy
 	}
-	if t.sink == nil || t.sinkErr != nil {
-		t.pending = t.pending[:0]
-		return
-	}
+	buf := t.enc.buf[:0]
 	for i := range t.pending {
-		line := appendEventLine(t.scratch[:0], &t.pending[i])
-		t.scratch = line
-		n, err := t.sink.Write(line)
-		t.sinkBytes += int64(n)
-		if err != nil {
-			t.sinkErr = err
-			break
-		}
+		buf = t.enc.appendLine(buf, &t.pending[i])
 	}
+	t.enc.buf = buf
+	n, err := t.sink.Write(buf)
+	t.sinkBytes += int64(n)
+	t.sinkErr = err
 	t.pending = t.pending[:0]
 }
-
-// Len returns the number of retained events.
-func (t *Tracer) Len() int { return len(t.events) }
-
-// Dropped returns how many events were evicted from the ring.
-func (t *Tracer) Dropped() uint64 { return t.dropped }
 
 // Total returns how many events were ever emitted.
 func (t *Tracer) Total() uint64 { return t.seq }
 
-// CountByKind returns cumulative event counts (including evicted ones).
+// CountByKind returns cumulative event counts.
 func (t *Tracer) CountByKind() map[Kind]uint64 {
 	out := make(map[Kind]uint64, numKinds)
 	for k, v := range t.counts {
@@ -236,80 +198,6 @@ func (t *Tracer) CountByKind() map[Kind]uint64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Events returns the retained events in emission order.
-func (t *Tracer) Events() []Event {
-	out := make([]Event, 0, len(t.events))
-	for i := 0; i < len(t.events); i++ {
-		out = append(out, t.events[(t.start+i)%len(t.events)])
-	}
-	return out
-}
-
-// Filter returns the retained events satisfying pred, in order.
-func (t *Tracer) Filter(pred func(Event) bool) []Event {
-	var out []Event
-	for _, e := range t.Events() {
-		if pred(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// QueryHistory returns every retained event of one query — its lifecycle
-// as seen by the tracer.
-func (t *Tracer) QueryHistory(id engine.QueryID) []Event {
-	return t.Filter(func(e Event) bool { return e.Query == id })
-}
-
-// WriteTo renders up to max retained events (0 = all).
-func (t *Tracer) WriteTo(w io.Writer, max int) {
-	events := t.Events()
-	if max > 0 && len(events) > max {
-		events = events[len(events)-max:]
-	}
-	for _, e := range events {
-		fmt.Fprintln(w, e)
-	}
-	if t.dropped > 0 {
-		fmt.Fprintf(w, "(%d earlier events evicted)\n", t.dropped)
-	}
-}
-
-// The detail* helpers format the per-event annotations through a reused
-// scratch buffer instead of fmt: strconv.AppendFloat with the same verb
-// precision produces byte-identical text, and only the final string
-// conversion allocates. They render exactly "rt=%.3fs exec=%.3fs",
-// "attempt=%d", and "waited=%.1fs".
-
-//qlint:hotpath
-func (t *Tracer) detailRT(rt, exec float64) string {
-	b := append(t.detailBuf[:0], "rt="...)
-	b = strconv.AppendFloat(b, rt, 'f', 3, 64)
-	b = append(b, "s exec="...)
-	b = strconv.AppendFloat(b, exec, 'f', 3, 64)
-	b = append(b, 's')
-	t.detailBuf = b
-	return string(b)
-}
-
-//qlint:hotpath
-func (t *Tracer) detailAttempt(attempt int) string {
-	b := append(t.detailBuf[:0], "attempt="...)
-	b = strconv.AppendInt(b, int64(attempt), 10)
-	t.detailBuf = b
-	return string(b)
-}
-
-//qlint:hotpath
-func (t *Tracer) detailWaited(w float64) string {
-	b := append(t.detailBuf[:0], "waited="...)
-	b = strconv.AppendFloat(b, w, 'f', 1, 64)
-	b = append(b, 's')
-	t.detailBuf = b
-	return string(b)
 }
 
 // AttachEngine records submit/start/done events from an engine. Start
@@ -334,12 +222,12 @@ func AttachEngine(t *Tracer, eng *engine.Engine) {
 		}
 		t.Emit(Event{Time: clock.Now(), Kind: QueryDone, Class: q.Class,
 			Query: q.ID, Client: q.Client, Value: q.Cost,
-			Detail: t.detailRT(q.ResponseTime(), q.ExecutionTime())})
+			Num: [2]float64{q.ResponseTime(), q.ExecutionTime()}})
 	})
 	eng.OnAbort(func(q *engine.Query) {
 		t.Emit(Event{Time: clock.Now(), Kind: QueryAborted, Class: q.Class,
 			Query: q.ID, Client: q.Client, Value: q.Cost,
-			Detail: t.detailAttempt(q.Attempt)})
+			Num: [2]float64{float64(q.Attempt)}})
 	})
 }
 
@@ -359,9 +247,10 @@ func AttachPatroller(t *Tracer, pat *patroller.Patroller, clock *simclock.Clock)
 		if prevRelease != nil {
 			prevRelease(qi)
 		}
-		t.Emit(Event{Time: clock.Now(), Kind: QueryReleased, Class: qi.Class,
+		now := clock.Now()
+		t.Emit(Event{Time: now, Kind: QueryReleased, Class: qi.Class,
 			Query: qi.ID, Client: qi.Client, Value: qi.Cost,
-			Detail: t.detailWaited(qi.WaitTime(clock.Now()))})
+			Num: [2]float64{qi.WaitTime(now)}})
 	}
 	prevRetry := pat.OnRetry
 	pat.OnRetry = func(qi *patroller.QueryInfo) {
@@ -370,44 +259,32 @@ func AttachPatroller(t *Tracer, pat *patroller.Patroller, clock *simclock.Clock)
 		}
 		t.Emit(Event{Time: clock.Now(), Kind: QueryRetried, Class: qi.Class,
 			Query: qi.ID, Client: qi.Client, Value: qi.Cost,
-			Detail: t.detailAttempt(qi.Attempt)})
+			Num: [2]float64{float64(qi.Attempt)}})
 	}
 }
 
-// AttachRouter records one QueryRouted event per submitted query: the
-// chosen backend's 1-based ID in Value, "backend=N" in Detail. The
+// AttachRouter records one QueryRouted event per submitted query, with
+// the chosen backend's 1-based ID in Value and "backend=N" as its
+// detail, and one QueryRerouted event per failover re-dispatch. The
 // router fires its hook after the backend's engine assigned the query
 // ID, so route events correlate with the rest of the lifecycle.
 func AttachRouter(t *Tracer, r *router.Router, clock *simclock.Clock) {
-	r.OnRoute(func(q *engine.Query, d router.Decision) {
-		t.Emit(Event{Time: clock.Now(), Kind: QueryRouted, Class: q.Class,
-			Query: q.ID, Client: q.Client, Value: float64(d.Backend),
-			Detail: t.detailBackend(d.Backend)})
-	})
+	r.OnRoute(func(q *engine.Query, d router.Decision) { t.route(clock.Now(), q, d.Backend) })
 	r.OnReroute(func(q *engine.Query, from, to int) {
 		t.Emit(Event{Time: clock.Now(), Kind: QueryRerouted, Class: q.Class,
 			Query: q.ID, Client: q.Client, Value: float64(to),
-			Detail: t.detailReroute(from, to)})
+			Num: [2]float64{float64(from), float64(to)}})
 	})
 }
 
+// route emits one routing decision: once per submitted query of a
+// fleet run.
+//
 //qlint:hotpath
-func (t *Tracer) detailBackend(b int) string {
-	buf := append(t.detailBuf[:0], "backend="...)
-	buf = strconv.AppendInt(buf, int64(b), 10)
-	t.detailBuf = buf
-	return string(buf)
-}
-
-// detailReroute renders a failover move — not hot-path: re-dispatches
-// happen once per evacuated query per crash, not per submitted query.
-func (t *Tracer) detailReroute(from, to int) string {
-	buf := append(t.detailBuf[:0], "backend="...)
-	buf = strconv.AppendInt(buf, int64(from), 10)
-	buf = append(buf, "->"...)
-	buf = strconv.AppendInt(buf, int64(to), 10)
-	t.detailBuf = buf
-	return string(buf)
+func (t *Tracer) route(at simclock.Time, q *engine.Query, backend int) {
+	b := float64(backend)
+	t.Emit(Event{Time: at, Kind: QueryRouted, Class: q.Class,
+		Query: q.ID, Client: q.Client, Value: b, Num: [2]float64{b}})
 }
 
 // AttachScheduler records PlanChanged events from the Query Scheduler's

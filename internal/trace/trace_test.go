@@ -1,7 +1,8 @@
 package trace
 
 import (
-	"strings"
+	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
@@ -9,14 +10,27 @@ import (
 	"repro/internal/simclock"
 )
 
+// streamed returns a tracer streaming into a buffer; scanEvents reads
+// the buffer back once the tracer is flushed.
+func streamed(t *testing.T) (*Tracer, *bytes.Buffer) {
+	t.Helper()
+	var buf bytes.Buffer
+	tr := New()
+	if err := tr.StreamJSONL(&buf, Meta{Experiment: "test"}); err != nil {
+		t.Fatal(err)
+	}
+	return tr, &buf
+}
+
 func TestEmitAndOrder(t *testing.T) {
-	tr := New(10)
+	tr, buf := streamed(t)
 	for i := 0; i < 5; i++ {
 		tr.Emit(Event{Time: float64(i), Kind: QuerySubmit})
 	}
-	events := tr.Events()
+	tr.Flush()
+	_, events := scanEvents(t, buf.Bytes())
 	if len(events) != 5 {
-		t.Fatalf("Len = %d", len(events))
+		t.Fatalf("%d events streamed, want 5", len(events))
 	}
 	for i, e := range events {
 		if e.Time != float64(i) {
@@ -28,86 +42,46 @@ func TestEmitAndOrder(t *testing.T) {
 	}
 }
 
-func TestRingEviction(t *testing.T) {
-	tr := New(3)
-	for i := 0; i < 7; i++ {
-		tr.Emit(Event{Time: float64(i)})
+// TestTotalCountsEveryEvent: Total counts every emitted event, the sink
+// carries every one of them, batch boundaries included.
+func TestTotalCountsEveryEvent(t *testing.T) {
+	tr, buf := streamed(t)
+	n := 3*traceBatchSize + 7
+	for i := 0; i < n; i++ {
+		tr.Emit(Event{Time: float64(i), Kind: QueryStart})
 	}
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d, want capacity 3", tr.Len())
+	if tr.Total() != uint64(n) {
+		t.Fatalf("Total = %d, want %d", tr.Total(), n)
 	}
-	if tr.Dropped() != 4 {
-		t.Fatalf("Dropped = %d, want 4", tr.Dropped())
-	}
-	if tr.Total() != 7 {
-		t.Fatalf("Total = %d", tr.Total())
-	}
-	events := tr.Events()
-	want := []float64{4, 5, 6}
-	for i, e := range events {
-		if e.Time != want[i] {
-			t.Fatalf("retained %v, want last three", events)
-		}
+	tr.Flush()
+	_, events := scanEvents(t, buf.Bytes())
+	if len(events) != n || events[n-1].Seq != uint64(n) {
+		t.Fatalf("%d events streamed, last %+v; want %d", len(events), events[len(events)-1], n)
 	}
 }
 
-func TestCountsSurviveEviction(t *testing.T) {
-	tr := New(2)
+// TestCountByKindMatchesStream: the per-kind counters agree with the
+// events the sink received.
+func TestCountByKindMatchesStream(t *testing.T) {
+	tr, buf := streamed(t)
 	for i := 0; i < 5; i++ {
 		tr.Emit(Event{Kind: QuerySubmit})
 	}
 	tr.Emit(Event{Kind: QueryDone})
+	tr.Emit(Event{Kind: QueryRerouted, Num: [2]float64{1, 2}})
 	counts := tr.CountByKind()
-	if counts[QuerySubmit] != 5 || counts[QueryDone] != 1 {
+	if counts[QuerySubmit] != 5 || counts[QueryDone] != 1 || counts[QueryRerouted] != 1 || len(counts) != 3 {
 		t.Fatalf("counts = %v", counts)
 	}
-}
-
-func TestFilterAndQueryHistory(t *testing.T) {
-	tr := New(16)
-	tr.Emit(Event{Kind: QuerySubmit, Query: 1})
-	tr.Emit(Event{Kind: QuerySubmit, Query: 2})
-	tr.Emit(Event{Kind: QueryDone, Query: 1})
-	hist := tr.QueryHistory(1)
-	if len(hist) != 2 || hist[0].Kind != QuerySubmit || hist[1].Kind != QueryDone {
-		t.Fatalf("history = %v", hist)
+	tr.Flush()
+	_, events := scanEvents(t, buf.Bytes())
+	scanned := make(map[Kind]uint64)
+	for _, e := range events {
+		scanned[e.Kind]++
 	}
-	dones := tr.Filter(func(e Event) bool { return e.Kind == QueryDone })
-	if len(dones) != 1 {
-		t.Fatalf("filter = %v", dones)
+	if !reflect.DeepEqual(scanned, counts) {
+		t.Fatalf("stream counts %v, CountByKind %v", scanned, counts)
 	}
-}
-
-func TestWriteTo(t *testing.T) {
-	tr := New(2)
-	tr.Emit(Event{Time: 1, Kind: QuerySubmit, Detail: "alpha"})
-	tr.Emit(Event{Time: 2, Kind: QueryDone, Detail: "beta"})
-	tr.Emit(Event{Time: 3, Kind: QueryDone, Detail: "gamma"})
-	var b strings.Builder
-	tr.WriteTo(&b, 0)
-	out := b.String()
-	if strings.Contains(out, "alpha") {
-		t.Fatal("evicted event rendered")
-	}
-	for _, want := range []string{"beta", "gamma", "evicted"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-	b.Reset()
-	tr.WriteTo(&b, 1)
-	if strings.Contains(b.String(), "beta") {
-		t.Fatal("max limit ignored")
-	}
-}
-
-func TestInvalidCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("capacity 0 did not panic")
-		}
-	}()
-	New(0)
 }
 
 func TestKindStrings(t *testing.T) {
@@ -126,13 +100,14 @@ func TestKindStrings(t *testing.T) {
 func TestAttachEngineRecordsLifecycle(t *testing.T) {
 	clock := simclock.New()
 	eng := engine.New(engine.Config{CPUCapacity: 10, IOCapacity: 10}, clock)
-	tr := New(64)
+	tr, buf := streamed(t)
 	AttachEngine(tr, eng)
 	q := &engine.Query{Class: 2, Client: 7, Cost: 42, Template: "Q1",
 		Demand: engine.Demand{Work: 1, CPURate: 1}}
 	eng.Submit(q)
 	clock.Run()
-	events := tr.Events()
+	tr.Flush()
+	_, events := scanEvents(t, buf.Bytes())
 	if len(events) != 3 {
 		t.Fatalf("%d events, want submit+start+done", len(events))
 	}
@@ -142,7 +117,7 @@ func TestAttachEngineRecordsLifecycle(t *testing.T) {
 	if events[1].Kind != QueryStart || events[1].Query != events[0].Query {
 		t.Fatalf("start event = %+v", events[1])
 	}
-	if events[2].Kind != QueryDone || !strings.Contains(events[2].Detail, "rt=") {
+	if events[2].Kind != QueryDone || events[2].Detail != "rt=1.000s exec=1.000s" {
 		t.Fatalf("done event = %+v", events[2])
 	}
 }
@@ -153,7 +128,7 @@ func TestAttachPatrollerChainsHooks(t *testing.T) {
 	pat := patroller.New(eng, 1)
 	prior := 0
 	pat.OnArrival = func(*patroller.QueryInfo) { prior++ }
-	tr := New(64)
+	tr := New()
 	AttachPatroller(tr, pat, clock)
 	pat.SetPolicy(patroller.SystemLimit{Limit: 1000})
 
