@@ -9,9 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/decisionlog"
-	"repro/internal/engine"
 	"repro/internal/simclock"
-	"repro/internal/solver"
 )
 
 // TestMain lets the test binary impersonate the CLI: with QREPORT_MAIN=1
@@ -63,10 +61,9 @@ func writeDecisions(t *testing.T) string {
 		dw.Note(core.PlanRecord{
 			Time: simclock.Time(tick),
 			Measurement: core.Measurement{
-				Velocity:        map[engine.ClassID]float64{1: 0.5},
-				VelocitySamples: map[engine.ClassID]int{1: 5},
+				Classes: []core.ClassMeasurement{{ID: 1, Managed: true, Velocity: 0.5, VelocitySamples: 5}},
 			},
-			Limits: solver.Plan{1: 20000},
+			Classes: []core.ClassPlan{{ID: 1, Limit: 20000}},
 		})
 	}
 	dw.Flush()

@@ -124,7 +124,8 @@ func perPeriodLimits(qs *core.QueryScheduler, sched workload.Schedule,
 	for _, rec := range qs.History() {
 		p := sched.PeriodAt(rec.Time)
 		for i, c := range classes {
-			out[i][p] += rec.Limits[c.ID]
+			row, _ := rec.Class(c.ID)
+			out[i][p] += row.Limit
 			counts[i][p]++
 		}
 	}

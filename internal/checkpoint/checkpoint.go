@@ -37,12 +37,14 @@ import (
 )
 
 // Version identifies the container format together with the payload
-// layout its callers encode. Version 5 records a run by its
+// layout its callers encode. Version 6 records a run by its
 // configuration, a boundary, the export offsets and a state digest, and
-// the run is resumed by re-simulating to that boundary; versions 1–4
-// stored every component's state. Files of earlier versions are
-// rejected, not migrated.
-const Version = 5
+// the run is resumed by re-simulating to that boundary; a terminal
+// checkpoint's stored result carries the plan history as per-class rows.
+// Version 5 had the same layout with the plan history as per-class maps;
+// versions 1–4 stored every component's state. Files of earlier
+// versions are rejected, not migrated.
+const Version = 6
 
 // versionError reports a checkpoint written in another format version.
 type versionError struct {

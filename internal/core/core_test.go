@@ -101,6 +101,20 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(DefaultConfig(), eng, pat, nil, clients); err == nil {
 		t.Fatal("empty class list accepted")
 	}
+
+	// A class listed twice, and a class of no known kind: a plan has one
+	// row per class, so neither has a row to plan.
+	eng5 := engine.New(engine.DefaultConfig(), simclock.New())
+	pat5 := patroller.New(eng5, 1, 2)
+	twice := append(append([]*workload.Class{}, classes...), classes[0])
+	if _, err := New(DefaultConfig(), eng5, pat5, twice, clients); err == nil {
+		t.Fatal("duplicate class accepted")
+	}
+	odd := append(append([]*workload.Class{}, classes...),
+		&workload.Class{ID: 5, Kind: workload.Kind(7), Goal: workload.Goal{Metric: workload.Velocity, Target: 0.5}, Importance: 1})
+	if _, err := New(DefaultConfig(), eng5, pat5, odd, clients); err == nil {
+		t.Fatal("class of unknown kind accepted")
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -242,12 +256,12 @@ func TestPlanAlwaysSumsToSystemLimit(t *testing.T) {
 		t.Fatalf("only %d control intervals recorded", len(hist))
 	}
 	for _, rec := range hist {
-		if math.Abs(rec.Limits.Sum()-10000) > 1e-6 {
-			t.Fatalf("plan sum %v != system limit", rec.Limits.Sum())
+		if math.Abs(limitSum(rec)-10000) > 1e-6 {
+			t.Fatalf("plan sum %v != system limit", limitSum(rec))
 		}
-		for id, v := range rec.Limits {
-			if v < 0 {
-				t.Fatalf("negative limit for class %d: %v", id, v)
+		for _, row := range rec.Classes {
+			if row.Limit < 0 {
+				t.Fatalf("negative limit for class %d: %v", row.ID, row.Limit)
 			}
 		}
 	}
@@ -279,11 +293,11 @@ func TestViolatedOLTPGainsVirtualLimit(t *testing.T) {
 	last := hist[len(hist)-1]
 	// OLTP (class 3) is violating badly; the planner should assign it
 	// the lion's share of the virtual budget, squeezing OLAP to minimums.
-	if last.Limits[3] < 8000 {
-		t.Fatalf("violated OLTP limit = %v, want most of the budget (plan %v)", last.Limits[3], last.Limits)
+	if limit(last, 3) < 8000 {
+		t.Fatalf("violated OLTP limit = %v, want most of the budget (plan %v)", limit(last, 3), last.Classes)
 	}
-	if last.Limits[1] > 1500 || last.Limits[2] > 1500 {
-		t.Fatalf("idle OLAP classes keep %v", last.Limits)
+	if limit(last, 1) > 1500 || limit(last, 2) > 1500 {
+		t.Fatalf("idle OLAP classes keep %v", last.Classes)
 	}
 	// The measurement should reflect the saturated RT (~2s with two
 	// CPU-bound 1s queries sharing the box... actually 2 CPUs, so ~1s).
@@ -301,8 +315,8 @@ func TestIdleClassesMeasureVelocityOne(t *testing.T) {
 	r.clock.RunUntil(120)
 	hist := r.qs.History()
 	for _, rec := range hist {
-		if rec.Measurement.Velocity[1] != 1 || rec.Measurement.Velocity[2] != 1 {
-			t.Fatalf("idle velocity = %v", rec.Measurement.Velocity)
+		if measured(rec, 1).Velocity != 1 || measured(rec, 2).Velocity != 1 {
+			t.Fatalf("idle velocity = %v", rec.Measurement.Classes)
 		}
 	}
 }
@@ -319,12 +333,12 @@ func TestVelocityMeasuredFromCompletions(t *testing.T) {
 	if len(hist) != 1 {
 		t.Fatalf("%d intervals", len(hist))
 	}
-	v := hist[0].Measurement.Velocity[1]
+	v := measured(hist[0], 1).Velocity
 	if v < 0.95 || v > 1 {
 		t.Fatalf("measured velocity = %v, want ~1", v)
 	}
-	if hist[0].Measurement.VelocitySamples[1] != 1 {
-		t.Fatalf("velocity samples = %v", hist[0].Measurement.VelocitySamples)
+	if measured(hist[0], 1).VelocitySamples != 1 {
+		t.Fatalf("velocity samples = %v", hist[0].Measurement.Classes)
 	}
 }
 
@@ -338,11 +352,11 @@ func TestInFlightVelocityFallback(t *testing.T) {
 	r.eng.Submit(q)
 	r.clock.RunUntil(101)
 	hist := r.qs.History()
-	v := hist[0].Measurement.Velocity[1]
+	v := measured(hist[0], 1).Velocity
 	if v < 0.9 {
 		t.Fatalf("in-flight velocity estimate = %v, want ~1 for a running query", v)
 	}
-	if hist[0].Measurement.VelocitySamples[1] != 0 {
+	if measured(hist[0], 1).VelocitySamples != 0 {
 		t.Fatal("in-flight estimate should report zero completion samples")
 	}
 }
@@ -356,7 +370,7 @@ func TestHeldQueryDragsInFlightVelocity(t *testing.T) {
 	q := olapQuery(1, 9000, 10000)
 	r.eng.Submit(q)
 	r.clock.RunUntil(101)
-	v := r.qs.History()[0].Measurement.Velocity[1]
+	v := measured(r.qs.History()[0], 1).Velocity
 	if v > 0.05 {
 		t.Fatalf("held-query velocity estimate = %v, want ~0", v)
 	}
@@ -421,7 +435,28 @@ func TestNoOLTPClassScheduler(t *testing.T) {
 	if len(hist) == 0 {
 		t.Fatal("no planning without OLTP class")
 	}
-	if math.Abs(hist[0].Limits.Sum()-10000) > 1e-6 {
+	if math.Abs(limitSum(hist[0])-10000) > 1e-6 {
 		t.Fatal("plan sum wrong without OLTP class")
 	}
+}
+
+// limit returns class id's limit in rec (0 when the record has no row).
+func limit(rec PlanRecord, id engine.ClassID) float64 {
+	row, _ := rec.Class(id)
+	return row.Limit
+}
+
+// limitSum totals rec's limits in row (class-ID) order.
+func limitSum(rec PlanRecord) float64 {
+	total := 0.0
+	for _, row := range rec.Classes {
+		total += row.Limit
+	}
+	return total
+}
+
+// measured returns class id's measurement row in rec.
+func measured(rec PlanRecord, id engine.ClassID) ClassMeasurement {
+	m, _ := rec.Measurement.Class(id)
+	return m
 }

@@ -38,10 +38,14 @@ func TestPlanRecordCarriesWorkloadCharacterization(t *testing.T) {
 		t.Fatal("no plan records")
 	}
 	last := hist[len(hist)-1]
-	if last.Workload == nil {
-		t.Fatal("plan record missing workload characterization")
+	if last.Held {
+		t.Fatal("last plan record held: no workload characterization")
 	}
-	char := last.Workload[1]
+	row, ok := last.Class(1)
+	if !ok {
+		t.Fatal("plan record missing class 1")
+	}
+	char := row.Workload
 	if char.Intervals == 0 {
 		t.Fatal("class 1 never characterized")
 	}
@@ -63,24 +67,27 @@ func TestMonitorCountsArrivalsAndPopulation(t *testing.T) {
 		r.eng.Submit(olapQuery(2, 500, 1e6)) // effectively never finish
 	}
 	r.clock.RunUntil(101)
-	meas := r.qs.History()[0].Measurement
-	if meas.Arrivals[2] != 3 {
-		t.Fatalf("arrivals = %v", meas.Arrivals)
+	m := measured(r.qs.History()[0], 2)
+	if !m.Managed || measured(r.qs.History()[0], 3).Managed {
+		t.Fatalf("managed flags: class 2 %v, OLTP class 3 %v", m.Managed, measured(r.qs.History()[0], 3).Managed)
 	}
-	if meas.Population[2] != 3 {
-		t.Fatalf("population = %v", meas.Population)
+	if m.Arrivals != 3 {
+		t.Fatalf("arrivals = %v", m.Arrivals)
 	}
-	if meas.ArrivalMeanCost[2] < 400 || meas.ArrivalMeanCost[2] > 600 {
-		t.Fatalf("mean arrival cost = %v", meas.ArrivalMeanCost[2])
+	if m.Population != 3 {
+		t.Fatalf("population = %v", m.Population)
+	}
+	if m.ArrivalMeanCost < 400 || m.ArrivalMeanCost > 600 {
+		t.Fatalf("mean arrival cost = %v", m.ArrivalMeanCost)
 	}
 	// Second interval: no new arrivals, population persists.
 	r.clock.RunUntil(201)
-	meas = r.qs.History()[1].Measurement
-	if meas.Arrivals[2] != 0 {
-		t.Fatalf("second-interval arrivals = %v", meas.Arrivals[2])
+	m = measured(r.qs.History()[1], 2)
+	if m.Arrivals != 0 {
+		t.Fatalf("second-interval arrivals = %v", m.Arrivals)
 	}
-	if meas.Population[2] != 3 {
-		t.Fatalf("second-interval population = %v", meas.Population[2])
+	if m.Population != 3 {
+		t.Fatalf("second-interval population = %v", m.Population)
 	}
 }
 
@@ -118,8 +125,8 @@ func TestFeedForwardSchedulerRuns(t *testing.T) {
 		t.Fatalf("only %d plans with feed-forward", len(hist))
 	}
 	for _, rec := range hist {
-		if rec.Limits.Sum() < 9999 {
-			t.Fatalf("plan sum %v broken under feed-forward", rec.Limits.Sum())
+		if limitSum(rec) < 9999 {
+			t.Fatalf("plan sum %v broken under feed-forward", limitSum(rec))
 		}
 	}
 }
@@ -149,8 +156,8 @@ func TestThroughputModelPathRuns(t *testing.T) {
 		t.Fatalf("control loop stalled under throughput model: %d plans", len(hist))
 	}
 	for _, rec := range hist {
-		if rec.Limits.Sum() < 9999 {
-			t.Fatalf("plan sum %v", rec.Limits.Sum())
+		if limitSum(rec) < 9999 {
+			t.Fatalf("plan sum %v", limitSum(rec))
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/utility"
@@ -20,19 +19,19 @@ func (qs *QueryScheduler) ExplainPlan(rec PlanRecord) string {
 	fmt.Fprintf(&b, "%-10s %10s %12s %10s %10s %9s %s\n",
 		"class", "limit", "measured", "goal", "utility", "pop", "notes")
 
-	classes := append([]*workload.Class{}, qs.classes...)
-	sort.Slice(classes, func(i, j int) bool { return classes[i].ID < classes[j].ID })
-	for _, c := range classes {
+	for _, c := range qs.byID {
+		m, _ := rec.Measurement.Class(c.ID)
+		row, _ := rec.Class(c.ID)
 		var measured float64
 		var u utility.Function
 		var notes []string
 		switch c.Kind {
 		case workload.OLAP:
-			measured = rec.Measurement.Velocity[c.ID]
+			measured = m.Velocity
 			u = utility.NewVelocity(c.Goal.Target, c.Importance)
-			if rec.Measurement.Idle[c.ID] {
+			if m.Idle {
 				notes = append(notes, "idle")
-			} else if rec.Measurement.VelocitySamples[c.ID] == 0 {
+			} else if m.VelocitySamples == 0 {
 				notes = append(notes, "in-flight estimate")
 			}
 		case workload.OLTP:
@@ -44,12 +43,12 @@ func (qs *QueryScheduler) ExplainPlan(rec PlanRecord) string {
 		if !c.Goal.Met(measured) {
 			notes = append(notes, "VIOLATING")
 		}
-		if ch, ok := rec.Workload[c.ID]; ok && ch.Shifted {
+		if row.Workload.Shifted {
 			notes = append(notes, "workload shift detected")
 		}
 		fmt.Fprintf(&b, "%-10s %10.0f %12.3f %10s %10.3f %9.1f %s\n",
-			c.Name, rec.Limits[c.ID], measured, c.Goal,
-			u.Utility(measured), rec.Workload[c.ID].Population,
+			c.Name, row.Limit, measured, c.Goal,
+			u.Utility(measured), row.Workload.Population,
 			strings.Join(notes, ", "))
 	}
 	return b.String()

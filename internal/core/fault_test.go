@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/solver"
 )
 
 // fakeFaults drops every harvest inside [from, to) — a deterministic
@@ -22,28 +25,24 @@ func TestHistoryReturnsDeepCopies(t *testing.T) {
 	submitOLTPLoop(r, 61)
 	r.clock.RunUntil(5 * 60)
 
-	hist := r.qs.History()
-	if len(hist) == 0 {
+	want := r.qs.History()
+	if len(want) == 0 {
 		t.Fatal("no plans")
 	}
-	last := hist[len(hist)-1]
-	wantLimit := last.Limits[1]
-	wantVel := last.Measurement.Velocity[1]
+	wantLimit := r.qs.CostLimits()[1]
 
-	// A caller scribbling on the returned record must not reach the
-	// scheduler's live maps.
-	last.Limits[1] += 4242
-	last.Measurement.Velocity[1] = -1
-	if last.Predicted != nil {
-		last.Predicted[1] = -1
+	// A caller scribbling on every row of the returned records must not
+	// reach the scheduler's live rows — nor another caller's copy.
+	got := r.qs.History()
+	for i := range got {
+		scribble(&got[i])
 	}
-
-	again := r.qs.History()[len(hist)-1]
-	if again.Limits[1] != wantLimit {
-		t.Fatalf("live limits mutated through History: %v", again.Limits[1])
+	again := r.qs.History()
+	if !reflect.DeepEqual(again, want) {
+		t.Fatal("live history mutated through History")
 	}
-	if again.Measurement.Velocity[1] != wantVel {
-		t.Fatalf("live measurement mutated through History: %v", again.Measurement.Velocity[1])
+	if reflect.DeepEqual(got, want) {
+		t.Fatal("scribble left the returned copy unchanged")
 	}
 	if lim := r.qs.CostLimits()[1]; lim != wantLimit {
 		t.Fatalf("scheduler's working plan mutated: %v", lim)
@@ -52,26 +51,55 @@ func TestHistoryReturnsDeepCopies(t *testing.T) {
 
 func TestOnPlanHookReceivesDeepCopies(t *testing.T) {
 	r := newRig(t, nil)
-	var seen []PlanRecord
+	var seen []string
 	r.qs.OnPlan(func(rec PlanRecord) {
-		rec.Limits[1] = -99 // hostile hook: must not reach the scheduler
-		rec.Measurement.Velocity[1] = -99
-		seen = append(seen, rec)
+		seen = append(seen, fmt.Sprintf("%+v", rec))
+		scribble(&rec) // hostile hook: must not reach the scheduler
 	})
 	r.qs.Start()
 	driveOLAPLoop(r, 51, 1, 1000, 20)
+	submitOLTPLoop(r, 61)
 	r.clock.RunUntil(5 * 60)
-	if len(seen) == 0 {
-		t.Fatal("hook never fired")
+	hist := r.qs.History()
+	if len(seen) == 0 || len(seen) != len(hist) {
+		t.Fatalf("hook fired %d times for %d records", len(seen), len(hist))
 	}
-	for i, rec := range r.qs.History() {
-		if rec.Limits[1] == -99 || rec.Measurement.Velocity[1] == -99 {
-			t.Fatalf("record %d aliased into the hook's copy", i)
+	for i, rec := range hist {
+		if got := fmt.Sprintf("%+v", rec); got != seen[i] {
+			t.Fatalf("record %d aliased into the hook's copy:\n got %s\nwant %s", i, got, seen[i])
 		}
 	}
 	if r.qs.CostLimits()[1] == -99 {
 		t.Fatal("working plan aliased into the hook's copy")
 	}
+}
+
+// scribble overwrites every per-class row a record holds.
+func scribble(rec *PlanRecord) {
+	for i := range rec.Classes {
+		rec.Classes[i] = ClassPlan{ID: -99, Limit: -99, Predicted: -99,
+			Provenance: Provenance{Model: "scribbled"}, Attainment: -99, BurnRate: -99}
+	}
+	for i := range rec.Measurement.Classes {
+		rec.Measurement.Classes[i] = ClassMeasurement{ID: -99, Velocity: -99, Arrivals: -99}
+	}
+	for i := range rec.Search.Classes {
+		rec.Search.Classes[i] = solver.ClassSearch{ID: -99, Alloc: -99}
+	}
+}
+
+func TestPlanRecordCloneAllocs(t *testing.T) {
+	rec := PlanRecord{
+		Measurement: Measurement{Classes: make([]ClassMeasurement, 4)},
+		Classes:     make([]ClassPlan, 4),
+		Search:      solver.Search{Classes: make([]solver.ClassSearch, 4)},
+	}
+	var sink PlanRecord
+	allocs := testing.AllocsPerRun(100, func() { sink = rec.Clone() })
+	if allocs > 3 {
+		t.Fatalf("Clone of a 4-class record: %v allocs, want <= 3 (one per row slice)", allocs)
+	}
+	_ = sink
 }
 
 func TestBlockedClassRecoversWithinTwoTicks(t *testing.T) {
@@ -191,13 +219,16 @@ func TestDroppedHarvestHoldsPlan(t *testing.T) {
 			t.Fatal("first record held with nothing to hold")
 		}
 		prev := hist[i-1]
-		for id, lim := range rec.Limits {
-			if prev.Limits[id] != lim {
-				t.Fatalf("held record %d changed limit[%d]: %v -> %v", i, id, prev.Limits[id], lim)
-			}
+		if len(rec.Classes) != len(prev.Classes) {
+			t.Fatalf("held record %d has %d rows, previous %d", i, len(rec.Classes), len(prev.Classes))
 		}
-		if rec.Workload != nil || rec.Predicted != nil {
-			t.Fatalf("held record %d carries model state: %+v", i, rec)
+		for _, row := range rec.Classes {
+			if lim := limit(prev, row.ID); lim != row.Limit {
+				t.Fatalf("held record %d changed limit[%d]: %v -> %v", i, row.ID, lim, row.Limit)
+			}
+			if row != (ClassPlan{ID: row.ID, Limit: row.Limit}) {
+				t.Fatalf("held record %d carries model state: %+v", i, row)
+			}
 		}
 	}
 	if held == 0 {

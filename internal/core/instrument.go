@@ -9,7 +9,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"strconv"
 
 	"repro/internal/engine"
@@ -180,8 +179,9 @@ func (o *schedObs) noteHold(class engine.ClassID) {
 
 // noteTick records one control interval: the new plan's limits and
 // utility, plus the previous tick's prediction error now that the
-// interval it forecast has been measured.
-func (o *schedObs) noteTick(rec PlanRecord, prevPredicted map[engine.ClassID]float64) {
+// interval it forecast has been measured. prev is the previous record's
+// rows, nil when there was none or it was held (no prediction was made).
+func (o *schedObs) noteTick(rec PlanRecord, prev []ClassPlan) {
 	if o == nil {
 		return
 	}
@@ -189,49 +189,54 @@ func (o *schedObs) noteTick(rec PlanRecord, prevPredicted map[engine.ClassID]flo
 	if !rec.Held {
 		o.utility.Set(rec.Utility)
 	}
-	for _, id := range sortedClassIDs(rec.Limits) {
-		g, ok := o.limits[id]
+	for _, row := range rec.Classes {
+		g, ok := o.limits[row.ID]
 		if !ok {
 			g = o.reg.Gauge(MetricCostLimit,
-				"Current class cost limit in timerons.", classLabel(id))
-			o.limits[id] = g
+				"Current class cost limit in timerons.", classLabel(row.ID))
+			o.limits[row.ID] = g
 		}
-		g.Set(rec.Limits[id])
+		g.Set(row.Limit)
 	}
-	for _, id := range sortedClassIDs(prevPredicted) {
-		actual := rec.Measurement.Velocity[id]
-		if id == o.oltpID {
+	for _, p := range prev {
+		m, _ := rec.Measurement.Class(p.ID)
+		actual := m.Velocity
+		if p.ID == o.oltpID {
 			actual = rec.Measurement.OLTPRespTime
 		}
-		h, ok := o.predErr[id]
+		h, ok := o.predErr[p.ID]
 		if !ok {
 			h = o.reg.Histogram(MetricPredErr,
 				"Absolute error of the per-class performance prediction (velocity for OLAP, seconds for OLTP).",
-				obs.DefaultErrorBuckets(), classLabel(id))
-			o.predErr[id] = h
+				obs.DefaultErrorBuckets(), classLabel(p.ID))
+			o.predErr[p.ID] = h
 		}
-		h.Observe(math.Abs(prevPredicted[id] - actual))
+		h.Observe(math.Abs(p.Predicted - actual))
 	}
-	for _, id := range sortedClassIDs(rec.Attainment) {
-		g, ok := o.attainment[id]
+	if rec.Held {
+		// The degraded measurement was not folded into the SLO accounting.
+		return
+	}
+	for _, row := range rec.Classes {
+		g, ok := o.attainment[row.ID]
 		if !ok {
 			g = o.reg.Gauge(MetricAttainment,
-				"Fraction of measured control ticks in which the class met its goal.", classLabel(id))
-			o.attainment[id] = g
+				"Fraction of measured control ticks in which the class met its goal.", classLabel(row.ID))
+			o.attainment[row.ID] = g
 		}
-		g.Set(rec.Attainment[id])
+		g.Set(row.Attainment)
 	}
-	for _, id := range sortedClassIDs(rec.BurnRate) {
-		g, ok := o.burnRate[id]
+	for _, row := range rec.Classes {
+		g, ok := o.burnRate[row.ID]
 		if !ok {
 			g = o.reg.Gauge(MetricBurnRate,
 				"Error-budget burn rate over the sliding SLO window (1 = missing exactly at budget).",
-				classLabel(id))
-			o.burnRate[id] = g
+				classLabel(row.ID))
+			o.burnRate[row.ID] = g
 		}
-		g.Set(rec.BurnRate[id])
+		g.Set(row.BurnRate)
 	}
-	if !rec.Held && rec.Search.Infeasible {
+	if rec.Search.Infeasible {
 		o.infeasible.Inc()
 		c, ok := o.binding[rec.Search.Binding]
 		if !ok {
@@ -251,15 +256,4 @@ func (o *schedObs) notePlanHeld() {
 		return
 	}
 	o.held.Inc()
-}
-
-// sortedClassIDs returns m's keys in ascending order (deterministic map
-// iteration for instrument updates).
-func sortedClassIDs(m map[engine.ClassID]float64) []engine.ClassID {
-	ids := make([]engine.ClassID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

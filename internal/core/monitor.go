@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/patroller"
@@ -27,7 +27,6 @@ type monitor struct {
 	pat   *patroller.Patroller
 	clock *simclock.Clock
 
-	olapClasses []*workload.Class
 	oltpClass   *workload.Class
 	oltpClients func() []engine.ClientID
 
@@ -54,6 +53,11 @@ type monitor struct {
 	arrivalCost []stats.Summary
 	inflight    []int
 	tracked     []bool
+	// inflightN and inflightEst are harvest's per-slot scratch: in-flight
+	// managed queries and their progress-based velocity estimate, for
+	// classes with no completions this interval.
+	inflightN   []int
+	inflightEst []stats.Summary
 }
 
 func newMonitor(eng *engine.Engine, pat *patroller.Patroller, olap []*workload.Class,
@@ -63,7 +67,6 @@ func newMonitor(eng *engine.Engine, pat *patroller.Patroller, olap []*workload.C
 		eng:         eng,
 		pat:         pat,
 		clock:       eng.Clock(),
-		olapClasses: olap,
 		oltpClass:   oltp,
 		oltpClients: oltpClients,
 	}
@@ -98,6 +101,8 @@ func newMonitor(eng *engine.Engine, pat *patroller.Patroller, olap []*workload.C
 	m.arrivalCost = make([]stats.Summary, n)
 	m.inflight = make([]int, n)
 	m.tracked = make([]bool, n)
+	m.inflightN = make([]int, n)
+	m.inflightEst = make([]stats.Summary, n)
 	for _, c := range olap {
 		m.hasVel[c.ID-lo] = true
 		m.trackClass(c.ID)
@@ -105,7 +110,7 @@ func newMonitor(eng *engine.Engine, pat *patroller.Patroller, olap []*workload.C
 	if oltp != nil {
 		m.trackClass(oltp.ID)
 	}
-	sort.Slice(m.trackedIDs, func(i, j int) bool { return m.trackedIDs[i] < m.trackedIDs[j] })
+	slices.Sort(m.trackedIDs)
 	// Arrivals are observed at the engine (not the patroller) so the
 	// unintercepted OLTP class is characterized too.
 	eng.OnSubmit(func(q *engine.Query) {
@@ -197,31 +202,15 @@ func (m *monitor) sampleSnapshot() {
 // Measurement is what the monitor hands the planner each control interval.
 type Measurement struct {
 	Time simclock.Time
-	// Velocity holds each managed class's measured mean velocity.
-	Velocity map[engine.ClassID]float64
-	// VelocitySamples counts the completions behind each velocity (0
-	// means the value is an in-flight estimate or idle default).
-	VelocitySamples map[engine.ClassID]int
-	// Idle marks managed classes that had neither completions nor
-	// in-flight queries during the interval: no workload to speed up, so
-	// any cost limit yields ideal velocity.
-	Idle map[engine.ClassID]bool
+	// Classes holds one row per tracked class (managed OLAP classes and
+	// the OLTP class), sorted by class ID. Nil when Dropped.
+	Classes []ClassMeasurement
 	// OLTPRespTime is the OLTP class's mean response time over the
 	// interval's snapshot samples (sticky from the previous interval if
 	// no sample arrived).
 	OLTPRespTime float64
 	// OLTPSamples counts snapshot samples behind OLTPRespTime.
 	OLTPSamples int
-	// Arrivals counts the interval's submissions per tracked class —
-	// input to workload detection.
-	Arrivals map[engine.ClassID]int
-	// ArrivalMeanCost is the mean timeron cost of the interval's
-	// arrivals per class (0 when none arrived).
-	ArrivalMeanCost map[engine.ClassID]float64
-	// Population is the number of in-system (queued or executing)
-	// queries per class at harvest time — with zero-think-time clients,
-	// exactly the active client count. The detector's change signal.
-	Population map[engine.ClassID]int
 	// Dropped marks a harvest the fault injector swallowed whole: every
 	// value above is zeroed and the interval's raw data is lost.
 	Dropped bool
@@ -230,28 +219,50 @@ type Measurement struct {
 	OLTPDropout bool
 }
 
-// Clone returns a deep copy: the caller may hold or mutate it without
-// aliasing the monitor's (or the plan history's) internal maps.
-func (m Measurement) Clone() Measurement {
-	m.Velocity = cloneMap(m.Velocity)
-	m.VelocitySamples = cloneMap(m.VelocitySamples)
-	m.Idle = cloneMap(m.Idle)
-	m.Arrivals = cloneMap(m.Arrivals)
-	m.ArrivalMeanCost = cloneMap(m.ArrivalMeanCost)
-	m.Population = cloneMap(m.Population)
-	return m
+// ClassMeasurement is one tracked class's row of a Measurement.
+type ClassMeasurement struct {
+	ID engine.ClassID
+	// Velocity is a managed class's measured mean velocity.
+	Velocity float64
+	// VelocitySamples counts the completions behind Velocity (0 means
+	// the value is an in-flight estimate or idle default).
+	VelocitySamples int
+	// Arrivals counts the interval's submissions — input to workload
+	// detection.
+	Arrivals int
+	// ArrivalMeanCost is the mean timeron cost of the interval's
+	// arrivals (0 when none arrived).
+	ArrivalMeanCost float64
+	// Population is the number of in-system (queued or executing)
+	// queries at harvest time — with zero-think-time clients, exactly
+	// the active client count. The detector's change signal.
+	Population int
+	// Managed marks a managed (OLAP) class. Velocity, VelocitySamples
+	// and Idle are measured for managed classes only and stay zero on
+	// the OLTP row.
+	Managed bool
+	// Idle marks a managed class that had neither completions nor
+	// in-flight queries during the interval: no workload to speed up, so
+	// any cost limit yields ideal velocity.
+	Idle bool
 }
 
-// cloneMap copies a per-class map, preserving nil.
-func cloneMap[V any](m map[engine.ClassID]V) map[engine.ClassID]V {
-	if m == nil {
-		return nil
+// Class returns class id's row; false when the measurement has none (a
+// dropped harvest, or a class the monitor does not track).
+func (m Measurement) Class(id engine.ClassID) (ClassMeasurement, bool) {
+	for _, c := range m.Classes {
+		if c.ID == id {
+			return c, true
+		}
 	}
-	out := make(map[engine.ClassID]V, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	return ClassMeasurement{}, false
+}
+
+// Clone returns a deep copy: the caller may hold or mutate it without
+// aliasing the monitor's (or the plan history's) rows.
+func (m Measurement) Clone() Measurement {
+	m.Classes = slices.Clone(m.Classes)
+	return m
 }
 
 // harvest closes the current interval: it computes the measurement and
@@ -259,70 +270,69 @@ func cloneMap[V any](m map[engine.ClassID]V) map[engine.ClassID]V {
 // entirely: the windows still reset (the raw samples are gone) and the
 // planner receives a zeroed measurement flagged Dropped.
 func (m *monitor) harvest() Measurement {
-	if m.faults != nil && m.faults.DropHarvest(m.clock.Now()) {
-		meas := Measurement{
-			Time:            m.clock.Now(),
-			Dropped:         true,
-			Velocity:        make(map[engine.ClassID]float64),
-			VelocitySamples: make(map[engine.ClassID]int),
-			Idle:            make(map[engine.ClassID]bool),
-			Arrivals:        make(map[engine.ClassID]int),
-			ArrivalMeanCost: make(map[engine.ClassID]float64),
-			Population:      make(map[engine.ClassID]int),
-		}
-		m.resetWindows()
-		return meas
-	}
-	meas := Measurement{
-		Time:            m.clock.Now(),
-		Velocity:        make(map[engine.ClassID]float64),
-		VelocitySamples: make(map[engine.ClassID]int),
-		Idle:            make(map[engine.ClassID]bool),
-	}
-	// Index in-flight managed queries per class for fallback estimates.
-	// Failed rows are terminal, not in flight — a progress estimate from
-	// an aborted query would drag the class's velocity toward zero.
-	held := make(map[engine.ClassID][]*patroller.QueryInfo)
-	for _, qi := range m.pat.ControlTable() {
-		if qi.State != patroller.Completed && qi.State != patroller.Failed {
-			held[qi.Class] = append(held[qi.Class], qi)
-		}
-	}
 	now := m.clock.Now()
-	for _, c := range m.olapClasses {
-		w := &m.velWindow[c.ID-m.base]
-		switch {
-		case w.Count() > 0:
-			meas.Velocity[c.ID] = w.Mean()
-			meas.VelocitySamples[c.ID] = w.Count()
-		case len(held[c.ID]) > 0:
-			// No completions: estimate velocity from in-flight progress.
-			// A still-blocked query has velocity 0 so far; an executing
-			// one has exec/(wait+exec) so far.
-			var est stats.Summary
-			for _, qi := range held[c.ID] {
-				total := now - qi.SubmitTime
-				if total <= 0 {
-					continue
-				}
-				exec := 0.0
-				if qi.State == patroller.Running {
-					exec = now - qi.ReleaseTime
-				}
-				est.Add(exec / total)
-			}
-			if est.Count() > 0 {
-				meas.Velocity[c.ID] = est.Mean()
-			} else {
-				meas.Velocity[c.ID] = 1
-			}
-		default:
-			// Idle class: nothing to speed up; report the ideal and
-			// flag it so the planner knows the limit is irrelevant.
-			meas.Velocity[c.ID] = 1
-			meas.Idle[c.ID] = true
+	if m.faults != nil && m.faults.DropHarvest(now) {
+		m.resetWindows()
+		return Measurement{Time: now, Dropped: true}
+	}
+	meas := Measurement{Time: now}
+	// Fold in-flight managed queries of classes without completions into
+	// per-class progress estimates. Failed rows are terminal, not in
+	// flight — a progress estimate from an aborted query would drag the
+	// class's velocity toward zero. A still-blocked query has velocity 0
+	// so far; an executing one has exec/(wait+exec) so far.
+	for _, qi := range m.pat.ControlTable() {
+		s := int(qi.Class - m.base)
+		if qi.State == patroller.Completed || qi.State == patroller.Failed ||
+			s < 0 || s >= len(m.hasVel) || !m.hasVel[s] || m.velWindow[s].Count() > 0 {
+			continue
 		}
-		w.Reset()
+		m.inflightN[s]++
+		total := now - qi.SubmitTime
+		if total <= 0 {
+			continue
+		}
+		exec := 0.0
+		if qi.State == patroller.Running {
+			exec = now - qi.ReleaseTime
+		}
+		m.inflightEst[s].Add(exec / total)
+	}
+	meas.Classes = make([]ClassMeasurement, len(m.trackedIDs))
+	for i, id := range m.trackedIDs {
+		s := int(id - m.base)
+		row := &meas.Classes[i]
+		row.ID = id
+		if m.hasVel[s] {
+			row.Managed = true
+			w, est := &m.velWindow[s], &m.inflightEst[s]
+			switch {
+			case w.Count() > 0:
+				row.Velocity = w.Mean()
+				row.VelocitySamples = w.Count()
+			case m.inflightN[s] > 0:
+				// No completions: estimate velocity from in-flight progress.
+				row.Velocity = 1
+				if est.Count() > 0 {
+					row.Velocity = est.Mean()
+				}
+			default:
+				// Idle class: nothing to speed up; report the ideal and
+				// flag it so the planner knows the limit is irrelevant.
+				row.Velocity = 1
+				row.Idle = true
+			}
+			w.Reset()
+			est.Reset()
+			m.inflightN[s] = 0
+		}
+		row.Arrivals = m.arrivals[s]
+		row.Population = m.inflight[s]
+		if cs := &m.arrivalCost[s]; cs.Count() > 0 {
+			row.ArrivalMeanCost = cs.Mean()
+			cs.Reset()
+		}
+		m.arrivals[s] = 0
 	}
 	if m.oltpClass != nil {
 		if m.oltpResp.Count() > 0 {
@@ -334,19 +344,6 @@ func (m *monitor) harvest() Measurement {
 		m.oltpResp.Reset()
 	}
 	m.snapPolls, m.snapDropped = 0, 0
-	meas.Arrivals = make(map[engine.ClassID]int, len(m.trackedIDs))
-	meas.ArrivalMeanCost = make(map[engine.ClassID]float64, len(m.trackedIDs))
-	meas.Population = make(map[engine.ClassID]int, len(m.trackedIDs))
-	for _, cls := range m.trackedIDs {
-		s := int(cls - m.base)
-		meas.Arrivals[cls] = m.arrivals[s]
-		meas.Population[cls] = m.inflight[s]
-		if cs := &m.arrivalCost[s]; cs.Count() > 0 {
-			meas.ArrivalMeanCost[cls] = cs.Mean()
-			cs.Reset()
-		}
-		m.arrivals[s] = 0
-	}
 	return meas
 }
 

@@ -25,16 +25,16 @@ func TestUnreachableOLTPGoalDoesNotWedge(t *testing.T) {
 		t.Fatalf("control loop stalled: %d plans", len(hist))
 	}
 	last := hist[len(hist)-1]
-	if math.Abs(last.Limits.Sum()-10000) > 1e-6 {
-		t.Fatalf("plan sum %v", last.Limits.Sum())
+	if math.Abs(limitSum(last)-10000) > 1e-6 {
+		t.Fatalf("plan sum %v", limitSum(last))
 	}
 	// The violated important class holds the largest share. It does not
 	// necessarily take everything: with a physically hopeless goal the
 	// marginal utility of further resources vanishes (the prediction
 	// cannot reach the goal), so the solver rationally stops bidding —
 	// resources that cannot fix the SLO still serve the other classes.
-	if last.Limits[3] < last.Limits[1] || last.Limits[3] < last.Limits[2] {
-		t.Fatalf("starving class 3 not favored: %v", last.Limits)
+	if limit(last, 3) < limit(last, 1) || limit(last, 3) < limit(last, 2) {
+		t.Fatalf("starving class 3 not favored: %v", last.Classes)
 	}
 }
 
@@ -81,8 +81,8 @@ func TestSchedulerSurvivesClientlessIntervals(t *testing.T) {
 		t.Fatalf("%d plans over an idle hour", len(hist))
 	}
 	for _, rec := range hist {
-		if rec.Limits.Sum() < 9999 {
-			t.Fatalf("idle plan sum %v", rec.Limits.Sum())
+		if limitSum(rec) < 9999 {
+			t.Fatalf("idle plan sum %v", limitSum(rec))
 		}
 		if rec.Measurement.OLTPSamples != 0 {
 			t.Fatal("phantom OLTP samples while idle")

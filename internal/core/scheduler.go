@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/detect"
 	"repro/internal/engine"
@@ -35,36 +36,46 @@ func (TagClassifier) Classify(qi *patroller.QueryInfo) engine.ClassID { return q
 type PlanRecord struct {
 	Time        simclock.Time
 	Measurement Measurement
-	Limits      solver.Plan
 	Utility     float64
 	OLTPSlope   float64
-	// Workload holds the detector's characterization per class at
-	// planning time.
-	Workload map[engine.ClassID]detect.Characterization
-	// Predicted is the performance each class's model forecast for the
-	// coming interval at the chosen limits (velocity for OLAP classes,
-	// mean response time for the OLTP class). Comparing it against the
-	// next record's Measurement yields the model's prediction error.
-	Predicted map[engine.ClassID]float64
+	// Classes is the plan as a vector: one row per planned class, sorted
+	// by class ID, carrying the chosen limit and what the planner knew
+	// about the class when it chose it.
+	Classes []ClassPlan
 	// Held marks a degraded tick: the harvest (or the entire OLTP view)
 	// was fault-dropped and the planner kept the previous plan instead of
-	// feeding zeros to the models. Workload and Predicted are nil.
+	// feeding zeros to the models. Its rows carry only the held limits.
 	Held bool
 	// Search summarizes the Performance Solver's run for this tick —
 	// candidates considered, improving moves, runner-up utility, and the
 	// goal-feasibility analysis (infeasible plan, binding class).
 	// Zero-valued on held ticks and under non-introspecting solvers.
 	Search solver.Search
-	// Provenance records, per class, which performance model produced
-	// the prediction and the anchor it extrapolated from. Nil on held
-	// ticks.
-	Provenance map[engine.ClassID]Provenance
+}
+
+// ClassPlan is one class's row of a PlanRecord. Every field but ID and
+// Limit is zero on held ticks: the degraded measurement fed no model and
+// no SLO accounting.
+type ClassPlan struct {
+	ID engine.ClassID
+	// Limit is the class cost limit the plan actuates (the OLTP class's
+	// is virtual: it is not intercepted).
+	Limit float64
+	// Workload is the detector's characterization at planning time.
+	Workload detect.Characterization
+	// Predicted is the performance the class's model forecast for the
+	// coming interval at Limit (velocity for OLAP classes, mean response
+	// time for the OLTP class). Comparing it against the next record's
+	// Measurement yields the model's prediction error.
+	Predicted float64
+	// Provenance records which performance model produced Predicted and
+	// the anchor it extrapolated from.
+	Provenance Provenance
 	// Attainment and BurnRate carry the scheduler's SLO accounting after
 	// this tick's measurement folded in: the cumulative goal-attainment
-	// ratio and the error-budget burn rate over the sliding window, per
-	// class. Nil on held ticks (the degraded measurement is not folded).
-	Attainment map[engine.ClassID]float64
-	BurnRate   map[engine.ClassID]float64
+	// ratio and the error-budget burn rate over the sliding window.
+	Attainment float64
+	BurnRate   float64
 }
 
 // Provenance identifies the performance model behind one class's
@@ -80,17 +91,30 @@ type Provenance struct {
 // is the ideal velocity 1 at any limit.
 const ProvenanceIdle = "idle"
 
+// Class returns class id's row; false when the plan has none.
+func (r PlanRecord) Class(id engine.ClassID) (ClassPlan, bool) {
+	if i := planRow(r.Classes, id); i >= 0 {
+		return r.Classes[i], true
+	}
+	return ClassPlan{}, false
+}
+
+// planRow returns the index of class id's row, or -1.
+func planRow(rows []ClassPlan, id engine.ClassID) int {
+	for i := range rows {
+		if rows[i].ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
 // Clone returns a deep copy of the record; callers may hold or mutate it
-// without aliasing the scheduler's live maps.
+// without aliasing the scheduler's rows.
 func (r PlanRecord) Clone() PlanRecord {
 	r.Measurement = r.Measurement.Clone()
-	r.Limits = r.Limits.Clone()
-	r.Workload = cloneMap(r.Workload)
-	r.Predicted = cloneMap(r.Predicted)
+	r.Classes = slices.Clone(r.Classes)
 	r.Search = r.Search.Clone()
-	r.Provenance = cloneMap(r.Provenance)
-	r.Attainment = cloneMap(r.Attainment)
-	r.BurnRate = cloneMap(r.BurnRate)
 	return r
 }
 
@@ -106,6 +130,8 @@ type QueryScheduler struct {
 	classes     []*workload.Class
 	olapClasses []*workload.Class
 	oltpClass   *workload.Class
+	// byID is classes sorted by ID: the row order of every PlanRecord.
+	byID []*workload.Class
 
 	mon       *monitor
 	oltpModel *perfmodel.OLTPResponse
@@ -120,11 +146,10 @@ type QueryScheduler struct {
 
 	// SLO accounting, fed one observation per measured (non-held,
 	// non-dropped) control tick and surfaced through PlanRecord and the
-	// qs_slo_* metrics. All three maps are fully populated at
-	// construction; only their values mutate.
-	sloObserved map[engine.ClassID]int
-	sloMet      map[engine.ClassID]int
-	sloWin      map[engine.ClassID]*obs.SLOWindow
+	// qs_slo_* metrics. Indexed like byID.
+	sloObserved []int
+	sloMet      []int
+	sloWin      []*obs.SLOWindow
 	instr       *schedObs
 	running     bool
 	heldTicks   int // consecutive degraded ticks holding the plan
@@ -181,12 +206,22 @@ func New(cfg Config, eng *engine.Engine, pat *patroller.Patroller,
 				return nil, fmt.Errorf("core: OLTP class %d must not be intercepted (overhead)", c.ID)
 			}
 			qs.oltpClass = c
+		default:
+			return nil, fmt.Errorf("core: class %d has unknown kind %d", c.ID, c.Kind)
 		}
 	}
 	if qs.oltpClass != nil && oltpClients == nil {
 		return nil, fmt.Errorf("core: OLTP class present but no client source for snapshots")
 	}
-	sort.Slice(qs.olapClasses, func(i, j int) bool { return qs.olapClasses[i].ID < qs.olapClasses[j].ID })
+	byID := func(a, b *workload.Class) int { return cmp.Compare(a.ID, b.ID) }
+	slices.SortFunc(qs.olapClasses, byID)
+	qs.byID = slices.Clone(classes)
+	slices.SortFunc(qs.byID, byID)
+	for i := 1; i < len(qs.byID); i++ {
+		if qs.byID[i].ID == qs.byID[i-1].ID {
+			return nil, fmt.Errorf("core: duplicate class %d", qs.byID[i].ID)
+		}
+	}
 
 	lo, hi := classes[0].ID, classes[0].ID
 	for _, c := range classes {
@@ -201,13 +236,11 @@ func New(cfg Config, eng *engine.Engine, pat *patroller.Patroller,
 	qs.dispCost = make([]float64, int(hi-lo)+1)
 	qs.dispCount = make([]int, int(hi-lo)+1)
 
-	qs.sloObserved = make(map[engine.ClassID]int, len(classes))
-	qs.sloMet = make(map[engine.ClassID]int, len(classes))
-	qs.sloWin = make(map[engine.ClassID]*obs.SLOWindow, len(classes))
-	for _, c := range classes {
-		qs.sloObserved[c.ID] = 0
-		qs.sloMet[c.ID] = 0
-		qs.sloWin[c.ID] = obs.NewSLOWindow(cfg.SLOWindow)
+	qs.sloObserved = make([]int, len(classes))
+	qs.sloMet = make([]int, len(classes))
+	qs.sloWin = make([]*obs.SLOWindow, len(classes))
+	for i := range qs.sloWin {
+		qs.sloWin[i] = obs.NewSLOWindow(cfg.SLOWindow)
 	}
 
 	qs.limits = qs.initialPlan()
@@ -411,6 +444,10 @@ func (qs *QueryScheduler) SelectReleases(v *patroller.View) []engine.QueryID {
 // plan to the dispatcher.
 func (qs *QueryScheduler) controlTick() {
 	meas := qs.mon.harvest()
+	rows := make([]ClassPlan, len(qs.byID))
+	for i, c := range qs.byID {
+		rows[i].ID = c.ID
+	}
 
 	// Graceful degradation: a fault-dropped harvest (or an interval whose
 	// entire OLTP view was lost) carries zeros, not measurements. Feeding
@@ -421,11 +458,14 @@ func (qs *QueryScheduler) controlTick() {
 	if (meas.Dropped || meas.OLTPDropout) && deg.HoldPlanOnDropout &&
 		(deg.MaxHeldTicks <= 0 || qs.heldTicks < deg.MaxHeldTicks) {
 		qs.heldTicks++
+		for i := range rows {
+			rows[i].Limit = qs.limits[rows[i].ID]
+		}
 		rec := PlanRecord{
 			Time:        meas.Time,
 			Measurement: meas,
-			Limits:      qs.limits.Clone(),
 			OLTPSlope:   qs.oltpModel.Slope(),
+			Classes:     rows,
 			Held:        true,
 		}
 		qs.history = append(qs.history, rec)
@@ -438,39 +478,41 @@ func (qs *QueryScheduler) controlTick() {
 		return
 	}
 	qs.heldTicks = 0
-	attainment, burnRate := qs.sloObserve(meas)
+	qs.sloObserve(meas, rows)
 
 	// Workload detection: characterize each class's interval and, when
 	// feed-forward is enabled, compute demand forecasts for the coming
 	// interval.
-	chars := make(map[engine.ClassID]detect.Characterization, len(qs.classes))
 	for _, c := range qs.classes {
-		chars[c.ID] = qs.detector.Observe(detect.Observation{
+		m, _ := meas.Class(c.ID)
+		rows[planRow(rows, c.ID)].Workload = qs.detector.Observe(detect.Observation{
 			Time:       meas.Time,
 			Class:      c.ID,
-			Arrivals:   meas.Arrivals[c.ID],
-			MeanCost:   meas.ArrivalMeanCost[c.ID],
+			Arrivals:   m.Arrivals,
+			MeanCost:   m.ArrivalMeanCost,
 			Interval:   qs.cfg.ControlInterval,
-			Population: float64(meas.Population[c.ID]),
+			Population: float64(m.Population),
 		})
 	}
 
 	if qs.oltpClass != nil {
+		m, _ := meas.Class(qs.oltpClass.ID)
 		qs.oltpModel.Observe(qs.limits[qs.oltpClass.ID], meas.OLTPRespTime)
 		qs.oltpTput.ObserveLoad(qs.limits[qs.oltpClass.ID], meas.OLTPRespTime,
-			float64(meas.Population[qs.oltpClass.ID]))
+			float64(m.Population))
 	}
 
 	problem := solver.Problem{
 		Total: qs.cfg.SystemCostLimit,
 		Step:  qs.cfg.PlanStep,
 	}
-	provenance := make(map[engine.ClassID]Provenance, len(qs.classes))
 	for _, c := range qs.olapClasses {
 		c := c
-		vPrev := meas.Velocity[c.ID]
+		row := &rows[planRow(rows, c.ID)]
+		m, _ := meas.Class(c.ID)
+		vPrev := m.Velocity
 		cPrev := qs.limits[c.ID]
-		idle := meas.Idle[c.ID]
+		idle := m.Idle
 		if vPrev <= 0 && !idle {
 			// A busy class measured at zero velocity (every in-flight
 			// query still blocked, or a zeroed dropout measurement) would
@@ -480,13 +522,13 @@ func (qs *QueryScheduler) controlTick() {
 			vPrev = qs.velModel.Floor
 		}
 		if qs.cfg.FeedForward && !idle {
-			vPrev = qs.feedForwardAnchor(c.ID, vPrev, chars[c.ID])
+			vPrev = qs.feedForwardAnchor(c.ID, vPrev, row.Workload)
 		}
 		model := qs.velModel.Name()
 		if idle {
 			model = ProvenanceIdle
 		}
-		provenance[c.ID] = Provenance{Model: model, Anchor: vPrev, AnchorLimit: cPrev}
+		row.Provenance = Provenance{Model: model, Anchor: vPrev, AnchorLimit: cPrev}
 		problem.Classes = append(problem.Classes, solver.ClassSpec{
 			ID:      c.ID,
 			Utility: utility.NewVelocity(c.Goal.Target, c.Importance),
@@ -511,7 +553,7 @@ func (qs *QueryScheduler) controlTick() {
 		if useTput {
 			model = qs.oltpTput.Name()
 		}
-		provenance[c.ID] = Provenance{Model: model, Anchor: tPrev, AnchorLimit: cPrev}
+		rows[planRow(rows, c.ID)].Provenance = Provenance{Model: model, Anchor: tPrev, AnchorLimit: cPrev}
 		problem.Classes = append(problem.Classes, solver.ClassSpec{
 			ID:      c.ID,
 			Utility: utility.NewResponseTime(c.Goal.Target, c.Importance),
@@ -534,30 +576,27 @@ func (qs *QueryScheduler) controlTick() {
 	} else {
 		plan = qs.cfg.Solver.Solve(problem, qs.limits)
 	}
-	predicted := make(map[engine.ClassID]float64, len(problem.Classes))
 	for _, spec := range problem.Classes {
-		predicted[spec.ID] = spec.Predict(plan[spec.ID])
+		rows[planRow(rows, spec.ID)].Predicted = spec.Predict(plan[spec.ID])
 	}
-	var prevPredicted map[engine.ClassID]float64
-	if n := len(qs.history); n > 0 {
-		prevPredicted = qs.history[n-1].Predicted
+	for i := range rows {
+		rows[i].Limit = plan[rows[i].ID]
+	}
+	var prev []ClassPlan
+	if n := len(qs.history); n > 0 && !qs.history[n-1].Held {
+		prev = qs.history[n-1].Classes
 	}
 	qs.limits = plan
 	rec := PlanRecord{
 		Time:        meas.Time,
 		Measurement: meas,
-		Limits:      plan.Clone(),
 		Utility:     solver.Utility(problem, plan),
 		OLTPSlope:   qs.oltpModel.Slope(),
-		Workload:    chars,
-		Predicted:   predicted,
+		Classes:     rows,
 		Search:      search,
-		Provenance:  provenance,
-		Attainment:  attainment,
-		BurnRate:    burnRate,
 	}
 	qs.history = append(qs.history, rec)
-	qs.instr.noteTick(rec, prevPredicted)
+	qs.instr.noteTick(rec, prev)
 	for _, h := range qs.planHooks {
 		h(rec.Clone())
 	}

@@ -6,28 +6,25 @@
 // audit log, and qreport's attainment tables.
 package core
 
-import (
-	"repro/internal/engine"
-	"repro/internal/workload"
-)
+import "repro/internal/workload"
 
 // sloObserve folds one harvested measurement into the scheduler's SLO
-// accounting and returns the per-class attainment ratio and burn rate
-// after this tick. Classes without a trustworthy measurement this tick
-// — idle OLAP classes, an OLTP interval with no sampled responses, or
-// any fault-dropped view — keep their accumulated state and are simply
-// re-reported.
-func (qs *QueryScheduler) sloObserve(meas Measurement) (att, burn map[engine.ClassID]float64) {
-	att = make(map[engine.ClassID]float64, len(qs.classes))
-	burn = make(map[engine.ClassID]float64, len(qs.classes))
-	for _, c := range qs.classes {
+// accounting and writes each class's attainment ratio and burn rate
+// after this tick into its plan row. Classes without a trustworthy
+// measurement this tick — idle OLAP classes, an OLTP interval with no
+// sampled responses, or any fault-dropped view — keep their accumulated
+// state and are simply re-reported.
+func (qs *QueryScheduler) sloObserve(meas Measurement, rows []ClassPlan) {
+	for i := range rows {
+		row := &rows[i]
+		c := qs.byID[i]
 		var v float64
 		observed := false
 		if !meas.Dropped {
 			switch c.Kind {
 			case workload.OLAP:
-				if !meas.Idle[c.ID] {
-					v, observed = meas.Velocity[c.ID], true
+				if m, _ := meas.Class(c.ID); !m.Idle {
+					v, observed = m.Velocity, true
 				}
 			case workload.OLTP:
 				if meas.OLTPSamples > 0 && !meas.OLTPDropout {
@@ -36,26 +33,17 @@ func (qs *QueryScheduler) sloObserve(meas Measurement) (att, burn map[engine.Cla
 			}
 		}
 		if observed {
-			qs.sloObserved[c.ID]++
+			qs.sloObserved[i]++
 			met := c.Goal.Met(v)
 			if met {
-				qs.sloMet[c.ID]++
+				qs.sloMet[i]++
 			}
-			qs.sloWin[c.ID].Observe(met)
+			qs.sloWin[i].Observe(met)
 		}
-		att[c.ID] = qs.sloAttainment(c.ID)
-		burn[c.ID] = qs.sloWin[c.ID].BurnRate(qs.cfg.SLOBudget)
+		row.Attainment = 1 // no evidence of violation before a measurement
+		if n := qs.sloObserved[i]; n > 0 {
+			row.Attainment = float64(qs.sloMet[i]) / float64(n)
+		}
+		row.BurnRate = qs.sloWin[i].BurnRate(qs.cfg.SLOBudget)
 	}
-	return att, burn
-}
-
-// sloAttainment returns the class's cumulative goal-attainment ratio —
-// the fraction of measured ticks that met the goal. With nothing
-// measured yet it reports 1: no evidence of violation.
-func (qs *QueryScheduler) sloAttainment(id engine.ClassID) float64 {
-	n := qs.sloObserved[id]
-	if n == 0 {
-		return 1
-	}
-	return float64(qs.sloMet[id]) / float64(n)
 }

@@ -346,9 +346,10 @@ func (dw *Writer) buildRecord(backend, tick int, prev *Record, rec core.PlanReco
 	}
 	for _, id := range dw.ids {
 		cm := dw.class[id]
+		row, planned := rec.Class(id)
 		cd := ClassDecision{
 			Class: int(id),
-			Limit: rec.Limits[id],
+			Limit: row.Limit,
 			Goal:  cm.Target,
 		}
 		if prev != nil {
@@ -358,8 +359,9 @@ func (dw *Writer) buildRecord(backend, tick int, prev *Record, rec core.PlanReco
 		}
 		cd.Measured, cd.Samples, cd.Idle = measuredValue(cm, rec.Measurement)
 		if !rec.Held {
-			cd.Predicted = rec.Predicted[id]
-			if p, ok := rec.Provenance[id]; ok {
+			cd.Predicted = row.Predicted
+			if planned {
+				p := row.Provenance
 				cd.Model, cd.Anchor, cd.AnchorLimit = p.Model, p.Anchor, p.AnchorLimit
 			}
 			if cs, ok := rec.Search.Class(id); ok {
@@ -368,8 +370,8 @@ func (dw *Writer) buildRecord(backend, tick int, prev *Record, rec core.PlanReco
 				cd.Reachable = cs.Reachable
 				cd.Shortfall = cs.Shortfall
 			}
-			cd.Attainment = rec.Attainment[id]
-			cd.BurnRate = rec.BurnRate[id]
+			cd.Attainment = row.Attainment
+			cd.BurnRate = row.BurnRate
 		}
 		r.Classes = append(r.Classes, cd)
 	}
@@ -390,11 +392,11 @@ func (r *Record) classRow(class int) *ClassDecision {
 // OLAP rows, mean response time for OLTP rows, with the sample count
 // behind it and the idle flag.
 func measuredValue(cm ClassMeta, meas core.Measurement) (v float64, samples int, idle bool) {
-	id := engine.ClassID(cm.ID)
 	if cm.Kind == workload.OLTP.String() {
 		return meas.OLTPRespTime, meas.OLTPSamples, false
 	}
-	return meas.Velocity[id], meas.VelocitySamples[id], meas.Idle[id]
+	row, _ := meas.Class(engine.ClassID(cm.ID))
+	return row.Velocity, row.VelocitySamples, row.Idle
 }
 
 // outcomes closes a pending record's prediction window with the next
@@ -414,8 +416,8 @@ func (dw *Writer) outcomes(pending *Record, meas core.Measurement) []Outcome {
 			if meas.OLTPSamples > 0 && !meas.OLTPDropout {
 				v, observed = meas.OLTPRespTime, true
 			}
-		} else if !meas.Idle[id] {
-			v, observed = meas.Velocity[id], true
+		} else if row, _ := meas.Class(id); !row.Idle {
+			v, observed = row.Velocity, true
 		}
 		if !observed {
 			continue

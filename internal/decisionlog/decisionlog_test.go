@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/simclock"
 	"repro/internal/solver"
 )
@@ -32,16 +31,21 @@ func testRec(t float64, vel, rt float64) core.PlanRecord {
 	return core.PlanRecord{
 		Time: simTime(t),
 		Measurement: core.Measurement{
-			Velocity:        map[engine.ClassID]float64{1: vel},
-			VelocitySamples: map[engine.ClassID]int{1: 12},
-			Idle:            map[engine.ClassID]bool{},
-			OLTPRespTime:    rt,
-			OLTPSamples:     40,
+			Classes: []core.ClassMeasurement{
+				{ID: 1, Managed: true, Velocity: vel, VelocitySamples: 12},
+				{ID: 3},
+			},
+			OLTPRespTime: rt,
+			OLTPSamples:  40,
 		},
-		Limits:    solver.Plan{1: 20000, 3: 10000},
 		Utility:   3.5,
 		OLTPSlope: -5e-6,
-		Predicted: map[engine.ClassID]float64{1: vel * 1.1, 3: rt * 0.9},
+		Classes: []core.ClassPlan{
+			{ID: 1, Limit: 20000, Predicted: vel * 1.1, Attainment: 1, BurnRate: 0,
+				Provenance: core.Provenance{Model: "olap-velocity", Anchor: vel, AnchorLimit: 20000}},
+			{ID: 3, Limit: 10000, Predicted: rt * 0.9, Attainment: 0.5, BurnRate: 2,
+				Provenance: core.Provenance{Model: "oltp-linear", Anchor: rt}},
+		},
 		Search: solver.Search{
 			Iterations: 4, Candidates: 9, BestUtility: 3.5,
 			RunnerUp: 3.2, HasRunnerUp: true,
@@ -50,12 +54,6 @@ func testRec(t float64, vel, rt float64) core.PlanRecord {
 				{ID: 3, Alloc: 10000, Predicted: rt * 0.9, Ceiling: 0.1, GoalMet: true, Reachable: true},
 			},
 		},
-		Provenance: map[engine.ClassID]core.Provenance{
-			1: {Model: "olap-velocity", Anchor: vel, AnchorLimit: 20000},
-			3: {Model: "oltp-linear", Anchor: rt},
-		},
-		Attainment: map[engine.ClassID]float64{1: 1, 3: 0.5},
-		BurnRate:   map[engine.ClassID]float64{1: 0, 3: 2},
 	}
 }
 
@@ -133,7 +131,7 @@ func TestWriterHeldAndDroppedTicks(t *testing.T) {
 	held := core.PlanRecord{
 		Time:        simTime(120),
 		Measurement: core.Measurement{Dropped: true},
-		Limits:      solver.Plan{1: 20000, 3: 10000},
+		Classes:     []core.ClassPlan{{ID: 1, Limit: 20000}, {ID: 3, Limit: 10000}},
 		Held:        true,
 	}
 	dw.Note(held)
@@ -174,7 +172,7 @@ func TestWriterIdleClassYieldsNoOutcome(t *testing.T) {
 	}
 	dw.Note(testRec(60, 0.45, 0.2))
 	next := testRec(120, 0, 0.2)
-	next.Measurement.Idle[1] = true
+	next.Measurement.Classes[0].Idle = true
 	next.Measurement.OLTPSamples = 0
 	dw.Note(next)
 	dw.Flush()

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/engine"
 )
 
 func TestParseTickRange(t *testing.T) {
@@ -77,7 +75,7 @@ func buildTestLog(t *testing.T) []byte {
 	}
 	dw.Note(testRec(60, 0.45, 0.2))
 	rec := testRec(120, 0.35, 0.3)
-	rec.Limits = solver0(18000, 12000)
+	rec.Classes[0].Limit, rec.Classes[1].Limit = 18000, 12000
 	dw.Note(rec)
 	dw.Note(testRec(180, 0.5, 0.21))
 	dw.Flush()
@@ -85,11 +83,6 @@ func buildTestLog(t *testing.T) []byte {
 		t.Fatal(dw.Err())
 	}
 	return buf.Bytes()
-}
-
-// solver0 builds a 2-class plan for the test roster.
-func solver0(l1, l3 float64) map[engine.ClassID]float64 {
-	return map[engine.ClassID]float64{1: l1, 3: l3}
 }
 
 func TestSummarize(t *testing.T) {

@@ -333,10 +333,18 @@ func TestResumeRejectsVersion3Checkpoints(t *testing.T) {
 	testResumeRejectsVersion(t, 3)
 }
 
-// Version-4 files stored per-component state; version 5 stores where
-// the run was and replays to it, so version 4 is rejected as well.
+// Version-4 files stored per-component state; versions 5 and later
+// store where the run was and replay to it, so version 4 is rejected as
+// well.
 func TestResumeRejectsVersion4Checkpoints(t *testing.T) {
 	testResumeRejectsVersion(t, 4)
+}
+
+// Version-5 files had today's layout but stored the terminal result's
+// plan history as per-class maps; version 6 stores per-class rows, so a
+// version-5 directory is refused with the version error.
+func TestResumeRejectsVersion5Checkpoints(t *testing.T) {
+	testResumeRejectsVersion(t, 5)
 }
 
 // testResumeRejectsVersion restamps a finished run's checkpoints with
@@ -356,7 +364,7 @@ func testResumeRejectsVersion(t *testing.T, v uint32) {
 		}
 	}
 	_, err := ResumeMixed(ResumeOptions{Dir: dir})
-	want := fmt.Sprintf("unsupported version %d", v)
+	want := fmt.Sprintf("unsupported version %d (this build reads version %d)", v, checkpoint.Version)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("resume from version-%d checkpoints: %v, want an error naming version %d", v, err, v)
 	}

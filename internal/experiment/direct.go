@@ -75,8 +75,12 @@ func RunDirectControl(cfg DirectControlConfig) []DirectControlResult {
 		var direct *wlm.Controller
 		if s.direct {
 			var err error
+			var buf []engine.ClientID // the controller consumes each poll synchronously
 			direct, err = wlm.New(wlm.DefaultConfig(), rig.Eng, oltp.ID, oltp.Goal.Target,
-				func() []engine.ClientID { return rig.Pool.ActiveClients(oltp.ID) })
+				func() []engine.ClientID {
+					buf = rig.Pool.AppendActiveClients(buf[:0], oltp.ID)
+					return buf
+				})
 			if err != nil {
 				panic(err)
 			}

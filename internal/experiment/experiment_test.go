@@ -95,8 +95,12 @@ func TestRunMixedAllModes(t *testing.T) {
 					t.Fatal("QS run missing plan history")
 				}
 				for _, rec := range res.PlanHistory {
-					if math.Abs(rec.Limits.Sum()-SystemCostLimit) > 1e-6 {
-						t.Fatalf("plan sum %v", rec.Limits.Sum())
+					sum := 0.0
+					for _, row := range rec.Classes {
+						sum += row.Limit
+					}
+					if math.Abs(sum-SystemCostLimit) > 1e-6 {
+						t.Fatalf("plan sum %v", sum)
 					}
 				}
 			} else if res.CostLimits != nil {

@@ -375,7 +375,8 @@ func averageLimitsPerPeriod(hist []core.PlanRecord, classes []*workload.Class,
 		// attribute it to the period containing T.
 		p := sched.PeriodAt(rec.Time)
 		for i, cl := range classes {
-			sums[i][p].Add(rec.Limits[cl.ID])
+			row, _ := rec.Class(cl.ID)
+			sums[i][p].Add(row.Limit)
 		}
 	}
 	out := make([][]float64, len(classes))

@@ -53,16 +53,16 @@ type InfeasibilitySummary struct {
 	// Binding[class] counts infeasible ticks where that class's goal was
 	// the binding constraint.
 	Binding map[engine.ClassID]int
-	// FinalAttainment/FinalBurnRate are each class's SLO accounting at
-	// the last planned (non-held) tick.
-	FinalAttainment map[engine.ClassID]float64
-	FinalBurnRate   map[engine.ClassID]float64
+	// Final is the last planned (non-held) tick, whose rows carry each
+	// class's final SLO accounting; nil when every tick was held.
+	Final *core.PlanRecord
 }
 
 // SummarizeInfeasibility folds a plan history into a summary.
 func SummarizeInfeasibility(hist []core.PlanRecord) InfeasibilitySummary {
 	s := InfeasibilitySummary{Binding: make(map[engine.ClassID]int)}
-	for _, rec := range hist {
+	for i := range hist {
+		rec := &hist[i]
 		s.Ticks++
 		if rec.Held {
 			s.HeldTicks++
@@ -72,10 +72,7 @@ func SummarizeInfeasibility(hist []core.PlanRecord) InfeasibilitySummary {
 			s.InfeasibleTicks++
 			s.Binding[rec.Search.Binding]++
 		}
-		if rec.Attainment != nil {
-			s.FinalAttainment = rec.Attainment
-			s.FinalBurnRate = rec.BurnRate
-		}
+		s.Final = rec
 	}
 	return s
 }
@@ -105,10 +102,11 @@ func WriteInfeasibility(w io.Writer, res *MixedResult) {
 		}
 		fmt.Fprintf(w, "  binding constraint: %s on %d ticks\n", name, s.Binding[id])
 	}
-	if s.FinalAttainment != nil {
+	if s.Final != nil {
 		fmt.Fprintf(w, "  final attainment:")
 		for _, c := range res.Classes {
-			fmt.Fprintf(w, " %s=%.2f", c.Name, s.FinalAttainment[c.ID])
+			row, _ := s.Final.Class(c.ID)
+			fmt.Fprintf(w, " %s=%.2f", c.Name, row.Attainment)
 		}
 		fmt.Fprintln(w)
 	}

@@ -228,8 +228,14 @@ func (r *Rig) AttachController(mode Mode, qsCfg *core.Config) {
 		ctl.Thresholds = patroller.ThresholdsFromSample(r.SampleOLAPCosts(4096, 99))
 	}
 	if oltp := r.OLTPClass(); oltp != nil {
+		// Every monitor consumes the IDs before its poll returns, so all
+		// backends can share one buffer.
 		id := oltp.ID
-		ctl.OLTPClients = func() []engine.ClientID { return r.Pool.ActiveClients(id) }
+		var buf []engine.ClientID
+		ctl.OLTPClients = func() []engine.ClientID {
+			buf = r.Pool.AppendActiveClients(buf[:0], id)
+			return buf
+		}
 	}
 	for i, b := range r.Backends {
 		ctl.QS = qc

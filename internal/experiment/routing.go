@@ -75,18 +75,14 @@ func WriteRouting(w io.Writer, res *FleetResult) {
 	}
 	// Final per-backend attainment, from each backend's own control loop.
 	for i, hist := range res.Histories {
-		var att map[engine.ClassID]float64
-		for _, rec := range hist {
-			if rec.Attainment != nil {
-				att = rec.Attainment
-			}
-		}
-		if att == nil {
+		final := SummarizeInfeasibility(hist).Final
+		if final == nil {
 			continue
 		}
 		fmt.Fprintf(w, "  %s attainment:", res.Specs[i].Name)
 		for _, c := range res.Classes {
-			fmt.Fprintf(w, " %s=%.2f", c.Name, att[c.ID])
+			row, _ := final.Class(c.ID)
+			fmt.Fprintf(w, " %s=%.2f", c.Name, row.Attainment)
 		}
 		fmt.Fprintln(w)
 	}

@@ -11,9 +11,10 @@
 package solver
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/utility"
@@ -63,11 +64,12 @@ func (p Plan) Clone() Plan {
 // class IDs: map order would perturb the floating-point rounding from
 // process to process, and the total feeds planner decisions.
 func (p Plan) Sum() float64 {
-	ids := make([]engine.ClassID, 0, len(p))
+	var buf [8]engine.ClassID // plans rarely have more classes
+	ids := buf[:0]
 	for id := range p {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	total := 0.0
 	for _, id := range ids {
 		total += p[id]
@@ -325,6 +327,6 @@ func gridSearch(p Problem, classes []ClassSpec, n int, s *Search) Plan {
 func orderedClasses(p Problem) []ClassSpec {
 	classes := make([]ClassSpec, len(p.Classes))
 	copy(classes, p.Classes)
-	sort.Slice(classes, func(i, j int) bool { return classes[i].ID < classes[j].ID })
+	slices.SortFunc(classes, func(a, b ClassSpec) int { return cmp.Compare(a.ID, b.ID) })
 	return classes
 }

@@ -234,3 +234,17 @@ func TestNormalizeLiftsToMinimums(t *testing.T) {
 		t.Fatalf("normalize broke total: %v", plan)
 	}
 }
+
+// Sum runs once per candidate plan on every control tick; summing a
+// small plan in sorted class order allocates nothing.
+func TestPlanSumAllocs(t *testing.T) {
+	p := Plan{4: 2500.5, 1: 1000.25, 3: 6000, 2: 499.25}
+	var total float64
+	allocs := testing.AllocsPerRun(100, func() { total = p.Sum() })
+	if allocs != 0 {
+		t.Fatalf("Plan.Sum: %v allocs, want 0", allocs)
+	}
+	if want := 1000.25 + 499.25 + 6000 + 2500.5; total != want {
+		t.Fatalf("Sum = %v, want %v (ascending class order)", total, want)
+	}
+}

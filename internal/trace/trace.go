@@ -11,7 +11,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -19,7 +18,6 @@ import (
 	"repro/internal/patroller"
 	"repro/internal/router"
 	"repro/internal/simclock"
-	"repro/internal/solver"
 )
 
 // Kind classifies an event.
@@ -293,7 +291,7 @@ func (t *Tracer) route(at simclock.Time, q *engine.Query, backend int) {
 // real reallocation, and the tracer's plan version counts distinct plans.
 func AttachScheduler(t *Tracer, qs *core.QueryScheduler) {
 	qs.OnPlan(func(rec core.PlanRecord) {
-		d := formatLimits(rec.Limits)
+		d := formatLimits(rec.Classes)
 		if d == t.lastPlan {
 			return
 		}
@@ -302,17 +300,13 @@ func AttachScheduler(t *Tracer, qs *core.QueryScheduler) {
 	})
 }
 
-// formatLimits renders a plan's cost limits in class-ID order.
-func formatLimits(p solver.Plan) string {
-	ids := make([]int, 0, len(p))
-	for id := range p {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
+// formatLimits renders a plan's cost limits in class-ID order (the
+// rows' order).
+func formatLimits(rows []core.ClassPlan) string {
 	var b strings.Builder
 	b.WriteString("limits:")
-	for _, id := range ids {
-		fmt.Fprintf(&b, " %d=%.6g", id, p[engine.ClassID(id)])
+	for _, r := range rows {
+		fmt.Fprintf(&b, " %d=%.6g", r.ID, r.Limit)
 	}
 	return b.String()
 }

@@ -225,20 +225,26 @@ func (p *Pool) Clients(class engine.ClassID) []*Client {
 // ActiveClients returns the IDs of currently active clients of a class —
 // the set the snapshot monitor samples.
 func (p *Pool) ActiveClients(class engine.ClassID) []engine.ClientID {
+	return p.AppendActiveClients(nil, class)
+}
+
+// AppendActiveClients appends the IDs of the class's currently active
+// clients to dst and returns the extended slice. A poller that consumes
+// the IDs before its next call can pass its previous result[:0] and
+// allocate nothing once the buffer has grown.
+func (p *Pool) AppendActiveClients(dst []engine.ClientID, class engine.ClassID) []engine.ClientID {
 	if g, ok := p.groups[class]; ok {
-		ids := make([]engine.ClientID, 0, g.hi-g.lo)
 		for i := g.lo; i < g.hi; i++ {
-			ids = append(ids, g.start+engine.ClientID(i))
+			dst = append(dst, g.start+engine.ClientID(i))
 		}
-		return ids
+		return dst
 	}
-	var ids []engine.ClientID
 	for _, c := range p.byClass[class] {
 		if c.active {
-			ids = append(ids, c.ID)
+			dst = append(dst, c.ID)
 		}
 	}
-	return ids
+	return dst
 }
 
 // ActiveCount returns how many clients of the class are active.

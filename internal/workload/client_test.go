@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -119,6 +120,34 @@ func TestActiveClientsList(t *testing.T) {
 	all := pool.Clients(class.ID)
 	if len(all) != 4 {
 		t.Fatalf("Clients = %d, want 4", len(all))
+	}
+}
+
+// A snapshot poller reusing its buffer gets the same IDs ActiveClients
+// returns and allocates nothing once the buffer has grown, for eager and
+// streaming classes alike.
+func TestAppendActiveClientsReusesBuffer(t *testing.T) {
+	for _, streaming := range []bool{false, true} {
+		clock := simclock.New()
+		eng := engine.New(engine.Config{CPUCapacity: 100, IOCapacity: 100}, clock)
+		pool := NewPool(eng)
+		class := &Class{ID: 3, Name: "oltp", Kind: OLTP, Goal: Goal{AvgResponseTime, 1}, Importance: 1}
+		if streaming {
+			pool.AddClientsStreaming(class, fastSet(t), 4, rng.New(1))
+		} else {
+			pool.AddClients(class, fastSet(t), 4, rng.New(1))
+		}
+		pool.SetActive(class.ID, 3)
+		buf := pool.AppendActiveClients(nil, class.ID)
+		if want := pool.ActiveClients(class.ID); !slices.Equal(buf, want) || len(buf) != 3 {
+			t.Fatalf("streaming=%v: AppendActiveClients = %v, ActiveClients = %v", streaming, buf, want)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			buf = pool.AppendActiveClients(buf[:0], class.ID)
+		})
+		if allocs != 0 {
+			t.Fatalf("streaming=%v: %v allocs per reused poll, want 0", streaming, allocs)
+		}
 	}
 }
 

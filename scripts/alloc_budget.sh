@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Allocation-budget smoke: run the headline mixed benchmarks, the
-# fleet's routing benchmarks and the tracer's emit benchmark once with
-# -benchmem and fail if bytes allocated per op regress more than 10%
-# over the checked-in budget (scripts/alloc_budget.txt). The budget encodes the hot path's
+# Allocation-budget smoke: run the headline mixed benchmarks, the Query
+# Scheduler's control loop (Fig6: 1,440 control ticks and their plan
+# history), the fleet's routing benchmarks and the tracer's emit
+# benchmark once with -benchmem and fail if bytes allocated per op
+# regress more than 10% over the checked-in budget
+# (scripts/alloc_budget.txt). The budget encodes the hot path's
 # allocation discipline — pooled query/span objects, one query freelist
-# per fleet, dense per-class slices, batched trace dispatch — as a CI
-# regression target rather than a one-off win. RouterRoute's and
+# per fleet, dense per-class slices, per-class plan rows, batched trace
+# dispatch — as a CI regression target rather than a one-off win. RouterRoute's and
 # TraceEmit's budgets are 0 B/op, so any allocation on a warm routed
 # submit or a warm traced query fails.
 #
@@ -16,7 +18,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUDGET=scripts/alloc_budget.txt
-BENCH='^(BenchmarkSystemCostLimit|BenchmarkFig2|BenchmarkRouterRoute|BenchmarkRoutingFleet|BenchmarkTraceEmit)$'
+BENCH='^(BenchmarkSystemCostLimit|BenchmarkFig2|BenchmarkFig6|BenchmarkRouterRoute|BenchmarkRoutingFleet|BenchmarkTraceEmit)$'
 
 OUT=$(go test -run='^$' -bench="$BENCH" -benchtime=1x -benchmem -timeout 1800s .)
 echo "$OUT"
