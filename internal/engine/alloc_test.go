@@ -15,11 +15,11 @@ func TestStationScalesAllocFree(t *testing.T) {
 		e.Submit(classQuery(ClassID(i%3+1), 1000))
 	}
 	// One warm-up call grows the scratch buffers to capacity.
-	e.cpuScratch = e.stationScales(e.cpuScratch[:0], demandCPURate, e.cfg.CPUCapacity)
-	e.ioScratch = e.stationScales(e.ioScratch[:0], demandIORate, e.cfg.IOCapacity)
+	e.cpuScratch = e.stationScales(e.cpuScratch[:0], false, e.cfg.CPUCapacity)
+	e.ioScratch = e.stationScales(e.ioScratch[:0], true, e.cfg.IOCapacity)
 	allocs := testing.AllocsPerRun(100, func() {
-		e.cpuScratch = e.stationScales(e.cpuScratch[:0], demandCPURate, e.cfg.CPUCapacity)
-		e.ioScratch = e.stationScales(e.ioScratch[:0], demandIORate, e.cfg.IOCapacity)
+		e.cpuScratch = e.stationScales(e.cpuScratch[:0], false, e.cfg.CPUCapacity)
+		e.ioScratch = e.stationScales(e.ioScratch[:0], true, e.cfg.IOCapacity)
 	})
 	if allocs != 0 {
 		t.Fatalf("stationScales allocates %v per reschedule; the weighted water-filling path must be allocation-free", allocs)

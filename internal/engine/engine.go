@@ -120,10 +120,8 @@ type Query struct {
 	StartTime  simclock.Time // when the engine began executing it
 	DoneTime   simclock.Time // when execution finished
 
-	remaining float64 // work not yet performed
-	rate      float64 // current progress rate
-	index     int     // position in the active slice, -1 when inactive
-	pooled    bool    // owned by an engine freelist (see AcquireQuery)
+	index  int  // position in the active and slot slices, -1 when inactive
+	pooled bool // owned by an engine freelist (see AcquireQuery)
 }
 
 // ResponseTime returns end-to-end latency (queueing + execution). Valid
@@ -190,14 +188,40 @@ type Snapshot struct {
 
 // Stats aggregates engine-level counters for calibration and tests.
 type Stats struct {
-	Submitted      uint64
-	Started        uint64
-	Completed      uint64
-	Aborted        uint64
-	Evacuated      uint64 // pulled off mid-execution for failover re-dispatch
+	Submitted uint64
+	Started   uint64
+	Completed uint64
+	Aborted   uint64
+	Evacuated uint64 // pulled off mid-execution for failover re-dispatch
+	// CPUSecondsUsed and IOSecondsUsed book the work a query performed
+	// when it leaves the active set (completed, aborted or evacuated);
+	// work in flight is not counted until then.
 	CPUSecondsUsed float64
 	IOSecondsUsed  float64
 	BusyTime       float64 // virtual seconds with at least one active query
+}
+
+// Station masks: which stations a query's demand uses. Under plain
+// processor sharing every query of one mask progresses at one rate. A
+// slot's mask never exceeds maskAll; the hot loops still index with
+// mask&maskAll, which lets the compiler drop the bounds check.
+const (
+	maskCPU = 1 << iota
+	maskIO
+	maskAll  = maskCPU | maskIO
+	numMasks = maskAll + 1
+)
+
+// slot is an executing query's progress state, parallel to the active
+// slice (slots[i] belongs to active[i]). The demand figures are
+// snapshotted at Start, so the per-event passes read one dense slice
+// and never dereference a query.
+type slot struct {
+	remaining float64 // work not yet performed
+	floor     float64 // completionEpsilon·Work: done once remaining ≤ floor
+	cpu, io   float64 // Demand.CPURate and Demand.IORate
+	rate      float64 // progress rate under class weights (unused without)
+	mask      uint8   // maskCPU|maskIO bits of the stations the demand uses
 }
 
 // Engine is the simulated DBMS.
@@ -213,6 +237,7 @@ type Engine struct {
 
 	nextID       QueryID
 	active       []*Query
+	slots        []slot // progress state, parallel to active
 	lastUpdate   simclock.Time
 	pendingEvt   simclock.EventID   // armed completion event; 0 when none
 	completionFn simclock.EventFunc // bound once; reschedule allocates no closure
@@ -229,6 +254,10 @@ type Engine struct {
 	// weights, when non-nil, turns both stations into weighted fair
 	// sharing across service classes (see SetClassWeights).
 	weights map[ClassID]float64
+
+	// maskRate is the unweighted progress rate of each station mask, set
+	// by the last rate pass.
+	maskRate [numMasks]float64
 
 	// Hot-path scratch: reused across events so steady-state simulation
 	// performs no per-event allocation.
@@ -394,7 +423,6 @@ func (e *Engine) Abort(q *Query) bool {
 	e.remove(q)
 	q.State = StateFailed
 	q.DoneTime = e.clock.Now()
-	q.remaining = 0
 	e.stats.Aborted++
 	e.reschedule()
 	for _, l := range e.abortListeners {
@@ -438,8 +466,6 @@ func (e *Engine) Evacuate() []*Query {
 	for _, q := range out {
 		e.remove(q)
 		q.State = StateNew
-		q.remaining = 0
-		q.rate = 0
 		e.stats.Evacuated++
 	}
 	e.reschedule()
@@ -456,8 +482,6 @@ func (e *Engine) Reclaim(q *Query) {
 		panic(fmt.Sprintf("engine: reclaim of query %d in state %v", q.ID, q.State))
 	}
 	q.State = StateNew
-	q.remaining = 0
-	q.rate = 0
 }
 
 // SetSpeed scales every active query's progress rate by f — the
@@ -517,12 +541,21 @@ func (e *Engine) Start(q *Query) {
 	if err := q.Demand.Validate(); err != nil {
 		panic(err) // interceptors may rewrite demand; re-check at start
 	}
-	q.remaining = q.Demand.Work
 	e.advanceTo(e.clock.Now())
 	q.State = StateExecuting
 	q.StartTime = e.clock.Now()
 	q.index = len(e.active)
 	e.active = append(e.active, q)
+	d := q.Demand
+	var mask uint8
+	if d.CPURate > 0 {
+		mask |= maskCPU
+	}
+	if d.IORate > 0 {
+		mask |= maskIO
+	}
+	e.slots = append(e.slots, slot{remaining: d.Work, floor: completionEpsilon * d.Work,
+		cpu: d.CPURate, io: d.IORate, mask: mask})
 	e.stats.Started++
 	e.reschedule()
 	for _, l := range e.startListeners {
@@ -585,17 +618,22 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // Utilization returns the current requested load on each station relative
 // to capacity (may exceed 1 when oversubscribed).
+//
+//qlint:hotpath
 func (e *Engine) Utilization() (cpu, io float64) {
 	var cpuLoad, ioLoad float64
-	for _, q := range e.active {
-		cpuLoad += q.Demand.CPURate
-		ioLoad += q.Demand.IORate
+	for i := range e.slots {
+		cpuLoad += e.slots[i].cpu
+		ioLoad += e.slots[i].io
 	}
 	return cpuLoad / e.cfg.CPUCapacity, ioLoad / e.cfg.IOCapacity
 }
 
 // advanceTo applies progress to all active queries for the interval since
-// the last update, harvesting any completions.
+// the last update, harvesting any completions. Without class weights the
+// progress is one value per station mask; with them, one per slot.
+//
+//qlint:hotpath
 func (e *Engine) advanceTo(now simclock.Time) {
 	dt := now - e.lastUpdate
 	if dt < 0 {
@@ -606,27 +644,33 @@ func (e *Engine) advanceTo(now simclock.Time) {
 		return
 	}
 	e.stats.BusyTime += dt
+	var step [numMasks]float64
+	for m, r := range e.maskRate {
+		step[m] = r * dt
+	}
+	weighted := e.weights != nil
 	// done reuses engine-owned scratch: nested advanceTo calls from
 	// completion listeners always see dt == 0 and return before this
 	// point, so the buffer is never aliased.
 	done := e.doneScratch[:0]
-	for _, q := range e.active {
-		progress := q.rate * dt
-		if progress > q.remaining {
-			progress = q.remaining
+	for i := range e.slots {
+		s := &e.slots[i]
+		progress := step[s.mask&maskAll]
+		if weighted {
+			progress = s.rate * dt
 		}
-		q.remaining -= progress
-		e.stats.CPUSecondsUsed += progress * q.Demand.CPURate
-		e.stats.IOSecondsUsed += progress * q.Demand.IORate
-		if q.remaining <= completionEpsilon*q.Demand.Work {
-			done = append(done, q)
+		if progress > s.remaining {
+			progress = s.remaining
+		}
+		s.remaining -= progress
+		if s.remaining <= s.floor {
+			done = append(done, e.active[i])
 		}
 	}
 	for _, q := range done {
 		e.remove(q)
 		q.State = StateDone
 		q.DoneTime = now
-		q.remaining = 0
 		e.stats.Completed++
 		e.recordSnapshot(Snapshot{
 			Client:    q.Client,
@@ -671,14 +715,21 @@ func (e *Engine) owns(q *Query) bool {
 	return q.index >= 0 && q.index < len(e.active) && e.active[q.index] == q
 }
 
-// remove takes q out of the active set in O(1).
+// remove takes q out of the active set in O(1), booking the work it
+// performed into the station counters.
 func (e *Engine) remove(q *Query) {
 	i := q.index
+	s := &e.slots[i]
+	work := q.Demand.Work - s.remaining
+	e.stats.CPUSecondsUsed += work * s.cpu
+	e.stats.IOSecondsUsed += work * s.io
 	last := len(e.active) - 1
 	e.active[i] = e.active[last]
 	e.active[i].index = i
+	e.slots[i] = e.slots[last]
 	e.active[last] = nil
 	e.active = e.active[:last]
+	e.slots = e.slots[:last]
 	q.index = -1
 }
 
@@ -722,7 +773,7 @@ func (e *Engine) ClassWeight(c ClassID) float64 {
 	return 1
 }
 
-// recomputeRates assigns each active query its progress rate under the
+// recomputeRates assigns the active set its progress rates under the
 // current mix: processor sharing per station (optionally weighted by
 // class) plus the MPL contention overhead. A query is limited by the more
 // congested of the stations it uses, and can never progress faster than 1
@@ -730,6 +781,8 @@ func (e *Engine) ClassWeight(c ClassID) float64 {
 // horizon over the active set (+Inf when idle or stalled), computed in
 // the same pass, so reschedule can arm the next completion event without
 // walking the active set again.
+//
+//qlint:hotpath
 func (e *Engine) recomputeRates() float64 {
 	next := math.Inf(1)
 	n := len(e.active)
@@ -738,16 +791,23 @@ func (e *Engine) recomputeRates() float64 {
 	}
 	overhead := 1 + e.cfg.ContentionAlpha*float64(n-1)
 	if e.weights == nil {
-		// Plain processor sharing: both stations give every class the
-		// same scale, so the per-class water-filling machinery is
-		// bypassed. The totals accumulate in active-slice order —
-		// exactly the order stationScales sums them — so every float
-		// (and therefore every event time) matches the weighted path's
-		// bookkeeping bit for bit.
+		// Plain processor sharing: every query of one station mask gets
+		// the same rate, so the pass computes one rate per mask. The
+		// totals accumulate in active-slice order, as stationScales sums
+		// them. Division by a positive rate is monotone under correct
+		// rounding, so the smallest remaining work of a mask divided by
+		// its rate is exactly the smallest per-query remaining/rate.
+		// Remaining work is finite, so a mask whose minimum stays +Inf
+		// has no queries.
 		var cpuTotal, ioTotal float64
-		for _, q := range e.active {
-			cpuTotal += q.Demand.CPURate
-			ioTotal += q.Demand.IORate
+		minRemaining := [numMasks]float64{next, next, next, next}
+		for i := range e.slots {
+			s := &e.slots[i]
+			cpuTotal += s.cpu
+			ioTotal += s.io
+			if m := s.mask & maskAll; s.remaining < minRemaining[m] {
+				minRemaining[m] = s.remaining
+			}
 		}
 		cpuScale, ioScale := 1.0, 1.0
 		if cpuTotal > e.cfg.CPUCapacity {
@@ -756,49 +816,54 @@ func (e *Engine) recomputeRates() float64 {
 		if ioTotal > e.cfg.IOCapacity {
 			ioScale = e.cfg.IOCapacity / ioTotal
 		}
-		for _, q := range e.active {
+		for m := range e.maskRate {
 			r := 1.0
-			if q.Demand.CPURate > 0 && cpuScale < r {
+			if m&maskCPU != 0 && cpuScale < r {
 				r = cpuScale
 			}
-			if q.Demand.IORate > 0 && ioScale < r {
+			if m&maskIO != 0 && ioScale < r {
 				r = ioScale
 			}
-			q.rate = r * e.speed / overhead
-			if q.rate <= 0 {
+			rate := r * e.speed / overhead
+			e.maskRate[m] = rate
+			if math.IsInf(minRemaining[m], 1) {
+				continue
+			}
+			if rate <= 0 {
 				if e.speed > 0 {
-					panic(fmt.Sprintf("engine: query %d has non-positive rate", q.ID))
+					panic(fmt.Sprintf("engine: station mask %d has non-positive rate", m))
 				}
 				continue
 			}
-			if t := q.remaining / q.rate; t < next {
+			if t := minRemaining[m] / rate; t < next {
 				next = t
 			}
 		}
 		return next
 	}
-	e.cpuScratch = e.stationScales(e.cpuScratch[:0], demandCPURate, e.cfg.CPUCapacity)
-	e.ioScratch = e.stationScales(e.ioScratch[:0], demandIORate, e.cfg.IOCapacity)
-	for _, q := range e.active {
+	e.cpuScratch = e.stationScales(e.cpuScratch[:0], false, e.cfg.CPUCapacity)
+	e.ioScratch = e.stationScales(e.ioScratch[:0], true, e.cfg.IOCapacity)
+	for i := range e.slots {
+		s := &e.slots[i]
 		r := 1.0
-		if q.Demand.CPURate > 0 {
-			if s := scaleFor(e.cpuScratch, q.Class); s < r {
-				r = s
+		if s.cpu > 0 {
+			if sc := scaleFor(e.cpuScratch, e.active[i].Class); sc < r {
+				r = sc
 			}
 		}
-		if q.Demand.IORate > 0 {
-			if s := scaleFor(e.ioScratch, q.Class); s < r {
-				r = s
+		if s.io > 0 {
+			if sc := scaleFor(e.ioScratch, e.active[i].Class); sc < r {
+				r = sc
 			}
 		}
-		q.rate = r * e.speed / overhead
-		if q.rate <= 0 {
+		s.rate = r * e.speed / overhead
+		if s.rate <= 0 {
 			if e.speed > 0 {
-				panic(fmt.Sprintf("engine: query %d has non-positive rate", q.ID))
+				panic(fmt.Sprintf("engine: query %d has non-positive rate", e.active[i].ID))
 			}
 			continue
 		}
-		if t := q.remaining / q.rate; t < next {
+		if t := s.remaining / s.rate; t < next {
 			next = t
 		}
 	}
@@ -825,37 +890,34 @@ func scaleFor(buf []classScale, c ClassID) float64 {
 	return 1
 }
 
-// demandCPURate and demandIORate are the station accessors passed to
-// stationScales. Package-level funcs rather than literals so the hot
-// reschedule path does not box a fresh closure per call.
-func demandCPURate(d Demand) float64 { return d.CPURate }
-func demandIORate(d Demand) float64  { return d.IORate }
-
-// stationScales computes, per class, the fraction of its requested rate a
-// station can deliver, accumulating into the caller-provided scratch
-// buffer (passed sliced to length 0, returned for reuse). Without class
-// weights every class sees the same scale (plain processor sharing). With
-// weights, capacity is divided by weighted max-min fairness: satisfied
-// classes keep their full demand and the remainder is re-divided among
-// the still-contending classes.
+// stationScales computes, per class, the fraction of its requested rate
+// the CPU (io false) or I/O (io true) station can deliver under the class
+// weights, accumulating into the caller-provided scratch buffer (passed
+// sliced to length 0, returned for reuse). Capacity is divided by
+// weighted max-min fairness: satisfied classes keep their full demand and
+// the remainder is re-divided among the still-contending classes.
 //
 // Per-class demand accumulates in active-slice order and the water
 // filling iterates classes in sorted-id order — exactly the orders the
 // previous map-based implementation used — so every floating-point sum
 // (and therefore every event time) is bit-identical to the seed path.
-func (e *Engine) stationScales(buf []classScale, rate func(Demand) float64, capacity float64) []classScale {
+func (e *Engine) stationScales(buf []classScale, io bool, capacity float64) []classScale {
 	var total float64
-	for _, q := range e.active {
-		r := rate(q.Demand)
+	for i := range e.slots {
+		r := e.slots[i].cpu
+		if io {
+			r = e.slots[i].io
+		}
+		class := e.active[i].Class
 		idx := -1
-		for i := range buf {
-			if buf[i].id == q.Class {
-				idx = i
+		for j := range buf {
+			if buf[j].id == class {
+				idx = j
 				break
 			}
 		}
 		if idx < 0 {
-			buf = append(buf, classScale{id: q.Class})
+			buf = append(buf, classScale{id: class})
 			idx = len(buf) - 1
 		}
 		buf[idx].demand += r
@@ -864,13 +926,6 @@ func (e *Engine) stationScales(buf []classScale, rate func(Demand) float64, capa
 	if total <= capacity {
 		for i := range buf {
 			buf[i].scale = 1
-		}
-		return buf
-	}
-	if e.weights == nil {
-		s := capacity / total
-		for i := range buf {
-			buf[i].scale = s
 		}
 		return buf
 	}

@@ -120,6 +120,13 @@ func (s *Source) WeightedChoice(weights []float64) int {
 	if len(weights) == 0 || total <= 0 {
 		panic("rng: WeightedChoice with no positive weights")
 	}
+	return s.WeightedChoiceSum(weights, total)
+}
+
+// WeightedChoiceSum is WeightedChoice for a caller that has already
+// validated weights and summed them, in slice order, into total. It
+// draws the same index from the same source state.
+func (s *Source) WeightedChoiceSum(weights []float64, total float64) int {
 	x := s.Float64() * total
 	for i, w := range weights {
 		x -= w

@@ -206,6 +206,20 @@ func TestWeightedChoiceDistribution(t *testing.T) {
 	}
 }
 
+func TestWeightedChoiceSumMatchesWeightedChoice(t *testing.T) {
+	weights := []float64{0.3, 0, 2.5, 1e-9, 7}
+	total := 0.0
+	for _, w := range weights {
+		total += w
+	}
+	a, b := New(41), New(41)
+	for i := 0; i < 10000; i++ {
+		if got, want := a.WeightedChoiceSum(weights, total), b.WeightedChoice(weights); got != want {
+			t.Fatalf("draw %d: WeightedChoiceSum = %d, WeightedChoice = %d", i, got, want)
+		}
+	}
+}
+
 func TestWeightedChoiceZeroWeightNeverChosen(t *testing.T) {
 	s := New(37)
 	weights := []float64{0, 1, 0}

@@ -76,8 +76,10 @@ var typedKinds = []Kind{QueryDone, QueryReleased, QueryAborted, QueryRetried, Qu
 // adversarial values: float formatting edge cases around encoding/json's
 // 'f'/'e' switchover, every escape class in strings (quotes, control
 // bytes, HTML characters, invalid UTF-8, U+2028/U+2029), every typed
-// detail kind, the repeat cache, and a large pseudo-random sweep. One
-// encoder serves every case, so its caches carry across events.
+// detail kind, the float memo (colliding entries, ±0, texts too long to
+// keep), seqs across gaps and digit rollovers, and a large pseudo-random
+// sweep. One encoder serves every case, so its memo carries across
+// events.
 func TestEventLineMatchesEncodingJSON(t *testing.T) {
 	var enc lineEncoder
 	floats := []float64{
@@ -114,8 +116,8 @@ func TestEventLineMatchesEncodingJSON(t *testing.T) {
 		checkEventLine(t, &enc, Event{Seq: 5, Time: 2, Kind: k, Detail: "as read", Num: [2]float64{1, 2}})
 	}
 
-	// The repeat cache is keyed on bits: 0 and -0 alternate in both
-	// cached fields and must keep their own text.
+	// The float memo is keyed on bits: 0 and -0 alternate in both
+	// memoized fields and must keep their own text.
 	negZero := math.Copysign(0, -1)
 	for i := 0; i < 6; i++ {
 		z := 0.0
@@ -124,6 +126,42 @@ func TestEventLineMatchesEncodingJSON(t *testing.T) {
 		}
 		checkEventLine(t, &enc, Event{Seq: uint64(10 + i), Time: simclock.Time(z), Kind: QueryStart, Value: z})
 		checkEventLine(t, &enc, Event{Seq: uint64(20 + i), Time: simclock.Time(z), Kind: QueryStart, Value: z})
+	}
+
+	// Values that share one memo entry evict each other: alternating
+	// them as t and value must never serve one's text for the other.
+	slot := func(f float64) uint64 { return memoSlot(math.Float64bits(f)) }
+	var pair []float64
+	seen := map[uint64]float64{}
+	for i := 1; len(pair) == 0; i++ {
+		f := float64(i) * 0.37
+		if g, ok := seen[slot(f)]; ok {
+			pair = []float64{g, f}
+		}
+		seen[slot(f)] = f
+	}
+	for i := 0; i < 8; i++ {
+		a, b := pair[i%2], pair[1-i%2]
+		checkEventLine(t, &enc, Event{Seq: uint64(30 + i), Time: simclock.Time(a), Kind: QueryDone, Value: b})
+		checkEventLine(t, &enc, Event{Seq: uint64(40 + i), Time: simclock.Time(b), Kind: QueryDone, Value: b})
+	}
+
+	// A text longer than a memo entry is formatted every time, and must
+	// not be truncated or left behind for a later lookup.
+	long := 0.0000012345678901234567
+	if n := len(appendJSONFloat(nil, long)); n <= memoText {
+		t.Fatalf("%v formats to %d bytes, want more than a memo entry's %d", long, n, memoText)
+	}
+	for i := 0; i < 3; i++ {
+		checkEventLine(t, &enc, Event{Seq: uint64(50 + i), Time: simclock.Time(long), Kind: QuerySubmit, Value: -long})
+		checkEventLine(t, &enc, Event{Seq: uint64(60 + i), Time: 1, Kind: QuerySubmit, Value: long})
+	}
+
+	// Runs of consecutive seqs across digit rollovers, gaps, repeats and
+	// a restart from a smaller seq.
+	for _, seq := range []uint64{97, 98, 99, 100, 101, 105, 106, 106, 999, 1000, 1001,
+		99999, 100000, 7, 8, 9, 10, 1<<64 - 2, 1<<64 - 1, 0, 1, 9999999999999999999, 10000000000000000000} {
+		checkEventLine(t, &enc, Event{Seq: seq, Time: 3, Kind: QueryStart, Value: 4})
 	}
 
 	src := rng.New(42)
@@ -140,7 +178,7 @@ func TestEventLineMatchesEncodingJSON(t *testing.T) {
 		v := src.Range(-1, 1) * math.Pow(10, float64(src.Intn(50)-25))
 		at := simclock.Time(src.Range(0, 1e9))
 		if src.Intn(3) == 0 {
-			at = simclock.Time(src.Intn(4)) // repeats for the t cache
+			at = simclock.Time(src.Intn(4)) // repeats for the float memo
 		}
 		e := Event{
 			Seq:    src.Uint64(),

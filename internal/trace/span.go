@@ -121,29 +121,47 @@ func (t *Tracer) SinkErr() error {
 // byte for byte what encoding/json produced for the equivalent
 // jsonEvent (field order, HTML escaping, float formatting, detail
 // omitted when empty), without reflection or allocation.
-// TestEventLineMatchesEncodingJSON pins the equivalence. It remembers
-// the last t and value it formatted: a completion emits done, submit
-// and start at one clock time, so t is formatted once for the three.
+// TestEventLineMatchesEncodingJSON pins the equivalence. t and value go
+// through a memo of formatted floats, so a query's cost is formatted
+// once for its submit, start and done lines and a clock time once for
+// every event at it.
 type lineEncoder struct {
-	t, value floatCache
-	buf      []byte // the flushed batch, reused
+	floats floatMemo
+	buf    []byte // the flushed batch, reused
 }
 
-// floatCache is a one-entry cache of a field's formatted float. It is
-// keyed on the bit pattern, not on ==, because 0 and -0 format
-// differently.
-type floatCache struct {
+// memoBits sizes floatMemo at 2^memoBits entries of 32 bytes: 16 KB,
+// allocated with the encoder and never grown.
+const memoBits = 9
+
+// memoText is the longest float text a memo entry holds. Longer texts
+// (17 significant digits behind leading zeros) are formatted every time.
+const memoText = 23
+
+// floatMemo is a direct-mapped memo of formatted floats. It is keyed on
+// the bit pattern, not on ==, because 0 and -0 format differently.
+type floatMemo [1 << memoBits]struct {
 	bits uint64
-	set  bool
-	text []byte
+	n    uint8 // text length; 0 marks an empty entry
+	text [memoText]byte
 }
 
-func (c *floatCache) append(buf []byte, f float64) []byte {
-	if b := math.Float64bits(f); !c.set || b != c.bits {
-		c.text = appendJSONFloat(c.text[:0], f)
-		c.bits, c.set = b, true
+// memoSlot is the memo entry a float's bits map to (Fibonacci hashing).
+func memoSlot(bits uint64) uint64 { return bits * 0x9e3779b97f4a7c15 >> (64 - memoBits) }
+
+func (m *floatMemo) append(buf []byte, f float64) []byte {
+	b := math.Float64bits(f)
+	e := &m[memoSlot(b)]
+	if e.n != 0 && e.bits == b {
+		return append(buf, e.text[:e.n]...)
 	}
-	return append(buf, c.text...)
+	start := len(buf)
+	buf = appendJSONFloat(buf, f)
+	if n := len(buf) - start; n <= memoText {
+		e.bits, e.n = b, uint8(n)
+		copy(e.text[:], buf[start:])
+	}
+	return buf
 }
 
 // kindTokens[k] is the encoded `,"kind":"…","class":` run of kind k.
@@ -161,7 +179,7 @@ func (enc *lineEncoder) appendLine(buf []byte, e *Event) []byte {
 	buf = append(buf, `{"type":"event","seq":`...)
 	buf = strconv.AppendUint(buf, e.Seq, 10)
 	buf = append(buf, `,"t":`...)
-	buf = enc.t.append(buf, float64(e.Time))
+	buf = enc.floats.append(buf, float64(e.Time))
 	if k := int(e.Kind); k >= 0 && k < numKinds {
 		buf = append(buf, kindTokens[k]...)
 	} else {
@@ -179,7 +197,7 @@ func (enc *lineEncoder) appendLine(buf []byte, e *Event) []byte {
 	buf = append(buf, `,"plan":`...)
 	buf = strconv.AppendInt(buf, int64(e.Plan), 10)
 	buf = append(buf, `,"value":`...)
-	buf = enc.value.append(buf, e.Value)
+	buf = enc.floats.append(buf, e.Value)
 	buf = appendDetail(buf, e)
 	return append(buf, '}', '\n')
 }

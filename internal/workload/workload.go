@@ -122,6 +122,7 @@ type Set struct {
 	opt       *optimizer.Optimizer
 	templates []Template
 	weights   []float64
+	total     float64 // sum of weights, in slice order
 	base      []optimizer.Cost
 }
 
@@ -136,6 +137,7 @@ func NewSet(opt *optimizer.Optimizer, templates []Template) *Set {
 			panic(fmt.Sprintf("workload: template %q has non-positive weight", t.Name))
 		}
 		s.weights = append(s.weights, t.Weight)
+		s.total += t.Weight
 		s.base = append(s.base, opt.Cost(t.Plan))
 	}
 	return s
@@ -152,15 +154,15 @@ func (s *Set) BaseTimerons(i int) float64 { return s.opt.Model.Timerons(s.base[i
 
 // Generate draws one instance: template by weight, instance size by the
 // template's log-normal spread, and an optimizer estimate perturbed by the
-// cost model's estimation noise.
+// cost model's estimation noise. The weights are validated and summed
+// once, in NewSet.
 func (s *Set) Generate(src *rng.Source) Instance {
-	i := src.WeightedChoice(s.weights)
-	return s.GenerateFrom(i, src)
+	return s.GenerateFrom(src.WeightedChoiceSum(s.weights, s.total), src)
 }
 
 // GenerateFrom draws one instance of a specific template.
 func (s *Set) GenerateFrom(i int, src *rng.Source) Instance {
-	t := s.templates[i]
+	t := &s.templates[i]
 	truth := s.base[i]
 	if t.SizeSigma > 0 {
 		f := src.LogNormalMedian(1, t.SizeSigma)

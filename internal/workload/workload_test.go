@@ -140,6 +140,27 @@ func TestGenerateDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestGenerateMatchesWeightedChoice pins Generate's template draw, made
+// with the weight total summed once in NewSet, to rng.WeightedChoice over
+// the template weights followed by GenerateFrom: from one seed, both
+// paths yield equal instances.
+func TestGenerateMatchesWeightedChoice(t *testing.T) {
+	for name, s := range map[string]*Set{"tpch": olapSet(), "tpcc": oltpSet()} {
+		var weights []float64
+		for _, tp := range s.Templates() {
+			weights = append(weights, tp.Weight)
+		}
+		got, want := rng.New(17), rng.New(17)
+		for i := 0; i < 100000; i++ {
+			g := s.Generate(got)
+			w := s.GenerateFrom(want.WeightedChoice(weights), want)
+			if g != w {
+				t.Fatalf("%s draw %d: Generate = %+v, WeightedChoice+GenerateFrom = %+v", name, i, g, w)
+			}
+		}
+	}
+}
+
 func TestGenerateVariesInstanceSize(t *testing.T) {
 	s := olapSet()
 	src := rng.New(4)
