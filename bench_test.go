@@ -659,14 +659,12 @@ func BenchmarkFleetFailover(b *testing.B) {
 	}
 }
 
-// BenchmarkMillionClients drives one million distinct streaming clients
-// through a 24-sim-hour closed-loop OLTP run. A 25-client cohort rotates
-// through the population every ~2.2 sim-seconds via SetActiveWindow, so
-// every client in turn materializes, submits queries, and parks back to
-// its 12-byte (rng cursor, submit count) record. The eager generator
-// would build a million Client objects and rng streams up front; the
-// streaming pool keeps resident state bounded by the live cohort, which
-// is what lets the run fit in container memory.
+// BenchmarkMillionClients drives one million distinct clients through a
+// 24-sim-hour closed-loop OLTP run. A 25-client cohort rotates through
+// the population every ~2.2 sim-seconds via SetActiveWindow, so every
+// client in turn materializes, submits queries, and parks back to its
+// 8-byte rng cursor. Only the live cohort exists as Client objects; the
+// rest of the population costs its cursor slice.
 func BenchmarkMillionClients(b *testing.B) {
 	const (
 		population = 1_000_000
@@ -684,7 +682,7 @@ func BenchmarkMillionClients(b *testing.B) {
 		opt := optimizer.New(optimizer.DefaultModel(), workload.TPCCCatalog())
 		set := workload.NewSet(opt, workload.TPCCTemplates())
 		pool := workload.NewPool(eng)
-		pool.AddClientsStreaming(oltp, set, population, rng.New(7))
+		pool.AddClients(oltp, set, population, rng.New(7))
 		for s := 0; s < slices; s++ {
 			lo := s * cohort
 			pool.SetActiveWindow(oltp.ID, lo, lo+cohort)

@@ -20,6 +20,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,7 +55,8 @@ func loadFaults(path string) *fault.Plan {
 	return &plan
 }
 
-// loadScenario parses a JSON scenario file.
+// loadScenario parses a JSON scenario file; one that does not parse or
+// validate exits 2.
 func loadScenario(path string) *experiment.Scenario {
 	f, err := os.Open(path)
 	if err != nil {
@@ -65,7 +67,7 @@ func loadScenario(path string) *experiment.Scenario {
 	sc, err := experiment.ParseScenario(f)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	return sc
 }
@@ -329,6 +331,11 @@ func main() {
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
+			// A checkpoint whose config is invalid is bad input.
+			var bad *experiment.InvalidConfigError
+			if errors.As(err, &bad) {
+				os.Exit(2)
+			}
 			os.Exit(1)
 		}
 		exitIfCrashed(res)

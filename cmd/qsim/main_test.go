@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/experiment"
+	"repro/internal/workload"
 )
 
 // TestMain lets the test binary impersonate the CLI: with QSIM_MAIN=1
@@ -57,6 +58,9 @@ func TestUsageErrorsExit2(t *testing.T) {
 	scenario := plan("scenario.json", `{"mode": "qp-priority", "period_minutes": 5,
 		"classes": [{"kind": "olap", "goal_metric": "velocity", "goal_target": 0.4, "importance": 1}],
 		"periods": [[2]], "backends": [{"name": "x"}, {"name": "y"}]}`)
+	negative := plan("negative.json", `{"mode": "qp-priority", "period_minutes": 5,
+		"classes": [{"kind": "olap", "goal_metric": "velocity", "goal_target": 0.4, "importance": 1}],
+		"periods": [[2], [-1]]}`)
 	cases := []struct {
 		name   string
 		args   []string
@@ -70,6 +74,8 @@ func TestUsageErrorsExit2(t *testing.T) {
 			"fault: plan targets backend 3 of a 2-backend roster\n"},
 		{"crash a scenario's whole roster", []string{"-scenario", scenario, "-faults", crashBoth},
 			"fault: backend crashes leave no backend up at t=450 (2 of 2 down)\n"},
+		{"negative client count in a scenario", []string{"-scenario", negative},
+			"scenario: experiment: schedule period 2 has -1 clients for class 1\n"},
 		{"backends on a sweep", []string{"-exp", "syslimit", "-backends", "2"},
 			"-backends applies to -exp fig4|fig5|fig6|fig7 (use -exp routing for the heterogeneous E14 fleet)\n"},
 		{"decisions without a scheduler", []string{"-exp", "fig4", "-decisions", filepath.Join(dir, "d.jsonl")},
@@ -193,4 +199,63 @@ func TestResumeDivergenceExits1(t *testing.T) {
 			}
 		})
 	})
+}
+
+// A checkpoint whose schedule the pool cannot apply is bad input: the
+// resume exits 2 with Validate's message instead of panicking mid-run.
+func TestResumeInvalidScheduleExits2(t *testing.T) {
+	dir := t.TempDir()
+	scenario := filepath.Join(dir, "scenario.json")
+	if err := os.WriteFile(scenario, []byte(`{"mode": "no-control", "period_minutes": 1,
+		"classes": [
+			{"kind": "olap", "goal_metric": "velocity", "goal_target": 0.4, "importance": 1},
+			{"kind": "oltp", "goal_metric": "response_time", "goal_target": 0.25, "importance": 2}],
+		"periods": [[2, 10], [3, 12], [1, 5]]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck := filepath.Join(dir, "ck")
+	if _, stderr, code := runCLI(t, "-scenario", scenario, "-checkpoint-every", "1", "-checkpoint-dir", ck); code != 0 {
+		t.Fatalf("checkpointed run exit %d: %s", code, stderr)
+	}
+	path := filepath.Join(ck, checkpoint.FileName(keepMiddleCheckpoint(t, ck)))
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		edit   func(*workload.Schedule)
+		stderr string
+	}{
+		{"empty schedule", func(s *workload.Schedule) { s.Clients = nil }, "experiment: empty schedule\n"},
+		{"negative count", func(s *workload.Schedule) { s.Clients[1][1] = -1 },
+			"experiment: schedule period 2 has -1 clients for class 1\n"},
+		{"unknown class", func(s *workload.Schedule) { s.Clients[0][9] = 5 },
+			"experiment: schedule period 1 has 5 clients for class 9, which the run does not have\n"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(path, orig, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var head checkpointHead
+			if err := checkpoint.Read(path, &head); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&head.Config.Sched)
+			if err := checkpoint.Write(ck, head.Index, head); err != nil {
+				t.Fatal(err)
+			}
+			stdout, stderr, code := runCLI(t, "-resume", ck)
+			if code != 2 {
+				t.Errorf("exit %d, want 2", code)
+			}
+			if stderr != tc.stderr {
+				t.Errorf("stderr %q, want %q", stderr, tc.stderr)
+			}
+			if stdout != "" {
+				t.Errorf("stdout %q, want none", stdout)
+			}
+		})
+	}
 }

@@ -22,6 +22,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -322,6 +323,11 @@ func main() {
 	for i, v := range sweep {
 		if errs[i] != nil {
 			fmt.Fprintf(os.Stderr, "%s=%g: %v\n", *param, v, errs[i])
+			// A checkpoint whose config is invalid is bad input.
+			var bad *experiment.InvalidConfigError
+			if errors.As(errs[i], &bad) {
+				os.Exit(2)
+			}
 			os.Exit(1)
 		}
 		res := results[i]

@@ -6,6 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/checkpoint"
+	"repro/internal/experiment"
+	"repro/internal/workload"
 )
 
 // TestMain lets the test binary impersonate the CLI: with QSWEEP_MAIN=1
@@ -99,5 +103,25 @@ func TestParallelRowsIdentical(t *testing.T) {
 	}
 	if rows := strings.Count(serial, "\n"); rows != 5 {
 		t.Fatalf("%d output lines, want a header, a blank, a column row and 2 value rows:\n%s", rows, serial)
+	}
+}
+
+// A resumed value whose checkpoint carries a config Validate rejects is
+// bad input: the sweep exits 2 with the message instead of panicking.
+func TestResumeInvalidConfigExits2(t *testing.T) {
+	dir := t.TempDir()
+	head := struct {
+		Config experiment.MixedConfig
+		Index  int
+	}{experiment.MixedConfig{Mode: experiment.QueryScheduler, Sched: workload.Schedule{PeriodSeconds: 60}}, 1}
+	if err := checkpoint.Write(filepath.Join(dir, "plan-step-500"), 1, head); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code := runCLI(t, "-param", "plan-step", "-values", "500", "-checkpoint-dir", dir, "-resume")
+	if code != 2 {
+		t.Errorf("exit %d, want 2", code)
+	}
+	if want := "plan-step=500: experiment: empty schedule\n"; stderr != want {
+		t.Errorf("stderr %q, want %q", stderr, want)
 	}
 }

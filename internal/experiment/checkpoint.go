@@ -207,6 +207,14 @@ type ResumeOptions struct {
 	Warn io.Writer
 }
 
+// InvalidConfigError is ResumeMixed's error for a checkpoint whose config
+// fails MixedConfig.Validate: bad input, which the CLIs report with exit
+// 2 like any other invalid configuration, not a resume that diverged.
+type InvalidConfigError struct{ Err error }
+
+func (e *InvalidConfigError) Error() string { return e.Err.Error() }
+func (e *InvalidConfigError) Unwrap() error { return e.Err }
+
 // ResumeMixed resumes an interrupted run from the newest (or selected)
 // checkpoint and drives it to completion. It rebuilds the run from the
 // checkpoint's config, re-simulates to the checkpoint's boundary with the
@@ -226,7 +234,7 @@ func ResumeMixed(opts ResumeOptions) (*MixedResult, error) {
 	cfg.Metrics = opts.Metrics
 	cfg.CheckpointEvery, cfg.CheckpointDir = opts.CheckpointEvery, opts.Dir
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, &InvalidConfigError{err}
 	}
 
 	var files []*replayFile

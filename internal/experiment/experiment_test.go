@@ -36,7 +36,8 @@ func TestNewRigShape(t *testing.T) {
 	}
 	// Pool must be provisioned for the schedule's maxima.
 	for cls, want := range rig.Sched.MaxClients() {
-		if got := len(rig.Pool.Clients(cls)); got != want {
+		rig.Pool.SetActive(cls, want)
+		if got := rig.Pool.ActiveCount(cls); got != want {
 			t.Fatalf("class %d has %d clients, want %d", cls, got, want)
 		}
 	}

@@ -293,12 +293,6 @@ type MixedConfig struct {
 	// CheckpointDir is where checkpoint files land; required when
 	// CheckpointEvery is set.
 	CheckpointDir string
-	// StreamingClients builds the run's client pool with the streaming
-	// generator: clients materialize lazily on first activation instead of
-	// up front. Behaviour is byte-identical to the eager pool; the point is
-	// memory — million-client schedules only pay for the clients a period
-	// actually activates.
-	StreamingClients bool
 	// Backends is the roster: one spec per backend, each with its own
 	// engine, patroller and controller. Nil means one paper-default
 	// backend. Two or more run behind the routing tier; in Query

@@ -1,7 +1,7 @@
 // Byte-identity goldens for the hot-path overhaul: the files under
 // testdata/golden were captured from the pre-optimization seed code, so
 // any allocation work (query freelists, dense per-class slices, batched
-// trace dispatch, the streaming client generator) that perturbs a table,
+// trace dispatch, the parked client cursors) that perturbs a table,
 // the metrics exposition, or a single JSONL trace byte fails here. Each
 // artifact is additionally produced under the parallel runner, extending
 // the guarantee to -parallel 8 sweeps.
@@ -213,32 +213,6 @@ func TestGoldenFaultMatrixQuick(t *testing.T) {
 	}
 }
 
-// TestGoldenStreamingPoolMatchesEager is the streaming-generator identity
-// property: a pool that materializes clients lazily from recorded
-// generator cursors must reproduce the eager pool's runs byte for byte.
-// (The golden files above pin the eager path; transitivity extends the
-// guarantee to the seed output.)
-func TestGoldenStreamingPoolMatchesEager(t *testing.T) {
-	for _, mode := range []Mode{NoControl, QueryScheduler} {
-		cfg := MixedConfig{Mode: mode, Sched: shortSchedule(), Seed: 1, Experiment: "golden"}
-		eagerTrace, eagerMetrics, eagerTables, eagerDecisions := mixedGoldenArtifacts(t, cfg)
-		cfg.StreamingClients = true
-		lazyTrace, lazyMetrics, lazyTables, lazyDecisions := mixedGoldenArtifacts(t, cfg)
-		if !bytes.Equal(eagerTrace, lazyTrace) {
-			t.Errorf("%v: streaming pool perturbs the JSONL trace", mode)
-		}
-		if !bytes.Equal(eagerMetrics, lazyMetrics) {
-			t.Errorf("%v: streaming pool perturbs the metrics exposition", mode)
-		}
-		if !bytes.Equal(eagerTables, lazyTables) {
-			t.Errorf("%v: streaming pool perturbs the period tables", mode)
-		}
-		if !bytes.Equal(eagerDecisions, lazyDecisions) {
-			t.Errorf("%v: streaming pool perturbs the decision log", mode)
-		}
-	}
-}
-
 // refOutputsWithDecisions mirrors refOutputs with the decision log also
 // streamed (buffered) to its own file, returning its final bytes too.
 func refOutputsWithDecisions(t *testing.T, cfg MixedConfig, tracePath, decPath string) (tables string, metrics, trace, decisions []byte) {
@@ -277,7 +251,6 @@ func TestGoldenResumeSurvivesPooling(t *testing.T) {
 	refTrace := filepath.Join(dir, "ref.jsonl")
 	refDec := filepath.Join(dir, "ref-decisions.jsonl")
 	cfg := ckptTestConfig(ckptDir, 1)
-	cfg.StreamingClients = true
 	refTables, refMetrics, refTraceBytes, refDecBytes := refOutputsWithDecisions(t, cfg, refTrace, refDec)
 	for _, idx := range checkpointIndices(t, ckptDir) {
 		tmp := filepath.Join(dir, fmt.Sprintf("resume-%02d.jsonl", idx))

@@ -101,28 +101,14 @@ func (r *Rig) OLTPClass() *workload.Class {
 // service classes, and enough parked clients to cover the schedule. No
 // controller is attached yet.
 func NewRig(seed uint64, sched workload.Schedule) *Rig {
-	return NewCustomRig(seed, sched, workload.PaperClasses())
-}
-
-// NewCustomRig is NewRig with caller-defined service classes: every OLAP
-// class draws from the TPC-H-like set, every OLTP class from the
-// TPC-C-like set.
-func NewCustomRig(seed uint64, sched workload.Schedule, classes []*workload.Class) *Rig {
-	return newRig(seed, sched, classes, false, nil)
-}
-
-// NewStreamingRig is NewCustomRig with the streaming client generator:
-// clients materialize lazily on first activation. Byte-identical to the
-// eager rig; use it when the schedule's client population is large.
-func NewStreamingRig(seed uint64, sched workload.Schedule, classes []*workload.Class) *Rig {
-	return newRig(seed, sched, classes, true, nil)
+	return newRig(seed, sched, workload.PaperClasses(), nil)
 }
 
 // newRig builds the roster (nil specs = one paper-default backend), the
 // template sets, the pool with every client seeded from one rng stream,
 // and the collectors. The order is load-bearing: it fixes the order in
 // which clock events and listeners are registered.
-func newRig(seed uint64, sched workload.Schedule, classes []*workload.Class, streaming bool, specs []backend.Spec) *Rig {
+func newRig(seed uint64, sched workload.Schedule, classes []*workload.Class, specs []backend.Spec) *Rig {
 	if len(specs) == 0 {
 		specs = backend.DefaultSpecs(1)
 	}
@@ -154,11 +140,7 @@ func newRig(seed uint64, sched workload.Schedule, classes []*workload.Class, str
 		if c.Kind == workload.OLTP {
 			set = r.OLTPSet
 		}
-		if streaming {
-			r.Pool.AddClientsStreaming(c, set, maxClients[c.ID], src)
-		} else {
-			r.Pool.AddClients(c, set, maxClients[c.ID], src)
-		}
+		r.Pool.AddClients(c, set, maxClients[c.ID], src)
 	}
 
 	if r.fleet() {
@@ -259,11 +241,7 @@ func (r *Rig) Run() {
 // observability, and the failover wiring (which needs both) — in that
 // order. A fresh run and a resumed one both build through here.
 func buildRig(cfg MixedConfig) (*Rig, *runObs, error) {
-	classes := cfg.Classes
-	if classes == nil {
-		classes = workload.PaperClasses()
-	}
-	r := newRig(cfg.Seed, cfg.Sched, classes, cfg.StreamingClients, cfg.Backends)
+	r := newRig(cfg.Seed, cfg.Sched, cfg.classes(), cfg.Backends)
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
 		for _, b := range r.Backends {
 			var inj *fault.Injector

@@ -12,12 +12,16 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/backend"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/router"
+	"repro/internal/workload"
 )
 
 // FleetResult extends MixedResult (computed from the global collector,
@@ -42,12 +46,15 @@ type FleetResult struct {
 
 // Validate is the one check of a mixed run's configuration, so a bad
 // one comes back as an error rather than a panic mid-run. It rejects a
-// fault plan that does not fit the roster (a backend-scoped fault
-// naming a backend outside it, or crash windows that leave no backend
-// up at some instant), a Query Scheduler config the scheduler would
-// refuse, and checkpointing asked of a run that cannot round-trip
-// through a checkpoint.
+// schedule the client pool cannot apply, a fault plan that does not fit
+// the roster (a backend-scoped fault naming a backend outside it, or
+// crash windows that leave no backend up at some instant), a Query
+// Scheduler config the scheduler would refuse, and checkpointing asked
+// of a run that cannot round-trip through a checkpoint.
 func (cfg MixedConfig) Validate() error {
+	if err := cfg.validateSchedule(); err != nil {
+		return err
+	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.ValidateRoster(max(len(cfg.Backends), 1)); err != nil {
 			return err
@@ -62,6 +69,52 @@ func (cfg MixedConfig) Validate() error {
 		return validateCheckpointing(cfg)
 	}
 	return nil
+}
+
+// validateSchedule rejects a schedule with no periods or a non-positive
+// period length, duplicate class IDs, and a period that asks for a
+// negative client count or for clients of a class the run does not have.
+func (cfg MixedConfig) validateSchedule() error {
+	s := cfg.Sched
+	if len(s.Clients) == 0 {
+		return errors.New("experiment: empty schedule")
+	}
+	if !(s.PeriodSeconds > 0) {
+		return fmt.Errorf("experiment: schedule period length %v must be positive", s.PeriodSeconds)
+	}
+	classes := cfg.classes()
+	known := make(map[engine.ClassID]bool, len(classes))
+	for _, c := range classes {
+		if known[c.ID] {
+			return fmt.Errorf("experiment: duplicate class ID %d", c.ID)
+		}
+		known[c.ID] = true
+	}
+	for p, counts := range s.Clients {
+		ids := make([]engine.ClassID, 0, len(counts))
+		for id := range counts {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		for _, id := range ids {
+			switch n := counts[id]; {
+			case n < 0:
+				return fmt.Errorf("experiment: schedule period %d has %d clients for class %d", p+1, n, id)
+			case n > 0 && !known[id]:
+				return fmt.Errorf("experiment: schedule period %d has %d clients for class %d, which the run does not have", p+1, n, id)
+			}
+		}
+	}
+	return nil
+}
+
+// classes returns the run's service classes: Classes, or the paper's
+// three when it is nil.
+func (cfg MixedConfig) classes() []*workload.Class {
+	if cfg.Classes == nil {
+		return workload.PaperClasses()
+	}
+	return cfg.Classes
 }
 
 // RunFleet executes one mixed-workload experiment on the configured

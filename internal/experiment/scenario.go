@@ -167,9 +167,6 @@ func buildScenario(spec ScenarioSpec) (*Scenario, error) {
 		}
 		counts := make(map[engine.ClassID]int, len(row))
 		for i, n := range row {
-			if n < 0 {
-				return nil, fmt.Errorf("scenario: period %d class %d negative count", p+1, i+1)
-			}
 			counts[s.Classes[i].ID] = n
 		}
 		s.Sched.Clients = append(s.Sched.Clients, counts)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/solver"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // uniformSolver is a solver a checkpoint cannot name.
@@ -70,6 +71,19 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 		{"plan outside the roster", func(c *MixedConfig) {
 			c.Faults = &fault.Plan{BackendCrashes: []fault.BackendCrash{{Backend: 2, At: 100}}}
 		}, "fault: plan targets backend 2 of a 1-backend roster"},
+		{"empty schedule", func(c *MixedConfig) { c.Sched.Clients = nil }, "experiment: empty schedule"},
+		{"zero period length", func(c *MixedConfig) { c.Sched.PeriodSeconds = 0 },
+			"experiment: schedule period length 0 must be positive"},
+		{"negative count", func(c *MixedConfig) { c.Sched.Clients[1][1] = -1 },
+			"experiment: schedule period 2 has -1 clients for class 1"},
+		{"clients of an unknown class", func(c *MixedConfig) { c.Sched.Clients[0][9] = 5 },
+			"experiment: schedule period 1 has 5 clients for class 9, which the run does not have"},
+		{"unknown class without clients", func(c *MixedConfig) { c.Sched.Clients[0][9] = 0 }, ""},
+		{"clients of a class left out", func(c *MixedConfig) { c.Classes = workload.PaperClasses()[:2] },
+			"experiment: schedule period 1 has 10 clients for class 3, which the run does not have"},
+		{"duplicate class", func(c *MixedConfig) {
+			c.Classes = append(workload.PaperClasses(), workload.PaperClasses()[0])
+		}, "experiment: duplicate class ID 1"},
 		{"unchecked custom solver", func(c *MixedConfig) {
 			c.CheckpointEvery = 0
 			c.QS = qs(func(q *core.Config) { q.Solver = uniformSolver{} })

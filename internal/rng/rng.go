@@ -28,8 +28,8 @@ func (s *Source) Split() *Source {
 }
 
 // State returns the generator's raw cursor. Restoring it with SetState
-// resumes the stream at exactly the same position (the streaming client
-// pool parks a client as its cursor).
+// resumes the stream at exactly the same position (the client pool parks
+// an idle client as its cursor).
 func (s *Source) State() uint64 { return s.state }
 
 // SetState repositions the generator's cursor (see State).

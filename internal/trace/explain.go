@@ -419,20 +419,20 @@ func (ex *Explanation) renderGantt(w io.Writer) {
 // summaryAcc accumulates the per-kind and per-class tallies the trace
 // summary prints; it needs each event once, never the full list.
 type summaryAcc struct {
-	total   int
-	counts  map[Kind]int
-	byClass map[engine.ClassID]int
+	total       int
+	counts      map[Kind]int
+	completions map[engine.ClassID]int
 }
 
 func newSummaryAcc() *summaryAcc {
-	return &summaryAcc{counts: make(map[Kind]int), byClass: make(map[engine.ClassID]int)}
+	return &summaryAcc{counts: make(map[Kind]int), completions: make(map[engine.ClassID]int)}
 }
 
 func (a *summaryAcc) add(e Event) {
 	a.total++
 	a.counts[e.Kind]++
 	if e.Kind == QueryDone {
-		a.byClass[e.Class]++
+		a.completions[e.Class]++
 	}
 }
 
@@ -449,12 +449,12 @@ func (a *summaryAcc) render(w io.Writer, meta Meta) {
 		}
 	}
 	var ids []engine.ClassID
-	for id := range a.byClass {
+	for id := range a.completions {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		fmt.Fprintf(w, "Completions class %d: %d\n", id, a.byClass[id])
+		fmt.Fprintf(w, "Completions class %d: %d\n", id, a.completions[id])
 	}
 }
 

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -113,41 +115,29 @@ func TestSetActiveBoundsPanics(t *testing.T) {
 func TestActiveClientsList(t *testing.T) {
 	pool, _, _, class := newPoolRig(t)
 	pool.SetActive(class.ID, 2)
-	ids := pool.ActiveClients(class.ID)
-	if len(ids) != 2 {
-		t.Fatalf("ActiveClients = %v", ids)
+	if ids := pool.ActiveClients(class.ID); !slices.Equal(ids, []engine.ClientID{1, 2}) {
+		t.Fatalf("ActiveClients = %v, want [1 2]", ids)
 	}
-	all := pool.Clients(class.ID)
-	if len(all) != 4 {
-		t.Fatalf("Clients = %d, want 4", len(all))
+	pool.SetActive(class.ID, 4) // all four clients exist
+	if n := pool.ActiveCount(class.ID); n != 4 {
+		t.Fatalf("ActiveCount = %d, want 4", n)
 	}
 }
 
 // A snapshot poller reusing its buffer gets the same IDs ActiveClients
-// returns and allocates nothing once the buffer has grown, for eager and
-// streaming classes alike.
+// returns and allocates nothing once the buffer has grown.
 func TestAppendActiveClientsReusesBuffer(t *testing.T) {
-	for _, streaming := range []bool{false, true} {
-		clock := simclock.New()
-		eng := engine.New(engine.Config{CPUCapacity: 100, IOCapacity: 100}, clock)
-		pool := NewPool(eng)
-		class := &Class{ID: 3, Name: "oltp", Kind: OLTP, Goal: Goal{AvgResponseTime, 1}, Importance: 1}
-		if streaming {
-			pool.AddClientsStreaming(class, fastSet(t), 4, rng.New(1))
-		} else {
-			pool.AddClients(class, fastSet(t), 4, rng.New(1))
-		}
-		pool.SetActive(class.ID, 3)
-		buf := pool.AppendActiveClients(nil, class.ID)
-		if want := pool.ActiveClients(class.ID); !slices.Equal(buf, want) || len(buf) != 3 {
-			t.Fatalf("streaming=%v: AppendActiveClients = %v, ActiveClients = %v", streaming, buf, want)
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			buf = pool.AppendActiveClients(buf[:0], class.ID)
-		})
-		if allocs != 0 {
-			t.Fatalf("streaming=%v: %v allocs per reused poll, want 0", streaming, allocs)
-		}
+	pool, _, _, class := newPoolRig(t)
+	pool.SetActive(class.ID, 3)
+	buf := pool.AppendActiveClients(nil, class.ID)
+	if want := pool.ActiveClients(class.ID); !slices.Equal(buf, want) || len(buf) != 3 {
+		t.Fatalf("AppendActiveClients = %v, ActiveClients = %v", buf, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = pool.AppendActiveClients(buf[:0], class.ID)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per reused poll, want 0", allocs)
 	}
 }
 
@@ -274,4 +264,181 @@ func TestScheduleInstallValidation(t *testing.T) {
 		}
 	}()
 	Schedule{PeriodSeconds: 1}.Install(clock, pool, nil)
+}
+
+// refClient and refPool are a reference copy of the pool as it was
+// before parked clients became cursors: every client is built up front
+// with its own Split() stream, and a window move walks the class's whole
+// client list in offset order.
+type refClient struct {
+	id       engine.ClientID
+	class    *Class
+	set      *Set
+	src      *rng.Source
+	active   bool
+	inFlight bool
+}
+
+type refPool struct {
+	route   Submitter
+	clients map[engine.ClientID]*refClient
+	byClass map[engine.ClassID][]*refClient
+	nextID  engine.ClientID
+	// reactivatedInFlight counts activations of a client whose previous
+	// query had not completed yet.
+	reactivatedInFlight int
+}
+
+func (p *refPool) addClients(class *Class, set *Set, n int, src *rng.Source) {
+	for i := 0; i < n; i++ {
+		p.nextID++
+		c := &refClient{id: p.nextID, class: class, set: set, src: src.Split()}
+		p.clients[c.id] = c
+		p.byClass[class.ID] = append(p.byClass[class.ID], c)
+	}
+}
+
+func (p *refPool) setActiveWindow(class engine.ClassID, lo, hi int) {
+	for i, c := range p.byClass[class] {
+		want := i >= lo && i < hi
+		if want == c.active {
+			continue
+		}
+		c.active = want
+		if want && c.inFlight {
+			p.reactivatedInFlight++
+		}
+		if want && !c.inFlight {
+			p.submitNext(c)
+		}
+	}
+}
+
+func (p *refPool) submitNext(c *refClient) {
+	inst := c.set.Generate(c.src)
+	q := p.route.AcquireQuery()
+	q.Client = c.id
+	q.Class = c.class.ID
+	q.Template = inst.Template
+	q.Cost = inst.Timerons
+	q.Demand = inst.Demand
+	c.inFlight = true
+	p.route.Submit(q)
+}
+
+func (p *refPool) onDone(q *engine.Query) {
+	c := p.clients[q.Client]
+	c.inFlight = false
+	if c.active {
+		p.submitNext(c)
+	}
+}
+
+func (p *refPool) activeClients(class engine.ClassID) []engine.ClientID {
+	var ids []engine.ClientID
+	for _, c := range p.byClass[class] {
+		if c.active {
+			ids = append(ids, c.id)
+		}
+	}
+	return ids
+}
+
+// submission is what a pool hands its submitter, costs compared by bits.
+type submission struct {
+	client   engine.ClientID
+	template string
+	cost     uint64
+}
+
+// recorder is a Submitter that logs every submission and holds the
+// queries in flight until the test completes them.
+type recorder struct {
+	log      []submission
+	inFlight []*engine.Query
+}
+
+func (r *recorder) AcquireQuery() *engine.Query { return new(engine.Query) }
+
+func (r *recorder) Submit(q *engine.Query) {
+	r.log = append(r.log, submission{q.Client, q.Template, math.Float64bits(q.Cost)})
+	r.inFlight = append(r.inFlight, q)
+}
+
+// complete removes and returns the i-th query in flight.
+func (r *recorder) complete(i int) *engine.Query {
+	q := r.inFlight[i]
+	r.inFlight = slices.Delete(r.inFlight, i, i+1)
+	return q
+}
+
+// The pool submits exactly what the eager reference submits, in the same
+// order, and reports the same active clients, over randomized scripts of
+// window moves (SetActive and SetActiveWindow, offset and empty windows)
+// and completions in arbitrary order — including a client re-activated
+// while its previous query is still in flight.
+func TestPoolMatchesReference(t *testing.T) {
+	m := optimizer.DefaultModel()
+	oltp := NewSet(optimizer.New(m, TPCCCatalog()), TPCCTemplates())
+	olap := NewSet(optimizer.New(m, TPCHCatalog()), TPCHTemplates())
+	classes := PaperClasses()
+	reactivated := 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		script := rng.New(seed)
+		got, want := &recorder{}, &recorder{}
+		pool := NewRoutedPool(got, []*engine.Engine{engine.New(engine.DefaultConfig(), simclock.New())})
+		ref := &refPool{
+			route:   want,
+			clients: make(map[engine.ClientID]*refClient),
+			byClass: make(map[engine.ClassID][]*refClient),
+		}
+		size := make(map[engine.ClassID]int)
+		src, refSrc := rng.New(seed), rng.New(seed)
+		for _, c := range classes {
+			set := olap
+			if c.Kind == OLTP {
+				set = oltp
+			}
+			size[c.ID] = script.Intn(12)
+			pool.AddClients(c, set, size[c.ID], src)
+			ref.addClients(c, set, size[c.ID], refSrc)
+		}
+		for step := 0; step < 60; step++ {
+			cls := classes[script.Intn(len(classes))].ID
+			var op string
+			switch k := script.Intn(10); {
+			case k < 2:
+				n := script.Intn(size[cls] + 1)
+				op = fmt.Sprintf("SetActive(%d, %d)", cls, n)
+				pool.SetActive(cls, n)
+				ref.setActiveWindow(cls, 0, n)
+			case k < 4:
+				lo := script.Intn(size[cls] + 1)
+				hi := lo + script.Intn(size[cls]-lo+1)
+				op = fmt.Sprintf("SetActiveWindow(%d, %d, %d)", cls, lo, hi)
+				pool.SetActiveWindow(cls, lo, hi)
+				ref.setActiveWindow(cls, lo, hi)
+			default:
+				if len(got.inFlight) == 0 {
+					continue
+				}
+				i := script.Intn(len(got.inFlight))
+				op = fmt.Sprintf("complete #%d", i)
+				pool.onDone(got.complete(i))
+				ref.onDone(want.complete(i))
+			}
+			if !slices.Equal(got.log, want.log) {
+				t.Fatalf("seed %d step %d %s: submissions\n got %v\nwant %v", seed, step, op, got.log, want.log)
+			}
+			for _, c := range classes {
+				if g, w := pool.ActiveClients(c.ID), ref.activeClients(c.ID); !slices.Equal(g, w) {
+					t.Fatalf("seed %d step %d %s: class %d active %v, want %v", seed, step, op, c.ID, g, w)
+				}
+			}
+		}
+		reactivated += ref.reactivatedInFlight
+	}
+	if reactivated == 0 {
+		t.Fatal("no script re-activated a client with a query in flight")
+	}
 }

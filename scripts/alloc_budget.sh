@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
 # Allocation-budget smoke: run the headline mixed benchmarks, the Query
 # Scheduler's control loop (Fig6: 1,440 control ticks and their plan
-# history), the engine's event loop, the fleet's routing benchmarks and
-# the tracer's emit benchmark once with -benchmem and fail if bytes
-# allocated per op regress more than 10% over the checked-in budget
+# history), the engine's event loop, the fleet's routing benchmarks, the
+# tracer's emit benchmark and the client pool's million-client rotation
+# (MillionClients) once with -benchmem and fail if bytes allocated per
+# op regress more than 10% over the checked-in budget
 # (scripts/alloc_budget.txt). The budget encodes the hot path's
 # allocation discipline — pooled query/span objects, one query freelist
 # per fleet, a slot slice for the executing set, dense per-class slices,
-# per-class plan rows, batched trace dispatch — as a CI regression
-# target rather than a one-off win. EngineHotPath's, RouterRoute's and
-# TraceEmit's budgets are 0 B/op, so any allocation on a warm engine
-# event, a warm routed submit or a warm traced query fails.
+# per-class plan rows, batched trace dispatch, parked clients held as
+# rng cursors — as a CI regression target rather than a one-off win.
+# EngineHotPath's, RouterRoute's and TraceEmit's budgets are 0 B/op, so
+# any allocation on a warm engine event, a warm routed submit or a warm
+# traced query fails.
 #
 # Usage:
 #   scripts/alloc_budget.sh            # compare against the budget
@@ -19,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUDGET=scripts/alloc_budget.txt
-BENCH='^(BenchmarkSystemCostLimit|BenchmarkFig2|BenchmarkFig6|BenchmarkEngineHotPath|BenchmarkRouterRoute|BenchmarkRoutingFleet|BenchmarkTraceEmit)$'
+BENCH='^(BenchmarkSystemCostLimit|BenchmarkFig2|BenchmarkFig6|BenchmarkEngineHotPath|BenchmarkRouterRoute|BenchmarkRoutingFleet|BenchmarkTraceEmit|BenchmarkMillionClients)$'
 
 OUT=$(go test -run='^$' -bench="$BENCH" -benchtime=1x -benchmem -timeout 1800s .)
 echo "$OUT"
