@@ -499,7 +499,7 @@ func benchSolver(b *testing.B, s solver.Solver) {
 				Predict: func(l float64) float64 { return max(0.05, 0.35-5e-6*l) }},
 		},
 	}
-	start := solver.Plan{1: 10000, 2: 10000, 3: 10000}
+	start := solver.Plan{10000, 10000, 10000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Solve(p, start)

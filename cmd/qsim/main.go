@@ -312,7 +312,7 @@ func main() {
 	writeMixedTables := func(name string, res *experiment.MixedResult) {
 		experiment.WriteMixed(out, res)
 		if res.CostLimits != nil {
-			experiment.WriteCostLimits(out, res)
+			experiment.WriteCostLimitTable(out, res)
 		}
 		if *chart {
 			experiment.WriteMixedCharts(out, res)
@@ -450,7 +450,7 @@ func main() {
 			writeMixed("fig6", res)
 		}
 		if run("fig7") {
-			experiment.WriteCostLimits(out, res)
+			experiment.WriteCostLimitTable(out, res)
 			if *chart {
 				experiment.WriteCostLimitCharts(out, res)
 			}

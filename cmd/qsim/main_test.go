@@ -61,6 +61,9 @@ func TestUsageErrorsExit2(t *testing.T) {
 	negative := plan("negative.json", `{"mode": "qp-priority", "period_minutes": 5,
 		"classes": [{"kind": "olap", "goal_metric": "velocity", "goal_target": 0.4, "importance": 1}],
 		"periods": [[2], [-1]]}`)
+	mismatch := plan("mismatch.json", `{"mode": "query-scheduler", "period_minutes": 5,
+		"classes": [{"kind": "olap", "goal_metric": "response_time", "goal_target": 5, "importance": 1}],
+		"periods": [[2]]}`)
 	cases := []struct {
 		name   string
 		args   []string
@@ -76,6 +79,8 @@ func TestUsageErrorsExit2(t *testing.T) {
 			"fault: backend crashes leave no backend up at t=450 (2 of 2 down)\n"},
 		{"negative client count in a scenario", []string{"-scenario", negative},
 			"scenario: experiment: schedule period 2 has -1 clients for class 1\n"},
+		{"OLAP class with a response-time goal in a scenario", []string{"-scenario", mismatch},
+			"scenario: experiment: class 1 is OLAP but its goal metric is avg-response-time; OLAP goals are velocity\n"},
 		{"backends on a sweep", []string{"-exp", "syslimit", "-backends", "2"},
 			"-backends applies to -exp fig4|fig5|fig6|fig7 (use -exp routing for the heterogeneous E14 fleet)\n"},
 		{"decisions without a scheduler", []string{"-exp", "fig4", "-decisions", filepath.Join(dir, "d.jsonl")},

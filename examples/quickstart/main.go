@@ -80,10 +80,10 @@ func main() {
 		}
 		fmt.Printf("  %-8s goal %-18s measured %6.3f  -> %s\n", c.Name, c.Goal, v, status)
 	}
-	plan := qs.CostLimits()
 	fmt.Printf("\nFinal scheduling plan (timerons of the %v system limit):\n",
 		core.DefaultConfig().SystemCostLimit)
 	for _, c := range classes {
-		fmt.Printf("  %-8s %8.0f\n", c.Name, plan[c.ID])
+		limit, _ := qs.CostLimit(c.ID)
+		fmt.Printf("  %-8s %8.0f\n", c.Name, limit)
 	}
 }

@@ -37,14 +37,16 @@ import (
 )
 
 // Version identifies the container format together with the payload
-// layout its callers encode. Version 6 records a run by its
+// layout its callers encode. Version 7 records a run by its
 // configuration, a boundary, the export offsets and a state digest, and
 // the run is resumed by re-simulating to that boundary; a terminal
-// checkpoint's stored result carries the plan history as per-class rows.
-// Version 5 had the same layout with the plan history as per-class maps;
+// checkpoint's stored result carries the plan history as per-class rows
+// that hold each class's goal analysis, beside the search counters.
+// Version 6 had the same layout with the goal analysis in the solver's
+// search summary; version 5 stored the plan history as per-class maps;
 // versions 1–4 stored every component's state. Files of earlier
 // versions are rejected, not migrated.
-const Version = 6
+const Version = 7
 
 // versionError reports a checkpoint written in another format version.
 type versionError struct {

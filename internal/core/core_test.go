@@ -19,6 +19,15 @@ func testClasses() []*workload.Class {
 	}
 }
 
+// costLimits returns the scheduler's current plan by class.
+func costLimits(qs *QueryScheduler) map[engine.ClassID]float64 {
+	out := make(map[engine.ClassID]float64, len(qs.byID))
+	for _, c := range qs.byID {
+		out[c.ID], _ = qs.CostLimit(c.ID)
+	}
+	return out
+}
+
 type rig struct {
 	clock *simclock.Clock
 	eng   *engine.Engine
@@ -115,6 +124,19 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(DefaultConfig(), eng5, pat5, odd, clients); err == nil {
 		t.Fatal("class of unknown kind accepted")
 	}
+
+	// A class whose goal metric does not fit its kind: the scheduler
+	// scores OLAP classes by velocity and the OLTP class by response time.
+	for i := range classes {
+		swapped := append([]*workload.Class{}, classes...)
+		c := *classes[i]
+		c.Goal.Metric = 1 - c.Goal.Metric
+		swapped[i] = &c
+		eng6 := engine.New(engine.DefaultConfig(), simclock.New())
+		if _, err := New(DefaultConfig(), eng6, patroller.New(eng6, 1, 2), swapped, clients); err == nil {
+			t.Fatalf("class %d with a %s goal accepted", c.ID, c.Goal.Metric)
+		}
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -141,20 +163,25 @@ func TestConfigValidation(t *testing.T) {
 
 func TestInitialPlanSplitsEqually(t *testing.T) {
 	r := newRig(t, nil)
-	plan := r.qs.CostLimits()
 	for id, want := range map[engine.ClassID]float64{1: 10000.0 / 3, 2: 10000.0 / 3, 3: 10000.0 / 3} {
-		if math.Abs(plan[id]-want) > 1e-9 {
-			t.Fatalf("initial plan = %v", plan)
+		if got, ok := r.qs.CostLimit(id); !ok || math.Abs(got-want) > 1e-9 {
+			t.Fatalf("initial limit of class %d = %v, %v", id, got, ok)
 		}
 	}
 }
 
-func TestCostLimitsReturnsCopy(t *testing.T) {
+// CostLimit answers for the roster's classes only.
+func TestCostLimitIsPerRosterClass(t *testing.T) {
 	r := newRig(t, nil)
-	p := r.qs.CostLimits()
-	p[1] = -1
-	if r.qs.CostLimits()[1] == -1 {
-		t.Fatal("CostLimits leaked internal state")
+	for _, id := range []engine.ClassID{1, 2, 3} {
+		if _, ok := r.qs.CostLimit(id); !ok {
+			t.Fatalf("class %d has no limit", id)
+		}
+	}
+	for _, id := range []engine.ClassID{-1, 0, 4, 99} {
+		if got, ok := r.qs.CostLimit(id); ok || got != 0 {
+			t.Fatalf("CostLimit(%d) = %v, %v; want 0, false", id, got, ok)
+		}
 	}
 }
 

@@ -8,7 +8,8 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/solver"
+	"repro/internal/patroller"
+	"repro/internal/workload"
 )
 
 // fakeFaults drops every harvest inside [from, to) — a deterministic
@@ -29,7 +30,7 @@ func TestHistoryReturnsDeepCopies(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("no plans")
 	}
-	wantLimit := r.qs.CostLimits()[1]
+	wantLimit, _ := r.qs.CostLimit(1)
 
 	// A caller scribbling on every row of the returned records must not
 	// reach the scheduler's live rows — nor another caller's copy.
@@ -44,7 +45,7 @@ func TestHistoryReturnsDeepCopies(t *testing.T) {
 	if reflect.DeepEqual(got, want) {
 		t.Fatal("scribble left the returned copy unchanged")
 	}
-	if lim := r.qs.CostLimits()[1]; lim != wantLimit {
+	if lim, _ := r.qs.CostLimit(1); lim != wantLimit {
 		t.Fatalf("scheduler's working plan mutated: %v", lim)
 	}
 }
@@ -69,7 +70,7 @@ func TestOnPlanHookReceivesDeepCopies(t *testing.T) {
 			t.Fatalf("record %d aliased into the hook's copy:\n got %s\nwant %s", i, got, seen[i])
 		}
 	}
-	if r.qs.CostLimits()[1] == -99 {
+	if lim, _ := r.qs.CostLimit(1); lim == -99 {
 		t.Fatal("working plan aliased into the hook's copy")
 	}
 }
@@ -78,13 +79,11 @@ func TestOnPlanHookReceivesDeepCopies(t *testing.T) {
 func scribble(rec *PlanRecord) {
 	for i := range rec.Classes {
 		rec.Classes[i] = ClassPlan{ID: -99, Limit: -99, Predicted: -99,
-			Provenance: Provenance{Model: "scribbled"}, Attainment: -99, BurnRate: -99}
+			Provenance: Provenance{Model: "scribbled"}, Ceiling: -99, Shortfall: -99,
+			Attainment: -99, BurnRate: -99}
 	}
 	for i := range rec.Measurement.Classes {
 		rec.Measurement.Classes[i] = ClassMeasurement{ID: -99, Velocity: -99, Arrivals: -99}
-	}
-	for i := range rec.Search.Classes {
-		rec.Search.Classes[i] = solver.ClassSearch{ID: -99, Alloc: -99}
 	}
 }
 
@@ -92,12 +91,11 @@ func TestPlanRecordCloneAllocs(t *testing.T) {
 	rec := PlanRecord{
 		Measurement: Measurement{Classes: make([]ClassMeasurement, 4)},
 		Classes:     make([]ClassPlan, 4),
-		Search:      solver.Search{Classes: make([]solver.ClassSearch, 4)},
 	}
 	var sink PlanRecord
 	allocs := testing.AllocsPerRun(100, func() { sink = rec.Clone() })
-	if allocs > 3 {
-		t.Fatalf("Clone of a 4-class record: %v allocs, want <= 3 (one per row slice)", allocs)
+	if allocs > 2 {
+		t.Fatalf("Clone of a 4-class record: %v allocs, want <= 2 (one per row slice)", allocs)
 	}
 	_ = sink
 }
@@ -119,7 +117,7 @@ func TestBlockedClassRecoversWithinTwoTicks(t *testing.T) {
 	r.clock.RunUntil(3 * interval)
 	if big.State == engine.StateQueued {
 		t.Fatalf("query still held after two ticks past the first harvest; limits = %v",
-			r.qs.CostLimits())
+			costLimits(r.qs))
 	}
 	r.clock.RunUntil(3600)
 	if big.State != engine.StateDone {
@@ -167,7 +165,7 @@ func TestStopFreezeKeepsFrozenLimits(t *testing.T) {
 	if before == 0 {
 		t.Fatal("test needs a backlog of held queries")
 	}
-	frozen := r.qs.CostLimits()
+	frozen := costLimits(r.qs)
 	plans := len(r.qs.History())
 	r.qs.Stop()
 	// Every query carries 60s of work, so nothing completes before t=60:
@@ -183,7 +181,7 @@ func TestStopFreezeKeepsFrozenLimits(t *testing.T) {
 	if got := len(r.qs.History()); got != plans {
 		t.Fatalf("history grew from %d to %d records after Stop", plans, got)
 	}
-	for id, lim := range r.qs.CostLimits() {
+	for id, lim := range costLimits(r.qs) {
 		if frozen[id] != lim {
 			t.Fatalf("limit[%d] drifted after Stop: %v -> %v", id, frozen[id], lim)
 		}
@@ -259,5 +257,31 @@ func TestDegradationOffFeedsDroppedHarvestThrough(t *testing.T) {
 		if rec.Held {
 			t.Fatal("plan held with degradation disabled")
 		}
+	}
+}
+
+// The dispatcher runs on every patroller poke: once its counters are
+// registered, a call allocates nothing, whether a query's class has a
+// row, has none inside the roster's ID span, or lies outside it.
+func TestSelectReleasesAllocs(t *testing.T) {
+	classes := []*workload.Class{
+		{ID: 1, Kind: workload.OLAP, Goal: workload.Goal{Metric: workload.Velocity, Target: 0.4}, Importance: 1},
+		{ID: 4, Kind: workload.OLAP, Goal: workload.Goal{Metric: workload.Velocity, Target: 0.6}, Importance: 2},
+		{ID: 6, Kind: workload.OLTP, Goal: workload.Goal{Metric: workload.AvgResponseTime, Target: 0.25}, Importance: 3},
+	}
+	r := newRigWithClasses(t, nil, classes)
+	r.qs.Instrument(obs.New(func() float64 { return r.clock.Now() }))
+	v := &patroller.View{
+		Active: []*patroller.QueryInfo{{ID: 1, Class: 1, Cost: 1000}, {ID: 2, Class: 3, Cost: 5}, {ID: 3, Class: 9, Cost: 5}},
+		Held: []*patroller.QueryInfo{{ID: 4, Class: 1, Cost: 500}, {ID: 5, Class: 4, Cost: 9000},
+			{ID: 6, Class: 3, Cost: 1}, {ID: 7, Class: 9, Cost: 1}},
+	}
+	want := []engine.QueryID{4, 6, 7} // class 4's query is over its 3333 limit
+	got := r.qs.SelectReleases(v)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("released %v, want %v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.qs.SelectReleases(v) }); allocs != 0 {
+		t.Fatalf("SelectReleases: %v allocs per call, want 0", allocs)
 	}
 }

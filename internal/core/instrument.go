@@ -26,7 +26,7 @@ const (
 	MetricPredErr   = "qs_prediction_abs_error"
 	MetricAdmitWait = "qs_admission_wait_seconds"
 	MetricPlanHeld  = "qs_plan_held_total"
-	// SLO attainment accounting and the solver's infeasibility signal.
+	// SLO attainment accounting and the plan's infeasibility signal.
 	MetricAttainment = "qs_slo_attainment_ratio"
 	MetricBurnRate   = "qs_slo_burn_rate"
 	MetricInfeasible = "qs_infeasible_ticks_total"
@@ -72,9 +72,9 @@ func (qs *QueryScheduler) Instrument(reg *obs.Registry) {
 	o := &schedObs{
 		reg:        reg,
 		oltpID:     -1,
-		base:       qs.dispBase,
-		releases:   make([]*obs.Counter, len(qs.dispCost)),
-		holds:      make([]*obs.Counter, len(qs.dispCost)),
+		base:       qs.rowBase,
+		releases:   make([]*obs.Counter, len(qs.rowOf)),
+		holds:      make([]*obs.Counter, len(qs.rowOf)),
 		limits:     make(map[engine.ClassID]*obs.Gauge),
 		predErr:    make(map[engine.ClassID]*obs.Histogram),
 		attainment: make(map[engine.ClassID]*obs.Gauge),
@@ -236,14 +236,14 @@ func (o *schedObs) noteTick(rec PlanRecord, prev []ClassPlan) {
 		}
 		g.Set(row.BurnRate)
 	}
-	if rec.Search.Infeasible {
+	if rec.Infeasible {
 		o.infeasible.Inc()
-		c, ok := o.binding[rec.Search.Binding]
+		c, ok := o.binding[rec.Binding]
 		if !ok {
 			c = o.reg.Counter(MetricBinding,
 				"Infeasible control ticks by binding class (the goal the solver could not satisfy).",
-				classLabel(rec.Search.Binding))
-			o.binding[rec.Search.Binding] = c
+				classLabel(rec.Binding))
+			o.binding[rec.Binding] = c
 		}
 		c.Inc()
 	}

@@ -36,7 +36,7 @@ func TestDispatcherInvariantProperty(t *testing.T) {
 
 		violated := false
 		pat.OnRelease = func(qi *patroller.QueryInfo) {
-			limit := qs.CostLimits()[qi.Class]
+			limit, _ := qs.CostLimit(qi.Class)
 			if cost := pat.ActiveCostByClass()[qi.Class]; cost > limit+1e-6 {
 				t.Logf("violation: class %d cost %.1f > limit %.1f at t=%.1f",
 					qi.Class, cost, limit, clock.Now())
@@ -105,7 +105,7 @@ func TestDispatcherInvariantSurvivesPlanShrink(t *testing.T) {
 	clock.RunUntil(10 * 60)
 
 	// Class 1's limit should now be far below its executing 3000 cost.
-	if lim := qs.CostLimits()[engine.ClassID(1)]; lim >= 3000 {
+	if lim, _ := qs.CostLimit(1); lim >= 3000 {
 		t.Skipf("planner did not shrink class 1 (limit %v); scenario not exercised", lim)
 	}
 	// A new class-1 query must NOT be admitted while over the limit.

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/detect"
@@ -46,10 +47,16 @@ type PlanRecord struct {
 	// was fault-dropped and the planner kept the previous plan instead of
 	// feeding zeros to the models. Its rows carry only the held limits.
 	Held bool
-	// Search summarizes the Performance Solver's run for this tick —
-	// candidates considered, improving moves, runner-up utility, and the
-	// goal-feasibility analysis (infeasible plan, binding class).
-	// Zero-valued on held ticks and under non-introspecting solvers.
+	// Infeasible reports that the chosen plan is predicted to miss at
+	// least one class's goal — the solver found no plan meeting all
+	// goals. Binding names the class driving it: an unreachable goal
+	// wins over a merely-conflicting one, a larger shortfall over a
+	// smaller, and the lower ID breaks ties. Zero when feasible or held.
+	Infeasible bool
+	Binding    engine.ClassID
+	// Search counts the Performance Solver's work for this tick —
+	// candidates considered, improving moves, runner-up utility. Zero on
+	// held ticks and under solvers that are not a solver.Introspector.
 	Search solver.Search
 }
 
@@ -71,6 +78,16 @@ type ClassPlan struct {
 	// Provenance records which performance model produced Predicted and
 	// the anchor it extrapolated from.
 	Provenance Provenance
+	// Ceiling is the forecast at the class's corner allocation — all
+	// budget above the other classes' minimums, the most the system could
+	// give it.
+	Ceiling float64
+	// GoalMet reports whether Predicted meets the class goal; Reachable
+	// whether Ceiling does (false: unreachable even with the whole spare
+	// budget). Shortfall is the normalized goal miss at Limit, 0 when met.
+	GoalMet   bool
+	Reachable bool
+	Shortfall float64
 	// Attainment and BurnRate carry the scheduler's SLO accounting after
 	// this tick's measurement folded in: the cumulative goal-attainment
 	// ratio and the error-budget burn rate over the sliding window.
@@ -93,20 +110,12 @@ const ProvenanceIdle = "idle"
 
 // Class returns class id's row; false when the plan has none.
 func (r PlanRecord) Class(id engine.ClassID) (ClassPlan, bool) {
-	if i := planRow(r.Classes, id); i >= 0 {
-		return r.Classes[i], true
-	}
-	return ClassPlan{}, false
-}
-
-// planRow returns the index of class id's row, or -1.
-func planRow(rows []ClassPlan, id engine.ClassID) int {
-	for i := range rows {
-		if rows[i].ID == id {
-			return i
+	for _, row := range r.Classes {
+		if row.ID == id {
+			return row, true
 		}
 	}
-	return -1
+	return ClassPlan{}, false
 }
 
 // Clone returns a deep copy of the record; callers may hold or mutate it
@@ -114,7 +123,6 @@ func planRow(rows []ClassPlan, id engine.ClassID) int {
 func (r PlanRecord) Clone() PlanRecord {
 	r.Measurement = r.Measurement.Clone()
 	r.Classes = slices.Clone(r.Classes)
-	r.Search = r.Search.Clone()
 	return r
 }
 
@@ -130,7 +138,8 @@ type QueryScheduler struct {
 	classes     []*workload.Class
 	olapClasses []*workload.Class
 	oltpClass   *workload.Class
-	// byID is classes sorted by ID: the row order of every PlanRecord.
+	// byID is classes sorted by ID: the row order of every PlanRecord,
+	// of the solver problem and of limits.
 	byID []*workload.Class
 
 	mon       *monitor
@@ -139,7 +148,7 @@ type QueryScheduler struct {
 	velModel  perfmodel.OLAPVelocity
 	detector  *detect.Detector
 
-	limits    solver.Plan
+	limits    solver.Plan // indexed like byID
 	ticker    *simclock.Ticker
 	history   []PlanRecord
 	planHooks []func(PlanRecord)
@@ -154,12 +163,14 @@ type QueryScheduler struct {
 	running     bool
 	heldTicks   int // consecutive degraded ticks holding the plan
 
-	// Dispatch scratch: per-class executing cost/count indexed by
-	// (class - dispBase), reset and refilled on every SelectReleases call
-	// so the per-poke hot path allocates nothing. Classes outside the span
-	// are never in qs.limits, so they skip accounting entirely (they are
-	// released unconditionally).
-	dispBase   engine.ClassID
+	// rowOf maps (class - rowBase) to the class's byID row, -1 for an
+	// ID inside the span that is not a class. Classes without a row skip
+	// dispatch accounting and are released unconditionally.
+	rowBase engine.ClassID
+	rowOf   []int32
+	// Dispatch scratch: per-row executing cost/count, reset and refilled
+	// on every SelectReleases call so the per-poke hot path allocates
+	// nothing.
 	dispCost   []float64
 	dispCount  []int
 	releaseOut []engine.QueryID
@@ -209,6 +220,9 @@ func New(cfg Config, eng *engine.Engine, pat *patroller.Patroller,
 		default:
 			return nil, fmt.Errorf("core: class %d has unknown kind %d", c.ID, c.Kind)
 		}
+		if c.Goal.Metric != c.Kind.GoalMetric() {
+			return nil, fmt.Errorf("core: %s class %d has a %s goal", c.Kind, c.ID, c.Goal.Metric)
+		}
 	}
 	if qs.oltpClass != nil && oltpClients == nil {
 		return nil, fmt.Errorf("core: OLTP class present but no client source for snapshots")
@@ -223,18 +237,17 @@ func New(cfg Config, eng *engine.Engine, pat *patroller.Patroller,
 		}
 	}
 
-	lo, hi := classes[0].ID, classes[0].ID
-	for _, c := range classes {
-		if c.ID < lo {
-			lo = c.ID
-		}
-		if c.ID > hi {
-			hi = c.ID
-		}
+	lo, hi := qs.byID[0].ID, qs.byID[len(qs.byID)-1].ID
+	qs.rowBase = lo
+	qs.rowOf = make([]int32, int(hi-lo)+1)
+	for i := range qs.rowOf {
+		qs.rowOf[i] = -1
 	}
-	qs.dispBase = lo
-	qs.dispCost = make([]float64, int(hi-lo)+1)
-	qs.dispCount = make([]int, int(hi-lo)+1)
+	for i, c := range qs.byID {
+		qs.rowOf[c.ID-lo] = int32(i)
+	}
+	qs.dispCost = make([]float64, len(qs.byID))
+	qs.dispCount = make([]int, len(qs.byID))
 
 	qs.sloObserved = make([]int, len(classes))
 	qs.sloMet = make([]int, len(classes))
@@ -260,19 +273,20 @@ func (qs *QueryScheduler) SetClassifier(c Classifier) {
 // initialPlan splits the system cost limit equally across all classes
 // (including the OLTP class's virtual share).
 func (qs *QueryScheduler) initialPlan() solver.Plan {
-	plan := make(solver.Plan)
-	n := len(qs.olapClasses)
-	if qs.oltpClass != nil {
-		n++
-	}
-	share := qs.cfg.SystemCostLimit / float64(n)
-	for _, c := range qs.olapClasses {
-		plan[c.ID] = share
-	}
-	if qs.oltpClass != nil {
-		plan[qs.oltpClass.ID] = share
+	plan := make(solver.Plan, len(qs.byID))
+	share := qs.cfg.SystemCostLimit / float64(len(plan))
+	for i := range plan {
+		plan[i] = share
 	}
 	return plan
+}
+
+// row returns class id's byID row, or -1 when id is not a class.
+func (qs *QueryScheduler) row(id engine.ClassID) int {
+	if s := int(id - qs.rowBase); s >= 0 && s < len(qs.rowOf) {
+		return int(qs.rowOf[s])
+	}
+	return -1
 }
 
 // Start installs the dispatcher as the patroller's policy and begins the
@@ -329,9 +343,14 @@ func (qs *QueryScheduler) StopWith(mode StopMode) {
 	}
 }
 
-// CostLimits returns the current scheduling plan (class cost limits,
-// including the OLTP class's virtual limit). The returned plan is a copy.
-func (qs *QueryScheduler) CostLimits() solver.Plan { return qs.limits.Clone() }
+// CostLimit returns class id's limit in the current scheduling plan (the
+// OLTP class's is virtual); false when id is not a class.
+func (qs *QueryScheduler) CostLimit(id engine.ClassID) (float64, bool) {
+	if i := qs.row(id); i >= 0 {
+		return qs.limits[i], true
+	}
+	return 0, false
+}
 
 // SetSystemCostLimit re-targets the total budget the per-class solver
 // splits. A fleet-level controller calls this each interval to hand
@@ -357,7 +376,7 @@ func (qs *QueryScheduler) History() []PlanRecord {
 }
 
 // Verdict is the part of a control-interval record the fleet planner
-// acts on every tick: whether the plan was held, and the solver's
+// acts on every tick: whether the plan was held, and the plan's
 // feasibility verdict with its binding class.
 type Verdict struct {
 	Held       bool
@@ -372,7 +391,7 @@ func (qs *QueryScheduler) LastVerdict() (Verdict, bool) {
 		return Verdict{}, false
 	}
 	rec := &qs.history[len(qs.history)-1]
-	return Verdict{Held: rec.Held, Infeasible: rec.Search.Infeasible, Binding: rec.Search.Binding}, true
+	return Verdict{Held: rec.Held, Infeasible: rec.Infeasible, Binding: rec.Binding}, true
 }
 
 // OnPlan registers a hook called with each control interval's PlanRecord
@@ -407,7 +426,7 @@ func (qs *QueryScheduler) SelectReleases(v *patroller.View) []engine.QueryID {
 		count[i] = 0
 	}
 	for _, qi := range v.Active {
-		if s := int(qi.Class - qs.dispBase); s >= 0 && s < len(cost) {
+		if s := qs.row(qi.Class); s >= 0 {
 			cost[s] += qi.Cost
 			count[s]++
 		}
@@ -415,15 +434,14 @@ func (qs *QueryScheduler) SelectReleases(v *patroller.View) []engine.QueryID {
 	out := qs.releaseOut[:0]
 	for _, qi := range v.Held {
 		class := qs.classifier.Classify(qi)
-		limit, ok := qs.limits[class]
-		if !ok {
+		s := qs.row(class)
+		if s < 0 {
 			// Unknown class: release immediately rather than strand it.
 			qs.instr.noteRelease(class)
 			out = append(out, qi.ID)
 			continue
 		}
-		// Classes with a limit are always inside the dispatch span.
-		s := int(class - qs.dispBase)
+		limit := qs.limits[s]
 		fits := cost[s]+qi.Cost <= limit+1e-9
 		starving := qs.cfg.StarvationGuard && count[s] == 0 && qi.Cost > limit
 		if !fits && !starving {
@@ -441,7 +459,8 @@ func (qs *QueryScheduler) SelectReleases(v *patroller.View) []engine.QueryID {
 
 // controlTick is one Scheduling Planner cycle: harvest measurements, feed
 // the performance models, consult the Performance Solver, and hand the new
-// plan to the dispatcher.
+// plan to the dispatcher. The plan rows, the solver problem and the plan
+// all share byID's order.
 func (qs *QueryScheduler) controlTick() {
 	meas := qs.mon.harvest()
 	rows := make([]ClassPlan, len(qs.byID))
@@ -459,7 +478,7 @@ func (qs *QueryScheduler) controlTick() {
 		(deg.MaxHeldTicks <= 0 || qs.heldTicks < deg.MaxHeldTicks) {
 		qs.heldTicks++
 		for i := range rows {
-			rows[i].Limit = qs.limits[rows[i].ID]
+			rows[i].Limit = qs.limits[i]
 		}
 		rec := PlanRecord{
 			Time:        meas.Time,
@@ -482,10 +501,11 @@ func (qs *QueryScheduler) controlTick() {
 
 	// Workload detection: characterize each class's interval and, when
 	// feed-forward is enabled, compute demand forecasts for the coming
-	// interval.
+	// interval. Classes are observed in the caller's order, the order
+	// the detector's shift log records.
 	for _, c := range qs.classes {
 		m, _ := meas.Class(c.ID)
-		rows[planRow(rows, c.ID)].Workload = qs.detector.Observe(detect.Observation{
+		rows[qs.row(c.ID)].Workload = qs.detector.Observe(detect.Observation{
 			Time:       meas.Time,
 			Class:      c.ID,
 			Arrivals:   m.Arrivals,
@@ -495,78 +515,66 @@ func (qs *QueryScheduler) controlTick() {
 		})
 	}
 
-	if qs.oltpClass != nil {
-		m, _ := meas.Class(qs.oltpClass.ID)
-		qs.oltpModel.Observe(qs.limits[qs.oltpClass.ID], meas.OLTPRespTime)
-		qs.oltpTput.ObserveLoad(qs.limits[qs.oltpClass.ID], meas.OLTPRespTime,
-			float64(m.Population))
-	}
-
 	problem := solver.Problem{
-		Total: qs.cfg.SystemCostLimit,
-		Step:  qs.cfg.PlanStep,
+		Classes: make([]solver.ClassSpec, len(qs.byID)),
+		Total:   qs.cfg.SystemCostLimit,
+		Step:    qs.cfg.PlanStep,
 	}
-	for _, c := range qs.olapClasses {
-		c := c
-		row := &rows[planRow(rows, c.ID)]
-		m, _ := meas.Class(c.ID)
-		vPrev := m.Velocity
-		cPrev := qs.limits[c.ID]
-		idle := m.Idle
-		if vPrev <= 0 && !idle {
-			// A busy class measured at zero velocity (every in-flight
-			// query still blocked, or a zeroed dropout measurement) would
-			// predict 0 at every candidate limit — the solver could never
-			// justify giving it capacity again. Anchor at the model floor
-			// so recovery stays reachable.
-			vPrev = qs.velModel.Floor
-		}
-		if qs.cfg.FeedForward && !idle {
-			vPrev = qs.feedForwardAnchor(c.ID, vPrev, row.Workload)
-		}
-		model := qs.velModel.Name()
-		if idle {
-			model = ProvenanceIdle
-		}
-		row.Provenance = Provenance{Model: model, Anchor: vPrev, AnchorLimit: cPrev}
-		problem.Classes = append(problem.Classes, solver.ClassSpec{
-			ID:      c.ID,
-			Utility: utility.NewVelocity(c.Goal.Target, c.Importance),
-			Min:     qs.cfg.MinOLAPLimit,
-			Predict: func(limit float64) float64 {
+	for i, c := range qs.byID {
+		row := &rows[i]
+		cPrev := qs.limits[i]
+		spec := solver.ClassSpec{ID: c.ID}
+		switch c.Kind {
+		case workload.OLAP:
+			m, _ := meas.Class(c.ID)
+			vPrev := m.Velocity
+			idle := m.Idle
+			if vPrev <= 0 && !idle {
+				// A busy class measured at zero velocity (every in-flight
+				// query still blocked, or a zeroed dropout measurement)
+				// would predict 0 at every candidate limit — the solver
+				// could never justify giving it capacity again. Anchor at
+				// the model floor so recovery stays reachable.
+				vPrev = qs.velModel.Floor
+			}
+			if qs.cfg.FeedForward && !idle {
+				vPrev = qs.feedForwardAnchor(c.ID, vPrev, row.Workload)
+			}
+			model := qs.velModel.Name()
+			if idle {
+				model = ProvenanceIdle
+			}
+			row.Provenance = Provenance{Model: model, Anchor: vPrev, AnchorLimit: cPrev}
+			spec.Utility = utility.NewVelocity(c.Goal.Target, c.Importance)
+			spec.Min = qs.cfg.MinOLAPLimit
+			spec.Predict = func(limit float64) float64 {
 				if idle {
 					// No workload to delay: ideal at any limit.
 					return 1
 				}
 				return qs.velModel.Predict(vPrev, cPrev, limit)
-			},
-			GoalDir:    solver.GoalAtLeast,
-			GoalTarget: c.Goal.Target,
-		})
-	}
-	if qs.oltpClass != nil {
-		c := qs.oltpClass
-		tPrev := meas.OLTPRespTime
-		cPrev := qs.limits[c.ID]
-		useTput := qs.cfg.OLTPModel == ThroughputOLTPModel && qs.oltpTput.Usable()
-		model := qs.oltpModel.Name()
-		if useTput {
-			model = qs.oltpTput.Name()
-		}
-		rows[planRow(rows, c.ID)].Provenance = Provenance{Model: model, Anchor: tPrev, AnchorLimit: cPrev}
-		problem.Classes = append(problem.Classes, solver.ClassSpec{
-			ID:      c.ID,
-			Utility: utility.NewResponseTime(c.Goal.Target, c.Importance),
-			Min:     qs.cfg.MinOLTPLimit,
-			Predict: func(limit float64) float64 {
+			}
+		case workload.OLTP:
+			m, _ := meas.Class(c.ID)
+			tPrev := meas.OLTPRespTime
+			qs.oltpModel.Observe(cPrev, tPrev)
+			qs.oltpTput.ObserveLoad(cPrev, tPrev, float64(m.Population))
+			useTput := qs.cfg.OLTPModel == ThroughputOLTPModel && qs.oltpTput.Usable()
+			model := qs.oltpModel.Name()
+			if useTput {
+				model = qs.oltpTput.Name()
+			}
+			row.Provenance = Provenance{Model: model, Anchor: tPrev, AnchorLimit: cPrev}
+			spec.Utility = utility.NewResponseTime(c.Goal.Target, c.Importance)
+			spec.Min = qs.cfg.MinOLTPLimit
+			spec.Predict = func(limit float64) float64 {
 				if useTput {
 					return qs.oltpTput.Predict(tPrev, cPrev, limit)
 				}
 				return qs.oltpModel.Predict(tPrev, cPrev, limit)
-			},
-			GoalDir:    solver.GoalAtMost,
-			GoalTarget: c.Goal.Target,
-		})
+			}
+		}
+		problem.Classes[i] = spec
 	}
 
 	var plan solver.Plan
@@ -576,11 +584,8 @@ func (qs *QueryScheduler) controlTick() {
 	} else {
 		plan = qs.cfg.Solver.Solve(problem, qs.limits)
 	}
-	for _, spec := range problem.Classes {
-		rows[planRow(rows, spec.ID)].Predicted = spec.Predict(plan[spec.ID])
-	}
-	for i := range rows {
-		rows[i].Limit = plan[rows[i].ID]
+	if len(plan) != len(problem.Classes) {
+		panic(fmt.Sprintf("core: solver returned %d limits for %d classes", len(plan), len(problem.Classes)))
 	}
 	var prev []ClassPlan
 	if n := len(qs.history); n > 0 && !qs.history[n-1].Held {
@@ -595,12 +600,59 @@ func (qs *QueryScheduler) controlTick() {
 		Classes:     rows,
 		Search:      search,
 	}
+	qs.judgePlan(problem, plan, &rec)
 	qs.history = append(qs.history, rec)
 	qs.instr.noteTick(rec, prev)
 	for _, h := range qs.planHooks {
 		h(rec.Clone())
 	}
 	qs.pat.Poke() // apply the new limits right away
+}
+
+// judgePlan writes plan into rec's rows — each class's limit and the
+// forecast there — and judges it against the class goals: the ceiling
+// at each class's corner allocation (all budget above the other classes'
+// minimums), whether the forecast and the ceiling meet the goal, the
+// normalized miss, and the record's verdict. It runs whatever the solver
+// is, so the verdict the fleet planner acts on never depends on the
+// solver's introspection.
+func (qs *QueryScheduler) judgePlan(p solver.Problem, plan solver.Plan, rec *PlanRecord) {
+	minSum := 0.0
+	for _, c := range p.Classes {
+		minSum += c.Min
+	}
+	bind := -1
+	for i, c := range p.Classes {
+		row := &rec.Classes[i]
+		goal := qs.byID[i].Goal
+		row.Limit = plan[i]
+		row.Predicted = c.Predict(plan[i])
+		row.Ceiling = c.Predict(p.Total - (minSum - c.Min))
+		row.GoalMet = goal.Met(row.Predicted)
+		row.Reachable = goal.Met(row.Ceiling)
+		if row.GoalMet {
+			continue
+		}
+		// A miss lies on the goal's wrong side, so this is (target −
+		// predicted) for a velocity goal and (predicted − target) for a
+		// response-time goal.
+		row.Shortfall = math.Abs(row.Predicted-goal.Target) / goal.Target
+		if bind < 0 || bindsHarder(*row, rec.Classes[bind]) {
+			bind = i
+		}
+	}
+	if bind >= 0 {
+		rec.Infeasible = true
+		rec.Binding = rec.Classes[bind].ID
+	}
+}
+
+// bindsHarder ranks two goal-missing rows for the Binding slot.
+func bindsHarder(a, b ClassPlan) bool {
+	if a.Reachable != b.Reachable {
+		return !a.Reachable // unreachable goals bind hardest
+	}
+	return a.Shortfall > b.Shortfall // ties keep the lower ID (row order)
 }
 
 // feedForwardAnchor discounts a class's measured velocity by the

@@ -81,7 +81,8 @@ type ClassDecision struct {
 	Model       string  `json:"model,omitempty"`
 	Anchor      float64 `json:"anchor"`
 	AnchorLimit float64 `json:"anchor_limit"`
-	// Goal analysis from the solver's search summary.
+	// Goal analysis from the plan row (core.ClassPlan), judged against
+	// the class goal after the solver chose the limit.
 	Goal      float64 `json:"goal"`
 	GoalMet   bool    `json:"goal_met"`
 	Reachable bool    `json:"reachable"`
@@ -114,7 +115,8 @@ type Record struct {
 	// Dropped / OLTPDropout flag fault-degraded harvests feeding the tick.
 	Dropped     bool `json:"dropped,omitempty"`
 	OLTPDropout bool `json:"oltp_dropout,omitempty"`
-	// Solver search summary — zeros on held ticks.
+	// Plan utility, solver search counters and the plan's goal verdict —
+	// zeros on held ticks.
 	Utility     float64         `json:"utility"`
 	RunnerUp    float64         `json:"runner_up"`
 	HasRunnerUp bool            `json:"has_runner_up,omitempty"`
@@ -338,11 +340,11 @@ func (dw *Writer) buildRecord(backend, tick int, prev *Record, rec core.PlanReco
 		HasRunnerUp: rec.Search.HasRunnerUp,
 		Iterations:  rec.Search.Iterations,
 		Candidates:  rec.Search.Candidates,
-		Infeasible:  rec.Search.Infeasible,
+		Infeasible:  rec.Infeasible,
 		OLTPSlope:   rec.OLTPSlope,
 	}
-	if rec.Search.Infeasible {
-		r.Binding = int(rec.Search.Binding)
+	if rec.Infeasible {
+		r.Binding = int(rec.Binding)
 	}
 	for _, id := range dw.ids {
 		cm := dw.class[id]
@@ -364,12 +366,10 @@ func (dw *Writer) buildRecord(backend, tick int, prev *Record, rec core.PlanReco
 				p := row.Provenance
 				cd.Model, cd.Anchor, cd.AnchorLimit = p.Model, p.Anchor, p.AnchorLimit
 			}
-			if cs, ok := rec.Search.Class(id); ok {
-				cd.Ceiling = cs.Ceiling
-				cd.GoalMet = cs.GoalMet
-				cd.Reachable = cs.Reachable
-				cd.Shortfall = cs.Shortfall
-			}
+			cd.Ceiling = row.Ceiling
+			cd.GoalMet = row.GoalMet
+			cd.Reachable = row.Reachable
+			cd.Shortfall = row.Shortfall
 			cd.Attainment = row.Attainment
 			cd.BurnRate = row.BurnRate
 		}

@@ -42,18 +42,13 @@ func testRec(t float64, vel, rt float64) core.PlanRecord {
 		OLTPSlope: -5e-6,
 		Classes: []core.ClassPlan{
 			{ID: 1, Limit: 20000, Predicted: vel * 1.1, Attainment: 1, BurnRate: 0,
+				Ceiling: 0.8, GoalMet: true, Reachable: true,
 				Provenance: core.Provenance{Model: "olap-velocity", Anchor: vel, AnchorLimit: 20000}},
 			{ID: 3, Limit: 10000, Predicted: rt * 0.9, Attainment: 0.5, BurnRate: 2,
+				Ceiling: 0.1, GoalMet: true, Reachable: true,
 				Provenance: core.Provenance{Model: "oltp-linear", Anchor: rt}},
 		},
-		Search: solver.Search{
-			Iterations: 4, Candidates: 9, BestUtility: 3.5,
-			RunnerUp: 3.2, HasRunnerUp: true,
-			Classes: []solver.ClassSearch{
-				{ID: 1, Alloc: 20000, Predicted: vel * 1.1, Ceiling: 0.8, GoalMet: true, Reachable: true},
-				{ID: 3, Alloc: 10000, Predicted: rt * 0.9, Ceiling: 0.1, GoalMet: true, Reachable: true},
-			},
-		},
+		Search: solver.Search{Iterations: 4, Candidates: 9, RunnerUp: 3.2, HasRunnerUp: true},
 	}
 }
 

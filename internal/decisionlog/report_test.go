@@ -285,11 +285,11 @@ func TestAttributeInfeasibleShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := testRec(60, 0.2, 0.2)
-	rec.Search.Classes[0].Ceiling = 0.3
-	rec.Search.Classes[0].GoalMet = false
-	rec.Search.Classes[0].Reachable = false
-	rec.Search.Infeasible = true
-	rec.Search.Binding = 1
+	rec.Classes[0].Ceiling = 0.3
+	rec.Classes[0].GoalMet = false
+	rec.Classes[0].Reachable = false
+	rec.Infeasible = true
+	rec.Binding = 1
 	dw.Note(rec)
 	dw.Flush()
 
@@ -453,9 +453,9 @@ func TestAttributeAllAbortedInfeasibleClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := testRec(60, 0.2, 0.2)
-	rec.Search.Classes[0].Ceiling = 0.3
-	rec.Search.Classes[0].GoalMet = false
-	rec.Search.Classes[0].Reachable = false
+	rec.Classes[0].Ceiling = 0.3
+	rec.Classes[0].GoalMet = false
+	rec.Classes[0].Reachable = false
 	dw.Note(rec)
 	dw.Flush()
 
@@ -544,8 +544,8 @@ func buildFleetTestLog(t *testing.T, infeasibleTick2 bool) []byte {
 	dw.NoteFleet(FleetRecord{T: 90, Event: "failover", Backend: 2, Moved: 3})
 	rec := testRec(120, 0.35, 0.3)
 	if infeasibleTick2 {
-		rec.Search.Infeasible = true
-		rec.Search.Binding = 1
+		rec.Infeasible = true
+		rec.Binding = 1
 	}
 	dw.NoteBackend(1, rec)
 	dw.NoteBackend(2, testRec(120, 0.35, 0.3))

@@ -341,10 +341,17 @@ func TestResumeRejectsVersion4Checkpoints(t *testing.T) {
 }
 
 // Version-5 files had today's layout but stored the terminal result's
-// plan history as per-class maps; version 6 stores per-class rows, so a
+// plan history as per-class maps; later versions store per-class rows, so a
 // version-5 directory is refused with the version error.
 func TestResumeRejectsVersion5Checkpoints(t *testing.T) {
 	testResumeRejectsVersion(t, 5)
+}
+
+// Version-6 files kept each class's goal analysis in the solver's search
+// summary; version 7 keeps it on the plan rows, so a version-6 directory
+// is refused with the version error.
+func TestResumeRejectsVersion6Checkpoints(t *testing.T) {
+	testResumeRejectsVersion(t, 6)
 }
 
 // testResumeRejectsVersion restamps a finished run's checkpoints with

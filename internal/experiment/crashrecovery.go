@@ -88,7 +88,7 @@ func mixedTables(res *MixedResult) string {
 	var sb strings.Builder
 	WriteMixed(&sb, res)
 	if res.CostLimits != nil {
-		WriteCostLimits(&sb, res)
+		WriteCostLimitTable(&sb, res)
 	}
 	return sb.String()
 }

@@ -116,7 +116,7 @@ func RunDirectControl(cfg DirectControlConfig) []DirectControlResult {
 		case s.direct:
 			res.FinalOLTPShare = direct.Weight()
 		case qs != nil:
-			res.FinalOLTPShare = qs.CostLimits()[oltp.ID]
+			res.FinalOLTPShare, _ = qs.CostLimit(oltp.ID)
 		}
 		return res
 	})

@@ -245,13 +245,13 @@ func TestReportRendering(t *testing.T) {
 		}
 	}
 	b.Reset()
-	WriteCostLimits(&b, res)
+	WriteCostLimitTable(&b, res)
 	if !strings.Contains(b.String(), "Figure 7") || !strings.Contains(b.String(), "total") {
-		t.Fatal("WriteCostLimits output malformed")
+		t.Fatal("WriteCostLimitTable output malformed")
 	}
 	// Non-QS result prints a notice instead.
 	b.Reset()
-	WriteCostLimits(&b, &MixedResult{Mode: NoControl, Periods: 0})
+	WriteCostLimitTable(&b, &MixedResult{Mode: NoControl, Periods: 0})
 	if !strings.Contains(b.String(), "does not adapt") {
 		t.Fatal("missing non-QS notice")
 	}

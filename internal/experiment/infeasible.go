@@ -44,7 +44,7 @@ func InfeasibleMixedConfig() MixedConfig {
 	}
 }
 
-// InfeasibilitySummary aggregates the solver's feasibility verdicts over
+// InfeasibilitySummary aggregates the plans' feasibility verdicts over
 // a run's plan history.
 type InfeasibilitySummary struct {
 	Ticks           int
@@ -68,9 +68,9 @@ func SummarizeInfeasibility(hist []core.PlanRecord) InfeasibilitySummary {
 			s.HeldTicks++
 			continue
 		}
-		if rec.Search.Infeasible {
+		if rec.Infeasible {
 			s.InfeasibleTicks++
-			s.Binding[rec.Search.Binding]++
+			s.Binding[rec.Binding]++
 		}
 		s.Final = rec
 	}

@@ -95,9 +95,9 @@ func WriteMixed(w io.Writer, r *MixedResult) {
 	fmt.Fprintln(w)
 }
 
-// WriteCostLimits renders Figure 7: the Query Scheduler's per-period mean
+// WriteCostLimitTable renders Figure 7: the Query Scheduler's per-period mean
 // class cost limits.
-func WriteCostLimits(w io.Writer, r *MixedResult) {
+func WriteCostLimitTable(w io.Writer, r *MixedResult) {
 	if r.CostLimits == nil {
 		fmt.Fprintf(w, "(no cost-limit history: mode %s does not adapt limits)\n", r.Mode)
 		return

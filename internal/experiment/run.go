@@ -72,8 +72,9 @@ func (cfg MixedConfig) Validate() error {
 }
 
 // validateSchedule rejects a schedule with no periods or a non-positive
-// period length, duplicate class IDs, and a period that asks for a
-// negative client count or for clients of a class the run does not have.
+// period length, duplicate class IDs, a class whose goal metric does not
+// fit its kind, and a period that asks for a negative client count or for
+// clients of a class the run does not have.
 func (cfg MixedConfig) validateSchedule() error {
 	s := cfg.Sched
 	if len(s.Clients) == 0 {
@@ -87,6 +88,10 @@ func (cfg MixedConfig) validateSchedule() error {
 	for _, c := range classes {
 		if known[c.ID] {
 			return fmt.Errorf("experiment: duplicate class ID %d", c.ID)
+		}
+		if want := c.Kind.GoalMetric(); c.Goal.Metric != want {
+			return fmt.Errorf("experiment: class %d is %s but its goal metric is %s; %s goals are %s",
+				c.ID, c.Kind, c.Goal.Metric, c.Kind, want)
 		}
 		known[c.ID] = true
 	}

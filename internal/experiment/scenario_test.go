@@ -83,15 +83,18 @@ func TestParseScenarioOverrides(t *testing.T) {
 
 func TestParseScenarioErrors(t *testing.T) {
 	cases := map[string]string{
-		"bad json":       `{`,
-		"unknown field":  `{"period_minutes": 1, "bogus": 1, "classes": [{"kind": "olap", "goal_metric": "velocity", "goal_target": 0.5, "importance": 1}], "periods": [[1]]}`,
-		"bad mode":       `{"mode": "magic", "period_minutes": 1, "classes": [{"kind": "olap", "goal_metric": "velocity", "goal_target": 0.5, "importance": 1}], "periods": [[1]]}`,
-		"no classes":     `{"period_minutes": 1, "periods": [[1]]}`,
-		"bad kind":       `{"period_minutes": 1, "classes": [{"kind": "olxp", "goal_metric": "velocity", "goal_target": 0.5, "importance": 1}], "periods": [[1]]}`,
-		"bad metric":     `{"period_minutes": 1, "classes": [{"kind": "olap", "goal_metric": "latency", "goal_target": 0.5, "importance": 1}], "periods": [[1]]}`,
-		"bad velocity":   `{"period_minutes": 1, "classes": [{"kind": "olap", "goal_metric": "velocity", "goal_target": 1.5, "importance": 1}], "periods": [[1]]}`,
-		"bad rt":         `{"period_minutes": 1, "classes": [{"kind": "oltp", "goal_metric": "response_time", "goal_target": 0, "importance": 1}], "periods": [[1]]}`,
-		"bad importance": `{"period_minutes": 1, "classes": [{"kind": "olap", "goal_metric": "velocity", "goal_target": 0.5, "importance": 0}], "periods": [[1]]}`,
+		"bad json":                  `{`,
+		"unknown field":             `{"period_minutes": 1, "bogus": 1, "classes": [{"kind": "olap", "goal_metric": "velocity", "goal_target": 0.5, "importance": 1}], "periods": [[1]]}`,
+		"bad mode":                  `{"mode": "magic", "period_minutes": 1, "classes": [{"kind": "olap", "goal_metric": "velocity", "goal_target": 0.5, "importance": 1}], "periods": [[1]]}`,
+		"no classes":                `{"period_minutes": 1, "periods": [[1]]}`,
+		"bad kind":                  `{"period_minutes": 1, "classes": [{"kind": "olxp", "goal_metric": "velocity", "goal_target": 0.5, "importance": 1}], "periods": [[1]]}`,
+		"bad metric":                `{"period_minutes": 1, "classes": [{"kind": "olap", "goal_metric": "latency", "goal_target": 0.5, "importance": 1}], "periods": [[1]]}`,
+		"bad velocity":              `{"period_minutes": 1, "classes": [{"kind": "olap", "goal_metric": "velocity", "goal_target": 1.5, "importance": 1}], "periods": [[1]]}`,
+		"bad rt":                    `{"period_minutes": 1, "classes": [{"kind": "oltp", "goal_metric": "response_time", "goal_target": 0, "importance": 1}], "periods": [[1]]}`,
+		"olap with an rt goal":      `{"period_minutes": 1, "classes": [{"kind": "olap", "goal_metric": "response_time", "goal_target": 5, "importance": 1}], "periods": [[1]]}`,
+		"olap with a small rt goal": `{"period_minutes": 1, "classes": [{"kind": "olap", "goal_metric": "response_time", "goal_target": 0.5, "importance": 1}], "periods": [[1]]}`,
+		"oltp with a velocity goal": `{"period_minutes": 1, "classes": [{"kind": "oltp", "goal_metric": "velocity", "goal_target": 0.5, "importance": 1}], "periods": [[1]]}`,
+		"bad importance":            `{"period_minutes": 1, "classes": [{"kind": "olap", "goal_metric": "velocity", "goal_target": 0.5, "importance": 0}], "periods": [[1]]}`,
 		"two oltp": `{"period_minutes": 1, "classes": [
 			{"kind": "oltp", "goal_metric": "response_time", "goal_target": 0.5, "importance": 1},
 			{"kind": "oltp", "goal_metric": "response_time", "goal_target": 0.5, "importance": 2}], "periods": [[1, 1]]}`,

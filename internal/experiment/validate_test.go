@@ -84,6 +84,14 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 		{"duplicate class", func(c *MixedConfig) {
 			c.Classes = append(workload.PaperClasses(), workload.PaperClasses()[0])
 		}, "experiment: duplicate class ID 1"},
+		{"OLAP class with a response-time goal", func(c *MixedConfig) {
+			c.Classes = workload.PaperClasses()
+			c.Classes[0].Goal = workload.Goal{Metric: workload.AvgResponseTime, Target: 5}
+		}, "experiment: class 1 is OLAP but its goal metric is avg-response-time; OLAP goals are velocity"},
+		{"OLTP class with a velocity goal", func(c *MixedConfig) {
+			c.Classes = workload.PaperClasses()
+			c.Classes[2].Goal = workload.Goal{Metric: workload.Velocity, Target: 0.5}
+		}, "experiment: class 3 is OLTP but its goal metric is velocity; OLTP goals are avg-response-time"},
 		{"unchecked custom solver", func(c *MixedConfig) {
 			c.CheckpointEvery = 0
 			c.QS = qs(func(q *core.Config) { q.Solver = uniformSolver{} })

@@ -1,54 +1,11 @@
 // Solver search introspection: the decision audit log wants to know not
 // just the chosen plan but how hard it was to find — candidate plans
-// considered, improving moves taken, how close the runner-up came — and
-// whether the chosen plan meets every class's goal at all. Introspection
-// is strictly observational: the introspecting entry points choose the
-// exact same plan Solve would, and the goal analysis runs after the
-// search using only pure Predict calls.
+// considered, improving moves taken, how close the runner-up came.
+// Introspection is strictly observational: the introspecting entry points
+// choose the exact same plan Solve would.
 package solver
 
-import (
-	"math"
-
-	"repro/internal/engine"
-)
-
-// GoalDirection tells the search analysis how a class's predicted metric
-// compares against its goal target.
-type GoalDirection int
-
-// Goal directions.
-const (
-	// GoalNone marks a class without a recorded goal; it never drives
-	// the infeasibility signal.
-	GoalNone GoalDirection = iota
-	// GoalAtLeast requires metric >= target (OLAP velocity goals).
-	GoalAtLeast
-	// GoalAtMost requires metric <= target (response-time goals).
-	GoalAtMost
-)
-
-// ClassSearch is the per-class slice of a Search: what the models
-// forecast for the class at its chosen allocation and at its corner
-// allocation — all budget above the other classes' minimums, the best
-// the system could possibly give it.
-type ClassSearch struct {
-	ID engine.ClassID
-	// Alloc is the chosen cost limit.
-	Alloc float64
-	// Predicted is the model's forecast at Alloc.
-	Predicted float64
-	// Ceiling is the forecast at the class's corner allocation.
-	Ceiling float64
-	// GoalMet reports whether Predicted satisfies the class goal
-	// (vacuously true without a goal).
-	GoalMet bool
-	// Reachable reports whether Ceiling satisfies the class goal; false
-	// means the goal is unreachable even with the whole spare budget.
-	Reachable bool
-	// Shortfall is the normalized goal miss at Alloc (0 when met).
-	Shortfall float64
-}
+import "math"
 
 // Search summarizes one solver invocation for the decision audit log.
 type Search struct {
@@ -59,37 +16,10 @@ type Search struct {
 	// plus one corner per class for the greedy solver, feasible grid
 	// points for the grid solver.
 	Candidates int
-	// BestUtility is the chosen plan's total utility.
-	BestUtility float64
 	// RunnerUp is the best utility among the candidates that lost;
 	// HasRunnerUp is false when there was only one candidate.
 	RunnerUp    float64
 	HasRunnerUp bool
-	// Infeasible reports that even the utility-optimal plan misses at
-	// least one class's goal — the solver found no plan meeting all
-	// goals. Binding names the class driving it: an unreachable goal
-	// wins over a merely-conflicting one, a larger shortfall over a
-	// smaller, and the lower ID breaks ties. Zero when feasible.
-	Infeasible bool
-	Binding    engine.ClassID
-	// Classes holds the per-class analysis, sorted by ID.
-	Classes []ClassSearch
-}
-
-// Clone returns a deep copy (the Classes slice is shared otherwise).
-func (s Search) Clone() Search {
-	s.Classes = append([]ClassSearch(nil), s.Classes...)
-	return s
-}
-
-// Class returns the per-class analysis for id, or a zero ClassSearch.
-func (s Search) Class(id engine.ClassID) (ClassSearch, bool) {
-	for _, cs := range s.Classes {
-		if cs.ID == id {
-			return cs, true
-		}
-	}
-	return ClassSearch{}, false
 }
 
 // Introspector is implemented by solvers that report a Search summary
@@ -99,76 +29,19 @@ type Introspector interface {
 	SolveIntrospect(p Problem, start Plan) (Plan, Search)
 }
 
-// analyzeGoals fills the feasibility half of a Search from the chosen
-// plan: per-class predictions, ceilings, and the binding class.
-func analyzeGoals(p Problem, plan Plan, s *Search) {
-	classes := orderedClasses(p)
-	minSum := 0.0
-	for _, c := range classes {
-		minSum += c.Min
-	}
-	for _, c := range classes {
-		corner := p.Total - (minSum - c.Min)
-		cs := ClassSearch{
-			ID:        c.ID,
-			Alloc:     plan[c.ID],
-			Predicted: c.Predict(plan[c.ID]),
-			Ceiling:   c.Predict(corner),
-			GoalMet:   true,
-			Reachable: true,
-		}
-		switch c.GoalDir {
-		case GoalAtLeast:
-			cs.GoalMet = cs.Predicted >= c.GoalTarget
-			cs.Reachable = cs.Ceiling >= c.GoalTarget
-			if !cs.GoalMet && c.GoalTarget > 0 {
-				cs.Shortfall = (c.GoalTarget - cs.Predicted) / c.GoalTarget
-			}
-		case GoalAtMost:
-			cs.GoalMet = cs.Predicted <= c.GoalTarget
-			cs.Reachable = cs.Ceiling <= c.GoalTarget
-			if !cs.GoalMet && c.GoalTarget > 0 {
-				cs.Shortfall = (cs.Predicted - c.GoalTarget) / c.GoalTarget
-			}
-		}
-		s.Classes = append(s.Classes, cs)
-	}
-	bind := -1
-	for i, cs := range s.Classes {
-		if cs.GoalMet {
-			continue
-		}
-		s.Infeasible = true
-		if bind < 0 || bindsHarder(cs, s.Classes[bind]) {
-			bind = i
-		}
-	}
-	if bind >= 0 {
-		s.Binding = s.Classes[bind].ID
-	}
-}
-
-// bindsHarder ranks two goal-missing classes for the Binding slot.
-func bindsHarder(a, b ClassSearch) bool {
-	if a.Reachable != b.Reachable {
-		return !a.Reachable // unreachable goals bind hardest
-	}
-	return a.Shortfall > b.Shortfall // ties keep the lower ID (scan order)
-}
-
 // SolveIntrospect implements Introspector for the greedy solver. The
 // search is the exact multi-start exchange Solve runs; only counters and
 // the losing candidates' utilities are recorded on the side.
 func (g Greedy) SolveIntrospect(p Problem, start Plan) (Plan, Search) {
-	validate(p)
+	validate(p, start)
 	var s Search
 	best, moves := g.solveFrom(p, normalize(p, start))
 	s.Iterations = moves
 	s.Candidates = 1
 	bestU := Utility(p, best)
 	runnerUp := math.Inf(-1)
-	for _, corner := range cornerPlans(p) {
-		plan, moves := g.solveFrom(p, corner)
+	for favored := range p.Classes {
+		plan, moves := g.solveFrom(p, corner(p, favored))
 		s.Iterations += moves
 		s.Candidates++
 		if u := Utility(p, plan); u > bestU+1e-12 {
@@ -180,20 +53,16 @@ func (g Greedy) SolveIntrospect(p Problem, start Plan) (Plan, Search) {
 			runnerUp = u
 		}
 	}
-	s.BestUtility = bestU
 	if s.Candidates > 1 {
 		s.RunnerUp, s.HasRunnerUp = runnerUp, true
 	}
-	analyzeGoals(p, best, &s)
 	return best, s
 }
 
 // SolveIntrospect implements Introspector for the grid solver.
 func (Grid) SolveIntrospect(p Problem, start Plan) (Plan, Search) {
-	validate(p)
+	validate(p, start)
 	var s Search
 	plan := gridSolve(p, &s)
-	s.BestUtility = Utility(p, plan)
-	analyzeGoals(p, plan, &s)
 	return plan, s
 }

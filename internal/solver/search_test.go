@@ -8,19 +8,15 @@ import (
 	"repro/internal/utility"
 )
 
-// goalProblem is a three-class paper-shaped problem with goal metadata
-// attached so the introspection layer can judge feasibility.
-func goalProblem() Problem {
+// paperProblem is a three-class paper-shaped problem.
+func paperProblem() Problem {
 	return Problem{
 		Total: 30000,
 		Step:  500,
 		Classes: []ClassSpec{
-			{ID: 1, Utility: utility.NewVelocity(0.4, 1), Min: 500,
-				Predict: velPredict(1.0 / 15000), GoalDir: GoalAtLeast, GoalTarget: 0.4},
-			{ID: 2, Utility: utility.NewVelocity(0.6, 2), Min: 500,
-				Predict: velPredict(1.0 / 15000), GoalDir: GoalAtLeast, GoalTarget: 0.6},
-			{ID: 3, Utility: utility.NewResponseTime(0.25, 3),
-				Predict: rtPredict(0.5, 5e-5, 0.05), GoalDir: GoalAtMost, GoalTarget: 0.25},
+			{ID: 1, Utility: utility.NewVelocity(0.4, 1), Min: 500, Predict: velPredict(1.0 / 15000)},
+			{ID: 2, Utility: utility.NewVelocity(0.6, 2), Min: 500, Predict: velPredict(1.0 / 15000)},
+			{ID: 3, Utility: utility.NewResponseTime(0.25, 3), Predict: rtPredict(0.5, 5e-5, 0.05)},
 		},
 	}
 }
@@ -31,10 +27,8 @@ func plansEqual(a, b Plan) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	for id, v := range a {
-		w, ok := b[id]
-		//lint:ignore floateq introspection must reproduce the exact same floats, so bit-identity is the property under test
-		if !ok || v != w {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			return false
 		}
 	}
@@ -44,12 +38,12 @@ func plansEqual(a, b Plan) bool {
 func TestSolveIntrospectMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 50; iter++ {
-		p := goalProblem()
-		start := Plan{1: 10000, 2: 10000, 3: 10000}
+		p := paperProblem()
+		start := Plan{10000, 10000, 10000}
 		if iter > 0 {
 			a := float64(rng.Intn(40)) * 500
 			b := float64(rng.Intn(int((30000-a)/500)+1)) * 500
-			start = Plan{1: a, 2: b, 3: 30000 - a - b}
+			start = Plan{a, b, 30000 - a - b}
 		}
 		for _, tc := range []struct {
 			name string
@@ -63,104 +57,9 @@ func TestSolveIntrospectMatchesSolve(t *testing.T) {
 			if search.Candidates < 1 {
 				t.Fatalf("%s: no candidates counted", tc.name)
 			}
-			if search.HasRunnerUp && search.RunnerUp > search.BestUtility {
-				t.Fatalf("%s: runner-up %v beats best %v", tc.name, search.RunnerUp, search.BestUtility)
+			if best := Utility(p, iplan); search.HasRunnerUp && search.RunnerUp > best {
+				t.Fatalf("%s: runner-up %v beats best %v", tc.name, search.RunnerUp, best)
 			}
-			if got := Utility(p, iplan); math.Abs(got-search.BestUtility) > 1e-9 {
-				t.Fatalf("%s: BestUtility %v != Utility(plan) %v", tc.name, search.BestUtility, got)
-			}
-			if len(search.Classes) != 3 {
-				t.Fatalf("%s: %d class analyses", tc.name, len(search.Classes))
-			}
-			for i, cs := range search.Classes {
-				if i > 0 && cs.ID <= search.Classes[i-1].ID {
-					t.Fatalf("%s: class analyses not sorted: %v", tc.name, search.Classes)
-				}
-			}
-		}
-	}
-}
-
-func TestSearchFeasibleProblem(t *testing.T) {
-	// Generous budget: every goal is reachable and the optimum meets all.
-	p := goalProblem()
-	_, search := Greedy{}.SolveIntrospect(p, nil)
-	if search.Infeasible {
-		t.Fatalf("feasible problem flagged infeasible: %+v", search)
-	}
-	if search.Binding != 0 {
-		t.Fatalf("feasible problem has binding class %d", search.Binding)
-	}
-	for _, cs := range search.Classes {
-		if !cs.Reachable {
-			t.Fatalf("class %d goal should be reachable: %+v", cs.ID, cs)
-		}
-	}
-}
-
-func TestSearchUnreachableGoalBinds(t *testing.T) {
-	// Class 3's response-time goal cannot be met at any allocation: the
-	// prediction floor sits above the target. It must be flagged binding
-	// with Reachable=false, and the miss must carry a positive shortfall.
-	p := goalProblem()
-	p.Classes[2].Predict = rtPredict(1.5, 1e-5, 0.8)
-	for _, tc := range []struct {
-		name string
-		in   Introspector
-	}{{"greedy", Greedy{}}, {"grid", Grid{}}} {
-		_, search := tc.in.SolveIntrospect(p, nil)
-		if !search.Infeasible {
-			t.Fatalf("%s: unreachable goal not flagged infeasible", tc.name)
-		}
-		if search.Binding != 3 {
-			t.Fatalf("%s: binding class %d, want 3", tc.name, search.Binding)
-		}
-		cs, ok := search.Class(3)
-		if !ok || cs.Reachable || cs.GoalMet {
-			t.Fatalf("%s: class 3 analysis %+v", tc.name, cs)
-		}
-		if cs.Shortfall <= 0 {
-			t.Fatalf("%s: class 3 shortfall %v", tc.name, cs.Shortfall)
-		}
-		if cs.Ceiling > 1.5 || cs.Ceiling < 0.8 {
-			t.Fatalf("%s: class 3 ceiling %v outside model range", tc.name, cs.Ceiling)
-		}
-	}
-}
-
-func TestSearchConflictingGoalsBindByShortfall(t *testing.T) {
-	// Two velocity classes whose goals are individually reachable (each
-	// corner prediction hits 1) but jointly impossible: meeting both
-	// needs 0.9*20000 + 0.9*20000 > 20000 total. The binding class is the
-	// one the optimum leaves furthest from its goal, relatively.
-	p := Problem{
-		Total: 20000,
-		Step:  500,
-		Classes: []ClassSpec{
-			{ID: 1, Utility: utility.NewVelocity(0.9, 1),
-				Predict: velPredict(1.0 / 20000), GoalDir: GoalAtLeast, GoalTarget: 0.9},
-			{ID: 2, Utility: utility.NewVelocity(0.9, 2),
-				Predict: velPredict(1.0 / 20000), GoalDir: GoalAtLeast, GoalTarget: 0.9},
-		},
-	}
-	_, search := Greedy{}.SolveIntrospect(p, nil)
-	if !search.Infeasible {
-		t.Fatalf("conflicting goals not flagged infeasible: %+v", search)
-	}
-	cs, _ := search.Class(search.Binding)
-	if cs.GoalMet {
-		t.Fatalf("binding class %d met its goal: %+v", search.Binding, cs)
-	}
-	if !cs.Reachable {
-		t.Fatalf("binding class %d should be individually reachable: %+v", search.Binding, cs)
-	}
-	for _, other := range search.Classes {
-		if other.GoalMet || other.ID == search.Binding {
-			continue
-		}
-		if other.Shortfall > cs.Shortfall {
-			t.Fatalf("class %d shortfall %v exceeds binding class %d's %v",
-				other.ID, other.Shortfall, search.Binding, cs.Shortfall)
 		}
 	}
 }

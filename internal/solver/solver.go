@@ -8,10 +8,13 @@
 // (the production path, linear in the number of moves) and an exhaustive
 // grid solver used for small class counts and as a test oracle verifying
 // the greedy solver's optimality gap.
+//
+// The solver knows nothing of SLO goals: plan choice depends only on each
+// class's Utility and Predict. Judging the chosen plan against the goals
+// is the caller's business.
 package solver
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -31,16 +34,12 @@ type ClassSpec struct {
 	Predict func(limit float64) float64
 	// Min is the smallest allocation the class may receive.
 	Min float64
-	// GoalDir and GoalTarget optionally describe the class's SLO so the
-	// introspecting solvers (Introspector) can judge predicted goal
-	// attainment and unreachability. The search itself never reads them
-	// — plan choice depends only on Utility and Predict.
-	GoalDir    GoalDirection
-	GoalTarget float64
 }
 
 // Problem is a complete solver input.
 type Problem struct {
+	// Classes lists the classes in strictly ascending ID order; every
+	// Plan of the problem is indexed like it.
 	Classes []ClassSpec
 	// Total is the system cost limit every plan must sum to.
 	Total float64
@@ -48,37 +47,14 @@ type Problem struct {
 	Step float64
 }
 
-// Plan maps class IDs to cost limits.
-type Plan map[engine.ClassID]float64
+// Plan is a vector of class cost limits: Plan[i] is Problem.Classes[i]'s.
+type Plan []float64
 
 // Clone returns a copy of the plan.
-func (p Plan) Clone() Plan {
-	out := make(Plan, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
-}
-
-// Sum returns the plan's total allocation. Accumulation runs over sorted
-// class IDs: map order would perturb the floating-point rounding from
-// process to process, and the total feeds planner decisions.
-func (p Plan) Sum() float64 {
-	var buf [8]engine.ClassID // plans rarely have more classes
-	ids := buf[:0]
-	for id := range p {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	total := 0.0
-	for _, id := range ids {
-		total += p[id]
-	}
-	return total
-}
+func (p Plan) Clone() Plan { return slices.Clone(p) }
 
 // Solver finds a utility-maximizing plan, starting the search from start
-// (which may be nil for "no preference").
+// (which may be nil for "no preference"). Solve must not modify start.
 type Solver interface {
 	Solve(p Problem, start Plan) Plan
 }
@@ -87,21 +63,27 @@ type Solver interface {
 // predictions.
 func Utility(p Problem, plan Plan) float64 {
 	total := 0.0
-	for _, c := range p.Classes {
-		total += c.Utility.Utility(c.Predict(plan[c.ID]))
+	for i, c := range p.Classes {
+		total += c.Utility.Utility(c.Predict(plan[i]))
 	}
 	return total
 }
 
-func validate(p Problem) {
+func validate(p Problem, start Plan) {
 	if len(p.Classes) == 0 {
 		panic("solver: no classes")
 	}
 	if p.Total <= 0 || p.Step <= 0 {
 		panic(fmt.Sprintf("solver: invalid total %v / step %v", p.Total, p.Step))
 	}
+	if start != nil && len(start) != len(p.Classes) {
+		panic(fmt.Sprintf("solver: start plan has %d limits for %d classes", len(start), len(p.Classes)))
+	}
 	minSum := 0.0
-	for _, c := range p.Classes {
+	for i, c := range p.Classes {
+		if i > 0 && c.ID <= p.Classes[i-1].ID {
+			panic(fmt.Sprintf("solver: class %d follows class %d; IDs must ascend", c.ID, p.Classes[i-1].ID))
+		}
 		if c.Utility == nil || c.Predict == nil {
 			panic(fmt.Sprintf("solver: class %d missing utility or prediction", c.ID))
 		}
@@ -117,30 +99,23 @@ func validate(p Problem) {
 
 // normalize produces a feasible starting plan: every class at least at its
 // minimum, the remainder distributed proportionally to start (or equally
-// when start is nil/empty).
+// when start is nil).
 func normalize(p Problem, start Plan) Plan {
-	plan := make(Plan, len(p.Classes))
-	minSum := 0.0
-	for _, c := range p.Classes {
-		plan[c.ID] = c.Min
+	plan := make(Plan, len(p.Classes)) // holds each class's weight until the second pass
+	minSum, wTotal := 0.0, 0.0
+	for i, c := range p.Classes {
 		minSum += c.Min
+		if start != nil {
+			plan[i] = math.Max(start[i]-c.Min, 0)
+			wTotal += plan[i]
+		}
 	}
 	spare := p.Total - minSum
-	weights := make([]float64, len(p.Classes))
-	wTotal := 0.0
-	for i, c := range p.Classes {
-		w := 0.0
-		if start != nil {
-			w = math.Max(start[c.ID]-c.Min, 0)
-		}
-		weights[i] = w
-		wTotal += w
-	}
 	for i, c := range p.Classes {
 		if wTotal > 0 {
-			plan[c.ID] += spare * weights[i] / wTotal
+			plan[i] = c.Min + spare*plan[i]/wTotal
 		} else {
-			plan[c.ID] += spare / float64(len(p.Classes))
+			plan[i] = c.Min + spare/float64(len(plan))
 		}
 	}
 	return plan
@@ -170,33 +145,29 @@ func (g Greedy) Solve(p Problem, start Plan) Plan {
 	return plan
 }
 
-// cornerPlans returns, per class, the allocation giving that class all
-// budget above the other classes' minimums.
-func cornerPlans(p Problem) []Plan {
-	var out []Plan
-	for _, favored := range p.Classes {
-		plan := make(Plan, len(p.Classes))
-		rest := p.Total
-		for _, c := range p.Classes {
-			if c.ID != favored.ID {
-				plan[c.ID] = c.Min
-				rest -= c.Min
-			}
+// corner returns the allocation giving class favored all budget above
+// the other classes' minimums.
+func corner(p Problem, favored int) Plan {
+	plan := make(Plan, len(p.Classes))
+	rest := p.Total
+	for i, c := range p.Classes {
+		if i != favored {
+			plan[i] = c.Min
+			rest -= c.Min
 		}
-		plan[favored.ID] = rest
-		out = append(out, plan)
 	}
-	return out
+	plan[favored] = rest
+	return plan
 }
 
-// solveFrom runs the exchange from one starting plan, returning the
-// local optimum and how many improving transfers it took.
+// solveFrom runs the exchange from one starting plan, in place, returning
+// the local optimum and how many improving transfers it took.
 func (g Greedy) solveFrom(p Problem, plan Plan) (Plan, int) {
-	classes := orderedClasses(p)
+	classes := p.Classes
 
 	maxMoves := g.MaxMoves
 	if maxMoves <= 0 {
-		maxMoves = int(p.Total/p.Step)*len(p.Classes) + 32
+		maxMoves = int(p.Total/p.Step)*len(classes) + 32
 	}
 
 	classUtil := func(c ClassSpec, limit float64) float64 {
@@ -210,18 +181,18 @@ func (g Greedy) solveFrom(p Problem, plan Plan) (Plan, int) {
 		var bestFrom, bestTo = -1, -1
 		bestAmount := 0.0
 		for i, donor := range classes {
-			avail := plan[donor.ID] - donor.Min
+			avail := plan[i] - donor.Min
 			if avail < p.Step-1e-9 {
 				continue
 			}
 			for amount := p.Step; amount <= avail+1e-9; amount *= 2 {
 				amt := math.Min(amount, avail)
-				lossU := classUtil(donor, plan[donor.ID]) - classUtil(donor, plan[donor.ID]-amt)
+				lossU := classUtil(donor, plan[i]) - classUtil(donor, plan[i]-amt)
 				for j, rcpt := range classes {
 					if i == j {
 						continue
 					}
-					gainU := classUtil(rcpt, plan[rcpt.ID]+amt) - classUtil(rcpt, plan[rcpt.ID])
+					gainU := classUtil(rcpt, plan[j]+amt) - classUtil(rcpt, plan[j])
 					if net := gainU - lossU; net > bestGain {
 						bestGain = net
 						bestFrom, bestTo = i, j
@@ -236,8 +207,8 @@ func (g Greedy) solveFrom(p Problem, plan Plan) (Plan, int) {
 		if bestFrom < 0 {
 			break
 		}
-		plan[classes[bestFrom].ID] -= bestAmount
-		plan[classes[bestTo].ID] += bestAmount
+		plan[bestFrom] -= bestAmount
+		plan[bestTo] += bestAmount
 		moves++
 	}
 	return plan, moves
@@ -251,67 +222,67 @@ type Grid struct{}
 // Solve implements Solver. It panics for more than three classes — the
 // enumeration would be infeasible, and the paper's experiments use three.
 func (Grid) Solve(p Problem, start Plan) Plan {
-	validate(p)
+	validate(p, start)
 	return gridSolve(p, nil)
 }
 
 // gridSolve dispatches on class count; s, when non-nil, accumulates the
 // search summary without influencing the chosen plan.
 func gridSolve(p Problem, s *Search) Plan {
-	classes := orderedClasses(p)
-	switch len(classes) {
+	switch n := len(p.Classes); n {
 	case 1:
 		if s != nil {
 			s.Candidates = 1
 		}
-		return Plan{classes[0].ID: p.Total}
-	case 2:
-		return gridSearch(p, classes, 2, s)
-	case 3:
-		return gridSearch(p, classes, 3, s)
+		return Plan{p.Total}
+	case 2, 3:
+		return gridSearch(p, s)
 	default:
-		panic(fmt.Sprintf("solver: grid solver supports <= 3 classes, got %d", len(classes)))
+		panic(fmt.Sprintf("solver: grid solver supports <= 3 classes, got %d", n))
 	}
 }
 
-func gridSearch(p Problem, classes []ClassSpec, n int, s *Search) Plan {
+// gridSearch enumerates the two- or three-class grid into one reused
+// candidate vector, copying it out only when it is a new best.
+func gridSearch(p Problem, s *Search) Plan {
 	best := normalize(p, nil)
 	bestU := Utility(p, best)
 	runnerUp := math.Inf(-1)
 	candidates := 1
 	steps := int(p.Total / p.Step)
 
-	try := func(alloc []float64) {
-		plan := make(Plan, n)
-		for i, c := range classes {
-			if alloc[i] < c.Min-1e-9 {
+	cand := make(Plan, len(p.Classes))
+	try := func() {
+		for i, c := range p.Classes {
+			if cand[i] < c.Min-1e-9 {
 				return
 			}
-			plan[c.ID] = alloc[i]
 		}
 		candidates++
-		if u := Utility(p, plan); u > bestU+1e-12 {
+		if u := Utility(p, cand); u > bestU+1e-12 {
 			if bestU > runnerUp {
 				runnerUp = bestU
 			}
 			bestU = u
-			best = plan
+			copy(best, cand)
 		} else if u > runnerUp {
 			runnerUp = u
 		}
 	}
 
-	if n == 2 {
+	if len(cand) == 2 {
 		for a := 0; a <= steps; a++ {
 			x := float64(a) * p.Step
-			try([]float64{x, p.Total - x})
+			cand[0], cand[1] = x, p.Total-x
+			try()
 		}
 	} else {
 		for a := 0; a <= steps; a++ {
 			x := float64(a) * p.Step
 			for b := 0; a+b <= steps; b++ {
 				y := float64(b) * p.Step
-				try([]float64{x, y, p.Total - x - y})
+				cand[0], cand[1], cand[2] = x, y, p.Total-x-y
+				try()
 			}
 		}
 	}
@@ -322,11 +293,4 @@ func gridSearch(p Problem, classes []ClassSpec, n int, s *Search) Plan {
 		}
 	}
 	return best
-}
-
-func orderedClasses(p Problem) []ClassSpec {
-	classes := make([]ClassSpec, len(p.Classes))
-	copy(classes, p.Classes)
-	slices.SortFunc(classes, func(a, b ClassSpec) int { return cmp.Compare(a.ID, b.ID) })
-	return classes
 }

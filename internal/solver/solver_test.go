@@ -19,6 +19,15 @@ func rtPredict(base, s, floor float64) func(float64) float64 {
 	return func(limit float64) float64 { return math.Max(floor, base-s*limit) }
 }
 
+// sum totals a plan in class order.
+func sum(p Plan) float64 {
+	total := 0.0
+	for _, v := range p {
+		total += v
+	}
+	return total
+}
+
 func twoClassProblem() Problem {
 	return Problem{
 		Total: 10000,
@@ -31,22 +40,19 @@ func twoClassProblem() Problem {
 }
 
 func TestPlanHelpers(t *testing.T) {
-	p := Plan{1: 100, 2: 200}
+	p := Plan{100, 200}
 	c := p.Clone()
-	c[1] = 999
-	if p[1] != 100 {
-		t.Fatal("Clone is not a copy")
-	}
-	if p.Sum() != 300 {
-		t.Fatalf("Sum = %v", p.Sum())
+	c[0] = 999
+	if p[0] != 100 || c[1] != 200 || len(c) != 2 {
+		t.Fatalf("Clone is not a copy: %v -> %v", p, c)
 	}
 }
 
 func TestGreedyConservesTotal(t *testing.T) {
 	p := twoClassProblem()
 	plan := Greedy{}.Solve(p, nil)
-	if math.Abs(plan.Sum()-p.Total) > 1e-6 {
-		t.Fatalf("plan sum %v != total %v", plan.Sum(), p.Total)
+	if math.Abs(sum(plan)-p.Total) > 1e-6 {
+		t.Fatalf("plan sum %v != total %v", sum(plan), p.Total)
 	}
 }
 
@@ -55,7 +61,7 @@ func TestGreedyPrefersImportantViolatedClass(t *testing.T) {
 	plan := Greedy{}.Solve(p, nil)
 	// Class 2 has a higher goal and higher importance under the same
 	// prediction curve: it must get more.
-	if plan[2] <= plan[1] {
+	if plan[1] <= plan[0] {
 		t.Fatalf("plan %v should favor class 2", plan)
 	}
 }
@@ -64,10 +70,10 @@ func TestGreedyRespectsMinimums(t *testing.T) {
 	p := twoClassProblem()
 	p.Classes[0].Min = 3000
 	plan := Greedy{}.Solve(p, nil)
-	if plan[1] < 3000-1e-9 {
-		t.Fatalf("class 1 below minimum: %v", plan[1])
+	if plan[0] < 3000-1e-9 {
+		t.Fatalf("class 1 below minimum: %v", plan[0])
 	}
-	if math.Abs(plan.Sum()-p.Total) > 1e-6 {
+	if math.Abs(sum(plan)-p.Total) > 1e-6 {
 		t.Fatal("total violated with minimums")
 	}
 }
@@ -111,8 +117,8 @@ func TestGreedyDeterministic(t *testing.T) {
 	p := twoClassProblem()
 	a := Greedy{}.Solve(p, nil)
 	b := Greedy{}.Solve(p, nil)
-	for id := range a {
-		if a[id] != b[id] {
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatal("greedy solver not deterministic")
 		}
 	}
@@ -129,9 +135,9 @@ func TestGreedyUsesStartingPlan(t *testing.T) {
 			{ID: 2, Utility: utility.NewVelocity(0.6, 1), Predict: func(float64) float64 { return 1 }},
 		},
 	}
-	start := Plan{1: 8000, 2: 2000}
+	start := Plan{8000, 2000}
 	plan := Greedy{}.Solve(p, start)
-	if math.Abs(plan[1]-8000) > 1e-6 || math.Abs(plan[2]-2000) > 1e-6 {
+	if math.Abs(plan[0]-8000) > 1e-6 || math.Abs(plan[1]-2000) > 1e-6 {
 		t.Fatalf("flat landscape moved away from start: %v", plan)
 	}
 }
@@ -145,7 +151,7 @@ func TestGridSingleClass(t *testing.T) {
 		},
 	}
 	plan := Grid{}.Solve(p, nil)
-	if plan[7] != 5000 {
+	if len(plan) != 1 || plan[0] != 5000 {
 		t.Fatalf("single class must get everything: %v", plan)
 	}
 }
@@ -154,7 +160,7 @@ func TestGridRespectsMinimums(t *testing.T) {
 	p := twoClassProblem()
 	p.Classes[1].Min = 7000
 	plan := Grid{}.Solve(p, nil)
-	if plan[2] < 7000 {
+	if plan[1] < 7000 {
 		t.Fatalf("grid violated minimum: %v", plan)
 	}
 }
@@ -184,25 +190,42 @@ func TestValidateRejectsBadProblems(t *testing.T) {
 		func(p *Problem) { p.Classes[0].Predict = nil },
 		func(p *Problem) { p.Classes[0].Min = -1 },
 		func(p *Problem) { p.Classes[0].Min = 6000; p.Classes[1].Min = 6000 },
+		func(p *Problem) { p.Classes[1].ID = 1 },
+		func(p *Problem) { p.Classes[0], p.Classes[1] = p.Classes[1], p.Classes[0] },
 	}
 	for i, mutate := range cases {
 		p := good
 		p.Classes = append([]ClassSpec{}, good.Classes...)
 		mutate(&p)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d did not panic", i)
-				}
+		for _, s := range []Solver{Greedy{}, Grid{}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("case %d did not panic under %T", i, s)
+					}
+				}()
+				s.Solve(p, nil)
 			}()
-			Greedy{}.Solve(p, nil)
-		}()
+		}
+	}
+	// A start plan must be nil or carry one limit per class.
+	for _, start := range []Plan{{}, {10000}, {5000, 2500, 2500}} {
+		for _, s := range []Solver{Greedy{}, Grid{}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%d-limit start under %T did not panic", len(start), s)
+					}
+				}()
+				s.Solve(good, start)
+			}()
+		}
 	}
 }
 
 func TestUtilityEvaluation(t *testing.T) {
 	p := twoClassProblem()
-	plan := Plan{1: 4000, 2: 6000}
+	plan := Plan{4000, 6000}
 	got := Utility(p, plan)
 	want := p.Classes[0].Utility.Utility(0.4) + p.Classes[1].Utility.Utility(0.6)
 	if math.Abs(got-want) > 1e-9 {
@@ -212,13 +235,13 @@ func TestUtilityEvaluation(t *testing.T) {
 
 func TestNormalizeProportionalSpare(t *testing.T) {
 	p := twoClassProblem()
-	plan := normalize(p, Plan{1: 7500, 2: 2500})
-	if math.Abs(plan[1]-7500) > 1e-9 || math.Abs(plan[2]-2500) > 1e-9 {
+	plan := normalize(p, Plan{7500, 2500})
+	if math.Abs(plan[0]-7500) > 1e-9 || math.Abs(plan[1]-2500) > 1e-9 {
 		t.Fatalf("normalize reshaped a feasible start: %v", plan)
 	}
 	// Nil start splits equally.
 	eq := normalize(p, nil)
-	if math.Abs(eq[1]-5000) > 1e-9 {
+	if math.Abs(eq[0]-5000) > 1e-9 || math.Abs(eq[1]-5000) > 1e-9 {
 		t.Fatalf("equal split = %v", eq)
 	}
 }
@@ -226,25 +249,11 @@ func TestNormalizeProportionalSpare(t *testing.T) {
 func TestNormalizeLiftsToMinimums(t *testing.T) {
 	p := twoClassProblem()
 	p.Classes[0].Min = 4000
-	plan := normalize(p, Plan{1: 0, 2: 10000})
-	if plan[1] < 4000-1e-9 {
+	plan := normalize(p, Plan{0, 10000})
+	if plan[0] < 4000-1e-9 {
 		t.Fatalf("normalize ignored minimum: %v", plan)
 	}
-	if math.Abs(plan.Sum()-p.Total) > 1e-6 {
+	if math.Abs(sum(plan)-p.Total) > 1e-6 {
 		t.Fatalf("normalize broke total: %v", plan)
-	}
-}
-
-// Sum runs once per candidate plan on every control tick; summing a
-// small plan in sorted class order allocates nothing.
-func TestPlanSumAllocs(t *testing.T) {
-	p := Plan{4: 2500.5, 1: 1000.25, 3: 6000, 2: 499.25}
-	var total float64
-	allocs := testing.AllocsPerRun(100, func() { total = p.Sum() })
-	if allocs != 0 {
-		t.Fatalf("Plan.Sum: %v allocs, want 0", allocs)
-	}
-	if want := 1000.25 + 499.25 + 6000 + 2500.5; total != want {
-		t.Fatalf("Sum = %v, want %v (ascending class order)", total, want)
 	}
 }

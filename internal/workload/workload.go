@@ -29,6 +29,15 @@ func (k Kind) String() string {
 	return "OLTP"
 }
 
+// GoalMetric is the metric a class of kind k states its goal in:
+// velocity for OLAP, average response time for OLTP.
+func (k Kind) GoalMetric() Metric {
+	if k == OLAP {
+		return Velocity
+	}
+	return AvgResponseTime
+}
+
 // Metric is the performance metric a class's goal is expressed in. The
 // paper uses query velocity for OLAP classes (their response times vary
 // too widely for a response-time goal to be meaningful) and average
