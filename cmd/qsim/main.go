@@ -36,7 +36,9 @@ import (
 	"repro/internal/workload"
 )
 
-// loadFaults parses a JSON fault plan (nil when path is empty).
+// loadFaults parses a JSON fault plan (nil when path is empty). A file
+// that cannot be opened exits 1; a plan that does not parse or validate
+// exits 2, like a bad -scenario.
 func loadFaults(path string) *fault.Plan {
 	if path == "" {
 		return nil
@@ -50,7 +52,7 @@ func loadFaults(path string) *fault.Plan {
 	plan, err := fault.ParseSpec(f)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	return &plan
 }

@@ -55,6 +55,8 @@ func TestUsageErrorsExit2(t *testing.T) {
 	crashOne := plan("crash-1.json", `{"backend_crashes": [{"backend": 1, "at": 450}]}`)
 	crashBoth := plan("crash-both.json", `{"backend_crashes": [{"backend": 1, "at": 450}, {"backend": 2, "at": 450}]}`)
 	outOfRoster := plan("crash-3.json", `{"backend_crashes": [{"backend": 3, "at": 450}]}`)
+	badRate := plan("bad-rate.json", `{"abort_rate": {"1": 1.5}}`)
+	unknownField := plan("unknown-field.json", `{"abort_rates": {"1": 0.1}}`)
 	scenario := plan("scenario.json", `{"mode": "qp-priority", "period_minutes": 5,
 		"classes": [{"kind": "olap", "goal_metric": "velocity", "goal_target": 0.4, "importance": 1}],
 		"periods": [[2]], "backends": [{"name": "x"}, {"name": "y"}]}`)
@@ -75,6 +77,10 @@ func TestUsageErrorsExit2(t *testing.T) {
 			"fault: backend crashes leave no backend up at t=450 (2 of 2 down)\n"},
 		{"crash outside the roster", []string{"-exp", "fig6", "-backends", "2", "-faults", outOfRoster},
 			"fault: plan targets backend 3 of a 2-backend roster\n"},
+		{"fault plan that does not validate", []string{"-exp", "fig6", "-faults", badRate},
+			"fault: abort rate 1.5 for class 1 out of [0, 1]\n"},
+		{"fault plan that does not parse", []string{"-exp", "fig6", "-faults", unknownField},
+			"fault: parse spec: json: unknown field \"abort_rates\"\n"},
 		{"crash a scenario's whole roster", []string{"-scenario", scenario, "-faults", crashBoth},
 			"fault: backend crashes leave no backend up at t=450 (2 of 2 down)\n"},
 		{"negative client count in a scenario", []string{"-scenario", negative},
@@ -99,6 +105,22 @@ func TestUsageErrorsExit2(t *testing.T) {
 				t.Errorf("stdout %q, want none", stdout)
 			}
 		})
+	}
+}
+
+// A -faults file that cannot be opened is an I/O error, not a usage
+// error: it exits 1, where a plan that does not parse exits 2.
+func TestFaultsFileMissingExits1(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	stdout, stderr, code := runCLI(t, "-exp", "fig6", "-faults", missing)
+	if code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	if want := "open " + missing + ": no such file or directory\n"; stderr != want {
+		t.Errorf("stderr %q, want %q", stderr, want)
+	}
+	if stdout != "" {
+		t.Errorf("stdout %q, want none", stdout)
 	}
 }
 

@@ -185,8 +185,8 @@ func main() {
 		plan, err := fault.ParseSpec(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(os.Stderr, err) // a bad plan is a usage error
+			os.Exit(2)
 		}
 		faults = &plan
 	}

@@ -47,6 +47,10 @@ func TestUsageErrorsExit2(t *testing.T) {
 	if err := os.WriteFile(crashBoth, []byte(`{"backend_crashes": [{"backend": 1, "at": 450}, {"backend": 2, "at": 450}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	badRate := filepath.Join(dir, "bad-rate.json")
+	if err := os.WriteFile(badRate, []byte(`{"abort_rate": {"1": 1.5}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name   string
 		args   []string
@@ -68,6 +72,8 @@ func TestUsageErrorsExit2(t *testing.T) {
 			"-checkpoint-every/-resume require -checkpoint-dir\n"},
 		{"crash both backends", []string{"-param", "plan-step", "-values", "500", "-backends", "2", "-faults", crashBoth},
 			"fault: backend crashes leave no backend up at t=450 (2 of 2 down)\n"},
+		{"fault plan that does not validate", []string{"-param", "plan-step", "-values", "500", "-faults", badRate},
+			"fault: abort rate 1.5 for class 1 out of [0, 1]\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -48,15 +48,21 @@ type FleetResult struct {
 // one comes back as an error rather than a panic mid-run. It rejects a
 // schedule the client pool cannot apply, a fault plan that does not fit
 // the roster (a backend-scoped fault naming a backend outside it, or
-// crash windows that leave no backend up at some instant), a Query
-// Scheduler config the scheduler would refuse, and checkpointing asked
-// of a run that cannot round-trip through a checkpoint.
+// crash windows that leave no backend up at some instant), a retry
+// policy the patroller would refuse, a Query Scheduler config the
+// scheduler would refuse, and checkpointing asked of a run that cannot
+// round-trip through a checkpoint.
 func (cfg MixedConfig) Validate() error {
 	if err := cfg.validateSchedule(); err != nil {
 		return err
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.ValidateRoster(max(len(cfg.Backends), 1)); err != nil {
+			return err
+		}
+	}
+	if cfg.Retry != nil {
+		if err := cfg.Retry.Validate(); err != nil {
 			return err
 		}
 	}

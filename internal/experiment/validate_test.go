@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -66,6 +67,16 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 			"experiment: checkpointing cannot serialize a custom core.Config.MonitorFaults; leave it nil"},
 		{"refresh cost", func(c *MixedConfig) { c.Retry.RefreshCost = refresh },
 			"experiment: checkpointing cannot serialize a custom RetryPolicy.RefreshCost; leave it nil"},
+		{"retry without attempts", func(c *MixedConfig) { c.Retry.MaxAttempts = 0 },
+			"patroller: retry MaxAttempts 0 must be >= 1"},
+		{"negative backoff", func(c *MixedConfig) { c.Retry.Backoff = -1 },
+			"patroller: retry timing must be finite and >= 0 (backoff -1, floor 0, per-cost 0)"},
+		{"NaN backoff", func(c *MixedConfig) { c.Retry.Backoff = math.NaN() },
+			"patroller: retry timing must be finite and >= 0 (backoff NaN, floor 0, per-cost 0)"},
+		{"NaN timeout floor", func(c *MixedConfig) { c.Retry.TimeoutFloor = math.NaN() },
+			"patroller: retry timing must be finite and >= 0 (backoff 30, floor NaN, per-cost 0)"},
+		{"infinite per-cost timeout", func(c *MixedConfig) { c.Retry.TimeoutPerCost = math.Inf(1) },
+			"patroller: retry timing must be finite and >= 0 (backoff 30, floor 0, per-cost +Inf)"},
 		{"scheduler config", func(c *MixedConfig) { c.QS = qs(func(q *core.Config) { q.PlanStep = 0 }) },
 			"core: plan step 0 out of range"},
 		{"plan outside the roster", func(c *MixedConfig) {

@@ -9,6 +9,7 @@ package patroller
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/engine"
@@ -176,16 +177,23 @@ type RetryPolicy struct {
 	RefreshCost func(*engine.Query) float64
 }
 
-func (rp RetryPolicy) validate() error {
+// Validate rejects a policy SetRetryPolicy would refuse: fewer than one
+// attempt, or a backoff or timeout term that is negative, NaN or
+// infinite (the clock cannot schedule a retry or a timeout at an
+// infinite time).
+func (rp RetryPolicy) Validate() error {
 	if rp.MaxAttempts < 1 {
 		return fmt.Errorf("patroller: retry MaxAttempts %d must be >= 1", rp.MaxAttempts)
 	}
-	if rp.Backoff < 0 || rp.TimeoutFloor < 0 || rp.TimeoutPerCost < 0 {
-		return fmt.Errorf("patroller: negative retry timing (backoff %v, floor %v, per-cost %v)",
+	if !finiteNonNegative(rp.Backoff) || !finiteNonNegative(rp.TimeoutFloor) || !finiteNonNegative(rp.TimeoutPerCost) {
+		return fmt.Errorf("patroller: retry timing must be finite and >= 0 (backoff %v, floor %v, per-cost %v)",
 			rp.Backoff, rp.TimeoutFloor, rp.TimeoutPerCost)
 	}
 	return nil
 }
+
+// finiteNonNegative is false for NaN, which fails every comparison.
+func finiteNonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // Patroller is the workload controller. Construct with New, then attach a
 // Policy (or drive releases externally) and it manages every query whose
@@ -293,7 +301,7 @@ func New(eng *engine.Engine, managed ...engine.ClassID) *Patroller {
 // so failed rows are still recorded.
 func (p *Patroller) SetRetryPolicy(rp *RetryPolicy) {
 	if rp != nil {
-		if err := rp.validate(); err != nil {
+		if err := rp.Validate(); err != nil {
 			panic(err)
 		}
 		cp := *rp

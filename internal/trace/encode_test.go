@@ -157,10 +157,11 @@ func TestEventLineMatchesEncodingJSON(t *testing.T) {
 		checkEventLine(t, &enc, Event{Seq: uint64(60 + i), Time: 1, Kind: QuerySubmit, Value: long})
 	}
 
-	// Runs of consecutive seqs across digit rollovers, gaps, repeats and
-	// a restart from a smaller seq.
-	for _, seq := range []uint64{97, 98, 99, 100, 101, 105, 106, 106, 999, 1000, 1001,
-		99999, 100000, 7, 8, 9, 10, 1<<64 - 2, 1<<64 - 1, 0, 1, 9999999999999999999, 10000000000000000000} {
+	// Runs of consecutive seqs across digit rollovers, carries inside the
+	// number, gaps, repeats and a restart from a smaller seq.
+	for _, seq := range []uint64{97, 98, 99, 100, 101, 105, 106, 106, 109, 110, 999, 1000, 1001,
+		1098, 1099, 1100, 1101, 99999, 100000, 7, 8, 9, 10, 11, 19, 20,
+		1<<64 - 2, 1<<64 - 1, 0, 1, 9999999999999999999, 10000000000000000000} {
 		checkEventLine(t, &enc, Event{Seq: seq, Time: 3, Kind: QueryStart, Value: 4})
 	}
 

@@ -124,10 +124,42 @@ func (t *Tracer) SinkErr() error {
 // TestEventLineMatchesEncodingJSON pins the equivalence. t and value go
 // through a memo of formatted floats, so a query's cost is formatted
 // once for its submit, start and done lines and a clock time once for
-// every event at it.
+// every event at it; seq is a counter kept as text.
 type lineEncoder struct {
 	floats floatMemo
+	seq    seqCounter
 	buf    []byte // the flushed batch, reused
+}
+
+// seqCounter writes event seqs. The text of the last seq written is
+// kept, so its successor is written by incrementing that text in place;
+// any other seq (a gap, a repeat, a restart, the wrap to 0, or a carry
+// into a new leading digit) is formatted afresh.
+type seqCounter struct {
+	last uint64
+	n    uint8 // text length; 0 until the first seq
+	text [20]byte
+}
+
+func (c *seqCounter) append(buf []byte, seq uint64) []byte {
+	if seq == 0 || seq != c.last+1 || !c.increment() {
+		c.n = uint8(len(strconv.AppendUint(c.text[:0], seq, 10)))
+	}
+	c.last = seq
+	return append(buf, c.text[:c.n]...)
+}
+
+// increment adds one to the text in place. It reports false, leaving
+// the text to be rewritten, when the carry runs off the leading digit.
+func (c *seqCounter) increment() bool {
+	for i := int(c.n) - 1; i >= 0; i-- {
+		if c.text[i] != '9' {
+			c.text[i]++
+			return true
+		}
+		c.text[i] = '0'
+	}
+	return false
 }
 
 // memoBits sizes floatMemo at 2^memoBits entries of 32 bytes: 16 KB,
@@ -177,7 +209,7 @@ var kindTokens = func() (out [numKinds]string) {
 //qlint:hotpath
 func (enc *lineEncoder) appendLine(buf []byte, e *Event) []byte {
 	buf = append(buf, `{"type":"event","seq":`...)
-	buf = strconv.AppendUint(buf, e.Seq, 10)
+	buf = enc.seq.append(buf, e.Seq)
 	buf = append(buf, `,"t":`...)
 	buf = enc.floats.append(buf, float64(e.Time))
 	if k := int(e.Kind); k >= 0 && k < numKinds {
@@ -278,16 +310,20 @@ func appendFixed(buf []byte, x float64, prec int) []byte {
 
 // appendJSONFloat mirrors encoding/json's float64 encoder: shortest
 // round-trip 'f' form, switching to 'e' form outside [1e-6, 1e21) with
-// the exponent's leading zero trimmed. Event times and values are always
-// finite; a non-finite value here is a bug, and json.Marshal would have
-// refused it too.
+// the exponent's leading zero trimmed. The 'f' range goes through the
+// Schubfach kernel (appendShortest); 0 and the 'e' range stay on
+// strconv. Event times and values are always finite; a non-finite value
+// here is a bug, and json.Marshal would have refused it too.
 func appendJSONFloat(buf []byte, f float64) []byte {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		panic(fmt.Sprintf("trace: non-finite float %v in event", f))
 	}
 	abs := math.Abs(f)
+	if abs >= 1e-6 && abs < 1e21 {
+		return appendShortest(buf, f)
+	}
 	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+	if abs != 0 {
 		format = 'e'
 	}
 	buf = strconv.AppendFloat(buf, f, format, -1, 64)
