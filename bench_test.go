@@ -24,6 +24,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/optimizer"
 	"repro/internal/patroller"
+	"repro/internal/perfmodel"
 	"repro/internal/rng"
 	"repro/internal/router"
 	"repro/internal/simclock"
@@ -259,7 +260,7 @@ func BenchmarkAblationSlowControlLoop(b *testing.B) {
 func BenchmarkAblationThroughputModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiment.RunMixed(ablationConfig(func(c *core.Config) {
-			c.OLTPModel = core.ThroughputOLTPModel
+			c.OLTP.Model = perfmodel.ThroughputModel
 		}))
 		reportMixed(b, res)
 	}

@@ -66,6 +66,8 @@ func TestUsageErrorsExit2(t *testing.T) {
 			"oltp-window must be an integer >= 2\n"},
 		{"value the scheduler rejects", []string{"-param", "plan-step", "-values", "500,0"},
 			"core: plan step 0 out of range\n"},
+		{"window the OLTP model can never fit", []string{"-param", "oltp-window", "-values", "16,3"},
+			"perfmodel: OLTP MinPoints 4 exceeds the window 3, so the slope would never be fitted\n"},
 		{"no backends", []string{"-param", "plan-step", "-values", "500", "-backends", "0"},
 			"-backends must be at least 1\n"},
 		{"checkpoints without a directory", []string{"-param", "plan-step", "-values", "500", "-checkpoint-every", "5"},

@@ -37,16 +37,18 @@ import (
 )
 
 // Version identifies the container format together with the payload
-// layout its callers encode. Version 7 records a run by its
+// layout its callers encode. Version 8 records a run by its
 // configuration, a boundary, the export offsets and a state digest, and
 // the run is resumed by re-simulating to that boundary; a terminal
-// checkpoint's stored result carries the plan history as per-class rows
-// that hold each class's goal analysis, beside the search counters.
-// Version 6 had the same layout with the goal analysis in the solver's
-// search summary; version 5 stored the plan history as per-class maps;
-// versions 1–4 stored every component's state. Files of earlier
-// versions are rejected, not migrated.
-const Version = 7
+// checkpoint's stored result leaves out the plan history, and the
+// configuration names the OLTP performance model inside its OLTP block.
+// Version 7 stored the plan history as per-class rows holding each
+// class's goal analysis and named the OLTP model by an enum beside the
+// OLTP block; version 6 kept the goal analysis in the solver's search
+// summary; version 5 stored the plan history as per-class maps; versions
+// 1–4 stored every component's state. Files of earlier versions are
+// rejected, not migrated.
+const Version = 8
 
 // versionError reports a checkpoint written in another format version.
 type versionError struct {

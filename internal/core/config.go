@@ -56,14 +56,10 @@ type Config struct {
 	// Solver picks the plan optimizer (default: greedy coordinate
 	// exchange; the grid solver is the exhaustive ablation).
 	Solver solver.Solver
-	// OLTP tunes the OLTP response-time model.
+	// OLTP names and tunes the OLTP class's performance model: the
+	// paper's t + s·ΔC by default, or the future-work saturation-aware
+	// model (R = N/X with X affine in the virtual limit) over it.
 	OLTP perfmodel.OLTPConfig
-	// OLTPModel selects the prediction model for the OLTP class:
-	// LinearOLTPModel is the paper's t + s·ΔC; ThroughputOLTPModel is
-	// the future-work saturation-aware model (R = N/X with X affine in
-	// the virtual limit), falling back to the linear model until its fit
-	// is usable.
-	OLTPModel OLTPModelKind
 	// Detection tunes the workload detector that characterizes each
 	// class and flags intensity shifts (always running; its output is
 	// recorded in the plan history).
@@ -110,18 +106,6 @@ type Degradation struct {
 	// data it has rather than freeze indefinitely. 0 means no bound.
 	MaxHeldTicks int
 }
-
-// OLTPModelKind selects the OLTP performance model.
-type OLTPModelKind int
-
-// OLTP model kinds.
-const (
-	// LinearOLTPModel is the paper's regression-fitted linear model.
-	LinearOLTPModel OLTPModelKind = iota
-	// ThroughputOLTPModel predicts through the throughput curve
-	// (perfmodel.OLTPThroughput).
-	ThroughputOLTPModel
-)
 
 // DefaultConfig returns the configuration used in the paper's experiments.
 func DefaultConfig() Config {
@@ -191,5 +175,5 @@ func (c Config) validate() error {
 	if c.SLOBudget < 0 || c.SLOBudget > 1 {
 		return fmt.Errorf("core: SLO budget %v out of (0, 1]", c.SLOBudget)
 	}
-	return nil
+	return c.OLTP.Validate()
 }

@@ -437,13 +437,6 @@ func TestGridSolverDropIn(t *testing.T) {
 	}
 }
 
-func TestOLTPModelExposed(t *testing.T) {
-	r := newRig(t, nil)
-	if r.qs.OLTPModel() == nil {
-		t.Fatal("nil OLTP model")
-	}
-}
-
 func TestNoOLTPClassScheduler(t *testing.T) {
 	clock := simclock.New()
 	eng := engine.New(engine.Config{CPUCapacity: 2, IOCapacity: 14}, clock)

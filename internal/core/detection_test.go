@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/perfmodel"
 )
 
 // driveOLAPLoop keeps one closed-loop client of the class submitting
@@ -146,7 +147,7 @@ func TestFeedForwardAnchorBounded(t *testing.T) {
 }
 
 func TestThroughputModelPathRuns(t *testing.T) {
-	r := newRig(t, func(c *Config) { c.OLTPModel = ThroughputOLTPModel })
+	r := newRig(t, func(c *Config) { c.OLTP.Model = perfmodel.ThroughputModel })
 	r.qs.Start()
 	submitOLTPLoop(r, 1)
 	driveOLAPLoop(r, 55, 1, 1000, 10)

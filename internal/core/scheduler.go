@@ -142,11 +142,13 @@ type QueryScheduler struct {
 	// of the solver problem and of limits.
 	byID []*workload.Class
 
-	mon       *monitor
-	oltpModel *perfmodel.OLTPResponse
-	oltpTput  *perfmodel.OLTPThroughput
-	velModel  perfmodel.OLAPVelocity
-	detector  *detect.Detector
+	mon *monitor
+	// predictors holds each row's performance model, indexed like byID.
+	predictors []perfmodel.Predictor
+	// oltpLinear is the linear OLTP model whose slope every PlanRecord
+	// carries, whichever OLTP model predicts.
+	oltpLinear *perfmodel.OLTPResponse
+	detector   *detect.Detector
 
 	limits    solver.Plan // indexed like byID
 	ticker    *simclock.Ticker
@@ -197,11 +199,13 @@ func New(cfg Config, eng *engine.Engine, pat *patroller.Patroller,
 		pat:        pat,
 		classifier: TagClassifier{},
 		classes:    classes,
-		oltpModel:  perfmodel.NewOLTPResponse(cfg.OLTP),
-		oltpTput:   perfmodel.NewOLTPThroughput(perfmodel.DefaultThroughputConfig()),
-		velModel:   perfmodel.OLAPVelocity{Floor: perfmodel.DefaultVelocityFloor},
 		detector:   detect.New(cfg.Detection),
 	}
+	oltp, lin, err := perfmodel.NewOLTP(cfg.OLTP)
+	if err != nil {
+		return nil, err
+	}
+	qs.oltpLinear = lin
 	for _, c := range classes {
 		switch c.Kind {
 		case workload.OLAP:
@@ -245,6 +249,13 @@ func New(cfg Config, eng *engine.Engine, pat *patroller.Patroller,
 	}
 	for i, c := range qs.byID {
 		qs.rowOf[c.ID-lo] = int32(i)
+	}
+	qs.predictors = make([]perfmodel.Predictor, len(qs.byID))
+	for i, c := range qs.byID {
+		qs.predictors[i] = perfmodel.OLAPVelocity{Floor: perfmodel.DefaultVelocityFloor}
+		if c.Kind == workload.OLTP {
+			qs.predictors[i] = oltp
+		}
 	}
 	qs.dispCost = make([]float64, len(qs.byID))
 	qs.dispCount = make([]int, len(qs.byID))
@@ -408,9 +419,6 @@ func (qs *QueryScheduler) OnPlan(h func(PlanRecord)) {
 // filled in) — what the decision log's meta line records.
 func (qs *QueryScheduler) Config() Config { return qs.cfg }
 
-// OLTPModel exposes the fitted response-time model (for diagnostics).
-func (qs *QueryScheduler) OLTPModel() *perfmodel.OLTPResponse { return qs.oltpModel }
-
 // Detector exposes the workload detector (for diagnostics and reports).
 func (qs *QueryScheduler) Detector() *detect.Detector { return qs.detector }
 
@@ -483,7 +491,7 @@ func (qs *QueryScheduler) controlTick() {
 		rec := PlanRecord{
 			Time:        meas.Time,
 			Measurement: meas,
-			OLTPSlope:   qs.oltpModel.Slope(),
+			OLTPSlope:   qs.oltpLinear.Slope(),
 			Classes:     rows,
 			Held:        true,
 		}
@@ -523,56 +531,45 @@ func (qs *QueryScheduler) controlTick() {
 	for i, c := range qs.byID {
 		row := &rows[i]
 		cPrev := qs.limits[i]
+		m, _ := meas.Class(c.ID)
+		p := qs.predictors[i]
 		spec := solver.ClassSpec{ID: c.ID}
+		var anchor float64
+		idle := false
 		switch c.Kind {
 		case workload.OLAP:
-			m, _ := meas.Class(c.ID)
-			vPrev := m.Velocity
-			idle := m.Idle
-			if vPrev <= 0 && !idle {
+			p.Observe(perfmodel.Sample{Limit: cPrev, Value: m.Velocity, Population: float64(m.Population)})
+			anchor, idle = m.Velocity, m.Idle
+			if anchor <= 0 && !idle {
 				// A busy class measured at zero velocity (every in-flight
 				// query still blocked, or a zeroed dropout measurement)
 				// would predict 0 at every candidate limit — the solver
 				// could never justify giving it capacity again. Anchor at
 				// the model floor so recovery stays reachable.
-				vPrev = qs.velModel.Floor
+				anchor = perfmodel.DefaultVelocityFloor
 			}
 			if qs.cfg.FeedForward && !idle {
-				vPrev = qs.feedForwardAnchor(c.ID, vPrev, row.Workload)
+				anchor = qs.feedForwardAnchor(c.ID, anchor, row.Workload)
 			}
-			model := qs.velModel.Name()
-			if idle {
-				model = ProvenanceIdle
-			}
-			row.Provenance = Provenance{Model: model, Anchor: vPrev, AnchorLimit: cPrev}
 			spec.Utility = utility.NewVelocity(c.Goal.Target, c.Importance)
 			spec.Min = qs.cfg.MinOLAPLimit
-			spec.Predict = func(limit float64) float64 {
-				if idle {
-					// No workload to delay: ideal at any limit.
-					return 1
-				}
-				return qs.velModel.Predict(vPrev, cPrev, limit)
-			}
 		case workload.OLTP:
-			m, _ := meas.Class(c.ID)
-			tPrev := meas.OLTPRespTime
-			qs.oltpModel.Observe(cPrev, tPrev)
-			qs.oltpTput.ObserveLoad(cPrev, tPrev, float64(m.Population))
-			useTput := qs.cfg.OLTPModel == ThroughputOLTPModel && qs.oltpTput.Usable()
-			model := qs.oltpModel.Name()
-			if useTput {
-				model = qs.oltpTput.Name()
-			}
-			row.Provenance = Provenance{Model: model, Anchor: tPrev, AnchorLimit: cPrev}
+			anchor = meas.OLTPRespTime
+			p.Observe(perfmodel.Sample{Limit: cPrev, Value: anchor, Population: float64(m.Population)})
 			spec.Utility = utility.NewResponseTime(c.Goal.Target, c.Importance)
 			spec.Min = qs.cfg.MinOLTPLimit
-			spec.Predict = func(limit float64) float64 {
-				if useTput {
-					return qs.oltpTput.Predict(tPrev, cPrev, limit)
-				}
-				return qs.oltpModel.Predict(tPrev, cPrev, limit)
+		}
+		model := p.Name()
+		if idle {
+			model = ProvenanceIdle
+		}
+		row.Provenance = Provenance{Model: model, Anchor: anchor, AnchorLimit: cPrev}
+		spec.Predict = func(limit float64) float64 {
+			if idle {
+				// No workload to delay: ideal at any limit.
+				return 1
 			}
+			return p.Predict(anchor, cPrev, limit)
 		}
 		problem.Classes[i] = spec
 	}
@@ -596,7 +593,7 @@ func (qs *QueryScheduler) controlTick() {
 		Time:        meas.Time,
 		Measurement: meas,
 		Utility:     solver.Utility(problem, plan),
-		OLTPSlope:   qs.oltpModel.Slope(),
+		OLTPSlope:   qs.oltpLinear.Slope(),
 		Classes:     rows,
 		Search:      search,
 	}

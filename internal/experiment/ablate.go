@@ -9,6 +9,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/perfmodel"
 	"repro/internal/solver"
 	"repro/internal/workload"
 )
@@ -37,7 +38,7 @@ func AblationSpecs() []AblationSpec {
 		{"slow-control-loop", "re-plan every 300s instead of 60s",
 			func(c *core.Config) { c.ControlInterval = 300 }},
 		{"throughput-model", "saturation-aware OLTP model",
-			func(c *core.Config) { c.OLTPModel = core.ThroughputOLTPModel }},
+			func(c *core.Config) { c.OLTP.Model = perfmodel.ThroughputModel }},
 		{"feed-forward", "planner uses the detector's demand forecasts",
 			func(c *core.Config) { c.FeedForward = true }},
 	}

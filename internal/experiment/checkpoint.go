@@ -11,8 +11,9 @@
 // finished.
 //
 // A terminal checkpoint (the one written at the end of the schedule) also
-// carries the finished result and the metrics exposition, so resuming a
-// completed run re-emits them without simulating anything.
+// carries the finished result, without its plan history, and the metrics
+// exposition, so resuming a completed run re-emits them without
+// simulating anything.
 package experiment
 
 import (
@@ -52,7 +53,8 @@ type runSnapshot struct {
 	// Digest is stateDigest at the boundary.
 	Digest uint64
 	// Result and Metrics are set on the terminal snapshot only: the
-	// finished result and the metrics exposition.
+	// finished result, its PlanHistory cleared, and the metrics
+	// exposition.
 	Result  *MixedResult
 	Metrics []byte
 }
@@ -154,7 +156,8 @@ func (r *Rig) stateDigest() uint64 {
 
 // snapshot records boundary idx of a run. A terminal snapshot flushes
 // the decision log's pending records and carries the finished result
-// and metrics exposition.
+// and metrics exposition. The result's plan history, which would be most
+// of the file, is not stored.
 func (r *Rig) snapshot(cfg MixedConfig, o *runObs, idx int, terminal bool) *runSnapshot {
 	snap := &runSnapshot{
 		Index:        idx,
@@ -168,6 +171,7 @@ func (r *Rig) snapshot(cfg MixedConfig, o *runObs, idx int, terminal bool) *runS
 			o.dlog.Flush()
 		}
 		snap.Result = collect(cfg, r, nil).MixedResult
+		snap.Result.PlanHistory = nil
 		if o.reg != nil {
 			var mb bytes.Buffer
 			o.reg.WriteText(&mb)
@@ -221,7 +225,9 @@ func (e *InvalidConfigError) Unwrap() error { return e.Err }
 // plan's run-killing crash disarmed, and fails if the re-simulation does
 // not arrive where the checkpoint says the run was. The final period
 // tables, metrics exposition, trace and decision-log files are
-// byte-identical to a run that was never interrupted.
+// byte-identical to a run that was never interrupted. A resume from a
+// terminal checkpoint simulates nothing and returns the stored result,
+// whose PlanHistory is nil; the decision log holds every plan.
 func ResumeMixed(opts ResumeOptions) (*MixedResult, error) {
 	snap, err := readSnapshot(opts)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/perfmodel"
 )
 
 // containerHeader is the checkpoint container's header size: the magic,
@@ -17,8 +18,8 @@ const containerHeader = len("QSCKPT\n") + 16
 // FuzzCheckpointPayload asserts that no checkpoint payload can panic a
 // resume before it simulates: arbitrary bytes, wrapped in a container
 // with a valid header and checksum, either fail to decode or decode to a
-// config that Validate accepts or rejects. A real checkpoint seeds the
-// corpus.
+// config that Validate accepts or rejects. A config Validate accepts
+// must build its OLTP predictor. A real checkpoint seeds the corpus.
 func FuzzCheckpointPayload(f *testing.F) {
 	dir := f.TempDir()
 	RunMixed(ckptTestConfig(dir, 1))
@@ -42,6 +43,12 @@ func FuzzCheckpointPayload(f *testing.F) {
 		if err := checkpoint.Read(path, snap); err != nil {
 			return
 		}
-		snap.Config.Validate()
+		cfg := snap.Config
+		if cfg.Validate() != nil || cfg.QS == nil {
+			return
+		}
+		if _, _, err := perfmodel.NewOLTP(cfg.QS.OLTP); err != nil {
+			t.Fatalf("Validate accepted an OLTP config NewOLTP refuses: %v", err)
+		}
 	})
 }

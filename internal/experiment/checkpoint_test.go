@@ -314,66 +314,43 @@ func TestResumeRejectsMismatchedOutputs(t *testing.T) {
 	}
 }
 
-// A checkpoint directory written in the version-1 snapshot layout
-// cannot be resumed: the error names the version instead of skipping
-// every file as corrupt.
-func TestResumeRejectsVersion1Checkpoints(t *testing.T) {
-	testResumeRejectsVersion(t, 1)
-}
-
-// Version-2 files carried a separate run spec beside the snapshot; they
-// are rejected the same way.
-func TestResumeRejectsVersion2Checkpoints(t *testing.T) {
-	testResumeRejectsVersion(t, 2)
-}
-
-// Version-3 files stored cancellable clock events under plain counter
-// IDs; they are rejected too.
-func TestResumeRejectsVersion3Checkpoints(t *testing.T) {
-	testResumeRejectsVersion(t, 3)
-}
-
-// Version-4 files stored per-component state; versions 5 and later
-// store where the run was and replay to it, so version 4 is rejected as
-// well.
-func TestResumeRejectsVersion4Checkpoints(t *testing.T) {
-	testResumeRejectsVersion(t, 4)
-}
-
-// Version-5 files had today's layout but stored the terminal result's
-// plan history as per-class maps; later versions store per-class rows, so a
-// version-5 directory is refused with the version error.
-func TestResumeRejectsVersion5Checkpoints(t *testing.T) {
-	testResumeRejectsVersion(t, 5)
-}
-
-// Version-6 files kept each class's goal analysis in the solver's search
-// summary; version 7 keeps it on the plan rows, so a version-6 directory
-// is refused with the version error.
-func TestResumeRejectsVersion6Checkpoints(t *testing.T) {
-	testResumeRejectsVersion(t, 6)
-}
-
-// testResumeRejectsVersion restamps a finished run's checkpoints with
-// version v and resumes them.
-func testResumeRejectsVersion(t *testing.T, v uint32) {
+// A checkpoint directory of an earlier format version cannot be
+// resumed: the error names the version instead of skipping every file as
+// corrupt. One finished run's checkpoints are restamped with each old
+// version in turn.
+func TestResumeRejectsOldCheckpointVersions(t *testing.T) {
 	dir := t.TempDir()
 	RunMixed(ckptTestConfig(dir, 2))
-	for _, idx := range checkpointIndices(t, dir) {
-		path := filepath.Join(dir, checkpoint.FileName(idx))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.BigEndian.PutUint32(data[len("QSCKPT\n"):], v)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := ResumeMixed(ResumeOptions{Dir: dir})
-	want := fmt.Sprintf("unsupported version %d (this build reads version %d)", v, checkpoint.Version)
-	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("resume from version-%d checkpoints: %v, want an error naming version %d", v, err, v)
+	for _, tc := range []struct {
+		v      uint32
+		layout string
+	}{
+		{1, "the first snapshot layout"},
+		{2, "a separate run spec beside the snapshot"},
+		{3, "cancellable clock events under plain counter IDs"},
+		{4, "per-component state; later versions replay to the boundary"},
+		{5, "the terminal plan history as per-class maps"},
+		{6, "each class's goal analysis in the solver's search summary"},
+		{7, "the terminal plan history, and the OLTP model as an enum beside the OLTP block"},
+	} {
+		t.Run(fmt.Sprintf("version %d", tc.v), func(t *testing.T) {
+			for _, idx := range checkpointIndices(t, dir) {
+				path := filepath.Join(dir, checkpoint.FileName(idx))
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				binary.BigEndian.PutUint32(data[len("QSCKPT\n"):], tc.v)
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := ResumeMixed(ResumeOptions{Dir: dir})
+			want := fmt.Sprintf("unsupported version %d (this build reads version %d)", tc.v, checkpoint.Version)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("resume from version-%d checkpoints (%s): %v, want an error naming version %d", tc.v, tc.layout, err, tc.v)
+			}
+		})
 	}
 }
 

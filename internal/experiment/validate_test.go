@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/perfmodel"
 	"repro/internal/solver"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -79,6 +80,22 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 			"patroller: retry timing must be finite and >= 0 (backoff 30, floor 0, per-cost +Inf)"},
 		{"scheduler config", func(c *MixedConfig) { c.QS = qs(func(q *core.Config) { q.PlanStep = 0 }) },
 			"core: plan step 0 out of range"},
+		{"throughput OLTP model", func(c *MixedConfig) {
+			c.QS = qs(func(q *core.Config) { q.OLTP.Model = perfmodel.ThroughputModel })
+		}, ""},
+		{"OLTP window of 1", func(c *MixedConfig) { c.QS = qs(func(q *core.Config) { q.OLTP.Window = 1 }) },
+			"perfmodel: OLTP window 1 must be at least 2"},
+		{"OLTP window below MinPoints", func(c *MixedConfig) { c.QS = qs(func(q *core.Config) { q.OLTP.Window = 3 }) },
+			"perfmodel: OLTP MinPoints 4 exceeds the window 3, so the slope would never be fitted"},
+		{"OLTP MinPoints of 1", func(c *MixedConfig) { c.QS = qs(func(q *core.Config) { q.OLTP.MinPoints = 1 }) },
+			"perfmodel: OLTP MinPoints 1 must be at least 2"},
+		{"unknown OLTP model", func(c *MixedConfig) { c.QS = qs(func(q *core.Config) { q.OLTP.Model = "oltp-neural" }) },
+			`perfmodel: unknown OLTP model "oltp-neural"; choose oltp-linear or oltp-throughput`},
+		{"NaN OLTP prior slope", func(c *MixedConfig) { c.QS = qs(func(q *core.Config) { q.OLTP.PriorSlope = math.NaN() }) },
+			"perfmodel: OLTP slopes must be finite (prior NaN, max 0.001)"},
+		{"infinite OLTP slope bound", func(c *MixedConfig) {
+			c.QS = qs(func(q *core.Config) { q.OLTP.MaxAbsSlope = math.Inf(1) })
+		}, "perfmodel: OLTP slopes must be finite (prior -5e-06, max +Inf)"},
 		{"plan outside the roster", func(c *MixedConfig) {
 			c.Faults = &fault.Plan{BackendCrashes: []fault.BackendCrash{{Backend: 2, At: 100}}}
 		}, "fault: plan targets backend 2 of a 1-backend roster"},

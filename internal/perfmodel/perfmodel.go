@@ -19,6 +19,10 @@
 // s is negative: more resources, lower response time. The slope is fit
 // online over a sliding window of (limit, response-time) observations from
 // past control intervals.
+//
+// Every model is a Predictor. The OLTP model that runs is named by
+// OLTPConfig.Model, and NewOLTP builds it; no other package knows which
+// OLTP models exist or how one falls back on another.
 package perfmodel
 
 import (
@@ -27,6 +31,33 @@ import (
 
 	"repro/internal/stats"
 )
+
+// Sample is one control interval's observation of a class.
+type Sample struct {
+	// Limit is the class cost limit in force over the interval.
+	Limit float64
+	// Value is the measured metric: velocity for an OLAP class, mean
+	// response time for the OLTP class.
+	Value float64
+	// Population is the class's in-system population.
+	Population float64
+}
+
+// Predictor is a performance model: it learns from one Sample per
+// control interval and predicts a class's metric at a candidate limit.
+// Name and Predict read the model's state and never change it; only
+// Observe does.
+type Predictor interface {
+	// Name identifies the model that answers Predict, for
+	// prediction-provenance records (the decision audit log's "which
+	// model produced this forecast" field).
+	Name() string
+	// Observe records one interval's measurement.
+	Observe(Sample)
+	// Predict returns the metric expected at limit cNew, given the
+	// anchor measured at limit cPrev.
+	Predict(anchor, cPrev, cNew float64) float64
+}
 
 // OLAPVelocity is the stateless velocity scaling model.
 //
@@ -42,9 +73,11 @@ type OLAPVelocity struct {
 // DefaultVelocityFloor is the anchor floor used by the Query Scheduler.
 const DefaultVelocityFloor = 0.05
 
-// Name identifies the model in prediction-provenance records (the
-// decision audit log's "which model produced this forecast" field).
+// Name identifies the model in prediction-provenance records.
 func (OLAPVelocity) Name() string { return "olap-velocity" }
+
+// Observe does nothing: the model has no state.
+func (OLAPVelocity) Observe(Sample) {}
 
 // Predict returns the predicted velocity at limit cNew given the measured
 // velocity vPrev at limit cPrev.
@@ -76,8 +109,22 @@ func clamp01(x float64) float64 {
 	return x
 }
 
+// OLTP model names, as OLTPConfig.Model and the provenance records
+// carry them.
+const (
+	// LinearModel is the paper's regression-fitted linear model
+	// (OLTPResponse).
+	LinearModel = "oltp-linear"
+	// ThroughputModel is the saturation-aware model (OLTPThroughput),
+	// which answers as the linear model until its own fit is usable.
+	ThroughputModel = "oltp-throughput"
+)
+
 // OLTPConfig tunes the OLTP response-time model.
 type OLTPConfig struct {
+	// Model names the OLTP predictor: "" or LinearModel for the paper's
+	// model, ThroughputModel for the throughput model over it.
+	Model string
 	// Window is how many past control intervals the regression sees.
 	Window int
 	// PriorSlope is the seconds-per-timeron slope assumed before enough
@@ -108,6 +155,45 @@ func DefaultOLTPConfig() OLTPConfig {
 	}
 }
 
+// Validate reports why NewOLTP would refuse the config: a window too
+// small to fit, a MinPoints the window can never hold (the prior would
+// stand for the whole run), an unknown model name, or a slope bound that
+// is not a finite number.
+func (c OLTPConfig) Validate() error {
+	switch {
+	case c.Window < 2:
+		return fmt.Errorf("perfmodel: OLTP window %d must be at least 2", c.Window)
+	case c.MinPoints < 2:
+		return fmt.Errorf("perfmodel: OLTP MinPoints %d must be at least 2", c.MinPoints)
+	case c.MinPoints > c.Window:
+		return fmt.Errorf("perfmodel: OLTP MinPoints %d exceeds the window %d, so the slope would never be fitted", c.MinPoints, c.Window)
+	case !finite(c.PriorSlope) || !finite(c.MaxAbsSlope):
+		return fmt.Errorf("perfmodel: OLTP slopes must be finite (prior %v, max %v)", c.PriorSlope, c.MaxAbsSlope)
+	}
+	switch c.Model {
+	case "", LinearModel, ThroughputModel:
+		return nil
+	}
+	return fmt.Errorf("perfmodel: unknown OLTP model %q; choose %s or %s", c.Model, LinearModel, ThroughputModel)
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// NewOLTP builds the OLTP predictor cfg.Model names. It also returns the
+// linear model inside it — the predictor itself under LinearModel, the
+// fallback under ThroughputModel — whose slope s is what the decision log
+// records under either model.
+func NewOLTP(cfg OLTPConfig) (Predictor, *OLTPResponse, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	lin := NewOLTPResponse(cfg)
+	if cfg.Model == ThroughputModel {
+		return NewOLTPThroughput(DefaultThroughputConfig(), lin), lin, nil
+	}
+	return lin, lin, nil
+}
+
 // OLTPResponse is the online-fitted linear response-time model.
 type OLTPResponse struct {
 	cfg OLTPConfig
@@ -117,27 +203,49 @@ type OLTPResponse struct {
 	hasFit  bool
 }
 
-// NewOLTPResponse builds the model with the given configuration.
+// NewOLTPResponse builds the linear model. It panics on a config that
+// Validate rejects.
 func NewOLTPResponse(cfg OLTPConfig) *OLTPResponse {
-	if cfg.Window < 2 {
-		panic(fmt.Sprintf("perfmodel: window %d too small", cfg.Window))
-	}
-	if cfg.MinPoints < 2 {
-		panic("perfmodel: MinPoints must be at least 2")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	return &OLTPResponse{cfg: cfg, reg: stats.NewSlidingRegression(cfg.Window)}
 }
 
 // Name identifies the model in prediction-provenance records.
-func (m *OLTPResponse) Name() string { return "oltp-linear" }
+func (m *OLTPResponse) Name() string { return LinearModel }
 
-// Observe records the measured average response time t under cost limit c
-// for one control interval.
-func (m *OLTPResponse) Observe(c, t float64) {
-	if math.IsNaN(c) || math.IsNaN(t) || t < 0 {
+// Observe records the measured average response time s.Value under cost
+// limit s.Limit for one control interval, and remembers the window's
+// fitted slope when it is usable.
+func (m *OLTPResponse) Observe(s Sample) {
+	if math.IsNaN(s.Limit) || math.IsNaN(s.Value) || s.Value < 0 {
 		return
 	}
-	m.reg.Add(c, t)
+	m.reg.Add(s.Limit, s.Value)
+	if fit, ok := m.fit(); ok {
+		m.lastFit, m.hasFit = fit, true
+	}
+}
+
+// fit returns the window's fitted slope, ok=false when it is not usable.
+func (m *OLTPResponse) fit() (float64, bool) {
+	if m.reg.Len() < m.cfg.MinPoints {
+		return 0, false
+	}
+	fit, ok := m.reg.Fit()
+	if !ok {
+		// Fewer than two distinct limits in the window: the slope is
+		// unidentifiable.
+		return 0, false
+	}
+	// A positive slope would claim that giving the OLTP class more
+	// resources slows it down — an artifact of noise; so would an
+	// implausibly steep one. Fall back rather than trust it.
+	if fit.Slope >= 0 || math.Abs(fit.Slope) > m.cfg.MaxAbsSlope {
+		return 0, false
+	}
+	return fit.Slope, true
 }
 
 // Slope returns the model's current s: the fitted regression slope when
@@ -145,44 +253,14 @@ func (m *OLTPResponse) Observe(c, t float64) {
 // usable fit when FallbackToLastFit is set and one exists, the prior
 // slope otherwise.
 func (m *OLTPResponse) Slope() float64 {
-	if m.reg.Len() < m.cfg.MinPoints {
-		return m.fallbackSlope()
+	if s, ok := m.fit(); ok {
+		return s
 	}
-	fit, ok := m.reg.Fit()
-	if !ok {
-		// Fewer than two distinct limits in the window: the slope is
-		// unidentifiable.
-		return m.fallbackSlope()
-	}
-	s := fit.Slope
-	// A positive slope would claim that giving the OLTP class more
-	// resources slows it down — an artifact of noise; so would an
-	// implausibly steep one. Fall back rather than trust it.
-	if s >= 0 || math.Abs(s) > m.cfg.MaxAbsSlope {
-		return m.fallbackSlope()
-	}
-	m.lastFit, m.hasFit = s, true
-	return s
-}
-
-func (m *OLTPResponse) fallbackSlope() float64 {
 	if m.cfg.FallbackToLastFit && m.hasFit {
 		return m.lastFit
 	}
 	return m.cfg.PriorSlope
 }
-
-// FitQuality returns the R² of the current window fit (0 when unfittable).
-func (m *OLTPResponse) FitQuality() float64 {
-	fit, ok := m.reg.Fit()
-	if !ok {
-		return 0
-	}
-	return fit.R2
-}
-
-// Points returns how many observations the window currently holds.
-func (m *OLTPResponse) Points() int { return m.reg.Len() }
 
 // Predict returns the predicted average response time at limit cNew given
 // the measured time tPrev at limit cPrev. Predictions never go negative.

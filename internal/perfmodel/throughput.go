@@ -28,9 +28,14 @@ import (
 // α and β are fit online by least squares over recent intervals, and the
 // prediction R(C) = N / X(C) recovers the hyperbola the linear model
 // misses: shrinking C toward saturation divides, not subtracts.
+//
+// The model composes the linear one: it feeds its fallback every sample,
+// and until its own fit is usable its Name and Predict are the
+// fallback's.
 type OLTPThroughput struct {
-	cfg ThroughputConfig
-	reg *stats.SlidingRegression
+	cfg      ThroughputConfig
+	reg      *stats.SlidingRegression
+	fallback *OLTPResponse
 
 	lastN float64 // most recent population
 }
@@ -50,72 +55,67 @@ func DefaultThroughputConfig() ThroughputConfig {
 	return ThroughputConfig{Window: 16, MinPoints: 4, MinThroughput: 0.5}
 }
 
-// NewOLTPThroughput builds the model.
-func NewOLTPThroughput(cfg ThroughputConfig) *OLTPThroughput {
+// NewOLTPThroughput builds the model over the linear model it falls back
+// on.
+func NewOLTPThroughput(cfg ThroughputConfig, fallback *OLTPResponse) *OLTPThroughput {
 	if cfg.Window < 2 || cfg.MinPoints < 2 {
 		panic(fmt.Sprintf("perfmodel: invalid throughput config %+v", cfg))
 	}
 	if cfg.MinThroughput <= 0 {
 		panic("perfmodel: MinThroughput must be positive")
 	}
-	return &OLTPThroughput{cfg: cfg, reg: stats.NewSlidingRegression(cfg.Window)}
+	return &OLTPThroughput{cfg: cfg, reg: stats.NewSlidingRegression(cfg.Window), fallback: fallback}
 }
 
-// Name identifies the model in prediction-provenance records.
-func (m *OLTPThroughput) Name() string { return "oltp-throughput" }
+// Name identifies the model answering Predict: this one once its fit is
+// usable, the fallback's before.
+func (m *OLTPThroughput) Name() string {
+	if _, ok := m.beta(); !ok {
+		return m.fallback.Name()
+	}
+	return ThroughputModel
+}
 
-// ObserveLoad records one interval: virtual limit c, measured mean
-// response time t, and in-system population n. Intervals without
-// meaningful measurements are skipped.
-func (m *OLTPThroughput) ObserveLoad(c, t, n float64) {
-	if math.IsNaN(c) || t <= 0 || n <= 0 {
+// Observe feeds the fallback, then records the interval's throughput
+// X = N/R (Little's law on the closed loop) at limit s.Limit. Intervals
+// without a positive response time and population add no point.
+func (m *OLTPThroughput) Observe(s Sample) {
+	m.fallback.Observe(s)
+	if math.IsNaN(s.Limit) || s.Value <= 0 || s.Population <= 0 {
 		return
 	}
-	m.lastN = n
-	m.reg.Add(c, n/t) // X = N/R by Little's law on the closed loop
+	m.lastN = s.Population
+	m.reg.Add(s.Limit, s.Population/s.Value)
 }
 
-// fit returns the affine throughput curve, ok=false before enough data.
-func (m *OLTPThroughput) fit() (alpha, beta float64, ok bool) {
+// beta returns the fitted slope β of the throughput curve, ok=false
+// before enough data or when the fit has the wrong sign.
+func (m *OLTPThroughput) beta() (float64, bool) {
 	if m.reg.Len() < m.cfg.MinPoints {
-		return 0, 0, false
+		return 0, false
 	}
 	f, fitted := m.reg.Fit()
-	if !fitted {
-		return 0, 0, false
-	}
 	// A negative slope claims more OLTP budget hurts OLTP — noise.
-	if f.Slope < 0 {
-		return 0, 0, false
+	if !fitted || f.Slope < 0 {
+		return 0, false
 	}
-	return f.Intercept, f.Slope, true
+	return f.Slope, true
 }
 
 // Predict returns the expected mean response time at limit cNew, given
-// the latest measurement tPrev at limit cPrev. Without a usable fit it
-// falls back to "no change" (the caller may prefer the linear model's
-// prior in that regime).
+// the latest measurement tPrev at limit cPrev; without a usable fit it is
+// the fallback's prediction.
 func (m *OLTPThroughput) Predict(tPrev, cPrev, cNew float64) float64 {
-	alpha, beta, ok := m.fit()
-	if !ok || m.lastN <= 0 {
-		return tPrev
+	beta, ok := m.beta()
+	if !ok {
+		return m.fallback.Predict(tPrev, cPrev, cNew)
 	}
 	// Re-anchor the curve so it passes through the current observation:
 	// keep the fitted slope, shift the intercept to match X(cPrev).
 	xNow := m.lastN / math.Max(tPrev, 1e-9)
 	xNew := xNow + beta*(cNew-cPrev)
-	_ = alpha
 	if xNew < m.cfg.MinThroughput {
 		xNew = m.cfg.MinThroughput
 	}
 	return m.lastN / xNew
 }
-
-// Usable reports whether the model currently has a trustworthy fit.
-func (m *OLTPThroughput) Usable() bool {
-	_, _, ok := m.fit()
-	return ok && m.lastN > 0
-}
-
-// Points returns how many observations the window holds.
-func (m *OLTPThroughput) Points() int { return m.reg.Len() }

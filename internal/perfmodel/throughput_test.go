@@ -5,26 +5,67 @@ import (
 	"testing"
 )
 
+// newThroughput builds the throughput model over a default linear one.
+func newThroughput() *OLTPThroughput {
+	return NewOLTPThroughput(DefaultThroughputConfig(), NewOLTPResponse(DefaultOLTPConfig()))
+}
+
+// answersAsFallback reports whether m's Name and Predict are its
+// fallback's.
+func answersAsFallback(m *OLTPThroughput) bool {
+	return m.Name() == m.fallback.Name() &&
+		m.Predict(0.3, 5000, 10000) == m.fallback.Predict(0.3, 5000, 10000) &&
+		m.Predict(0.3, 5000, 1000) == m.fallback.Predict(0.3, 5000, 1000)
+}
+
 func TestThroughputModelUnusableWithoutData(t *testing.T) {
-	m := NewOLTPThroughput(DefaultThroughputConfig())
-	if m.Usable() {
-		t.Fatal("empty model claims usable")
+	m := newThroughput()
+	if !answersAsFallback(m) || m.Name() != LinearModel {
+		t.Fatalf("empty model answers as %q, not as its linear fallback", m.Name())
 	}
-	// Prediction falls back to "no change".
-	if got := m.Predict(0.3, 5000, 10000); got != 0.3 {
-		t.Fatalf("fallback prediction = %v, want tPrev", got)
+	// The fallback predicts with the prior slope.
+	if got, want := m.Predict(0.3, 5000, 10000), 0.3+DefaultOLTPConfig().PriorSlope*5000; got != want {
+		t.Fatalf("fallback prediction = %v, want %v", got, want)
+	}
+}
+
+// The model answers as its fallback until its fit is usable, as itself
+// while it is, and as the fallback again once a wrong-sign window
+// replaces the fit. The fallback sees every sample.
+func TestThroughputModelAnswersAsFallbackUntilUsable(t *testing.T) {
+	m := newThroughput()
+	n := 20.0
+	x := func(c float64) float64 { return 40 + 0.004*c }
+	for i, c := range []float64{0, 2000, 5000, 8000, 12000} {
+		m.Observe(Sample{Limit: c, Value: n / x(c), Population: n})
+		if fallback := i+1 < DefaultThroughputConfig().MinPoints; answersAsFallback(m) != fallback {
+			t.Fatalf("after %d samples: answers as fallback %v, want %v", i+1, !fallback, fallback)
+		}
+	}
+	if m.Name() != ThroughputModel {
+		t.Fatalf("usable model named %q", m.Name())
+	}
+	for i := 0; i < DefaultThroughputConfig().Window; i++ {
+		c := 1000 + 3000*float64(i%4)
+		m.Observe(Sample{Limit: c, Value: 0.1 + c*1e-5, Population: n}) // X falls with C: wrong sign
+	}
+	if !answersAsFallback(m) {
+		t.Fatalf("after a negative-slope window the model answers as %q", m.Name())
+	}
+	if got := m.fallback.reg.Len(); got != DefaultOLTPConfig().Window {
+		t.Fatalf("fallback window holds %d points, want a full %d", got, DefaultOLTPConfig().Window)
 	}
 }
 
 func TestThroughputModelLearnsAffineCurve(t *testing.T) {
-	m := NewOLTPThroughput(DefaultThroughputConfig())
+	m := newThroughput()
 	// Ground truth: X(C) = 40 + 0.004·C, N = 20 clients.
 	n := 20.0
 	x := func(c float64) float64 { return 40 + 0.004*c }
 	for _, c := range []float64{0, 2000, 5000, 8000, 12000} {
-		m.ObserveLoad(c, n/x(c), n)
+		m.Observe(Sample{Limit: c, Value: n / x(c), Population: n})
 	}
-	if !m.Usable() {
+	if m.Name() != ThroughputModel {
 		t.Fatal("model not usable after five clean points")
 	}
 	// Predict at a new limit, anchored at the last observation.
@@ -39,11 +80,11 @@ func TestThroughputModelLearnsAffineCurve(t *testing.T) {
 func TestThroughputModelCapturesHyperbola(t *testing.T) {
 	// The point of the model: halving available throughput doubles
 	// response time — a shape the linear model cannot express.
-	m := NewOLTPThroughput(DefaultThroughputConfig())
+	m := newThroughput()
 	n := 25.0
 	x := func(c float64) float64 { return 10 + 0.002*c }
 	for _, c := range []float64{2000, 6000, 10000, 14000} {
-		m.ObserveLoad(c, n/x(c), n)
+		m.Observe(Sample{Limit: c, Value: n / x(c), Population: n})
 	}
 	tPrev := n / x(14000) // 0.658 at X=38
 	squeeze := m.Predict(tPrev, 14000, 2000)
@@ -57,21 +98,21 @@ func TestThroughputModelCapturesHyperbola(t *testing.T) {
 }
 
 func TestThroughputModelRejectsNegativeSlope(t *testing.T) {
-	m := NewOLTPThroughput(DefaultThroughputConfig())
+	m := newThroughput()
 	for _, c := range []float64{1000, 4000, 8000, 12000} {
-		m.ObserveLoad(c, 0.1+c*1e-5, 20) // X falls with C: wrong sign
+		m.Observe(Sample{Limit: c, Value: 0.1 + c*1e-5, Population: 20}) // X falls with C: wrong sign
 	}
-	if m.Usable() {
+	if !answersAsFallback(m) {
 		t.Fatal("negative-slope fit accepted")
 	}
 }
 
 func TestThroughputModelFloorsPrediction(t *testing.T) {
 	cfg := DefaultThroughputConfig()
-	m := NewOLTPThroughput(cfg)
+	m := newThroughput()
 	n := 20.0
 	for _, c := range []float64{4000, 8000, 12000, 16000} {
-		m.ObserveLoad(c, n/(1+0.01*c), n)
+		m.Observe(Sample{Limit: c, Value: n / (1 + 0.01*c), Population: n})
 	}
 	// Extrapolating to C=0 would give X near 1; far below, the floor
 	// must cap the predicted response time at N/MinThroughput.
@@ -85,12 +126,12 @@ func TestThroughputModelFloorsPrediction(t *testing.T) {
 }
 
 func TestThroughputModelIgnoresGarbage(t *testing.T) {
-	m := NewOLTPThroughput(DefaultThroughputConfig())
-	m.ObserveLoad(math.NaN(), 0.3, 10)
-	m.ObserveLoad(1000, 0, 10)
-	m.ObserveLoad(1000, 0.3, 0)
-	if m.Points() != 0 {
-		t.Fatalf("garbage observations stored: %d", m.Points())
+	m := newThroughput()
+	m.Observe(Sample{Limit: math.NaN(), Value: 0.3, Population: 10})
+	m.Observe(Sample{Limit: 1000, Value: 0, Population: 10})
+	m.Observe(Sample{Limit: 1000, Value: 0.3, Population: 0})
+	if m.reg.Len() != 0 {
+		t.Fatalf("garbage observations stored: %d", m.reg.Len())
 	}
 }
 
@@ -108,7 +149,7 @@ func TestThroughputConfigValidation(t *testing.T) {
 					t.Fatalf("bad config %d did not panic", i)
 				}
 			}()
-			NewOLTPThroughput(cfg)
+			NewOLTPThroughput(cfg, NewOLTPResponse(DefaultOLTPConfig()))
 		}()
 	}
 }
