@@ -217,6 +217,19 @@ func (c *Clock) Rearm(id EventID, d float64, fn EventFunc) EventID {
 	return id
 }
 
+// Reserve consumes one sequence number and one issue count without
+// scheduling anything: exactly the counters Rearm or AtCancellable
+// would draw. A caller that knows the event it would arm now is moved
+// again before the clock pops another event reserves instead, so the
+// clock's State and the (time, seq) of every later event are the same
+// as if it had armed.
+//
+//qlint:hotpath
+func (c *Clock) Reserve() {
+	c.seq++
+	c.issueID(0)
+}
+
 // Stop makes the currently executing Run return once the in-flight event
 // callback finishes. Pending events remain scheduled.
 func (c *Clock) Stop() { c.stopped = true }

@@ -177,3 +177,75 @@ func TestStaleIDNeverMatchesReusedSlot(t *testing.T) {
 		t.Fatalf("Pending() = %d, want 2", c.Pending())
 	}
 }
+
+// cascade runs one completion cascade the way the engine does: inside an
+// event, listeners schedule other events while the engine's deferred
+// reschedules either move a placeholder (Rearm one step ahead) or only
+// reserve its counters, go idle (Cancel) now and then, and a trailing
+// Rearm arms the real completion. It logs the (time, seq) of every
+// event the listeners schedule and of the trailing arm, and the firing
+// order; a placeholder must never fire.
+func cascade(seed int64, reserve bool) (log []string, st State) {
+	c := New()
+	rnd := rand.New(rand.NewSource(seed))
+	delays := []float64{0, 0.5, 1}
+	fire := func(tag string) EventFunc {
+		return func() { log = append(log, fmt.Sprintf("fire %s at %v", tag, c.Now())) }
+	}
+	var pending EventID
+	if rnd.Intn(2) == 0 {
+		pending = c.AtCancellable(1+delays[rnd.Intn(3)], fire("old completion"))
+	}
+	c.At(1, func() {
+		for op := 0; op < 40; op++ {
+			tag := fmt.Sprintf("op %d", op)
+			switch rnd.Intn(5) {
+			case 0:
+				c.After(delays[rnd.Intn(3)], fire(tag))
+				log = append(log, fmt.Sprintf("%s at seq %d", tag, c.State().Seq))
+			case 1:
+				id := c.AfterCancellable(delays[rnd.Intn(3)], fire(tag))
+				ref, _ := refOf(c, id)
+				log = append(log, fmt.Sprintf("%s cancellable at %v seq %d", tag, ref.At, ref.Seq))
+			case 2:
+				if pending != 0 {
+					c.Cancel(pending)
+					pending = 0
+				}
+			default:
+				if reserve {
+					c.Reserve()
+				} else {
+					pending = c.Rearm(pending, 1e-9, fire("placeholder"))
+				}
+			}
+		}
+		pending = c.Rearm(pending, delays[rnd.Intn(3)], fire("completion"))
+		ref, _ := refOf(c, pending)
+		log = append(log, fmt.Sprintf("trailing arm at %v seq %d", ref.At, ref.Seq))
+	})
+	c.Run()
+	return log, c.State()
+}
+
+// Reserve draws the counters a placeholder Rearm would: a cascade that
+// reserves instead of moving placeholders must schedule every event at
+// the same (time, seq), fire them in the same order and end with the
+// same State.
+func TestReserveMatchesPlaceholderRearm(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		armed, armedState := cascade(seed, false)
+		reserved, reservedState := cascade(seed, true)
+		if !reflect.DeepEqual(armed, reserved) {
+			for i := range armed {
+				if i >= len(reserved) || armed[i] != reserved[i] {
+					t.Fatalf("seed %d: logs diverge at entry %d: placeholders %q, reservations %q", seed, i, armed[i], reserved[i])
+				}
+			}
+			t.Fatalf("seed %d: reservations logged %d entries, placeholders %d", seed, len(reserved), len(armed))
+		}
+		if armedState != reservedState {
+			t.Fatalf("seed %d: counters differ: placeholders %+v, reservations %+v", seed, armedState, reservedState)
+		}
+	}
+}
