@@ -221,8 +221,29 @@ type slot struct {
 	floor     float64 // completionEpsilon·Work: done once remaining ≤ floor
 	cpu, io   float64 // Demand.CPURate and Demand.IORate
 	rate      float64 // progress rate under class weights (unused without)
-	mask      uint8   // maskCPU|maskIO bits of the stations the demand uses
+	// cpuSum and ioSum are the CPU and I/O rate totals of slots 0..i,
+	// added in slot order; valid below Engine.sumsFrom.
+	cpuSum, ioSum float64
+	mask          uint8 // maskCPU|maskIO bits of the stations the demand uses
 }
+
+// deferMode is how reschedule treats a call made from inside a
+// completion cascade (see advance).
+type deferMode uint8
+
+const (
+	// deferNone: not in a cascade; reschedule recomputes rates and arms
+	// the completion event.
+	deferNone deferMode = iota
+	// deferReserve: the cascade's caller reschedules before the clock
+	// pops another event, so a mid-cascade reschedule only consumes the
+	// sequence number and issue count its Rearm would have drawn.
+	deferReserve
+	// deferArm: the caller may return without rescheduling (an Abort
+	// whose query completed in the same advance), so a mid-cascade
+	// reschedule arms a real placeholder one minEventStep ahead.
+	deferArm
+)
 
 // Engine is the simulated DBMS.
 type Engine struct {
@@ -259,6 +280,17 @@ type Engine struct {
 	// by the last rate pass.
 	maskRate [numMasks]float64
 
+	// minRemaining is the least remaining work among the slots of each
+	// station mask (+Inf for a mask with none). The advance pass
+	// harvests it from its survivors and Start folds each new slot in;
+	// minStale is set by the removals the pass does not see (Abort,
+	// Evacuate), and the next rate pass rescans.
+	minRemaining [numMasks]float64
+	minStale     bool
+	// sumsFrom is the lowest slot whose cpuSum/ioSum prefix entry is
+	// stale: a swap-remove at i lowers it to i, an append to n-1.
+	sumsFrom int
+
 	// Hot-path scratch: reused across events so steady-state simulation
 	// performs no per-event allocation.
 	free        *freelist    // recycled pooled queries (AcquireQuery/Recycle), possibly shared
@@ -266,12 +298,10 @@ type Engine struct {
 	cpuScratch  []classScale // per-class station shares (stationScales)
 	ioScratch   []classScale
 
-	// deferResched is set while advanceTo runs completion listeners:
-	// reschedule then arms a placeholder (preserving clock sequence
-	// numbers) instead of recomputing rates, because the cascade's
-	// caller always reschedules once more before handing control back
-	// to the clock.
-	deferResched bool
+	// deferResched is set while advance runs completion listeners:
+	// reschedule then skips the rate pass, because the cascade's caller
+	// reschedules once more before handing control back to the clock.
+	deferResched deferMode
 }
 
 // New returns an engine on the given clock. Config values must be positive
@@ -283,11 +313,13 @@ func New(cfg Config, clock *simclock.Clock) *Engine {
 	if cfg.CPUCapacity <= 0 || cfg.IOCapacity <= 0 || cfg.ContentionAlpha < 0 {
 		panic(fmt.Sprintf("engine: invalid config %+v", cfg))
 	}
+	inf := math.Inf(1)
 	e := &Engine{
-		cfg:   cfg,
-		clock: clock,
-		speed: 1,
-		free:  &freelist{},
+		cfg:          cfg,
+		clock:        clock,
+		speed:        1,
+		free:         &freelist{},
+		minRemaining: [numMasks]float64{inf, inf, inf, inf},
 	}
 	e.completionFn = e.onCompletionEvent
 	return e
@@ -416,11 +448,12 @@ func (e *Engine) Abort(q *Query) bool {
 	if q == nil || q.State != StateExecuting || !e.owns(q) {
 		return false
 	}
-	e.advanceTo(e.clock.Now())
+	e.advance(e.clock.Now(), deferArm)
 	if q.State != StateExecuting {
 		return false // completed at exactly this instant
 	}
 	e.remove(q)
+	e.minStale = true
 	q.State = StateFailed
 	q.DoneTime = e.clock.Now()
 	e.stats.Aborted++
@@ -468,6 +501,7 @@ func (e *Engine) Evacuate() []*Query {
 		q.State = StateNew
 		e.stats.Evacuated++
 	}
+	e.minStale = true
 	e.reschedule()
 	return out
 }
@@ -556,6 +590,12 @@ func (e *Engine) Start(q *Query) {
 	}
 	e.slots = append(e.slots, slot{remaining: d.Work, floor: completionEpsilon * d.Work,
 		cpu: d.CPURate, io: d.IORate, mask: mask})
+	if n := len(e.slots) - 1; n < e.sumsFrom {
+		e.sumsFrom = n
+	}
+	if d.Work < e.minRemaining[mask&maskAll] {
+		e.minRemaining[mask&maskAll] = d.Work
+	}
 	e.stats.Started++
 	e.reschedule()
 	for _, l := range e.startListeners {
@@ -621,20 +661,51 @@ func (e *Engine) Stats() Stats { return e.stats }
 //
 //qlint:hotpath
 func (e *Engine) Utilization() (cpu, io float64) {
-	var cpuLoad, ioLoad float64
-	for i := range e.slots {
-		cpuLoad += e.slots[i].cpu
-		ioLoad += e.slots[i].io
-	}
+	cpuLoad, ioLoad := e.stationTotals()
 	return cpuLoad / e.cfg.CPUCapacity, ioLoad / e.cfg.IOCapacity
 }
 
-// advanceTo applies progress to all active queries for the interval since
-// the last update, harvesting any completions. Without class weights the
-// progress is one value per station mask; with them, one per slot.
+// stationTotals returns the CPU and I/O rate totals of the executing
+// set. It brings the prefix sums up to date from sumsFrom on: each entry
+// is the one before it plus the slot's rate, so the totals are the same
+// additions in the same slot order as a fresh sum from zero, bit for
+// bit, and a read with nothing changed since the last costs no pass.
 //
 //qlint:hotpath
-func (e *Engine) advanceTo(now simclock.Time) {
+func (e *Engine) stationTotals() (cpu, io float64) {
+	n := len(e.slots)
+	if n == 0 {
+		return 0, 0
+	}
+	i := e.sumsFrom
+	if i > 0 {
+		cpu, io = e.slots[i-1].cpuSum, e.slots[i-1].ioSum
+	}
+	for ; i < n; i++ {
+		s := &e.slots[i]
+		cpu += s.cpu
+		io += s.io
+		s.cpuSum, s.ioSum = cpu, io
+	}
+	e.sumsFrom = n
+	return cpu, io
+}
+
+// advanceTo is advance for callers that always reschedule afterwards.
+//
+//qlint:hotpath
+func (e *Engine) advanceTo(now simclock.Time) { e.advance(now, deferReserve) }
+
+// advance applies progress to all active queries for the interval since
+// the last update, harvesting any completions. Without class weights the
+// progress is one value per station mask; with them, one per slot. The
+// same pass records each mask's least surviving remaining work for the
+// next rate pass. mode is how reschedules from the completion listeners
+// are deferred: deferReserve when the caller always reschedules after,
+// deferArm when it may not.
+//
+//qlint:hotpath
+func (e *Engine) advance(now simclock.Time, mode deferMode) {
 	dt := now - e.lastUpdate
 	if dt < 0 {
 		panic(fmt.Sprintf("engine: time moved backwards (%v -> %v)", e.lastUpdate, now))
@@ -653,9 +724,12 @@ func (e *Engine) advanceTo(now simclock.Time) {
 	// completion listeners always see dt == 0 and return before this
 	// point, so the buffer is never aliased.
 	done := e.doneScratch[:0]
+	inf := math.Inf(1)
+	minRemaining := [numMasks]float64{inf, inf, inf, inf}
 	for i := range e.slots {
 		s := &e.slots[i]
-		progress := step[s.mask&maskAll]
+		m := s.mask & maskAll
+		progress := step[m]
 		if weighted {
 			progress = s.rate * dt
 		}
@@ -665,8 +739,14 @@ func (e *Engine) advanceTo(now simclock.Time) {
 		s.remaining -= progress
 		if s.remaining <= s.floor {
 			done = append(done, e.active[i])
+		} else if s.remaining < minRemaining[m] {
+			minRemaining[m] = s.remaining
 		}
 	}
+	// The survivors are exactly the slots left once done is removed, and
+	// a minimum does not depend on the order it is taken in.
+	e.minRemaining = minRemaining
+	e.minStale = false
 	for _, q := range done {
 		e.remove(q)
 		q.State = StateDone
@@ -687,12 +767,10 @@ func (e *Engine) advanceTo(now simclock.Time) {
 	// once their listeners have run (explicit free on terminal state).
 	//
 	// Reschedules triggered from inside this loop (every listener-driven
-	// Submit/Start/Abort ends in one) are deferred to placeholders: only
-	// the caller's trailing reschedule recomputes rates, so a completion
-	// cascade costs one O(active) rate pass instead of one per query it
-	// starts. Every advanceTo caller reschedules before returning to the
-	// clock, so a placeholder never survives to fire.
-	e.deferResched = true
+	// Submit/Start/Abort ends in one) are deferred: only the caller's
+	// trailing reschedule recomputes rates, so a completion cascade costs
+	// one rate pass instead of one per query it starts.
+	e.deferResched = mode
 	for i, q := range done {
 		for _, l := range e.listeners {
 			l(q)
@@ -702,7 +780,7 @@ func (e *Engine) advanceTo(now simclock.Time) {
 			e.Recycle(q)
 		}
 	}
-	e.deferResched = false
+	e.deferResched = deferNone
 	e.doneScratch = done[:0]
 }
 
@@ -716,7 +794,9 @@ func (e *Engine) owns(q *Query) bool {
 }
 
 // remove takes q out of the active set in O(1), booking the work it
-// performed into the station counters.
+// performed into the station counters. The slot moved into q's place
+// makes the prefix sums stale from there on. The caller decides whether
+// minRemaining still holds.
 func (e *Engine) remove(q *Query) {
 	i := q.index
 	s := &e.slots[i]
@@ -730,6 +810,9 @@ func (e *Engine) remove(q *Query) {
 	e.active[last] = nil
 	e.active = e.active[:last]
 	e.slots = e.slots[:last]
+	if i < e.sumsFrom {
+		e.sumsFrom = i
+	}
 	q.index = -1
 }
 
@@ -793,22 +876,17 @@ func (e *Engine) recomputeRates() float64 {
 	if e.weights == nil {
 		// Plain processor sharing: every query of one station mask gets
 		// the same rate, so the pass computes one rate per mask. The
-		// totals accumulate in active-slice order, as stationScales sums
-		// them. Division by a positive rate is monotone under correct
-		// rounding, so the smallest remaining work of a mask divided by
-		// its rate is exactly the smallest per-query remaining/rate.
-		// Remaining work is finite, so a mask whose minimum stays +Inf
-		// has no queries.
-		var cpuTotal, ioTotal float64
-		minRemaining := [numMasks]float64{next, next, next, next}
-		for i := range e.slots {
-			s := &e.slots[i]
-			cpuTotal += s.cpu
-			ioTotal += s.io
-			if m := s.mask & maskAll; s.remaining < minRemaining[m] {
-				minRemaining[m] = s.remaining
-			}
+		// totals come from the prefix sums, accumulated in active-slice
+		// order as stationScales sums them. Division by a positive rate
+		// is monotone under correct rounding, so the smallest remaining
+		// work of a mask divided by its rate is exactly the smallest
+		// per-query remaining/rate. Remaining work is finite, so a mask
+		// whose minimum is +Inf has no queries.
+		cpuTotal, ioTotal := e.stationTotals()
+		if e.minStale {
+			e.rescanMinRemaining()
 		}
+		minRemaining := e.minRemaining
 		cpuScale, ioScale := 1.0, 1.0
 		if cpuTotal > e.cfg.CPUCapacity {
 			cpuScale = e.cfg.CPUCapacity / cpuTotal
@@ -868,6 +946,21 @@ func (e *Engine) recomputeRates() float64 {
 		}
 	}
 	return next
+}
+
+// rescanMinRemaining recomputes each station mask's least remaining
+// work from the slots, after a removal advance did not harvest.
+func (e *Engine) rescanMinRemaining() {
+	inf := math.Inf(1)
+	minRemaining := [numMasks]float64{inf, inf, inf, inf}
+	for i := range e.slots {
+		s := &e.slots[i]
+		if m := s.mask & maskAll; s.remaining < minRemaining[m] {
+			minRemaining[m] = s.remaining
+		}
+	}
+	e.minRemaining = minRemaining
+	e.minStale = false
 }
 
 // classScale is one per-class accumulator in the reusable station-share
@@ -993,16 +1086,20 @@ func (e *Engine) stationScales(buf []classScale, io bool, capacity float64) []cl
 // moving the armed event in place (Rearm) rather than cancelling it and
 // scheduling a new one.
 func (e *Engine) reschedule() {
-	// Mid-cascade (inside advanceTo's completion-listener loop) the
-	// caller that entered advanceTo always reschedules again before the
-	// clock pops another event, so recomputing rates here is wasted work
-	// and the armed time is irrelevant: the trailing reschedule moves it.
-	// A placeholder is armed anyway, under exactly the eager path's
-	// conditions, because every arm consumes a clock sequence number and
-	// sequence numbers decide FIFO tie-breaking: skipping it would shift
-	// every later event's tiebreak order.
+	// Mid-cascade (inside advance's completion-listener loop) the caller
+	// reschedules again before the clock pops another event, so
+	// recomputing rates here is wasted work and the armed time is
+	// irrelevant: the trailing reschedule moves the event. The counters
+	// an arm draws still matter, because every Rearm consumes a clock
+	// sequence number and an issue count and sequence numbers decide
+	// FIFO tie-breaking: skipping them would shift every later event's
+	// tiebreak order. So under exactly the eager path's conditions the
+	// call reserves them (deferReserve) and leaves the heap alone, or,
+	// when the caller may not reschedule, arms a placeholder (deferArm).
+	// Either way the clock's State and every later event's (time, seq)
+	// are the same as if each call had armed.
 	next := minEventStep
-	if !e.deferResched {
+	if e.deferResched == deferNone {
 		next = e.recomputeRates()
 	}
 	if len(e.active) == 0 || e.speed <= 0 {
@@ -1011,6 +1108,10 @@ func (e *Engine) reschedule() {
 			e.clock.Cancel(e.pendingEvt)
 			e.pendingEvt = 0
 		}
+		return
+	}
+	if e.deferResched == deferReserve {
+		e.clock.Reserve()
 		return
 	}
 	// Guard against a zero-length step looping forever on fp residue.

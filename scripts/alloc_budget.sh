@@ -2,7 +2,8 @@
 # Allocation-budget smoke: run the headline mixed benchmarks, the Query
 # Scheduler's control loop (Fig6: 1,440 control ticks and their plan
 # history), one greedy and one grid solve of a three-class plan
-# (SolverGreedy, SolverGrid), the engine's event loop, the fleet's
+# (SolverGreedy, SolverGrid), the engine's event loop under identical
+# and under mixed demands (EngineHotPath, EngineMixedDemand), the fleet's
 # routing benchmarks, the tracer's emit benchmark and the client pool's
 # million-client rotation (MillionClients) once with -benchmem and fail
 # if bytes allocated per op regress more than 10% over the checked-in
@@ -13,9 +14,9 @@
 # per-class plan rows, plan vectors the grid solver reuses across
 # candidates, batched trace dispatch, parked clients held as rng
 # cursors — as a CI regression target rather than a one-off win.
-# EngineHotPath's, RouterRoute's and TraceEmit's budgets are 0 B/op, so
-# any allocation on a warm engine event, a warm routed submit or a warm
-# traced query fails.
+# EngineHotPath's, EngineMixedDemand's, RouterRoute's and TraceEmit's
+# budgets are 0 B/op, so any allocation on a warm engine event, a warm
+# routed submit or a warm traced query fails.
 #
 # Usage:
 #   scripts/alloc_budget.sh            # compare against the budget
@@ -24,7 +25,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUDGET=scripts/alloc_budget.txt
-BENCH='^(BenchmarkSystemCostLimit|BenchmarkFig2|BenchmarkFig6|BenchmarkSolverGreedy|BenchmarkSolverGrid|BenchmarkEngineHotPath|BenchmarkRouterRoute|BenchmarkRoutingFleet|BenchmarkTraceEmit|BenchmarkMillionClients)$'
+BENCH='^(BenchmarkSystemCostLimit|BenchmarkFig2|BenchmarkFig6|BenchmarkSolverGreedy|BenchmarkSolverGrid|BenchmarkEngineHotPath|BenchmarkEngineMixedDemand|BenchmarkRouterRoute|BenchmarkRoutingFleet|BenchmarkTraceEmit|BenchmarkMillionClients)$'
 
 OUT=$(go test -run='^$' -bench="$BENCH" -benchtime=1x -benchmem -timeout 1800s .)
 echo "$OUT"
