@@ -143,6 +143,13 @@ func Read(path string, out any) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
+	return Decode(path, data, out)
+}
+
+// Decode verifies a checkpoint container held in memory, as Read does a
+// file, and decodes its payload into out. path names the container in
+// the errors.
+func Decode(path string, data []byte, out any) error {
 	if len(data) < len(magic)+16 {
 		return fmt.Errorf("checkpoint: %s: truncated header", path)
 	}
