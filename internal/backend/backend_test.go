@@ -123,3 +123,18 @@ func TestQueueDepth(t *testing.T) {
 		t.Fatalf("QueueDepth after the run = %d, want 0", got)
 	}
 }
+
+// Classes the spec does not list — zero, negative, between or past the
+// listed IDs — read the neutral affinity 1.
+func TestAffinityUnlistedClassesAreNeutral(t *testing.T) {
+	b := New(1, Spec{Name: "b1", Affinity: map[engine.ClassID]float64{1: 2.5, 3: 0.5}}, simclock.New())
+	for _, class := range []engine.ClassID{0, 2, 4, 1 << 20, -1, -1 << 40} {
+		if got := b.Affinity(class); got != 1 {
+			t.Errorf("unlisted class %d: Affinity = %v, want 1", class, got)
+		}
+	}
+	plain := New(2, Spec{Name: "b2"}, simclock.New())
+	if got := plain.Affinity(1); got != 1 {
+		t.Errorf("spec without affinities: Affinity(1) = %v, want 1", got)
+	}
+}

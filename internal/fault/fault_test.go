@@ -355,3 +355,26 @@ func TestValidateRoster(t *testing.T) {
 		}
 	}
 }
+
+// Classes the plan does not list — zero, negative, between or past the
+// listed IDs — have a base abort rate of 0, and a class-0 burst still
+// covers them.
+func TestAbortRateUnlistedClassesReadZero(t *testing.T) {
+	inj := NewInjector(Plan{
+		AbortRate:   map[engine.ClassID]float64{1: 0.1, 3: 0.3},
+		AbortBursts: []Burst{{Window: Window{Start: 100, End: 200}, Class: 0, Rate: 0.5}},
+	}, simclock.New())
+	for class, want := range map[engine.ClassID]float64{1: 0.1, 3: 0.3} {
+		if r := inj.abortRateAt(50, class); r != want {
+			t.Errorf("abortRateAt(50, %d) = %v, want %v", class, r, want)
+		}
+	}
+	for _, class := range []engine.ClassID{0, 2, 4, 1 << 20, -1, -1 << 40} {
+		if r := inj.abortRateAt(50, class); r != 0 {
+			t.Errorf("unlisted class %d: abortRateAt = %v, want 0", class, r)
+		}
+		if r := inj.abortRateAt(150, class); r != 0.5 {
+			t.Errorf("unlisted class %d in a class-0 burst: abortRateAt = %v, want 0.5", class, r)
+		}
+	}
+}

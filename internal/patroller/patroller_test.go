@@ -385,3 +385,36 @@ func TestViewAggregates(t *testing.T) {
 		t.Fatalf("ActiveCostByClass = %v", by)
 	}
 }
+
+// A class the patroller does not manage — below, between or above the
+// managed IDs, or negative — passes straight through: it never enters
+// the control table, the held or active sets, or the stats.
+func TestUnmanagedClassesNeverEnterTable(t *testing.T) {
+	p, eng, clock := newRig(2, 4)
+	for _, class := range []engine.ClassID{0, 1, 3, 5, 1000, -1, -1 << 40} {
+		if p.Manages(class) {
+			t.Errorf("Manages(%d) = true", class)
+		}
+		query := q(class, 100, 1)
+		eng.Submit(query)
+		if query.State != engine.StateExecuting {
+			t.Fatalf("class %d: unmanaged query state = %v, want executing", class, query.State)
+		}
+	}
+	clock.Run()
+	if n := len(p.ControlTable()); n != 0 || p.HeldCount() != 0 || p.ActiveCount() != 0 {
+		t.Fatalf("unmanaged queries recorded: table %d held %d active %d", n, p.HeldCount(), p.ActiveCount())
+	}
+	if st := p.Stats(); st != (Stats{}) {
+		t.Fatalf("unmanaged queries counted: %+v", st)
+	}
+	for _, class := range []engine.ClassID{2, 4} {
+		if !p.Manages(class) {
+			t.Errorf("Manages(%d) = false", class)
+		}
+		eng.Submit(q(class, 100, 1))
+	}
+	if got := len(p.ControlTable()); got != 2 {
+		t.Fatalf("managed queries recorded %d rows, want 2", got)
+	}
+}

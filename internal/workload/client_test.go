@@ -442,3 +442,30 @@ func TestPoolMatchesReference(t *testing.T) {
 		t.Fatal("no script re-activated a client with a query in flight")
 	}
 }
+
+// Completions the pool did not issue — client ID 0, a negative ID, an
+// ID past the last one handed out, or a parked client's ID — are
+// ignored: nothing is submitted and no client changes state.
+func TestPoolIgnoresForeignClientIDs(t *testing.T) {
+	rec := &recorder{}
+	pool := NewRoutedPool(rec, []*engine.Engine{engine.New(engine.DefaultConfig(), simclock.New())})
+	class := &Class{ID: 3, Name: "oltp", Kind: OLTP, Goal: Goal{AvgResponseTime, 1}, Importance: 1}
+	pool.AddClients(class, fastSet(t), 4, rng.New(1)) // IDs 1..4
+	pool.SetActive(class.ID, 2)                       // 1 and 2 submit; 3 and 4 stay parked
+	if len(rec.log) != 2 {
+		t.Fatalf("activation submitted %d queries, want 2", len(rec.log))
+	}
+	for _, id := range []engine.ClientID{0, -1, -1 << 40, 3, 4, 5, 6, 1 << 40} {
+		pool.onDone(&engine.Query{Client: id, Class: class.ID, State: engine.StateDone})
+	}
+	if len(rec.log) != 2 {
+		t.Fatalf("foreign completions submitted %v", rec.log[2:])
+	}
+	if got := pool.ActiveClients(class.ID); !slices.Equal(got, []engine.ClientID{1, 2}) {
+		t.Fatalf("active clients after foreign completions = %v, want [1 2]", got)
+	}
+	pool.onDone(rec.complete(0))
+	if len(rec.log) != 3 || rec.log[2].client != 1 {
+		t.Fatalf("client 1's own completion did not resubmit: %v", rec.log)
+	}
+}
