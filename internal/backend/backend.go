@@ -60,10 +60,24 @@ func DefaultSpecs(n int) []Spec {
 	return out
 }
 
+// Signals are the instantaneous readings the router scores a backend by
+// for one query.
+type Signals struct {
+	// Queue is the number of queries held at the backend's admission
+	// gate (0 when no patroller is attached).
+	Queue int
+	// Load is the backend's current demand relative to capacity: the
+	// busier station's utilization (may exceed 1 when oversubscribed).
+	Load float64
+	// Affinity is the spec's routing bias for the query's class (1 =
+	// neutral).
+	Affinity float64
+}
+
 // Backend is what the routing tier sees: identity, the engine queries
-// execute on, and the queue/load signals the scorers read. Instance is
-// the one concrete implementation; the interface keeps the router
-// testable with stubs.
+// execute on, and the signals the scorers read. Instance is the one
+// concrete implementation; the interface keeps the router testable with
+// stubs.
 type Backend interface {
 	// ID is the backend's 1-based fleet index.
 	ID() int
@@ -71,14 +85,9 @@ type Backend interface {
 	Name() string
 	// Engine returns the backend's execution engine.
 	Engine() *engine.Engine
-	// QueueDepth is the number of queries held at the backend's
-	// admission gate (0 when no patroller is attached).
-	QueueDepth() int
-	// Load is the backend's current demand relative to capacity: the
-	// busier station's utilization (may exceed 1 when oversubscribed).
-	Load() float64
-	// Affinity is the spec's routing bias for a class (1 = neutral).
-	Affinity(class engine.ClassID) float64
+	// Signals reads the backend's queue depth, load and affinity for a
+	// query of the class — one call per backend per routed query.
+	Signals(class engine.ClassID) Signals
 	// Evacuate pulls every query this backend holds — admission-held,
 	// executing, and awaiting retry — off the backend for failover
 	// re-dispatch, in deterministic order (held queue in arrival order,
@@ -93,6 +102,9 @@ type Backend interface {
 type Instance struct {
 	id   int
 	spec Spec
+	// affinity[c] is the spec's bias for class c, 1 where unlisted;
+	// classes past its end are unlisted too.
+	affinity []float64
 
 	Eng *engine.Engine
 	Pat *patroller.Patroller
@@ -108,12 +120,24 @@ func New(id int, spec Spec, clock *simclock.Clock) *Instance {
 	if id <= 0 {
 		panic(fmt.Sprintf("backend: non-positive backend ID %d", id))
 	}
+	n := 0
 	for class, w := range spec.Affinity {
 		if w <= 0 {
 			panic(fmt.Sprintf("backend: %s: non-positive affinity %v for class %d", spec.Name, w, class))
 		}
+		if class < 0 {
+			panic(fmt.Sprintf("backend: %s: affinity for negative class %d", spec.Name, class))
+		}
+		n = max(n, int(class)+1)
 	}
-	return &Instance{id: id, spec: spec, Eng: engine.New(spec.EngineConfig(), clock)}
+	affinity := make([]float64, n)
+	for c := range affinity {
+		affinity[c] = 1
+	}
+	for class, w := range spec.Affinity {
+		affinity[class] = w
+	}
+	return &Instance{id: id, spec: spec, affinity: affinity, Eng: engine.New(spec.EngineConfig(), clock)}
 }
 
 // ID returns the backend's 1-based fleet index.
@@ -128,7 +152,16 @@ func (b *Instance) Spec() Spec { return b.spec }
 // Engine returns the backend's execution engine.
 func (b *Instance) Engine() *engine.Engine { return b.Eng }
 
+// Signals reads the queue depth, load and class affinity in one call.
+//
+//qlint:hotpath
+func (b *Instance) Signals(class engine.ClassID) Signals {
+	return Signals{Queue: b.QueueDepth(), Load: b.Load(), Affinity: b.Affinity(class)}
+}
+
 // QueueDepth returns the patroller's held-queue length.
+//
+//qlint:hotpath
 func (b *Instance) QueueDepth() int {
 	if b.Pat == nil {
 		return 0
@@ -137,6 +170,8 @@ func (b *Instance) QueueDepth() int {
 }
 
 // Load returns the busier station's demand relative to capacity.
+//
+//qlint:hotpath
 func (b *Instance) Load() float64 {
 	cpu, io := b.Eng.Utilization()
 	if io > cpu {
@@ -146,9 +181,11 @@ func (b *Instance) Load() float64 {
 }
 
 // Affinity returns the spec's routing bias for a class (1 = neutral).
+//
+//qlint:hotpath
 func (b *Instance) Affinity(class engine.ClassID) float64 {
-	if w, ok := b.spec.Affinity[class]; ok {
-		return w
+	if uint(class) < uint(len(b.affinity)) {
+		return b.affinity[class]
 	}
 	return 1
 }

@@ -146,6 +146,10 @@ type Plan struct {
 	BackendDropouts []BackendOutage
 }
 
+// MaxAbortClass is the largest class ID a plan's AbortRate may name:
+// the injector reads base rates from a dense per-class table, built once.
+const MaxAbortClass = 1<<10 - 1
+
 // Empty reports whether the plan injects nothing at all.
 func (p Plan) Empty() bool {
 	return len(p.AbortRate) == 0 && len(p.AbortBursts) == 0 &&
@@ -211,6 +215,9 @@ func (p Plan) ValidateRoster(n int) error {
 // Validate checks rates, multipliers, and window shapes.
 func (p Plan) Validate() error {
 	for _, class := range sortedClassKeys(p.AbortRate) {
+		if class < 0 || class > MaxAbortClass {
+			return fmt.Errorf("fault: abort rate class %d outside 0..%d", class, MaxAbortClass)
+		}
 		if r := p.AbortRate[class]; r < 0 || r > 1 || math.IsNaN(r) {
 			return fmt.Errorf("fault: abort rate %v for class %d out of [0, 1]", r, class)
 		}
@@ -357,6 +364,9 @@ type Injector struct {
 	eng   *engine.Engine
 	src   *rng.Source
 	stats Stats
+	// abortRate[c] is the plan's base abort rate for class c; classes
+	// past its end are unlisted and read 0.
+	abortRate []float64
 
 	// backendID scopes the injector to one backend (1-based).
 	// Backend-scoped faults fire only on the injector whose backendID
@@ -407,7 +417,7 @@ func NewInjector(plan Plan, clock *simclock.Clock) *Injector {
 	if err := plan.Validate(); err != nil {
 		panic(err)
 	}
-	return &Injector{plan: plan, clock: clock, src: rng.New(plan.Seed), backendID: 1}
+	return newInjector(plan, clock, plan.Seed, 1)
 }
 
 // NewBackendInjector builds the injector for one fleet backend
@@ -429,7 +439,21 @@ func NewBackendInjector(plan Plan, clock *simclock.Clock, backendID int) *Inject
 		panic(err)
 	}
 	seed := plan.Seed + uint64(backendID)*0x9e3779b97f4a7c15
-	return &Injector{plan: plan, clock: clock, src: rng.New(seed), backendID: backendID}
+	return newInjector(plan, clock, seed, backendID)
+}
+
+// newInjector builds an injector for a validated plan, laying its base
+// abort rates out by class.
+func newInjector(plan Plan, clock *simclock.Clock, seed uint64, backendID int) *Injector {
+	n := 0
+	for class := range plan.AbortRate {
+		n = max(n, int(class)+1)
+	}
+	rates := make([]float64, n)
+	for class, r := range plan.AbortRate {
+		rates[class] = r
+	}
+	return &Injector{plan: plan, clock: clock, src: rng.New(seed), abortRate: rates, backendID: backendID}
 }
 
 // SetFleetHooks installs the fleet-facing availability callbacks. Call
@@ -566,8 +590,13 @@ func (in *Injector) armSlowdown(at float64, factor float64, isStart bool) {
 // abortRateAt returns the effective abort probability for a class at time
 // t: the largest of the base rate and any active burst covering the
 // class.
+//
+//qlint:hotpath
 func (in *Injector) abortRateAt(t float64, class engine.ClassID) float64 {
-	rate := in.plan.AbortRate[class]
+	rate := 0.0
+	if uint(class) < uint(len(in.abortRate)) {
+		rate = in.abortRate[class]
+	}
 	for _, b := range in.plan.AbortBursts {
 		if b.Window.Contains(t) && (b.Class == 0 || b.Class == class) && b.Rate > rate {
 			rate = b.Rate

@@ -24,6 +24,8 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	cases := map[string]Plan{
 		"abort rate > 1":    {AbortRate: map[engine.ClassID]float64{1: 1.5}},
 		"negative rate":     {AbortRate: map[engine.ClassID]float64{1: -0.1}},
+		"negative class":    {AbortRate: map[engine.ClassID]float64{-1: 0.1}},
+		"class too large":   {AbortRate: map[engine.ClassID]float64{MaxAbortClass + 1: 0.1}},
 		"inverted window":   {AbortBursts: []Burst{{Window: Window{Start: 10, End: 5}, Rate: 0.5}}},
 		"empty window":      {SnapshotOutages: []Window{{Start: 5, End: 5}}},
 		"burst rate":        {AbortBursts: []Burst{{Window: Window{Start: 0, End: 1}, Rate: 2}}},
@@ -39,6 +41,9 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	}
 	if err := (Plan{}).Validate(); err != nil {
 		t.Errorf("zero plan rejected: %v", err)
+	}
+	if err := (Plan{AbortRate: map[engine.ClassID]float64{0: 0.1, MaxAbortClass: 0.2}}).Validate(); err != nil {
+		t.Errorf("abort rates for classes 0 and MaxAbortClass rejected: %v", err)
 	}
 	if !(Plan{}).Empty() {
 		t.Error("zero plan not Empty")

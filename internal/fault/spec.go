@@ -18,6 +18,7 @@
 //
 // The backend_* fields are fleet-only (1-based roster IDs); single-
 // engine runs reject plans that use them.
+// abort_rate keys are class IDs in 0..MaxAbortClass.
 package fault
 
 import (

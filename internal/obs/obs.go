@@ -150,10 +150,17 @@ func renderLabels(labels []Label) string {
 	return b.String()
 }
 
-// escapeLabelValue applies the Prometheus text-format escapes.
+// labelEscaper applies the Prometheus text-format escapes. A Replacer
+// is safe for concurrent use, so parallel runs share this one.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+
+// escapeLabelValue applies the Prometheus text-format escapes; a value
+// with nothing to escape is returned as it is.
 func escapeLabelValue(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
+	if !strings.ContainsAny(v, "\\\n\"") {
+		return v
+	}
+	return labelEscaper.Replace(v)
 }
 
 // Counter is a monotonically increasing value.

@@ -172,3 +172,22 @@ func TestLabelEscaping(t *testing.T) {
 		t.Fatalf("escaped label missing %q:\n%s", want, buf.String())
 	}
 }
+
+// A value with no backslash, newline or double quote is written as it
+// is.
+func TestLabelValueWithoutEscapesPassesThrough(t *testing.T) {
+	for _, v := range []string{"", "b1", "class 2", "a'b/c\td\u00e9"} {
+		if got := escapeLabelValue(v); got != v {
+			t.Errorf("escapeLabelValue(%q) = %q, want it unchanged", v, got)
+		}
+	}
+	r := New(nil)
+	r.Counter("c", "h", L("q", "b1 x'y")).Inc()
+	var buf bytes.Buffer
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := `c{q="b1 x'y"} 1`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("unescaped label missing %q:\n%s", want, buf.String())
+	}
+}

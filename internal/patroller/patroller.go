@@ -199,9 +199,12 @@ func finiteNonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 // Policy (or drive releases externally) and it manages every query whose
 // class is in its managed set; all other queries pass straight through.
 type Patroller struct {
-	eng     *engine.Engine
-	clock   *simclock.Clock
-	managed map[engine.ClassID]bool
+	eng   *engine.Engine
+	clock *simclock.Clock
+	// managed[c] reports whether class c is intercepted; classes past
+	// its end are not. Only managed queries have held or active rows,
+	// so an unmanaged query's arrival and completion probe no map.
+	managed []bool
 	policy  Policy
 
 	held        map[engine.QueryID]*entry
@@ -282,12 +285,17 @@ func New(eng *engine.Engine, managed ...engine.ClassID) *Patroller {
 	p := &Patroller{
 		eng:      eng,
 		clock:    eng.Clock(),
-		managed:  make(map[engine.ClassID]bool),
 		held:     make(map[engine.QueryID]*entry),
 		active:   make(map[engine.QueryID]*entry),
 		timeouts: make(map[engine.QueryID]simclock.EventID),
 	}
 	for _, c := range managed {
+		if c < 0 {
+			panic(fmt.Sprintf("patroller: negative managed class %d", c))
+		}
+		if int(c) >= len(p.managed) {
+			p.managed = append(p.managed, make([]bool, int(c)+1-len(p.managed))...)
+		}
 		p.managed[c] = true
 	}
 	eng.SetInterceptor(p)
@@ -321,13 +329,17 @@ func (p *Patroller) SetPolicy(pol Policy) {
 }
 
 // Manages reports whether the patroller intercepts the class.
-func (p *Patroller) Manages(c engine.ClassID) bool { return p.managed[c] }
+//
+//qlint:hotpath
+func (p *Patroller) Manages(c engine.ClassID) bool {
+	return uint(c) < uint(len(p.managed)) && p.managed[c]
+}
 
 // Intercept implements engine.Interceptor.
 //
 //qlint:hotpath
 func (p *Patroller) Intercept(q *engine.Query) bool {
-	if !p.managed[q.Class] {
+	if !p.Manages(q.Class) {
 		return false
 	}
 	if p.InterceptOverheadCPU > 0 {
@@ -379,6 +391,9 @@ func addCPUOverhead(d engine.Demand, cpu float64) engine.Demand {
 //
 //qlint:hotpath
 func (p *Patroller) onDone(q *engine.Query) {
+	if !p.Manages(q.Class) {
+		return
+	}
 	e, ok := p.active[q.ID]
 	if !ok {
 		return
@@ -412,6 +427,9 @@ func (p *Patroller) onDone(q *engine.Query) {
 //
 //qlint:hotpath
 func (p *Patroller) onAbort(q *engine.Query) bool {
+	if !p.Manages(q.Class) {
+		return false
+	}
 	e, ok := p.active[q.ID]
 	if !ok {
 		return false

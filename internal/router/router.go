@@ -5,8 +5,8 @@
 // The router sits between the client pool and the backends — it
 // implements the pool's Submitter contract, so the closed-loop clients
 // are oblivious to how many engines exist. Scoring reads only
-// instantaneous backend signals (queue depth, load, class affinity);
-// nothing about the decision depends on map iteration or wall time, so
+// instantaneous backend signals (queue depth, load, class affinity),
+// once per backend per query; nothing about the decision depends on map iteration or wall time, so
 // a fleet run is as deterministic as a single-engine one.
 package router
 
@@ -17,50 +17,54 @@ import (
 	"repro/internal/engine"
 )
 
-// Scorer rates one backend for one query. Higher is better. Scores
-// must be finite, non-negative, and independent of evaluation order —
-// each scorer sees one (backend, query) pair at a time.
-type Scorer interface {
-	Name() string
-	Score(b backend.Backend, q *engine.Query) float64
-}
+// Scorer names one term of a backend's routing score. Higher is
+// better; every term is finite and non-negative. The set is closed:
+// Submit reads each backend's Signals once per query and combines the
+// weighted terms with a switch, with no call per (scorer, backend) pair.
+type Scorer uint8
 
-// QueueDepth prefers backends with shorter admission queues: a backend
-// holding h queries scores 1/(1+h).
-type QueueDepth struct{}
-
-// Name identifies the scorer in traces.
-func (QueueDepth) Name() string { return "queue" }
-
-// Score rates b by its held-queue length.
-func (QueueDepth) Score(b backend.Backend, _ *engine.Query) float64 {
-	return 1 / (1 + float64(b.QueueDepth()))
-}
-
-// Load prefers lightly loaded backends: a backend at utilization u
-// (demand over capacity, busier station) scores 1/(1+u). Capacity
-// heterogeneity is already folded in — a slow box reaches u=1 sooner,
-// so it repels load earlier than a fast one.
-type Load struct{}
+// The scorers.
+const (
+	// QueueDepth prefers backends with shorter admission queues: a
+	// backend holding h queries scores 1/(1+h).
+	QueueDepth Scorer = iota + 1
+	// Load prefers lightly loaded backends: a backend at utilization u
+	// (demand over capacity, busier station) scores 1/(1+u). Capacity
+	// heterogeneity is already folded in — a slow box reaches u=1
+	// sooner, so it repels load earlier than a fast one.
+	Load
+	// Affinity applies the backend spec's per-class routing bias: a
+	// backend with affinity w for the query's class scores w (1 when
+	// unspecified).
+	Affinity
+)
 
 // Name identifies the scorer in traces.
-func (Load) Name() string { return "load" }
-
-// Score rates b by its current utilization.
-func (Load) Score(b backend.Backend, _ *engine.Query) float64 {
-	return 1 / (1 + b.Load())
+func (s Scorer) Name() string {
+	switch s {
+	case QueueDepth:
+		return "queue"
+	case Load:
+		return "load"
+	case Affinity:
+		return "affinity"
+	default:
+		return fmt.Sprintf("Scorer(%d)", uint8(s))
+	}
 }
 
-// Affinity applies the backend spec's per-class routing bias: a backend
-// with affinity w for the query's class scores w (1 when unspecified).
-type Affinity struct{}
-
-// Name identifies the scorer in traces.
-func (Affinity) Name() string { return "affinity" }
-
-// Score rates b by its configured bias for the query's class.
-func (Affinity) Score(b backend.Backend, q *engine.Query) float64 {
-	return b.Affinity(q.Class)
+// term is the scorer's value for a backend showing sig.
+//
+//qlint:hotpath
+func (s Scorer) term(sig backend.Signals) float64 {
+	switch s {
+	case QueueDepth:
+		return 1 / (1 + float64(sig.Queue))
+	case Load:
+		return 1 / (1 + sig.Load)
+	default:
+		return sig.Affinity
+	}
 }
 
 // Weighted pairs a scorer with its weight in the combined score.
@@ -73,9 +77,9 @@ type Weighted struct {
 // affinity breaks structural preferences.
 func DefaultScorers() []Weighted {
 	return []Weighted{
-		{Scorer: QueueDepth{}, Weight: 1},
-		{Scorer: Load{}, Weight: 1},
-		{Scorer: Affinity{}, Weight: 0.5},
+		{Scorer: QueueDepth, Weight: 1},
+		{Scorer: Load, Weight: 1},
+		{Scorer: Affinity, Weight: 0.5},
 	}
 }
 
@@ -132,7 +136,7 @@ func New(backends []backend.Backend, scorers []Weighted) *Router {
 		panic("router: no scorers")
 	}
 	for _, ws := range scorers {
-		if ws.Scorer == nil || ws.Weight <= 0 {
+		if ws.Scorer < QueueDepth || ws.Scorer > Affinity || ws.Weight <= 0 {
 			panic(fmt.Sprintf("router: invalid weighted scorer %+v", ws))
 		}
 	}
@@ -170,7 +174,9 @@ func (r *Router) AcquireQuery() *engine.Query { return r.shared.AcquireQuery() }
 
 // Submit scores every healthy backend for the query, routes it to the
 // argmax (lowest roster index wins ties), and fires the routing
-// listeners. Down backends are excluded outright; a backend being
+// listeners. Each backend's signals are read once; the weighted terms
+// are added in policy order, so a score is the same float sum whatever
+// the signals' source. Down backends are excluded outright; a backend being
 // drained of the query's class (an active migration) is skipped unless
 // it is the only healthy choice left.
 //
@@ -186,9 +192,10 @@ func (r *Router) Submit(q *engine.Query) {
 			r.scratch[i] = 0
 			continue
 		}
+		sig := b.Signals(q.Class)
 		s := 0.0
 		for _, ws := range r.scorers {
-			s += ws.Weight * ws.Scorer.Score(b, q)
+			s += ws.Weight * ws.Scorer.term(sig)
 		}
 		r.scratch[i] = s
 		if i+1 == avoid {

@@ -27,13 +27,12 @@ func newStub(id int, clock *simclock.Clock) *stub {
 func (s *stub) ID() int                { return s.id }
 func (s *stub) Name() string           { return "stub" }
 func (s *stub) Engine() *engine.Engine { return s.eng }
-func (s *stub) QueueDepth() int        { return s.queue }
-func (s *stub) Load() float64          { return s.load }
-func (s *stub) Affinity(class engine.ClassID) float64 {
-	if w, ok := s.aff[class]; ok {
-		return w
+func (s *stub) Signals(class engine.ClassID) backend.Signals {
+	w, ok := s.aff[class]
+	if !ok {
+		w = 1
 	}
-	return 1
+	return backend.Signals{Queue: s.queue, Load: s.load, Affinity: w}
 }
 func (s *stub) Evacuate() []*engine.Query { return s.eng.Evacuate() }
 
@@ -58,7 +57,7 @@ func submitOne(r *Router, class engine.ClassID) *engine.Query {
 }
 
 func TestRouterPrefersShortQueue(t *testing.T) {
-	r, stubs := testRouter(t, []Weighted{{Scorer: QueueDepth{}, Weight: 1}})
+	r, stubs := testRouter(t, []Weighted{{Scorer: QueueDepth, Weight: 1}})
 	stubs[0].queue = 5
 	stubs[1].queue = 0
 	stubs[2].queue = 5
@@ -69,7 +68,7 @@ func TestRouterPrefersShortQueue(t *testing.T) {
 }
 
 func TestRouterPrefersLightLoad(t *testing.T) {
-	r, stubs := testRouter(t, []Weighted{{Scorer: Load{}, Weight: 1}})
+	r, stubs := testRouter(t, []Weighted{{Scorer: Load, Weight: 1}})
 	stubs[0].load = 1.5
 	stubs[1].load = 1.0
 	stubs[2].load = 0.2
@@ -107,7 +106,7 @@ func TestRouterTieBreaksLowestIndex(t *testing.T) {
 }
 
 func TestRouterDecisionHookAndTallies(t *testing.T) {
-	r, stubs := testRouter(t, []Weighted{{Scorer: QueueDepth{}, Weight: 1}})
+	r, stubs := testRouter(t, []Weighted{{Scorer: QueueDepth, Weight: 1}})
 	stubs[0].queue = 9
 	stubs[2].queue = 9
 	var decisions []Decision

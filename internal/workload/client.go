@@ -56,15 +56,19 @@ type Submitter interface {
 // Pool owns all clients of an experiment and routes engine completions
 // back to them. Period changes activate or park clients per class.
 type Pool struct {
-	route   Submitter
-	clients map[engine.ClientID]*Client // live clients: active or in flight
+	route Submitter
+	// clients[id] is the live client with that ID (active or in flight),
+	// nil while it is parked. IDs are handed out densely from 1, so the
+	// table has an entry for every ID up to nextID; index 0 is never a
+	// client.
+	clients []*Client
 	classes map[engine.ClassID]*population
 	nextID  engine.ClientID
 }
 
 // population is one class's clients. A client is an 8-byte rng cursor
-// until it is activated; it then lives in the pool's clients map until it
-// is inactive and idle, when its cursor is written back.
+// until it is activated; it then lives in the pool's clients table until
+// it is inactive and idle, when its cursor is written back.
 type population struct {
 	class  *Class
 	set    *Set
@@ -88,7 +92,7 @@ func NewRoutedPool(route Submitter, engines []*engine.Engine) *Pool {
 	}
 	p := &Pool{
 		route:   route,
-		clients: make(map[engine.ClientID]*Client),
+		clients: make([]*Client, 1),
 		classes: make(map[engine.ClassID]*population),
 	}
 	for _, eng := range engines {
@@ -114,6 +118,7 @@ func (p *Pool) AddClients(class *Class, set *Set, n int, src *rng.Source) {
 		g.cursor[i] = rng.New(src.Uint64()).State()
 	}
 	p.nextID += engine.ClientID(n)
+	p.clients = append(p.clients, make([]*Client, n)...)
 	p.classes[class.ID] = g
 }
 
@@ -204,16 +209,19 @@ func (p *Pool) SetActiveWindow(class engine.ClassID, lo, hi int) {
 func (p *Pool) park(c *Client) {
 	g := p.classes[c.Class.ID]
 	g.cursor[c.ID-g.start] = c.src.State()
-	delete(p.clients, c.ID)
+	p.clients[c.ID] = nil
 }
 
 // onDone is the pool's engine completion listener.
 //
 //qlint:hotpath
 func (p *Pool) onDone(q *engine.Query) {
-	c, ok := p.clients[q.Client]
-	if !ok {
-		return // query from a non-pool submitter (tests, examples)
+	if uint(q.Client) >= uint(len(p.clients)) {
+		return // an ID the pool never issued (tests, examples)
+	}
+	c := p.clients[q.Client]
+	if c == nil {
+		return // a parked client's ID: not a pool query in flight
 	}
 	c.inFlight = false
 	if c.active {
