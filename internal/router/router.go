@@ -213,10 +213,11 @@ func (r *Router) Submit(q *engine.Query) {
 	}
 	r.routed[best]++
 	r.cost[best] += q.Cost
-	r.lastBackend = r.backends[best].ID()
-	r.backends[best].Engine().Submit(q)
+	b := r.backends[best]
+	r.lastBackend = b.ID()
+	b.Engine().Submit(q)
 	if len(r.onRoute) > 0 {
-		d := Decision{Backend: r.backends[best].ID(), Scores: r.scratch}
+		d := Decision{Backend: r.lastBackend, Scores: r.scratch}
 		for _, fn := range r.onRoute {
 			fn(q, d)
 		}
