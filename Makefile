@@ -31,7 +31,7 @@ race:
 	$(GO) test -race $(RACEFLAGS) -timeout 30m ./...
 
 # `make bench` runs the whole suite once with -benchmem and records the
-# results as BENCH_qsim.json (see scripts/bench.sh for BENCH/BENCHTIME/OUT
+# results as BENCH_qsim.json (see scripts/bench.sh for BENCH/BENCHTIME/COUNT/OUT
 # overrides and README "Benchmark trajectory" for the JSON format).
 bench:
 	./scripts/bench.sh

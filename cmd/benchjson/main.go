@@ -7,8 +7,12 @@
 //
 // Usage:
 //
-//	go test -run='^$' -bench=. -benchmem ./... |
-//	    benchjson -date 2026-08-05T00:00:00Z -go "$(go version)" -o BENCH_qsim.json
+//	go test -run='^$' -bench=. -benchmem -count 5 ./... |
+//	    benchjson -count 5 -date 2026-08-05T00:00:00Z -go "$(go version)" -o BENCH_qsim.json
+//
+// With -count N every benchmark must appear N times; its row records the
+// median of each unit and the runs' min and max, and a delta to the
+// previous file that lies inside that spread is labelled noise.
 package main
 
 import (
@@ -18,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -43,19 +48,92 @@ type Benchmark struct {
 	Name string `json:"name"`
 	// Procs is the -GOMAXPROCS suffix (1 when the line has none).
 	Procs int `json:"procs"`
-	// Iterations is b.N.
+	// Iterations is b.N (the first run's, when the row folds several).
 	Iterations int64 `json:"iterations"`
+	// Runs is the number of result lines folded into the row (-count N);
+	// absent for a single run.
+	Runs int `json:"runs,omitempty"`
 	// Metrics maps unit → value for every "<value> <unit>" pair on the
 	// line: ns/op, B/op, allocs/op, and all b.ReportMetric units
-	// (class1-goal%, events/sec, ...). encoding/json sorts the keys, so
-	// identical runs serialize identically.
+	// (class1-goal%, events/sec, ...). With several runs the value is
+	// their median. encoding/json sorts the keys, so identical runs
+	// serialize identically.
 	Metrics map[string]float64 `json:"metrics"`
+	// Min and Max are each unit's extremes over the runs; absent for a
+	// single run.
+	Min map[string]float64 `json:"min,omitempty"`
+	Max map[string]float64 `json:"max,omitempty"`
 	// Delta, when a previous trajectory file is available, maps unit →
 	// relative change versus the same-named entry: (new-old)/old, so
 	// -0.25 reads "25% less than last run". Units or benchmarks absent
 	// from the previous file carry no delta — new benchmarks and new
 	// ReportMetric keys are expected as the suite grows, never an error.
 	Delta map[string]float64 `json:"delta,omitempty"`
+	// Noise lists, sorted, the units whose previous value lies inside
+	// this row's [Min, Max]: the runs cannot tell that delta from zero.
+	Noise []string `json:"noise,omitempty"`
+}
+
+// Aggregate folds each benchmark's count result lines (go test -count)
+// into one row, in order of first appearance: the median of every unit,
+// plus its min and max when count > 1. A benchmark with another number
+// of lines (a truncated or mismatched run) is an error.
+func Aggregate(f *File, count int) error {
+	if count < 1 {
+		return fmt.Errorf("benchjson: -count %d must be >= 1", count)
+	}
+	type key struct {
+		name  string
+		procs int
+	}
+	var order []key
+	runs := make(map[key][]Benchmark)
+	for _, b := range f.Benchmarks {
+		k := key{b.Name, b.Procs}
+		if _, ok := runs[k]; !ok {
+			order = append(order, k)
+		}
+		runs[k] = append(runs[k], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, k := range order {
+		rs := runs[k]
+		if len(rs) != count {
+			return fmt.Errorf("benchjson: %s has %d result lines, want -count %d", k.name, len(rs), count)
+		}
+		if count == 1 {
+			out = append(out, rs[0])
+			continue
+		}
+		row := Benchmark{Name: k.name, Procs: k.procs, Iterations: rs[0].Iterations, Runs: count,
+			Metrics: map[string]float64{}, Min: map[string]float64{}, Max: map[string]float64{}}
+		for unit := range rs[0].Metrics {
+			vs := make([]float64, 0, count)
+			for _, r := range rs {
+				v, ok := r.Metrics[unit]
+				if !ok {
+					return fmt.Errorf("benchjson: %s: unit %s missing from a run", k.name, unit)
+				}
+				vs = append(vs, v)
+			}
+			slices.Sort(vs)
+			row.Metrics[unit] = median(vs)
+			row.Min[unit], row.Max[unit] = vs[0], vs[len(vs)-1]
+		}
+		out = append(out, row)
+	}
+	f.Benchmarks = out
+	return nil
+}
+
+// median of sorted, non-empty vs: the mean of the middle two for an
+// even count.
+func median(vs []float64) float64 {
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // addDeltas annotates cur's benchmarks with their relative change vs the
@@ -84,7 +162,11 @@ func addDeltas(cur, prev *File) {
 				b.Delta = make(map[string]float64)
 			}
 			b.Delta[unit] = (v - old) / old
+			if lo, ok := b.Min[unit]; ok && lo <= old && old <= b.Max[unit] {
+				b.Noise = append(b.Noise, unit)
+			}
 		}
+		slices.Sort(b.Noise)
 	}
 }
 
@@ -186,6 +268,7 @@ func main() {
 	goVersion := flag.String("go", "", "`go version` line to record")
 	out := flag.String("o", "", "output path (default stdout)")
 	prev := flag.String("prev", "", "previous trajectory JSON to diff against (default: the existing -o file)")
+	count := flag.Int("count", 1, "result lines per benchmark (the go test -count the input was run with)")
 	flag.Parse()
 
 	f, err := Parse(os.Stdin)
@@ -195,6 +278,10 @@ func main() {
 	}
 	if len(f.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark result lines on stdin")
+		os.Exit(1)
+	}
+	if err := Aggregate(f, *count); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	f.Generated = *date

@@ -2,6 +2,8 @@ package main
 
 import (
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -138,5 +140,119 @@ func TestLoadPrevToleratesBadBaselines(t *testing.T) {
 	pf, reason := loadPrev(good)
 	if pf == nil || reason != "" || len(pf.Benchmarks) != 1 {
 		t.Errorf("good file: %+v %q", pf, reason)
+	}
+}
+
+// go test -count 3 prints each benchmark's runs back to back.
+const countOutput = `pkg: repro
+BenchmarkRouterRoute-2   	 1000	       130 ns/op	       0 B/op	       0 allocs/op
+BenchmarkRouterRoute-2   	 1000	       120 ns/op	       0 B/op	       0 allocs/op
+BenchmarkRouterRoute-2   	 1000	       150 ns/op	       0 B/op	       0 allocs/op
+BenchmarkFig6            	    1	      9000 ns/op	         0.8 class1-goal%
+BenchmarkFig6            	    1	      7000 ns/op	         0.8 class1-goal%
+BenchmarkFig6            	    1	      8000 ns/op	         0.9 class1-goal%
+PASS
+`
+
+func TestAggregateFoldsRunsIntoMedianAndSpread(t *testing.T) {
+	f, err := Parse(strings.NewReader(countOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Aggregate(f, 3); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Benchmarks) != 2 || f.Benchmarks[0].Name != "RouterRoute" || f.Benchmarks[1].Name != "Fig6" {
+		t.Fatalf("rows = %+v, want RouterRoute then Fig6", f.Benchmarks)
+	}
+	r := f.Benchmarks[0]
+	if r.Runs != 3 || r.Procs != 2 || r.Iterations != 1000 {
+		t.Errorf("RouterRoute row = %+v", r)
+	}
+	if r.Metrics["ns/op"] != 130 || r.Min["ns/op"] != 120 || r.Max["ns/op"] != 150 {
+		t.Errorf("RouterRoute ns/op median %v min %v max %v, want 130 120 150",
+			r.Metrics["ns/op"], r.Min["ns/op"], r.Max["ns/op"])
+	}
+	if r.Metrics["B/op"] != 0 || r.Min["B/op"] != 0 || r.Max["B/op"] != 0 {
+		t.Errorf("RouterRoute B/op = %v %v %v, want 0", r.Metrics["B/op"], r.Min["B/op"], r.Max["B/op"])
+	}
+	g := f.Benchmarks[1]
+	if g.Metrics["ns/op"] != 8000 || g.Metrics["class1-goal%"] != 0.8 || g.Max["class1-goal%"] != 0.9 {
+		t.Errorf("Fig6 row = %+v", g)
+	}
+}
+
+func TestAggregateEvenCountTakesMiddleMean(t *testing.T) {
+	f, err := Parse(strings.NewReader(countOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Benchmarks = f.Benchmarks[:2] // two RouterRoute runs: 130 and 120
+	if err := Aggregate(f, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Benchmarks[0].Metrics["ns/op"]; got != 125 {
+		t.Errorf("median of 130 and 120 = %v, want 125", got)
+	}
+}
+
+func TestAggregateCountOneKeepsRows(t *testing.T) {
+	want, err := Parse(strings.NewReader(sampleOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := Parse(strings.NewReader(sampleOutput))
+	if err := Aggregate(got, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("count 1 changed the rows:\n got %+v\nwant %+v", got.Benchmarks, want.Benchmarks)
+	}
+}
+
+func TestAggregateRejectsMismatchedCounts(t *testing.T) {
+	for _, count := range []int{0, 2, 4} {
+		f, err := Parse(strings.NewReader(countOutput))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Aggregate(f, count); err == nil {
+			t.Errorf("count %d over 3 runs per benchmark: want error", count)
+		}
+	}
+	f, _ := Parse(strings.NewReader(countOutput))
+	f.Benchmarks[1].Metrics = map[string]float64{"B/op": 0} // one run lacks ns/op
+	if err := Aggregate(f, 3); err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Errorf("a run missing a unit: err = %v", err)
+	}
+}
+
+func TestAddDeltasLabelsNoiseInsideSpread(t *testing.T) {
+	f, err := Parse(strings.NewReader(countOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Aggregate(f, 3); err != nil {
+		t.Fatal(err)
+	}
+	prev := &File{Benchmarks: []Benchmark{
+		// 140 lies in [120, 150]; 100 B/op lies outside [0, 0].
+		{Name: "RouterRoute", Procs: 2, Metrics: map[string]float64{"ns/op": 140, "B/op": 100}},
+		// 10000 lies outside [7000, 9000]; 0.85 inside [0.8, 0.9].
+		{Name: "Fig6", Procs: 1, Metrics: map[string]float64{"ns/op": 10000, "class1-goal%": 0.85}},
+	}}
+	addDeltas(f, prev)
+	if r := f.Benchmarks[0]; !slices.Equal(r.Noise, []string{"ns/op"}) || r.Delta["B/op"] != -1 {
+		t.Errorf("RouterRoute noise %v delta %v, want noise [ns/op] and a B/op delta of -1", r.Noise, r.Delta)
+	}
+	if g := f.Benchmarks[1]; !slices.Equal(g.Noise, []string{"class1-goal%"}) || g.Delta["ns/op"] != -0.2 {
+		t.Errorf("Fig6 noise %v delta %v, want noise [class1-goal%%] and an ns/op delta of -0.2", g.Noise, g.Delta)
+	}
+
+	// A single run has no spread, so nothing is labelled noise.
+	one, _ := Parse(strings.NewReader(sampleOutput))
+	addDeltas(one, &File{Benchmarks: []Benchmark{{Name: "ClockThroughput", Procs: 1, Metrics: map[string]float64{"ns/op": 1030}}}})
+	if n := one.Benchmarks[0].Noise; n != nil {
+		t.Errorf("single-run row labelled noise %v", n)
 	}
 }

@@ -7,6 +7,7 @@
 #
 #	BENCH=BenchmarkClock ./scripts/bench.sh     # just the clock kernel
 #	BENCHTIME=3x ./scripts/bench.sh             # 3 iterations per bench
+#	COUNT=5 ./scripts/bench.sh                  # 5 runs per bench: median + min/max
 #	OUT=/tmp/b.json ./scripts/bench.sh          # write elsewhere
 #
 # The timestamp and toolchain version are captured here and passed to
@@ -19,6 +20,7 @@ cd "$(dirname "$0")/.."
 
 BENCH=${BENCH:-.}
 BENCHTIME=${BENCHTIME:-1x}
+COUNT=${COUNT:-1}
 TIMEOUT=${TIMEOUT:-30m}
 OUT=${OUT:-BENCH_qsim.json}
 
@@ -29,7 +31,7 @@ trap 'rm -f "$tmp"' EXIT
 # benchmark log must fail the script, not get recorded as a trajectory
 # point. The whole-suite pass is ~15 minutes of full simulated runs,
 # hence the explicit -timeout.
-if ! go test -run='^$' -bench="$BENCH" -benchtime="$BENCHTIME" \
+if ! go test -run='^$' -bench="$BENCH" -benchtime="$BENCHTIME" -count="$COUNT" \
 	-benchmem -timeout "$TIMEOUT" ./... >"$tmp" 2>&1; then
 	cat "$tmp"
 	echo "bench.sh: benchmark run failed" >&2
@@ -37,6 +39,7 @@ if ! go test -run='^$' -bench="$BENCH" -benchtime="$BENCHTIME" \
 fi
 cat "$tmp"
 go run ./cmd/benchjson \
+	-count "$COUNT" \
 	-date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
 	-go "$(go version)" \
 	-o "$OUT" <"$tmp"
