@@ -17,107 +17,9 @@
 package main
 
 import (
-	"bufio"
-	"errors"
-	"flag"
-	"fmt"
-	"io"
 	"os"
 
-	"repro/internal/decisionlog"
+	"repro/internal/cli"
 )
 
-func main() {
-	timeline := flag.Bool("timeline", false, "print the per-tick plan timeline")
-	why := flag.String("why", "", `explain one class's decisions, e.g. "class=B tick=3-5"`)
-	attr := flag.Bool("attr", false, "attribute goal misses (requires -trace)")
-	tracePath := flag.String("trace", "", "trace JSONL export for -attr")
-	metricsPath := flag.String("metrics", "", "metrics exposition to cross-check against")
-	window := flag.String("window", "", `tick window for -timeline/-why, e.g. "3-5"`)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: qreport [flags] decisions.jsonl")
-		flag.PrintDefaults()
-		os.Exit(2)
-	}
-	if *attr && *tracePath == "" {
-		fmt.Fprintln(os.Stderr, "qreport: -attr requires -trace trace.jsonl")
-		os.Exit(2)
-	}
-	win, err := decisionlog.ParseTickRange(*window)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "qreport:", err)
-		os.Exit(2)
-	}
-
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
-
-	switch {
-	case *why != "":
-		err = withLog(flag.Arg(0), func(r io.Reader) error {
-			return decisionlog.Why(out, r, *why, win)
-		})
-	case *timeline:
-		err = withLog(flag.Arg(0), func(r io.Reader) error {
-			return decisionlog.Timeline(out, r, win)
-		})
-	case *attr:
-		err = runAttr(out, flag.Arg(0), *tracePath)
-	default:
-		err = withLog(flag.Arg(0), func(r io.Reader) error {
-			return decisionlog.Summarize(out, r)
-		})
-	}
-	// Spec mistakes (bad class, tick window past the end of the log) are
-	// usage errors, not log problems: exit 2, like qtrace.
-	var spec *decisionlog.SpecError
-	if errors.As(err, &spec) {
-		out.Flush()
-		fmt.Fprintln(os.Stderr, "qreport:", err)
-		os.Exit(2)
-	}
-	if err == nil && *metricsPath != "" {
-		fmt.Fprintln(out)
-		err = withFile(*metricsPath, func(r io.Reader) error {
-			return decisionlog.MetricsCrossCheck(out, r)
-		})
-	}
-	if err != nil {
-		out.Flush()
-		fmt.Fprintln(os.Stderr, "qreport:", err)
-		os.Exit(1)
-	}
-}
-
-// withLog opens the decision log with a large read buffer and runs fn.
-func withLog(path string, fn func(io.Reader) error) error {
-	return withFile(path, fn)
-}
-
-func withFile(path string, fn func(io.Reader) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return fn(bufio.NewReaderSize(f, 1<<20))
-}
-
-// runAttr joins the decision log with the trace export.
-func runAttr(out io.Writer, decisionsPath, tracePath string) error {
-	var rows []decisionlog.Attribution
-	var meta decisionlog.Meta
-	err := withLog(decisionsPath, func(dr io.Reader) error {
-		return withFile(tracePath, func(tr io.Reader) error {
-			var err error
-			rows, meta, err = decisionlog.Attribute(dr, tr)
-			return err
-		})
-	})
-	if err != nil {
-		return err
-	}
-	decisionlog.RenderAttribution(out, meta, rows)
-	return nil
-}
+func main() { os.Exit(cli.Qreport(os.Args[1:], os.Stdout, os.Stderr)) }

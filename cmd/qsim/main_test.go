@@ -3,40 +3,22 @@ package main
 import (
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/cli"
 	"repro/internal/experiment"
 	"repro/internal/workload"
 )
 
-// TestMain lets the test binary impersonate the CLI: with QSIM_MAIN=1
-// the process runs main() on its own arguments, so tests can assert the
-// real exit codes the shell would see.
-func TestMain(m *testing.M) {
-	if os.Getenv("QSIM_MAIN") == "1" {
-		main()
-		return
-	}
-	os.Exit(m.Run())
-}
-
+// runCLI runs qsim in process on args.
 func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "QSIM_MAIN=1")
 	var out, errb strings.Builder
-	cmd.Stdout, cmd.Stderr = &out, &errb
-	err := cmd.Run()
-	if ee, ok := err.(*exec.ExitError); ok {
-		code = ee.ExitCode()
-	} else if err != nil {
-		t.Fatal(err)
-	}
+	code = cli.Qsim(args, &out, &errb)
 	return out.String(), errb.String(), code
 }
 

@@ -2,39 +2,21 @@ package main
 
 import (
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/cli"
 	"repro/internal/experiment"
 	"repro/internal/workload"
 )
 
-// TestMain lets the test binary impersonate the CLI: with QSWEEP_MAIN=1
-// the process runs main() on its own arguments, so tests can assert the
-// real exit codes the shell would see.
-func TestMain(m *testing.M) {
-	if os.Getenv("QSWEEP_MAIN") == "1" {
-		main()
-		return
-	}
-	os.Exit(m.Run())
-}
-
+// runCLI runs qsweep in process on args.
 func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "QSWEEP_MAIN=1")
 	var out, errb strings.Builder
-	cmd.Stdout, cmd.Stderr = &out, &errb
-	err := cmd.Run()
-	if ee, ok := err.(*exec.ExitError); ok {
-		code = ee.ExitCode()
-	} else if err != nil {
-		t.Fatal(err)
-	}
+	code = cli.Qsweep(args, &out, &errb)
 	return out.String(), errb.String(), code
 }
 
@@ -98,6 +80,7 @@ func TestParallelRowsIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four full-schedule runs; run without -short")
 	}
+	t.Parallel()
 	sweep := func(parallel string) string {
 		stdout, stderr, code := runCLI(t, "-param", "control-interval", "-values", "300,600", "-parallel", parallel)
 		if code != 0 {

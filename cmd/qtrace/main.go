@@ -14,50 +14,9 @@
 package main
 
 import (
-	"bufio"
-	"errors"
-	"flag"
-	"fmt"
 	"os"
 
-	"repro/internal/trace"
+	"repro/internal/cli"
 )
 
-func main() {
-	explain := flag.String("explain", "", `explain one cell, e.g. "class=B period=3"`)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: qtrace [-explain \"class=X period=K\"] trace.jsonl")
-		os.Exit(2)
-	}
-	f, err := os.Open(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	// Both views stream the trace — memory stays bounded by the answer
-	// (the summary tallies, or one class's events), not the trace size.
-	br := bufio.NewReaderSize(f, 1<<20)
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
-	if *explain == "" {
-		err := trace.SummarizeJSONL(out, br)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	ex, err := trace.ExplainJSONL(br, *explain)
-	f.Close()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		var spec *trace.SpecError
-		if errors.As(err, &spec) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
-	ex.Render(out)
-}
+func main() { os.Exit(cli.Qtrace(os.Args[1:], os.Stdout, os.Stderr)) }

@@ -117,6 +117,7 @@ func TestGoldenFloatEq(t *testing.T)    { runGolden(t, "floateq") }
 func TestGoldenSuppress(t *testing.T)   { runGolden(t, "suppress") }
 func TestGoldenPoolSafety(t *testing.T) { runGolden(t, "poolsafety") }
 func TestGoldenHotAlloc(t *testing.T)   { runGolden(t, "hotalloc") }
+func TestGoldenOsExit(t *testing.T)     { runGolden(t, "osexit") }
 
 // TestCheckSubsetKeepsSuppressionsValid pins the -checks subset
 // behaviour: directives naming real-but-disabled checks are neither

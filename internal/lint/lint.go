@@ -147,6 +147,7 @@ func DefaultChecks() []*Check {
 		FloatEqCheck,
 		PoolSafetyCheck,
 		HotAllocCheck,
+		OsExitCheck,
 	}
 }
 
