@@ -419,6 +419,45 @@ func BenchmarkClockCancelChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkClockRearmFiring measures the engine's completion pattern: a
+// cancellable event that re-arms itself from its own callback, over a
+// background of 16 self-rescheduling events with periods of 8 to 23 s.
+// An op runs the clock until the completion event has fired once; the
+// background events that fall due meanwhile fire too, and events/op
+// counts both. The firing event stays at the heap root while its
+// callback runs, so the re-arm is one sift; the alloc budget pins 0 B/op.
+func BenchmarkClockRearmFiring(b *testing.B) {
+	clock := simclock.New()
+	fired := 0
+	for k := 0; k < 16; k++ {
+		period := float64(8 + k)
+		var tick func()
+		tick = func() {
+			fired++
+			clock.After(period, tick)
+		}
+		clock.After(period, tick)
+	}
+	var id simclock.EventID
+	done := false
+	var complete func()
+	complete = func() {
+		fired++
+		done = true
+		id = clock.Rearm(id, 1, complete)
+	}
+	id = clock.AfterCancellable(1, complete)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for done = false; !done; {
+			clock.Step()
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(fired)/float64(b.N), "events/op")
+}
+
 // BenchmarkEngineHotPath measures the engine's submit→reschedule→complete
 // cycle including the clock kernel underneath — the inner loop of every
 // experiment. allocs/op is the headline: the value-heap kernel, the
@@ -560,15 +599,42 @@ func benchSolver(b *testing.B, s solver.Solver) {
 	runtime.GOMAXPROCS(prev)
 }
 
-// BenchmarkWorkloadGenerate measures OLAP instance generation.
+// BenchmarkWorkloadGenerate measures one OLAP query draw, the workload's
+// share of every submitted query: template, instance size and optimizer
+// estimate, written straight into the fields a query carries. draws/op
+// counts the rng's 64-bit outputs per draw (its state is a counter, so
+// the count is exact); the alloc budget pins 0 B/op.
 func BenchmarkWorkloadGenerate(b *testing.B) {
 	opt := optimizer.New(optimizer.DefaultModel(), workload.TPCHCatalog())
 	set := workload.NewSet(opt, workload.TPCHTemplates())
 	src := rng.New(1)
+	var q engine.Query
+	b.ReportAllocs()
 	b.ResetTimer()
+	start := src.State()
 	for i := 0; i < b.N; i++ {
-		set.Generate(src)
+		q.Template, q.Cost, q.Demand = set.Generate(src)
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(rngDraws(start, src.State()))/float64(b.N), "draws/op")
+	generatedQuery = q
+}
+
+// generatedQuery keeps BenchmarkWorkloadGenerate's draws live.
+var generatedQuery engine.Query
+
+// rngDraws counts the 64-bit outputs an rng.Source made between two
+// cursors. The cursor advances by splitmix64's odd increment per output,
+// so the count is the cursor difference times the increment's inverse
+// modulo 2^64 (Newton's iteration; each step doubles the correct low
+// bits, from 3).
+func rngDraws(from, to uint64) uint64 {
+	const inc = 0x9e3779b97f4a7c15
+	inv := uint64(inc)
+	for i := 0; i < 5; i++ {
+		inv *= 2 - inc*inv
+	}
+	return (to - from) * inv
 }
 
 // BenchmarkOptimizerCost measures plan costing against the catalog.

@@ -72,7 +72,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"backends on a sweep", []string{"-exp", "syslimit", "-backends", "2"},
 			"-backends applies to -exp fig4|fig5|fig6|fig7 (use -exp routing for the heterogeneous E14 fleet)\n"},
 		{"decisions without a scheduler", []string{"-exp", "fig4", "-decisions", filepath.Join(dir, "d.jsonl")},
-			"-decisions applies to a single Query Scheduler run: -exp fig6|fig7|infeasible or a query-scheduler -scenario\n"},
+			"-decisions applies to a single Query Scheduler run: -exp fig6|fig7|infeasible|routing|failover or a query-scheduler -scenario\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -52,7 +52,8 @@ func main() {
 	src := rng.New(99)
 	var sample []float64
 	for i := 0; i < 4096; i++ {
-		sample = append(sample, set.Generate(src).Timerons)
+		_, cost, _ := set.Generate(src)
+		sample = append(sample, cost)
 	}
 	th := patroller.ThresholdsFromSample(sample)
 	fmt.Printf("\nDB2 QP size groups from a %d-query sample:\n", len(sample))

@@ -70,7 +70,7 @@ func TestExitCodes(t *testing.T) {
 	resumeMsg := "does not apply to -resume: the checkpoint holds the run's config\n"
 	faultsMsg := "-faults applies to -exp fig4|fig5|fig6|fig7|infeasible|routing|faultmatrix|crashrecovery|all or -scenario\n"
 	mitigateMsg := "-mitigate applies to a mixed run: -exp fig4|fig5|fig6|fig7|infeasible|routing|all or -scenario\n"
-	quickMsg := "-quick applies to -exp faultmatrix|failover\n"
+	quickMsg := "-quick applies to -exp failover|faultmatrix\n"
 	cases := []struct {
 		name string
 		cmd  command
@@ -90,13 +90,13 @@ func TestExitCodes(t *testing.T) {
 		{"qsim unknown experiment", qsim, []string{"-exp", "bogus"}, 2, "unknown experiment \"bogus\"\n"},
 		{"qsim no backends", qsim, []string{"-exp", "fig6", "-backends", "0"}, 2, "-backends must be at least 1\n"},
 		{"qsim trace on a sweep", qsim, []string{"-exp", "syslimit", "-trace", filepath.Join(dir, "t")}, 2,
-			"-trace/-metrics apply to a single mixed run: -exp fig4|fig5|fig6|fig7|infeasible or -scenario\n"},
+			"-trace/-metrics apply to a single mixed run: -exp fig4|fig5|fig6|fig7|infeasible|routing|failover or -scenario\n"},
 		{"qsim metrics on all", qsim, []string{"-metrics", filepath.Join(dir, "m")}, 2,
-			"-trace/-metrics apply to a single mixed run: -exp fig4|fig5|fig6|fig7|infeasible or -scenario\n"},
+			"-trace/-metrics apply to a single mixed run: -exp fig4|fig5|fig6|fig7|infeasible|routing|failover or -scenario\n"},
 		{"qsim checkpoints without a directory", qsim, []string{"-exp", "fig6", "-checkpoint-every", "3"}, 2,
 			"-checkpoint-every requires -checkpoint-dir\n"},
 		{"qsim checkpoints on a sweep", qsim, []string{"-exp", "fig2", "-checkpoint-every", "3", "-checkpoint-dir", dir}, 2,
-			"-checkpoint-every applies to a single mixed run: -exp fig4|fig5|fig6|fig7 or -scenario\n"},
+			"-checkpoint-every applies to a single mixed run: -exp fig4|fig5|fig6|fig7|infeasible|routing|failover or -scenario\n"},
 		{"qsim checkpoints with a gzip trace", qsim, []string{"-exp", "fig6", "-checkpoint-every", "3", "-checkpoint-dir", dir, "-trace", filepath.Join(dir, "t.gz")}, 2,
 			"checkpointing requires a plain -trace file (no -trace-rotate, no .gz)\n"},
 		{"qsim unknown profile", qsim, []string{"-exp", "fig3", "-pprof", "disk"}, 2,

@@ -196,6 +196,29 @@ var (
 	resumeRun   = &qsimExperiment{name: "resume", reads: readsExports | readsDecisions}
 )
 
+// appliesTo names, in table order, the -exp values whose runs read the
+// flag behind bit ("all" last when -exp all does), then scenario when a
+// -scenario run reads it. Every rejection message and flag description
+// builds its list here, so neither can drift from the table.
+func appliesTo(bit int, scenario string) string {
+	var names []string
+	all := false
+	for _, e := range qsimExperiments {
+		if e.reads&bit != 0 {
+			names = append(names, e.name)
+			all = all || e.inAll
+		}
+	}
+	if all && bit&singleRun == 0 {
+		names = append(names, "all")
+	}
+	s := "-exp " + strings.Join(names, "|")
+	if scenarioRun.reads&bit != 0 {
+		s += " or " + scenario
+	}
+	return s
+}
+
 // figure presets a paper figure's run under mode, labelled with -exp.
 func figure(mode experiment.Mode) func(string) experiment.MixedConfig {
 	return func(exp string) experiment.MixedConfig {
@@ -236,21 +259,21 @@ func parseQsim(args []string, stderr io.Writer) (*qsimCmd, error) {
 	c := &qsimCmd{}
 	fs := newFlagSet("qsim", stderr)
 	fs.StringVar(&c.exp, "exp", "all", "experiment: syslimit|fig2|fig3|fig4|fig5|fig6|fig7|overhead|direct|detection|detection-replicated|replicated|ablations|faultmatrix|crashrecovery|infeasible|routing|failover|all")
-	fs.IntVar(&c.backends, "backends", 1, "run on N identical backends behind the routing tier (-exp fig4|fig5|fig6|fig7); 1 = the paper's single engine")
+	fs.IntVar(&c.backends, "backends", 1, "run on N identical backends behind the routing tier ("+appliesTo(readsBackends, "")+"); 1 = the paper's single engine")
 	fs.IntVar(&c.seeds, "seeds", 5, "number of seeds for -exp replicated / detection-replicated")
 	fs.Uint64Var(&c.seed, "seed", 1, "random seed")
 	fs.IntVar(&c.parallel, "parallel", 0, "worker goroutines for independent runs within an experiment (0 = GOMAXPROCS, 1 = serial); results are identical for any value")
 	fs.BoolVar(&c.chart, "chart", false, "draw figures as terminal line charts in addition to tables")
 	fs.StringVar(&c.scenario, "scenario", "", "run a custom JSON scenario file instead of a named experiment")
 	fs.StringVar(&c.csvDir, "csv", "", "also write each experiment's data as CSV files into this directory")
-	fs.StringVar(&c.trace, "trace", "", "write the run's lossless JSONL event trace to this file (mixed runs only: fig4|fig5|fig6|fig7 or -scenario; inspect with qtrace)")
+	fs.StringVar(&c.trace, "trace", "", "write the run's lossless JSONL event trace to this file (single mixed runs only: "+appliesTo(readsExports, "-scenario")+"; inspect with qtrace)")
 	fs.StringVar(&c.metrics, "metrics", "", "write the run's metrics as Prometheus text exposition to this file (mixed runs only, like -trace)")
-	fs.StringVar(&c.decisions, "decisions", "", "write the control plane's decision audit log as JSONL to this file (Query Scheduler runs only: -exp fig6|fig7|infeasible or a query-scheduler -scenario; inspect with qreport)")
-	fs.StringVar(&c.faultsFile, "faults", "", "inject the deterministic fault plan from this JSON file (mixed runs and -exp faultmatrix; see internal/fault)")
-	fs.BoolVar(&c.mitigate, "mitigate", false, "with -faults on a mixed run: arm the mitigation stack (timeout+retry, plan hold, slope fallback)")
-	fs.BoolVar(&c.quick, "quick", false, "with -exp faultmatrix|failover: run the CI-smoke-sized schedule instead of the full one")
+	fs.StringVar(&c.decisions, "decisions", "", "write the control plane's decision audit log as JSONL to this file (Query Scheduler runs only: "+appliesTo(readsDecisions, "a query-scheduler -scenario")+"; inspect with qreport)")
+	fs.StringVar(&c.faultsFile, "faults", "", "inject the deterministic fault plan from this JSON file ("+appliesTo(readsFaults, "-scenario")+"; see internal/fault)")
+	fs.BoolVar(&c.mitigate, "mitigate", false, "with -faults on a mixed run ("+appliesTo(readsMitigate, "-scenario")+"): arm the mitigation stack (timeout+retry, plan hold, slope fallback)")
+	fs.BoolVar(&c.quick, "quick", false, "with "+appliesTo(readsQuick, "")+": run the CI-smoke-sized schedule instead of the full one")
 	fs.Int64Var(&c.traceRotate, "trace-rotate", 0, "rotate the -trace file once a segment exceeds this many bytes (0 = never); rotated segments move to <file>.1, .2, ... and each re-starts with the meta line")
-	fs.IntVar(&c.checkpointEvery, "checkpoint-every", 0, "write a crash-consistent checkpoint every N control boundaries (single mixed runs only; requires -checkpoint-dir)")
+	fs.IntVar(&c.checkpointEvery, "checkpoint-every", 0, "write a crash-consistent checkpoint every N control boundaries (single mixed runs only: "+appliesTo(readsExports, "-scenario")+"; requires -checkpoint-dir)")
 	fs.StringVar(&c.checkpointDir, "checkpoint-dir", "", "directory checkpoint files are written to")
 	fs.StringVar(&c.resumeDir, "resume", "", "resume an interrupted mixed run from this checkpoint directory; pass the interrupted run's -trace/-metrics/-decisions paths and the finished outputs match an uninterrupted run byte for byte")
 	fs.StringVar(&c.pprofMode, "pprof", "", "collect a runtime profile of this invocation: cpu or heap")
@@ -299,14 +322,14 @@ func parseQsim(args []string, stderr io.Writer) (*qsimCmd, error) {
 		reads int // 0: never accepted
 		msg   string
 	}{
-		{c.backends > 1, readsBackends, "-backends applies to -exp fig4|fig5|fig6|fig7 (use -exp routing for the heterogeneous E14 fleet)"},
-		{c.trace != "" || c.metrics != "", readsExports, "-trace/-metrics apply to a single mixed run: -exp fig4|fig5|fig6|fig7|infeasible or -scenario"},
-		{c.decisions != "", readsDecisions, "-decisions applies to a single Query Scheduler run: -exp fig6|fig7|infeasible or a query-scheduler -scenario"},
-		{c.faultsFile != "", readsFaults, "-faults applies to -exp fig4|fig5|fig6|fig7|infeasible|routing|faultmatrix|crashrecovery|all or -scenario"},
-		{c.mitigate, readsMitigate, "-mitigate applies to a mixed run: -exp fig4|fig5|fig6|fig7|infeasible|routing|all or -scenario"},
-		{c.quick, readsQuick, "-quick applies to -exp faultmatrix|failover"},
+		{c.backends > 1, readsBackends, "-backends applies to " + appliesTo(readsBackends, "") + " (use -exp routing for the heterogeneous E14 fleet)"},
+		{c.trace != "" || c.metrics != "", readsExports, "-trace/-metrics apply to a single mixed run: " + appliesTo(readsExports, "-scenario")},
+		{c.decisions != "", readsDecisions, "-decisions applies to a single Query Scheduler run: " + appliesTo(readsDecisions, "a query-scheduler -scenario")},
+		{c.faultsFile != "", readsFaults, "-faults applies to " + appliesTo(readsFaults, "-scenario")},
+		{c.mitigate, readsMitigate, "-mitigate applies to a mixed run: " + appliesTo(readsMitigate, "-scenario")},
+		{c.quick, readsQuick, "-quick applies to " + appliesTo(readsQuick, "")},
 		{c.checkpointEvery > 0 && c.checkpointDir == "" && c.resumeDir == "", 0, "-checkpoint-every requires -checkpoint-dir"},
-		{c.checkpointEvery > 0, readsExports, "-checkpoint-every applies to a single mixed run: -exp fig4|fig5|fig6|fig7 or -scenario"},
+		{c.checkpointEvery > 0, readsExports, "-checkpoint-every applies to a single mixed run: " + appliesTo(readsExports, "-scenario")},
 	} {
 		if r.given && reads&r.reads == 0 {
 			return nil, &exitError{2, errors.New(r.msg)}

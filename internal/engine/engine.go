@@ -1125,11 +1125,13 @@ const minEventStep = 1e-9
 
 // onCompletionEvent is the engine's event-loop tick: every completion,
 // rate recomputation, and reschedule in a steady-state run funnels
-// through here.
+// through here. pendingEvt keeps the firing event's ID: the clock leaves
+// that event at its heap root while this callback runs, so the trailing
+// reschedule's Rearm moves it in place (and a Cancel of it, when the
+// engine goes idle, reports false as for any fired event).
 //
 //qlint:hotpath
 func (e *Engine) onCompletionEvent() {
-	e.pendingEvt = 0
 	e.advanceTo(e.clock.Now())
 	e.reschedule()
 }

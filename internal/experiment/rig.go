@@ -180,7 +180,8 @@ func (r *Rig) SampleOLAPCosts(n int, seed uint64) []float64 {
 	src := rng.New(seed)
 	costs := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
-		costs = append(costs, r.OLAPSet.Generate(src).Timerons)
+		_, cost, _ := r.OLAPSet.Generate(src)
+		costs = append(costs, cost)
 	}
 	return costs
 }

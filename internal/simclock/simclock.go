@@ -16,7 +16,10 @@
 // AtCancellable/AfterCancellable hold a slot in a dense table of heap
 // positions, and their EventID names that slot, so Cancel, Rearm and the
 // sifts index the table instead of hashing. The common never-cancelled
-// event (client arrivals, schedule boundaries) holds no slot.
+// event (client arrivals, schedule boundaries) holds no slot. A firing
+// cancellable event stays at the heap root while its callback runs, so
+// a callback that re-arms its own event (the engine's completion tick)
+// moves it with one sift instead of a pop and a push.
 //
 // A Clock is not safe for concurrent use. Parallel experiments must give
 // every run its own Clock (see internal/experiment's isolation invariant).
@@ -86,11 +89,17 @@ type Clock struct {
 	// slots[s] is the heap index of the pending cancellable event that
 	// holds slot s; entries of free slots are stale. held has bit s set
 	// while slot s is taken, and every word below lowFree is full. New
-	// events take the lowest free slot, so which slots are held is a
-	// function of the pending events alone.
+	// events take the lowest free slot; a firing event's slot stays held
+	// until settle pops it or its callback re-arms it.
 	slots   []int32
 	held    []uint64
 	lowFree int
+	// firing is the ID of the cancellable event whose callback is
+	// running while that event still sits at heap index 0, or 0. The
+	// root's stored id reads 0 meanwhile, so find (and with it Cancel)
+	// does not see it; Rearm of firing moves it in place, and otherwise
+	// settle pops it once the callback returns.
+	firing  EventID
 	stopped bool
 }
 
@@ -117,8 +126,14 @@ func (c *Clock) State() State {
 	return State{Now: c.now, Seq: c.seq, NextID: c.nextID}
 }
 
-// Pending reports the number of events still scheduled.
-func (c *Clock) Pending() int { return len(c.heap) }
+// Pending reports the number of events still scheduled. Inside a
+// callback, the firing event is not counted.
+func (c *Clock) Pending() int {
+	if c.firing != 0 {
+		return len(c.heap) - 1
+	}
+	return len(c.heap)
+}
 
 func (c *Clock) validate(t Time, fn EventFunc) {
 	if fn == nil {
@@ -196,16 +211,23 @@ func (c *Clock) Cancel(id EventID) bool {
 // moved event keeps its slot and takes one sift instead of a removal and
 // an insertion.
 //
+// From inside its own callback, id is the firing event: it has fired,
+// and Rearm schedules it afresh with the same counters as above, but
+// reuses its heap entry at the root (one siftDown) instead of the pop
+// and push a fired event would take.
+//
 //qlint:hotpath
 func (c *Clock) Rearm(id EventID, d float64, fn EventFunc) EventID {
 	if d < 0 {
 		panic(fmt.Sprintf("simclock: negative delay %v", d))
 	}
-	i, ok := c.find(id)
-	if !ok {
-		return c.AtCancellable(c.now+d, fn)
-	}
 	t := c.now + d
+	i, ok := 0, id != 0 && id == c.firing
+	if ok {
+		c.firing = 0 // moved, so settle has nothing to pop
+	} else if i, ok = c.find(id); !ok {
+		return c.AtCancellable(t, fn)
+	}
 	c.validate(t, fn)
 	c.seq++
 	id = c.issueID(int(id & slotMask))
@@ -236,11 +258,47 @@ func (c *Clock) Stop() { c.stopped = true }
 
 // Step fires the single earliest pending event, advancing the clock to its
 // time. It reports whether an event fired.
+//
+// A non-cancellable event is popped before its callback runs. A
+// cancellable one stays at the root, hidden from find, until its
+// callback returns: Rearm of its ID moves it in place, and otherwise
+// settle pops it then. Every other event the callback schedules or moves
+// orders after it (its time is now at the earliest and its sequence
+// number is newer), so nothing displaces the root meanwhile, and the
+// firing order, the counters and what Cancel, Pending and NextEventTime
+// report are the same as if it had been popped first.
 func (c *Clock) Step() bool {
+	c.settle() // a Step from inside a callback
 	if len(c.heap) == 0 {
 		return false
 	}
-	e := c.heap[0]
+	e := &c.heap[0]
+	c.now = e.at
+	fn := e.fn
+	if e.id == 0 {
+		c.popRoot()
+		fn()
+		return true
+	}
+	c.firing, e.id = e.id, 0
+	fn()
+	c.settle()
+	return true
+}
+
+// settle pops the firing event if its callback did not re-arm it, and
+// frees its slot.
+func (c *Clock) settle() {
+	if c.firing == 0 {
+		return
+	}
+	c.freeSlot(c.firing)
+	c.firing = 0
+	c.popRoot()
+}
+
+// popRoot removes the event at heap index 0.
+func (c *Clock) popRoot() {
 	n := len(c.heap) - 1
 	if n > 0 {
 		c.heap[0] = c.heap[n]
@@ -251,12 +309,6 @@ func (c *Clock) Step() bool {
 		c.heap[0] = event{}
 		c.heap = c.heap[:0]
 	}
-	if e.id != 0 {
-		c.freeSlot(e.id)
-	}
-	c.now = e.at
-	e.fn()
-	return true
 }
 
 // Run fires events in order until no events remain or Stop is called.
@@ -272,6 +324,7 @@ func (c *Clock) RunUntil(deadline Time) {
 	if deadline < c.now {
 		panic(fmt.Sprintf("simclock: RunUntil deadline %v before now %v", deadline, c.now))
 	}
+	c.settle() // a RunUntil from inside a callback
 	c.stopped = false
 	for !c.stopped {
 		if len(c.heap) == 0 || c.heap[0].at > deadline {
@@ -285,12 +338,25 @@ func (c *Clock) RunUntil(deadline Time) {
 }
 
 // NextEventTime returns the time of the earliest pending event and true, or
-// 0 and false when nothing is scheduled.
+// 0 and false when nothing is scheduled. Inside a callback, the firing
+// event is not pending.
 func (c *Clock) NextEventTime() (Time, bool) {
-	if len(c.heap) == 0 {
+	h := c.heap
+	if c.firing != 0 {
+		// The root is the firing event; the earliest other event is
+		// one of its children.
+		switch len(h) {
+		case 1:
+			return 0, false
+		case 2:
+			return h[1].at, true
+		}
+		return min(h[1].at, h[2].at), true
+	}
+	if len(h) == 0 {
 		return 0, false
 	}
-	return c.heap[0].at, true
+	return h[0].at, true
 }
 
 // --- slot table ---

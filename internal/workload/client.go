@@ -29,18 +29,16 @@ type Client struct {
 //
 //qlint:hotpath
 func (c *Client) submitNext() {
-	inst := c.set.Generate(&c.src)
 	// Queries come from the submitter's freelist: the engine recycles
 	// them on terminal state, so a million-query run reuses a handful of
 	// objects instead of allocating one per statement. A fleet run swaps
-	// in a router here; the single-engine path is untouched.
+	// in a router here; the single-engine path is untouched. The draw
+	// writes straight into the pooled query.
 	sub := c.pool.route
 	q := sub.AcquireQuery()
 	q.Client = c.ID
 	q.Class = c.Class.ID
-	q.Template = inst.Template
-	q.Cost = inst.Timerons
-	q.Demand = inst.Demand
+	q.Template, q.Cost, q.Demand = c.set.Generate(&c.src)
 	c.inFlight = true
 	sub.Submit(q)
 }

@@ -315,13 +315,10 @@ func (p *refPool) setActiveWindow(class engine.ClassID, lo, hi int) {
 }
 
 func (p *refPool) submitNext(c *refClient) {
-	inst := c.set.Generate(c.src)
 	q := p.route.AcquireQuery()
 	q.Client = c.id
 	q.Class = c.class.ID
-	q.Template = inst.Template
-	q.Cost = inst.Timerons
-	q.Demand = inst.Demand
+	q.Template, q.Cost, q.Demand = c.set.Generate(c.src)
 	c.inFlight = true
 	p.route.Submit(q)
 }

@@ -116,16 +116,6 @@ type Template struct {
 	SizeSigma float64
 }
 
-// Instance is one generated query, ready to submit.
-type Instance struct {
-	Template    string
-	True        optimizer.Cost
-	Est         optimizer.Cost
-	Timerons    float64
-	Parallelism int
-	Demand      engine.Demand
-}
-
 // Set is a compiled collection of templates sharing one optimizer.
 type Set struct {
 	opt       *optimizer.Optimizer
@@ -161,42 +151,33 @@ func (s *Set) BaseCost(i int) optimizer.Cost { return s.base[i] }
 // BaseTimerons returns the noise-free timeron cost of template i.
 func (s *Set) BaseTimerons(i int) float64 { return s.opt.Model.Timerons(s.base[i]) }
 
-// Generate draws one instance: template by weight, instance size by the
-// template's log-normal spread, and an optimizer estimate perturbed by the
-// cost model's estimation noise. The weights are validated and summed
-// once, in NewSet.
-func (s *Set) Generate(src *rng.Source) Instance {
-	return s.GenerateFrom(src.WeightedChoiceSum(s.weights, s.total), src)
-}
-
-// GenerateFrom draws one instance of a specific template.
-func (s *Set) GenerateFrom(i int, src *rng.Source) Instance {
+// Generate draws one query and returns what a submitted query carries:
+// the template's name, the optimizer's timeron estimate and the true
+// engine demand. The template is drawn by weight, the instance size by
+// the template's log-normal spread, and the estimate is the true cost
+// perturbed by the cost model's estimation noise. The weights are
+// validated and summed once, in NewSet. Only the CPU and I/O seconds are
+// carried through the draws: neither the demand nor the timerons read
+// a cost's rows or pages.
+//
+//qlint:hotpath
+func (s *Set) Generate(src *rng.Source) (template string, timerons float64, d engine.Demand) {
+	i := src.WeightedChoiceSum(s.weights, s.total)
 	t := &s.templates[i]
-	truth := s.base[i]
+	truth := optimizer.Cost{CPUSeconds: s.base[i].CPUSeconds, IOSeconds: s.base[i].IOSeconds}
 	if t.SizeSigma > 0 {
 		f := src.LogNormalMedian(1, t.SizeSigma)
 		truth.CPUSeconds *= f
 		truth.IOSeconds *= f
-		truth.Rows *= f
-		truth.Pages *= f
 	}
+	m := &s.opt.Model
 	est := truth
-	if sigma := s.opt.Model.EstimateSigma; sigma > 0 {
+	if sigma := m.EstimateSigma; sigma > 0 {
 		f := src.LogNormalMedian(1, sigma)
 		est.CPUSeconds *= f
 		est.IOSeconds *= f
-		est.Rows *= f
 	}
-	trueTimerons := s.opt.Model.Timerons(truth)
-	par := ParallelismFor(trueTimerons)
-	return Instance{
-		Template:    t.Name,
-		True:        truth,
-		Est:         est,
-		Timerons:    s.opt.Model.Timerons(est),
-		Parallelism: par,
-		Demand:      DemandFor(truth, par),
-	}
+	return t.Name, m.Timerons(est), DemandFor(truth, ParallelismFor(m.Timerons(truth)))
 }
 
 // ParallelismFor maps a query's true size to its intra-query parallelism

@@ -133,8 +133,9 @@ func TestGenerateDeterministicPerSeed(t *testing.T) {
 	s := olapSet()
 	a, b := rng.New(9), rng.New(9)
 	for i := 0; i < 50; i++ {
-		ia, ib := s.Generate(a), s.Generate(b)
-		if ia.Template != ib.Template || ia.Timerons != ib.Timerons {
+		ta, ca, da := s.Generate(a)
+		tb, cb, db := s.Generate(b)
+		if ta != tb || ca != cb || da != db {
 			t.Fatal("generation not deterministic for equal seeds")
 		}
 	}
@@ -142,8 +143,8 @@ func TestGenerateDeterministicPerSeed(t *testing.T) {
 
 // TestGenerateMatchesWeightedChoice pins Generate's template draw, made
 // with the weight total summed once in NewSet, to rng.WeightedChoice over
-// the template weights followed by GenerateFrom: from one seed, both
-// paths yield equal instances.
+// the template weights followed by the reference's per-template draw:
+// from one seed, both paths yield equal queries.
 func TestGenerateMatchesWeightedChoice(t *testing.T) {
 	for name, s := range map[string]*Set{"tpch": olapSet(), "tpcc": oltpSet()} {
 		var weights []float64
@@ -152,10 +153,10 @@ func TestGenerateMatchesWeightedChoice(t *testing.T) {
 		}
 		got, want := rng.New(17), rng.New(17)
 		for i := 0; i < 100000; i++ {
-			g := s.Generate(got)
-			w := s.GenerateFrom(want.WeightedChoice(weights), want)
-			if g != w {
-				t.Fatalf("%s draw %d: Generate = %+v, WeightedChoice+GenerateFrom = %+v", name, i, g, w)
+			tmpl, cost, d := s.Generate(got)
+			w := refGenerateFrom(s, want.WeightedChoice(weights), want)
+			if tmpl != w.Template || cost != w.Timerons || d != w.Demand {
+				t.Fatalf("%s draw %d: Generate = %q %v %+v, WeightedChoice+reference = %+v", name, i, tmpl, cost, d, w)
 			}
 		}
 	}
@@ -163,24 +164,30 @@ func TestGenerateMatchesWeightedChoice(t *testing.T) {
 
 func TestGenerateVariesInstanceSize(t *testing.T) {
 	s := olapSet()
+	first := s.Templates()[0].Name
 	src := rng.New(4)
 	seen := map[float64]bool{}
-	for i := 0; i < 30; i++ {
-		inst := s.GenerateFrom(0, src)
-		seen[inst.True.CPUSeconds] = true
+	for n := 0; n < 30; {
+		tmpl, _, d := s.Generate(src)
+		if tmpl != first {
+			continue
+		}
+		seen[d.CPUSeconds()] = true
+		n++
 	}
 	if len(seen) < 25 {
-		t.Fatalf("instance sizes barely vary: %d distinct of 30", len(seen))
+		t.Fatalf("%s instance sizes barely vary: %d distinct of 30", first, len(seen))
 	}
 }
 
 func TestGenerateEstimateDiffersFromTruth(t *testing.T) {
 	s := olapSet()
-	src := rng.New(4)
+	src, twin := rng.New(4), rng.New(4)
 	diff := 0
 	for i := 0; i < 50; i++ {
-		inst := s.Generate(src)
-		if math.Abs(inst.Est.CPUSeconds-inst.True.CPUSeconds) > 1e-12 {
+		_, cost, _ := s.Generate(src)
+		w := refGenerate(s, twin)
+		if math.Abs(w.Est.CPUSeconds-w.True.CPUSeconds) > 1e-12 && !close(cost, s.opt.Model.Timerons(w.True)) {
 			diff++
 		}
 	}
@@ -191,19 +198,24 @@ func TestGenerateEstimateDiffersFromTruth(t *testing.T) {
 
 func TestGenerateDemandConsistency(t *testing.T) {
 	s := olapSet()
-	src := rng.New(6)
+	src, twin := rng.New(6), rng.New(6)
 	for i := 0; i < 200; i++ {
-		inst := s.Generate(src)
-		d := inst.Demand
+		_, _, d := s.Generate(src)
+		w := refGenerate(s, twin)
 		if d.Work <= 0 {
 			t.Fatal("non-positive work")
 		}
 		// Demand must conserve the plan's true CPU/IO seconds.
-		if !close(d.CPUSeconds(), inst.True.CPUSeconds) || !close(d.IOSeconds(), inst.True.IOSeconds) {
-			t.Fatalf("demand loses service time: %+v vs %+v", d, inst.True)
+		if !close(d.CPUSeconds(), w.True.CPUSeconds) || !close(d.IOSeconds(), w.True.IOSeconds) {
+			t.Fatalf("demand loses service time: %+v vs %+v", d, w.True)
 		}
-		if inst.Parallelism < 1 || inst.Parallelism > 2 {
-			t.Fatalf("parallelism %d out of range", inst.Parallelism)
+		if w.Parallelism < 1 || w.Parallelism > 2 {
+			t.Fatalf("parallelism %d out of range", w.Parallelism)
+		}
+		// The demand spreads the larger of the true CPU and I/O seconds
+		// over the parallelism degree, so the larger rate is that degree.
+		if !close(math.Max(d.CPURate, d.IORate), float64(w.Parallelism)) {
+			t.Fatalf("demand %+v does not run at parallelism %d", d, w.Parallelism)
 		}
 	}
 }

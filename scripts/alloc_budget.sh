@@ -4,8 +4,10 @@
 # history), one greedy and one grid solve of a three-class plan
 # (SolverGreedy, SolverGrid), the engine's event loop under identical
 # and under mixed demands (EngineHotPath, EngineMixedDemand), the fleet's
-# routing benchmarks, the tracer's emit benchmark and the client pool's
-# million-client rotation (MillionClients) once with -benchmem and fail
+# routing benchmarks, the tracer's emit benchmark, the client pool's
+# million-client rotation (MillionClients), a completion event re-arming
+# itself from its callback (ClockRearmFiring) and one query draw
+# (WorkloadGenerate) once with -benchmem and fail
 # if bytes allocated per op regress more than 10% over the checked-in
 # budget
 # (scripts/alloc_budget.txt). The budget encodes the hot path's
@@ -14,9 +16,10 @@
 # per-class plan rows, plan vectors the grid solver reuses across
 # candidates, batched trace dispatch, parked clients held as rng
 # cursors — as a CI regression target rather than a one-off win.
-# EngineHotPath's, EngineMixedDemand's, RouterRoute's and TraceEmit's
-# budgets are 0 B/op, so any allocation on a warm engine event, a warm
-# routed submit or a warm traced query fails.
+# EngineHotPath's, EngineMixedDemand's, RouterRoute's, TraceEmit's,
+# ClockRearmFiring's and WorkloadGenerate's budgets are 0 B/op, so any
+# allocation on a warm engine event, a warm routed submit, a warm traced
+# query, a completion re-arm or a query draw fails.
 #
 # Usage:
 #   scripts/alloc_budget.sh            # compare against the budget
@@ -25,7 +28,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUDGET=scripts/alloc_budget.txt
-BENCH='^(BenchmarkSystemCostLimit|BenchmarkFig2|BenchmarkFig6|BenchmarkSolverGreedy|BenchmarkSolverGrid|BenchmarkEngineHotPath|BenchmarkEngineMixedDemand|BenchmarkRouterRoute|BenchmarkRoutingFleet|BenchmarkTraceEmit|BenchmarkMillionClients)$'
+BENCH='^(BenchmarkSystemCostLimit|BenchmarkFig2|BenchmarkFig6|BenchmarkSolverGreedy|BenchmarkSolverGrid|BenchmarkEngineHotPath|BenchmarkEngineMixedDemand|BenchmarkRouterRoute|BenchmarkRoutingFleet|BenchmarkTraceEmit|BenchmarkMillionClients|BenchmarkClockRearmFiring|BenchmarkWorkloadGenerate)$'
 
 OUT=$(go test -run='^$' -bench="$BENCH" -benchtime=1x -benchmem -timeout 1800s .)
 echo "$OUT"
