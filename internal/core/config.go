@@ -5,12 +5,13 @@
 // Architecture (the paper's Figure 1): Query Patroller intercepts queries
 // of the managed (OLAP) classes and blocks them; the Monitor collects
 // query information from the control tables and — for the unmanaged OLTP
-// class — from the engine's snapshot monitor; the Classifier assigns each
-// query to a service class; the Scheduling Planner periodically consults
-// the Performance Solver for a utility-optimal scheduling plan (a vector
-// of class cost limits summing to the system cost limit); and the
-// Dispatcher releases blocked queries so each class's executing cost stays
-// within its limit.
+// class — from the engine's snapshot monitor; a query's service class is
+// the class tag it was submitted with (the paper's classification, in its
+// production setup where classes map to applications or user groups);
+// the Scheduling Planner periodically consults the Performance Solver for
+// a utility-optimal scheduling plan (a vector of class cost limits summing
+// to the system cost limit); and the Dispatcher releases blocked queries
+// so each class's executing cost stays within its limit.
 //
 // The OLTP class is never intercepted (the interception overhead would
 // dwarf sub-second transactions); it is controlled indirectly: its

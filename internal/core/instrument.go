@@ -14,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/patroller"
+	"repro/internal/workload"
 )
 
 // Metric names exported by the scheduler.
@@ -33,28 +34,26 @@ const (
 	MetricBinding    = "qs_infeasible_binding_total"
 )
 
-// schedObs caches the scheduler's instruments per class so the dispatch
-// path does not re-render label sets on every decision. The release/hold
-// counters — touched once per held-queue evaluation — live in dense
-// slices indexed by (class - base); classes outside the span (a custom
-// classifier inventing ids) fall back to lazy maps.
+// schedObs caches the scheduler's instruments per class, in slices
+// indexed by the scheduler's rows, so the dispatch path does not
+// re-render label sets on every decision. A class's instrument is
+// registered on its first value, so a class that never had one stays
+// out of the exposition.
 type schedObs struct {
-	reg         *obs.Registry
-	oltpID      engine.ClassID // -1 when there is no OLTP class
-	base        engine.ClassID
-	releases    []*obs.Counter
-	holds       []*obs.Counter
-	farReleases map[engine.ClassID]*obs.Counter
-	farHolds    map[engine.ClassID]*obs.Counter
-	limits      map[engine.ClassID]*obs.Gauge
-	predErr     map[engine.ClassID]*obs.Histogram
-	attainment  map[engine.ClassID]*obs.Gauge
-	burnRate    map[engine.ClassID]*obs.Gauge
-	binding     map[engine.ClassID]*obs.Counter
-	ticks       *obs.Counter
-	utility     *obs.Gauge
-	held        *obs.Counter
-	infeasible  *obs.Counter
+	reg        *obs.Registry
+	idx        *workload.ClassIndex // the scheduler's rows
+	oltpID     engine.ClassID       // -1 when there is no OLTP class
+	releases   []*obs.Counter
+	holds      []*obs.Counter
+	limits     []*obs.Gauge
+	predErr    []*obs.Histogram
+	attainment []*obs.Gauge
+	burnRate   []*obs.Gauge
+	binding    []*obs.Counter
+	ticks      *obs.Counter
+	utility    *obs.Gauge
+	held       *obs.Counter
+	infeasible *obs.Counter
 }
 
 // Instrument registers the scheduler's observables in reg and begins
@@ -69,17 +68,18 @@ func (qs *QueryScheduler) Instrument(reg *obs.Registry) {
 	if qs.instr != nil {
 		panic("core: scheduler already instrumented")
 	}
+	n := qs.idx.Len()
 	o := &schedObs{
 		reg:        reg,
+		idx:        &qs.idx,
 		oltpID:     -1,
-		base:       qs.rowBase,
-		releases:   make([]*obs.Counter, len(qs.rowOf)),
-		holds:      make([]*obs.Counter, len(qs.rowOf)),
-		limits:     make(map[engine.ClassID]*obs.Gauge),
-		predErr:    make(map[engine.ClassID]*obs.Histogram),
-		attainment: make(map[engine.ClassID]*obs.Gauge),
-		burnRate:   make(map[engine.ClassID]*obs.Gauge),
-		binding:    make(map[engine.ClassID]*obs.Counter),
+		releases:   make([]*obs.Counter, n),
+		holds:      make([]*obs.Counter, n),
+		limits:     make([]*obs.Gauge, n),
+		predErr:    make([]*obs.Histogram, n),
+		attainment: make([]*obs.Gauge, n),
+		burnRate:   make([]*obs.Gauge, n),
+		binding:    make([]*obs.Counter, n),
 	}
 	if qs.oltpClass != nil {
 		o.oltpID = qs.oltpClass.ID
@@ -98,20 +98,19 @@ func (qs *QueryScheduler) Instrument(reg *obs.Registry) {
 	// Admission wait becomes observable at release time; chain the
 	// patroller hook the same way the monitor and tracer do.
 	clock := qs.eng.Clock()
-	waits := make(map[engine.ClassID]*obs.Histogram)
+	waits := make([]*obs.Histogram, n)
 	prev := qs.pat.OnRelease
 	qs.pat.OnRelease = func(qi *patroller.QueryInfo) {
 		if prev != nil {
 			prev(qi)
 		}
-		h, ok := waits[qi.Class]
-		if !ok {
-			h = reg.Histogram(MetricAdmitWait,
+		s := qs.idx.Row(qi.Class) // a released query is managed, so it has a row
+		if waits[s] == nil {
+			waits[s] = reg.Histogram(MetricAdmitWait,
 				"Time from interception to release, per class (seconds).",
 				obs.DefaultDurationBuckets(), classLabel(qi.Class))
-			waits[qi.Class] = h
 		}
-		h.Observe(qi.WaitTime(clock.Now()))
+		waits[s].Observe(qi.WaitTime(clock.Now()))
 	}
 }
 
@@ -120,61 +119,29 @@ func classLabel(id engine.ClassID) obs.Label {
 	return obs.L("class", strconv.Itoa(int(id)))
 }
 
-// noteRelease counts one dispatcher release decision.
-func (o *schedObs) noteRelease(class engine.ClassID) {
+// noteRelease counts one dispatcher release decision for row s.
+func (o *schedObs) noteRelease(s int) {
 	if o == nil {
 		return
 	}
-	if s := int(class - o.base); s >= 0 && s < len(o.releases) {
-		c := o.releases[s]
-		if c == nil {
-			c = o.reg.Counter(MetricReleases,
-				"Held queries the dispatcher released, per class.", classLabel(class))
-			o.releases[s] = c
-		}
-		c.Inc()
-		return
+	if o.releases[s] == nil {
+		o.releases[s] = o.reg.Counter(MetricReleases,
+			"Held queries the dispatcher released, per class.", classLabel(o.idx.IDs()[s]))
 	}
-	c, ok := o.farReleases[class]
-	if !ok {
-		c = o.reg.Counter(MetricReleases,
-			"Held queries the dispatcher released, per class.", classLabel(class))
-		if o.farReleases == nil {
-			//lint:ignore hotalloc one-time lazy init of the far-class spill map
-			o.farReleases = make(map[engine.ClassID]*obs.Counter)
-		}
-		o.farReleases[class] = c
-	}
-	c.Inc()
+	o.releases[s].Inc()
 }
 
-// noteHold counts one dispatcher keep-held decision (a held query
-// evaluated and left in the queue this dispatch round).
-func (o *schedObs) noteHold(class engine.ClassID) {
+// noteHold counts one dispatcher keep-held decision for row s (a held
+// query evaluated and left in the queue this dispatch round).
+func (o *schedObs) noteHold(s int) {
 	if o == nil {
 		return
 	}
-	if s := int(class - o.base); s >= 0 && s < len(o.holds) {
-		c := o.holds[s]
-		if c == nil {
-			c = o.reg.Counter(MetricHolds,
-				"Held queries the dispatcher evaluated and kept held, per class.", classLabel(class))
-			o.holds[s] = c
-		}
-		c.Inc()
-		return
+	if o.holds[s] == nil {
+		o.holds[s] = o.reg.Counter(MetricHolds,
+			"Held queries the dispatcher evaluated and kept held, per class.", classLabel(o.idx.IDs()[s]))
 	}
-	c, ok := o.farHolds[class]
-	if !ok {
-		c = o.reg.Counter(MetricHolds,
-			"Held queries the dispatcher evaluated and kept held, per class.", classLabel(class))
-		if o.farHolds == nil {
-			//lint:ignore hotalloc one-time lazy init of the far-class spill map
-			o.farHolds = make(map[engine.ClassID]*obs.Counter)
-		}
-		o.farHolds[class] = c
-	}
-	c.Inc()
+	o.holds[s].Inc()
 }
 
 // noteTick records one control interval: the new plan's limits and
@@ -189,63 +156,55 @@ func (o *schedObs) noteTick(rec PlanRecord, prev []ClassPlan) {
 	if !rec.Held {
 		o.utility.Set(rec.Utility)
 	}
-	for _, row := range rec.Classes {
-		g, ok := o.limits[row.ID]
-		if !ok {
-			g = o.reg.Gauge(MetricCostLimit,
+	// rec.Classes and prev are plan rows: row s is the scheduler's row s.
+	for s, row := range rec.Classes {
+		if o.limits[s] == nil {
+			o.limits[s] = o.reg.Gauge(MetricCostLimit,
 				"Current class cost limit in timerons.", classLabel(row.ID))
-			o.limits[row.ID] = g
 		}
-		g.Set(row.Limit)
+		o.limits[s].Set(row.Limit)
 	}
-	for _, p := range prev {
+	for s, p := range prev {
 		m, _ := rec.Measurement.Class(p.ID)
 		actual := m.Velocity
 		if p.ID == o.oltpID {
 			actual = rec.Measurement.OLTPRespTime
 		}
-		h, ok := o.predErr[p.ID]
-		if !ok {
-			h = o.reg.Histogram(MetricPredErr,
+		if o.predErr[s] == nil {
+			o.predErr[s] = o.reg.Histogram(MetricPredErr,
 				"Absolute error of the per-class performance prediction (velocity for OLAP, seconds for OLTP).",
 				obs.DefaultErrorBuckets(), classLabel(p.ID))
-			o.predErr[p.ID] = h
 		}
-		h.Observe(math.Abs(p.Predicted - actual))
+		o.predErr[s].Observe(math.Abs(p.Predicted - actual))
 	}
 	if rec.Held {
 		// The degraded measurement was not folded into the SLO accounting.
 		return
 	}
-	for _, row := range rec.Classes {
-		g, ok := o.attainment[row.ID]
-		if !ok {
-			g = o.reg.Gauge(MetricAttainment,
+	for s, row := range rec.Classes {
+		if o.attainment[s] == nil {
+			o.attainment[s] = o.reg.Gauge(MetricAttainment,
 				"Fraction of measured control ticks in which the class met its goal.", classLabel(row.ID))
-			o.attainment[row.ID] = g
 		}
-		g.Set(row.Attainment)
+		o.attainment[s].Set(row.Attainment)
 	}
-	for _, row := range rec.Classes {
-		g, ok := o.burnRate[row.ID]
-		if !ok {
-			g = o.reg.Gauge(MetricBurnRate,
+	for s, row := range rec.Classes {
+		if o.burnRate[s] == nil {
+			o.burnRate[s] = o.reg.Gauge(MetricBurnRate,
 				"Error-budget burn rate over the sliding SLO window (1 = missing exactly at budget).",
 				classLabel(row.ID))
-			o.burnRate[row.ID] = g
 		}
-		g.Set(row.BurnRate)
+		o.burnRate[s].Set(row.BurnRate)
 	}
 	if rec.Infeasible {
 		o.infeasible.Inc()
-		c, ok := o.binding[rec.Binding]
-		if !ok {
-			c = o.reg.Counter(MetricBinding,
+		s := o.idx.Row(rec.Binding)
+		if o.binding[s] == nil {
+			o.binding[s] = o.reg.Counter(MetricBinding,
 				"Infeasible control ticks by binding class (the goal the solver could not satisfy).",
 				classLabel(rec.Binding))
-			o.binding[rec.Binding] = c
 		}
-		c.Inc()
+		o.binding[s].Inc()
 	}
 }
 

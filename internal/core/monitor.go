@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/engine"
@@ -41,76 +40,46 @@ type monitor struct {
 	snapPolls   int
 	snapDropped int
 
-	// Per-class interval state lives in dense slices indexed by
-	// (class - base): the submit/done hooks run once per query, so a map
-	// lookup there is the dominant monitor cost at scale. trackedIDs keeps
-	// the tracked classes in ascending id order for harvest iteration.
-	base        engine.ClassID
-	trackedIDs  []engine.ClassID
-	velWindow   []stats.Summary // olap classes only; untracked slots stay unused
-	hasVel      []bool
+	// Per-class interval state lives in slices indexed by the
+	// scheduler's rows (idx): the submit/done hooks run once per query,
+	// so a map lookup there is the dominant monitor cost at scale.
+	idx         workload.ClassIndex
+	managed     []bool // OLAP rows; the velocity windows of the others stay unused
+	velWindow   []stats.Summary
 	arrivals    []int
 	arrivalCost []stats.Summary
 	inflight    []int
-	tracked     []bool
-	// inflightN and inflightEst are harvest's per-slot scratch: in-flight
+	// inflightN and inflightEst are harvest's per-row scratch: in-flight
 	// managed queries and their progress-based velocity estimate, for
 	// classes with no completions this interval.
 	inflightN   []int
 	inflightEst []stats.Summary
 }
 
-func newMonitor(eng *engine.Engine, pat *patroller.Patroller, olap []*workload.Class,
+// newMonitor builds the monitor over the scheduler's rows: byID is the
+// roster sorted by ID and idx its class index.
+func newMonitor(eng *engine.Engine, pat *patroller.Patroller, byID []*workload.Class, idx workload.ClassIndex,
 	oltp *workload.Class, oltpClients func() []engine.ClientID, snapshotInterval float64) *monitor {
 
+	n := idx.Len()
 	m := &monitor{
 		eng:         eng,
 		pat:         pat,
 		clock:       eng.Clock(),
 		oltpClass:   oltp,
 		oltpClients: oltpClients,
+		idx:         idx,
+		managed:     make([]bool, n),
+		velWindow:   make([]stats.Summary, n),
+		arrivals:    make([]int, n),
+		arrivalCost: make([]stats.Summary, n),
+		inflight:    make([]int, n),
+		inflightN:   make([]int, n),
+		inflightEst: make([]stats.Summary, n),
 	}
-	lo, hi := engine.ClassID(0), engine.ClassID(0)
-	first := true
-	span := func(id engine.ClassID) {
-		if first {
-			lo, hi, first = id, id, false
-			return
-		}
-		if id < lo {
-			lo = id
-		}
-		if id > hi {
-			hi = id
-		}
+	for s, c := range byID {
+		m.managed[s] = c.Kind == workload.OLAP
 	}
-	for _, c := range olap {
-		span(c.ID)
-	}
-	if oltp != nil {
-		span(oltp.ID)
-	}
-	n := 0
-	if !first {
-		n = int(hi-lo) + 1
-	}
-	m.base = lo
-	m.velWindow = make([]stats.Summary, n)
-	m.hasVel = make([]bool, n)
-	m.arrivals = make([]int, n)
-	m.arrivalCost = make([]stats.Summary, n)
-	m.inflight = make([]int, n)
-	m.tracked = make([]bool, n)
-	m.inflightN = make([]int, n)
-	m.inflightEst = make([]stats.Summary, n)
-	for _, c := range olap {
-		m.hasVel[c.ID-lo] = true
-		m.trackClass(c.ID)
-	}
-	if oltp != nil {
-		m.trackClass(oltp.ID)
-	}
-	slices.Sort(m.trackedIDs)
 	// Arrivals are observed at the engine (not the patroller) so the
 	// unintercepted OLTP class is characterized too.
 	eng.OnSubmit(func(q *engine.Query) {
@@ -118,8 +87,8 @@ func newMonitor(eng *engine.Engine, pat *patroller.Patroller, olap []*workload.C
 		// new arrival; counting it would inflate the detector's demand
 		// estimate. In-flight balance still holds because the engine
 		// reports done/failed only for terminal outcomes.
-		s := int(q.Class - m.base)
-		if q.Attempt > 0 || s < 0 || s >= len(m.tracked) || !m.tracked[s] {
+		s := m.idx.Row(q.Class)
+		if q.Attempt > 0 || s < 0 {
 			return
 		}
 		m.arrivals[s]++
@@ -127,7 +96,7 @@ func newMonitor(eng *engine.Engine, pat *patroller.Patroller, olap []*workload.C
 		m.arrivalCost[s].Add(q.Cost)
 	})
 	eng.OnDone(func(q *engine.Query) {
-		if s := int(q.Class - m.base); s >= 0 && s < len(m.tracked) && m.tracked[s] {
+		if s := m.idx.Row(q.Class); s >= 0 {
 			m.inflight[s]--
 		}
 	})
@@ -145,36 +114,13 @@ func newMonitor(eng *engine.Engine, pat *patroller.Patroller, olap []*workload.C
 	return m
 }
 
-// slot maps a tracked class to its dense index, panicking on a class the
-// monitor was not built for.
-func (m *monitor) slot(id engine.ClassID) int {
-	s := int(id - m.base)
-	if s < 0 || s >= len(m.tracked) || !m.tracked[s] {
-		panic(fmt.Sprintf("core: monitor does not track class %d", id))
-	}
-	return s
-}
-
-// trackClass marks a class tracked (dedup-safe).
-func (m *monitor) trackClass(id engine.ClassID) {
-	s := int(id - m.base)
-	if m.tracked[s] {
-		return
-	}
-	m.tracked[s] = true
-	m.trackedIDs = append(m.trackedIDs, id)
-}
-
 // onManagedDone folds a completed managed query's velocity into its
-// class's interval window.
+// class's interval window. The scheduler admits only a patroller whose
+// managed classes are its OLAP classes, so the query's class has a row.
 //
 //qlint:hotpath
 func (m *monitor) onManagedDone(qi *patroller.QueryInfo) {
-	s := int(qi.Class - m.base)
-	if s < 0 || s >= len(m.hasVel) || !m.hasVel[s] {
-		return
-	}
-	w := &m.velWindow[s]
+	w := &m.velWindow[m.idx.Row(qi.Class)]
 	resp := qi.DoneTime - qi.SubmitTime
 	if resp <= 0 {
 		w.Add(1)
@@ -282,9 +228,8 @@ func (m *monitor) harvest() Measurement {
 	// class's velocity toward zero. A still-blocked query has velocity 0
 	// so far; an executing one has exec/(wait+exec) so far.
 	for _, qi := range m.pat.ControlTable() {
-		s := int(qi.Class - m.base)
-		if qi.State == patroller.Completed || qi.State == patroller.Failed ||
-			s < 0 || s >= len(m.hasVel) || !m.hasVel[s] || m.velWindow[s].Count() > 0 {
+		s := m.idx.Row(qi.Class)
+		if qi.State == patroller.Completed || qi.State == patroller.Failed || m.velWindow[s].Count() > 0 {
 			continue
 		}
 		m.inflightN[s]++
@@ -298,12 +243,11 @@ func (m *monitor) harvest() Measurement {
 		}
 		m.inflightEst[s].Add(exec / total)
 	}
-	meas.Classes = make([]ClassMeasurement, len(m.trackedIDs))
-	for i, id := range m.trackedIDs {
-		s := int(id - m.base)
-		row := &meas.Classes[i]
+	meas.Classes = make([]ClassMeasurement, m.idx.Len())
+	for s, id := range m.idx.IDs() {
+		row := &meas.Classes[s]
 		row.ID = id
-		if m.hasVel[s] {
+		if m.managed[s] {
 			row.Managed = true
 			w, est := &m.velWindow[s], &m.inflightEst[s]
 			switch {
@@ -350,15 +294,12 @@ func (m *monitor) harvest() Measurement {
 // resetWindows discards the interval's accumulated samples — used when a
 // fault drops the whole harvest.
 func (m *monitor) resetWindows() {
-	for i := range m.velWindow {
-		m.velWindow[i].Reset()
-	}
-	m.oltpResp.Reset()
-	for _, cls := range m.trackedIDs {
-		s := int(cls - m.base)
+	for s := range m.velWindow {
+		m.velWindow[s].Reset()
 		m.arrivals[s] = 0
 		m.arrivalCost[s].Reset()
 	}
+	m.oltpResp.Reset()
 	m.snapPolls, m.snapDropped = 0, 0
 }
 

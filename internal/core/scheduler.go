@@ -17,20 +17,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Classifier assigns an intercepted query to a service class based on its
-// recorded information. The default keeps the class the submitting
-// connection was tagged with — the common production setup where service
-// classes map to applications or user groups.
-type Classifier interface {
-	Classify(qi *patroller.QueryInfo) engine.ClassID
-}
-
-// TagClassifier classifies by the query's submitted class tag.
-type TagClassifier struct{}
-
-// Classify implements Classifier.
-func (TagClassifier) Classify(qi *patroller.QueryInfo) engine.ClassID { return qi.Class }
-
 // PlanRecord is one control interval's outcome: the measurements the
 // planner saw and the scheduling plan it chose. The sequence of records
 // regenerates the paper's Figure 7.
@@ -126,21 +112,22 @@ func (r PlanRecord) Clone() PlanRecord {
 	return r
 }
 
-// QueryScheduler wires Monitor, Classifier, Dispatcher, Scheduling
-// Planner, and Performance Solver around a Query Patroller, adapting a
-// mixed workload to its SLOs.
+// QueryScheduler wires Monitor, Dispatcher, Scheduling Planner, and
+// Performance Solver around a Query Patroller, adapting a mixed workload
+// to its SLOs. A query's service class is the class tag it was submitted
+// with.
 type QueryScheduler struct {
-	cfg        Config
-	eng        *engine.Engine
-	pat        *patroller.Patroller
-	classifier Classifier
+	cfg Config
+	eng *engine.Engine
+	pat *patroller.Patroller
 
-	classes     []*workload.Class
-	olapClasses []*workload.Class
-	oltpClass   *workload.Class
+	classes   []*workload.Class
+	oltpClass *workload.Class
 	// byID is classes sorted by ID: the row order of every PlanRecord,
-	// of the solver problem and of limits.
+	// of the solver problem, of limits, and of the monitor's and the
+	// instruments' per-class state. idx maps a class ID to its row.
 	byID []*workload.Class
+	idx  workload.ClassIndex
 
 	mon *monitor
 	// predictors holds each row's performance model, indexed like byID.
@@ -165,11 +152,6 @@ type QueryScheduler struct {
 	running     bool
 	heldTicks   int // consecutive degraded ticks holding the plan
 
-	// rowOf maps (class - rowBase) to the class's byID row, -1 for an
-	// ID inside the span that is not a class. Classes without a row skip
-	// dispatch accounting and are released unconditionally.
-	rowBase engine.ClassID
-	rowOf   []int32
 	// Dispatch scratch: per-row executing cost/count, reset and refilled
 	// on every SelectReleases call so the per-poke hot path allocates
 	// nothing.
@@ -194,12 +176,11 @@ func New(cfg Config, eng *engine.Engine, pat *patroller.Patroller,
 		return nil, fmt.Errorf("core: no service classes")
 	}
 	qs := &QueryScheduler{
-		cfg:        cfg,
-		eng:        eng,
-		pat:        pat,
-		classifier: TagClassifier{},
-		classes:    classes,
-		detector:   detect.New(cfg.Detection),
+		cfg:      cfg,
+		eng:      eng,
+		pat:      pat,
+		classes:  classes,
+		detector: detect.New(cfg.Detection),
 	}
 	oltp, lin, err := perfmodel.NewOLTP(cfg.OLTP)
 	if err != nil {
@@ -212,7 +193,6 @@ func New(cfg Config, eng *engine.Engine, pat *patroller.Patroller,
 			if !pat.Manages(c.ID) {
 				return nil, fmt.Errorf("core: OLAP class %d is not managed by the patroller", c.ID)
 			}
-			qs.olapClasses = append(qs.olapClasses, c)
 		case workload.OLTP:
 			if qs.oltpClass != nil {
 				return nil, fmt.Errorf("core: more than one OLTP class")
@@ -231,24 +211,20 @@ func New(cfg Config, eng *engine.Engine, pat *patroller.Patroller,
 	if qs.oltpClass != nil && oltpClients == nil {
 		return nil, fmt.Errorf("core: OLTP class present but no client source for snapshots")
 	}
-	byID := func(a, b *workload.Class) int { return cmp.Compare(a.ID, b.ID) }
-	slices.SortFunc(qs.olapClasses, byID)
 	qs.byID = slices.Clone(classes)
-	slices.SortFunc(qs.byID, byID)
+	slices.SortFunc(qs.byID, func(a, b *workload.Class) int { return cmp.Compare(a.ID, b.ID) })
 	for i := 1; i < len(qs.byID); i++ {
 		if qs.byID[i].ID == qs.byID[i-1].ID {
 			return nil, fmt.Errorf("core: duplicate class %d", qs.byID[i].ID)
 		}
 	}
-
-	lo, hi := qs.byID[0].ID, qs.byID[len(qs.byID)-1].ID
-	qs.rowBase = lo
-	qs.rowOf = make([]int32, int(hi-lo)+1)
-	for i := range qs.rowOf {
-		qs.rowOf[i] = -1
-	}
-	for i, c := range qs.byID {
-		qs.rowOf[c.ID-lo] = int32(i)
+	qs.idx = workload.NewClassIndex(qs.byID)
+	// The dispatcher, the velocity windows and the admission-wait
+	// instruments index by the row of a patroller-managed query's class.
+	for _, id := range pat.Managed() {
+		if qs.idx.Row(id) < 0 {
+			return nil, fmt.Errorf("core: the patroller intercepts class %d, which is not a scheduled class", id)
+		}
 	}
 	qs.predictors = make([]perfmodel.Predictor, len(qs.byID))
 	for i, c := range qs.byID {
@@ -268,17 +244,9 @@ func New(cfg Config, eng *engine.Engine, pat *patroller.Patroller,
 	}
 
 	qs.limits = qs.initialPlan()
-	qs.mon = newMonitor(eng, pat, qs.olapClasses, qs.oltpClass, oltpClients, cfg.SnapshotInterval)
+	qs.mon = newMonitor(eng, pat, qs.byID, qs.idx, qs.oltpClass, oltpClients, cfg.SnapshotInterval)
 	qs.mon.faults = cfg.MonitorFaults
 	return qs, nil
-}
-
-// SetClassifier replaces the default classifier.
-func (qs *QueryScheduler) SetClassifier(c Classifier) {
-	if c == nil {
-		panic("core: nil classifier")
-	}
-	qs.classifier = c
 }
 
 // initialPlan splits the system cost limit equally across all classes
@@ -290,14 +258,6 @@ func (qs *QueryScheduler) initialPlan() solver.Plan {
 		plan[i] = share
 	}
 	return plan
-}
-
-// row returns class id's byID row, or -1 when id is not a class.
-func (qs *QueryScheduler) row(id engine.ClassID) int {
-	if s := int(id - qs.rowBase); s >= 0 && s < len(qs.rowOf) {
-		return int(qs.rowOf[s])
-	}
-	return -1
 }
 
 // Start installs the dispatcher as the patroller's policy and begins the
@@ -357,7 +317,7 @@ func (qs *QueryScheduler) StopWith(mode StopMode) {
 // CostLimit returns class id's limit in the current scheduling plan (the
 // OLTP class's is virtual); false when id is not a class.
 func (qs *QueryScheduler) CostLimit(id engine.ClassID) (float64, bool) {
-	if i := qs.row(id); i >= 0 {
+	if i := qs.idx.Row(id); i >= 0 {
 		return qs.limits[i], true
 	}
 	return 0, false
@@ -433,32 +393,26 @@ func (qs *QueryScheduler) SelectReleases(v *patroller.View) []engine.QueryID {
 		cost[i] = 0
 		count[i] = 0
 	}
+	// New rejects a patroller that intercepts a class outside the
+	// roster, so every held or executing query here has a row.
 	for _, qi := range v.Active {
-		if s := qs.row(qi.Class); s >= 0 {
-			cost[s] += qi.Cost
-			count[s]++
-		}
+		s := qs.idx.Row(qi.Class)
+		cost[s] += qi.Cost
+		count[s]++
 	}
 	out := qs.releaseOut[:0]
 	for _, qi := range v.Held {
-		class := qs.classifier.Classify(qi)
-		s := qs.row(class)
-		if s < 0 {
-			// Unknown class: release immediately rather than strand it.
-			qs.instr.noteRelease(class)
-			out = append(out, qi.ID)
-			continue
-		}
+		s := qs.idx.Row(qi.Class)
 		limit := qs.limits[s]
 		fits := cost[s]+qi.Cost <= limit+1e-9
 		starving := qs.cfg.StarvationGuard && count[s] == 0 && qi.Cost > limit
 		if !fits && !starving {
-			qs.instr.noteHold(class)
+			qs.instr.noteHold(s)
 			continue // head-of-line blocks only its own class
 		}
 		cost[s] += qi.Cost
 		count[s]++
-		qs.instr.noteRelease(class)
+		qs.instr.noteRelease(s)
 		out = append(out, qi.ID)
 	}
 	qs.releaseOut = out[:0]
@@ -513,7 +467,7 @@ func (qs *QueryScheduler) controlTick() {
 	// the detector's shift log records.
 	for _, c := range qs.classes {
 		m, _ := meas.Class(c.ID)
-		rows[qs.row(c.ID)].Workload = qs.detector.Observe(detect.Observation{
+		rows[qs.idx.Row(c.ID)].Workload = qs.detector.Observe(detect.Observation{
 			Time:       meas.Time,
 			Class:      c.ID,
 			Arrivals:   m.Arrivals,

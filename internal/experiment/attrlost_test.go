@@ -17,6 +17,7 @@ import (
 // NaN, shares summing exactly to the miss) instead of silently
 // reporting zero.
 func TestAttributionSurvivesAllAbortedClass(t *testing.T) {
+	t.Parallel()
 	s := workload.Schedule{PeriodSeconds: 300}
 	for _, c := range [][3]int{{2, 2, 10}, {3, 1, 12}} {
 		s.Clients = append(s.Clients, map[engine.ClassID]int{1: c[0], 2: c[1], 3: c[2]})

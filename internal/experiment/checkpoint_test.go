@@ -125,6 +125,7 @@ func checkpointIndices(t *testing.T, dir string) []int {
 // and under the parallel runner (checkpoint files are read-only shared
 // state, so concurrent resumes must be race-clean).
 func TestResumeAtEveryBoundaryIsByteIdentical(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	ckptDir := filepath.Join(dir, "ckpt")
 	refTrace := filepath.Join(dir, "ref.jsonl")
@@ -359,6 +360,7 @@ func TestResumeRejectsOldCheckpointVersions(t *testing.T) {
 // byte-identity with the never-interrupted reference — serially and with
 // cells running on the worker pool.
 func TestCrashRecovery(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("crash-recovery matrix is slow; run without -short")
 	}

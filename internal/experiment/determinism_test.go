@@ -41,6 +41,7 @@ func TestSaturationParallelMatchesSerial(t *testing.T) {
 }
 
 func TestReplicatedParallelMatchesSerial(t *testing.T) {
+	t.Parallel()
 	sched := shortSchedule()
 	seeds := []uint64{1, 2, 3, 4}
 	serial := RunReplicated(NoControl, sched, seeds, 1)
@@ -57,6 +58,7 @@ func TestReplicatedParallelMatchesSerial(t *testing.T) {
 }
 
 func TestFig2ParallelMatchesSerial(t *testing.T) {
+	t.Parallel()
 	cfg := Fig2Config{
 		Pairs:  [][2]int{{10, 2}, {20, 4}},
 		Limits: []float64{5000, 15000, 25000},
@@ -78,6 +80,7 @@ func TestFig2ParallelMatchesSerial(t *testing.T) {
 // serially or on 8 workers. Each run owns its tracer, registry, and
 // output buffer, so any divergence means shared mutable state leaked in.
 func TestTraceExportParallelMatchesSerial(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("QS runs are slow under -race")
 	}
@@ -121,6 +124,7 @@ func TestTraceExportParallelMatchesSerial(t *testing.T) {
 }
 
 func TestDetectionReplicatedParallelMatchesSerial(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("QS runs are slow under -race")
 	}

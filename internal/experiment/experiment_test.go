@@ -63,6 +63,7 @@ func TestSampleOLAPCosts(t *testing.T) {
 }
 
 func TestRunMixedAllModes(t *testing.T) {
+	t.Parallel()
 	for _, mode := range []Mode{NoControl, QPPriority, QPNoPriority, QueryScheduler} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {

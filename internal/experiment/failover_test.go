@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/decisionlog"
@@ -33,6 +34,33 @@ func failoverFleetConfig() MixedConfig {
 	return cfg
 }
 
+// failoverFleetRun is failoverFleetConfig's uninterrupted run with its
+// trace and decision log captured in memory. It runs once per test
+// binary: the tests that use it only read it.
+var failoverFleetRun = sync.OnceValue(func() capturedRun {
+	var tb, db bytes.Buffer
+	cfg := failoverFleetConfig()
+	cfg.Trace, cfg.Decisions = &tb, &db
+	err := RunFleet(cfg).ExportErr
+	return capturedRun{trace: tb.Bytes(), decisions: db.Bytes(), err: err}
+})
+
+// capturedRun is one run's trace and decision log, and its export error.
+type capturedRun struct {
+	trace, decisions []byte
+	err              error
+}
+
+// failoverFleetOutputs returns failoverFleetRun's trace and decision log.
+func failoverFleetOutputs(t *testing.T) (traceBytes, decisions []byte) {
+	t.Helper()
+	run := failoverFleetRun()
+	if run.err != nil {
+		t.Fatal(run.err)
+	}
+	return run.trace, run.decisions
+}
+
 // scanFleetRecords collects the fleet records out of a decision log.
 func scanFleetRecords(t *testing.T, dec []byte) []decisionlog.FleetRecord {
 	t.Helper()
@@ -52,7 +80,8 @@ func scanFleetRecords(t *testing.T, dec []byte) []decisionlog.FleetRecord {
 // in the trace matching the re-dispatch count, and a DOWN span in the
 // qreport timeline.
 func TestFleetFailoverIsObservable(t *testing.T) {
-	_, traceBytes, dec := fleetOutputs(t, failoverFleetConfig())
+	t.Parallel()
+	traceBytes, dec := failoverFleetOutputs(t)
 
 	frs := scanFleetRecords(t, dec)
 	var failover *decisionlog.FleetRecord
@@ -98,7 +127,8 @@ func TestFleetFailoverIsObservable(t *testing.T) {
 // live from t=0 in the mitigated one — so the assertion is on
 // post-crash routing specifically.)
 func TestFleetMitigationOffKeepsRoutingToDeadBackend(t *testing.T) {
-	_, mitTrace, _ := fleetOutputs(t, failoverFleetConfig())
+	t.Parallel()
+	mitTrace, _ := failoverFleetOutputs(t)
 
 	off := failoverFleetConfig()
 	off.DisableFleetMitigation = true
@@ -111,8 +141,17 @@ func TestFleetMitigationOffKeepsRoutingToDeadBackend(t *testing.T) {
 		t.Errorf("mitigation-off trace carries %d reroute events, want none", n)
 	}
 	deadRoutesAfterCrash := func(traceBytes []byte) int {
+		// Decode the meta line and the route events only: decoding all
+		// of both ~150 MB traces was most of this test's time. No other
+		// line holds the token, whose quotes a JSON string would escape.
+		var routes bytes.Buffer
+		for i, line := range bytes.SplitAfter(traceBytes, []byte("\n")) {
+			if i == 0 || bytes.Contains(line, []byte(`"kind":"route",`)) {
+				routes.Write(line)
+			}
+		}
 		n := 0
-		err := trace.ScanJSONL(bytes.NewReader(traceBytes),
+		err := trace.ScanJSONL(&routes,
 			func(trace.Meta) error { return nil },
 			func(e trace.Event) error {
 				if e.Kind == trace.QueryRouted && int(e.Value) == 2 && float64(e.Time) > 450 {
@@ -139,6 +178,7 @@ func TestFleetMitigationOffKeepsRoutingToDeadBackend(t *testing.T) {
 // router health, planner budget state, and the injector's remaining
 // backend events all have to survive the round trip.
 func TestFleetFailoverResumeIsByteIdentical(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	ckptDir := filepath.Join(dir, "ckpt")
 	cfg := failoverFleetConfig()

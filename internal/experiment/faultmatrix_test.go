@@ -10,6 +10,7 @@ import (
 // RNG stream, so the matrix must come out byte-identical whether the
 // cells ran serially or on 8 workers (and clean under -race).
 func TestFaultMatrixParallelMatchesSerial(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("fault matrix is too slow for -short")
 	}
@@ -37,6 +38,7 @@ func TestFaultMatrixParallelMatchesSerial(t *testing.T) {
 // AND OLTP mean response time, and the fault-path counters must show the
 // machinery actually engaged.
 func TestFaultMatrixMitigationHelpsUnderAbortStorm(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("fault matrix is too slow for -short")
 	}

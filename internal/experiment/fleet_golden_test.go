@@ -47,6 +47,7 @@ func TestGoldenFleetQuick(t *testing.T) {
 }
 
 func TestGoldenFleetQuickParallel(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("parallel fleet goldens are slow under -race")
 	}
@@ -124,6 +125,7 @@ func resumeFromMiddle(t *testing.T, cfg MixedConfig) (res *MixedResult, metrics,
 }
 
 func TestGoldenFleetQuickResume(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("fleet resume goldens are slow under -race")
 	}
@@ -171,6 +173,7 @@ func TestGoldenFailoverQuickParallel(t *testing.T) {
 }
 
 func TestGoldenFailoverQuickResume(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("failover resume goldens are slow under -race")
 	}

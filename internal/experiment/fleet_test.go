@@ -55,6 +55,7 @@ func fleetOutputs(t *testing.T, cfg MixedConfig) (*FleetResult, []byte, []byte) 
 // Scheduler goldens byte for byte. This is what keeps `-backends 1` a
 // no-op.
 func TestSingleBackendSpecIsByteIdenticalToLegacy(t *testing.T) {
+	t.Parallel()
 	for _, specs := range [][]backend.Spec{nil, backend.DefaultSpecs(1)} {
 		cfg := MixedConfig{Mode: QueryScheduler, Sched: shortSchedule(), Seed: 1, Experiment: "golden", Backends: specs}
 		trace, metrics, tables, decisions := mixedGoldenArtifacts(t, cfg)
@@ -127,6 +128,7 @@ func TestStaticBaselinesRunOnFleet(t *testing.T) {
 // A fleet run is as deterministic as a single-engine one: identical
 // bytes for identical configs.
 func TestFleetRunIsDeterministic(t *testing.T) {
+	t.Parallel()
 	res1, trace1, dec1 := fleetOutputs(t, fleetTestConfig())
 	res2, trace2, dec2 := fleetOutputs(t, fleetTestConfig())
 	if !bytes.Equal(trace1, trace2) {
@@ -207,6 +209,7 @@ func TestFleetDecisionLogSummarizesPerBackend(t *testing.T) {
 // uninterrupted run's outputs byte for byte, exactly like the
 // single-engine resume contract.
 func TestFleetResumeIsByteIdentical(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	ckptDir := filepath.Join(dir, "ckpt")
 	cfg := fleetTestConfig()
@@ -300,6 +303,7 @@ func TestFleetResumeIsByteIdentical(t *testing.T) {
 // A static-baseline fleet with a backend crash resumes byte-identically
 // from every period boundary, like every other run shape.
 func TestStaticFleetResumeIsByteIdentical(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	ckptDir := filepath.Join(dir, "ckpt")
 	cfg := MixedConfig{

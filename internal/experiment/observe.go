@@ -57,18 +57,19 @@ func attachObs(r *Rig, cfg MixedConfig) (*runObs, error) {
 	}
 	if cfg.Metrics != nil {
 		reg := obs.New(func() float64 { return r.Clock.Now() })
+		idx := workload.NewClassIndex(r.Classes)
 		for _, b := range r.Backends {
 			var labels []obs.Label
 			if r.fleet() { // a backend label only where there are backends to tell apart
 				labels = append(labels, obs.L("backend", b.Name()))
 			}
-			instrumentEngine(reg, b.Eng, r.Classes, labels...)
+			instrumentEngine(reg, b.Eng, &idx, labels...)
 		}
 		if !r.fleet() { // fault, retry and qs_* instruments carry no backend dimension
 			if r.Faults != nil {
 				instrumentFaults(reg, r.Faults[0])
 			}
-			instrumentRetries(reg, r.Pat)
+			instrumentRetries(reg, r.Pat, &idx)
 			if r.QS != nil {
 				r.QS.Instrument(reg)
 			}
@@ -179,89 +180,62 @@ func traceMeta(cfg MixedConfig, classes []*workload.Class) trace.Meta {
 	return m
 }
 
-// classDense caches a per-class instrument in a slice indexed by
-// (class - base), falling back to a lazy map for classes outside the
-// span the run was configured with. The engine's lifecycle hooks fire
-// once per query, so these caches are on the allocation-free hot path.
-type classDense[T any] struct {
-	base  engine.ClassID
-	dense []*T
-	far   map[engine.ClassID]*T
-}
-
-func newClassDense[T any](classes []*workload.Class) *classDense[T] {
-	d := &classDense[T]{}
-	if len(classes) > 0 {
-		lo, hi := classes[0].ID, classes[0].ID
-		for _, c := range classes {
-			if c.ID < lo {
-				lo = c.ID
-			}
-			if c.ID > hi {
-				hi = c.ID
-			}
-		}
-		d.base = lo
-		d.dense = make([]*T, int(hi-lo)+1)
+// rowInstrument returns rows[s], registering it with mk on its first
+// use: a class that never had a value stays out of the exposition.
+func rowInstrument[T any](rows []*T, s int, mk func() *T) *T {
+	if rows[s] == nil {
+		rows[s] = mk()
 	}
-	return d
-}
-
-// get returns the cached instrument for id, or nil if make must be called.
-func (d *classDense[T]) get(id engine.ClassID, mk func() *T) *T {
-	if s := int(id - d.base); s >= 0 && s < len(d.dense) {
-		if d.dense[s] == nil {
-			d.dense[s] = mk()
-		}
-		return d.dense[s]
-	}
-	v, ok := d.far[id]
-	if !ok {
-		v = mk()
-		if d.far == nil {
-			d.far = make(map[engine.ClassID]*T)
-		}
-		d.far[id] = v
-	}
-	return v
+	return rows[s]
 }
 
 // instrumentEngine registers run-level query counters and latency
 // histograms fed from the engine's lifecycle hooks, so every mode — not
 // just Query Scheduler runs — produces a metrics exposition. Fleet runs
 // pass an extra backend label per engine; the instruments are created
-// lazily once per class, so the label slice is built off the hot path.
-func instrumentEngine(reg *obs.Registry, eng *engine.Engine, classes []*workload.Class, extra ...obs.Label) {
-	submitted := newClassDense[obs.Counter](classes)
-	completed := newClassDense[obs.Counter](classes)
-	failed := newClassDense[obs.Counter](classes)
-	resp := newClassDense[obs.Histogram](classes)
+// lazily once per roster class, so the label slice is built off the hot
+// path. A query of a class outside the roster is not counted, as in the
+// period tables.
+func instrumentEngine(reg *obs.Registry, eng *engine.Engine, idx *workload.ClassIndex, extra ...obs.Label) {
+	n := idx.Len()
+	submitted := make([]*obs.Counter, n)
+	completed := make([]*obs.Counter, n)
+	failed := make([]*obs.Counter, n)
+	resp := make([]*obs.Histogram, n)
 	labels := func(id engine.ClassID) []obs.Label {
 		ls := append([]obs.Label{}, extra...)
 		return append(ls, obs.L("class", fmt.Sprintf("%d", int(id))))
 	}
 	eng.OnSubmit(func(q *engine.Query) {
-		submitted.get(q.Class, func() *obs.Counter {
+		s := idx.Row(q.Class)
+		if s < 0 {
+			return
+		}
+		rowInstrument(submitted, s, func() *obs.Counter {
 			return reg.Counter("queries_submitted_total",
 				"Queries submitted to the engine, per class.", labels(q.Class)...)
 		}).Inc()
 	})
 	eng.OnDone(func(q *engine.Query) {
+		s := idx.Row(q.Class)
+		if s < 0 {
+			return
+		}
 		if q.State != engine.StateDone {
 			// Terminal failure: count separately, and keep the response
 			// histogram honest (an aborted query has no response time).
-			failed.get(q.Class, func() *obs.Counter {
+			rowInstrument(failed, s, func() *obs.Counter {
 				return reg.Counter("queries_failed_total",
 					"Queries that ended in terminal failure (aborted, retries exhausted), per class.",
 					labels(q.Class)...)
 			}).Inc()
 			return
 		}
-		completed.get(q.Class, func() *obs.Counter {
+		rowInstrument(completed, s, func() *obs.Counter {
 			return reg.Counter("queries_completed_total",
 				"Queries completed by the engine, per class.", labels(q.Class)...)
 		}).Inc()
-		resp.get(q.Class, func() *obs.Histogram {
+		rowInstrument(resp, s, func() *obs.Histogram {
 			return reg.Histogram("query_response_seconds",
 				"End-to-end response time (submit to done), per class.",
 				obs.DefaultDurationBuckets(), labels(q.Class)...)
@@ -272,40 +246,44 @@ func instrumentEngine(reg *obs.Registry, eng *engine.Engine, classes []*workload
 // instrumentFaults exposes every injection as fault_injected_total{kind,
 // class}, chaining any OnInject observer already installed.
 func instrumentFaults(reg *obs.Registry, inj *fault.Injector) {
-	counters := make(map[string]*obs.Counter)
+	// The class is 0 for a system-wide fault, and an abort-rate key may
+	// name any class, so the counters are keyed by kind and class ID.
+	type key struct {
+		kind  string
+		class engine.ClassID
+	}
+	counters := make(map[key]*obs.Counter)
 	prev := inj.OnInject
 	inj.OnInject = func(kind string, class engine.ClassID) {
 		if prev != nil {
 			prev(kind, class)
 		}
-		key := fmt.Sprintf("%s/%d", kind, int(class))
-		c, ok := counters[key]
+		k := key{kind, class}
+		c, ok := counters[k]
 		if !ok {
 			c = reg.Counter("fault_injected_total",
 				"Faults injected, by kind and class (class 0 = system-wide).",
 				obs.L("kind", kind), obs.L("class", fmt.Sprintf("%d", int(class))))
-			counters[key] = c
+			counters[k] = c
 		}
 		c.Inc()
 	}
 }
 
 // instrumentRetries exposes query_retries_total{class}, chaining the
-// patroller's retry hook.
-func instrumentRetries(reg *obs.Registry, pat *patroller.Patroller) {
-	counters := make(map[engine.ClassID]*obs.Counter)
+// patroller's retry hook. A retried query is managed, so its class is in
+// the roster.
+func instrumentRetries(reg *obs.Registry, pat *patroller.Patroller, idx *workload.ClassIndex) {
+	counters := make([]*obs.Counter, idx.Len())
 	prev := pat.OnRetry
 	pat.OnRetry = func(qi *patroller.QueryInfo) {
 		if prev != nil {
 			prev(qi)
 		}
-		c, ok := counters[qi.Class]
-		if !ok {
-			c = reg.Counter("query_retries_total",
+		rowInstrument(counters, idx.Row(qi.Class), func() *obs.Counter {
+			return reg.Counter("query_retries_total",
 				"Failed managed queries resubmitted by the retry policy, per class.",
 				obs.L("class", fmt.Sprintf("%d", int(qi.Class))))
-			counters[qi.Class] = c
-		}
-		c.Inc()
+		}).Inc()
 	}
 }

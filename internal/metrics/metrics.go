@@ -6,7 +6,7 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/stats"
@@ -39,52 +39,36 @@ type ClassAgg struct {
 // period and class.
 //
 // Aggregates live in one flat slice, periods × classes, preallocated at
-// construction; the per-query hooks index it with a dense class table
-// (class id → slot) instead of a map lookup. Determinism is unaffected:
-// the layout only changes where an aggregate lives, never the order in
-// which values fold into it.
+// construction; the per-query hooks find a class's slot through the
+// roster's class index instead of a map lookup. Determinism is
+// unaffected: the layout only changes where an aggregate lives, never
+// the order in which values fold into it.
 type Collector struct {
-	classes  map[engine.ClassID]*workload.Class
-	classIDs []engine.ClassID // ascending; defines the dense slot order
+	idx      workload.ClassIndex // class ID → slot, slots in ascending ID order
+	classes  []*workload.Class   // by slot
 	sched    workload.Schedule
 	nperiods int
-	base     engine.ClassID // smallest tracked id; index is offset by it
-	index    []int          // (id - base) → dense slot, -1 untracked
-	aggs     []ClassAgg     // period-major: period*len(classIDs) + slot
+	aggs     []ClassAgg // period-major: period*idx.Len() + slot
 }
 
 // NewCollector builds a collector for the given classes and schedule and
 // hooks it into the engine.
 func NewCollector(eng *engine.Engine, classes []*workload.Class, sched workload.Schedule) *Collector {
 	c := &Collector{
-		classes:  make(map[engine.ClassID]*workload.Class),
+		idx:      workload.NewClassIndex(classes),
 		sched:    sched,
 		nperiods: sched.Periods(),
 	}
+	c.classes = make([]*workload.Class, c.idx.Len())
 	for _, cl := range classes {
-		c.classes[cl.ID] = cl
+		c.classes[c.idx.Row(cl.ID)] = cl
 	}
-	for id := range c.classes {
-		c.classIDs = append(c.classIDs, id)
-	}
-	sort.Slice(c.classIDs, func(i, j int) bool { return c.classIDs[i] < c.classIDs[j] })
-	if len(c.classIDs) > 0 {
-		c.base = c.classIDs[0]
-		span := int(c.classIDs[len(c.classIDs)-1]-c.base) + 1
-		c.index = make([]int, span)
-		for i := range c.index {
-			c.index[i] = -1
-		}
-		for slot, id := range c.classIDs {
-			c.index[id-c.base] = slot
-		}
-	}
-	c.aggs = make([]ClassAgg, c.nperiods*len(c.classIDs))
+	c.aggs = make([]ClassAgg, c.nperiods*c.idx.Len())
 	for p := 0; p < c.nperiods; p++ {
-		for slot, id := range c.classIDs {
+		for slot, id := range c.idx.IDs() {
 			// Seed per period and class so runs stay reproducible.
 			seed := uint64(p)*1000003 + uint64(id)
-			c.aggs[p*len(c.classIDs)+slot].RespSample = stats.NewReservoir(512, seed)
+			c.aggs[p*c.idx.Len()+slot].RespSample = stats.NewReservoir(512, seed)
 		}
 	}
 	c.Attach(eng)
@@ -104,15 +88,11 @@ func (c *Collector) Attach(eng *engine.Engine) {
 // agg returns the aggregate for a period and class, or nil when the class
 // is untracked. The period must be in range.
 func (c *Collector) agg(period int, class engine.ClassID) *ClassAgg {
-	i := int(class - c.base)
-	if i < 0 || i >= len(c.index) {
-		return nil
-	}
-	slot := c.index[i]
+	slot := c.idx.Row(class)
 	if slot < 0 {
 		return nil
 	}
-	return &c.aggs[period*len(c.classIDs)+slot]
+	return &c.aggs[period*c.idx.Len()+slot]
 }
 
 //qlint:hotpath
@@ -148,26 +128,19 @@ func (c *Collector) onDone(q *engine.Query) {
 }
 
 // Classes returns the tracked classes sorted by ID — a stable order for
-// rendering, whatever order they were registered in. The collector's
-// internal map must never drive output directly: map iteration order is
-// randomized per process (enforced tree-wide by the maporder lint check).
-func (c *Collector) Classes() []*workload.Class {
-	out := make([]*workload.Class, 0, len(c.classIDs))
-	for _, id := range c.classIDs {
-		out = append(out, c.classes[id])
-	}
-	return out
-}
+// rendering, whatever order they were registered in.
+func (c *Collector) Classes() []*workload.Class { return slices.Clone(c.classes) }
 
 // ClassIDs returns the tracked class IDs in ascending order.
-func (c *Collector) ClassIDs() []engine.ClassID {
-	ids := make([]engine.ClassID, len(c.classIDs))
-	copy(ids, c.classIDs)
-	return ids
-}
+func (c *Collector) ClassIDs() []engine.ClassID { return slices.Clone(c.idx.IDs()) }
 
 // Class returns the tracked class with the given ID, or nil.
-func (c *Collector) Class(id engine.ClassID) *workload.Class { return c.classes[id] }
+func (c *Collector) Class(id engine.ClassID) *workload.Class {
+	if slot := c.idx.Row(id); slot >= 0 {
+		return c.classes[slot]
+	}
+	return nil
+}
 
 // Periods returns the number of schedule periods.
 func (c *Collector) Periods() int { return c.nperiods }
@@ -194,9 +167,8 @@ func (c *Collector) Agg(period int, class engine.ClassID) *ClassAgg {
 // Response-time classes have no honest number to assign a lost query, so
 // their mean stays completions-only.
 func (c *Collector) Metric(period int, class engine.ClassID) (v float64, ok bool) {
-	cl := c.classes[class]
 	agg := c.Agg(period, class)
-	if cl.Goal.Metric == workload.Velocity {
+	if c.Class(class).Goal.Metric == workload.Velocity {
 		n := agg.Completed + agg.Failed
 		if n == 0 {
 			return 0, false
@@ -216,7 +188,7 @@ func (c *Collector) GoalMet(period int, class engine.ClassID) (met, ok bool) {
 	if !ok {
 		return false, false
 	}
-	return c.classes[class].Goal.Met(v), true
+	return c.Class(class).Goal.Met(v), true
 }
 
 // GoalSatisfaction returns, for one class, the fraction of measurable

@@ -335,6 +335,17 @@ func (p *Patroller) Manages(c engine.ClassID) bool {
 	return uint(c) < uint(len(p.managed)) && p.managed[c]
 }
 
+// Managed returns the intercepted classes in ascending order.
+func (p *Patroller) Managed() []engine.ClassID {
+	var out []engine.ClassID
+	for c, ok := range p.managed {
+		if ok {
+			out = append(out, engine.ClassID(c))
+		}
+	}
+	return out
+}
+
 // Intercept implements engine.Interceptor.
 //
 //qlint:hotpath

@@ -92,8 +92,8 @@ type Event struct {
 	Num [2]float64
 }
 
-// numKinds sizes the dense per-kind counter array (kinds are small
-// consecutive constants; anything else spills to farCounts).
+// numKinds sizes the per-kind counter array: kinds are small
+// consecutive constants.
 const numKinds = int(QueryRerouted) + 1
 
 // traceBatchSize bounds the batched-dispatch buffer: Emit appends events
@@ -104,9 +104,8 @@ const traceBatchSize = 256
 // Tracer counts events and streams them to a JSONL sink. It keeps no
 // events itself: what a run emitted is read back from the sink.
 type Tracer struct {
-	seq       uint64
-	counts    [numKinds]uint64
-	farCounts map[Kind]uint64 // out-of-range kinds (never in normal runs)
+	seq    uint64
+	counts [numKinds]uint64
 
 	periodOf  func(simclock.Time) int // stamps Event.Period; may be nil
 	plan      int                     // current plan version
@@ -126,9 +125,10 @@ func New() *Tracer { return &Tracer{} }
 // subsequent event is stamped with its 0-based period.
 func (t *Tracer) SetPeriodMapper(f func(simclock.Time) int) { t.periodOf = f }
 
-// Emit records an event. The tracer stamps Seq, Period (when a mapper
-// is installed), and Plan; a PlanChanged event bumps the plan version
-// before being stamped, so it carries the version it introduces.
+// Emit records an event, whose Kind must be one of the Kind constants.
+// The tracer stamps Seq, Period (when a mapper is installed), and Plan;
+// a PlanChanged event bumps the plan version before being stamped, so
+// it carries the version it introduces.
 //
 //qlint:hotpath
 func (t *Tracer) Emit(e Event) {
@@ -141,15 +141,7 @@ func (t *Tracer) Emit(e Event) {
 		t.plan++
 	}
 	e.Plan = t.plan
-	if k := int(e.Kind); k >= 0 && k < numKinds {
-		t.counts[k]++
-	} else {
-		if t.farCounts == nil {
-			//lint:ignore hotalloc one-time lazy init of the far-class count map
-			t.farCounts = make(map[Kind]uint64)
-		}
-		t.farCounts[e.Kind]++
-	}
+	t.counts[e.Kind]++
 	if t.sink != nil && t.sinkErr == nil {
 		t.pending = append(t.pending, e)
 		if len(t.pending) >= traceBatchSize {
@@ -191,9 +183,6 @@ func (t *Tracer) CountByKind() map[Kind]uint64 {
 		if v > 0 {
 			out[Kind(k)] = v
 		}
-	}
-	for k, v := range t.farCounts {
-		out[k] = v
 	}
 	return out
 }
