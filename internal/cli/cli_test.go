@@ -89,6 +89,8 @@ func TestExitCodes(t *testing.T) {
 		{"qreport help", qreport, []string{"-help"}, 0, "~^Usage of qreport:\n"},
 		{"qsim unknown experiment", qsim, []string{"-exp", "bogus"}, 2, "unknown experiment \"bogus\"\n"},
 		{"qsim no backends", qsim, []string{"-exp", "fig6", "-backends", "0"}, 2, "-backends must be at least 1\n"},
+		{"qsim Query Scheduler fleet too large to split", qsim, []string{"-exp", "fig6", "-backends", "10"}, 2,
+			"router: a Query Scheduler fleet of 10 backends leaves no budget to follow demand (each keeps a 0.1 share)\n"},
 		{"qsim trace on a sweep", qsim, []string{"-exp", "syslimit", "-trace", filepath.Join(dir, "t")}, 2,
 			"-trace/-metrics apply to a single mixed run: -exp fig4|fig5|fig6|fig7|infeasible|routing|failover or -scenario\n"},
 		{"qsim metrics on all", qsim, []string{"-metrics", filepath.Join(dir, "m")}, 2,

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -41,13 +42,9 @@ type ClassMeta struct {
 	Importance int     `json:"importance"`
 }
 
-// BackendMeta describes one fleet backend in the meta line.
-type BackendMeta struct {
-	ID   int     `json:"id"` // 1-based, matches Record.Backend
-	Name string  `json:"name"`
-	CPU  float64 `json:"cpu"`
-	IO   float64 `json:"io"`
-}
+// BackendMeta describes one fleet backend in the meta line: the trace
+// header's roster entry, so a run builds its roster once for both.
+type BackendMeta = trace.BackendMeta
 
 // Meta is the log's first line: format version, run identity, and the
 // class roster with goals.

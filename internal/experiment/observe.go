@@ -150,9 +150,7 @@ func decisionMeta(cfg MixedConfig, r *Rig) decisionlog.Meta {
 		m.Experiment = cfg.Mode.String()
 	}
 	if r.fleet() { // a roster only where there are backends to tell apart
-		for _, bm := range backendsMeta(r) {
-			m.Backends = append(m.Backends, decisionlog.BackendMeta(bm))
-		}
+		m.Backends = backendsMeta(r)
 	}
 	return m
 }

@@ -50,7 +50,8 @@ type FleetResult struct {
 // the roster (a backend-scoped fault naming a backend outside it, or
 // crash windows that leave no backend up at some instant), a retry
 // policy the patroller would refuse, a Query Scheduler config the
-// scheduler would refuse, and checkpointing asked of a run that cannot
+// scheduler would refuse, a Query Scheduler fleet too large for the
+// planner to split, and checkpointing asked of a run that cannot
 // round-trip through a checkpoint.
 func (cfg MixedConfig) Validate() error {
 	if err := cfg.validateSchedule(); err != nil {
@@ -68,6 +69,11 @@ func (cfg MixedConfig) Validate() error {
 	}
 	if cfg.Mode == QueryScheduler && cfg.QS != nil {
 		if err := cfg.QS.Validate(); err != nil {
+			return err
+		}
+	}
+	if cfg.Mode == QueryScheduler && len(cfg.Backends) >= 2 {
+		if err := router.ValidateRoster(len(cfg.Backends)); err != nil {
 			return err
 		}
 	}

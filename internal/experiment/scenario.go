@@ -7,7 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
+	"slices"
 
 	"repro/internal/backend"
 	"repro/internal/core"
@@ -51,8 +51,9 @@ type ScenarioBackend struct {
 	CPUCapacity float64 `json:"cpu_capacity"`
 	IOCapacity  float64 `json:"io_capacity"`
 	// Affinity biases the router toward this backend for a class, keyed
-	// by 1-based class index ("1", "2", ...); values must be positive.
-	Affinity map[string]float64 `json:"affinity"`
+	// by 1-based class index ("1", "2", ...); values must be positive. A
+	// key written twice (say "1" and "01") resolves to the last one.
+	Affinity map[int]float64 `json:"affinity"`
 }
 
 // ScenarioClass is one service class in a scenario file.
@@ -185,15 +186,22 @@ func buildScenario(spec ScenarioSpec) (*Scenario, error) {
 			if bs.CPUCapacity < 0 || bs.IOCapacity < 0 {
 				return nil, fmt.Errorf("scenario: backend %q has negative capacity", bs.Name)
 			}
-			for key, w := range sb.Affinity {
-				id, err := strconv.Atoi(key)
-				if err != nil || id < 1 || id > len(s.Classes) {
-					return nil, fmt.Errorf("scenario: backend %q affinity key %q is not a class index in 1..%d",
-						bs.Name, key, len(s.Classes))
+			// Checked in key order, so the error names the same key on
+			// every parse.
+			ids := make([]int, 0, len(sb.Affinity))
+			for id := range sb.Affinity {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			for _, id := range ids {
+				w := sb.Affinity[id]
+				if id < 1 || id > len(s.Classes) {
+					return nil, fmt.Errorf("scenario: backend %q affinity key %d is not a class index in 1..%d",
+						bs.Name, id, len(s.Classes))
 				}
 				if w <= 0 {
-					return nil, fmt.Errorf("scenario: backend %q affinity for class %s must be positive, got %v",
-						bs.Name, key, w)
+					return nil, fmt.Errorf("scenario: backend %q affinity for class %d must be positive, got %v",
+						bs.Name, id, w)
 				}
 				if bs.Affinity == nil {
 					bs.Affinity = make(map[engine.ClassID]float64, len(sb.Affinity))

@@ -196,3 +196,51 @@ func TestSingleBackendScenarioUsesItsSpec(t *testing.T) {
 		t.Errorf("half-CPU backend completed %d OLAP queries, default engine %d", olap(half), olap(full))
 	}
 }
+
+// affinityScenario is validScenario on two backends, the first with the
+// given affinity object.
+func affinityScenario(affinity string) string {
+	return strings.Replace(validScenario, `"seed": 3,`,
+		`"seed": 3, "backends": [{"name": "b1", "affinity": `+affinity+`}, {"name": "b2"}],`, 1)
+}
+
+// A class index spelled twice ("1" and "01") resolves to the last key
+// in the document on every parse, not to Go's map order.
+func TestScenarioAffinityDuplicateKeyLastWins(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		sc, err := ParseScenario(strings.NewReader(affinityScenario(`{"1": 2, "01": 3}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sc.Backends[0].Affinity[1]; got != 3 {
+			t.Fatalf("parse %d: class 1 affinity %v, want the last key's 3", i, got)
+		}
+	}
+}
+
+func TestScenarioAffinityErrors(t *testing.T) {
+	cases := map[string]string{
+		`{"one": 2}`: "scenario: json: cannot unmarshal number one into Go struct field ScenarioBackend.backends.affinity of type int",
+		`{"0": 2}`:   `scenario: backend "b1" affinity key 0 is not a class index in 1..2`,
+		`{"3": 2}`:   `scenario: backend "b1" affinity key 3 is not a class index in 1..2`,
+		`{"2": 0}`:   `scenario: backend "b1" affinity for class 2 must be positive, got 0`,
+		`{"1": -1}`:  `scenario: backend "b1" affinity for class 1 must be positive, got -1`,
+		// Several bad keys: the smallest is named, whatever the map order.
+		`{"7": 1, "0": 1, "5": 1, "2": -1}`: `scenario: backend "b1" affinity key 0 is not a class index in 1..2`,
+	}
+	for affinity, want := range cases {
+		for i := 0; i < 50; i++ {
+			_, err := ParseScenario(strings.NewReader(affinityScenario(affinity)))
+			if err == nil || err.Error() != want {
+				t.Fatalf("affinity %s, parse %d: error %v, want %q", affinity, i, err, want)
+			}
+		}
+	}
+	sc, err := ParseScenario(strings.NewReader(affinityScenario(`{"2": 0.5, "1": 4}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := sc.Backends[0].Affinity; len(a) != 2 || a[1] != 4 || a[2] != 0.5 {
+		t.Errorf("affinity = %v, want map[1:4 2:0.5]", a)
+	}
+}

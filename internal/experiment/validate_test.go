@@ -99,6 +99,10 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 		{"plan outside the roster", func(c *MixedConfig) {
 			c.Faults = &fault.Plan{BackendCrashes: []fault.BackendCrash{{Backend: 2, At: 100}}}
 		}, "fault: plan targets backend 2 of a 1-backend roster"},
+		{"Query Scheduler fleet of 9", func(c *MixedConfig) { c.Backends = backend.DefaultSpecs(9) }, ""},
+		{"Query Scheduler fleet of 10", func(c *MixedConfig) { c.Backends = backend.DefaultSpecs(10) },
+			"router: a Query Scheduler fleet of 10 backends leaves no budget to follow demand (each keeps a 0.1 share)"},
+		{"static fleet of 10", func(c *MixedConfig) { c.Mode, c.Backends = QPPriority, backend.DefaultSpecs(10) }, ""},
 		{"empty schedule", func(c *MixedConfig) { c.Sched.Clients = nil }, "experiment: empty schedule"},
 		{"zero period length", func(c *MixedConfig) { c.Sched.PeriodSeconds = 0 },
 			"experiment: schedule period length 0 must be positive"},

@@ -40,10 +40,12 @@ const (
 	KindBackendDropout  = "backend_dropout"
 )
 
-// Window is a half-open interval [Start, End) of virtual seconds.
+// Window is a half-open interval [Start, End) of virtual seconds. The
+// windowed fault types embed it, so a spec file writes their windows
+// flat: {"start": s, "end": e, ...}.
 type Window struct {
-	Start float64
-	End   float64
+	Start float64 `json:"start"`
+	End   float64 `json:"end"`
 }
 
 // Contains reports whether t falls inside the window.
@@ -58,19 +60,19 @@ func (w Window) validate(what string) error {
 
 // Burst raises the abort probability inside a window — a failure storm.
 type Burst struct {
-	Window Window
+	Window
 	// Class restricts the burst to one service class; 0 hits every class.
-	Class engine.ClassID
+	Class engine.ClassID `json:"class"`
 	// Rate is the per-query abort probability while the burst is active.
 	// It replaces (not adds to) the base rate when larger.
-	Rate float64
+	Rate float64 `json:"rate"`
 }
 
 // Slowdown scales the engine's progress rate inside a window. Factor 0 is
 // a full stall (the engine freezes; queries neither progress nor finish).
 type Slowdown struct {
-	Window Window
-	Factor float64
+	Window
+	Factor float64 `json:"factor"`
 }
 
 // BackendCrash kills one fleet backend at a virtual time: its engine
@@ -79,26 +81,26 @@ type Slowdown struct {
 // stays dead for the rest of the run.
 type BackendCrash struct {
 	// Backend is the 1-based roster ID of the backend to kill.
-	Backend   int
-	At        float64
-	RecoverAt float64
+	Backend   int     `json:"backend"`
+	At        float64 `json:"at"`
+	RecoverAt float64 `json:"recover_at"`
 }
 
 // BackendSlowdown is a brownout: one backend's engine runs at Factor
 // speed inside the window (Factor 0 would be a crash; use BackendCrash
 // for that, so brownout factors live in (0, 1)).
 type BackendSlowdown struct {
-	Backend int
-	Window  Window
-	Factor  float64
+	Backend int `json:"backend"`
+	Window
+	Factor float64 `json:"factor"`
 }
 
 // BackendOutage severs one backend's monitor/planner reporting inside
 // the window: every snapshot poll and control-interval harvest on that
 // backend is lost, exactly as if its telemetry link dropped.
 type BackendOutage struct {
-	Backend int
-	Window  Window
+	Backend int `json:"backend"`
+	Window
 }
 
 // Plan is one deterministic fault scenario. The zero value injects
@@ -106,44 +108,44 @@ type BackendOutage struct {
 type Plan struct {
 	// Seed seeds the injector's private RNG stream (abort draws and
 	// probabilistic snapshot drops). Zero is a valid seed.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// AbortRate is the base per-query abort probability per class,
 	// drawn once when a query starts executing.
-	AbortRate map[engine.ClassID]float64
+	AbortRate map[engine.ClassID]float64 `json:"abort_rate"`
 	// AbortBursts are scheduled failure storms layered over AbortRate.
-	AbortBursts []Burst
+	AbortBursts []Burst `json:"abort_bursts"`
 	// Misestimate multiplies a class's actual resource demand relative
 	// to its optimizer estimate: 3 means the query really needs 3x what
 	// the timeron cost claims (the admission controller over-admits);
 	// 0 or absent leaves the class alone.
-	Misestimate map[engine.ClassID]float64
+	Misestimate map[engine.ClassID]float64 `json:"misestimate"`
 	// Slowdowns are engine-wide degradation windows. Windows must not
 	// overlap.
-	Slowdowns []Slowdown
+	Slowdowns []Slowdown `json:"slowdowns"`
 	// SnapshotDrop is the probability that one snapshot-monitor poll is
 	// lost (all clients, that tick).
-	SnapshotDrop float64
+	SnapshotDrop float64 `json:"snapshot_drop"`
 	// SnapshotOutages are windows in which every snapshot poll is lost.
-	SnapshotOutages []Window
+	SnapshotOutages []Window `json:"snapshot_outages"`
 	// HarvestOutages are windows in which the monitor's whole control-
 	// interval harvest is lost: the planner receives a zeroed
 	// measurement flagged Dropped.
-	HarvestOutages []Window
+	HarvestOutages []Window `json:"harvest_outages"`
 	// Crash, when positive, kills the run at that virtual time: the clock
 	// stops mid-simulation as if the process died. Used by the crash-
 	// recovery experiments to exercise checkpoint/resume. A resumed run
 	// re-simulates from the start with the crash disarmed: the event is
 	// still scheduled, so clock sequence numbers match the crashed run,
 	// but firing it does nothing (see Injector.DisarmCrash).
-	Crash float64
+	Crash float64 `json:"crash"`
 	// BackendCrashes kill individual backends (with optional recovery).
 	// At every instant at least one roster backend must stay up; see
 	// ValidateRoster.
-	BackendCrashes []BackendCrash
+	BackendCrashes []BackendCrash `json:"backend_crashes"`
 	// BackendBrownouts degrade individual backends inside windows.
-	BackendBrownouts []BackendSlowdown
+	BackendBrownouts []BackendSlowdown `json:"backend_brownouts"`
 	// BackendDropouts sever individual backends' monitor reporting.
-	BackendDropouts []BackendOutage
+	BackendDropouts []BackendOutage `json:"backend_dropouts"`
 }
 
 // MaxAbortClass is the largest class ID a plan's AbortRate may name:

@@ -3,6 +3,7 @@ package fault
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -94,6 +95,54 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 		if _, err := ParseSpec(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// A class key spelled twice ("1" and "01") resolves to the last one in
+// the document on every parse, never to whichever Go's map order
+// happens to visit last.
+func TestParseSpecDuplicateClassKeyLastWins(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		p, err := ParseSpec(strings.NewReader(`{"abort_rate":{"1":0.1,"01":0.2}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.AbortRate[1]; got != 0.2 {
+			t.Fatalf("parse %d: class 1 abort rate %v, want the last key's 0.2", i, got)
+		}
+	}
+}
+
+// Plan is the spec file format, so every exported field reachable from
+// it carries a json tag, or is the embedded Window that JSON writes
+// flat: a new field cannot ship that no file can set.
+func TestPlanFieldsAreSettableFromJSON(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Map, reflect.Pointer, reflect.Slice:
+			walk(typ.Elem())
+		case reflect.Struct:
+			if seen[typ] {
+				return
+			}
+			seen[typ] = true
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				if !f.IsExported() {
+					continue
+				}
+				if _, ok := f.Tag.Lookup("json"); !ok && !(f.Anonymous && f.Type == reflect.TypeOf(Window{})) {
+					t.Errorf("%s.%s has no json tag", typ.Name(), f.Name)
+				}
+				walk(f.Type)
+			}
+		}
+	}
+	walk(reflect.TypeOf(Plan{}))
+	if len(seen) < 7 { // Plan, Window, Burst, Slowdown and the three backend faults
+		t.Errorf("walked %d struct types, want at least 7", len(seen))
 	}
 }
 

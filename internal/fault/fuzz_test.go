@@ -20,6 +20,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"backend_crashes":[{"backend":1,"at":5,"recover_at":4}]}`))          // recovery before crash
 	f.Add([]byte(`{"backend_brownouts":[{"backend":1,"start":0,"end":9,"factor":0}]}`)) // factor 0 is a crash
 	f.Add([]byte(`{"abort_rate":{"not-a-class":0.5}}`))                                 // non-integer class key
+	f.Add([]byte(`{"abort_rate":{"1":0.1,"01":0.2}}`))                                  // one class spelled twice: the last key wins
 	f.Add([]byte(`{"unknown_field":1}`))                                                // rejected by DisallowUnknownFields
 	f.Add([]byte(`{"abort_rate":{"1":2.5}}`))                                           // out-of-range rate
 	f.Add([]byte(`{"seed":`))                                                           // truncated JSON

@@ -22,15 +22,6 @@ type PlannerConfig struct {
 	Interval float64
 	// Total is the global system cost budget to divide.
 	Total float64
-	// Alpha is the demand EWMA smoothing factor in (0, 1]; higher
-	// tracks routed demand faster. Zero = DefaultAlpha.
-	Alpha float64
-	// MinShare is the budget fraction every backend keeps even with
-	// zero routed demand, so an idle backend can still admit the first
-	// queries routed its way. Zero = DefaultMinShare. It doubles as the
-	// warm-up floor: a recovered backend rejoins with zeroed demand and
-	// lives on this share until routing rebuilds its EWMA.
-	MinShare float64
 	// Migrate enables the migration-before-shedding policy: when a
 	// surviving backend's solver reports an infeasible plan, the planner
 	// drains the binding class to the least-loaded healthy peer instead
@@ -39,11 +30,29 @@ type PlannerConfig struct {
 	Migrate bool
 }
 
-// Planner defaults.
+// Planner constants.
 const (
-	DefaultAlpha    = 0.3
+	// DefaultAlpha is the demand EWMA smoothing factor in (0, 1]; higher
+	// tracks routed demand faster.
+	DefaultAlpha = 0.3
+	// DefaultMinShare is the budget fraction every backend keeps even
+	// with zero routed demand, so an idle backend can still admit the
+	// first queries routed its way. It doubles as the warm-up floor: a
+	// recovered backend rejoins with zeroed demand and lives on this
+	// share until routing rebuilds its EWMA.
 	DefaultMinShare = 0.1
 )
+
+// ValidateRoster checks that the planner can split its budget across n
+// backends: the DefaultMinShare floors must leave part of the budget to
+// follow demand, which caps a Query Scheduler fleet at 9 backends.
+func ValidateRoster(n int) error {
+	if DefaultMinShare*float64(n) >= 1 {
+		return fmt.Errorf("router: a Query Scheduler fleet of %d backends leaves no budget to follow demand (each keeps a %v share)",
+			n, DefaultMinShare)
+	}
+	return nil
+}
 
 // FleetPlan records one budget split, for logging and tests.
 type FleetPlan struct {
@@ -92,23 +101,14 @@ func StartPlanner(clock *simclock.Clock, r *Router, backends []*backend.Instance
 	if len(backends) == 0 {
 		panic("router: planner with no backends")
 	}
+	if err := ValidateRoster(len(backends)); err != nil {
+		panic(err)
+	}
 	if cfg.Interval <= 0 {
 		panic(fmt.Sprintf("router: non-positive planner interval %v", cfg.Interval))
 	}
 	if cfg.Total <= 0 {
 		panic(fmt.Sprintf("router: non-positive fleet budget %v", cfg.Total))
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = DefaultAlpha
-	}
-	if cfg.Alpha < 0 || cfg.Alpha > 1 {
-		panic(fmt.Sprintf("router: planner alpha %v outside (0, 1]", cfg.Alpha))
-	}
-	if cfg.MinShare == 0 {
-		cfg.MinShare = DefaultMinShare
-	}
-	if cfg.MinShare < 0 || cfg.MinShare*float64(len(backends)) >= 1 {
-		panic(fmt.Sprintf("router: planner min share %v infeasible for %d backends", cfg.MinShare, len(backends)))
 	}
 	p := &Planner{
 		router:   r,
@@ -162,8 +162,8 @@ func (p *Planner) tick() {
 		}
 		// Proportional share with a floor: the floored fraction is
 		// reserved equally, the remainder follows weighted demand.
-		reserved := p.cfg.MinShare * nh
-		share := p.cfg.MinShare + (1-reserved)*(weights[i]/total)
+		reserved := DefaultMinShare * nh
+		share := DefaultMinShare + (1-reserved)*(weights[i]/total)
 		limits[i] = p.cfg.Total * share
 	}
 	for i, b := range p.backends {
@@ -198,7 +198,7 @@ func (p *Planner) harvest() (total float64, healthy int) {
 			continue
 		}
 		healthy++
-		p.ewma[i] = (1-p.cfg.Alpha)*p.ewma[i] + p.cfg.Alpha*p.cost[i]
+		p.ewma[i] = (1-DefaultAlpha)*p.ewma[i] + DefaultAlpha*p.cost[i]
 		p.weights[i] = p.ewma[i]
 		if f := p.router.DegradedFactor(i + 1); f > 0 {
 			p.weights[i] *= f

@@ -37,7 +37,7 @@ type ClassMeta struct {
 
 // BackendMeta describes one fleet backend in the trace header.
 type BackendMeta struct {
-	ID   int     `json:"id"` // 1-based, matches route events' Value
+	ID   int     `json:"id"` // 1-based, matches route events' Value and decision records' backend
 	Name string  `json:"name"`
 	CPU  float64 `json:"cpu"`
 	IO   float64 `json:"io"`
@@ -444,54 +444,49 @@ func scanJSONL(r io.Reader, onMeta func(Meta) error, onEvent func(Event) error) 
 		if len(line) == 0 {
 			continue
 		}
-		var disc struct {
-			Type string `json:"type"`
+		// One decode per line, into a fresh value: the two halves share
+		// no JSON name, so either kind of line fills its own half.
+		var ln struct {
+			jsonEvent
+			Meta
 		}
-		if err := json.Unmarshal(line, &disc); err != nil {
+		if err := json.Unmarshal(line, &ln); err != nil {
 			return fmt.Errorf("trace: line %d: %w", lineNo, err)
 		}
-		switch disc.Type {
+		switch ln.Type {
 		case "meta":
 			if sawMeta {
 				return fmt.Errorf("trace: line %d: duplicate meta", lineNo)
 			}
-			var jm jsonMeta
-			if err := json.Unmarshal(line, &jm); err != nil {
-				return fmt.Errorf("trace: line %d: %w", lineNo, err)
-			}
 			sawMeta = true
-			if err := onMeta(jm.Meta); err != nil {
+			if err := onMeta(ln.Meta); err != nil {
 				return err
 			}
 		case "event":
 			if !sawMeta {
 				return fmt.Errorf("trace: line %d: event before meta", lineNo)
 			}
-			var je jsonEvent
-			if err := json.Unmarshal(line, &je); err != nil {
-				return fmt.Errorf("trace: line %d: %w", lineNo, err)
-			}
-			kind, err := kindFromString(je.Kind)
+			kind, err := kindFromString(ln.Kind)
 			if err != nil {
 				return fmt.Errorf("trace: line %d: %w", lineNo, err)
 			}
 			err = onEvent(Event{
-				Seq:    je.Seq,
-				Time:   simclock.Time(je.T),
+				Seq:    ln.Seq,
+				Time:   simclock.Time(ln.T),
 				Kind:   kind,
-				Class:  engine.ClassID(je.Class),
-				Query:  engine.QueryID(je.Query),
-				Client: engine.ClientID(je.Client),
-				Period: je.Period,
-				Plan:   je.Plan,
-				Value:  je.Value,
-				Detail: je.Detail,
+				Class:  engine.ClassID(ln.Class),
+				Query:  engine.QueryID(ln.Query),
+				Client: engine.ClientID(ln.Client),
+				Period: ln.Period,
+				Plan:   ln.Plan,
+				Value:  ln.Value,
+				Detail: ln.Detail,
 			})
 			if err != nil {
 				return err
 			}
 		default:
-			return fmt.Errorf("trace: line %d: unknown type %q", lineNo, disc.Type)
+			return fmt.Errorf("trace: line %d: unknown type %q", lineNo, ln.Type)
 		}
 	}
 	if err := sc.Err(); err != nil {
