@@ -11,7 +11,7 @@
 //	qlint -checks floateq,maporder ./...
 //	qlint -json ./...        # machine-readable findings on stdout
 //	qlint -github ./...      # GitHub Actions workflow annotations
-//	qlint path/to/dir        # lint one directory as a package
+//	qlint path/to/dir        # lint one package: its share of the module's run
 //
 // Findings print as file:line:col: check: message and make qlint exit 1.
 // -json emits them as a JSON array of {file,line,col,check,message}
@@ -85,24 +85,10 @@ func main() {
 		fatalf("qlint: at most one target (got %q)", flag.Args())
 	}
 
-	var (
-		res *lint.Result
-		err error
-	)
-	if target == "./..." || target == "all" {
-		root, rootErr := lint.FindModuleRoot(".")
-		if rootErr != nil {
-			fatalf("qlint: %v", rootErr)
-		}
-		res, err = lint.LoadModule(root)
-	} else {
-		res, err = lint.LoadDir(target, filepath.Base(target))
-	}
+	diags, err := lint.Lint(target, checks, lint.DefaultConfig())
 	if err != nil {
 		fatalf("qlint: %v", err)
 	}
-
-	diags := lint.NewRunner(checks, lint.DefaultConfig()).Run(res)
 	cwd, _ := os.Getwd()
 	relName := func(name string) string {
 		if cwd != "" {

@@ -53,7 +53,7 @@ func main() {
 	// periods 3-4 (client count triples).
 	sched := workload.Schedule{
 		PeriodSeconds: 900,
-		Clients: []map[engine.ClassID]int{
+		Clients: []engine.ClassMap[int]{
 			{1: 2, 2: 3, 3: 18},
 			{1: 2, 2: 3, 3: 18},
 			{1: 6, 2: 3, 3: 18}, // month-end close begins

@@ -38,7 +38,7 @@ func main() {
 	src := rng.New(42)
 	sched := workload.Schedule{
 		PeriodSeconds: 1800,
-		Clients: []map[engine.ClassID]int{
+		Clients: []engine.ClassMap[int]{
 			{1: 4, 2: 4, 3: 20},
 			{1: 4, 2: 4, 3: 20},
 		},

@@ -31,7 +31,7 @@ type Spec struct {
 	// Affinity biases the router's class-affinity scorer toward this
 	// backend for the listed classes. Unlisted classes score 1 (no
 	// preference); values must be positive.
-	Affinity map[engine.ClassID]float64
+	Affinity engine.ClassMap[float64]
 }
 
 // EngineConfig resolves the spec into a full engine configuration,

@@ -8,10 +8,7 @@
 // I/O allocation effects; the two Catalog constructors mirror that setup.
 package catalog
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // PageSize is the size of a database page in bytes (DB2's default 4 KiB).
 const PageSize = 4096
@@ -126,25 +123,6 @@ func (c *Catalog) MustTable(name string) *Table {
 func (c *Catalog) Index(name string) (*Index, bool) {
 	ix, ok := c.indexes[name]
 	return ix, ok
-}
-
-// TableNames returns all table names in sorted order.
-func (c *Catalog) TableNames() []string {
-	names := make([]string, 0, len(c.tables))
-	for n := range c.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// TotalPages returns the number of data pages across all tables.
-func (c *Catalog) TotalPages() int64 {
-	var total int64
-	for _, t := range c.tables {
-		total += t.Pages
-	}
-	return total
 }
 
 // TPCH returns a catalog for a TPC-H-like database at the given scale

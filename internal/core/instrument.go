@@ -95,15 +95,10 @@ func (qs *QueryScheduler) Instrument(reg *obs.Registry) {
 		"Control ticks where the solver found no plan meeting all class goals.")
 	qs.instr = o
 
-	// Admission wait becomes observable at release time; chain the
-	// patroller hook the same way the monitor and tracer do.
+	// Admission wait becomes observable at release time.
 	clock := qs.eng.Clock()
 	waits := make([]*obs.Histogram, n)
-	prev := qs.pat.OnRelease
-	qs.pat.OnRelease = func(qi *patroller.QueryInfo) {
-		if prev != nil {
-			prev(qi)
-		}
+	qs.pat.OnRelease(func(qi *patroller.QueryInfo) {
 		s := qs.idx.Row(qi.Class) // a released query is managed, so it has a row
 		if waits[s] == nil {
 			waits[s] = reg.Histogram(MetricAdmitWait,
@@ -111,7 +106,7 @@ func (qs *QueryScheduler) Instrument(reg *obs.Registry) {
 				obs.DefaultDurationBuckets(), classLabel(qi.Class))
 		}
 		waits[s].Observe(qi.WaitTime(clock.Now()))
-	}
+	})
 }
 
 // classLabel renders the per-class label.

@@ -35,14 +35,14 @@ func TestDispatcherInvariantProperty(t *testing.T) {
 		}
 
 		violated := false
-		pat.OnRelease = func(qi *patroller.QueryInfo) {
+		pat.OnRelease(func(qi *patroller.QueryInfo) {
 			limit, _ := qs.CostLimit(qi.Class)
 			if cost := pat.ActiveCostByClass()[qi.Class]; cost > limit+1e-6 {
 				t.Logf("violation: class %d cost %.1f > limit %.1f at t=%.1f",
 					qi.Class, cost, limit, clock.Now())
 				violated = true
 			}
-		}
+		})
 		qs.Start()
 
 		n := int(next()*50) + 10

@@ -104,13 +104,7 @@ func newMonitor(eng *engine.Engine, pat *patroller.Patroller, byID []*workload.C
 		m.lastOLTP = oltp.Goal.Target // optimistic prior until measured
 		m.ticker = m.clock.StartTicker(snapshotInterval, m.sampleSnapshot)
 	}
-	prev := pat.OnManagedDone
-	pat.OnManagedDone = func(qi *patroller.QueryInfo) {
-		if prev != nil {
-			prev(qi)
-		}
-		m.onManagedDone(qi)
-	}
+	pat.OnManagedDone(m.onManagedDone)
 	return m
 }
 

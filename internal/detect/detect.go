@@ -28,13 +28,11 @@ import (
 
 // Observation is one control interval's raw facts about one class.
 type Observation struct {
-	Time        simclock.Time
-	Class       engine.ClassID
-	Arrivals    int     // queries submitted during the interval
-	Completions int     // queries finished during the interval
-	MeanCost    float64 // mean timeron cost of the interval's arrivals
-	Concurrency float64 // mean number executing (time-averaged or sampled)
-	Interval    float64 // interval length in seconds
+	Time     simclock.Time
+	Class    engine.ClassID
+	Arrivals int     // queries submitted during the interval
+	MeanCost float64 // mean timeron cost of the interval's arrivals
+	Interval float64 // interval length in seconds
 	// Population is the number of in-system queries of the class at
 	// harvest time. With the paper's zero-think-time closed-loop clients
 	// this equals the active client count exactly, which makes it the

@@ -610,16 +610,6 @@ func (e *Engine) Active() int { return len(e.active) }
 // owned by the engine; callers must not mutate it.
 func (e *Engine) ActiveQueries() []*Query { return e.active }
 
-// ActiveCostByClass sums the timeron cost of executing queries per class —
-// what a controller reads to enforce class cost limits.
-func (e *Engine) ActiveCostByClass() map[ClassID]float64 {
-	m := make(map[ClassID]float64)
-	for _, q := range e.active {
-		m[q.Class] += q.Cost
-	}
-	return m
-}
-
 // snapDenseLimit bounds the dense snapshot table: pool-assigned client
 // ids are small and sequential, so virtually all records land here; ids
 // outside [0, snapDenseLimit) fall back to the spill map.
@@ -1132,13 +1122,6 @@ const minEventStep = 1e-9
 //
 //qlint:hotpath
 func (e *Engine) onCompletionEvent() {
-	e.advanceTo(e.clock.Now())
-	e.reschedule()
-}
-
-// Quiesce advances internal accounting to the current time without firing
-// events — used by monitors that read utilization mid-interval.
-func (e *Engine) Quiesce() {
 	e.advanceTo(e.clock.Now())
 	e.reschedule()
 }

@@ -333,6 +333,7 @@ func TestResumeRejectsOldCheckpointVersions(t *testing.T) {
 		{5, "the terminal plan history as per-class maps"},
 		{6, "each class's goal analysis in the solver's search summary"},
 		{7, "the terminal plan history, and the OLTP model as an enum beside the OLTP block"},
+		{8, "per-class tables as gob maps in random key order"},
 	} {
 		t.Run(fmt.Sprintf("version %d", tc.v), func(t *testing.T) {
 			for _, idx := range checkpointIndices(t, dir) {

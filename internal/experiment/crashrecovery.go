@@ -43,17 +43,9 @@ type CrashRecoveryConfig struct {
 // six-period mixed schedule early, mid, and late, with a slowdown window
 // and an abort rate active so fault events straddle the checkpoints.
 func DefaultCrashRecoveryConfig() CrashRecoveryConfig {
-	s := workload.Schedule{PeriodSeconds: 600}
-	counts := [][3]int{
-		{2, 3, 15}, {4, 2, 20}, {3, 4, 25},
-		{2, 3, 15}, {3, 4, 20}, {2, 6, 25},
-	}
-	for _, c := range counts {
-		s.Clients = append(s.Clients, map[engine.ClassID]int{1: c[0], 2: c[1], 3: c[2]})
-	}
 	return CrashRecoveryConfig{
 		Mode:  QueryScheduler,
-		Sched: s,
+		Sched: quickSchedule(),
 		Seed:  1,
 		Faults: fault.Plan{
 			Seed:      7,

@@ -127,18 +127,23 @@ type FaultMatrixConfig struct {
 	Parallel int
 }
 
+// quickSchedule is the one-hour schedule of six 600 s periods that the
+// quick fault matrix and the crash-recovery experiment run.
+func quickSchedule() workload.Schedule {
+	s := workload.Schedule{PeriodSeconds: 600}
+	for _, c := range [][3]int{
+		{2, 3, 15}, {4, 2, 20}, {3, 4, 25},
+		{2, 3, 15}, {3, 4, 20}, {2, 6, 25},
+	} {
+		s.Clients = append(s.Clients, engine.ClassMap[int]{1: c[0], 2: c[1], 3: c[2]})
+	}
+	return s
+}
+
 // QuickFaultMatrixConfig is the CI-smoke-sized matrix: a one-hour
 // six-period schedule instead of the 24-hour paper one.
 func QuickFaultMatrixConfig() FaultMatrixConfig {
-	s := workload.Schedule{PeriodSeconds: 600}
-	counts := [][3]int{
-		{2, 3, 15}, {4, 2, 20}, {3, 4, 25},
-		{2, 3, 15}, {3, 4, 20}, {2, 6, 25},
-	}
-	for _, c := range counts {
-		s.Clients = append(s.Clients, map[engine.ClassID]int{1: c[0], 2: c[1], 3: c[2]})
-	}
-	return FaultMatrixConfig{Sched: s, Seed: 1}
+	return FaultMatrixConfig{Sched: quickSchedule(), Seed: 1}
 }
 
 // DefaultFaultMatrixConfig runs the matrix over the paper's Figure 3

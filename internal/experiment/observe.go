@@ -242,7 +242,7 @@ func instrumentEngine(reg *obs.Registry, eng *engine.Engine, idx *workload.Class
 }
 
 // instrumentFaults exposes every injection as fault_injected_total{kind,
-// class}, chaining any OnInject observer already installed.
+// class}.
 func instrumentFaults(reg *obs.Registry, inj *fault.Injector) {
 	// The class is 0 for a system-wide fault, and an abort-rate key may
 	// name any class, so the counters are keyed by kind and class ID.
@@ -251,11 +251,7 @@ func instrumentFaults(reg *obs.Registry, inj *fault.Injector) {
 		class engine.ClassID
 	}
 	counters := make(map[key]*obs.Counter)
-	prev := inj.OnInject
-	inj.OnInject = func(kind string, class engine.ClassID) {
-		if prev != nil {
-			prev(kind, class)
-		}
+	inj.OnInject(func(kind string, class engine.ClassID) {
 		k := key{kind, class}
 		c, ok := counters[k]
 		if !ok {
@@ -265,23 +261,19 @@ func instrumentFaults(reg *obs.Registry, inj *fault.Injector) {
 			counters[k] = c
 		}
 		c.Inc()
-	}
+	})
 }
 
-// instrumentRetries exposes query_retries_total{class}, chaining the
+// instrumentRetries exposes query_retries_total{class} through the
 // patroller's retry hook. A retried query is managed, so its class is in
 // the roster.
 func instrumentRetries(reg *obs.Registry, pat *patroller.Patroller, idx *workload.ClassIndex) {
 	counters := make([]*obs.Counter, idx.Len())
-	prev := pat.OnRetry
-	pat.OnRetry = func(qi *patroller.QueryInfo) {
-		if prev != nil {
-			prev(qi)
-		}
+	pat.OnRetry(func(qi *patroller.QueryInfo) {
 		rowInstrument(counters, idx.Row(qi.Class), func() *obs.Counter {
 			return reg.Counter("query_retries_total",
 				"Failed managed queries resubmitted by the retry policy, per class.",
 				obs.L("class", fmt.Sprintf("%d", int(qi.Class))))
 		}).Inc()
-	}
+	})
 }

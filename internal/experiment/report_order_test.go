@@ -21,7 +21,7 @@ func TestMixedReportColumnsSortedByClassID(t *testing.T) {
 	}
 	sched := workload.Schedule{
 		PeriodSeconds: 30,
-		Clients: []map[engine.ClassID]int{
+		Clients: []engine.ClassMap[int]{
 			{1: 1, 2: 1, 3: 1},
 			{1: 1, 2: 1, 3: 1},
 		},

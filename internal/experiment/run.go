@@ -14,7 +14,6 @@ package experiment
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/backend"
 	"repro/internal/checkpoint"
@@ -108,12 +107,7 @@ func (cfg MixedConfig) validateSchedule() error {
 		known[c.ID] = true
 	}
 	for p, counts := range s.Clients {
-		ids := make([]engine.ClassID, 0, len(counts))
-		for id := range counts {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		for _, id := range ids {
+		for _, id := range counts.IDs() {
 			switch n := counts[id]; {
 			case n < 0:
 				return fmt.Errorf("experiment: schedule period %d has %d clients for class %d", p+1, n, id)

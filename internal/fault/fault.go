@@ -111,14 +111,14 @@ type Plan struct {
 	Seed uint64 `json:"seed"`
 	// AbortRate is the base per-query abort probability per class,
 	// drawn once when a query starts executing.
-	AbortRate map[engine.ClassID]float64 `json:"abort_rate"`
+	AbortRate engine.ClassMap[float64] `json:"abort_rate"`
 	// AbortBursts are scheduled failure storms layered over AbortRate.
 	AbortBursts []Burst `json:"abort_bursts"`
 	// Misestimate multiplies a class's actual resource demand relative
 	// to its optimizer estimate: 3 means the query really needs 3x what
 	// the timeron cost claims (the admission controller over-admits);
 	// 0 or absent leaves the class alone.
-	Misestimate map[engine.ClassID]float64 `json:"misestimate"`
+	Misestimate engine.ClassMap[float64] `json:"misestimate"`
 	// Slowdowns are engine-wide degradation windows. Windows must not
 	// overlap.
 	Slowdowns []Slowdown `json:"slowdowns"`
@@ -216,7 +216,7 @@ func (p Plan) ValidateRoster(n int) error {
 
 // Validate checks rates, multipliers, and window shapes.
 func (p Plan) Validate() error {
-	for _, class := range sortedClassKeys(p.AbortRate) {
+	for _, class := range p.AbortRate.IDs() {
 		if class < 0 || class > MaxAbortClass {
 			return fmt.Errorf("fault: abort rate class %d outside 0..%d", class, MaxAbortClass)
 		}
@@ -232,7 +232,7 @@ func (p Plan) Validate() error {
 			return fmt.Errorf("fault: burst %d rate %v out of [0, 1]", i, b.Rate)
 		}
 	}
-	for _, class := range sortedClassKeys(p.Misestimate) {
+	for _, class := range p.Misestimate.IDs() {
 		if m := p.Misestimate[class]; m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
 			return fmt.Errorf("fault: misestimate factor %v for class %d is invalid", m, class)
 		}
@@ -382,10 +382,15 @@ type Injector struct {
 	// (see DisarmCrash).
 	crashDisarmed bool
 
-	// OnInject, when set, observes every injection as (kind, class);
-	// class is 0 for class-less kinds (slowdown, monitor drops). The obs
-	// wiring uses this to expose fault_injected_total.
-	OnInject func(kind string, class engine.ClassID)
+	onInject []func(kind string, class engine.ClassID) // see OnInject
+}
+
+// OnInject registers a listener observing every injection as (kind,
+// class); class is 0 for class-less kinds (slowdown, monitor drops).
+// Listeners run in registration order. The obs wiring uses this to
+// expose fault_injected_total.
+func (in *Injector) OnInject(fn func(kind string, class engine.ClassID)) {
+	in.onInject = append(in.onInject, fn)
 }
 
 // FleetHooks are the fleet-facing callbacks a backend injector fires on
@@ -463,15 +468,12 @@ func newInjector(plan Plan, clock *simclock.Clock, seed uint64, backendID int) *
 // simply skipped, which is the mitigation-off configuration.
 func (in *Injector) SetFleetHooks(h FleetHooks) { in.hooks = h }
 
-// Plan returns the injector's fault plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Stats returns cumulative injection counters.
 func (in *Injector) Stats() Stats { return in.stats }
 
 func (in *Injector) note(kind string, class engine.ClassID) {
-	if in.OnInject != nil {
-		in.OnInject(kind, class)
+	for _, fn := range in.onInject {
+		fn(kind, class)
 	}
 }
 
@@ -698,15 +700,4 @@ func (in *Injector) RefreshCost(q *engine.Query) float64 {
 		return q.Cost * m
 	}
 	return q.Cost
-}
-
-// sortedClassKeys returns m's keys in ascending order so validation
-// messages (and any per-class iteration) are deterministic.
-func sortedClassKeys(m map[engine.ClassID]float64) []engine.ClassID {
-	out := make([]engine.ClassID, 0, len(m))
-	for c := range m {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

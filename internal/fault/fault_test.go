@@ -297,7 +297,7 @@ func TestOnInjectObservesEveryInjection(t *testing.T) {
 		Slowdowns:   []Slowdown{{Window: Window{Start: 1, End: 2}, Factor: 0.5}},
 	}, clock)
 	seen := make(map[string]int)
-	inj.OnInject = func(kind string, class engine.ClassID) { seen[kind]++ }
+	inj.OnInject(func(kind string, class engine.ClassID) { seen[kind]++ })
 	inj.AttachEngine(eng)
 	eng.Submit(cpuQuery(1, 10))
 	clock.Run()

@@ -70,6 +70,20 @@ func parseWants(t *testing.T, res *Result) []*want {
 	return wants
 }
 
+// loadDir loads a single testdata directory as one package with the
+// given import path.
+func loadDir(dir, path string) (*Result, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	l := newLoader()
+	if err := l.parseDir(dir, path); err != nil {
+		return nil, err
+	}
+	return l.typeCheckAll(path)
+}
+
 // runGolden loads testdata/src/<name>, runs all checks with the test
 // config, and verifies the diagnostics against the // want markers:
 // every marker must match a finding on its line, every finding must be
@@ -77,7 +91,7 @@ func parseWants(t *testing.T, res *Result) []*want {
 func runGolden(t *testing.T, name string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
-	res, err := LoadDir(dir, name)
+	res, err := loadDir(dir, name)
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
@@ -126,7 +140,7 @@ func TestGoldenOsExit(t *testing.T)     { runGolden(t, "osexit") }
 // while directive hygiene for malformed or truly unknown names still
 // fires.
 func TestCheckSubsetKeepsSuppressionsValid(t *testing.T) {
-	res, err := LoadDir(filepath.Join("testdata", "src", "suppress"), "suppress")
+	res, err := loadDir(filepath.Join("testdata", "src", "suppress"), "suppress")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -232,6 +234,46 @@ func (r *Runner) Run(res *Result) []Diagnostic {
 		return a.Check < b.Check
 	})
 	return diags
+}
+
+// Lint runs checks over a command-line target. "./..." (or "all") is the
+// whole module around the working directory; a directory is the package
+// in it, reported as its share of its module's whole run. Either way the
+// package is type-checked under its full import path with the module's
+// call graph in view, so Config entries keyed by import path apply and
+// one package gets one verdict, whichever pattern names it.
+func Lint(target string, checks []*Check, cfg *Config) ([]Diagnostic, error) {
+	whole := target == "./..." || target == "all"
+	dir := "."
+	if !whole {
+		dir = target
+	}
+	root, err := FindModuleRoot(dir)
+	if err != nil {
+		return nil, err
+	}
+	res, err := LoadModule(root)
+	if err != nil {
+		return nil, err
+	}
+	diags := NewRunner(checks, cfg).Run(res)
+	if whole {
+		return diags, nil
+	}
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	if !slices.ContainsFunc(res.Pkgs, func(p *Package) bool { return p.Dir == abs }) {
+		return nil, fmt.Errorf("lint: no package of module %s in %s", root, dir)
+	}
+	var own []Diagnostic
+	for _, d := range diags {
+		if filepath.Dir(d.Pos.Filename) == abs {
+			own = append(own, d)
+		}
+	}
+	return own, nil
 }
 
 // typeErrorDiag converts a go/types error into a diagnostic under the

@@ -132,20 +132,6 @@ func LoadModule(root string) (*Result, error) {
 	return l.typeCheckAll(modPath)
 }
 
-// LoadDir loads a single directory as one package with the given import
-// path — how the golden tests load testdata packages.
-func LoadDir(dir, path string) (*Result, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	l := newLoader()
-	if err := l.parseDir(dir, path); err != nil {
-		return nil, err
-	}
-	return l.typeCheckAll(path)
-}
-
 type loader struct {
 	fset   *token.FileSet
 	units  map[string]*unit // by import path

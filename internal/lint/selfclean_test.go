@@ -2,6 +2,7 @@ package lint
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -74,5 +75,49 @@ func TestLoadModulePackages(t *testing.T) {
 		if p.Types == nil {
 			t.Errorf("package %s has no type information", path)
 		}
+	}
+}
+
+// TestPackageTargetIsItsModuleShare: linting one package directory gives
+// exactly that package's findings from the whole-module run. The config
+// drops the worker pool's goroutine allowance so the experiment package
+// has a finding to compare, and the default config must clear it as the
+// whole-module run does: the allowance is keyed by full import path,
+// which a package loaded on its own must still carry.
+func TestPackageTargetIsItsModuleShare(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.GoroutineAllow = nil
+	whole, err := Lint("./...", nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range []string{"../experiment", "../engine"} {
+		dir, err := filepath.Abs(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Diagnostic
+		for _, d := range whole {
+			if filepath.Dir(d.Pos.Filename) == dir {
+				want = append(want, d)
+			}
+		}
+		got, err := Lint(rel, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s alone: %v; its share of ./...: %v", rel, got, want)
+		}
+		if rel == "../experiment" && len(want) == 0 {
+			t.Error("../experiment has no finding without the goroutine allowance; the comparison shows nothing")
+		}
+	}
+	clean, err := Lint("../experiment", nil, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range clean {
+		t.Errorf("../experiment under the default config: %s", d)
 	}
 }

@@ -211,21 +211,6 @@ func (c *Collector) GoalSatisfaction(class engine.ClassID) float64 {
 	return float64(met) / float64(measurable)
 }
 
-// Series returns the per-period goal-metric values for a class; periods
-// without completions carry the previous period's value (matching how the
-// paper's line plots bridge sparse periods).
-func (c *Collector) Series(class engine.ClassID) []float64 {
-	out := make([]float64, c.nperiods)
-	last := 0.0
-	for p := 0; p < c.nperiods; p++ {
-		if v, ok := c.Metric(p, class); ok {
-			last = v
-		}
-		out[p] = last
-	}
-	return out
-}
-
 // RespQuantile estimates the q-quantile (q in [0,1]) of a class's
 // response times within a period — 0 when nothing completed.
 func (c *Collector) RespQuantile(period int, class engine.ClassID, q float64) float64 {
@@ -253,10 +238,4 @@ func (c *Collector) Pending(period int, class engine.ClassID) int {
 	// schedule period absorbs post-horizon submits (PeriodAt clamps);
 	// never report negative backlog.
 	return 0
-}
-
-// Throughput returns completions per second for a class in a period.
-func (c *Collector) Throughput(period int, class engine.ClassID) float64 {
-	agg := c.Agg(period, class)
-	return float64(agg.Completed) / c.sched.PeriodSeconds
 }

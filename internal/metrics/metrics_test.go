@@ -141,31 +141,6 @@ func TestGoalSatisfactionNoData(t *testing.T) {
 	}
 }
 
-func TestSeriesBridgesEmptyPeriods(t *testing.T) {
-	col, eng, clock := newRig(t)
-	submit(eng, 2, 2) // period 0: RT 2
-	// periods 1 and 2 empty
-	clock.Run()
-	s := col.Series(2)
-	if len(s) != 3 {
-		t.Fatalf("series length %d", len(s))
-	}
-	if s[0] != 2 || s[1] != 2 || s[2] != 2 {
-		t.Fatalf("series = %v, want carried-forward 2s", s)
-	}
-}
-
-func TestThroughput(t *testing.T) {
-	col, eng, clock := newRig(t)
-	for i := 0; i < 5; i++ {
-		submit(eng, 1, 0.1)
-	}
-	clock.Run()
-	if got := col.Throughput(0, 1); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("throughput = %v, want 5/10s", got)
-	}
-}
-
 func TestUntrackedClassIgnored(t *testing.T) {
 	col, eng, clock := newRig(t)
 	submit(eng, 99, 1) // class not registered

@@ -8,9 +8,10 @@
 //
 //   - the *true* resource demand, which drives the simulated engine, and
 //   - the *estimate*, which is the true demand perturbed by estimation
-//     noise and is the only thing the controller ever sees. The paper
-//     notes that "cost-based resource allocation is somehow inaccurate";
-//     the noise models that inaccuracy and is ablatable.
+//     noise (Model.EstimateSigma, drawn per query by workload.Set.Generate)
+//     and is the only thing the controller ever sees. The paper notes that
+//     "cost-based resource allocation is somehow inaccurate"; the noise
+//     models that inaccuracy and is ablatable.
 package optimizer
 
 import (
@@ -18,7 +19,6 @@ import (
 	"math"
 
 	"repro/internal/catalog"
-	"repro/internal/rng"
 )
 
 // Cost accumulates the estimated resources for a (sub)plan.
@@ -408,20 +408,6 @@ func (o *Batch) cost(m Model, cat *catalog.Catalog) Cost {
 	return c
 }
 
-// Estimate is the optimizer's output for one statement.
-type Estimate struct {
-	// True is the actual resource demand that the engine will consume.
-	True Cost
-	// Est is the (possibly noisy) demand the controller sees.
-	Est Cost
-	// Timerons is the scalar cost computed from Est — what Query
-	// Patroller's control tables would record.
-	Timerons float64
-	// Parallelism is the intra-query parallelism degree the engine uses
-	// (DB2 intra-partition parallelism: big DSS queries get subagents).
-	Parallelism int
-}
-
 // Optimizer evaluates plans against one catalog.
 type Optimizer struct {
 	Model   Model
@@ -442,35 +428,6 @@ func (o *Optimizer) Cost(plan Op) Cost {
 		panic("optimizer: nil plan")
 	}
 	return plan.cost(o.Model, o.Catalog)
-}
-
-// Estimate costs a plan and applies estimation noise drawn from src. A nil
-// src (or EstimateSigma 0) yields a noise-free estimate.
-func (o *Optimizer) Estimate(plan Op, src *rng.Source) Estimate {
-	truth := o.Cost(plan)
-	est := truth
-	if src != nil && o.Model.EstimateSigma > 0 {
-		f := src.LogNormalMedian(1, o.Model.EstimateSigma)
-		est.CPUSeconds *= f
-		est.IOSeconds *= f
-		est.Rows *= f
-	}
-	return Estimate{
-		True:        truth,
-		Est:         est,
-		Timerons:    o.Model.Timerons(est),
-		Parallelism: parallelism(o.Model.Timerons(truth)),
-	}
-}
-
-// parallelism maps a query's size to an intra-query parallelism degree:
-// sub-second statements run serially; large DSS queries run with degree 2,
-// matching DB2's intra-partition parallelism on the paper's two-CPU box.
-func parallelism(timerons float64) int {
-	if timerons < 1000 {
-		return 1
-	}
-	return 2
 }
 
 // Explain renders the plan tree with per-node costs, one node per line —

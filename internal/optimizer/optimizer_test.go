@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/rng"
 )
 
 func testCatalog() *catalog.Catalog {
@@ -192,68 +191,6 @@ func TestBatchSumsAndRepeats(t *testing.T) {
 	}})
 	if two.CPUSeconds <= 2*one.CPUSeconds-o.Model.StmtOverheadCPU/2 && o.Model.StmtOverheadCPU > 0 {
 		t.Fatal("expected per-statement overhead")
-	}
-}
-
-func TestEstimateNoiseOnlyAffectsEstimate(t *testing.T) {
-	o := newOpt()
-	src := rng.New(5)
-	plan := &TableScan{Table: "big"}
-	est := o.Estimate(plan, src)
-	truth := o.Cost(plan)
-	if est.True != truth {
-		t.Fatal("true cost must be noise-free")
-	}
-	diff := false
-	for i := 0; i < 20 && !diff; i++ {
-		e := o.Estimate(plan, src)
-		if !close(e.Est.CPUSeconds, truth.CPUSeconds) {
-			diff = true
-		}
-	}
-	if !diff {
-		t.Fatal("estimates never deviated from truth despite noise")
-	}
-}
-
-func TestEstimateWithoutNoiseDeterministic(t *testing.T) {
-	m := DefaultModel()
-	m.EstimateSigma = 0
-	o := New(m, testCatalog())
-	plan := &TableScan{Table: "big"}
-	e := o.Estimate(plan, rng.New(1))
-	if e.Est != e.True {
-		t.Fatal("sigma 0 must yield exact estimates")
-	}
-	if e.Timerons != m.Timerons(e.True) {
-		t.Fatal("timerons mismatch")
-	}
-}
-
-func TestEstimateNoiseIsUnbiasedInMedian(t *testing.T) {
-	o := newOpt()
-	src := rng.New(77)
-	plan := &TableScan{Table: "big"}
-	truth := o.Cost(plan).CPUSeconds
-	above := 0
-	n := 2000
-	for i := 0; i < n; i++ {
-		if o.Estimate(plan, src).Est.CPUSeconds > truth {
-			above++
-		}
-	}
-	frac := float64(above) / float64(n)
-	if math.Abs(frac-0.5) > 0.05 {
-		t.Fatalf("noise median biased: %v above truth", frac)
-	}
-}
-
-func TestParallelismByCost(t *testing.T) {
-	if p := parallelism(100); p != 1 {
-		t.Fatalf("tiny query parallelism = %d, want 1", p)
-	}
-	if p := parallelism(5000); p != 2 {
-		t.Fatalf("large query parallelism = %d, want 2", p)
 	}
 }
 

@@ -35,7 +35,7 @@ func TestSystemLimitInvariantProperty(t *testing.T) {
 				violated = true
 			}
 		}
-		p.OnRelease = func(*QueryInfo) { check() }
+		p.OnRelease(func(*QueryInfo) { check() })
 
 		n := int(next()*40) + 5
 		for i := 0; i < n; i++ {
@@ -98,7 +98,7 @@ func TestGroupPriorityInvariantProperty(t *testing.T) {
 				}
 			}
 		}
-		p.OnRelease = func(*QueryInfo) { check() }
+		p.OnRelease(func(*QueryInfo) { check() })
 
 		n := int(next()*40) + 5
 		for i := 0; i < n; i++ {

@@ -92,15 +92,6 @@ func (v *View) ActiveCost() float64 {
 	return total
 }
 
-// ActiveCostByClass sums executing cost per class.
-func (v *View) ActiveCostByClass() map[engine.ClassID]float64 {
-	m := make(map[engine.ClassID]float64)
-	for _, qi := range v.Active {
-		m[qi.Class] += qi.Cost
-	}
-	return m
-}
-
 // Policy selects which held queries to release, given the current view.
 // It is invoked on every arrival and completion of a managed query (and on
 // explicit Poke calls). Returning IDs not currently held is an error.
@@ -229,21 +220,28 @@ type Patroller struct {
 	// queries. Zero by default.
 	InterceptOverheadCPU float64
 
-	// OnArrival, when set, is called for every newly intercepted query
-	// after it is recorded (the Query Scheduler's Monitor hook).
-	OnArrival func(*QueryInfo)
-
-	// OnRelease, when set, is called when a query starts executing.
-	OnRelease func(*QueryInfo)
-
-	// OnManagedDone, when set, is called when a managed query completes.
-	OnManagedDone func(*QueryInfo)
-
-	// OnRetry, when set, is called when a failed managed query is
-	// re-queued; the info is the failed attempt's row (its Attempt field
-	// counts the attempts consumed so far, starting at 0).
-	OnRetry func(*QueryInfo)
+	// Listeners registered by OnArrival, OnRelease, OnManagedDone and
+	// OnRetry, each run in registration order.
+	onArrival, onRelease, onManagedDone, onRetry []func(*QueryInfo)
 }
+
+// OnArrival registers a listener called for every newly intercepted
+// query after it is recorded (the Query Scheduler's monitor hook).
+func (p *Patroller) OnArrival(fn func(*QueryInfo)) { p.onArrival = append(p.onArrival, fn) }
+
+// OnRelease registers a listener called when a query starts executing.
+func (p *Patroller) OnRelease(fn func(*QueryInfo)) { p.onRelease = append(p.onRelease, fn) }
+
+// OnManagedDone registers a listener called when a managed query
+// completes.
+func (p *Patroller) OnManagedDone(fn func(*QueryInfo)) {
+	p.onManagedDone = append(p.onManagedDone, fn)
+}
+
+// OnRetry registers a listener called when a failed managed query is
+// re-queued; the info is the failed attempt's row (its Attempt field
+// counts the attempts consumed so far, starting at 0).
+func (p *Patroller) OnRetry(fn func(*QueryInfo)) { p.onRetry = append(p.onRetry, fn) }
 
 type entry struct {
 	info *QueryInfo
@@ -381,8 +379,8 @@ func (p *Patroller) Intercept(q *engine.Query) bool {
 	}
 	p.table = append(p.table, info)
 	p.stats.Intercepted++
-	if p.OnArrival != nil {
-		p.OnArrival(info)
+	for _, fn := range p.onArrival {
+		fn(info)
 	}
 	// Release decisions run in a fresh event so the engine's Submit call
 	// finishes first (Start during Intercept would double-start).
@@ -424,8 +422,8 @@ func (p *Patroller) onDone(q *engine.Query) {
 	}
 	e.info.State = Completed
 	p.stats.Completed++
-	if p.OnManagedDone != nil {
-		p.OnManagedDone(e.info)
+	for _, fn := range p.onManagedDone {
+		fn(e.info)
 	}
 	p.releaseEntry(e)
 	p.schedulePoke()
@@ -458,8 +456,8 @@ func (p *Patroller) onAbort(q *engine.Query) bool {
 		return false
 	}
 	p.stats.Retried++
-	if p.OnRetry != nil {
-		p.OnRetry(e.info)
+	for _, fn := range p.onRetry {
+		fn(e.info)
 	}
 	delay := rp.Backoff * float64(q.Attempt+1)
 	p.scheduleRetry(q, delay)
@@ -612,8 +610,8 @@ func (p *Patroller) Release(id engine.QueryID) error {
 	p.stats.Released++
 	p.stats.WaitSeconds += e.info.ReleaseTime - e.info.SubmitTime
 	p.armTimeout(e)
-	if p.OnRelease != nil {
-		p.OnRelease(e.info)
+	for _, fn := range p.onRelease {
+		fn(e.info)
 	}
 	p.eng.Start(e.q)
 	return nil

@@ -158,9 +158,9 @@ func TestInterceptOverheadInflatesDemand(t *testing.T) {
 func TestCallbacksFire(t *testing.T) {
 	p, eng, clock := newRig(1)
 	var arrivals, releases, dones []engine.QueryID
-	p.OnArrival = func(qi *QueryInfo) { arrivals = append(arrivals, qi.ID) }
-	p.OnRelease = func(qi *QueryInfo) { releases = append(releases, qi.ID) }
-	p.OnManagedDone = func(qi *QueryInfo) { dones = append(dones, qi.ID) }
+	p.OnArrival(func(qi *QueryInfo) { arrivals = append(arrivals, qi.ID) })
+	p.OnRelease(func(qi *QueryInfo) { releases = append(releases, qi.ID) })
+	p.OnManagedDone(func(qi *QueryInfo) { dones = append(dones, qi.ID) })
 	p.SetPolicy(SystemLimit{Limit: 1000})
 	query := q(1, 10, 1)
 	eng.Submit(query)
@@ -379,10 +379,6 @@ func TestViewAggregates(t *testing.T) {
 	}}
 	if v.ActiveCost() != 35 {
 		t.Fatalf("ActiveCost = %v", v.ActiveCost())
-	}
-	by := v.ActiveCostByClass()
-	if by[1] != 15 || by[2] != 20 {
-		t.Fatalf("ActiveCostByClass = %v", by)
 	}
 }
 

@@ -20,7 +20,7 @@ func TestAbortedManagedQueryIsRetriedAndCompletes(t *testing.T) {
 	p, eng, clock := retryRig(RetryPolicy{MaxAttempts: 3, Backoff: 2})
 	query := q(1, 100, 10)
 	var retries []*QueryInfo
-	p.OnRetry = func(qi *QueryInfo) { retries = append(retries, qi) }
+	p.OnRetry(func(qi *QueryInfo) { retries = append(retries, qi) })
 	eng.Submit(query)
 	clock.After(4, func() { eng.Abort(query) })
 	clock.Run()

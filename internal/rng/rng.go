@@ -81,29 +81,11 @@ func (s *Source) Normal(mean, stddev float64) float64 {
 	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
 }
 
-// LogNormal returns a log-normally distributed value where the underlying
-// normal has parameters mu and sigma. The median of the result is exp(mu).
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
-}
-
 // LogNormalMedian returns a log-normal draw with the given median and
 // shape sigma. Convenient for "typically X, occasionally much larger"
 // service demands.
 func (s *Source) LogNormalMedian(median, sigma float64) float64 {
 	return median * math.Exp(s.Normal(0, sigma))
-}
-
-// BoundedPareto returns a Pareto(alpha) draw truncated to [lo, hi]. Used
-// for the heavy-tailed OLAP cost distribution.
-func (s *Source) BoundedPareto(alpha, lo, hi float64) float64 {
-	if lo <= 0 || hi <= lo {
-		panic("rng: BoundedPareto requires 0 < lo < hi")
-	}
-	u := s.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
 }
 
 // WeightedChoice returns an index in [0, len(weights)) drawn with
@@ -135,15 +117,4 @@ func (s *Source) WeightedChoiceSum(weights []float64, total float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }

@@ -155,40 +155,6 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestBoundedParetoBounds(t *testing.T) {
-	s := New(23)
-	for i := 0; i < 10000; i++ {
-		v := s.BoundedPareto(1.1, 2, 50)
-		if v < 2 || v > 50 {
-			t.Fatalf("BoundedPareto out of range: %v", v)
-		}
-	}
-}
-
-func TestBoundedParetoSkew(t *testing.T) {
-	s := New(29)
-	n := 50000
-	below := 0
-	for i := 0; i < n; i++ {
-		if s.BoundedPareto(1.5, 1, 100) < 10 {
-			below++
-		}
-	}
-	// A heavy-tailed draw should concentrate near the low bound.
-	if frac := float64(below) / float64(n); frac < 0.8 {
-		t.Fatalf("only %v below 10; Pareto should skew low", frac)
-	}
-}
-
-func TestBoundedParetoInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid bounds did not panic")
-		}
-	}()
-	New(1).BoundedPareto(1, 5, 5)
-}
-
 func TestWeightedChoiceDistribution(t *testing.T) {
 	s := New(31)
 	weights := []float64{1, 3, 6}
@@ -241,23 +207,6 @@ func TestWeightedChoiceInvalid(t *testing.T) {
 			}()
 			New(1).WeightedChoice(weights)
 		}()
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(41)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
 	}
 }
 

@@ -103,8 +103,14 @@ func TestSubmitMatchesInterfaceScoringReference(t *testing.T) {
 		switch seed % 3 {
 		case 0: // one scorer
 			pick = []string{names[src.Intn(3)]}
-		case 1: // all three, in a random order
-			for _, j := range src.Perm(3) {
+		case 1: // all three, in a random order (inside-out Fisher–Yates)
+			perm := make([]int, 3)
+			for i := range perm {
+				j := src.Intn(i + 1)
+				perm[i] = perm[j]
+				perm[j] = i
+			}
+			for _, j := range perm {
 				pick = append(pick, names[j])
 			}
 		default: // two to four draws, repeats allowed

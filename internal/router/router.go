@@ -156,9 +156,6 @@ func New(backends []backend.Backend, scorers []Weighted) *Router {
 	}
 }
 
-// Backends returns the roster in tie-break order.
-func (r *Router) Backends() []backend.Backend { return r.backends }
-
 // OnRoute registers a routing-decision listener (trace/decision-log
 // wiring). Listeners fire after the query has been submitted to the
 // chosen backend, so its engine-assigned ID is already set.

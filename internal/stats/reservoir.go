@@ -66,9 +66,3 @@ func (r *Reservoir) Samples() []float64 {
 	copy(out, r.samples)
 	return out
 }
-
-// Reset discards all state, keeping the size and the generator position.
-func (r *Reservoir) Reset() {
-	r.samples = r.samples[:0]
-	r.seen = 0
-}

@@ -77,18 +77,6 @@ func TestReservoirSampleIsUnbiasedAcrossStream(t *testing.T) {
 	}
 }
 
-func TestReservoirReset(t *testing.T) {
-	r := NewReservoir(4, 1)
-	r.Add(1)
-	r.Reset()
-	if r.Len() != 0 || r.Seen() != 0 {
-		t.Fatal("Reset incomplete")
-	}
-	if r.Quantile(0.5) != 0 {
-		t.Fatal("empty quantile should be 0")
-	}
-}
-
 func TestReservoirInvalidSizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

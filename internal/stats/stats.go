@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the controller and
 // the experiment harness need: online summaries, percentiles, exponential
-// smoothing, histograms, and least-squares regression (the paper fits the
+// smoothing, and least-squares regression (the paper fits the
 // OLTP performance-model slope "s" with linear regression).
 package stats
 
@@ -51,36 +51,6 @@ func (s *Summary) Add(x float64) {
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
-}
-
-// AddAll folds every value into the summary.
-func (s *Summary) AddAll(xs []float64) {
-	for _, x := range xs {
-		s.Add(x)
-	}
-}
-
-// Merge folds another summary into s (parallel-combinable Welford).
-func (s *Summary) Merge(o Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	mean := s.mean + d*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	min, max := s.min, s.max
-	if o.min < min {
-		min = o.min
-	}
-	if o.max > max {
-		max = o.max
-	}
-	*s = Summary{n: n, mean: mean, m2: m2, min: min, max: max}
 }
 
 // Count returns the number of observations.
@@ -201,9 +171,6 @@ func (e *EWMA) Add(x float64) {
 // Value returns the current average, or 0 before any observation.
 func (e *EWMA) Value() float64 { return e.value }
 
-// Initialized reports whether at least one observation has been added.
-func (e *EWMA) Initialized() bool { return e.init }
-
 // Regression is the result of an ordinary least-squares fit y = a + b·x.
 type Regression struct {
 	Intercept float64 // a
@@ -285,47 +252,6 @@ func (s *SlidingRegression) Reset() {
 	s.xs = s.xs[:0]
 	s.ys = s.ys[:0]
 }
-
-// Histogram counts observations into fixed-width bins over [Lo, Hi);
-// values outside the range land in the under/overflow counters.
-type Histogram struct {
-	Lo, Hi    float64
-	Bins      []int
-	Under     int
-	Over      int
-	summaries Summary
-}
-
-// NewHistogram builds a histogram with n equal bins across [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, n)}
-}
-
-// Add counts x into its bin.
-func (h *Histogram) Add(x float64) {
-	h.summaries.Add(x)
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-		if i >= len(h.Bins) {
-			i = len(h.Bins) - 1
-		}
-		h.Bins[i]++
-	}
-}
-
-// Total returns the total number of observations including out-of-range.
-func (h *Histogram) Total() int { return h.summaries.Count() }
-
-// Summary returns the running summary of all added values.
-func (h *Histogram) Summary() Summary { return h.summaries }
 
 // Clamp bounds x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {

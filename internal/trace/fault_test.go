@@ -69,7 +69,8 @@ func TestAttachedEngineAndPatrollerRecordAbortRetry(t *testing.T) {
 	clock.After(2, func() { eng.Abort(q) })
 	clock.Run()
 
-	kinds := tr.CountByKind()
+	tr.Flush()
+	kinds := kindCounts(t, buf.Bytes())
 	if kinds[QueryAborted] != 1 || kinds[QueryRetried] != 1 {
 		t.Fatalf("counts = %v", kinds)
 	}

@@ -55,9 +55,6 @@ func (s *Sink) Rotating() bool { return s.rotateBytes > 0 }
 // Gzipped reports whether the sink compresses its output.
 func (s *Sink) Gzipped() bool { return s.gzipped }
 
-// Rotations returns how many times the sink has rotated.
-func (s *Sink) Rotations() int { return s.rotations }
-
 func (s *Sink) open() error {
 	f, err := os.Create(s.path)
 	if err != nil {

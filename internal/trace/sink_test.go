@@ -62,6 +62,17 @@ func scanFile(t *testing.T, path string) (Meta, []Event) {
 	return scanEvents(t, raw)
 }
 
+// rotatedSegments counts the rotated segments path.1, path.2, ... on disk.
+func rotatedSegments(path string) int {
+	n := 0
+	for {
+		if _, err := os.Stat(fmt.Sprintf("%s.%d", path, n+1)); err != nil {
+			return n
+		}
+		n++
+	}
+}
+
 func TestRotatingSinkSegmentsAreIndependentlyParseable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	// ~120-byte lines against a 1 KiB threshold forces several rotations.
@@ -70,16 +81,17 @@ func TestRotatingSinkSegmentsAreIndependentlyParseable(t *testing.T) {
 		t.Fatal(err)
 	}
 	emitN(t, s, 60)
-	if s.Rotations() == 0 {
+	rotations := rotatedSegments(path)
+	if rotations == 0 {
 		t.Fatal("sink never rotated")
 	}
 
 	// Every segment — rotated and current — must start with the meta line
 	// and parse on its own; together they carry all 60 events exactly once.
 	total := 0
-	for i := 0; i <= s.Rotations(); i++ {
+	for i := 0; i <= rotations; i++ {
 		seg := path
-		if i < s.Rotations() {
+		if i < rotations {
 			seg = fmt.Sprintf("%s.%d", path, i+1)
 		}
 		meta, events := scanFile(t, seg)
@@ -158,7 +170,7 @@ func writeSegments(t *testing.T, path string, rotate int64, lines [][]byte, batc
 		t.Fatal(err)
 	}
 	var segs [][]byte
-	for i := 1; i <= s.Rotations(); i++ {
+	for i := 1; i <= rotatedSegments(path); i++ {
 		raw, err := os.ReadFile(fmt.Sprintf("%s.%d", path, i))
 		if err != nil {
 			t.Fatal(err)

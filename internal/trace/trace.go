@@ -92,8 +92,8 @@ type Event struct {
 	Num [2]float64
 }
 
-// numKinds sizes the per-kind counter array: kinds are small
-// consecutive constants.
+// numKinds sizes the per-kind name tables: kinds are small consecutive
+// constants.
 const numKinds = int(QueryRerouted) + 1
 
 // traceBatchSize bounds the batched-dispatch buffer: Emit appends events
@@ -101,11 +101,10 @@ const numKinds = int(QueryRerouted) + 1
 // fills, at clock boundaries, and before anything reads sink state.
 const traceBatchSize = 256
 
-// Tracer counts events and streams them to a JSONL sink. It keeps no
+// Tracer numbers events and streams them to a JSONL sink. It keeps no
 // events itself: what a run emitted is read back from the sink.
 type Tracer struct {
-	seq    uint64
-	counts [numKinds]uint64
+	seq uint64
 
 	periodOf  func(simclock.Time) int // stamps Event.Period; may be nil
 	plan      int                     // current plan version
@@ -141,7 +140,6 @@ func (t *Tracer) Emit(e Event) {
 		t.plan++
 	}
 	e.Plan = t.plan
-	t.counts[e.Kind]++
 	if t.sink != nil && t.sinkErr == nil {
 		t.pending = append(t.pending, e)
 		if len(t.pending) >= traceBatchSize {
@@ -176,17 +174,6 @@ func (t *Tracer) Flush() {
 // Total returns how many events were ever emitted.
 func (t *Tracer) Total() uint64 { return t.seq }
 
-// CountByKind returns cumulative event counts.
-func (t *Tracer) CountByKind() map[Kind]uint64 {
-	out := make(map[Kind]uint64, numKinds)
-	for k, v := range t.counts {
-		if v > 0 {
-			out[Kind(k)] = v
-		}
-	}
-	return out
-}
-
 // AttachEngine records submit/start/done events from an engine. Start
 // events fire when a query actually begins executing — immediately after
 // submit for unintercepted queries, after release for held ones.
@@ -218,36 +205,25 @@ func AttachEngine(t *Tracer, eng *engine.Engine) {
 	})
 }
 
-// AttachPatroller records intercept/release events, chaining any hooks
-// already installed (the Query Scheduler's monitor uses the same ones).
+// AttachPatroller records intercept/release/retry events, after any
+// listeners already registered (the Query Scheduler's monitor uses the
+// same hooks).
 func AttachPatroller(t *Tracer, pat *patroller.Patroller, clock *simclock.Clock) {
-	prevArrival := pat.OnArrival
-	pat.OnArrival = func(qi *patroller.QueryInfo) {
-		if prevArrival != nil {
-			prevArrival(qi)
-		}
+	pat.OnArrival(func(qi *patroller.QueryInfo) {
 		t.Emit(Event{Time: clock.Now(), Kind: QueryIntercepted, Class: qi.Class,
 			Query: qi.ID, Client: qi.Client, Value: qi.Cost, Detail: qi.Template})
-	}
-	prevRelease := pat.OnRelease
-	pat.OnRelease = func(qi *patroller.QueryInfo) {
-		if prevRelease != nil {
-			prevRelease(qi)
-		}
+	})
+	pat.OnRelease(func(qi *patroller.QueryInfo) {
 		now := clock.Now()
 		t.Emit(Event{Time: now, Kind: QueryReleased, Class: qi.Class,
 			Query: qi.ID, Client: qi.Client, Value: qi.Cost,
 			Num: [2]float64{qi.WaitTime(now)}})
-	}
-	prevRetry := pat.OnRetry
-	pat.OnRetry = func(qi *patroller.QueryInfo) {
-		if prevRetry != nil {
-			prevRetry(qi)
-		}
+	})
+	pat.OnRetry(func(qi *patroller.QueryInfo) {
 		t.Emit(Event{Time: clock.Now(), Kind: QueryRetried, Class: qi.Class,
 			Query: qi.ID, Client: qi.Client, Value: qi.Cost,
 			Num: [2]float64{float64(qi.Attempt)}})
-	}
+	})
 }
 
 // AttachRouter records one QueryRouted event per submitted query, with

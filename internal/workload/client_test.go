@@ -181,7 +181,7 @@ func TestScheduleInstall(t *testing.T) {
 
 	sched := Schedule{
 		PeriodSeconds: 10,
-		Clients: []map[engine.ClassID]int{
+		Clients: []engine.ClassMap[int]{
 			{1: 1}, {1: 3}, {1: 0},
 		},
 	}

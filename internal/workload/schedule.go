@@ -5,7 +5,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/simclock"
@@ -16,7 +15,7 @@ import (
 type Schedule struct {
 	PeriodSeconds float64
 	// Clients[p][classID] is the active-client count in period p.
-	Clients []map[engine.ClassID]int
+	Clients []engine.ClassMap[int]
 }
 
 // Periods returns the number of periods.
@@ -74,12 +73,7 @@ func (s Schedule) Install(clock *simclock.Clock, pool *Pool, onPeriod func(perio
 // map-order iteration would make the simulation's event order — and thus
 // whole runs — irreproducible.
 func (s Schedule) applyPeriod(pool *Pool, onPeriod func(period int), p int) {
-	ids := make([]engine.ClassID, 0, len(s.Clients[p]))
-	for cls := range s.Clients[p] {
-		ids = append(ids, cls)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, cls := range ids {
+	for _, cls := range s.Clients[p].IDs() {
 		pool.SetActive(cls, s.Clients[p][cls])
 	}
 	if onPeriod != nil {

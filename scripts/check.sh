@@ -1,6 +1,6 @@
 #!/bin/sh
-# Repository check gate: formatting, build, vet, qlint, full tests, then
-# the race detector over the whole tree.
+# Repository check gate: formatting, build, vet (the benchmark harness
+# too), qlint, full tests, then the race detector over the whole tree.
 #
 # - gofmt -l fails the gate on any unformatted file.
 # - qlint (cmd/qlint) statically enforces the simulation invariants —
@@ -32,6 +32,12 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+# ./... skips _-prefixed directories, so only this step compiles the
+# frozen benchmark harness (its own module, replacing repro with ../):
+# deleting a symbol it calls fails here.
+echo "== (cd _perfbench && go vet ./...)"
+(cd _perfbench && go vet ./...)
 
 echo "== qlint ./..."
 go run ./cmd/qlint ./...
