@@ -1,9 +1,10 @@
 // Byte-identity goldens for fleet runs: a three-backend heterogeneous
 // fleet (tables, routing table, metrics exposition, decision log, trace
-// digest) and the E15 -quick failover experiment (verdict table, the
-// failover arm's period tables, decision log). Each is checked from a
-// serial run, from runs on the 8-worker pool, and from a run resumed at
-// a mid-run checkpoint.
+// digest), the E15 -quick failover experiment (verdict table, the
+// failover arm's period tables, decision log) and the E14 routing run
+// (period tables, routing table). Each is checked from a serial run and
+// from runs on the 8-worker pool; the first two also from a run resumed
+// at a mid-run checkpoint.
 package experiment
 
 import (
@@ -182,4 +183,33 @@ func TestGoldenFailoverQuickResume(t *testing.T) {
 	res, _, _, decisions := resumeFromMiddle(t, cfg)
 	goldenCompare(t, "failover_quick_arm_tables.txt", []byte(mixedTables(res)))
 	goldenCompare(t, "failover_quick_decisions.jsonl", decisions)
+}
+
+// routingGoldenArtifacts runs E14 as qsim -exp routing does and renders
+// its period tables and its routing table.
+func routingGoldenArtifacts() (tables, routing []byte) {
+	res := RunFleet(RoutingMixedConfig())
+	return []byte(mixedTables(res.MixedResult)), routingTable(res)
+}
+
+func TestGoldenRouting(t *testing.T) {
+	tables, routing := routingGoldenArtifacts()
+	goldenCompare(t, "routing_tables.txt", tables)
+	goldenCompare(t, "routing_table.txt", routing)
+}
+
+func TestGoldenRoutingParallel(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("parallel routing goldens are slow under -race")
+	}
+	type artifacts struct{ tables, routing []byte }
+	outs := Map(8, []int{0, 1}, func(int, int) artifacts {
+		tables, routing := routingGoldenArtifacts()
+		return artifacts{tables, routing}
+	})
+	for _, o := range outs {
+		goldenCompare(t, "routing_tables.txt", o.tables)
+		goldenCompare(t, "routing_table.txt", o.routing)
+	}
 }
