@@ -37,21 +37,23 @@ import (
 )
 
 // Version identifies the container format together with the payload
-// layout its callers encode. Version 9 records a run by its
+// layout its callers encode. Version 10 records a run by its
 // configuration, a boundary, the export offsets and a state digest, and
 // the run is resumed by re-simulating to that boundary; a terminal
 // checkpoint's stored result leaves out the plan history, the
 // configuration names the OLTP performance model inside its OLTP block,
 // and every per-class table in the configuration is written as ascending
 // (class, value) pairs, so one run's checkpoints are byte-reproducible.
-// Version 8 wrote those tables as gob maps, in random key order; version 7
+// The digest covers the run's one collector and every backend engine's
+// counters; version 9's covered a fleet's per-backend collectors instead.
+// Version 8 wrote the per-class tables as gob maps, in random key order; version 7
 // stored the plan history as per-class rows holding each
 // class's goal analysis and named the OLTP model by an enum beside the
 // OLTP block; version 6 kept the goal analysis in the solver's search
 // summary; version 5 stored the plan history as per-class maps; versions
 // 1–4 stored every component's state. Files of earlier versions are
 // rejected, not migrated.
-const Version = 9
+const Version = 10
 
 // versionError reports a checkpoint written in another format version.
 type versionError struct {

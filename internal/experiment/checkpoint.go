@@ -114,9 +114,11 @@ func validateCheckpointing(cfg MixedConfig) error {
 }
 
 // stateDigest hashes the simulated state at a boundary: the clock's
-// counters, which any difference in scheduled events moves, and every
+// counters, which any difference in scheduled events moves, the
 // collector's aggregates up to the current period, which any difference
-// in outcomes moves.
+// in outcomes moves, and every backend engine's counters, which a
+// difference in where work landed moves. It reads the same for any
+// roster size.
 func (r *Rig) stateDigest() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -129,26 +131,33 @@ func (r *Rig) stateDigest() uint64 {
 	putf(st.Now)
 	put(st.Seq)
 	put(uint64(st.NextID))
-	last := r.Sched.PeriodAt(st.Now)
-	for _, c := range r.collectors() {
-		for p := 0; p <= last; p++ {
-			for _, id := range c.ClassIDs() {
-				a := c.Agg(p, id)
-				put(uint64(a.Completed))
-				put(uint64(a.Submitted))
-				put(uint64(a.Failed))
-				for _, s := range []*stats.Summary{&a.Velocity, &a.Resp, &a.Exec, &a.Cost} {
-					put(uint64(s.Count()))
-					putf(s.Mean())
-					putf(s.Variance())
-					putf(s.Min())
-					putf(s.Max())
-				}
-				put(uint64(a.RespSample.Seen()))
-				for _, x := range a.RespSample.Samples() {
-					putf(x)
-				}
+	c := r.Collector
+	for p := 0; p <= r.Sched.PeriodAt(st.Now); p++ {
+		for _, id := range c.ClassIDs() {
+			a := c.Agg(p, id)
+			put(uint64(a.Completed))
+			put(uint64(a.Submitted))
+			put(uint64(a.Failed))
+			for _, s := range []*stats.Summary{&a.Velocity, &a.Resp, &a.Exec, &a.Cost} {
+				put(uint64(s.Count()))
+				putf(s.Mean())
+				putf(s.Variance())
+				putf(s.Min())
+				putf(s.Max())
 			}
+			put(uint64(a.RespSample.Seen()))
+			for _, x := range a.RespSample.Samples() {
+				putf(x)
+			}
+		}
+	}
+	for _, b := range r.Backends {
+		es := b.Eng.Stats()
+		for _, v := range []uint64{es.Submitted, es.Started, es.Completed, es.Aborted, es.Evacuated} {
+			put(v)
+		}
+		for _, f := range []float64{es.CPUSecondsUsed, es.IOSecondsUsed, es.BusyTime} {
+			putf(f)
 		}
 	}
 	return h.Sum64()

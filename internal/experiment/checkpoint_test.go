@@ -334,6 +334,7 @@ func TestResumeRejectsOldCheckpointVersions(t *testing.T) {
 		{6, "each class's goal analysis in the solver's search summary"},
 		{7, "the terminal plan history, and the OLTP model as an enum beside the OLTP block"},
 		{8, "per-class tables as gob maps in random key order"},
+		{9, "a fleet's state digest over per-backend collectors"},
 	} {
 		t.Run(fmt.Sprintf("version %d", tc.v), func(t *testing.T) {
 			for _, idx := range checkpointIndices(t, dir) {
@@ -532,5 +533,27 @@ func TestResumeRejectsStateDigestMismatch(t *testing.T) {
 	want := fmt.Sprintf("state digest at boundary %d", mid)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("resume of a re-seeded checkpoint: %v, want an error containing %q", err, want)
+	}
+}
+
+// The fleet twin: a checkpoint whose config routes differently — one
+// backend's affinity edited — fails the state digest on resume.
+func TestFleetResumeRejectsStateDigestMismatch(t *testing.T) {
+	dir := t.TempDir()
+	cfg := fleetTestConfig()
+	cfg.CheckpointEvery, cfg.CheckpointDir = 2, dir
+	RunFleet(cfg)
+	indices := checkpointIndices(t, dir)
+	sort.Ints(indices)
+	mid := indices[len(indices)/2]
+	snap := readCheckpoint(t, dir, mid)
+	snap.Config.Backends[0].Affinity = engine.ClassMap[float64]{3: 4}
+	if err := checkpoint.Write(dir, mid, snap); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ResumeMixed(ResumeOptions{Dir: dir, Index: mid})
+	want := fmt.Sprintf("state digest at boundary %d", mid)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume of a checkpoint with an edited affinity: %v, want an error containing %q", err, want)
 	}
 }

@@ -295,3 +295,23 @@ func TestFailoverExperimentQuickAcceptance(t *testing.T) {
 			r.NoMitig.Completed, r.Failover.Completed)
 	}
 }
+
+// Evacuation moves queries between engines mid-run, so on the E15 quick
+// failover arm the backends' engines must still account for every
+// completion and failure the run's collector recorded.
+func TestFailoverArmEnginesConserveOutcomes(t *testing.T) {
+	plan := FailoverPlan(1, true)
+	r, _, err := buildRig(FailoverMixedConfig(FailoverConfig{Seed: 1, Quick: true}, &plan, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Run()
+	var evacuated uint64
+	for _, b := range r.Backends {
+		evacuated += b.Pat.Stats().Evacuated
+	}
+	if evacuated == 0 {
+		t.Fatal("the crash evacuated nothing")
+	}
+	checkEngineConservation(t, "failover arm", r)
+}

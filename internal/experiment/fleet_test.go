@@ -13,7 +13,6 @@ import (
 	"repro/internal/decisionlog"
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -66,11 +65,37 @@ func TestSingleBackendSpecIsByteIdenticalToLegacy(t *testing.T) {
 	}
 }
 
+// checkEngineConservation checks that the backends' engines account for
+// every outcome the run's collector recorded: their completions sum to
+// its completed count, and their terminal failures (aborts no retry
+// claimed) to its failed count, which it returns.
+func checkEngineConservation(t *testing.T, name string, r *Rig) (failed int) {
+	t.Helper()
+	var completed, engCompleted, engFailed int
+	for p := 0; p < r.Sched.Periods(); p++ {
+		for _, cl := range r.Classes {
+			a := r.Collector.Agg(p, cl.ID)
+			completed += a.Completed
+			failed += a.Failed
+		}
+	}
+	for _, b := range r.Backends {
+		es := b.Eng.Stats()
+		engCompleted += int(es.Completed)
+		engFailed += int(es.Aborted - b.Pat.Stats().Retried)
+	}
+	if completed == 0 || engCompleted != completed || engFailed != failed {
+		t.Errorf("%s: engines sum to %d completed, %d failed; the collector has %d, %d",
+			name, engCompleted, engFailed, completed, failed)
+	}
+	return failed
+}
+
 // The paper's static baselines run on a fleet too: each backend's
 // policy gets an equal share of the limit, and the router spreads the
 // load. Every arrival must end exactly once — completed, failed, or
-// still in flight at the end — and the per-backend collectors must add
-// up to the global one.
+// still in flight at the end — and the backends' engines must account
+// for every completion and failure the run's collector recorded.
 func TestStaticBaselinesRunOnFleet(t *testing.T) {
 	for _, mode := range []Mode{NoControl, QPPriority} {
 		cfg := MixedConfig{
@@ -101,21 +126,13 @@ func TestStaticBaselinesRunOnFleet(t *testing.T) {
 				g := r.Collector.Agg(p, cl.ID)
 				submitted += g.Submitted
 				resolved += g.Completed + g.Failed
-				var sum metrics.ClassAgg
-				for _, b := range r.Backends {
-					a := b.Collector.Agg(p, cl.ID)
-					sum.Submitted += a.Submitted
-					sum.Completed += a.Completed
-					sum.Failed += a.Failed
-				}
-				if sum.Submitted != g.Submitted || sum.Completed != g.Completed || sum.Failed != g.Failed {
-					t.Errorf("%v: period %d class %d: backends sum to %d/%d/%d submitted/completed/failed, global %d/%d/%d",
-						mode, p, cl.ID, sum.Submitted, sum.Completed, sum.Failed, g.Submitted, g.Completed, g.Failed)
-				}
 			}
 		}
 		if submitted == 0 || resolved+inFlight != submitted {
 			t.Errorf("%v: %d arrivals, %d resolved + %d in flight", mode, submitted, resolved, inFlight)
+		}
+		if checkEngineConservation(t, mode.String(), r) == 0 {
+			t.Errorf("%v: the abort plan failed no query", mode)
 		}
 		for i, n := range r.Router.Routed() {
 			if n == 0 {

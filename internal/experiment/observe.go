@@ -37,9 +37,7 @@ func attachObs(r *Rig, cfg MixedConfig) (*runObs, error) {
 		tr := trace.New()
 		tr.SetPeriodMapper(cfg.Sched.PeriodAt)
 		meta := traceMeta(cfg, r.Classes)
-		if r.fleet() { // a roster only where there are backends to tell apart
-			meta.Backends = backendsMeta(r)
-		}
+		meta.Backends = backendsMeta(r)
 		if err := tr.StreamJSONL(cfg.Trace, meta); err != nil {
 			return nil, err
 		}
@@ -145,12 +143,10 @@ func decisionMeta(cfg MixedConfig, r *Rig) decisionlog.Meta {
 		SLOWindow:       qc.SLOWindow,
 		SLOBudget:       qc.SLOBudget,
 		Classes:         decisionlog.ClassesMeta(r.Classes),
+		Backends:        backendsMeta(r),
 	}
 	if m.Experiment == "" {
 		m.Experiment = cfg.Mode.String()
-	}
-	if r.fleet() { // a roster only where there are backends to tell apart
-		m.Backends = backendsMeta(r)
 	}
 	return m
 }

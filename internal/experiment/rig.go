@@ -60,8 +60,8 @@ type Rig struct {
 	OLAPSet *workload.Set
 	OLTPSet *workload.Set
 	Sched   workload.Schedule
-	// Collector is the global period × class view over every backend.
-	// With one backend it is backend 1's collector.
+	// Collector is the run's one period × class view: every backend's
+	// engine folds into it.
 	Collector *metrics.Collector
 	// Eng, Pat and QS are backend 1's stack (Pat and QS once a
 	// controller is attached; QS in Query Scheduler mode only).
@@ -106,7 +106,7 @@ func NewRig(seed uint64, sched workload.Schedule) *Rig {
 
 // newRig builds the roster (nil specs = one paper-default backend), the
 // template sets, the pool with every client seeded from one rng stream,
-// and the collectors. The order is load-bearing: it fixes the order in
+// and the collector. The order is load-bearing: it fixes the order in
 // which clock events and listeners are registered.
 func newRig(seed uint64, sched workload.Schedule, classes []*workload.Class, specs []backend.Spec) *Rig {
 	if len(specs) == 0 {
@@ -143,35 +143,15 @@ func newRig(seed uint64, sched workload.Schedule, classes []*workload.Class, spe
 		r.Pool.AddClients(c, set, maxClients[c.ID], src)
 	}
 
-	if r.fleet() {
-		for _, b := range r.Backends {
-			b.Collector = metrics.NewCollector(b.Eng, classes, sched)
-		}
-	}
 	r.Collector = metrics.NewCollector(engines[0], classes, sched)
 	for _, e := range engines[1:] {
 		r.Collector.Attach(e)
-	}
-	if !r.fleet() {
-		r.Backends[0].Collector = r.Collector // a second collector would only add hot-path work
 	}
 	return r
 }
 
 // fleet reports whether the rig has two or more backends.
 func (r *Rig) fleet() bool { return len(r.Backends) > 1 }
-
-// collectors returns every distinct collector: the global one, then
-// each backend's own when the rig is a fleet.
-func (r *Rig) collectors() []*metrics.Collector {
-	out := []*metrics.Collector{r.Collector}
-	if r.fleet() {
-		for _, b := range r.Backends {
-			out = append(out, b.Collector)
-		}
-	}
-	return out
-}
 
 // SampleOLAPCosts draws a cost sample from the rig's OLAP workload — what
 // an administrator would mine from QP's historical control tables to set
@@ -343,8 +323,12 @@ func wireFleetMitigation(r *Rig, o *runObs, cfg MixedConfig) {
 }
 
 // backendsMeta resolves the roster into the trace/decision-log header
-// entry: 1-based ID, label, and resolved capacities.
+// entry: 1-based ID, label, and resolved capacities. A one-backend rig
+// has no roster to tell apart, so its headers carry none.
 func backendsMeta(r *Rig) []trace.BackendMeta {
+	if !r.fleet() {
+		return nil
+	}
 	out := make([]trace.BackendMeta, len(r.Backends))
 	for i, b := range r.Backends {
 		ec := b.Spec().EngineConfig()

@@ -62,16 +62,12 @@ func WriteRouting(w io.Writer, res *FleetResult) {
 		if totalRouted > 0 {
 			share = float64(res.Routed[i]) / float64(totalRouted)
 		}
-		completed := 0
-		for _, n := range res.BackendCompleted[i] {
-			completed += n
-		}
 		limit := "-"
 		if i < len(finalLimits) {
 			limit = fmt.Sprintf("%.0f", finalLimits[i])
 		}
 		fmt.Fprintf(w, "%10s %6g %6g %10d %7.0f%% %10d %12s\n",
-			spec.Name, ec.CPUCapacity, ec.IOCapacity, res.Routed[i], 100*share, completed, limit)
+			spec.Name, ec.CPUCapacity, ec.IOCapacity, res.Routed[i], 100*share, res.BackendCompleted[i], limit)
 	}
 	// Final per-backend attainment, from each backend's own control loop.
 	for i, hist := range res.Histories {

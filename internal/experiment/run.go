@@ -33,9 +33,10 @@ type FleetResult struct {
 	// Routed[i] counts the queries the router sent to roster backend i
 	// (nil with one backend: there is no router).
 	Routed []int64
-	// BackendCompleted[i][p] counts roster backend i's completions (all
-	// classes) in period p.
-	BackendCompleted [][]int
+	// BackendCompleted[i] counts the queries roster backend i's engine
+	// completed over the run, all classes (its engine's Stats). They sum
+	// to the period tables' completions.
+	BackendCompleted []int
 	// Plans is the fleet planner's budget-split history.
 	Plans []router.FleetPlan
 	// Histories[i] is roster backend i's per-tick plan record (Query
@@ -209,7 +210,7 @@ func runBoundaries(r *Rig, o *runObs, cfg MixedConfig, startIdx int) (crashed bo
 }
 
 // collect assembles the result from a finished (or crashed) rig: the
-// standard mixed tables from the global collector, run-wide per-class
+// standard mixed tables from the run's collector, run-wide per-class
 // cost limits as the sum of the backends' plans, and the per-backend
 // routing and planning detail.
 func collect(cfg MixedConfig, r *Rig, obsErr error) *FleetResult {
@@ -233,13 +234,7 @@ func collect(cfg MixedConfig, r *Rig, obsErr error) *FleetResult {
 	for _, b := range r.Backends {
 		fr.Specs = append(fr.Specs, b.Spec())
 		res.PatStats.Add(b.Pat.Stats())
-		row := make([]int, res.Periods)
-		for p := range row {
-			for _, cl := range res.Classes {
-				row[p] += b.Collector.Agg(p, cl.ID).Completed
-			}
-		}
-		fr.BackendCompleted = append(fr.BackendCompleted, row)
+		fr.BackendCompleted = append(fr.BackendCompleted, int(b.Eng.Stats().Completed))
 		if b.QS == nil {
 			continue
 		}
