@@ -51,6 +51,7 @@ func TestRunDirectControlStrategies(t *testing.T) {
 func TestDirectControlDeterministic(t *testing.T) {
 	// The weighted-sharing path must be exactly reproducible: any map
 	// iteration leaking into the float arithmetic would diverge here.
+	// The table it renders is pinned too.
 	cfg := shortDirectConfig()
 	a := RunDirectControl(cfg)
 	b := RunDirectControl(cfg)
@@ -59,6 +60,9 @@ func TestDirectControlDeterministic(t *testing.T) {
 			t.Fatalf("strategy %q not reproducible:\n%+v\n%+v", a[i].Strategy, a[i], b[i])
 		}
 	}
+	var table strings.Builder
+	WriteDirectControl(&table, cfg, a)
+	goldenCompare(t, "direct_short_table.txt", []byte(table.String()))
 }
 
 func TestWriteDirectControl(t *testing.T) {
