@@ -103,12 +103,6 @@ func (c *Catalog) AddIndex(ix Index) *Index {
 	return &ii
 }
 
-// Table returns the statistics for a table. ok is false when unknown.
-func (c *Catalog) Table(name string) (*Table, bool) {
-	t, ok := c.tables[name]
-	return t, ok
-}
-
 // MustTable returns the statistics for a table, panicking when unknown.
 // The optimizer uses it for hand-built plans whose tables must exist.
 func (c *Catalog) MustTable(name string) *Table {

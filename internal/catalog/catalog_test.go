@@ -52,7 +52,7 @@ func TestAddIndexDerivesShape(t *testing.T) {
 	if ix.Levels != 4 {
 		t.Fatalf("Levels = %d, want 4", ix.Levels)
 	}
-	tab, _ := c.Table("t")
+	tab := c.MustTable("t")
 	if len(tab.Indexes) != 1 || tab.Indexes[0] != "i" {
 		t.Fatalf("table index list = %v", tab.Indexes)
 	}

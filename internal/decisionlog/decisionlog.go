@@ -62,6 +62,17 @@ type Meta struct {
 	Backends []BackendMeta `json:"backends,omitempty"`
 }
 
+// Class returns the roster class with the given ID. A class the roster
+// does not list comes back with only its ID and the name "class <id>".
+func (m Meta) Class(id int) ClassMeta {
+	for _, c := range m.Classes {
+		if c.ID == id {
+			return c
+		}
+	}
+	return ClassMeta{ID: id, Name: fmt.Sprintf("class %d", id)}
+}
+
 // ClassDecision is one class's row in a decision record: the measured
 // anchor, the model's prediction and provenance, the goal analysis, the
 // actuated limit, and the SLO accounting after this tick.

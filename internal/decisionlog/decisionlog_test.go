@@ -206,3 +206,13 @@ func TestNewWriterValidates(t *testing.T) {
 		t.Fatal("duplicate class accepted")
 	}
 }
+
+func TestMetaClassLooksUpTheRoster(t *testing.T) {
+	m := testMeta()
+	if c := m.Class(3); c != m.Classes[1] {
+		t.Errorf("Class(3) = %+v, want %+v", c, m.Classes[1])
+	}
+	if c := m.Class(2); c != (ClassMeta{ID: 2, Name: "class 2"}) {
+		t.Errorf("Class(2) = %+v, want only its ID and name", c)
+	}
+}

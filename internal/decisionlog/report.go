@@ -202,7 +202,7 @@ func (a *summaryAcc) render(w io.Writer) {
 			sort.Ints(ids)
 			parts := make([]string, 0, len(ids))
 			for _, id := range ids {
-				parts = append(parts, fmt.Sprintf("%s x%d", a.className(id), a.binding[id]))
+				parts = append(parts, fmt.Sprintf("%s x%d", a.meta.Class(id).Name, a.binding[id]))
 			}
 			fmt.Fprintf(w, " (binding: %s)", strings.Join(parts, ", "))
 		}
@@ -228,15 +228,6 @@ func (a *summaryAcc) render(w io.Writer) {
 		fmt.Fprintf(w, "  %-12s %9d %6d %10s %8s %8s %10s %10.4f\n",
 			c.Name, cs.observed, cs.met, att, win, burn, errMean, cs.errMax)
 	}
-}
-
-func (a *summaryAcc) className(id int) string {
-	for _, c := range a.meta.Classes {
-		if c.ID == id {
-			return c.Name
-		}
-	}
-	return fmt.Sprintf("class %d", id)
 }
 
 // Summarize streams a decision log and writes the run summary: header,
@@ -337,7 +328,7 @@ func writeTimelineLine(w io.Writer, meta Meta, rec Record) {
 			fmt.Fprintf(&b, " %d=%.0f", cd.Class, cd.Limit)
 		}
 		if rec.Infeasible {
-			fmt.Fprintf(&b, "  INFEASIBLE binding=%s", metaClassName(meta, rec.Binding))
+			fmt.Fprintf(&b, "  INFEASIBLE binding=%s", meta.Class(rec.Binding).Name)
 		}
 	}
 	if missed := missedClasses(rec); len(missed) > 0 {
@@ -422,13 +413,13 @@ func fleetEventLine(meta Meta, fr FleetRecord) string {
 	case "restored":
 		return fmt.Sprintf("backend %d restored to full speed", fr.Backend)
 	case "migration":
-		return fmt.Sprintf("backend %d infeasible — migrating %s to backend %d", fr.Backend, metaClassName(meta, fr.Class), fr.Target)
+		return fmt.Sprintf("backend %d infeasible — migrating %s to backend %d", fr.Backend, meta.Class(fr.Class).Name, fr.Target)
 	case "migration-end":
 		// Ends either because the source plans feasibly again or because
 		// it died; the record does not distinguish.
-		return fmt.Sprintf("migration of %s off backend %d ended", metaClassName(meta, fr.Class), fr.Backend)
+		return fmt.Sprintf("migration of %s off backend %d ended", meta.Class(fr.Class).Name, fr.Backend)
 	case "shed":
-		return fmt.Sprintf("backend %d infeasible, no healthy peer — shedding %s", fr.Backend, metaClassName(meta, fr.Class))
+		return fmt.Sprintf("backend %d infeasible, no healthy peer — shedding %s", fr.Backend, meta.Class(fr.Class).Name)
 	}
 	return fmt.Sprintf("backend %d %s", fr.Backend, fr.Event)
 }
@@ -477,15 +468,6 @@ func (fh *fleetHealth) capacityNote(t float64) string {
 		return ""
 	}
 	return "capacity lost: " + strings.Join(parts, ", ")
-}
-
-func metaClassName(meta Meta, id int) string {
-	for _, c := range meta.Classes {
-		if c.ID == id {
-			return c.Name
-		}
-	}
-	return fmt.Sprintf("class %d", id)
 }
 
 // missedClasses lists the classes whose back-filled outcome missed goal.
@@ -808,9 +790,8 @@ func Attribute(decisions, tr io.Reader) ([]Attribution, Meta, error) {
 				if c == nil {
 					continue
 				}
-				cm, _ := metaClass(meta, cd.Class)
 				better := cd.Ceiling > c.best
-				if !velocityGoal(cm) {
+				if !velocityGoal(meta.Class(cd.Class)) {
 					better = cd.Ceiling < c.best
 				}
 				if !c.seen || better {
@@ -846,16 +827,6 @@ func Attribute(decisions, tr io.Reader) ([]Attribution, Meta, error) {
 		out[i].attribute()
 	}
 	return out, meta, nil
-}
-
-// metaClass finds a roster class by ID.
-func metaClass(meta Meta, id int) (ClassMeta, bool) {
-	for _, c := range meta.Classes {
-		if c.ID == id {
-			return c, true
-		}
-	}
-	return ClassMeta{}, false
 }
 
 // attribute turns the accumulated time totals into additive miss shares.
