@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 )
@@ -24,6 +25,27 @@ func (m ClassMap[V]) IDs() []ClassID {
 	}
 	slices.Sort(ids)
 	return ids
+}
+
+// Dense returns the map as a table indexed by class ID, one entry past
+// the largest listed ID, with fill where the map lists no value. It
+// panics on a negative class ID, which has no index.
+func (m ClassMap[V]) Dense(fill V) []V {
+	n := 0
+	for id := range m {
+		if id < 0 {
+			panic(fmt.Sprintf("engine: negative class %d in a per-class table", id))
+		}
+		n = max(n, int(id)+1)
+	}
+	out := make([]V, n)
+	for i := range out {
+		out[i] = fill
+	}
+	for id, v := range m {
+		out[id] = v
+	}
+	return out
 }
 
 // GobEncode writes the entries in ascending class-ID order, each as
