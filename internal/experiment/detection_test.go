@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -10,6 +11,17 @@ func shortDetectionConfig() DetectionConfig {
 	cfg.Sched = shortSchedule() // 6 periods x 10 min
 	cfg.MatchWindow = cfg.Sched.PeriodSeconds / 2
 	return cfg
+}
+
+// TestGoldenDetectionShort pins E10's table on the short schedule. The
+// decision log records no detector output, so this is what holds the
+// detector's smoothing, trend window and CUSUM threshold and drift: each
+// shows in the counts and delays the table prints.
+func TestGoldenDetectionShort(t *testing.T) {
+	t.Parallel()
+	var b bytes.Buffer
+	WriteDetection(&b, RunDetection(shortDetectionConfig()))
+	goldenCompare(t, "detection_short_table.txt", b.Bytes())
 }
 
 func TestRunDetectionScoresAllClasses(t *testing.T) {

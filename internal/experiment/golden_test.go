@@ -144,6 +144,17 @@ func TestGoldenMixedQuick(t *testing.T) {
 	_, _, tables, decisions := mixedGoldenArtifacts(t, throughputGoldenConfig())
 	goldenCompare(t, "query_scheduler_throughput_decisions.jsonl", decisions)
 	goldenCompare(t, "query_scheduler_throughput_tables.txt", tables)
+	_, _, tables, _ = mixedGoldenArtifacts(t, feedForwardGoldenConfig())
+	goldenCompare(t, "query_scheduler_feedforward_tables.txt", tables)
+}
+
+// feedForwardGoldenConfig is the Query Scheduler golden run with the
+// detector's demand forecast feeding the planner, so the detector's
+// output reaches the plan and the period tables.
+func feedForwardGoldenConfig() MixedConfig {
+	qs := core.DefaultConfig()
+	qs.FeedForward = true
+	return MixedConfig{Mode: QueryScheduler, Sched: shortSchedule(), Seed: 1, Experiment: "golden", QS: &qs}
 }
 
 // throughputGoldenConfig is the Query Scheduler golden run with the
