@@ -23,12 +23,10 @@ import (
 type Spec struct {
 	// Name labels the backend in traces, decision logs, and metrics.
 	Name string
-	// CPUCapacity / IOCapacity / ContentionAlpha override the engine's
-	// defaults (zero = paper default), so a fleet can mix fast and slow
-	// boxes.
-	CPUCapacity     float64
-	IOCapacity      float64
-	ContentionAlpha float64
+	// CPUCapacity / IOCapacity override the engine's defaults (zero =
+	// paper default), so a fleet can mix fast and slow boxes.
+	CPUCapacity float64
+	IOCapacity  float64
 	// Affinity biases the router's class-affinity scorer toward this
 	// backend for the listed classes. Unlisted classes score 1 (no
 	// preference); values must be positive.
@@ -44,9 +42,6 @@ func (s Spec) EngineConfig() engine.Config {
 	}
 	if s.IOCapacity > 0 {
 		cfg.IOCapacity = s.IOCapacity
-	}
-	if s.ContentionAlpha > 0 {
-		cfg.ContentionAlpha = s.ContentionAlpha
 	}
 	return cfg
 }

@@ -37,7 +37,7 @@ import (
 )
 
 // Version identifies the container format together with the payload
-// layout its callers encode. Version 10 records a run by its
+// layout its callers encode. Version 11 records a run by its
 // configuration, a boundary, the export offsets and a state digest, and
 // the run is resumed by re-simulating to that boundary; a terminal
 // checkpoint's stored result leaves out the plan history, the
@@ -45,7 +45,11 @@ import (
 // and every per-class table in the configuration is written as ascending
 // (class, value) pairs, so one run's checkpoints are byte-reproducible.
 // The digest covers the run's one collector and every backend engine's
-// counters; version 9's covered a fleet's per-backend collectors instead.
+// counters. Version 10's configuration also carried the scheduler and
+// fleet settings that are now constants (the detector's, the OLTP
+// regression's prior and bounds, the plan-hold bound, a backend's
+// contention override and the fleet-mitigation switch); version 9's
+// digest covered a fleet's per-backend collectors instead.
 // Version 8 wrote the per-class tables as gob maps, in random key order; version 7
 // stored the plan history as per-class rows holding each
 // class's goal analysis and named the OLTP model by an enum beside the
@@ -53,7 +57,7 @@ import (
 // summary; version 5 stored the plan history as per-class maps; versions
 // 1–4 stored every component's state. Files of earlier versions are
 // rejected, not migrated.
-const Version = 10
+const Version = 11
 
 // versionError reports a checkpoint written in another format version.
 type versionError struct {

@@ -191,8 +191,9 @@ func TestStopFreezeKeepsFrozenLimits(t *testing.T) {
 func TestDroppedHarvestHoldsPlan(t *testing.T) {
 	interval := DefaultConfig().ControlInterval
 	r := newRig(t, func(cfg *Config) {
+		// Seven dropped harvests: longer than the maxHeldTicks bound.
 		cfg.MonitorFaults = fakeFaults{from: 4.5 * interval, to: 11.5 * interval}
-		cfg.Degradation = Degradation{HoldPlanOnDropout: true, MaxHeldTicks: 2}
+		cfg.HoldPlanOnDropout = true
 	})
 	reg := obs.New(func() float64 { return r.clock.Now() })
 	r.qs.Instrument(reg)
@@ -232,8 +233,11 @@ func TestDroppedHarvestHoldsPlan(t *testing.T) {
 	if held == 0 {
 		t.Fatal("no held records despite a dropped-harvest window")
 	}
-	if maxConsecutive > 2 {
-		t.Fatalf("%d consecutive held ticks exceeds MaxHeldTicks 2", maxConsecutive)
+	if maxConsecutive > maxHeldTicks {
+		t.Fatalf("%d consecutive held ticks exceeds maxHeldTicks %d", maxConsecutive, maxHeldTicks)
+	}
+	if maxConsecutive < maxHeldTicks {
+		t.Fatalf("at most %d consecutive held ticks in a longer dropout, want the bound %d", maxConsecutive, maxHeldTicks)
 	}
 
 	var sb strings.Builder

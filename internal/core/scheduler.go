@@ -180,7 +180,7 @@ func New(cfg Config, eng *engine.Engine, pat *patroller.Patroller,
 		eng:      eng,
 		pat:      pat,
 		classes:  classes,
-		detector: detect.New(cfg.Detection),
+		detector: detect.New(),
 	}
 	oltp, lin, err := perfmodel.NewOLTP(cfg.OLTP)
 	if err != nil {
@@ -434,10 +434,8 @@ func (qs *QueryScheduler) controlTick() {
 	// entire OLTP view was lost) carries zeros, not measurements. Feeding
 	// them forward would collapse the velocity anchors and poison the
 	// OLTP regression, so — when enabled — hold the previous plan and
-	// skip the model updates, up to MaxHeldTicks consecutive intervals.
-	deg := qs.cfg.Degradation
-	if (meas.Dropped || meas.OLTPDropout) && deg.HoldPlanOnDropout &&
-		(deg.MaxHeldTicks <= 0 || qs.heldTicks < deg.MaxHeldTicks) {
+	// skip the model updates, up to maxHeldTicks consecutive intervals.
+	if (meas.Dropped || meas.OLTPDropout) && qs.cfg.HoldPlanOnDropout && qs.heldTicks < maxHeldTicks {
 		qs.heldTicks++
 		for i := range rows {
 			rows[i].Limit = qs.limits[i]
@@ -511,7 +509,6 @@ func (qs *QueryScheduler) controlTick() {
 			anchor = meas.OLTPRespTime
 			p.Observe(perfmodel.Sample{Limit: cPrev, Value: anchor, Population: float64(m.Population)})
 			spec.Utility = utility.NewResponseTime(c.Goal.Target, c.Importance)
-			spec.Min = qs.cfg.MinOLTPLimit
 		}
 		model := p.Name()
 		if idle {

@@ -76,42 +76,21 @@ type Forecast struct {
 	Confidence float64
 }
 
-// Config tunes the detector.
-type Config struct {
-	// Alpha is the EWMA smoothing factor for rates (0 < alpha <= 1).
-	Alpha float64
-	// TrendWindow is how many intervals the trend regression sees.
-	TrendWindow int
-	// CUSUMThreshold is the cumulative deviation (in standard deviations)
-	// that flags a shift.
-	CUSUMThreshold float64
-	// CUSUMDrift is the slack per observation (in standard deviations)
+// The detector's settings. They are constants: an operator tunes the
+// Query Scheduler through its cost limit and intervals, not through the
+// detector.
+const (
+	// alpha is the EWMA smoothing factor for rates.
+	alpha = 0.4
+	// trendWindow is how many intervals the trend regression sees.
+	trendWindow = 8
+	// cusumThreshold is the cumulative deviation (in standard
+	// deviations) that flags a shift.
+	cusumThreshold = 4
+	// cusumDrift is the slack per observation (in standard deviations)
 	// absorbed before deviations accumulate.
-	CUSUMDrift float64
-}
-
-// DefaultConfig returns the settings used by the experiments.
-func DefaultConfig() Config {
-	return Config{
-		Alpha:          0.4,
-		TrendWindow:    8,
-		CUSUMThreshold: 4,
-		CUSUMDrift:     0.5,
-	}
-}
-
-func (c Config) validate() error {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		return fmt.Errorf("detect: alpha %v out of (0,1]", c.Alpha)
-	}
-	if c.TrendWindow < 2 {
-		return fmt.Errorf("detect: trend window %d too small", c.TrendWindow)
-	}
-	if c.CUSUMThreshold <= 0 || c.CUSUMDrift < 0 {
-		return fmt.Errorf("detect: invalid CUSUM parameters")
-	}
-	return nil
-}
+	cusumDrift = 0.5
+)
 
 type classState struct {
 	char     Characterization
@@ -130,7 +109,6 @@ type classState struct {
 
 // Detector characterizes and forecasts a set of service classes.
 type Detector struct {
-	cfg    Config
 	states map[engine.ClassID]*classState
 	shifts []Shift
 }
@@ -146,22 +124,19 @@ type Shift struct {
 	Rate float64
 }
 
-// New returns a detector with the given configuration.
-func New(cfg Config) *Detector {
-	if err := cfg.validate(); err != nil {
-		panic(err)
-	}
-	return &Detector{cfg: cfg, states: make(map[engine.ClassID]*classState)}
+// New returns a detector that has observed nothing.
+func New() *Detector {
+	return &Detector{states: make(map[engine.ClassID]*classState)}
 }
 
 func (d *Detector) state(class engine.ClassID) *classState {
 	s, ok := d.states[class]
 	if !ok {
 		s = &classState{
-			rateEWMA: stats.NewEWMA(d.cfg.Alpha),
-			popEWMA:  stats.NewEWMA(d.cfg.Alpha),
-			costEWMA: stats.NewEWMA(d.cfg.Alpha),
-			trend:    stats.NewSlidingRegression(d.cfg.TrendWindow),
+			rateEWMA: stats.NewEWMA(alpha),
+			popEWMA:  stats.NewEWMA(alpha),
+			costEWMA: stats.NewEWMA(alpha),
+			trend:    stats.NewSlidingRegression(trendWindow),
 		}
 		s.char.Class = class
 		d.states[class] = s
@@ -220,13 +195,13 @@ func (d *Detector) updateCUSUM(s *classState, o Observation, signal float64) boo
 		sd = math.Max(1e-9, math.Abs(s.mean.Mean())*0.1+1e-9)
 	}
 	z := (signal - s.mean.Mean()) / sd
-	s.cusumPos = math.Max(0, s.cusumPos+z-d.cfg.CUSUMDrift)
-	s.cusumNeg = math.Max(0, s.cusumNeg-z-d.cfg.CUSUMDrift)
+	s.cusumPos = math.Max(0, s.cusumPos+z-cusumDrift)
+	s.cusumNeg = math.Max(0, s.cusumNeg-z-cusumDrift)
 	dir := 0
 	switch {
-	case s.cusumPos > d.cfg.CUSUMThreshold:
+	case s.cusumPos > cusumThreshold:
 		dir = 1
-	case s.cusumNeg > d.cfg.CUSUMThreshold:
+	case s.cusumNeg > cusumThreshold:
 		dir = -1
 	default:
 		return false
@@ -236,7 +211,7 @@ func (d *Detector) updateCUSUM(s *classState, o Observation, signal float64) boo
 	s.mean.Reset()
 	s.sinceShift = 0
 	// Re-anchor the EWMA at the new regime's first sample.
-	s.rateEWMA = stats.NewEWMA(d.cfg.Alpha)
+	s.rateEWMA = stats.NewEWMA(alpha)
 	s.trend.Reset()
 	return true
 }

@@ -19,7 +19,7 @@ func observe(d *Detector, class engine.ClassID, t simclock.Time, arrivals int, c
 }
 
 func TestCharacterizationConverges(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New()
 	var char Characterization
 	for i := 0; i < 30; i++ {
 		char = observe(d, 1, float64(i*60), 120, 4000) // 2/s at 4000 timerons
@@ -42,7 +42,7 @@ func TestCharacterizationConverges(t *testing.T) {
 }
 
 func TestClassesAreIndependent(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New()
 	for i := 0; i < 10; i++ {
 		observe(d, 1, float64(i*60), 60, 1000)
 		observe(d, 2, float64(i*60), 600, 10)
@@ -55,7 +55,7 @@ func TestClassesAreIndependent(t *testing.T) {
 }
 
 func TestUnknownClassZeroValue(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New()
 	c := d.Characterization(9)
 	if c.Intervals != 0 || c.ArrivalRate != 0 {
 		t.Fatal("unknown class not zero-valued")
@@ -67,7 +67,7 @@ func TestUnknownClassZeroValue(t *testing.T) {
 }
 
 func TestShiftDetection(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New()
 	// Stable regime, then a 3x intensity jump (a Figure 3 period
 	// boundary). The CUSUM should fire within a few intervals.
 	tick := 0
@@ -96,7 +96,7 @@ func TestShiftDetection(t *testing.T) {
 }
 
 func TestDownwardShiftDetection(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New()
 	tick := 0
 	for ; tick < 20; tick++ {
 		observe(d, 1, float64(tick*60), 300, 1000)
@@ -116,7 +116,7 @@ func TestDownwardShiftDetection(t *testing.T) {
 }
 
 func TestNoFalseAlarmsOnSteadyLoad(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New()
 	// Mild noise around a constant rate.
 	counts := []int{100, 104, 97, 101, 99, 103, 98, 100, 102, 96}
 	for i := 0; i < 50; i++ {
@@ -128,7 +128,7 @@ func TestNoFalseAlarmsOnSteadyLoad(t *testing.T) {
 }
 
 func TestTrendOnRamp(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New()
 	var char Characterization
 	for i := 0; i < 8; i++ {
 		// Arrivals grow every interval: 60, 120, 180, ...
@@ -144,7 +144,7 @@ func TestTrendOnRamp(t *testing.T) {
 }
 
 func TestForecastConfidenceDropsAfterShift(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New()
 	tick := 0
 	for ; tick < 25; tick++ {
 		observe(d, 1, float64(tick*60), 100, 1000)
@@ -164,7 +164,7 @@ func TestForecastConfidenceDropsAfterShift(t *testing.T) {
 }
 
 func TestForecastNeverNegative(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New()
 	// Steep downward ramp.
 	for i := 0; i < 8; i++ {
 		observe(d, 1, float64(i*60), 800-i*100, 1000)
@@ -176,7 +176,7 @@ func TestForecastNeverNegative(t *testing.T) {
 }
 
 func TestZeroArrivalIntervalsKeepCost(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New()
 	observe(d, 1, 0, 100, 2500)
 	observe(d, 1, 60, 0, 0) // idle interval: no cost sample
 	c := d.Characterization(1)
@@ -186,32 +186,11 @@ func TestZeroArrivalIntervalsKeepCost(t *testing.T) {
 }
 
 func TestInvalidIntervalPanics(t *testing.T) {
-	d := New(DefaultConfig())
+	d := New()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero interval did not panic")
 		}
 	}()
 	d.Observe(Observation{Class: 1, Interval: 0})
-}
-
-func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{Alpha: 0, TrendWindow: 8, CUSUMThreshold: 4, CUSUMDrift: 0.5},
-		{Alpha: 1.5, TrendWindow: 8, CUSUMThreshold: 4, CUSUMDrift: 0.5},
-		{Alpha: 0.5, TrendWindow: 1, CUSUMThreshold: 4, CUSUMDrift: 0.5},
-		{Alpha: 0.5, TrendWindow: 8, CUSUMThreshold: 0, CUSUMDrift: 0.5},
-		{Alpha: 0.5, TrendWindow: 8, CUSUMThreshold: 4, CUSUMDrift: -1},
-	}
-	for i, cfg := range bad {
-		cfg := cfg
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("bad config %d did not panic", i)
-				}
-			}()
-			New(cfg)
-		}()
-	}
 }

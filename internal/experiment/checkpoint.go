@@ -310,7 +310,7 @@ func ResumeMixed(opts ResumeOptions) (*MixedResult, error) {
 	if df != nil {
 		cfg.Decisions = df
 	}
-	r, o, obsErr := buildRig(cfg)
+	r, o, obsErr := buildRig(cfg, true)
 	if obsErr != nil {
 		for _, rf := range files {
 			if rf.err != nil { // a diverged meta line: report the divergence itself

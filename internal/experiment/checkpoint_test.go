@@ -335,6 +335,7 @@ func TestResumeRejectsOldCheckpointVersions(t *testing.T) {
 		{7, "the terminal plan history, and the OLTP model as an enum beside the OLTP block"},
 		{8, "per-class tables as gob maps in random key order"},
 		{9, "a fleet's state digest over per-backend collectors"},
+		{10, "scheduler and fleet settings that are now constants"},
 	} {
 		t.Run(fmt.Sprintf("version %d", tc.v), func(t *testing.T) {
 			for _, idx := range checkpointIndices(t, dir) {

@@ -303,13 +303,6 @@ type MixedConfig struct {
 	// and backend-scoped fault kinds (crash/brownout/dropout) target
 	// roster IDs directly.
 	Backends []backend.Spec
-	// DisableFleetMitigation turns off the fleet's failover response:
-	// backend crashes still stall their engines, but the router is never
-	// told (no re-dispatch, no scoring removal) and the planner neither
-	// re-splits the budget away from the dead backend nor migrates
-	// demand on infeasibility. The control arm of the failover
-	// experiment; pointless outside it.
-	DisableFleetMitigation bool
 }
 
 // DefaultMixedConfig runs the given mode over the paper's Figure 3

@@ -9,7 +9,7 @@
 //     whole budget to the survivors, and migration-before-shedding
 //     drains the binding class off an infeasible survivor. The
 //     highest-importance class should hold near the baseline.
-//   - no-mitigation: the same crash with DisableFleetMitigation. The
+//   - no-mitigation: the same crash with the failover response off. The
 //     engine stalls but the router keeps routing into the black hole
 //     and the planner keeps reserving the dead backend's budget share,
 //     so the survivors run half the fleet's demand on a third of its
@@ -102,9 +102,10 @@ func FailoverPlan(seed uint64, quick bool) fault.Plan {
 	}
 }
 
-// FailoverMixedConfig builds one E15 arm. plan nil is the baseline;
-// mitigationOff selects the control arm.
-func FailoverMixedConfig(cfg FailoverConfig, plan *fault.Plan, mitigationOff bool) MixedConfig {
+// FailoverMixedConfig builds one E15 arm's config. plan nil is the
+// baseline; the control arm is the failover arm's config run without
+// mitigation.
+func FailoverMixedConfig(cfg FailoverConfig, plan *fault.Plan) MixedConfig {
 	shape := failoverShapeFor(cfg.Quick)
 	// A three-backend fleet gets double the single-engine budget: the
 	// point of E15 is capacity loss, so the healthy fleet must start
@@ -112,15 +113,14 @@ func FailoverMixedConfig(cfg FailoverConfig, plan *fault.Plan, mitigationOff boo
 	qc := core.DefaultConfig()
 	qc.SystemCostLimit = 2 * SystemCostLimit
 	return MixedConfig{
-		Mode:                   QueryScheduler,
-		Sched:                  ConstantSchedule(shape.warmup, shape.measure, shape.clients),
-		Classes:                FailoverClasses(),
-		Seed:                   cfg.Seed,
-		QS:                     &qc,
-		Experiment:             "failover",
-		Backends:               FailoverBackends(),
-		Faults:                 plan,
-		DisableFleetMitigation: mitigationOff,
+		Mode:       QueryScheduler,
+		Sched:      ConstantSchedule(shape.warmup, shape.measure, shape.clients),
+		Classes:    FailoverClasses(),
+		Seed:       cfg.Seed,
+		QS:         &qc,
+		Experiment: "failover",
+		Backends:   FailoverBackends(),
+		Faults:     plan,
 	}
 }
 
@@ -204,8 +204,8 @@ func RunFailover(cfg FailoverConfig) *FailoverResult {
 	from := MeasureStartPeriod(shape.warmup, shape.measure)
 	plan := FailoverPlan(cfg.Seed, cfg.Quick)
 
-	arm := func(name string, p *fault.Plan, off, instrumented bool) FailoverArm {
-		mc := FailoverMixedConfig(cfg, p, off)
+	arm := func(name string, p *fault.Plan, mitigate, instrumented bool) FailoverArm {
+		mc := FailoverMixedConfig(cfg, p)
 		if instrumented {
 			mc.Trace = cfg.Trace
 			mc.Metrics = cfg.Metrics
@@ -213,7 +213,7 @@ func RunFailover(cfg FailoverConfig) *FailoverResult {
 			mc.CheckpointEvery = cfg.CheckpointEvery
 			mc.CheckpointDir = cfg.CheckpointDir
 		}
-		res := RunFleet(mc)
+		res := runFleet(mc, mitigate)
 		a := FailoverArm{Name: name, Result: res}
 		a.Attainment, a.Completed, a.Pending = deliveredAttainment(res.MixedResult, critical.ID, from)
 		return a
@@ -223,9 +223,9 @@ func RunFailover(cfg FailoverConfig) *FailoverResult {
 		Classes:  classes,
 		Critical: critical,
 		CrashAt:  shape.crashAt,
-		Baseline: arm("baseline", nil, false, false),
-		Failover: arm("failover", &plan, false, true),
-		NoMitig:  arm("no-mitigation", &plan, true, false),
+		Baseline: arm("baseline", nil, true, false),
+		Failover: arm("failover", &plan, true, true),
+		NoMitig:  arm("no-mitigation", &plan, false, false),
 	}
 }
 

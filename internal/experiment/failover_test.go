@@ -130,9 +130,13 @@ func TestFleetMitigationOffKeepsRoutingToDeadBackend(t *testing.T) {
 	t.Parallel()
 	mitTrace, _ := failoverFleetOutputs(t)
 
+	var tb, db bytes.Buffer
 	off := failoverFleetConfig()
-	off.DisableFleetMitigation = true
-	_, offTrace, offDec := fleetOutputs(t, off)
+	off.Trace, off.Decisions = &tb, &db
+	if err := runFleet(off, false).ExportErr; err != nil {
+		t.Fatal(err)
+	}
+	offTrace, offDec := tb.Bytes(), db.Bytes()
 
 	if frs := scanFleetRecords(t, offDec); len(frs) != 0 {
 		t.Errorf("mitigation-off run wrote %d fleet records, want none: %+v", len(frs), frs)
@@ -301,7 +305,7 @@ func TestFailoverExperimentQuickAcceptance(t *testing.T) {
 // completion and failure the run's collector recorded.
 func TestFailoverArmEnginesConserveOutcomes(t *testing.T) {
 	plan := FailoverPlan(1, true)
-	r, _, err := buildRig(FailoverMixedConfig(FailoverConfig{Seed: 1, Quick: true}, &plan, false))
+	r, _, err := buildRig(FailoverMixedConfig(FailoverConfig{Seed: 1, Quick: true}, &plan), true)
 	if err != nil {
 		t.Fatal(err)
 	}

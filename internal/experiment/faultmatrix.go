@@ -109,7 +109,7 @@ func (cfg MixedConfig) Mitigated() MixedConfig {
 		if cfg.QS != nil {
 			qc = *cfg.QS
 		}
-		qc.Degradation = core.Degradation{HoldPlanOnDropout: true, MaxHeldTicks: 5}
+		qc.HoldPlanOnDropout = true
 		qc.OLTP.FallbackToLastFit = true
 		cfg.QS = &qc
 	}

@@ -179,7 +179,7 @@ func TestGoldenFailoverQuickResume(t *testing.T) {
 		t.Skip("failover resume goldens are slow under -race")
 	}
 	plan := FailoverPlan(1, true)
-	cfg := FailoverMixedConfig(FailoverConfig{Seed: 1, Quick: true}, &plan, false)
+	cfg := FailoverMixedConfig(FailoverConfig{Seed: 1, Quick: true}, &plan)
 	res, _, _, decisions := resumeFromMiddle(t, cfg)
 	goldenCompare(t, "failover_quick_arm_tables.txt", []byte(mixedTables(res)))
 	goldenCompare(t, "failover_quick_decisions.jsonl", decisions)

@@ -221,7 +221,12 @@ func (r *Rig) Run() {
 // injectors, controllers, retry policies, the fleet planner,
 // observability, and the failover wiring (which needs both) — in that
 // order. A fresh run and a resumed one both build through here.
-func buildRig(cfg MixedConfig) (*Rig, *runObs, error) {
+// mitigate false turns off the fleet's failover response, E15's
+// no-mitigation arm: backend crashes still stall their engines, but the
+// router is never told (no re-dispatch, no scoring removal) and the
+// planner neither re-splits the budget away from the dead backend nor
+// migrates demand on infeasibility.
+func buildRig(cfg MixedConfig, mitigate bool) (*Rig, *runObs, error) {
 	r := newRig(cfg.Seed, cfg.Sched, cfg.classes(), cfg.Backends)
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
 		for _, b := range r.Backends {
@@ -256,7 +261,7 @@ func buildRig(cfg MixedConfig) (*Rig, *runObs, error) {
 			Total:    qc.SystemCostLimit,
 			// Migration-before-shedding only arms on faulted, mitigated
 			// runs.
-			Migrate: r.Faults != nil && !cfg.DisableFleetMitigation,
+			Migrate: r.Faults != nil && mitigate,
 		})
 		r.Planner.OnPlan(func(fp router.FleetPlan) { r.Plans = append(r.Plans, fp) })
 	}
@@ -264,21 +269,23 @@ func buildRig(cfg MixedConfig) (*Rig, *runObs, error) {
 	if err != nil {
 		return r, &runObs{}, err
 	}
-	wireFleetMitigation(r, o, cfg)
+	if mitigate {
+		wireFleetMitigation(r, o)
+	}
 	return r, o, nil
 }
 
 // wireFleetMitigation installs the failover response: the injectors'
 // backend-scoped transitions drive the router's health model, and every
 // availability or mitigation event lands in the decision log as a fleet
-// record. Without a router there is nothing to fail over to, and with
-// mitigation disabled nothing is wired — crashes still stall their
-// engines (capacity is really lost), but the router is never told and
-// the planner keeps feeding the dead backend its demand-weighted share;
-// the decision log then carries no fleet records at all, which is
-// itself the signature of the control arm.
-func wireFleetMitigation(r *Rig, o *runObs, cfg MixedConfig) {
-	if r.Router == nil || r.Faults == nil || cfg.DisableFleetMitigation {
+// record. Without a router there is nothing to fail over to. An
+// unmitigated run does not call it — crashes still stall their engines
+// (capacity is really lost), but the router is never told and the
+// planner keeps feeding the dead backend its demand-weighted share; the
+// decision log then carries no fleet records at all, which is itself
+// the signature of the control arm.
+func wireFleetMitigation(r *Rig, o *runObs) {
+	if r.Router == nil || r.Faults == nil {
 		return
 	}
 	note := func(fr decisionlog.FleetRecord) {

@@ -134,11 +134,15 @@ func (cfg MixedConfig) classes() []*workload.Class {
 // result with its per-backend detail. RunMixed is RunFleet without the
 // detail. It panics on a configuration Validate rejects; callers that
 // take config from input validate first.
-func RunFleet(cfg MixedConfig) *FleetResult {
+func RunFleet(cfg MixedConfig) *FleetResult { return runFleet(cfg, true) }
+
+// runFleet is RunFleet with the fleet's failover response switchable;
+// only E15's no-mitigation arm passes mitigate false (see buildRig).
+func runFleet(cfg MixedConfig, mitigate bool) *FleetResult {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("experiment: %v", err))
 	}
-	r, o, obsErr := buildRig(cfg)
+	r, o, obsErr := buildRig(cfg, mitigate)
 	r.Sched.Install(r.Clock, r.Pool, nil)
 	return r.complete(cfg, o, 0, obsErr)
 }

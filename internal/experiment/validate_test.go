@@ -87,15 +87,8 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 			"perfmodel: OLTP window 1 must be at least 2"},
 		{"OLTP window below MinPoints", func(c *MixedConfig) { c.QS = qs(func(q *core.Config) { q.OLTP.Window = 3 }) },
 			"perfmodel: OLTP MinPoints 4 exceeds the window 3, so the slope would never be fitted"},
-		{"OLTP MinPoints of 1", func(c *MixedConfig) { c.QS = qs(func(q *core.Config) { q.OLTP.MinPoints = 1 }) },
-			"perfmodel: OLTP MinPoints 1 must be at least 2"},
 		{"unknown OLTP model", func(c *MixedConfig) { c.QS = qs(func(q *core.Config) { q.OLTP.Model = "oltp-neural" }) },
 			`perfmodel: unknown OLTP model "oltp-neural"; choose oltp-linear or oltp-throughput`},
-		{"NaN OLTP prior slope", func(c *MixedConfig) { c.QS = qs(func(q *core.Config) { q.OLTP.PriorSlope = math.NaN() }) },
-			"perfmodel: OLTP slopes must be finite (prior NaN, max 0.001)"},
-		{"infinite OLTP slope bound", func(c *MixedConfig) {
-			c.QS = qs(func(q *core.Config) { q.OLTP.MaxAbsSlope = math.Inf(1) })
-		}, "perfmodel: OLTP slopes must be finite (prior -5e-06, max +Inf)"},
 		{"plan outside the roster", func(c *MixedConfig) {
 			c.Faults = &fault.Plan{BackendCrashes: []fault.BackendCrash{{Backend: 2, At: 100}}}
 		}, "fault: plan targets backend 2 of a 1-backend roster"},
@@ -189,8 +182,8 @@ func TestMitigatedKeepsScenarioOverride(t *testing.T) {
 	if cfg.QS == nil || cfg.QS.SystemCostLimit != 12000 || cfg.QS.ControlInterval != 30 {
 		t.Fatalf("mitigated QS = %+v, want the scenario's overrides kept", cfg.QS)
 	}
-	if want := (core.Degradation{HoldPlanOnDropout: true, MaxHeldTicks: 5}); cfg.QS.Degradation != want {
-		t.Errorf("degradation = %+v, want %+v", cfg.QS.Degradation, want)
+	if !cfg.QS.HoldPlanOnDropout {
+		t.Error("plan hold not armed")
 	}
 	if !cfg.QS.OLTP.FallbackToLastFit {
 		t.Error("slope fallback not armed")
@@ -198,7 +191,7 @@ func TestMitigatedKeepsScenarioOverride(t *testing.T) {
 	if cfg.Retry == nil || !reflect.DeepEqual(*cfg.Retry, DefaultRetryPolicy()) {
 		t.Errorf("retry = %+v, want the default policy", cfg.Retry)
 	}
-	if sc.QS.Degradation.HoldPlanOnDropout || sc.Retry != nil {
+	if sc.QS.HoldPlanOnDropout || sc.Retry != nil {
 		t.Error("Mitigated modified the scenario it was called on")
 	}
 	// Outside Query Scheduler mode only the retry policy applies.

@@ -120,6 +120,20 @@ const (
 	ThroughputModel = "oltp-throughput"
 )
 
+// The linear model's fitting constants, shared by every run.
+const (
+	// priorSlope is the seconds-per-timeron slope assumed before enough
+	// observations accumulate (negative: more limit, faster responses).
+	priorSlope = -5e-6
+	// minPoints is how many observations are required before a fitted
+	// slope replaces the prior; the throughput model gates its fit the
+	// same way.
+	minPoints = 4
+	// maxAbsSlope bounds the fitted slope; wilder fits (from measurement
+	// noise over a near-constant limit) fall back to the prior.
+	maxAbsSlope = 1e-3
+)
+
 // OLTPConfig tunes the OLTP response-time model.
 type OLTPConfig struct {
 	// Model names the OLTP predictor: "" or LinearModel for the paper's
@@ -127,48 +141,30 @@ type OLTPConfig struct {
 	Model string
 	// Window is how many past control intervals the regression sees.
 	Window int
-	// PriorSlope is the seconds-per-timeron slope assumed before enough
-	// observations accumulate (negative: more limit, faster responses).
-	PriorSlope float64
-	// MinPoints is how many observations are required before the fitted
-	// slope replaces the prior.
-	MinPoints int
-	// MaxAbsSlope bounds the fitted slope; wilder fits (from measurement
-	// noise over a near-constant limit) fall back to the prior.
-	MaxAbsSlope float64
 	// FallbackToLastFit changes what an ill-conditioned window falls back
-	// to: the last usable fitted slope instead of PriorSlope. With fault
-	// injection a window can degenerate mid-run (dropped harvests leave
-	// <2 distinct limits, or a storm yields an absurd slope); the most
-	// recent trusted fit is a better guess than the cold-start prior.
-	// Off by default to keep the paper-faithful behaviour.
+	// to: the last usable fitted slope instead of the prior slope. With
+	// fault injection a window can degenerate mid-run (dropped harvests
+	// leave <2 distinct limits, or a storm yields an absurd slope); the
+	// most recent trusted fit is a better guess than the cold-start
+	// prior. Off by default to keep the paper-faithful behaviour.
 	FallbackToLastFit bool
 }
 
 // DefaultOLTPConfig returns the configuration used in the experiments.
 func DefaultOLTPConfig() OLTPConfig {
-	return OLTPConfig{
-		Window:      16,
-		PriorSlope:  -5e-6,
-		MinPoints:   4,
-		MaxAbsSlope: 1e-3,
-	}
+	return OLTPConfig{Window: 16}
 }
 
 // Validate reports why NewOLTP would refuse the config: a window too
-// small to fit, a MinPoints the window can never hold (the prior would
-// stand for the whole run), an unknown model name, or a slope bound that
-// is not a finite number.
+// small to fit, or too small to hold the minPoints observations a fit
+// needs (the prior would stand for the whole run), or an unknown model
+// name.
 func (c OLTPConfig) Validate() error {
 	switch {
 	case c.Window < 2:
 		return fmt.Errorf("perfmodel: OLTP window %d must be at least 2", c.Window)
-	case c.MinPoints < 2:
-		return fmt.Errorf("perfmodel: OLTP MinPoints %d must be at least 2", c.MinPoints)
-	case c.MinPoints > c.Window:
-		return fmt.Errorf("perfmodel: OLTP MinPoints %d exceeds the window %d, so the slope would never be fitted", c.MinPoints, c.Window)
-	case !finite(c.PriorSlope) || !finite(c.MaxAbsSlope):
-		return fmt.Errorf("perfmodel: OLTP slopes must be finite (prior %v, max %v)", c.PriorSlope, c.MaxAbsSlope)
+	case c.Window < minPoints:
+		return fmt.Errorf("perfmodel: OLTP MinPoints %d exceeds the window %d, so the slope would never be fitted", minPoints, c.Window)
 	}
 	switch c.Model {
 	case "", LinearModel, ThroughputModel:
@@ -176,8 +172,6 @@ func (c OLTPConfig) Validate() error {
 	}
 	return fmt.Errorf("perfmodel: unknown OLTP model %q; choose %s or %s", c.Model, LinearModel, ThroughputModel)
 }
-
-func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // NewOLTP builds the OLTP predictor cfg.Model names. It also returns the
 // linear model inside it — the predictor itself under LinearModel, the
@@ -189,7 +183,7 @@ func NewOLTP(cfg OLTPConfig) (Predictor, *OLTPResponse, error) {
 	}
 	lin := NewOLTPResponse(cfg)
 	if cfg.Model == ThroughputModel {
-		return NewOLTPThroughput(DefaultThroughputConfig(), lin), lin, nil
+		return NewOLTPThroughput(lin), lin, nil
 	}
 	return lin, lin, nil
 }
@@ -230,7 +224,7 @@ func (m *OLTPResponse) Observe(s Sample) {
 
 // fit returns the window's fitted slope, ok=false when it is not usable.
 func (m *OLTPResponse) fit() (float64, bool) {
-	if m.reg.Len() < m.cfg.MinPoints {
+	if m.reg.Len() < minPoints {
 		return 0, false
 	}
 	fit, ok := m.reg.Fit()
@@ -242,7 +236,7 @@ func (m *OLTPResponse) fit() (float64, bool) {
 	// A positive slope would claim that giving the OLTP class more
 	// resources slows it down — an artifact of noise; so would an
 	// implausibly steep one. Fall back rather than trust it.
-	if fit.Slope >= 0 || math.Abs(fit.Slope) > m.cfg.MaxAbsSlope {
+	if fit.Slope >= 0 || math.Abs(fit.Slope) > maxAbsSlope {
 		return 0, false
 	}
 	return fit.Slope, true
@@ -259,7 +253,7 @@ func (m *OLTPResponse) Slope() float64 {
 	if m.cfg.FallbackToLastFit && m.hasFit {
 		return m.lastFit
 	}
-	return m.cfg.PriorSlope
+	return priorSlope
 }
 
 // Predict returns the predicted average response time at limit cNew given

@@ -51,12 +51,12 @@ func TestOLAPVelocityFloorEnablesRecovery(t *testing.T) {
 func TestOLTPModelUsesPriorUntilEnoughData(t *testing.T) {
 	cfg := DefaultOLTPConfig()
 	m := NewOLTPResponse(cfg)
-	if m.Slope() != cfg.PriorSlope {
+	if m.Slope() != priorSlope {
 		t.Fatal("empty model must use prior slope")
 	}
 	m.Observe(Sample{Limit: 1000, Value: 0.3})
 	m.Observe(Sample{Limit: 2000, Value: 0.28})
-	if m.Slope() != cfg.PriorSlope {
+	if m.Slope() != priorSlope {
 		t.Fatal("below MinPoints must still use prior")
 	}
 }
@@ -85,27 +85,24 @@ func TestOLTPModelRejectsPositiveSlope(t *testing.T) {
 	for _, c := range []float64{1000, 3000, 5000, 8000} {
 		m.Observe(Sample{Limit: c, Value: 0.1 + 1e-5*c}) // noise artifact: wrong sign
 	}
-	if m.Slope() != cfg.PriorSlope {
+	if m.Slope() != priorSlope {
 		t.Fatalf("positive fitted slope must fall back to prior, got %v", m.Slope())
 	}
 }
 
 func TestOLTPModelRejectsWildSlope(t *testing.T) {
-	cfg := DefaultOLTPConfig()
-	cfg.MaxAbsSlope = 1e-4
-	m := NewOLTPResponse(cfg)
+	m := NewOLTPResponse(DefaultOLTPConfig())
 	for i, c := range []float64{1000, 1001, 1002, 1003} {
-		m.Observe(Sample{Limit: c, Value: 10 - float64(i)*3}) // absurdly steep
+		m.Observe(Sample{Limit: c, Value: 10 - float64(i)*3}) // -3 s/timeron: far past maxAbsSlope
 	}
-	if m.Slope() != cfg.PriorSlope {
+	if m.Slope() != priorSlope {
 		t.Fatalf("wild slope must fall back to prior, got %v", m.Slope())
 	}
 }
 
 func TestOLTPModelWindowEviction(t *testing.T) {
 	cfg := DefaultOLTPConfig()
-	cfg.Window = 4
-	cfg.MinPoints = 2
+	cfg.Window = 4 // minPoints: fitted only from a full window
 	m := NewOLTPResponse(cfg)
 	// Old regime with slope -2e-5, then a new regime with slope -5e-6;
 	// after eviction only the new regime should matter.
@@ -146,7 +143,7 @@ func TestOLTPConfigValidation(t *testing.T) {
 			t.Fatal("tiny window did not panic")
 		}
 	}()
-	NewOLTPResponse(OLTPConfig{Window: 1, MinPoints: 2})
+	NewOLTPResponse(OLTPConfig{Window: 1})
 }
 
 // Validate names every config NewOLTP refuses; each one it accepts
@@ -162,17 +159,10 @@ func TestOLTPConfigValidate(t *testing.T) {
 		{"throughput", func(c *OLTPConfig) { c.Model = ThroughputModel }, ""},
 		{"MinPoints equal to the window", func(c *OLTPConfig) { c.Window = 4 }, ""},
 		{"window of 1", func(c *OLTPConfig) { c.Window = 1 }, "perfmodel: OLTP window 1 must be at least 2"},
-		{"MinPoints of 1", func(c *OLTPConfig) { c.MinPoints = 1 }, "perfmodel: OLTP MinPoints 1 must be at least 2"},
 		{"window below MinPoints", func(c *OLTPConfig) { c.Window = 3 },
 			"perfmodel: OLTP MinPoints 4 exceeds the window 3, so the slope would never be fitted"},
 		{"unknown model", func(c *OLTPConfig) { c.Model = "oltp-neural" },
 			`perfmodel: unknown OLTP model "oltp-neural"; choose oltp-linear or oltp-throughput`},
-		{"NaN prior", func(c *OLTPConfig) { c.PriorSlope = math.NaN() },
-			"perfmodel: OLTP slopes must be finite (prior NaN, max 0.001)"},
-		{"infinite prior", func(c *OLTPConfig) { c.PriorSlope = math.Inf(-1) },
-			"perfmodel: OLTP slopes must be finite (prior -Inf, max 0.001)"},
-		{"infinite bound", func(c *OLTPConfig) { c.MaxAbsSlope = math.Inf(1) },
-			"perfmodel: OLTP slopes must be finite (prior -5e-06, max +Inf)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -240,7 +230,7 @@ func TestOLTPResponseReadsDoNotChangeState(t *testing.T) {
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("queried model's slope %v, quiet model's %v", got, want)
 	}
-	if want == cfg.PriorSlope {
+	if want == priorSlope {
 		t.Fatal("the unfittable window fell back to the prior, not the last fit")
 	}
 	if a, b := queried.Predict(0.3, 9000, 12000), quiet.Predict(0.3, 9000, 12000); a != b {
@@ -288,7 +278,7 @@ func TestOLTPModelFallbackDefaultsToPrior(t *testing.T) {
 		m.Observe(Sample{Limit: 9000, Value: 0.31 + 0.001*float64(i)})
 	}
 	// Paper-faithful default: the cold-start prior, not the stale fit.
-	if got := m.Slope(); got != cfg.PriorSlope {
-		t.Fatalf("default fallback = %v, want prior %v", got, cfg.PriorSlope)
+	if got := m.Slope(); got != priorSlope {
+		t.Fatalf("default fallback = %v, want prior %v", got, priorSlope)
 	}
 }

@@ -1,7 +1,6 @@
 package perfmodel
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/stats"
@@ -33,38 +32,24 @@ import (
 // and until its own fit is usable its Name and Predict are the
 // fallback's.
 type OLTPThroughput struct {
-	cfg      ThroughputConfig
 	reg      *stats.SlidingRegression
 	fallback *OLTPResponse
 
 	lastN float64 // most recent population
 }
 
-// ThroughputConfig tunes the throughput model.
-type ThroughputConfig struct {
-	// Window is how many past intervals the regression sees.
-	Window int
-	// MinPoints gates the fit, like the linear model's.
-	MinPoints int
-	// MinThroughput floors X(C) so predictions never divide by ~0.
-	MinThroughput float64
-}
-
-// DefaultThroughputConfig returns the configuration used in experiments.
-func DefaultThroughputConfig() ThroughputConfig {
-	return ThroughputConfig{Window: 16, MinPoints: 4, MinThroughput: 0.5}
-}
+// The throughput model's constants.
+const (
+	// throughputWindow is how many past intervals the regression sees.
+	throughputWindow = 16
+	// minThroughput floors X(C) so predictions never divide by ~0.
+	minThroughput = 0.5
+)
 
 // NewOLTPThroughput builds the model over the linear model it falls back
 // on.
-func NewOLTPThroughput(cfg ThroughputConfig, fallback *OLTPResponse) *OLTPThroughput {
-	if cfg.Window < 2 || cfg.MinPoints < 2 {
-		panic(fmt.Sprintf("perfmodel: invalid throughput config %+v", cfg))
-	}
-	if cfg.MinThroughput <= 0 {
-		panic("perfmodel: MinThroughput must be positive")
-	}
-	return &OLTPThroughput{cfg: cfg, reg: stats.NewSlidingRegression(cfg.Window), fallback: fallback}
+func NewOLTPThroughput(fallback *OLTPResponse) *OLTPThroughput {
+	return &OLTPThroughput{reg: stats.NewSlidingRegression(throughputWindow), fallback: fallback}
 }
 
 // Name identifies the model answering Predict: this one once its fit is
@@ -91,7 +76,7 @@ func (m *OLTPThroughput) Observe(s Sample) {
 // beta returns the fitted slope β of the throughput curve, ok=false
 // before enough data or when the fit has the wrong sign.
 func (m *OLTPThroughput) beta() (float64, bool) {
-	if m.reg.Len() < m.cfg.MinPoints {
+	if m.reg.Len() < minPoints {
 		return 0, false
 	}
 	f, fitted := m.reg.Fit()
@@ -114,8 +99,8 @@ func (m *OLTPThroughput) Predict(tPrev, cPrev, cNew float64) float64 {
 	// keep the fitted slope, shift the intercept to match X(cPrev).
 	xNow := m.lastN / math.Max(tPrev, 1e-9)
 	xNew := xNow + beta*(cNew-cPrev)
-	if xNew < m.cfg.MinThroughput {
-		xNew = m.cfg.MinThroughput
+	if xNew < minThroughput {
+		xNew = minThroughput
 	}
 	return m.lastN / xNew
 }

@@ -7,7 +7,7 @@ import (
 
 // newThroughput builds the throughput model over a default linear one.
 func newThroughput() *OLTPThroughput {
-	return NewOLTPThroughput(DefaultThroughputConfig(), NewOLTPResponse(DefaultOLTPConfig()))
+	return NewOLTPThroughput(NewOLTPResponse(DefaultOLTPConfig()))
 }
 
 // answersAsFallback reports whether m's Name and Predict are its
@@ -23,8 +23,9 @@ func TestThroughputModelUnusableWithoutData(t *testing.T) {
 	if !answersAsFallback(m) || m.Name() != LinearModel {
 		t.Fatalf("empty model answers as %q, not as its linear fallback", m.Name())
 	}
-	// The fallback predicts with the prior slope.
-	if got, want := m.Predict(0.3, 5000, 10000), 0.3+DefaultOLTPConfig().PriorSlope*5000; got != want {
+	// The fallback predicts with the prior slope, in float64 arithmetic.
+	prior := float64(priorSlope)
+	if got, want := m.Predict(0.3, 5000, 10000), 0.3+prior*5000; got != want {
 		t.Fatalf("fallback prediction = %v, want %v", got, want)
 	}
 }
@@ -38,14 +39,14 @@ func TestThroughputModelAnswersAsFallbackUntilUsable(t *testing.T) {
 	x := func(c float64) float64 { return 40 + 0.004*c }
 	for i, c := range []float64{0, 2000, 5000, 8000, 12000} {
 		m.Observe(Sample{Limit: c, Value: n / x(c), Population: n})
-		if fallback := i+1 < DefaultThroughputConfig().MinPoints; answersAsFallback(m) != fallback {
+		if fallback := i+1 < minPoints; answersAsFallback(m) != fallback {
 			t.Fatalf("after %d samples: answers as fallback %v, want %v", i+1, !fallback, fallback)
 		}
 	}
 	if m.Name() != ThroughputModel {
 		t.Fatalf("usable model named %q", m.Name())
 	}
-	for i := 0; i < DefaultThroughputConfig().Window; i++ {
+	for i := 0; i < throughputWindow; i++ {
 		c := 1000 + 3000*float64(i%4)
 		m.Observe(Sample{Limit: c, Value: 0.1 + c*1e-5, Population: n}) // X falls with C: wrong sign
 	}
@@ -108,16 +109,15 @@ func TestThroughputModelRejectsNegativeSlope(t *testing.T) {
 }
 
 func TestThroughputModelFloorsPrediction(t *testing.T) {
-	cfg := DefaultThroughputConfig()
 	m := newThroughput()
 	n := 20.0
 	for _, c := range []float64{4000, 8000, 12000, 16000} {
 		m.Observe(Sample{Limit: c, Value: n / (1 + 0.01*c), Population: n})
 	}
 	// Extrapolating to C=0 would give X near 1; far below, the floor
-	// must cap the predicted response time at N/MinThroughput.
+	// must cap the predicted response time at N/minThroughput.
 	got := m.Predict(n/(1+0.01*16000), 16000, -1e9)
-	if got > n/cfg.MinThroughput+1e-9 {
+	if got > n/minThroughput+1e-9 {
 		t.Fatalf("prediction %v above the floor bound", got)
 	}
 	if math.IsInf(got, 0) || math.IsNaN(got) {
@@ -132,24 +132,5 @@ func TestThroughputModelIgnoresGarbage(t *testing.T) {
 	m.Observe(Sample{Limit: 1000, Value: 0.3, Population: 0})
 	if m.reg.Len() != 0 {
 		t.Fatalf("garbage observations stored: %d", m.reg.Len())
-	}
-}
-
-func TestThroughputConfigValidation(t *testing.T) {
-	bad := []ThroughputConfig{
-		{Window: 1, MinPoints: 2, MinThroughput: 1},
-		{Window: 4, MinPoints: 1, MinThroughput: 1},
-		{Window: 4, MinPoints: 2, MinThroughput: 0},
-	}
-	for i, cfg := range bad {
-		cfg := cfg
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("bad config %d did not panic", i)
-				}
-			}()
-			NewOLTPThroughput(cfg, NewOLTPResponse(DefaultOLTPConfig()))
-		}()
 	}
 }
