@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure in the paper's
-// evaluation section, plus micro-benchmarks of the core components and
-// ablation benches for the design decisions called out in DESIGN.md.
+// evaluation section, plus micro-benchmarks of the core components. The
+// ablations of the design decisions called out in DESIGN.md run as
+// `go run ./cmd/qsim -exp ablations`.
 //
 // Run a single figure with, e.g.:
 //
@@ -19,12 +20,10 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/optimizer"
 	"repro/internal/patroller"
-	"repro/internal/perfmodel"
 	"repro/internal/rng"
 	"repro/internal/router"
 	"repro/internal/simclock"
@@ -186,94 +185,6 @@ func BenchmarkDirectControl(b *testing.B) {
 				b.ReportMetric(r.OLAPPerHour, "direct-olap-qph")
 			}
 		}
-	}
-}
-
-// --- Ablation benches (design decisions from DESIGN.md §5) ---
-
-func ablationConfig(mutate func(*core.Config)) experiment.MixedConfig {
-	cfg := experiment.DefaultMixedConfig(experiment.QueryScheduler)
-	qs := core.DefaultConfig()
-	qs.SystemCostLimit = experiment.SystemCostLimit
-	mutate(&qs)
-	cfg.QS = &qs
-	return cfg
-}
-
-// BenchmarkAblationGridSolver swaps the greedy coordinate-exchange solver
-// for the exhaustive grid solver.
-func BenchmarkAblationGridSolver(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiment.RunMixed(ablationConfig(func(c *core.Config) {
-			c.Solver = solver.Grid{}
-		}))
-		reportMixed(b, res)
-	}
-}
-
-// BenchmarkAblationStarvationGuard enables the dispatcher's oversized-
-// query release rule.
-func BenchmarkAblationStarvationGuard(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiment.RunMixed(ablationConfig(func(c *core.Config) {
-			c.StarvationGuard = true
-		}))
-		reportMixed(b, res)
-	}
-}
-
-// BenchmarkAblationCoarseSnapshots samples the snapshot monitor every 60s
-// instead of 10s — the paper's "must not be too large" accuracy warning.
-func BenchmarkAblationCoarseSnapshots(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiment.RunMixed(ablationConfig(func(c *core.Config) {
-			c.SnapshotInterval = 60
-		}))
-		reportMixed(b, res)
-	}
-}
-
-// BenchmarkAblationShortRegressionWindow fits the OLTP model over 4
-// intervals instead of 16.
-func BenchmarkAblationShortRegressionWindow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiment.RunMixed(ablationConfig(func(c *core.Config) {
-			c.OLTP.Window = 4
-		}))
-		reportMixed(b, res)
-	}
-}
-
-// BenchmarkAblationSlowControlLoop re-plans every 5 minutes instead of
-// every minute.
-func BenchmarkAblationSlowControlLoop(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiment.RunMixed(ablationConfig(func(c *core.Config) {
-			c.ControlInterval = 300
-		}))
-		reportMixed(b, res)
-	}
-}
-
-// BenchmarkAblationThroughputModel swaps the paper's linear OLTP model
-// for the saturation-aware throughput model (future work, DESIGN.md §5).
-func BenchmarkAblationThroughputModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiment.RunMixed(ablationConfig(func(c *core.Config) {
-			c.OLTP.Model = perfmodel.ThroughputModel
-		}))
-		reportMixed(b, res)
-	}
-}
-
-// BenchmarkAblationFeedForward lets the planner use the workload
-// detector's demand forecasts instead of reacting one interval late.
-func BenchmarkAblationFeedForward(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiment.RunMixed(ablationConfig(func(c *core.Config) {
-			c.FeedForward = true
-		}))
-		reportMixed(b, res)
 	}
 }
 

@@ -22,8 +22,7 @@ type AblationSpec struct {
 	Mutate func(*core.Config)
 }
 
-// AblationSpecs returns the standard variant set, baseline first — the
-// same design decisions bench_test.go's per-variant benchmarks cover.
+// AblationSpecs returns the standard variant set, baseline first.
 func AblationSpecs() []AblationSpec {
 	return []AblationSpec{
 		{"baseline", "paper defaults", func(*core.Config) {}},
