@@ -616,28 +616,42 @@ func (w *countingDiscard) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// BenchmarkTraceEmit measures the tracer's steady state: each op is one
-// query's submit, start and done events through Emit, encoded in
-// batches into a counting discard writer. Each query has its own cost,
-// so as in a real run its value is formatted once and then served from
-// the encoder's memo. The untimed warm-up grows the batch and the
-// encoder's buffers, so even -benchtime=1x (the alloc budget's setting)
-// reads the steady state, which allocates nothing.
+// BenchmarkTraceEmit measures the tracer's steady state in a run's event
+// order: each op is one turn of a closed-loop client, whose new query's
+// submit and start are followed by its previous query's done, all at the
+// instant the previous query finished, through Emit into batches encoded
+// for a counting discard writer. Templates come from a small shared set,
+// and each query has its own cost, so as in a run its value is formatted
+// once and then served from the encoder's memo. The untimed warm-up
+// grows the batch and the encoder's buffers, so even -benchtime=1x (the
+// alloc budget's setting) reads the steady state, which allocates
+// nothing.
 func BenchmarkTraceEmit(b *testing.B) {
 	var sink countingDiscard
 	tr := trace.New()
 	if err := tr.StreamJSONL(&sink, trace.Meta{Experiment: "bench"}); err != nil {
 		b.Fatal(err)
 	}
+	const clients = 40
+	templates := []string{"Q1", "Q3", "Q6", "Q7", "Q12", "Q14", "Q19"}
+	var last [clients]struct {
+		q    engine.QueryID
+		cost float64
+		at   simclock.Time
+	}
 	emit := func(i int) {
-		at := simclock.Time(i) * 0.25
-		exec := 0.05 + float64(i%97)*0.013
-		cost := 120 + float64(i)*0.7071
-		q := engine.QueryID(i + 1)
-		tr.Emit(trace.Event{Time: at, Kind: trace.QuerySubmit, Class: 3, Query: q, Client: engine.ClientID(i % 40), Value: cost, Detail: "Q7"})
-		tr.Emit(trace.Event{Time: at, Kind: trace.QueryStart, Class: 3, Query: q, Client: engine.ClientID(i % 40), Value: cost, Detail: "Q7"})
-		tr.Emit(trace.Event{Time: at + simclock.Time(exec), Kind: trace.QueryDone, Class: 3, Query: q, Client: engine.ClientID(i % 40), Value: cost,
-			Num: [2]float64{exec, exec}})
+		c := engine.ClientID(i % clients)
+		at := simclock.Time(i)*0.25 + simclock.Time(i%97)*1e-4
+		q, cost := engine.QueryID(i+1), 120+float64(i)*0.7071
+		tmpl := templates[i*5%len(templates)]
+		tr.Emit(trace.Event{Time: at, Kind: trace.QuerySubmit, Class: 3, Query: q, Client: c, Value: cost, Detail: tmpl})
+		tr.Emit(trace.Event{Time: at, Kind: trace.QueryStart, Class: 3, Query: q, Client: c, Value: cost, Detail: tmpl})
+		if p := &last[c]; p.q != 0 {
+			rt := float64(at - p.at)
+			tr.Emit(trace.Event{Time: at, Kind: trace.QueryDone, Class: 3, Query: p.q, Client: c, Value: p.cost,
+				Num: [2]float64{rt, rt}})
+		}
+		last[c].q, last[c].cost, last[c].at = q, cost, at
 	}
 	for i := 0; i < 4096; i++ {
 		emit(i)

@@ -154,32 +154,24 @@ const digitPairs = "00010203040506070809" + "10111213141516171819" +
 const zeros = "00000000000000000000"
 
 // appendDecimal appends f·10^k, f > 0, in 'f' form: integer digits,
-// then a fraction without trailing zeros, if any.
+// then a fraction without trailing zeros, if any. f is cut into 8-digit
+// halves so that every digit pair comes from 32-bit arithmetic.
 func appendDecimal(buf []byte, f uint64, k int) []byte {
-	for f%100 == 0 {
-		f /= 100
-		k += 2
-	}
-	if f%10 == 0 {
-		f /= 10
-		k++
-	}
 	var d [20]byte
 	i := len(d)
-	for f >= 100 {
-		r := f % 100
-		f /= 100
-		i -= 2
-		d[i], d[i+1] = digitPairs[2*r], digitPairs[2*r+1]
+	for f >= 1e8 {
+		q := f / 1e8
+		i -= 8
+		put8(d[i:i+8], uint32(f-q*1e8))
+		f = q
 	}
-	if f >= 10 {
-		i -= 2
-		d[i], d[i+1] = digitPairs[2*f], digitPairs[2*f+1]
-	} else {
-		i--
-		d[i] = byte('0' + f)
+	i = putDigits(d[:i], uint32(f))
+	j := len(d)
+	for d[j-1] == '0' {
+		j--
+		k++
 	}
-	digits := d[i:]
+	digits := d[i:j]
 	switch dp := len(digits) + k; {
 	case k >= 0:
 		buf = append(buf, digits...)
@@ -193,4 +185,36 @@ func appendDecimal(buf []byte, f uint64, k int) []byte {
 		buf = append(buf, zeros[:-dp]...)
 		return append(buf, digits...)
 	}
+}
+
+// putDigits writes v's decimal digits, two at a time, to the end of d
+// and returns the index of the first.
+func putDigits(d []byte, v uint32) int {
+	i := len(d)
+	for v >= 100 {
+		q := v / 100
+		r := v - q*100
+		i -= 2
+		d[i], d[i+1] = digitPairs[2*r], digitPairs[2*r+1]
+		v = q
+	}
+	if v >= 10 {
+		i -= 2
+		d[i], d[i+1] = digitPairs[2*v], digitPairs[2*v+1]
+	} else {
+		i--
+		d[i] = byte('0' + v)
+	}
+	return i
+}
+
+// put8 writes v < 10^8 to d as exactly eight digits.
+func put8(d []byte, v uint32) {
+	_ = d[7]
+	hi, lo := v/10000, v%10000
+	a, b, c, e := hi/100, hi%100, lo/100, lo%100
+	d[0], d[1] = digitPairs[2*a], digitPairs[2*a+1]
+	d[2], d[3] = digitPairs[2*b], digitPairs[2*b+1]
+	d[4], d[5] = digitPairs[2*c], digitPairs[2*c+1]
+	d[6], d[7] = digitPairs[2*e], digitPairs[2*e+1]
 }

@@ -98,6 +98,7 @@ func (t *Tracer) StreamJSONL(w io.Writer, meta Meta) error {
 		return fmt.Errorf("trace: write meta: %w", err)
 	}
 	t.sink = w
+	t.pending = make([]Event, 0, traceBatchSize)
 	return nil
 }
 
@@ -129,6 +130,10 @@ type lineEncoder struct {
 	floats floatMemo
 	seq    seqCounter
 	buf    []byte // the flushed batch, reused
+
+	// Where the last line written begins its `,"t":` run, its kind token
+	// and its class value: appendBatch copies a repeated body from there.
+	tAt, kindAt, classAt int
 }
 
 // seqCounter writes event seqs. The text of the last seq written is
@@ -204,14 +209,58 @@ var kindTokens = func() (out [numKinds]string) {
 	return out
 }()
 
+// appendBatch encodes a batch of events into buf, one line each. An
+// event whose body repeats the previous event's (sameBody) is written
+// from the previous line: its own seq, the previous line's bytes from
+// `,"t":` to the kind token, its own kind token, then the previous
+// line's bytes from the class value to the end. That is every start and
+// every intercept right after its submit.
+//
+//qlint:hotpath
+func (enc *lineEncoder) appendBatch(buf []byte, events []Event) []byte {
+	for i := range events {
+		e := &events[i]
+		if i == 0 || !sameBody(&events[i-1], e) {
+			buf = enc.appendLine(buf, e)
+			continue
+		}
+		end, tAt, kindAt, classAt := len(buf), enc.tAt, enc.kindAt, enc.classAt
+		buf = append(buf, `{"type":"event","seq":`...)
+		buf = enc.seq.append(buf, e.Seq)
+		enc.tAt = len(buf)
+		buf = append(buf, buf[tAt:kindAt]...)
+		enc.kindAt = len(buf)
+		buf = append(buf, kindTokens[e.Kind]...)
+		enc.classAt = len(buf)
+		buf = append(buf, buf[classAt:end]...)
+	}
+	return buf
+}
+
+// sameBody reports whether b's line is a's but for seq and kind: the
+// same time and value bits (0 and -0 format differently), class, query,
+// client, period and plan, the same non-empty Detail (an empty one is
+// formatted from Num by kind), and known kinds.
+func sameBody(a, b *Event) bool {
+	return a.Query == b.Query &&
+		math.Float64bits(float64(a.Time)) == math.Float64bits(float64(b.Time)) &&
+		math.Float64bits(a.Value) == math.Float64bits(b.Value) &&
+		a.Class == b.Class && a.Client == b.Client &&
+		a.Period == b.Period && a.Plan == b.Plan &&
+		b.Detail != "" && a.Detail == b.Detail &&
+		uint(a.Kind) < uint(numKinds) && uint(b.Kind) < uint(numKinds)
+}
+
 // appendLine encodes one event line into buf.
 //
 //qlint:hotpath
 func (enc *lineEncoder) appendLine(buf []byte, e *Event) []byte {
 	buf = append(buf, `{"type":"event","seq":`...)
 	buf = enc.seq.append(buf, e.Seq)
+	enc.tAt = len(buf)
 	buf = append(buf, `,"t":`...)
 	buf = enc.floats.append(buf, float64(e.Time))
+	enc.kindAt = len(buf)
 	if k := int(e.Kind); k >= 0 && k < numKinds {
 		buf = append(buf, kindTokens[k]...)
 	} else {
@@ -219,15 +268,16 @@ func (enc *lineEncoder) appendLine(buf []byte, e *Event) []byte {
 		buf = appendJSONString(buf, e.Kind.String())
 		buf = append(buf, `,"class":`...)
 	}
-	buf = strconv.AppendInt(buf, int64(e.Class), 10)
+	enc.classAt = len(buf)
+	buf = appendInt(buf, int64(e.Class))
 	buf = append(buf, `,"query":`...)
-	buf = strconv.AppendUint(buf, uint64(e.Query), 10)
+	buf = appendUint(buf, uint64(e.Query))
 	buf = append(buf, `,"client":`...)
-	buf = strconv.AppendInt(buf, int64(e.Client), 10)
+	buf = appendInt(buf, int64(e.Client))
 	buf = append(buf, `,"period":`...)
-	buf = strconv.AppendInt(buf, int64(e.Period), 10)
+	buf = appendInt(buf, int64(e.Period))
 	buf = append(buf, `,"plan":`...)
-	buf = strconv.AppendInt(buf, int64(e.Plan), 10)
+	buf = appendInt(buf, int64(e.Plan))
 	buf = append(buf, `,"value":`...)
 	buf = enc.floats.append(buf, e.Value)
 	buf = appendDetail(buf, e)
@@ -256,17 +306,17 @@ func appendDetail(buf []byte, e *Event) []byte {
 		buf = append(buf, `s"`...)
 	case QueryAborted, QueryRetried:
 		buf = append(buf, `,"detail":"attempt=`...)
-		buf = strconv.AppendInt(buf, int64(e.Num[0]), 10)
+		buf = appendInt(buf, int64(e.Num[0]))
 		buf = append(buf, '"')
 	case QueryRouted:
 		buf = append(buf, `,"detail":"backend=`...)
-		buf = strconv.AppendInt(buf, int64(e.Num[0]), 10)
+		buf = appendInt(buf, int64(e.Num[0]))
 		buf = append(buf, '"')
 	case QueryRerouted:
 		buf = append(buf, `,"detail":"backend=`...)
-		buf = strconv.AppendInt(buf, int64(e.Num[0]), 10)
+		buf = appendInt(buf, int64(e.Num[0]))
 		buf = append(buf, `-\u003e`...)
-		buf = strconv.AppendInt(buf, int64(e.Num[1]), 10)
+		buf = appendInt(buf, int64(e.Num[1]))
 		buf = append(buf, '"')
 	}
 	return buf
@@ -299,13 +349,44 @@ func appendFixed(buf []byte, x float64, prec int) []byte {
 			q++
 		}
 	}
-	buf = strconv.AppendUint(buf, q/pow10[prec], 10)
-	buf = append(buf, '.')
-	buf = append(buf, "000"[:prec]...)
-	for i, f := len(buf)-1, q%pow10[prec]; f > 0; i, f = i-1, f/10 {
-		buf[i] = byte('0' + f%10)
+	switch prec {
+	case 1:
+		buf = appendUint(buf, q/10)
+		return append(buf, '.', byte('0'+q%10))
+	case 2:
+		f := q % 100
+		buf = appendUint(buf, q/100)
+		return append(buf, '.', digitPairs[2*f], digitPairs[2*f+1])
+	default:
+		f, p := q%1000, q%100
+		buf = appendUint(buf, q/1000)
+		return append(buf, '.', byte('0'+f/100), digitPairs[2*p], digitPairs[2*p+1])
 	}
-	return buf
+}
+
+// appendUint appends v in decimal, byte-equal to strconv.AppendUint(buf,
+// v, 10): one digit-pair lookup below 100, pairs of 32-bit digits below
+// 10^8, strconv at and above.
+func appendUint(buf []byte, v uint64) []byte {
+	switch {
+	case v < 10:
+		return append(buf, byte('0'+v))
+	case v < 100:
+		return append(buf, digitPairs[2*v], digitPairs[2*v+1])
+	case v < 1e8:
+		var d [8]byte
+		i := putDigits(d[:], uint32(v))
+		return append(buf, d[i:]...)
+	}
+	return strconv.AppendUint(buf, v, 10)
+}
+
+// appendInt is appendUint for a signed v; a negative one goes to strconv.
+func appendInt(buf []byte, v int64) []byte {
+	if v < 0 {
+		return strconv.AppendInt(buf, v, 10)
+	}
+	return appendUint(buf, uint64(v))
 }
 
 // appendJSONFloat mirrors encoding/json's float64 encoder: shortest
@@ -338,19 +419,31 @@ func appendJSONFloat(buf []byte, f float64) []byte {
 
 const jsonHex = "0123456789abcdef"
 
+// jsonSafe[c] reports whether encoding/json, HTML escaping on, writes
+// byte c as itself: printable ASCII but '"', '\\', '<', '>' and '&'.
+var jsonSafe = func() (safe [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		safe[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return safe
+}()
+
 // appendJSONString mirrors encoding/json's string encoder with HTML
 // escaping on (the package default): quotes, backslashes and control
-// bytes escaped; '<', '>', '&' written as </>/&; invalid
-// UTF-8 replaced with the � escape; U+2028/U+2029 escaped.
+// bytes escaped; '<', '>', '&' written as \u003c, \u003e, \u0026; invalid
+// UTF-8 replaced with the � escape; U+2028/U+2029 escaped. A string
+// of safe bytes only, such as every template name, is scanned once and
+// copied whole.
 func appendJSONString(buf []byte, s string) []byte {
 	buf = append(buf, '"')
 	start := 0
 	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
+		c := s[i]
+		if jsonSafe[c] {
+			i++
+			continue
+		}
+		if c < utf8.RuneSelf {
 			buf = append(buf, s[start:i]...)
 			switch c {
 			case '\\', '"':

@@ -131,20 +131,36 @@ func (t *Tracer) SetPeriodMapper(f func(simclock.Time) int) { t.periodOf = f }
 //
 //qlint:hotpath
 func (t *Tracer) Emit(e Event) {
+	t.emit(e.Kind, e.Class, e.Query, e.Client, e.Time, e.Value, e.Detail, e.Num[0], e.Num[1])
+}
+
+// emit is Emit with the event's fields as arguments, which the register
+// ABI passes without building or copying an Event; the hooks call it
+// directly. It fills the next batch slot field by field.
+//
+//qlint:hotpath
+func (t *Tracer) emit(kind Kind, class engine.ClassID, query engine.QueryID, client engine.ClientID,
+	at simclock.Time, value float64, detail string, n0, n1 float64) {
 	t.seq++
-	e.Seq = t.seq
-	if t.periodOf != nil {
-		e.Period = t.periodOf(e.Time)
-	}
-	if e.Kind == PlanChanged {
+	if kind == PlanChanged {
 		t.plan++
 	}
-	e.Plan = t.plan
-	if t.sink != nil && t.sinkErr == nil {
-		t.pending = append(t.pending, e)
-		if len(t.pending) >= traceBatchSize {
-			t.Flush()
-		}
+	if t.sink == nil || t.sinkErr != nil {
+		return
+	}
+	period := 0
+	if t.periodOf != nil {
+		period = t.periodOf(at)
+	}
+	n := len(t.pending)
+	t.pending = t.pending[:n+1]
+	e := &t.pending[n]
+	e.Seq, e.Time, e.Kind = t.seq, at, kind
+	e.Class, e.Query, e.Client = class, query, client
+	e.Period, e.Plan = period, t.plan
+	e.Value, e.Detail, e.Num = value, detail, [2]float64{n0, n1}
+	if n+1 == traceBatchSize {
+		t.Flush()
 	}
 }
 
@@ -160,12 +176,8 @@ func (t *Tracer) Flush() {
 	if len(t.pending) == 0 {
 		return // Emit batches only while the sink is attached and healthy
 	}
-	buf := t.enc.buf[:0]
-	for i := range t.pending {
-		buf = t.enc.appendLine(buf, &t.pending[i])
-	}
-	t.enc.buf = buf
-	n, err := t.sink.Write(buf)
+	t.enc.buf = t.enc.appendBatch(t.enc.buf[:0], t.pending)
+	n, err := t.sink.Write(t.enc.buf)
 	t.sinkBytes += int64(n)
 	t.sinkErr = err
 	t.pending = t.pending[:0]
@@ -180,12 +192,10 @@ func (t *Tracer) Total() uint64 { return t.seq }
 func AttachEngine(t *Tracer, eng *engine.Engine) {
 	clock := eng.Clock()
 	eng.OnSubmit(func(q *engine.Query) {
-		t.Emit(Event{Time: clock.Now(), Kind: QuerySubmit, Class: q.Class,
-			Query: q.ID, Client: q.Client, Value: q.Cost, Detail: q.Template})
+		t.emit(QuerySubmit, q.Class, q.ID, q.Client, clock.Now(), q.Cost, q.Template, 0, 0)
 	})
 	eng.OnStart(func(q *engine.Query) {
-		t.Emit(Event{Time: clock.Now(), Kind: QueryStart, Class: q.Class,
-			Query: q.ID, Client: q.Client, Value: q.Cost, Detail: q.Template})
+		t.emit(QueryStart, q.Class, q.ID, q.Client, clock.Now(), q.Cost, q.Template, 0, 0)
 	})
 	eng.OnDone(func(q *engine.Query) {
 		if q.State != engine.StateDone {
@@ -194,14 +204,11 @@ func AttachEngine(t *Tracer, eng *engine.Engine) {
 			// completion.
 			return
 		}
-		t.Emit(Event{Time: clock.Now(), Kind: QueryDone, Class: q.Class,
-			Query: q.ID, Client: q.Client, Value: q.Cost,
-			Num: [2]float64{q.ResponseTime(), q.ExecutionTime()}})
+		t.emit(QueryDone, q.Class, q.ID, q.Client, clock.Now(), q.Cost, "",
+			q.ResponseTime(), q.ExecutionTime())
 	})
 	eng.OnAbort(func(q *engine.Query) {
-		t.Emit(Event{Time: clock.Now(), Kind: QueryAborted, Class: q.Class,
-			Query: q.ID, Client: q.Client, Value: q.Cost,
-			Num: [2]float64{float64(q.Attempt)}})
+		t.emit(QueryAborted, q.Class, q.ID, q.Client, clock.Now(), q.Cost, "", float64(q.Attempt), 0)
 	})
 }
 
@@ -210,19 +217,14 @@ func AttachEngine(t *Tracer, eng *engine.Engine) {
 // same hooks).
 func AttachPatroller(t *Tracer, pat *patroller.Patroller, clock *simclock.Clock) {
 	pat.OnArrival(func(qi *patroller.QueryInfo) {
-		t.Emit(Event{Time: clock.Now(), Kind: QueryIntercepted, Class: qi.Class,
-			Query: qi.ID, Client: qi.Client, Value: qi.Cost, Detail: qi.Template})
+		t.emit(QueryIntercepted, qi.Class, qi.ID, qi.Client, clock.Now(), qi.Cost, qi.Template, 0, 0)
 	})
 	pat.OnRelease(func(qi *patroller.QueryInfo) {
 		now := clock.Now()
-		t.Emit(Event{Time: now, Kind: QueryReleased, Class: qi.Class,
-			Query: qi.ID, Client: qi.Client, Value: qi.Cost,
-			Num: [2]float64{qi.WaitTime(now)}})
+		t.emit(QueryReleased, qi.Class, qi.ID, qi.Client, now, qi.Cost, "", qi.WaitTime(now), 0)
 	})
 	pat.OnRetry(func(qi *patroller.QueryInfo) {
-		t.Emit(Event{Time: clock.Now(), Kind: QueryRetried, Class: qi.Class,
-			Query: qi.ID, Client: qi.Client, Value: qi.Cost,
-			Num: [2]float64{float64(qi.Attempt)}})
+		t.emit(QueryRetried, qi.Class, qi.ID, qi.Client, clock.Now(), qi.Cost, "", float64(qi.Attempt), 0)
 	})
 }
 
@@ -234,9 +236,8 @@ func AttachPatroller(t *Tracer, pat *patroller.Patroller, clock *simclock.Clock)
 func AttachRouter(t *Tracer, r *router.Router, clock *simclock.Clock) {
 	r.OnRoute(func(q *engine.Query, d router.Decision) { t.route(clock.Now(), q, d.Backend) })
 	r.OnReroute(func(q *engine.Query, from, to int) {
-		t.Emit(Event{Time: clock.Now(), Kind: QueryRerouted, Class: q.Class,
-			Query: q.ID, Client: q.Client, Value: float64(to),
-			Num: [2]float64{float64(from), float64(to)}})
+		t.emit(QueryRerouted, q.Class, q.ID, q.Client, clock.Now(), float64(to), "",
+			float64(from), float64(to))
 	})
 }
 
@@ -246,8 +247,7 @@ func AttachRouter(t *Tracer, r *router.Router, clock *simclock.Clock) {
 //qlint:hotpath
 func (t *Tracer) route(at simclock.Time, q *engine.Query, backend int) {
 	b := float64(backend)
-	t.Emit(Event{Time: at, Kind: QueryRouted, Class: q.Class,
-		Query: q.ID, Client: q.Client, Value: b, Num: [2]float64{b}})
+	t.emit(QueryRouted, q.Class, q.ID, q.Client, at, b, "", b, 0)
 }
 
 // AttachScheduler records PlanChanged events from the Query Scheduler's
@@ -261,7 +261,7 @@ func AttachScheduler(t *Tracer, qs *core.QueryScheduler) {
 			return
 		}
 		t.lastPlan = d
-		t.Emit(Event{Time: rec.Time, Kind: PlanChanged, Value: rec.Utility, Detail: d})
+		t.emit(PlanChanged, 0, 0, 0, rec.Time, rec.Utility, d, 0, 0)
 	})
 }
 
