@@ -4,7 +4,7 @@
 //
 // Architecture (the paper's Figure 1): Query Patroller intercepts queries
 // of the managed (OLAP) classes and blocks them; the Monitor collects
-// query information from the control tables and — for the unmanaged OLTP
+// query information from the patroller's rows and — for the unmanaged OLTP
 // class — from the engine's snapshot monitor; a query's service class is
 // the class tag it was submitted with (the paper's classification, in its
 // production setup where classes map to applications or user groups);

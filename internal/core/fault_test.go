@@ -288,3 +288,42 @@ func TestSelectReleasesAllocs(t *testing.T) {
 		t.Fatalf("SelectReleases: %v allocs per call, want 0", allocs)
 	}
 }
+
+// TestMeasurementObserved pins the one rule the SLO accounting and the
+// decision log share for whether a harvested value counts.
+func TestMeasurementObserved(t *testing.T) {
+	meas := Measurement{
+		Classes: []ClassMeasurement{
+			{ID: 1, Managed: true, Velocity: 0.7, VelocitySamples: 3},
+			{ID: 2, Managed: true, Velocity: 1, Idle: true},
+			{ID: 3},
+		},
+		OLTPRespTime: 0.2,
+		OLTPSamples:  4,
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Measurement)
+		id     engine.ClassID
+		kind   workload.Kind
+		v      float64
+		ok     bool
+	}{
+		{"busy OLAP", nil, 1, workload.OLAP, 0.7, true},
+		{"idle OLAP", nil, 2, workload.OLAP, 0, false},
+		{"OLTP", nil, 3, workload.OLTP, 0.2, true},
+		{"OLTP without samples", func(m *Measurement) { m.OLTPSamples = 0 }, 3, workload.OLTP, 0, false},
+		{"OLTP dropout", func(m *Measurement) { m.OLTPDropout = true }, 3, workload.OLTP, 0, false},
+		{"dropped OLAP", func(m *Measurement) { m.Dropped = true }, 1, workload.OLAP, 0, false},
+		{"dropped OLTP", func(m *Measurement) { m.Dropped = true }, 3, workload.OLTP, 0, false},
+	} {
+		m := meas.Clone()
+		if tc.mutate != nil {
+			tc.mutate(&m)
+		}
+		// The value matters only when it counts (v is 0 in the table otherwise).
+		if v, ok := m.Observed(tc.id, tc.kind); ok != tc.ok || (ok && v != tc.v) {
+			t.Errorf("%s: Observed = %v, %v; want %v, %v", tc.name, v, ok, tc.v, tc.ok)
+		}
+	}
+}

@@ -13,7 +13,7 @@ import (
 // monitor is the Query Scheduler's Monitor component. It measures, per
 // control interval:
 //
-//   - each managed (OLAP) class's query velocity, from control-table rows
+//   - each managed (OLAP) class's query velocity, from the patroller rows
 //     of queries that completed during the interval, falling back to
 //     in-flight progress estimates when nothing completed (big queries can
 //     outlive an interval); and
@@ -198,6 +198,18 @@ func (m Measurement) Class(id engine.ClassID) (ClassMeasurement, bool) {
 	return ClassMeasurement{}, false
 }
 
+// Observed returns the value the harvest measured for class id of the
+// given kind (velocity for OLAP, mean response time for OLTP) and whether
+// it counts as an observation. A dropped harvest, an idle OLAP class, and
+// an OLTP interval with no samples or with every poll dropped do not.
+func (m Measurement) Observed(id engine.ClassID, kind workload.Kind) (float64, bool) {
+	if kind == workload.OLTP {
+		return m.OLTPRespTime, !m.Dropped && m.OLTPSamples > 0 && !m.OLTPDropout
+	}
+	c, _ := m.Class(id)
+	return c.Velocity, !m.Dropped && !c.Idle
+}
+
 // Clone returns a deep copy: the caller may hold or mutate it without
 // aliasing the monitor's (or the plan history's) rows.
 func (m Measurement) Clone() Measurement {
@@ -217,13 +229,13 @@ func (m *monitor) harvest() Measurement {
 	}
 	meas := Measurement{Time: now}
 	// Fold in-flight managed queries of classes without completions into
-	// per-class progress estimates. Failed rows are terminal, not in
-	// flight — a progress estimate from an aborted query would drag the
-	// class's velocity toward zero. A still-blocked query has velocity 0
-	// so far; an executing one has exec/(wait+exec) so far.
-	for _, qi := range m.pat.ControlTable() {
+	// per-class progress estimates. A still-blocked query has velocity 0
+	// so far; an executing one has exec/(wait+exec) so far. A query a
+	// fleet failover evacuated off this backend still counts, at velocity
+	// 0, for the rest of the run (TestEvacuatedQueriesCountInLaterHarvests).
+	for _, qi := range m.pat.Unfinished() {
 		s := m.idx.Row(qi.Class)
-		if qi.State == patroller.Completed || qi.State == patroller.Failed || m.velWindow[s].Count() > 0 {
+		if m.velWindow[s].Count() > 0 {
 			continue
 		}
 		m.inflightN[s]++

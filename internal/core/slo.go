@@ -6,33 +6,16 @@
 // audit log, and qreport's attainment tables.
 package core
 
-import "repro/internal/workload"
-
 // sloObserve folds one harvested measurement into the scheduler's SLO
 // accounting and writes each class's attainment ratio and burn rate
-// after this tick into its plan row. Classes without a trustworthy
-// measurement this tick — idle OLAP classes, an OLTP interval with no
-// sampled responses, or any fault-dropped view — keep their accumulated
-// state and are simply re-reported.
+// after this tick into its plan row. A class whose harvested value does
+// not count this tick (Measurement.Observed) keeps its accumulated state
+// and is simply re-reported.
 func (qs *QueryScheduler) sloObserve(meas Measurement, rows []ClassPlan) {
 	for i := range rows {
 		row := &rows[i]
 		c := qs.byID[i]
-		var v float64
-		observed := false
-		if !meas.Dropped {
-			switch c.Kind {
-			case workload.OLAP:
-				if m, _ := meas.Class(c.ID); !m.Idle {
-					v, observed = m.Velocity, true
-				}
-			case workload.OLTP:
-				if meas.OLTPSamples > 0 && !meas.OLTPDropout {
-					v, observed = meas.OLTPRespTime, true
-				}
-			}
-		}
-		if observed {
+		if v, observed := meas.Observed(c.ID, c.Kind); observed {
 			qs.sloObserved[i]++
 			met := c.Goal.Met(v)
 			if met {

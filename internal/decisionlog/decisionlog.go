@@ -408,25 +408,18 @@ func measuredValue(cm ClassMeta, meas core.Measurement) (v float64, samples int,
 }
 
 // outcomes closes a pending record's prediction window with the next
-// tick's harvest: one Outcome per class the harvest actually observed
-// (idle classes, empty OLTP intervals, and fault-dropped views yield
-// none — mirroring the scheduler's SLO accounting).
+// tick's harvest: one Outcome per class the harvest actually observed,
+// by the rule the scheduler's SLO accounting uses
+// (core.Measurement.Observed).
 func (dw *Writer) outcomes(pending *Record, meas core.Measurement) []Outcome {
-	if meas.Dropped {
-		return nil
-	}
 	var out []Outcome
 	for _, id := range dw.ids {
 		cm := dw.class[id]
-		var v float64
-		observed := false
+		kind := workload.OLAP
 		if cm.Kind == workload.OLTP.String() {
-			if meas.OLTPSamples > 0 && !meas.OLTPDropout {
-				v, observed = meas.OLTPRespTime, true
-			}
-		} else if row, _ := meas.Class(id); !row.Idle {
-			v, observed = row.Velocity, true
+			kind = workload.OLTP
 		}
+		v, observed := meas.Observed(id, kind)
 		if !observed {
 			continue
 		}

@@ -8,10 +8,11 @@ import (
 	"repro/internal/engine"
 )
 
-// TestViewAllocFree pins the hotalloc fix that replaced view()'s
-// per-poke sort.Slice closure with an insertion sort: assembling the
-// policy view must not allocate once its scratch slices are warm.
-// (Skipped under -race: instrumentation adds its own allocations.)
+// TestViewAllocFree pins that assembling the policy view (every poke) and
+// the monitor's Unfinished rows (every control tick) allocates nothing
+// once their scratch slices are warm: both sort by ID with no comparator
+// closure. (Skipped under -race: instrumentation adds its own
+// allocations.)
 func TestViewAllocFree(t *testing.T) {
 	p, eng, _ := newRig(1)
 	for i := 0; i < 8; i++ {
@@ -24,9 +25,12 @@ func TestViewAllocFree(t *testing.T) {
 			t.Fatalf("release %d: %v", id, err)
 		}
 	}
-	_ = p.view() // warm-up grows the scratch slices
+	_, _ = p.view(), p.Unfinished() // warm-up grows the scratch slices
 	allocs := testing.AllocsPerRun(100, func() { _ = p.view() })
 	if allocs != 0 {
 		t.Fatalf("view() allocates %v per poke; the dispatch path must be allocation-free", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = p.Unfinished() }); allocs != 0 {
+		t.Fatalf("Unfinished() allocates %v per control tick", allocs)
 	}
 }

@@ -1,8 +1,8 @@
 // Package patroller reimplements the slice of IBM DB2 Query Patroller the
 // paper depends on: it intercepts queries of managed classes before
-// execution, records their identification, cost, and timing in a control
-// table, blocks the agent responsible for the query, and releases it when
-// told to — either by its own static policy (the paper's DB2 QP baseline)
+// execution, records their identification, cost, and timing while it
+// manages them, blocks the agent responsible for the query, and releases it
+// when told to — either by its own static policy (the paper's DB2 QP baseline)
 // or by an external controller calling the unblocking API (how the Query
 // Scheduler drives it).
 package patroller
@@ -10,22 +10,22 @@ package patroller
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/simclock"
 )
 
-// QueryState tracks an intercepted query through the control table.
+// QueryState tracks an intercepted query through the patroller.
 type QueryState int
 
-// Control-table states.
+// Query states.
 const (
 	Held QueryState = iota
 	Running
 	Completed
 	// Failed marks a query aborted during execution. A retried query
-	// gets a fresh control-table row; the failed row stays Failed.
+	// gets a fresh row; the failed attempt's row ends there.
 	Failed
 	// Evacuated marks a query pulled off this backend by a fleet
 	// failover. The query lives on — re-dispatched to a survivor, where
@@ -50,8 +50,8 @@ func (s QueryState) String() string {
 	}
 }
 
-// QueryInfo is one control-table row: what the Monitor can learn about an
-// intercepted query.
+// QueryInfo is one intercepted query's row: what the Monitor can learn
+// about it.
 type QueryInfo struct {
 	ID          engine.QueryID
 	Client      engine.ClientID
@@ -123,9 +123,8 @@ type Stats struct {
 	// Exhausted counts queries whose failure was terminal because the
 	// retry budget was spent (or no retry policy was armed).
 	Exhausted uint64
-	// Evacuated counts control-table rows closed because a fleet
-	// failover pulled the query off this backend (held, executing, or
-	// awaiting retry).
+	// Evacuated counts queries a fleet failover pulled off this backend
+	// (held, executing, or awaiting retry).
 	Evacuated uint64
 }
 
@@ -201,15 +200,15 @@ type Patroller struct {
 	held        map[engine.QueryID]*entry
 	order       []engine.QueryID // arrival order of held queries (may hold stale IDs)
 	active      map[engine.QueryID]*entry
-	table       []*QueryInfo
+	evacuated   []QueryInfo  // rows of queries a failover pulled off this backend
+	unfinished  []*QueryInfo // Unfinished's scratch; valid until the patroller next acts
 	stats       Stats
 	pokePending bool
 	pokeFn      simclock.EventFunc // bound once; scheduling a poke allocates no closure
-	freeEntries []*entry           // recycled held/active wrappers
+	freeEntries []*entry           // recycled entries
 	viewScratch View               // reused per poke; valid only during SelectReleases
 
 	retry       *RetryPolicy
-	timeouts    map[engine.QueryID]simclock.EventID
 	retries     map[uint64]*pendingRetry // pending resubmissions by scheduling order
 	retrySeq    uint64                   // resubmissions scheduled so far
 	requeueHead bool                     // next Intercept joins the queue head (retry re-queue)
@@ -226,48 +225,49 @@ type Patroller struct {
 }
 
 // OnArrival registers a listener called for every newly intercepted
-// query after it is recorded (the Query Scheduler's monitor hook).
+// query once recorded; the *QueryInfo is valid only during the call.
 func (p *Patroller) OnArrival(fn func(*QueryInfo)) { p.onArrival = append(p.onArrival, fn) }
 
-// OnRelease registers a listener called when a query starts executing.
+// OnRelease registers a listener called when a query starts executing;
+// the *QueryInfo is valid only during the call.
 func (p *Patroller) OnRelease(fn func(*QueryInfo)) { p.onRelease = append(p.onRelease, fn) }
 
 // OnManagedDone registers a listener called when a managed query
-// completes.
+// completes; the *QueryInfo is valid only during the call.
 func (p *Patroller) OnManagedDone(fn func(*QueryInfo)) {
 	p.onManagedDone = append(p.onManagedDone, fn)
 }
 
 // OnRetry registers a listener called when a failed managed query is
-// re-queued; the info is the failed attempt's row (its Attempt field
-// counts the attempts consumed so far, starting at 0).
+// re-queued, with the failed attempt's row (its Attempt counts the
+// attempts consumed so far, from 0), valid only during the call.
 func (p *Patroller) OnRetry(fn func(*QueryInfo)) { p.onRetry = append(p.onRetry, fn) }
 
+// entry is a managed query's whole patroller state while it is held or
+// executing: its row, the query, and its armed timeout (0 when none).
 type entry struct {
-	info *QueryInfo
-	q    *engine.Query
+	info    QueryInfo
+	q       *engine.Query
+	timeout simclock.EventID
 }
 
-// acquireEntry pops a recycled wrapper or allocates one. Entries pair a
-// control-table row with its live query only while the query is held or
-// active; the row itself stays in the table forever, so only the wrapper
-// is pooled.
-func (p *Patroller) acquireEntry(info *QueryInfo, q *engine.Query) *entry {
+// acquireEntry pops a recycled (zeroed) entry or allocates one. Entries
+// are acquired at Intercept and released at the query's terminal state.
+func (p *Patroller) acquireEntry() *entry {
 	if n := len(p.freeEntries); n > 0 {
 		e := p.freeEntries[n-1]
 		p.freeEntries[n-1] = nil
 		p.freeEntries = p.freeEntries[:n-1]
-		e.info, e.q = info, q
 		return e
 	}
 	//lint:ignore hotalloc pool growth: allocates only until the entry freelist reaches peak depth
-	return &entry{info: info, q: q}
+	return &entry{}
 }
 
-// releaseEntry returns a wrapper to the freelist once its query reached a
+// releaseEntry returns an entry to the freelist once its query reached a
 // terminal state and it has been removed from held/active.
 func (p *Patroller) releaseEntry(e *entry) {
-	e.info, e.q = nil, nil
+	*e = entry{}
 	p.freeEntries = append(p.freeEntries, e)
 }
 
@@ -281,11 +281,10 @@ type pendingRetry struct {
 // itself as the engine's interceptor and completion listener.
 func New(eng *engine.Engine, managed ...engine.ClassID) *Patroller {
 	p := &Patroller{
-		eng:      eng,
-		clock:    eng.Clock(),
-		held:     make(map[engine.QueryID]*entry),
-		active:   make(map[engine.QueryID]*entry),
-		timeouts: make(map[engine.QueryID]simclock.EventID),
+		eng:    eng,
+		clock:  eng.Clock(),
+		held:   make(map[engine.QueryID]*entry),
+		active: make(map[engine.QueryID]*entry),
 	}
 	for _, c := range managed {
 		if c < 0 {
@@ -304,7 +303,7 @@ func New(eng *engine.Engine, managed ...engine.ClassID) *Patroller {
 // SetRetryPolicy arms timeout + bounded-retry handling for managed
 // queries, claiming the engine's abort-handler slot. Passing nil disarms
 // retries (aborts become terminal failures again) but keeps the handler
-// so failed rows are still recorded.
+// so failed queries are still counted.
 func (p *Patroller) SetRetryPolicy(rp *RetryPolicy) {
 	if rp != nil {
 		if err := rp.Validate(); err != nil {
@@ -354,8 +353,9 @@ func (p *Patroller) Intercept(q *engine.Query) bool {
 	if p.InterceptOverheadCPU > 0 {
 		q.Demand = addCPUOverhead(q.Demand, p.InterceptOverheadCPU)
 	}
-	//lint:ignore hotalloc control-table rows outlive their query by design; one allocation per managed arrival
-	info := &QueryInfo{
+	e := p.acquireEntry()
+	e.q = q
+	e.info = QueryInfo{
 		ID:         q.ID,
 		Client:     q.Client,
 		Class:      q.Class,
@@ -365,7 +365,6 @@ func (p *Patroller) Intercept(q *engine.Query) bool {
 		State:      Held,
 		Attempt:    q.Attempt,
 	}
-	e := p.acquireEntry(info, q)
 	//lint:ignore poolsafety the held table is the entry's owner; rows are deleted from it before releaseEntry recycles them
 	p.held[q.ID] = e
 	if p.requeueHead {
@@ -377,10 +376,9 @@ func (p *Patroller) Intercept(q *engine.Query) bool {
 	} else {
 		p.order = append(p.order, q.ID)
 	}
-	p.table = append(p.table, info)
 	p.stats.Intercepted++
 	for _, fn := range p.onArrival {
-		fn(info)
+		fn(&e.info)
 	}
 	// Release decisions run in a fresh event so the engine's Submit call
 	// finishes first (Start during Intercept would double-start).
@@ -408,31 +406,28 @@ func (p *Patroller) onDone(q *engine.Query) {
 		return
 	}
 	delete(p.active, q.ID)
-	p.cancelTimeout(q.ID)
-	e.info.DoneTime = p.clock.Now()
-	if q.State != engine.StateDone {
+	p.clock.Cancel(e.timeout) // disarm its timeout, if one is armed
+	if q.State == engine.StateDone {
+		e.info.State = Completed
+		e.info.DoneTime = p.clock.Now()
+		p.stats.Completed++
+		for _, fn := range p.onManagedDone {
+			fn(&e.info)
+		}
+	} else {
 		// Terminal failure that no abort handler intercepted (retries
-		// were never armed): record the failed row, free the slot.
-		e.info.State = Failed
+		// were never armed).
 		p.stats.Failed++
 		p.stats.Exhausted++
-		p.releaseEntry(e)
-		p.schedulePoke()
-		return
-	}
-	e.info.State = Completed
-	p.stats.Completed++
-	for _, fn := range p.onManagedDone {
-		fn(e.info)
 	}
 	p.releaseEntry(e)
 	p.schedulePoke()
 }
 
-// onAbort is the engine's abort-handler: it retires the failed attempt's
-// control-table row and, while the retry budget lasts, claims the abort
-// and schedules a resubmission with deterministic backoff. Unmanaged
-// queries and spent budgets return false (the abort is terminal).
+// onAbort is the engine's abort-handler: it retires the failed attempt
+// and, while the retry budget lasts, claims the abort and schedules a
+// resubmission with deterministic backoff. Unmanaged queries and spent
+// budgets return false (the abort is terminal).
 //
 //qlint:hotpath
 func (p *Patroller) onAbort(q *engine.Query) bool {
@@ -444,9 +439,7 @@ func (p *Patroller) onAbort(q *engine.Query) bool {
 		return false
 	}
 	delete(p.active, q.ID)
-	p.cancelTimeout(q.ID)
-	e.info.State = Failed
-	e.info.DoneTime = p.clock.Now()
+	p.clock.Cancel(e.timeout) // disarm its timeout, if one is armed
 	p.stats.Failed++
 	rp := p.retry
 	if rp == nil || q.Attempt+1 >= rp.MaxAttempts {
@@ -456,8 +449,10 @@ func (p *Patroller) onAbort(q *engine.Query) bool {
 		return false
 	}
 	p.stats.Retried++
+	e.info.State = Failed
+	e.info.DoneTime = p.clock.Now()
 	for _, fn := range p.onRetry {
-		fn(e.info)
+		fn(&e.info)
 	}
 	delay := rp.Backoff * float64(q.Attempt+1)
 	p.scheduleRetry(q, delay)
@@ -528,12 +523,9 @@ func (p *Patroller) EvacuateHeld() []*engine.Query {
 			continue // stale ID left behind by compaction bookkeeping
 		}
 		delete(p.held, id)
-		e.info.State = Evacuated
-		e.info.DoneTime = p.clock.Now()
 		q := e.q
 		p.eng.Reclaim(q)
-		p.stats.Evacuated++
-		p.releaseEntry(e)
+		p.closeEvacuated(e)
 		out = append(out, q)
 	}
 	p.order = p.order[:0]
@@ -552,7 +544,7 @@ func (p *Patroller) EvacuateRetries() []*engine.Query {
 	for s := range p.retries {
 		seqs = append(seqs, s)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	out := make([]*engine.Query, 0, len(seqs))
 	for _, s := range seqs {
 		pr := p.retries[s]
@@ -566,30 +558,29 @@ func (p *Patroller) EvacuateRetries() []*engine.Query {
 	return out
 }
 
-// ForgetActive closes the control-table row of a query the engine
-// evacuated out from under this patroller (fleet failover): the entry
-// leaves the active set, its timeout disarms, and the row closes as
-// Evacuated. Unmanaged or unknown IDs return false.
+// ForgetActive closes the row of a query the engine evacuated out from
+// under this patroller (fleet failover): the entry leaves the active set,
+// its timeout disarms, and the row closes as Evacuated. Unmanaged or
+// unknown IDs return false.
 func (p *Patroller) ForgetActive(id engine.QueryID) bool {
 	e, ok := p.active[id]
 	if !ok {
 		return false
 	}
 	delete(p.active, id)
-	p.cancelTimeout(id)
-	e.info.State = Evacuated
-	e.info.DoneTime = p.clock.Now()
-	p.stats.Evacuated++
-	p.releaseEntry(e)
+	p.clock.Cancel(e.timeout) // disarm its timeout, if one is armed
+	p.closeEvacuated(e)
 	return true
 }
 
-// cancelTimeout disarms a query's pending timeout event, if any.
-func (p *Patroller) cancelTimeout(id engine.QueryID) {
-	if evt, ok := p.timeouts[id]; ok {
-		delete(p.timeouts, id)
-		p.clock.Cancel(evt)
-	}
+// closeEvacuated closes an evacuated query's row, keeps it for
+// Unfinished, and frees its entry.
+func (p *Patroller) closeEvacuated(e *entry) {
+	e.info.State = Evacuated
+	e.info.DoneTime = p.clock.Now()
+	p.evacuated = append(p.evacuated, e.info)
+	p.stats.Evacuated++
+	p.releaseEntry(e)
 }
 
 // Release unblocks one held query — the explicit operator command of the
@@ -611,7 +602,7 @@ func (p *Patroller) Release(id engine.QueryID) error {
 	p.stats.WaitSeconds += e.info.ReleaseTime - e.info.SubmitTime
 	p.armTimeout(e)
 	for _, fn := range p.onRelease {
-		fn(e.info)
+		fn(&e.info)
 	}
 	p.eng.Start(e.q)
 	return nil
@@ -627,7 +618,7 @@ func (p *Patroller) armTimeout(e *entry) {
 		return
 	}
 	d := rp.TimeoutFloor + rp.TimeoutPerCost*e.info.Cost
-	p.timeouts[e.q.ID] = p.clock.AfterCancellable(d, p.timeoutFn(e.q))
+	e.timeout = p.clock.AfterCancellable(d, p.timeoutFn(e.q))
 }
 
 // timeoutFn builds the timeout callback for one released query.
@@ -635,7 +626,6 @@ func (p *Patroller) timeoutFn(q *engine.Query) simclock.EventFunc {
 	id := q.ID
 	//lint:ignore hotalloc the timeout callback must capture its query; armed once per release, cancelled on completion
 	return func() {
-		delete(p.timeouts, id)
 		// The guard keeps a stale fire harmless even if the freelist
 		// recycled the object into a different query (completion and
 		// abort both cancel the timeout, but a same-instant race still
@@ -705,22 +695,24 @@ func (p *Patroller) view() *View {
 	p.compactOrder()
 	for _, id := range p.order {
 		if e, ok := p.held[id]; ok {
-			v.Held = append(v.Held, e.info)
+			v.Held = append(v.Held, &e.info)
 		}
 	}
-	for _, e := range p.active { //lint:ignore hotalloc,maporder active is a map by design; the view is insertion-sorted by ID below
-		v.Active = append(v.Active, e.info)
+	for _, e := range p.active { //lint:ignore hotalloc,maporder active is a map by design; the view is sorted by ID below
+		v.Active = append(v.Active, &e.info)
 	}
-	// Map iteration is random; keep the view deterministic. Query IDs
-	// are unique, so this insertion sort yields exactly sort.Slice's
-	// order without boxing a comparator closure every poke.
-	a := v.Active
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j].ID < a[j-1].ID; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
+	sortByID(v.Active) // map iteration is random; keep the view deterministic
 	return v
+}
+
+// sortByID orders rows by query ID, which is interception order. IDs are
+// unique, and an insertion sort boxes no comparator closure per poke.
+func sortByID(rows []*QueryInfo) {
+	for i := 1; i < len(rows); i++ {
+		for j := i; j > 0 && rows[j].ID < rows[j-1].ID; j-- {
+			rows[j], rows[j-1] = rows[j-1], rows[j]
+		}
+	}
 }
 
 // compactOrder drops released IDs from the arrival-order list once they
@@ -753,9 +745,26 @@ func (p *Patroller) ActiveCostByClass() map[engine.ClassID]float64 {
 	return m
 }
 
-// ControlTable returns all recorded query rows in arrival order. The slice
-// is owned by the patroller; callers must not mutate it.
-func (p *Patroller) ControlTable() []*QueryInfo { return p.table }
+// Unfinished returns, in interception order (ascending ID: the engine
+// numbers a query right before it is intercepted), the rows of every
+// query this patroller holds or runs and of every query a fleet failover
+// evacuated off it, which the Query Scheduler's monitor counts as in
+// flight. The slice and rows are valid only until the patroller next acts.
+func (p *Patroller) Unfinished() []*QueryInfo {
+	rows := p.unfinished[:0]
+	for i := range p.evacuated {
+		rows = append(rows, &p.evacuated[i])
+	}
+	for _, e := range p.held { //lint:ignore maporder sorted by ID below
+		rows = append(rows, &e.info)
+	}
+	for _, e := range p.active { //lint:ignore maporder sorted by ID below
+		rows = append(rows, &e.info)
+	}
+	sortByID(rows)
+	p.unfinished = rows
+	return rows
+}
 
 // Stats returns cumulative patroller counters.
 func (p *Patroller) Stats() Stats { return p.stats }

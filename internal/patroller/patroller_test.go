@@ -1,6 +1,8 @@
 package patroller
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -22,14 +24,42 @@ func q(class engine.ClassID, cost, work float64) *engine.Query {
 	}
 }
 
+// rowLog keeps, in interception order, a copy of every managed query's
+// row as the listeners last showed it. A terminal failure reaches no
+// patroller listener, so the engine's completion listener marks it.
+type rowLog struct {
+	rows []QueryInfo
+	at   map[engine.QueryID]int
+}
+
+// logRows starts a rowLog on p; call it before the first submission.
+func logRows(p *Patroller, eng *engine.Engine) *rowLog {
+	l := &rowLog{at: map[engine.QueryID]int{}}
+	p.OnArrival(func(qi *QueryInfo) {
+		l.at[qi.ID] = len(l.rows)
+		l.rows = append(l.rows, *qi)
+	})
+	update := func(qi *QueryInfo) { l.rows[l.at[qi.ID]] = *qi }
+	p.OnRelease(update)
+	p.OnManagedDone(update)
+	p.OnRetry(update)
+	eng.OnDone(func(query *engine.Query) {
+		if i, ok := l.at[query.ID]; ok && query.State == engine.StateFailed {
+			l.rows[i].State = Failed
+		}
+	})
+	return l
+}
+
 func TestUnmanagedClassPassesThrough(t *testing.T) {
 	p, eng, _ := newRig(1)
+	log := logRows(p, eng)
 	query := q(2, 100, 10)
 	eng.Submit(query)
 	if query.State != engine.StateExecuting {
 		t.Fatalf("unmanaged query state = %v", query.State)
 	}
-	if p.HeldCount() != 0 || len(p.ControlTable()) != 0 {
+	if p.HeldCount() != 0 || len(log.rows) != 0 {
 		t.Fatal("unmanaged query recorded")
 	}
 }
@@ -52,6 +82,7 @@ func TestManagedQueryHeldWithoutPolicy(t *testing.T) {
 
 func TestExplicitRelease(t *testing.T) {
 	p, eng, clock := newRig(1)
+	log := logRows(p, eng)
 	query := q(1, 100, 10)
 	eng.Submit(query)
 	clock.RunUntil(3)
@@ -62,9 +93,9 @@ func TestExplicitRelease(t *testing.T) {
 	if query.State != engine.StateDone {
 		t.Fatalf("state = %v", query.State)
 	}
-	info := p.ControlTable()[0]
+	info := log.rows[0]
 	if info.State != Completed {
-		t.Fatalf("control table state = %v", info.State)
+		t.Fatalf("row state = %v", info.State)
 	}
 	if info.ReleaseTime != 3 || info.SubmitTime != 0 {
 		t.Fatalf("times = %+v", info)
@@ -230,6 +261,61 @@ func TestViewDeterministicOrder(t *testing.T) {
 	}
 }
 
+// unfinishedIDs lists Unfinished's rows as "ID:state" strings.
+func unfinishedIDs(p *Patroller) []string {
+	var out []string
+	for _, qi := range p.Unfinished() {
+		out = append(out, fmt.Sprintf("%d:%v", qi.ID, qi.State))
+	}
+	return out
+}
+
+// Unfinished visits rows in interception order (ascending ID), not in the
+// held queue's order: a retry re-queues at the head of that queue, ahead
+// of older held queries, and executing and evacuated rows interleave with
+// held ones by ID.
+func TestUnfinishedVisitsInInterceptionOrder(t *testing.T) {
+	p, eng, clock := newRig(1)
+	p.SetRetryPolicy(&RetryPolicy{MaxAttempts: 2, Backoff: 1})
+	a, b, c := q(1, 100, 10), q(1, 100, 10), q(1, 100, 10)
+	eng.Submit(a) // ID 1
+	eng.Submit(b) // ID 2
+	eng.Submit(c) // ID 3
+	for _, id := range []engine.QueryID{a.ID, b.ID} {
+		if err := p.Release(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// a fails at 1 and is resubmitted at 2 as ID 4, at the queue's head.
+	clock.After(1, func() { eng.Abort(a) })
+	clock.RunUntil(3)
+	if p.order[0] != 4 {
+		t.Fatalf("held queue = %v, want the retry (ID 4) at its head", p.order)
+	}
+	want := []string{"2:running", "3:held", "4:held"}
+	if got := unfinishedIDs(p); !slices.Equal(got, want) {
+		t.Fatalf("Unfinished = %v, want %v", got, want)
+	}
+
+	// A failover evacuates the executing query, then, after one more
+	// arrival, the held ones (the held queue walks 4, 3, 5).
+	for _, query := range eng.Evacuate() {
+		p.ForgetActive(query.ID)
+	}
+	eng.Submit(q(1, 100, 10)) // ID 5
+	want = []string{"2:evacuated", "3:held", "4:held", "5:held"}
+	if got := unfinishedIDs(p); !slices.Equal(got, want) {
+		t.Fatalf("after evacuating the executing query: Unfinished = %v, want %v", got, want)
+	}
+	if n := len(p.EvacuateHeld()); n != 3 {
+		t.Fatalf("evacuated %d held queries, want 3", n)
+	}
+	want = []string{"2:evacuated", "3:evacuated", "4:evacuated", "5:evacuated"}
+	if got := unfinishedIDs(p); !slices.Equal(got, want) {
+		t.Fatalf("after evacuating the held queries: Unfinished = %v, want %v", got, want)
+	}
+}
+
 func TestCompactOrderKeepsHeldQueries(t *testing.T) {
 	p, eng, clock := newRig(1)
 	p.SetPolicy(SystemLimit{Limit: 150})
@@ -383,10 +469,11 @@ func TestViewAggregates(t *testing.T) {
 }
 
 // A class the patroller does not manage — below, between or above the
-// managed IDs, or negative — passes straight through: it never enters
-// the control table, the held or active sets, or the stats.
+// managed IDs, or negative — passes straight through: it never gets a
+// row, never enters the held or active sets, and is not counted.
 func TestUnmanagedClassesNeverEnterTable(t *testing.T) {
 	p, eng, clock := newRig(2, 4)
+	log := logRows(p, eng)
 	for _, class := range []engine.ClassID{0, 1, 3, 5, 1000, -1, -1 << 40} {
 		if p.Manages(class) {
 			t.Errorf("Manages(%d) = true", class)
@@ -398,7 +485,7 @@ func TestUnmanagedClassesNeverEnterTable(t *testing.T) {
 		}
 	}
 	clock.Run()
-	if n := len(p.ControlTable()); n != 0 || p.HeldCount() != 0 || p.ActiveCount() != 0 {
+	if n := len(log.rows); n != 0 || p.HeldCount() != 0 || p.ActiveCount() != 0 {
 		t.Fatalf("unmanaged queries recorded: table %d held %d active %d", n, p.HeldCount(), p.ActiveCount())
 	}
 	if st := p.Stats(); st != (Stats{}) {
@@ -410,7 +497,7 @@ func TestUnmanagedClassesNeverEnterTable(t *testing.T) {
 		}
 		eng.Submit(q(class, 100, 1))
 	}
-	if got := len(p.ControlTable()); got != 2 {
+	if got := len(log.rows); got != 2 {
 		t.Fatalf("managed queries recorded %d rows, want 2", got)
 	}
 }

@@ -18,9 +18,10 @@ func retryRig(rp RetryPolicy) (*Patroller, *engine.Engine, *simclock.Clock) {
 
 func TestAbortedManagedQueryIsRetriedAndCompletes(t *testing.T) {
 	p, eng, clock := retryRig(RetryPolicy{MaxAttempts: 3, Backoff: 2})
+	log := logRows(p, eng)
 	query := q(1, 100, 10)
-	var retries []*QueryInfo
-	p.OnRetry(func(qi *QueryInfo) { retries = append(retries, qi) })
+	var retries []QueryInfo
+	p.OnRetry(func(qi *QueryInfo) { retries = append(retries, *qi) })
 	eng.Submit(query)
 	clock.After(4, func() { eng.Abort(query) })
 	clock.Run()
@@ -35,9 +36,9 @@ func TestAbortedManagedQueryIsRetriedAndCompletes(t *testing.T) {
 		t.Fatalf("retry never completed: %+v", st)
 	}
 	// Failed attempt's row stays Failed; the retry has its own row.
-	table := p.ControlTable()
+	table := log.rows
 	if len(table) != 2 || table[0].State != Failed || table[1].State != Completed {
-		t.Fatalf("control table = %+v", table)
+		t.Fatalf("rows = %+v", table)
 	}
 	if table[1].Attempt != 1 {
 		t.Fatalf("retry row attempt = %d", table[1].Attempt)
@@ -46,6 +47,7 @@ func TestAbortedManagedQueryIsRetriedAndCompletes(t *testing.T) {
 
 func TestRetryBudgetExhausts(t *testing.T) {
 	p, eng, clock := retryRig(RetryPolicy{MaxAttempts: 2, Backoff: 1})
+	log := logRows(p, eng)
 	// Abort every execution attempt as it starts (plus a bit).
 	eng.OnStart(func(query *engine.Query) {
 		clock.After(1, func() { eng.Abort(query) })
@@ -59,7 +61,10 @@ func TestRetryBudgetExhausts(t *testing.T) {
 	if st.Completed != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	for _, qi := range p.ControlTable() {
+	if len(log.rows) != 2 {
+		t.Fatalf("rows = %+v, want one per attempt", log.rows)
+	}
+	for _, qi := range log.rows {
 		if qi.State != Failed {
 			t.Fatalf("row state = %v, want Failed", qi.State)
 		}
@@ -91,11 +96,12 @@ func TestTimeoutRefreshesCostForRetry(t *testing.T) {
 		RefreshCost: func(failed *engine.Query) float64 { return failed.Cost * 3 },
 	}
 	p, eng, clock := retryRig(rp)
+	log := logRows(p, eng)
 	eng.Submit(q(1, 100, 8))
 	clock.Run()
-	table := p.ControlTable()
+	table := log.rows
 	if len(table) != 2 {
-		t.Fatalf("control table = %+v", table)
+		t.Fatalf("rows = %+v", table)
 	}
 	if table[1].Cost != 300 {
 		t.Fatalf("retry cost = %v, want 300 after refresh", table[1].Cost)
@@ -112,13 +118,14 @@ func TestCompletionCancelsPendingTimeout(t *testing.T) {
 		MaxAttempts: 3, TimeoutFloor: 100, TimeoutPerCost: 0.01,
 	})
 	eng.Submit(q(1, 100, 10))
-	clock.Run()
+	// The query completes at 10; its timeout would fire at 101.
+	clock.RunUntil(50)
 	st := p.Stats()
 	if st.TimedOut != 0 || st.Failed != 0 || st.Completed != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if len(p.timeouts) != 0 {
-		t.Fatalf("%d timeout events leaked", len(p.timeouts))
+	if n := clock.Pending(); n != 0 {
+		t.Fatalf("%d timeout events leaked", n)
 	}
 }
 
