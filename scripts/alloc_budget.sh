@@ -4,7 +4,8 @@
 # history), one greedy and one grid solve of a three-class plan
 # (SolverGreedy, SolverGrid), the engine's event loop under identical
 # and under mixed demands (EngineHotPath, EngineMixedDemand), the fleet's
-# routing benchmarks, the tracer's emit benchmark, the client pool's
+# routing benchmarks, the patroller's intercept/release/complete cycle
+# (PatrollerChurn), the tracer's emit benchmark, the client pool's
 # million-client rotation (MillionClients), a completion event re-arming
 # itself from its callback (ClockRearmFiring) and one query draw
 # (WorkloadGenerate) once with -benchmem and fail
@@ -14,12 +15,14 @@
 # allocation discipline — pooled query/span objects, one query freelist
 # per fleet, a slot slice for the executing set, dense per-class slices,
 # per-class plan rows, plan vectors the grid solver reuses across
-# candidates, batched trace dispatch, parked clients held as rng
-# cursors — as a CI regression target rather than a one-off win.
-# EngineHotPath's, EngineMixedDemand's, RouterRoute's, TraceEmit's,
-# ClockRearmFiring's and WorkloadGenerate's budgets are 0 B/op, so any
-# allocation on a warm engine event, a warm routed submit, a warm traced
-# query, a completion re-arm or a query draw fails.
+# candidates, pooled patroller entries that outlive no query, batched
+# trace dispatch, parked clients held as rng cursors — as a CI
+# regression target rather than a one-off win.
+# EngineHotPath's, EngineMixedDemand's, RouterRoute's, PatrollerChurn's,
+# TraceEmit's, ClockRearmFiring's and WorkloadGenerate's budgets are
+# 0 B/op, so any allocation on a warm engine event, a warm routed submit,
+# a warm managed query, a warm traced query, a completion re-arm or a
+# query draw fails.
 #
 # Usage:
 #   scripts/alloc_budget.sh            # compare against the budget
@@ -28,7 +31,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUDGET=scripts/alloc_budget.txt
-BENCH='^(BenchmarkSystemCostLimit|BenchmarkFig2|BenchmarkFig6|BenchmarkSolverGreedy|BenchmarkSolverGrid|BenchmarkEngineHotPath|BenchmarkEngineMixedDemand|BenchmarkRouterRoute|BenchmarkRoutingFleet|BenchmarkTraceEmit|BenchmarkMillionClients|BenchmarkClockRearmFiring|BenchmarkWorkloadGenerate)$'
+BENCH='^(BenchmarkSystemCostLimit|BenchmarkFig2|BenchmarkFig6|BenchmarkSolverGreedy|BenchmarkSolverGrid|BenchmarkEngineHotPath|BenchmarkEngineMixedDemand|BenchmarkRouterRoute|BenchmarkRoutingFleet|BenchmarkPatrollerChurn|BenchmarkTraceEmit|BenchmarkMillionClients|BenchmarkClockRearmFiring|BenchmarkWorkloadGenerate)$'
 
 OUT=$(go test -run='^$' -bench="$BENCH" -benchtime=1x -benchmem -timeout 1800s .)
 echo "$OUT"
