@@ -239,7 +239,7 @@ func TestFleetFailoverResumeIsByteIdentical(t *testing.T) {
 		copyFile(t, refTrace, tmpTrace)
 		copyFile(t, refDec, tmpDec)
 		var rm bytes.Buffer
-		rres, err := ResumeMixed(ResumeOptions{
+		rres, err := ResumeFleet(ResumeOptions{
 			Dir:           ckptDir,
 			Index:         idx,
 			TracePath:     tmpTrace,
@@ -252,7 +252,7 @@ func TestFleetFailoverResumeIsByteIdentical(t *testing.T) {
 		if rres.ExportErr != nil {
 			t.Fatalf("boundary %d: export: %v", idx, rres.ExportErr)
 		}
-		if got := mixedTables(rres); got != refTables {
+		if got := mixedTables(rres.MixedResult); got != refTables {
 			t.Errorf("boundary %d: period tables diverged", idx)
 		}
 		if !bytes.Equal(rm.Bytes(), refMetrics) {

@@ -4,7 +4,7 @@
 // failover arm's period tables, decision log) and the E14 routing run
 // (period tables, routing table). Each is checked from a serial run and
 // from runs on the 8-worker pool; the first two also from a run resumed
-// at a mid-run checkpoint.
+// at a mid-run checkpoint, the fleet's routing table included.
 package experiment
 
 import (
@@ -74,7 +74,7 @@ func TestGoldenFleetQuickParallel(t *testing.T) {
 // file-backed trace and decision log and a metrics writer, then resumes
 // from the middle checkpoint over copies of those files. It returns the
 // resumed result, metrics exposition and files' bytes.
-func resumeFromMiddle(t *testing.T, cfg MixedConfig) (res *MixedResult, metrics, trace, decisions []byte) {
+func resumeFromMiddle(t *testing.T, cfg MixedConfig) (res *FleetResult, metrics, trace, decisions []byte) {
 	t.Helper()
 	dir := t.TempDir()
 	cfg.CheckpointEvery = 2
@@ -107,7 +107,7 @@ func resumeFromMiddle(t *testing.T, cfg MixedConfig) (res *MixedResult, metrics,
 	copyFile(t, refTrace, tmpTrace)
 	copyFile(t, refDec, tmpDec)
 	var mb bytes.Buffer
-	res, err = ResumeMixed(ResumeOptions{
+	res, err = ResumeFleet(ResumeOptions{
 		Dir: cfg.CheckpointDir, Index: idx, TracePath: tmpTrace, DecisionsPath: tmpDec, Metrics: &mb,
 	})
 	if err != nil {
@@ -131,7 +131,8 @@ func TestGoldenFleetQuickResume(t *testing.T) {
 		t.Skip("fleet resume goldens are slow under -race")
 	}
 	res, metrics, trace, decisions := resumeFromMiddle(t, fleetTestConfig())
-	goldenCompare(t, "fleet_tables.txt", []byte(mixedTables(res)))
+	goldenCompare(t, "fleet_tables.txt", []byte(mixedTables(res.MixedResult)))
+	goldenCompare(t, "fleet_routing.txt", routingTable(res))
 	goldenCompare(t, "fleet_metrics.txt", metrics)
 	goldenCompare(t, "fleet_decisions.jsonl", decisions)
 	goldenCompare(t, "fleet_trace.digest", goldenTraceDigest(trace))
@@ -181,7 +182,7 @@ func TestGoldenFailoverQuickResume(t *testing.T) {
 	plan := FailoverPlan(1, true)
 	cfg := FailoverMixedConfig(FailoverConfig{Seed: 1, Quick: true}, &plan)
 	res, _, _, decisions := resumeFromMiddle(t, cfg)
-	goldenCompare(t, "failover_quick_arm_tables.txt", []byte(mixedTables(res)))
+	goldenCompare(t, "failover_quick_arm_tables.txt", []byte(mixedTables(res.MixedResult)))
 	goldenCompare(t, "failover_quick_decisions.jsonl", decisions)
 }
 

@@ -281,7 +281,7 @@ func TestFleetResumeIsByteIdentical(t *testing.T) {
 		copyFile(t, refTrace, tmpTrace)
 		copyFile(t, refDec, tmpDec)
 		var rm bytes.Buffer
-		rres, err := ResumeMixed(ResumeOptions{
+		rres, err := ResumeFleet(ResumeOptions{
 			Dir:           ckptDir,
 			Index:         idx,
 			TracePath:     tmpTrace,
@@ -294,7 +294,7 @@ func TestFleetResumeIsByteIdentical(t *testing.T) {
 		if rres.ExportErr != nil {
 			t.Fatalf("boundary %d: export: %v", idx, rres.ExportErr)
 		}
-		if got := mixedTables(rres); got != refTables {
+		if got := mixedTables(rres.MixedResult); got != refTables {
 			t.Errorf("boundary %d: period tables diverged", idx)
 		}
 		if !bytes.Equal(rm.Bytes(), refMetrics) {
@@ -345,11 +345,11 @@ func TestStaticFleetResumeIsByteIdentical(t *testing.T) {
 		tmp := filepath.Join(dir, fmt.Sprintf("resume-%02d.jsonl", idx))
 		copyFile(t, refTrace, tmp)
 		var mb bytes.Buffer
-		res, err := ResumeMixed(ResumeOptions{Dir: ckptDir, Index: idx, TracePath: tmp, Metrics: &mb})
+		res, err := ResumeFleet(ResumeOptions{Dir: ckptDir, Index: idx, TracePath: tmp, Metrics: &mb})
 		if err != nil {
 			t.Fatalf("boundary %d: %v", idx, err)
 		}
-		if mixedTables(res) != refTables {
+		if mixedTables(res.MixedResult) != refTables {
 			t.Errorf("boundary %d: period tables diverged", idx)
 		}
 		if !bytes.Equal(mb.Bytes(), refMetrics) {

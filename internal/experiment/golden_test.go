@@ -325,13 +325,13 @@ func TestGoldenResumeSurvivesPooling(t *testing.T) {
 		copyFile(t, refTrace, tmp)
 		copyFile(t, refDec, dmp)
 		var mb bytes.Buffer
-		res, err := ResumeMixed(ResumeOptions{
+		res, err := ResumeFleet(ResumeOptions{
 			Dir: ckptDir, Index: idx, TracePath: tmp, DecisionsPath: dmp, Metrics: &mb,
 		})
 		if err != nil {
 			t.Fatalf("boundary %d: %v", idx, err)
 		}
-		if got := mixedTables(res); got != refTables {
+		if got := mixedTables(res.MixedResult); got != refTables {
 			t.Errorf("boundary %d: period tables diverged", idx)
 		}
 		if !bytes.Equal(mb.Bytes(), refMetrics) {

@@ -11,7 +11,6 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -45,22 +44,22 @@ func InfeasibleMixedConfig() MixedConfig {
 }
 
 // InfeasibilitySummary aggregates the plans' feasibility verdicts over
-// a run's plan history.
+// one backend's plan history.
 type InfeasibilitySummary struct {
 	Ticks           int
 	HeldTicks       int
 	InfeasibleTicks int
 	// Binding[class] counts infeasible ticks where that class's goal was
 	// the binding constraint.
-	Binding map[engine.ClassID]int
+	Binding engine.ClassMap[int]
 	// Final is the last planned (non-held) tick, whose rows carry each
 	// class's final SLO accounting; nil when every tick was held.
 	Final *core.PlanRecord
 }
 
-// SummarizeInfeasibility folds a plan history into a summary.
-func SummarizeInfeasibility(hist []core.PlanRecord) InfeasibilitySummary {
-	s := InfeasibilitySummary{Binding: make(map[engine.ClassID]int)}
+// summarizeInfeasibility folds a plan history into a summary.
+func summarizeInfeasibility(hist []core.PlanRecord) InfeasibilitySummary {
+	s := InfeasibilitySummary{Binding: make(engine.ClassMap[int])}
 	for i := range hist {
 		rec := &hist[i]
 		s.Ticks++
@@ -77,23 +76,21 @@ func SummarizeInfeasibility(hist []core.PlanRecord) InfeasibilitySummary {
 	return s
 }
 
-// WriteInfeasibility prints the E13 verdict table: how often the solver
-// found no feasible plan, which goal bound, and where the SLO accounting
-// ended up.
-func WriteInfeasibility(w io.Writer, res *MixedResult) {
-	s := SummarizeInfeasibility(res.PlanHistory)
+// WriteInfeasibility prints the E13 verdict table of a one-backend run:
+// how often the solver found no feasible plan, which goal bound, and
+// where the SLO accounting ended up.
+func WriteInfeasibility(w io.Writer, res *FleetResult) {
+	var s InfeasibilitySummary
+	if len(res.Feasibility) == 1 {
+		s = res.Feasibility[0]
+	}
 	fmt.Fprintf(w, "Solver feasibility (%d control ticks, %d held):\n", s.Ticks, s.HeldTicks)
 	planned := s.Ticks - s.HeldTicks
 	if planned > 0 {
 		fmt.Fprintf(w, "  infeasible ticks: %d/%d (%.0f%%)\n",
 			s.InfeasibleTicks, planned, 100*float64(s.InfeasibleTicks)/float64(planned))
 	}
-	var ids []engine.ClassID
-	for id := range s.Binding {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range s.Binding.IDs() {
 		name := fmt.Sprintf("class %d", id)
 		for _, c := range res.Classes {
 			if c.ID == id {

@@ -70,14 +70,13 @@ func WriteRouting(w io.Writer, res *FleetResult) {
 			spec.Name, ec.CPUCapacity, ec.IOCapacity, res.Routed[i], 100*share, res.BackendCompleted[i], limit)
 	}
 	// Final per-backend attainment, from each backend's own control loop.
-	for i, hist := range res.Histories {
-		final := SummarizeInfeasibility(hist).Final
-		if final == nil {
+	for i, f := range res.Feasibility {
+		if f.Final == nil {
 			continue
 		}
 		fmt.Fprintf(w, "  %s attainment:", res.Specs[i].Name)
 		for _, c := range res.Classes {
-			row, _ := final.Class(c.ID)
+			row, _ := f.Final.Class(c.ID)
 			fmt.Fprintf(w, " %s=%.2f", c.Name, row.Attainment)
 		}
 		fmt.Fprintln(w)

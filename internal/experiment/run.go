@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/checkpoint"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/router"
 	"repro/internal/workload"
@@ -39,9 +38,9 @@ type FleetResult struct {
 	BackendCompleted []int
 	// Plans is the fleet planner's budget-split history.
 	Plans []router.FleetPlan
-	// Histories[i] is roster backend i's per-tick plan record (Query
-	// Scheduler mode).
-	Histories [][]core.PlanRecord
+	// Feasibility[i] folds roster backend i's per-tick plan record
+	// (Query Scheduler mode).
+	Feasibility []InfeasibilitySummary
 }
 
 // Validate is the one check of a mixed run's configuration, so a bad
@@ -243,7 +242,10 @@ func collect(cfg MixedConfig, r *Rig, obsErr error) *FleetResult {
 			continue
 		}
 		hist := b.QS.History()
-		fr.Histories = append(fr.Histories, hist)
+		fr.Feasibility = append(fr.Feasibility, summarizeInfeasibility(hist))
+		if len(r.Backends) == 1 {
+			res.PlanHistory = hist
+		}
 		// res.Classes (not r.Classes) keeps limit rows aligned with the
 		// sorted report columns.
 		limits := averageLimitsPerPeriod(hist, res.Classes, cfg.Sched)
@@ -256,9 +258,6 @@ func collect(cfg MixedConfig, r *Rig, obsErr error) *FleetResult {
 				res.CostLimits[i][p] += limits[i][p]
 			}
 		}
-	}
-	if len(fr.Histories) == 1 {
-		res.PlanHistory = fr.Histories[0]
 	}
 	return fr
 }

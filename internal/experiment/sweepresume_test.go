@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -48,6 +49,7 @@ func TestSweepResumeSkipsCompletedValues(t *testing.T) {
 
 	// Uninterrupted reference sweep: every value runs to completion with
 	// checkpointing on, exactly as qsweep -checkpoint-every would.
+	refResults := make([]*FleetResult, len(seeds))
 	refTables := make([]string, len(seeds))
 	refMetrics := make([][]byte, len(seeds))
 	refTrace := make([][]byte, len(seeds))
@@ -64,9 +66,10 @@ func TestSweepResumeSkipsCompletedValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refTables[i] = mixedTables(res)
+		refResults[i] = res
+		refTables[i] = mixedTables(res.MixedResult)
 		refMetrics[i] = mb.Bytes()
-		refRows[i] = sweepRow(float64(seed), res)
+		refRows[i] = sweepRow(float64(seed), res.MixedResult)
 		tb, err := os.ReadFile(tracePaths[i])
 		if err != nil {
 			t.Fatal(err)
@@ -131,12 +134,12 @@ func TestSweepResumeSkipsCompletedValues(t *testing.T) {
 	var mergedRef, mergedGot strings.Builder
 	for i, seed := range seeds {
 		mergedRef.WriteString(refRows[i])
-		var res *MixedResult
+		var res *FleetResult
 		var mb bytes.Buffer
-		if HasCheckpoint(ckptDirs[i]) {
-			var err error
-			res, err = ResumeMixed(ResumeOptions{
+		if _, idx, err := CheckpointConfig(ckptDirs[i], nil); err == nil {
+			res, err = ResumeFleet(ResumeOptions{
 				Dir:             ckptDirs[i],
+				Index:           idx,
 				TracePath:       tracePaths[i],
 				Metrics:         &mb,
 				CheckpointEvery: every,
@@ -156,9 +159,28 @@ func TestSweepResumeSkipsCompletedValues(t *testing.T) {
 		if res.ExportErr != nil {
 			t.Fatalf("value %d: export: %v", i, res.ExportErr)
 		}
-		mergedGot.WriteString(sweepRow(float64(seed), res))
-		if got := mixedTables(res); got != refTables[i] {
+		mergedGot.WriteString(sweepRow(float64(seed), res.MixedResult))
+		if got := mixedTables(res.MixedResult); got != refTables[i] {
 			t.Errorf("value %d: period tables diverged from uninterrupted sweep", i)
+		}
+		// The fleet detail comes back too, the finished value's from
+		// its terminal checkpoint.
+		ref := refResults[i]
+		for _, f := range []struct {
+			name      string
+			got, want any
+		}{
+			{"Specs", res.Specs, ref.Specs},
+			{"Routed", res.Routed, ref.Routed},
+			{"BackendCompleted", res.BackendCompleted, ref.BackendCompleted},
+			{"Feasibility", res.Feasibility, ref.Feasibility},
+		} {
+			if !reflect.DeepEqual(f.got, f.want) {
+				t.Errorf("value %d: resumed %s is %+v, the uninterrupted run's %+v", i, f.name, f.got, f.want)
+			}
+		}
+		if len(res.Specs) == 0 || len(res.BackendCompleted) == 0 || len(res.Feasibility) == 0 {
+			t.Errorf("value %d: resumed result lacks its fleet detail: %+v", i, res)
 		}
 		if !bytes.Equal(mb.Bytes(), refMetrics[i]) {
 			t.Errorf("value %d: metrics exposition diverged from uninterrupted sweep", i)
