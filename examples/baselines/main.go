@@ -57,16 +57,8 @@ func main() {
 	// periods (3, 6, 9, ...) where 25 OLTP clients are active.
 	fmt.Printf("\n%-28s", "OLTP heavy-period mean RT")
 	for mi := range modes {
-		res := results[mi]
-		var sum float64
-		var n int
-		for p := 2; p < res.Periods; p += 3 {
-			if res.Measurable[2][p] {
-				sum += res.Metric[2][p]
-				n++
-			}
-		}
-		fmt.Printf(" %14.0fms", sum/float64(n)*1000)
+		heavy, _ := results[mi].HeavyOLTP()
+		fmt.Printf(" %14.0fms", heavy*1000)
 	}
 	fmt.Println()
 

@@ -78,16 +78,8 @@ func WriteAblations(w io.Writer, specs []AblationSpec, results []*MixedResult) {
 		for ci := range res.Classes {
 			fmt.Fprintf(w, " %9.0f%%", 100*res.Satisfaction[ci])
 		}
-		var heavy float64
-		var n int
-		for p := 2; p < res.Periods; p += 3 {
-			if res.Measurable[2][p] {
-				heavy += res.Metric[2][p]
-				n++
-			}
-		}
-		if n > 0 {
-			fmt.Fprintf(w, " %15.0f", heavy/float64(n)*1000)
+		if heavy, ok := res.HeavyOLTP(); ok {
+			fmt.Fprintf(w, " %15.0f", heavy*1000)
 		} else {
 			fmt.Fprintf(w, " %15s", "-")
 		}
